@@ -5,10 +5,17 @@ indicator mu^2, the von Mangoldt function Lambda, the Piltz divisor functions
 tau_r, omega (number of distinct prime factors), 2^omega (number of unitary
 divisors), and chi_2 (chi_2(m^2) = mu(m), zero off squares).
 
+Each function is defined once, by its local factor g(a) = f(p^a) in
+`_LOCAL_FACTORS`: f(n) is the product of g(a) over the prime powers p^a
+exactly dividing n (the sum, for the additive omega).  Lambda, whose value
+at p^a depends on p, is the one special case.  The table drives both
+evaluators: a single segmented kernel that walks the prime powers up to hi
+with the primes up to sqrt(hi), and `eval_point`, which factorizes an
+isolated argument by trial division with a Pollard rho fallback.  The tail
+bounds on main-term constants in `floorsum` read the same table.
+
 Tables are immutable after construction and all operations are pure, so
-concurrent reads are safe.  A single segmented kernel driven by the primes up
-to sqrt(hi) serves every function; isolated large arguments go through
-`eval_point`, which factorizes by trial division with a Pollard rho fallback.
+concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
@@ -68,6 +76,14 @@ class FunctionKind:
     def integer_valued(self) -> bool:
         return self.tag != "lambda"
 
+    @property
+    def additive(self) -> bool:
+        return self.tag == "omega"
+
+    def local(self, a: int) -> int:
+        """g(a) = f(p^a) for every prime p; undefined for Lambda."""
+        return _LOCAL_FACTORS[self.tag](a, self.r)
+
     def __str__(self) -> str:
         return f"tau{self.r}" if self.tag == "tau" else self.tag
 
@@ -79,6 +95,20 @@ LAMBDA = FunctionKind("lambda")
 OMEGA = FunctionKind("omega")
 TWO_POW_OMEGA = FunctionKind("two_pow_omega")
 CHI_TWO = FunctionKind("chi_two")
+
+
+# g(a) = f(p^a) for a >= 0 and every prime p (see the module docstring);
+# `r` is the tau order.  Lambda depends on p itself and has no entry.
+_LOCAL_FACTORS = {
+    "one": lambda a, r: 1,
+    "mobius": lambda a, r: (1, -1, 0)[min(a, 2)],
+    "mobius_squared": lambda a, r: int(a < 2),
+    "tau": lambda a, r: comb(a + r - 1, r - 1),
+    "omega": lambda a, r: int(a > 0),
+    "two_pow_omega": lambda a, r: 2 if a else 1,
+    # chi_2(m^2) = mu(m): mu's factor read on even exponents
+    "chi_two": lambda a, r: 0 if a % 2 else _LOCAL_FACTORS["mobius"](a // 2, r),
+}
 
 
 def tau(r: int) -> FunctionKind:
@@ -117,9 +147,11 @@ class SieveTable:
 
     `values[i]` holds f(lo + i); integer functions use an exact int64 array,
     Lambda a float64 array of log p values.  The array is marked read-only.
+    `kind` is None for a derived table (a Dirichlet product), which no
+    evaluator accepts in place of a table of a named function.
     """
 
-    kind: FunctionKind
+    kind: FunctionKind | None
     lo: int
     hi: int
     values: np.ndarray
@@ -128,10 +160,10 @@ class SieveTable:
         return self.hi - self.lo + 1
 
     def value(self, n: int):
+        """f(n) as a Python int or float, following the array's dtype."""
         if not self.lo <= n <= self.hi:
             raise CoverageError(f"n={n} outside table range [{self.lo}, {self.hi}]")
-        v = self.values[n - self.lo]
-        return float(v) if self.kind.tag == "lambda" else int(v)
+        return self.values.item(n - self.lo)
 
     def covers(self, lo: int, hi: int) -> bool:
         return self.lo <= lo and hi <= self.hi
@@ -150,125 +182,93 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _slice_of(q: int, lo: int, hi: int) -> slice | None:
-    # indices (relative to lo) of multiples of q in [lo, hi]
-    start = ((lo + q - 1) // q) * q
-    if start > hi:
-        return None
-    return slice(start - lo, hi - lo + 1, q)
+def _steps(kind: FunctionKind, amax: int) -> dict[int, int | tuple[int, int]]:
+    """How f changes on the multiples of p^a, for a = 1..amax: from g(a-1)
+    to g(a), as the difference (additive) or as the ratio num/den in lowest
+    terms (multiplicative).  Exponents where g does not change are left out;
+    a multiplicative factor that reaches 0 must stay 0.
+    """
+    g = [kind.local(a) for a in range(amax + 1)]
+    steps = {}
+    for a in range(1, amax + 1):
+        if g[a] == g[a - 1]:
+            continue
+        if kind.additive:
+            steps[a] = g[a] - g[a - 1]
+        else:
+            ratio = Fraction(g[a], g[a - 1])
+            steps[a] = (ratio.numerator, ratio.denominator)
+    return steps
 
 
-def _residual_cofactor(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """rem[i] = (lo+i) with every prime p in `primes` divided out completely."""
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        q = p
-        while q <= hi:
-            sl = _slice_of(q, lo, hi)
-            if sl is not None:
-                rem[sl] //= p
-            if q > hi // p:
-                break
-            q *= p
-    return rem
+def _advance(val: np.ndarray, where, step, additive: bool) -> None:
+    if additive:
+        val[where] += step
+        return
+    num, den = step
+    if num == 0:
+        val[where] = 0
+    else:
+        # exact: every entry in `where` is a multiple of g(a-1)
+        val[where] *= num
+        if den > 1:
+            val[where] //= den
 
 
 def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    tag = kind.tag
-    if tag == "one":
-        return np.ones(hi - lo + 1, dtype=np.int64)
+    """f on [lo, hi] from one walk over the prime powers p^a <= hi, p in `primes`.
 
-    if tag == "mobius_squared":
-        val = np.ones(hi - lo + 1, dtype=np.int64)
-        for p in primes:
-            sl = _slice_of(int(p) ** 2, lo, hi)
-            if sl is not None:
-                val[sl] = 0
-        return val
-
-    if tag == "chi_two":
-        val = np.zeros(hi - lo + 1, dtype=np.int64)
-        root = isqrt(hi)
-        if root >= 1:
-            mu = _segment_values(MOBIUS, 1, root, primes_upto(isqrt(root)))
-            for m in range(isqrt(lo - 1) + 1, root + 1):
-                sq = m * m
-                if lo <= sq <= hi:
-                    val[sq - lo] = mu[m - 1]
-        return val
-
-    if tag == "lambda":
-        val = np.zeros(hi - lo + 1, dtype=np.float64)
-        for p in primes:
-            p = int(p)
-            q = p
-            while q <= hi:
-                if q >= lo:
-                    val[q - lo] = math.log(p)
-                if q > hi // p:
-                    break
-                q *= p
-        # primes larger than sqrt(hi) are exactly the n left untouched by division
-        rem = _residual_cofactor(lo, hi, primes)
-        n = np.arange(lo, hi + 1, dtype=np.int64)
-        large = (rem == n) & (n >= 2)
-        val[large] = np.log(n[large].astype(np.float64))
-        return val
-
-    # remaining kinds share the prime-power telescoping plus a residual pass
+    Every n starts at g(0) and moves from g(a-1) to g(a) on the multiples
+    of p^a.  The walk also builds the part of n made of the primes walked;
+    where that is less than n, one prime above sqrt(hi) remains, and f moves
+    from g(0) to g(1) once more.  That residual pass is skipped when
+    g(1) = g(0).  Lambda is set at the prime powers themselves instead.
+    """
     size = hi - lo + 1
-    if tag == "mobius":
-        val = np.ones(size, dtype=np.int64)
-        for p in primes:
-            p = int(p)
-            sl = _slice_of(p, lo, hi)
-            if sl is not None:
-                np.negative(val[sl], out=val[sl])
-            sl2 = _slice_of(p * p, lo, hi)
-            if sl2 is not None:
-                val[sl2] = 0
-    elif tag == "omega":
+    if kind.tag == "chi_two":       # mu on [1, sqrt(hi)], read on the squares
         val = np.zeros(size, dtype=np.int64)
-        for p in primes:
-            sl = _slice_of(int(p), lo, hi)
-            if sl is not None:
-                val[sl] += 1
-    elif tag == "two_pow_omega":
-        val = np.ones(size, dtype=np.int64)
-        for p in primes:
-            sl = _slice_of(int(p), lo, hi)
-            if sl is not None:
-                val[sl] *= 2
-    elif tag == "tau":
-        r = kind.r
-        val = np.ones(size, dtype=np.int64)
-        for p in primes:
-            p = int(p)
-            q, a = p, 1
-            while q <= hi:
-                sl = _slice_of(q, lo, hi)
-                if sl is not None:
-                    # exact: C(a+r-2, r-1) * (a+r-1) = a * C(a+r-1, r-1)
-                    val[sl] *= a + r - 1
-                    val[sl] //= a
-                if q > hi // p:
-                    break
-                q *= p
-                a += 1
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled tag {tag}")
+        root = isqrt(hi)
+        m = np.arange(isqrt(lo - 1) + 1, root + 1)
+        if m.size:
+            mu = _segment_values(MOBIUS, 1, root, primes_upto(isqrt(root)))
+            val[m * m - lo] = mu[m - 1]
+        return val
 
-    rem = _residual_cofactor(lo, hi, primes)
-    large = rem > 1
-    if tag == "mobius":
-        val[large] *= -1
-    elif tag == "omega":
-        val[large] += 1
-    elif tag == "two_pow_omega":
-        val[large] *= 2
-    elif tag == "tau":
-        val[large] *= kind.r
+    lam = kind.tag == "lambda"
+    amax = hi.bit_length() - 1
+    if lam:
+        val = np.zeros(size, dtype=np.float64)
+        steps, residual = {}, True
+    else:
+        val = np.full(size, kind.local(0), dtype=np.int64)
+        steps = _steps(kind, amax)
+        if not steps:               # f is constant (one, tau_1)
+            return val
+        residual = 1 in steps
+    if residual:
+        smooth = np.ones(size, dtype=np.int32 if hi < 2**31 else np.int64)
+    exponents = range(1, amax + 1) if residual else sorted(steps)
+    for p in primes.tolist():
+        for a in exponents:
+            q = p ** a
+            if q > hi:
+                break
+            start = -lo % q         # index of the first multiple of q in [lo, hi]
+            if start >= size:
+                continue
+            if residual:
+                smooth[start::q] *= p
+            if lam and q >= lo:
+                val[q - lo] = math.log(p)
+            elif a in steps:
+                _advance(val, slice(start, None, q), steps[a], kind.additive)
+    if residual:
+        n = np.arange(lo, hi + 1, dtype=smooth.dtype)
+        if lam:                     # n > 1 is prime when no walked prime divides it
+            large = (smooth == 1) & (n > 1)
+            val[large] = np.log(n[large].astype(np.float64))
+        else:
+            _advance(val, smooth < n, steps[1], kind.additive)
     return val
 
 
@@ -340,7 +340,7 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Floyd cycle finding)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -383,41 +383,15 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def value_from_factorization(kind: FunctionKind, factors: dict[int, int]):
-    tag = kind.tag
-    exps = list(factors.values())
-    if tag == "one":
-        return 1
-    if tag == "mobius":
-        return 0 if any(a >= 2 for a in exps) else (-1) ** len(exps)
-    if tag == "mobius_squared":
-        return 0 if any(a >= 2 for a in exps) else 1
-    if tag == "lambda":
-        return math.log(next(iter(factors))) if len(factors) == 1 else 0.0
-    if tag == "tau":
-        r = kind.r
-        out = 1
-        for a in exps:
-            out *= comb(a + r - 1, r - 1)
-        return out
-    if tag == "omega":
-        return len(exps)
-    if tag == "two_pow_omega":
-        return 2 ** len(exps)
-    if tag == "chi_two":
-        if any(a % 2 for a in exps):
-            return 0
-        if any(a >= 4 for a in exps):
-            return 0
-        return (-1) ** len(exps)
-    raise ValueError(f"unhandled tag {tag}")  # pragma: no cover
-
-
 def eval_point(kind: FunctionKind, n: int):
     """f(n) for an isolated argument; agrees with build_sieve entrywise."""
     if kind.tag == "tau" and kind.r > max_tau_r():
         raise BudgetError(f"tau order {kind.r} exceeds configured maximum {max_tau_r()}")
-    return value_from_factorization(kind, factorize(n))
+    factors = factorize(n)
+    if kind.tag == "lambda":
+        return math.log(next(iter(factors))) if len(factors) == 1 else 0.0
+    local = [kind.local(a) for a in factors.values()]
+    return sum(local) if kind.additive else math.prod(local)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +403,7 @@ def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
         raise CoverageError("convolution inputs must start at 1")
     if f.hi < limit or g.hi < limit:
         raise CoverageError(f"inputs must cover [1, {limit}]")
-    real = f.kind.tag == "lambda" or g.kind.tag == "lambda"
-    dtype = np.float64 if real else np.int64
-    out = np.zeros(limit, dtype=dtype)
+    out = np.zeros(limit, dtype=np.result_type(f.values, g.values))
     fv = f.values[:limit]
     gv = g.values[:limit]
     for d in range(1, limit + 1):
@@ -441,5 +413,4 @@ def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
         q = limit // d
         out[d - 1:: d] += c * gv[:q]
     out.flags.writeable = False
-    kind = FunctionKind("lambda") if real else ONE  # carrier tag for derived tables
-    return SieveTable(kind=kind, lo=1, hi=limit, values=out)
+    return SieveTable(kind=None, lo=1, hi=limit, values=out)

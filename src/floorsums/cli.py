@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class RunConfig:
     """Resolved run settings: flags win over the config file over defaults.
 
     A fixed seed makes every randomized suite reproduce bit-identical
-    reports.  Budgets are the env-resolved caps from the arith module.
+    reports.
     """
 
     command: str
@@ -39,7 +39,6 @@ class RunConfig:
     precision: int = 15
     fmt: str = "json"
     out: str | None = None
-    budgets: dict = field(default_factory=dict)
 
     @classmethod
     def resolve(cls, args) -> "RunConfig":
@@ -61,9 +60,6 @@ class RunConfig:
             precision=pick(args.precision, "precision", 15, int),
             fmt=pick(args.fmt, "format", "json", str),
             out=pick(args.out, "out", None, str),
-            budgets={"sieve_entries": arith.sieve_budget(),
-                     "factor_argument": arith.factor_budget(),
-                     "max_tau_order": arith.max_tau_r()},
         )
 
 
@@ -282,8 +278,7 @@ def _cmd_scan(args, cfg) -> int:
         p = cfg.precision
         with open(cfg.out, "w") as fh:
             fh.write("x,sum,main_term,residual\n")
-            for x in grid:
-                s = floorsum.floor_sum_fast(kind, x)
+            for x, s in zip(fit.grid, fit.sums):
                 main = x * constant
                 sv = s if isinstance(s, int) else _fmt_real(s, p)
                 fh.write(f"{x},{sv},{_fmt_real(main, p)},"
@@ -311,10 +306,11 @@ def _cmd_psi(args, cfg) -> int:
         env = psi_mod.fejer_envelope(args.H, xs)
         payload["envelope_mean"] = float(np.mean(env))
         payload["envelope_max"] = float(np.max(env))
-        poly = psi_mod.vaaler_polynomial(args.H)
-        payload["coefficient_envelope_ok"] = bool(all(
-            abs(poly.coefficients[h]) <= 1 / (2 * h) + 1e-15
-            for h in range(1, args.H + 1)))
+        # |c_h| = |J_h|/(2 pi h) <= 1/(2h)
+        h = np.arange(1, args.H + 1)
+        damping = psi_mod.vaaler_polynomial(args.H).damping
+        payload["coefficient_envelope_ok"] = bool(np.all(
+            np.abs(damping) / (2 * np.pi * h) <= 1 / (2 * h) + 1e-15))
     _emit(payload)
     return 0
 

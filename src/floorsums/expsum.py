@@ -32,7 +32,7 @@ from .arith import (LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, TWO_POW_OMEGA,
                     FunctionKind, build_sieve, tau)
 from .errors import WindowError
 from .identities import PhaseFunction
-from .pairs import BoundProfile, ExponentPair  # noqa: F401  (re-exported surface)
+from .pairs import ExponentPair
 
 COEFF_TOLERANCE = 1e-12
 DEFAULT_EPSILON = 0.05

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -46,9 +46,11 @@ class FloorSumReport:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Log-log regression of residual magnitudes over a grid of x values."""
+    """Exact sums S_f(x) over a grid of x values, and the log-log regression
+    of their residual magnitudes."""
 
     grid: tuple[int, ...]
+    sums: tuple[int | float, ...]
     residuals: tuple[float, ...]
     slope: float
     intercept: float
@@ -142,26 +144,21 @@ def _power_envelope(local) -> float:
 def _tail_bound(kind: FunctionKind, cutoff: int) -> float:
     """Upper bound on sum_{n > cutoff} |f(n)|/(n(n+1)).
 
-    Bounded functions use the exact telescoped tail; log-size functions use
-    the integral bound; tau_r and 2^omega use |f(n)| <= B n^eps with eps=0.3
-    and B the exact product of local suprema over prime powers.
+    Functions with every |f(p^a)| <= 1 use the exact telescoped tail;
+    log-size functions (Lambda, the additive omega) use the integral bound;
+    the others use |f(n)| <= B n^eps with eps=0.3 and B the exact product of
+    local suprema of |f(p^a)|/p^(eps a) over prime powers.
     """
     c = cutoff
-    tag = kind.tag
-    if tag in ("one", "mobius", "mobius_squared", "chi_two") or (tag == "tau" and kind.r == 1):
-        return 1.0 / (c + 1)
-    if tag == "lambda":
+    if kind.tag == "lambda":
         return (math.log(c) + 1.0) / c
-    if tag == "omega":
+    if kind.additive:
         return (math.log(c) + 1.0) / (c * math.log(2))
+    # every local factor is constant from a = 4 on or exceeds 1 at a = 1
+    if all(abs(kind.local(a)) <= 1 for a in range(64)):
+        return 1.0 / (c + 1)
     eps = _ENVELOPE_EPS
-    if tag == "two_pow_omega":
-        B = _power_envelope(lambda p, a: 2.0 / p ** (eps * a))
-    elif tag == "tau":
-        r = kind.r
-        B = _power_envelope(lambda p, a: comb(a + r - 1, r - 1) / p ** (eps * a))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled tag {tag}")
+    B = _power_envelope(lambda p, a: abs(kind.local(a)) / p ** (eps * a))
     return B * c ** (eps - 1.0) / (1.0 - eps)
 
 
@@ -222,13 +219,11 @@ def error_scan(kind: FunctionKind, x_grid, cutoff: int = 10**8,
         raise ValueError("grid must be strictly increasing")
     if constant is None:
         constant, _ = main_term_constant(kind, cutoff)
-    residuals = []
-    for x in grid:
-        s = floor_sum_fast(kind, x)
-        residuals.append(abs(float(s) - x * constant))
+    sums = [floor_sum_fast(kind, x) for x in grid]
+    residuals = [abs(float(s) - x * constant) for x, s in zip(grid, sums)]
     logs = np.log([max(r, RESIDUAL_FLOOR) for r in residuals])
     slope, intercept = np.polyfit(np.log(grid), logs, 1)
-    return FitReport(grid=tuple(grid), residuals=tuple(residuals),
+    return FitReport(grid=tuple(grid), sums=tuple(sums), residuals=tuple(residuals),
                      slope=float(slope), intercept=float(intercept))
 
 

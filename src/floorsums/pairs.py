@@ -196,7 +196,7 @@ def _target_key(target) -> tuple[str, int]:
 
 
 def theorem_exponent(target, p: ExponentPair) -> Union[Fraction, Infeasible]:
-    """Error exponent the pair yields for the target's floor-quotientسum.
+    """Error exponent the pair yields for the target's floor-quotient sum.
 
     Targets: 'lambda', 'tau:r' (r >= 2), 'two_omega' (also accepts the
     corresponding FunctionKind).  Returns the exact rational exponent, or an

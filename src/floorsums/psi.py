@@ -24,35 +24,43 @@ def psi_exact(x: float) -> float:
     return x - math.floor(x) - 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrigPolynomial:
     """A real-valued trigonometric polynomial sum_{1<=|h|<=H} c_h e(hx).
 
-    Coefficients satisfy c_{-h} = conj(c_h) and |c_h| <= 1/(2|h|).
+    Stored as its real damping factors J_h, h = 1..H (a read-only array):
+    c_h = i J_h/(2 pi h) and c_{-h} = conj(c_h), with |c_h| <= 1/(2|h|).
     """
 
     H: int
-    coefficients: dict[int, complex]
+    damping: np.ndarray
 
-    def damping(self) -> np.ndarray:
-        """The real damping factors J(h/(H+1)) for h = 1..H."""
+    @property
+    def coefficients(self) -> dict[int, complex]:
+        """{h: c_h} for 1 <= |h| <= H, built on each access."""
         h = np.arange(1, self.H + 1)
-        return np.array([(2 * math.pi * hh * self.coefficients[hh]).imag
-                         for hh in h])
+        coeffs: dict[int, complex] = {}
+        for hh, im in zip(h.tolist(), (self.damping / (2 * np.pi * h)).tolist()):
+            coeffs[hh] = complex(0.0, im)
+            coeffs[-hh] = complex(0.0, -im)
+        return coeffs
 
     def __call__(self, x):
         """Evaluate at a float or numpy array, returning real values."""
         xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
         h = np.arange(1, self.H + 1)
-        jhat = self.damping()
         # c_h = i J_h/(2 pi h) gives  -sum J_h sin(2 pi h x)/(pi h)
         acc = np.zeros(xs.shape, dtype=np.float64)
-        # chunk the harmonics so H up to 1e6 stays in bounded memory
+        # chunk the harmonics, each chunk computed in place in one reused
+        # buffer, so H up to 1e6 stays in bounded memory
         step = max(1, (1 << 22) // max(xs.size, 1))
+        buf = np.empty((min(step, self.H), xs.size))
         for start in range(0, self.H, step):
             hh = h[start:start + step]
-            acc -= (jhat[start:start + step] / (math.pi * hh)) @ \
-                np.sin(2 * math.pi * np.outer(hh, xs))
+            phase = np.outer(hh, xs, out=buf[:hh.size])
+            phase *= 2 * math.pi
+            acc -= (self.damping[start:start + step] / (math.pi * hh)) @ \
+                np.sin(phase, out=phase)
         return acc if np.ndim(x) else float(acc[0])
 
     def eval_complex(self, x: float) -> complex:
@@ -64,22 +72,14 @@ class TrigPolynomial:
         return out
 
 
-def _vaaler_damping(H: int) -> np.ndarray:
-    t = np.arange(1, H + 1, dtype=np.float64) / (H + 1)
-    return np.pi * t * (1 - t) / np.tan(np.pi * t) + t
-
-
 def vaaler_polynomial(H: int) -> TrigPolynomial:
-    """The degree-H Vaaler approximation of psi."""
+    """The degree-H Vaaler approximation of psi: J_h = J(h/(H+1))."""
     if not 1 <= H <= _MAX_H:
         raise ValueError(f"H must be in [1, {_MAX_H}]")
-    jhat = _vaaler_damping(H)
-    coeffs: dict[int, complex] = {}
-    for h in range(1, H + 1):
-        c = complex(0.0, jhat[h - 1] / (2 * math.pi * h))
-        coeffs[h] = c
-        coeffs[-h] = c.conjugate()
-    return TrigPolynomial(H=H, coefficients=coeffs)
+    t = np.arange(1, H + 1, dtype=np.float64) / (H + 1)
+    jhat = np.pi * t * (1 - t) / np.tan(np.pi * t) + t
+    jhat.flags.writeable = False
+    return TrigPolynomial(H=H, damping=jhat)
 
 
 def fejer_kernel(H: int, x) -> np.ndarray | float:

@@ -95,6 +95,19 @@ def test_sieve_offset_segment_matches_definition(kind):
             assert t.value(n) == ref, n
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_sieve_past_int32_matches_eval_point(kind):
+    # segments with hi >= 2^31 track their smooth parts in int64
+    lo = 2**31 - 100
+    t = A.build_sieve(kind, lo, lo + 200)
+    for n in range(lo, lo + 201):
+        ref = A.eval_point(kind, n)
+        if kind.tag == "lambda":
+            assert abs(t.value(n) - ref) < 1e-12, n
+        else:
+            assert t.value(n) == ref, n
+
+
 def test_value_range_invariants():
     n = 5000
     assert set(A.build_sieve(A.MOBIUS_SQUARED, 1, n).values.tolist()) <= {0, 1}

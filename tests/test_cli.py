@@ -115,14 +115,28 @@ def test_sieve_writes_csv(capsys, tmp_path):
     assert lines[4] == "4,0"
 
 
-def test_scan_report_and_csv(capsys, tmp_path):
+def test_scan_report_and_csv(capsys, tmp_path, monkeypatch):
+    from floorsums import floorsum
+    calls = []
+    fast = floorsum.floor_sum_fast
+
+    def counted(kind, x, *args, **kwargs):
+        calls.append(x)
+        return fast(kind, x, *args, **kwargs)
+
+    monkeypatch.setattr(floorsum, "floor_sum_fast", counted)
     dest = tmp_path / "scan.csv"
     d = run_json(capsys, "scan", "--function", "mu2", "--grid", "1000:20000:4",
                  "--cutoff", "100000", "--out", str(dest))
     assert len(d["grid"]) == len(d["residuals"]) == 4
-    lines = dest.read_text().strip().splitlines()
-    assert lines[0] == "x,sum,main_term,residual"
-    assert len(lines) == 5
+    # one exact sum per grid point, shared by the report and the CSV
+    assert sorted(calls) == d["grid"]
+    assert dest.read_text() == (
+        "x,sum,main_term,residual\n"
+        "1000,888,891.803922961232,-3.80392296123216\n"
+        "2714,2421,2420.35584691678,0.644153083216224\n"
+        "7368,6563,6570.81130437836,-7.81130437835782\n"
+        "20000,17814,17836.0784592246,-22.0784592246418\n")
 
 
 def test_constant_command(capsys):

@@ -48,6 +48,20 @@ def test_fast_examples():
     assert v == FS.floor_sum_naive(A.MOBIUS_SQUARED, 10**4)
 
 
+def test_derived_table_is_not_a_table_of_one():
+    # mu * 1 is [n = 1]; read as a table of 1 it would give S_1(1000) = 500
+    mu = A.build_sieve(A.MOBIUS, 1, 1000)
+    one = A.build_sieve(A.ONE, 1, 1000)
+    derived = A.dirichlet_convolve(mu, one, 1000)
+    assert derived.kind is None
+    assert isinstance(derived.value(1), int)
+    with pytest.raises(ValueError):
+        FS.floor_sum_fast(A.ONE, 1000, table=derived)
+    with pytest.raises(ValueError):
+        FS.floor_sum_naive(A.ONE, 1000, table=derived)
+    assert FS.floor_sum_fast(A.ONE, 1000, table=one) == 1000
+
+
 def test_fast_equals_naive_all_kinds():
     rng = random.Random(11)
     for kind in SIX_KINDS + [A.ONE, A.MOBIUS, A.CHI_TWO]:

@@ -1,0 +1,21 @@
+"""CLI output pinned byte for byte.
+
+`golden_cli.json` maps an argument line to the exact stdout it produced when
+the file was recorded.  It covers every function's main-term constant and its
+tail bound (through `constant` and `sum`), the exact sums, and the psi report.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from floorsums import cli
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_cli_output_is_byte_identical(capsys, argv):
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == GOLDEN[argv]
