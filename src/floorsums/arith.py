@@ -21,7 +21,6 @@ concurrent reads are safe.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,24 +31,12 @@ import numpy as np
 from .errors import BudgetError, CoverageError
 
 SEGMENT_SIZE = 1 << 20
-DEFAULT_MAX_TAU_R = 8
-DEFAULT_SIEVE_BUDGET = 1 << 27      # entries per table
-DEFAULT_FACTOR_BUDGET = 10**12      # largest n eval_point will factorize
+SIEVE_BUDGET = 1 << 27      # entries per table
+FACTOR_BUDGET = 10**12      # largest n eval_point will factorize
+MAX_TAU_R = 8               # fixed: the int64 sieve wraps for large orders (tau_64 at n = 7207200)
 
 _TAGS = ("one", "mobius", "mobius_squared", "lambda", "tau", "omega",
          "two_pow_omega", "chi_two")
-
-
-def sieve_budget() -> int:
-    return int(os.environ.get("FLOORSUMS_SIEVE_BUDGET", DEFAULT_SIEVE_BUDGET))
-
-
-def factor_budget() -> int:
-    return int(os.environ.get("FLOORSUMS_FACTOR_BUDGET", DEFAULT_FACTOR_BUDGET))
-
-
-def max_tau_r() -> int:
-    return int(os.environ.get("FLOORSUMS_MAX_TAU_R", DEFAULT_MAX_TAU_R))
 
 
 @dataclass(frozen=True)
@@ -71,10 +58,6 @@ class FunctionKind:
                 raise ValueError("tau order r must be >= 1")
         elif self.r != 0:
             raise ValueError(f"{self.tag} takes no order parameter")
-
-    @property
-    def integer_valued(self) -> bool:
-        return self.tag != "lambda"
 
     @property
     def additive(self) -> bool:
@@ -280,8 +263,8 @@ def iter_segment_values(kind: FunctionKind, lo: int, hi: int):
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    if kind.tag == "tau" and kind.r > max_tau_r():
-        raise BudgetError(f"tau order {kind.r} exceeds configured maximum {max_tau_r()}")
+    if kind.tag == "tau" and kind.r > MAX_TAU_R:
+        raise BudgetError(f"tau order {kind.r} exceeds configured maximum {MAX_TAU_R}")
     primes = primes_upto(isqrt(hi))
     seg_lo = lo
     while seg_lo <= hi:
@@ -293,14 +276,13 @@ def iter_segment_values(kind: FunctionKind, lo: int, hi: int):
 def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
     """Tabulate `kind` on [lo, hi] by segmented sieving.
 
-    Raises BudgetError when the table would exceed the configured entry
-    budget (override with FLOORSUMS_SIEVE_BUDGET) or when a tau order above
-    the configured maximum is requested.
+    Raises BudgetError when the table would exceed SIEVE_BUDGET entries or
+    when a tau order above MAX_TAU_R is requested.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    if hi - lo + 1 > sieve_budget():
-        raise BudgetError(f"table of {hi - lo + 1} entries exceeds budget {sieve_budget()}")
+    if hi - lo + 1 > SIEVE_BUDGET:
+        raise BudgetError(f"table of {hi - lo + 1} entries exceeds budget {SIEVE_BUDGET}")
     dtype = np.float64 if kind.tag == "lambda" else np.int64
     out = np.empty(hi - lo + 1, dtype=dtype)
     for seg_lo, vals in iter_segment_values(kind, lo, hi):
@@ -312,7 +294,8 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
 # ---------------------------------------------------------------------------
 # point evaluation via factorization
 
-_SMALL_PRIME_LIMIT = 10**4
+# Python ints: iterating the numpy array would box a numpy scalar per step
+_SMALL_PRIMES = tuple(primes_upto(10**4).tolist())
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -360,11 +343,10 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of n within the factor budget."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > factor_budget():
-        raise BudgetError(f"n={n} exceeds factorization budget {factor_budget()}")
+    if n > FACTOR_BUDGET:
+        raise BudgetError(f"n={n} exceeds factorization budget {FACTOR_BUDGET}")
     out: dict[int, int] = {}
-    for p in primes_upto(_SMALL_PRIME_LIMIT):
-        p = int(p)
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -385,8 +367,8 @@ def factorize(n: int) -> dict[int, int]:
 
 def eval_point(kind: FunctionKind, n: int):
     """f(n) for an isolated argument; agrees with build_sieve entrywise."""
-    if kind.tag == "tau" and kind.r > max_tau_r():
-        raise BudgetError(f"tau order {kind.r} exceeds configured maximum {max_tau_r()}")
+    if kind.tag == "tau" and kind.r > MAX_TAU_R:
+        raise BudgetError(f"tau order {kind.r} exceeds configured maximum {MAX_TAU_R}")
     factors = factorize(n)
     if kind.tag == "lambda":
         return math.log(next(iter(factors))) if len(factors) == 1 else 0.0

@@ -3,64 +3,29 @@
 Commands: sieve, sum, scan, constant, psi, verify, expsum, pairs.  JSON is
 the canonical output format (keys sorted, reals as shortest round-trip
 decimals, rationals as "p/q" strings); CSV columns are fixed per command.
-Identical configuration produces byte-identical output.
+Identical arguments produce byte-identical output.
 
-Budgets can be overridden through the environment: FLOORSUMS_SIEVE_BUDGET
-(table entries), FLOORSUMS_FACTOR_BUDGET (largest factorized argument),
-FLOORSUMS_MAX_TAU_R (largest tabulated tau order).  A config file of
-key=value lines (--config) supplies defaults for seed/precision/format/out.
+Each subcommand declares only the options it reads.  Output options:
+`sieve --out` (the CSV to write, required), `sum --format json|csv`, `scan
+--out` (an extra CSV of the sums), and `--precision` on those three
+(significant digits for reals in CSV, default 15).  `verify --seed` is the
+master seed of the randomized trials (default 0).  Budgets are fixed
+constants in `arith`, not settings.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import arith, expsum, floorsum, identities, pairs
 from . import psi as psi_mod
 
-_CONFIG_KEYS = ("seed", "precision", "format", "out")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run settings: flags win over the config file over defaults.
-
-    A fixed seed makes every randomized suite reproduce bit-identical
-    reports.
-    """
-
-    command: str
-    seed: int = 0
-    precision: int = 15
-    fmt: str = "json"
-    out: str | None = None
-
-    @classmethod
-    def resolve(cls, args) -> "RunConfig":
-        file_cfg = _read_config(args.config) if args.config else {}
-
-        def pick(flag, key, default, cast):
-            if flag is not None:
-                return flag
-            return cast(file_cfg[key]) if key in file_cfg else default
-
-        # `pairs derive --seed` reuses the flag name for a pair name; only an
-        # integer value is the master seed
-        seed_flag = getattr(args, "seed", None)
-        if not isinstance(seed_flag, int):
-            seed_flag = None
-        return cls(
-            command=args.command,
-            seed=pick(seed_flag, "seed", 0, int),
-            precision=pick(args.precision, "precision", 15, int),
-            fmt=pick(args.fmt, "format", "json", str),
-            out=pick(args.out, "out", None, str),
-        )
+_PRECISION_HELP = "significant digits for reals in CSV output (default 15)"
 
 
 def _emit(obj) -> None:
@@ -107,32 +72,9 @@ def _parse_grid(spec: str) -> list[int]:
     return sorted(set(int(round(v)) for v in xs))
 
 
-def _read_config(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            out[key] = val
-    return out
-
-
-def _add_common(p: argparse.ArgumentParser, main: bool = False) -> None:
-    # the same options are accepted before or after the subcommand; the
-    # subcommand-level value wins (SUPPRESS keeps the outer value otherwise)
-    d = None if main else argparse.SUPPRESS
-    p.add_argument("--seed", type=int, default=d, help="master seed for randomized suites (default 0)")
-    p.add_argument("--precision", type=int, default=d, help="decimal digits for reals in CSV output (default 15)")
-    p.add_argument("--out", default=d, help="output file for CSV-producing commands")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=d, help="output format where applicable (default json)")
-    p.add_argument("--config", default=d, help="key=value config file supplying defaults")
-
-
+# built once: each build leaves cyclic garbage whose heap blocks fragment the
+# space psi's big buffers reuse (verify-mix peak RSS 68 -> 72-81 MiB)
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="floorsums",
@@ -140,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluators, identity verifiers, trigonometric psi "
                     "approximation, exponential-sum sanity checks, and an "
                     "exact-rational exponent-pair calculus.")
-    _add_common(ap, main=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", help="tabulate one arithmetic function on an interval",
@@ -149,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    _add_common(p)
+    p.add_argument("--out", help="CSV file to write (required)")
+    p.add_argument("--precision", type=int, default=15, help=_PRECISION_HELP)
 
     p = sub.add_parser("sum", help="evaluate S_f(x) = sum_{n<=x} f(floor(x/n))",
                        description="Exact floor-quotient sum by the naive O(x) or the sqrt-split method, "
@@ -158,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--method", choices=("naive", "fast"), default="fast")
     p.add_argument("--cutoff", type=int, default=10**7, help="series cutoff for the constant")
-    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--precision", type=int, default=15, help=_PRECISION_HELP)
 
     p = sub.add_parser("scan", help="residual scan over a log-spaced grid of x",
                        description="Evaluate S_f(x) over a grid, compare against x C_f, and fit the "
@@ -166,14 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--grid", required=True, help="lo:hi:points, log-spaced")
     p.add_argument("--cutoff", type=int, default=10**8)
-    _add_common(p)
+    p.add_argument("--out", help="also write the sums and residuals as CSV")
+    p.add_argument("--precision", type=int, default=15, help=_PRECISION_HELP)
 
     p = sub.add_parser("constant", help="main-term constant C_f with tail bound",
                        description="Partial sum of C_f = sum_{n>=1} f(n)/(n(n+1)) at a cutoff, plus an "
                                    "explicit upper bound on the discarded tail.")
     p.add_argument("--function", required=True)
     p.add_argument("--cutoff", type=int, required=True)
-    _add_common(p)
 
     p = sub.add_parser("psi", help="Vaaler approximation quality of the Bernoulli function psi",
                        description="Check |psi(x) - psi_H(x)| <= F_H(x)/(2H+2) pointwise on a uniform grid, "
@@ -181,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=int, required=True)
     p.add_argument("--grid", type=int, default=10**4)
     p.add_argument("--report", action="store_true", help="include envelope statistics")
-    _add_common(p)
 
     p = sub.add_parser("verify", help="randomized exact-identity verification",
                        description="Evaluate both sides of a decomposition identity on seeded random "
@@ -190,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "or its dyadic exponential form; reports per-trial residuals.")
     p.add_argument("subject", choices=identities.VERIFY_SUBJECTS)
     p.add_argument("--trials", type=int, default=100)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed of the trials")
 
     p = sub.add_parser("expsum", help="exponential-sum bound sanity ratios",
                        description="Measure |sum_{R<n<=2R} f(n) e(F(n))| exactly and compare against a "
@@ -206,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exponent pair as two rationals k,l: e.g. 1/6,2/3")
     pc.add_argument("--r", type=int, default=2, help="order for tau/bilinear cases")
     pc.add_argument("--epsilon", type=float, default=expsum.DEFAULT_EPSILON)
-    pc.add_argument("--json", action="store_true", help="(default) emit the report as JSON")
-    _add_common(pc)
 
     p = sub.add_parser("pairs", help="exact-rational exponent-pair calculus",
                        description="A/B-process derivations, error-exponent evaluation per target "
@@ -231,26 +171,25 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # command implementations
 
-def _cmd_sieve(args, cfg) -> int:
+def _cmd_sieve(args) -> int:
+    if args.out is None:
+        raise ValueError("sieve needs --out for its CSV")
     kind = arith.kind_from_name(args.function)
     table = arith.build_sieve(kind, args.lo, args.hi)
-    dest = cfg.out
-    if dest is None:
-        raise ValueError("sieve needs --out for its CSV")
-    with open(dest, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write("n,value\n")
         if kind.tag == "lambda":
             for i, v in enumerate(table.values):
-                fh.write(f"{table.lo + i},{_fmt_real(v, cfg.precision)}\n")
+                fh.write(f"{table.lo + i},{_fmt_real(v, args.precision)}\n")
         else:
             for i, v in enumerate(table.values):
                 fh.write(f"{table.lo + i},{int(v)}\n")
-    _emit({"function": str(kind), "lo": args.lo, "hi": args.hi, "out": dest,
+    _emit({"function": str(kind), "lo": args.lo, "hi": args.hi, "out": args.out,
            "entries": len(table)})
     return 0
 
 
-def _cmd_sum(args, cfg) -> int:
+def _cmd_sum(args) -> int:
     kind = arith.kind_from_name(args.function)
     rep = floorsum.summarize(kind, args.x, method=args.method, cutoff=args.cutoff)
     payload = {"function": str(kind), "x": rep.x, "sum": rep.sum,
@@ -258,8 +197,8 @@ def _cmd_sum(args, cfg) -> int:
                "constant_tail_bound": rep.constant_tail_bound,
                "residual": rep.residual, "method": args.method,
                "cutoff": args.cutoff}
-    if cfg.fmt == "csv":
-        p = cfg.precision
+    if args.format == "csv":
+        p = args.precision
         print("function,x,sum,constant,constant_tail_bound,residual")
         s = rep.sum if isinstance(rep.sum, int) else _fmt_real(rep.sum, p)
         print(f"{kind},{rep.x},{s},{_fmt_real(rep.constant, p)},"
@@ -269,14 +208,14 @@ def _cmd_sum(args, cfg) -> int:
     return 0
 
 
-def _cmd_scan(args, cfg) -> int:
+def _cmd_scan(args) -> int:
     kind = arith.kind_from_name(args.function)
     grid = _parse_grid(args.grid)
     constant, _ = floorsum.main_term_constant(kind, args.cutoff)
     fit = floorsum.error_scan(kind, grid, constant=constant)
-    if cfg.out:
-        p = cfg.precision
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        p = args.precision
+        with open(args.out, "w") as fh:
             fh.write("x,sum,main_term,residual\n")
             for x, s in zip(fit.grid, fit.sums):
                 main = x * constant
@@ -290,7 +229,7 @@ def _cmd_scan(args, cfg) -> int:
     return 0
 
 
-def _cmd_constant(args, cfg) -> int:
+def _cmd_constant(args) -> int:
     kind = arith.kind_from_name(args.function)
     value, tail = floorsum.main_term_constant(kind, args.cutoff)
     _emit({"function": str(kind), "cutoff": args.cutoff, "value": value,
@@ -298,7 +237,7 @@ def _cmd_constant(args, cfg) -> int:
     return 0
 
 
-def _cmd_psi(args, cfg) -> int:
+def _cmd_psi(args) -> int:
     violation = psi_mod.verify_pointwise_bound(args.H, args.grid)
     payload = {"H": args.H, "grid": args.grid, "max_violation": violation}
     if args.report:
@@ -315,15 +254,15 @@ def _cmd_psi(args, cfg) -> int:
     return 0
 
 
-def _cmd_verify(args, cfg) -> int:
-    reports = identities.run_verification(args.subject, args.trials, cfg.seed)
+def _cmd_verify(args) -> int:
+    reports = identities.run_verification(args.subject, args.trials, args.seed)
     worst = max(r["relative"] for r in reports) if reports else 0.0
-    _emit({"subject": args.subject, "trials": args.trials, "seed": cfg.seed,
+    _emit({"subject": args.subject, "trials": args.trials, "seed": args.seed,
            "max_relative_residual": worst, "reports": reports})
     return 0
 
 
-def _cmd_expsum(args, cfg) -> int:
+def _cmd_expsum(args) -> int:
     z = args.z
     zval: int | float = int(z) if z.lstrip("+-").isdigit() else float(z)
     pr = _parse_pair(args.pair) if args.pair else None
@@ -360,7 +299,7 @@ def _rat_or_map(v) -> object:
     return pairs.format_rational(v)
 
 
-def _cmd_pairs(args, cfg) -> int:
+def _cmd_pairs(args) -> int:
     if args.pairs_cmd == "derive":
         base = _parse_seeds(args.seed)[0]
         p = pairs.apply_word(args.word, base)
@@ -401,8 +340,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig.resolve(args)
-        return _DISPATCH[args.command](args, cfg)
+        return _DISPATCH[args.command](args)
     except Exception as exc:  # argparse errors exit(2) before reaching here
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1

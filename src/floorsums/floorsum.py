@@ -23,12 +23,12 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import (FunctionKind, SieveTable, build_sieve, eval_point,
-                    iter_segment_values, primes_upto)
+from .arith import (FACTOR_BUDGET, FunctionKind, SieveTable, build_sieve,
+                    eval_point, iter_segment_values, primes_upto)
 from .errors import BudgetError, WindowError
 
 NAIVE_BUDGET = 10**7
-FAST_BUDGET = 10**12
+FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
 RESIDUAL_FLOOR = 1e-9
 
 

@@ -85,15 +85,6 @@ class PhaseFunction:
     def zero(cls) -> "PhaseFunction":
         return cls.reciprocal(0)
 
-    def raw(self, t: int) -> float:
-        if self.form == "reciprocal":
-            return self.z / t
-        if self.form == "power_reciprocal":
-            return self.z / t**self.r
-        if self.form == "shifted_reciprocal":
-            return self.h * self.x / (t + self.a)
-        return self.fn(t)
-
     def frac(self, t: int) -> float:
         """F(t) mod 1 in [0, 1)."""
         if self.form == "reciprocal":

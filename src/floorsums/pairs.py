@@ -319,10 +319,6 @@ class TermExponent:
                 return self.scale * e
         return Fraction(0)
 
-    def effective(self) -> dict[str, Fraction]:
-        """Exponent map with the scale folded in."""
-        return {v: self.scale * e for v, e in self.exponents}
-
     def without(self, var: str) -> dict[str, Fraction]:
         return {v: self.scale * e for v, e in self.exponents if v != var}
 

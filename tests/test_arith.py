@@ -156,23 +156,32 @@ def test_eval_point_large_arguments():
     assert A.eval_point(A.CHI_TWO, p * p) == -1
 
 
-def test_factor_budget_enforced(monkeypatch):
-    monkeypatch.setenv("FLOORSUMS_FACTOR_BUDGET", "1000")
+def test_factor_budget_enforced():
+    assert A.eval_point(A.tau(2), 10**12) == 169
     with pytest.raises(BudgetError):
-        A.eval_point(A.tau(2), 10**6)
+        A.eval_point(A.tau(2), 10**12 + 1)
 
 
-def test_sieve_budget_enforced(monkeypatch):
-    monkeypatch.setenv("FLOORSUMS_SIEVE_BUDGET", "100")
+def test_sieve_budget_enforced():
+    # refused before anything is allocated
     with pytest.raises(BudgetError):
-        A.build_sieve(A.ONE, 1, 1000)
+        A.build_sieve(A.ONE, 1, 2**27 + 1)
 
 
 def test_tau_order_capped():
     with pytest.raises(BudgetError):
         A.build_sieve(A.tau(9), 1, 100)
+    with pytest.raises(BudgetError):
+        A.eval_point(A.tau(9), 12)
     with pytest.raises(ValueError):
         A.tau(0)
+
+
+def test_highest_tau_order_exact_in_sieve():
+    # 7207200 = 2^5 3^2 5^2 7 11 13, where tau_64 wraps int64
+    lo, hi = 7207200, 7207210
+    t = A.build_sieve(A.tau(8), lo, hi)
+    assert t.values.tolist() == [A.eval_point(A.tau(8), n) for n in range(lo, hi + 1)]
 
 
 def test_tau1_behaves_like_one():

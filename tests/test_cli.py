@@ -1,5 +1,6 @@
 """Command-line front end: outputs, determinism, error reporting."""
 
+import argparse
 import json
 
 import pytest
@@ -183,13 +184,48 @@ def test_error_reports_are_machine_readable(capsys):
     assert json.loads(out)["error"] == "WindowError"
 
 
-def test_config_file_supplies_defaults(capsys, tmp_path):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("seed=9\nprecision=6\n")
-    d = run_json(capsys, "verify", "hyperbola", "--trials", "2",
-                 "--config", str(cfg))
-    assert d["seed"] == 9
-    # explicit flag wins over the config file
-    d = run_json(capsys, "verify", "hyperbola", "--trials", "2",
-                 "--config", str(cfg), "--seed", "3")
-    assert d["seed"] == 3
+# every option each (sub)command accepts, besides -h
+OPTION_SURFACE = {
+    (): set(),
+    ("sieve",): {"--function", "--lo", "--hi", "--out", "--precision"},
+    ("sum",): {"--function", "--x", "--method", "--cutoff", "--format", "--precision"},
+    ("scan",): {"--function", "--grid", "--cutoff", "--out", "--precision"},
+    ("constant",): {"--function", "--cutoff"},
+    ("psi",): {"--H", "--grid", "--report"},
+    ("verify",): {"--trials", "--seed"},
+    ("expsum",): set(),
+    ("expsum", "check"): {"--case", "--z", "--R", "--pair", "--r", "--epsilon"},
+    ("pairs",): set(),
+    ("pairs", "derive"): {"--word", "--seed"},
+    ("pairs", "exponent"): {"--target", "--pair"},
+    ("pairs", "search"): {"--target", "--depth", "--seeds"},
+    ("pairs", "balance"): {"--spec"},
+}
+
+
+def _option_sets(parser, path=()):
+    opts = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _option_sets(sub, path + (name,))
+        else:
+            opts.update(action.option_strings)
+    yield path, opts - {"-h", "--help"}
+
+
+def test_option_surface():
+    assert dict(_option_sets(cli.build_parser())) == OPTION_SURFACE
+
+
+@pytest.mark.parametrize("argv", [
+    "constant --function mu --cutoff 1000 --format csv",
+    "psi --H 5 --grid 1000 --out {tmp}/psi.csv",
+    "expsum check --case unitary-reciprocal --z 1000000 --R 1995 --json",
+])
+def test_options_a_command_does_not_read_are_rejected(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.format(tmp=tmp_path).split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
