@@ -1,11 +1,13 @@
 """Exact evaluation of S_f(x) = sum_{n<=x} f(floor(x/n)) with empirical
 error scans.
 
-Two evaluators: a naive O(x) reference and a sqrt-split evaluator that sums
-f(floor(x/n)) directly for n up to a split point N and then groups the
-remaining n by their common quotient value d with exact multiplicities
-floor(x/d) - max(N, floor(x/(d+1))).  Both are exact; the split only affects
-speed, so they cross-check each other.
+Two evaluators: a naive O(x) reference and a split evaluator that sums
+f(floor(x/n)) directly for n up to a split point N (the head, one point
+evaluation each) and then groups the remaining n by their common quotient
+value d with exact multiplicities floor(x/d) - max(N, floor(x/(d+1))) (the
+blocks, one sieve entry each, streamed in segments).  Both are exact; the
+split only affects speed, so they cross-check each other.  The default split
+balances the two costs: N = isqrt(x // SPLIT_RATIO).
 
 The main-term constant C_f = sum f(n)/(n(n+1)) is accumulated in segments
 with an explicit per-function tail bound.  Integer-valued functions are
@@ -19,16 +21,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 import numpy as np
 
-from .arith import (FACTOR_BUDGET, FunctionKind, SieveTable, build_sieve,
-                    eval_point, iter_segment_values, primes_upto)
+from .arith import (FACTOR_BUDGET, SIEVE_BUDGET, FunctionKind, SieveTable,
+                    build_sieve, eval_point, iter_segment_values, primes_upto)
 from .errors import BudgetError, WindowError
 
 NAIVE_BUDGET = 10**7
 FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
+# N point evaluations plus x/N block entries cost N c_point + (x/N) c_entry,
+# least at N = sqrt(x / SPLIT_RATIO) with SPLIT_RATIO = c_point / c_entry.
+# Near x = 1e10 an eval_point takes ~28 us and a block entry 60-64 ns for the
+# sieved tau2 and 2^omega (20-30 ns for one and Lambda); the time is flat
+# within noise for ratios 300-1000.
+SPLIT_RATIO = 500
+BLOCK_CHUNK = 1 << 16           # block entries whose multiplicities exist at once
 RESIDUAL_FLOOR = 1e-9
 
 
@@ -78,43 +88,80 @@ def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None)
     vals = table.values[q - table.lo]
     if kind.tag == "lambda":
         return math.fsum(vals)
+    # int64 cannot wrap: x < 2^24 terms, each |f| <= tau_8(9979200) < 2^31 on [1, 1e7]
     return int(np.sum(vals))
+
+
+def _blocks(kind: FunctionKind, x: int, N: int, table: SieveTable | None,
+            lo: int, hi: int):
+    """Yield (d_lo, f(d), m(d)) for d in [lo, hi], at most BLOCK_CHUNK entries
+    at a time: m(d) = floor(x/d) - max(N, floor(x/(d+1))) counts the n > N
+    with floor(x/n) = d.  Values come from `table` when it covers [lo, hi],
+    else from the streamed sieve."""
+    if lo > hi:
+        return
+    if table is not None and table.covers(lo, hi):
+        segments = [(lo, table.values[lo - table.lo: hi - table.lo + 1])]
+    else:
+        segments = iter_segment_values(kind, lo, hi)
+    for seg_lo, vals in segments:
+        for i in range(0, len(vals), BLOCK_CHUNK):
+            v = vals[i: i + BLOCK_CHUNK]
+            d = np.arange(seg_lo + i, seg_lo + i + len(v), dtype=np.int64)
+            m = x // d
+            m -= np.maximum(N, x // (d + 1))
+            yield seg_lo + i, v, m
+
+
+def _float_terms(kind: FunctionKind, x: int, N: int, table: SieveTable | None,
+                 lo: int, hi: int):
+    """The nonzero block terms f(d) m(d), d in [lo, hi], as Python floats."""
+    for _, v, m in _blocks(kind, x, N, table, lo, hi):
+        t = v * m
+        yield from t[t != 0].tolist()
 
 
 def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
                    table: SieveTable | None = None):
-    """Sqrt-split evaluation, exactly equal to floor_sum_naive.
+    """Split evaluation, exactly equal to floor_sum_naive.
 
-    `split` overrides the default N = isqrt(x); the result does not depend
-    on it.  A covering `table` short-circuits point evaluations.
+    The head sums f(floor(x/n)) for n <= N by point evaluation; the blocks
+    sum f(d) m(d) over d <= x // (N+1), streamed from the sieve in chunks.
+    `split` overrides the default N = max(1, isqrt(x // SPLIT_RATIO)); the
+    result does not depend on it.  A covering `table` short-circuits point
+    evaluations and the sieve.  Integer sums are exact Python ints; each
+    chunk's int64 dot product is checked against 2^63 before it is taken.
+    Lambda is summed with math.fsum in a fixed order: the quotients
+    d <= x // (isqrt(x)+1), the only ones shared by several n, first, then
+    that partial sum with every other term, one per n; so the float result
+    is the same, bit for bit, for every split N <= isqrt(x).
     """
     if not 1 <= x <= FAST_BUDGET:
         raise BudgetError(f"fast evaluation limited to x <= {FAST_BUDGET}")
     _check_table(kind, table)
-    N = isqrt(x) if split is None else split
+    N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else split
     if not 1 <= N <= x:
         raise ValueError(f"split must lie in [1, x], got {N}")
-
-    head_vals = [_lookup(kind, x // n, table) for n in range(1, N + 1)]
-
     d0 = x // (N + 1)
-    if d0 >= 1:
-        if table is not None and table.covers(1, d0):
-            small = table.values[: d0] if table.lo == 1 else None
-        else:
-            small = None
-        if small is None:
-            small = build_sieve(kind, 1, d0).values
-        d = np.arange(1, d0 + 1, dtype=np.int64)
-        counts = x // d - np.maximum(N, x // (d + 1))
-        np.maximum(counts, 0, out=counts)
-    else:
-        small = np.zeros(0)
-        counts = np.zeros(0, dtype=np.int64)
+    if d0 > SIEVE_BUDGET:
+        raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
+
+    head = (_lookup(kind, x // n, table) for n in range(1, N + 1))
 
     if kind.tag == "lambda":
-        return math.fsum(head_vals + [math.fsum(small * counts)])
-    return sum(head_vals) + int(np.sum(small * counts))
+        shared = min(x // (isqrt(x) + 1), d0)
+        inner = math.fsum(_float_terms(kind, x, N, table, 1, shared))
+        return math.fsum(chain([inner], head,
+                               _float_terms(kind, x, N, table, shared + 1, d0)))
+    total = sum(head)
+    for d_lo, v, m in _blocks(kind, x, N, table, 1, d0):
+        # the chunk's sum of |f(d)| m(d) is at most max|f| times its sum of
+        # m(d), which telescopes to at most x//d_lo - x//(d_hi+1)
+        bound = max(int(v.max()), -int(v.min())) * (x // d_lo - x // (d_lo + len(v)))
+        if bound >= 2**63:
+            raise BudgetError(f"block sum at d = {d_lo} may exceed int64 (bound {bound})")
+        total += int(np.dot(v, m))
+    return total
 
 
 # ---------------------------------------------------------------------------

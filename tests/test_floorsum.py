@@ -3,7 +3,9 @@
 import math
 import random
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 
 from floorsums import arith as A
@@ -88,6 +90,61 @@ def test_block_rearrangement_exact_100_random_triples():
         assert FS.floor_sum_fast(kind, x, split=n) == FS.floor_sum_naive(kind, x)
 
 
+def test_lambda_sum_is_split_invariant_bit_for_bit():
+    # the float sum is fsummed in an order that does not depend on the split
+    rng = random.Random(17)
+    for _ in range(12):
+        x = int(10 ** rng.uniform(4, 6))
+        want = FS.floor_sum_fast(A.LAMBDA, x)
+        root = isqrt(x)
+        for n in {1, root, *(rng.randint(1, root) for _ in range(4))}:
+            got = FS.floor_sum_fast(A.LAMBDA, x, split=n)
+            assert repr(got) == repr(want), (x, n)
+
+
+# S_f(x) at the default split, recorded before the split became cost-modelled
+# and the blocks streamed; Lambda as the repr of its float
+LARGE_X_SUMS = {
+    10**8 + 7: {"one": "100000007", "mu": "22408251", "mu2": "89180655",
+                "lambda": "44983737.297817804", "tau2": "188093736",
+                "tau3": "340514565", "omega": "59185419", "2omega": "169577318",
+                "chi2": "43772165", "tau6": "1804407354"},
+    10**9 + 9: {"one": "1000000009", "mu": "224083292", "mu2": "891809622",
+                "lambda": "449843701.5368293", "tau2": "1880807175",
+                "tau3": "3403428874", "omega": "591847295", "2omega": "1695715757",
+                "chi2": "437721598", "tau6": "17844209386"},
+}
+
+
+@pytest.mark.parametrize("x", sorted(LARGE_X_SUMS))
+def test_large_x_sums_pinned(x):
+    for name, want in LARGE_X_SUMS[x].items():
+        assert repr(FS.floor_sum_fast(A.kind_from_name(name), x)) == want, name
+
+
+def test_blocks_span_several_segments(monkeypatch):
+    x = 10**11
+    assert x // (isqrt(x // FS.SPLIT_RATIO) + 1) > 4 * A.SEGMENT_SIZE
+    calls = []
+    point = FS.eval_point
+
+    def counted(kind, n):
+        calls.append(n)
+        return point(kind, n)
+
+    monkeypatch.setattr(FS, "eval_point", counted)
+    assert FS.floor_sum_fast(A.ONE, x) == x
+    # the head is the cost-modelled N, not isqrt(x)
+    assert len(calls) == isqrt(x // FS.SPLIT_RATIO)
+
+
+def test_block_sum_guards_int64():
+    huge = np.full(1000, 2**62, dtype=np.int64)
+    table = A.SieveTable(kind=A.ONE, lo=1, hi=1000, values=huge)
+    with pytest.raises(BudgetError):
+        FS.floor_sum_fast(A.ONE, 1000, table=table)
+
+
 def test_quotient_multiplicity_psi_reconstruction():
     # per-d exact identity: x/(d(d+1)) + psi(x/(d+1)) - psi(x/d)
     #                        = floor(x/d) - floor(x/(d+1))
@@ -105,6 +162,8 @@ def test_budgets():
         FS.floor_sum_naive(A.ONE, 10**7 + 1)
     with pytest.raises(BudgetError):
         FS.floor_sum_fast(A.ONE, 10**12 + 1)
+    with pytest.raises(BudgetError):    # 5e11 block entries
+        FS.floor_sum_fast(A.ONE, 10**12, split=1)
 
 
 def test_main_term_constant_one_telescopes():
