@@ -10,8 +10,9 @@ Each function is defined once, by its local factor g(a) = f(p^a) in
 exactly dividing n (the sum, for the additive omega).  Lambda, whose value
 at p^a depends on p, is the one special case.  The table drives both
 evaluators: a single segmented kernel that walks the prime powers up to hi
-with the primes up to sqrt(hi), and `eval_point`, which factorizes an
-isolated argument by trial division with a Pollard rho fallback.  The tail
+with the primes up to sqrt(hi), and `eval_point`, which trial-divides an
+isolated argument n <= 10^12 by the primes below 10^4 and classifies the
+cofactor as 1, p, p^2 or pq (below 10007^3 nothing else is left).  The tail
 bounds on main-term constants in `floorsum` read the same table.
 
 Tables are immutable after construction and all operations are pure, so
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import BudgetError, CoverageError
 
 SEGMENT_SIZE = 1 << 20
 SIEVE_BUDGET = 1 << 27      # entries per table
-FACTOR_BUDGET = 10**12      # largest n eval_point will factorize
+FACTOR_BUDGET = 10**12      # largest n eval_point accepts; < 10007^3, see _factor_exponents
 MAX_TAU_R = 8               # fixed: the int64 sieve wraps for large orders (tau_64 at n = 7207200)
 
 _TAGS = ("one", "mobius", "mobius_squared", "lambda", "tau", "omega",
@@ -292,87 +293,77 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
 
 
 # ---------------------------------------------------------------------------
-# point evaluation via factorization
+# point evaluation by trial division and a cofactor test
 
 # Python ints: iterating the numpy array would box a numpy scalar per step
 _SMALL_PRIMES = tuple(primes_upto(10**4).tolist())
 
 
-def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin on bases 2, 3, 5, 7, 11: deterministic for odd m > 11
+    below 2,152,302,898,747, which covers every m <= FACTOR_BUDGET."""
+    d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+    for a in (2, 3, 5, 7, 11):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
             continue
         for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+            x = x * x % m
+            if x == m - 1:
                 break
         else:
             return False
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Floyd cycle finding)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise RuntimeError(f"rho failed to split {n}")  # practically unreachable
+def _factor_exponents(n: int) -> tuple[list[int], int]:
+    """The exponents of the prime factorization of 1 <= n <= FACTOR_BUDGET,
+    and its prime when there is exactly one.
 
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} of n within the factor budget."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > FACTOR_BUDGET:
-        raise BudgetError(f"n={n} exceeds factorization budget {FACTOR_BUDGET}")
-    out: dict[int, int] = {}
+    Trial division by the primes below 10^4.  When it runs out of primes,
+    the cofactor m has no prime factor below 10007, and m <= 10^12 <
+    10007^3 leaves it 1, p, p^2 or pq.
+    """
+    exps: list[int] = []
+    prime = 0
     for p in _SMALL_PRIMES:
         if p * p > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+        if n % p == 0:
             n //= p
-    if n == 1:
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend((d, m // d))
-    return out
+            a = 1
+            while n % p == 0:
+                n //= p
+                a += 1
+            exps.append(a)
+            prime = p
+    else:
+        root = isqrt(n)
+        if n > 1 and root * root == n:
+            return exps + [2], root
+        if n > 1 and not _is_prime(n):
+            return exps + [1, 1], 0
+    if n > 1:
+        exps.append(1)
+        prime = n
+    return exps, prime
 
 
 def eval_point(kind: FunctionKind, n: int):
     """f(n) for an isolated argument; agrees with build_sieve entrywise."""
     if kind.tag == "tau" and kind.r > MAX_TAU_R:
         raise BudgetError(f"tau order {kind.r} exceeds configured maximum {MAX_TAU_R}")
-    factors = factorize(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > FACTOR_BUDGET:
+        raise BudgetError(f"n={n} exceeds factorization budget {FACTOR_BUDGET}")
+    exps, prime = _factor_exponents(n)
     if kind.tag == "lambda":
-        return math.log(next(iter(factors))) if len(factors) == 1 else 0.0
-    local = [kind.local(a) for a in factors.values()]
+        return math.log(prime) if len(exps) == 1 else 0.0
+    local = [kind.local(a) for a in exps]
     return sum(local) if kind.additive else math.prod(local)
 
 
@@ -381,6 +372,8 @@ def eval_point(kind: FunctionKind, n: int):
 
 def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     """Pointwise Dirichlet product (f * g)(n) = sum_{d | n} f(d) g(n/d) on [1, limit]."""
+    if limit < 1:
+        raise ValueError(f"need limit >= 1, got {limit}")
     if f.lo != 1 or g.lo != 1:
         raise CoverageError("convolution inputs must start at 1")
     if f.hi < limit or g.hi < limit:

@@ -66,8 +66,8 @@ def _parse_seeds(spec: str) -> list[pairs.ExponentPair]:
 def _parse_grid(spec: str) -> list[int]:
     lo, hi, points = spec.split(":")
     lo, hi, points = int(lo), int(hi), int(points)
-    if points < 2 or hi <= lo:
-        raise ValueError("grid must be lo:hi:points with hi > lo, points >= 2")
+    if points < 2 or not 1 <= lo < hi:
+        raise ValueError("grid must be lo:hi:points with 1 <= lo < hi, points >= 2")
     xs = np.logspace(np.log10(lo), np.log10(hi), points)
     return sorted(set(int(round(v)) for v in xs))
 
@@ -256,7 +256,7 @@ def _cmd_psi(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = identities.run_verification(args.subject, args.trials, args.seed)
-    worst = max(r["relative"] for r in reports) if reports else 0.0
+    worst = max(r["relative"] for r in reports)
     _emit({"subject": args.subject, "trials": args.trials, "seed": args.seed,
            "max_relative_residual": worst, "reports": reports})
     return 0
@@ -301,7 +301,10 @@ def _rat_or_map(v) -> object:
 
 def _cmd_pairs(args) -> int:
     if args.pairs_cmd == "derive":
-        base = _parse_seeds(args.seed)[0]
+        seeds = _parse_seeds(args.seed)
+        if len(seeds) != 1:
+            raise ValueError(f"derive needs exactly one seed pair, {args.seed!r} gives {len(seeds)}")
+        base = seeds[0]
         p = pairs.apply_word(args.word, base)
         _emit({"seed": args.seed, "word": args.word,
                "k": pairs.format_rational(p.k), "l": pairs.format_rational(p.l),

@@ -392,6 +392,8 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
 
     if subject not in VERIFY_SUBJECTS:
         raise ValueError(f"unknown subject {subject!r}; pick from {VERIFY_SUBJECTS}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     kinds = (ONE, MOBIUS, MOBIUS_SQUARED, LAMBDA, tau(2), tau(3), OMEGA,
              TWO_POW_OMEGA, CHI_TWO)
     out = []

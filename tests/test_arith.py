@@ -97,15 +97,17 @@ def test_sieve_offset_segment_matches_definition(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_sieve_past_int32_matches_eval_point(kind):
-    # segments with hi >= 2^31 track their smooth parts in int64
-    lo = 2**31 - 100
-    t = A.build_sieve(kind, lo, lo + 200)
-    for n in range(lo, lo + 201):
-        ref = A.eval_point(kind, n)
-        if kind.tag == "lambda":
-            assert abs(t.value(n) - ref) < 1e-12, n
-        else:
-            assert t.value(n) == ref, n
+    # segments with hi >= 2^31 track their smooth parts in int64; the
+    # windows near 999983^2 and the budget give eval_point's p^2, pq and
+    # prime cofactors
+    for lo in (2**31 - 100, 999983**2 - 100, 10**12 - 200):
+        t = A.build_sieve(kind, lo, lo + 200)
+        for n in range(lo, lo + 201):
+            ref = A.eval_point(kind, n)
+            if kind.tag == "lambda":
+                assert abs(t.value(n) - ref) < 1e-12, n
+            else:
+                assert t.value(n) == ref, n
 
 
 def test_value_range_invariants():
@@ -145,7 +147,7 @@ def test_eval_point_agrees_with_sieve_random():
 
 
 def test_eval_point_large_arguments():
-    # semiprime just under the budget exercises the rho fallback
+    # semiprime just under the budget: a pq cofactor after trial division
     p, q = 999983, 999979
     n = p * q
     assert A.eval_point(A.tau(2), n) == 4
@@ -157,6 +159,11 @@ def test_eval_point_large_arguments():
 
 
 def test_factor_budget_enforced():
+    # eval_point's cofactor after trial division below 10^4 is 1, p, p^2 or
+    # pq only below 10007^3, and its Miller-Rabin bases are deterministic
+    # only below 2152302898747
+    assert A.FACTOR_BUDGET < 10007**3
+    assert A.FACTOR_BUDGET < 2_152_302_898_747
     assert A.eval_point(A.tau(2), 10**12) == 169
     with pytest.raises(BudgetError):
         A.eval_point(A.tau(2), 10**12 + 1)
@@ -223,6 +230,8 @@ def test_convolution_coverage_checked():
     h = A.build_sieve(A.ONE, 2, 30)
     with pytest.raises(CoverageError):
         A.dirichlet_convolve(h, g, 10)
+    with pytest.raises(ValueError, match="limit >= 1"):
+        A.dirichlet_convolve(f, g, 0)
 
 
 def test_mobius_inversion_medium_range():

@@ -184,6 +184,23 @@ def test_error_reports_are_machine_readable(capsys):
     assert json.loads(out)["error"] == "WindowError"
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify vaughan-mu --trials 0", "trials >= 1"),
+    ("verify hyperbola --trials -1", "trials >= 1"),
+    ("pairs derive --word A --seed hb:9..3", "exactly one seed pair"),
+    ("pairs derive --word A --seed classic,bourgain", "exactly one seed pair"),
+    ("scan --function mu --grid 0:1000:5", "1 <= lo < hi"),
+])
+def test_malformed_inputs_are_typed_errors(capsys, argv, message):
+    assert cli.main(argv.split()) == 1
+    out = capsys.readouterr()
+    d = json.loads(out.out)
+    assert d["error"] == "ValueError"
+    assert message in d["message"]
+    assert out.err == ""
+
+
 # every option each (sub)command accepts, besides -h
 OPTION_SURFACE = {
     (): set(),
