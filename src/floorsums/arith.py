@@ -371,7 +371,9 @@ def eval_point(kind: FunctionKind, n: int):
 # Dirichlet convolution on tables
 
 def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
-    """Pointwise Dirichlet product (f * g)(n) = sum_{d | n} f(d) g(n/d) on [1, limit]."""
+    """Pointwise Dirichlet product (f * g)(n) = sum_{d | n} f(d) g(n/d) on [1, limit]
+    by the hyperbola split: the pairs d <= e by ascending d, then d > e by descending
+    e, so each n sums its terms in ascending d, as a walk over every d would."""
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
     if f.lo != 1 or g.lo != 1:
@@ -379,13 +381,11 @@ def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     if f.hi < limit or g.hi < limit:
         raise CoverageError(f"inputs must cover [1, {limit}]")
     out = np.zeros(limit, dtype=np.result_type(f.values, g.values))
-    fv = f.values[:limit]
-    gv = g.values[:limit]
-    for d in range(1, limit + 1):
-        c = fv[d - 1]
-        if c == 0:
-            continue
-        q = limit // d
-        out[d - 1:: d] += c * gv[:q]
+    fv, gv = f.values, g.values
+    root = isqrt(limit)
+    for d in range(1, root + 1):            # d <= e: n = d e from d^2 on
+        out[d * d - 1:: d] += fv[d - 1] * gv[d - 1: limit // d]
+    for e in range(root, 0, -1):            # d > e: n = d e from e (e + 1) on
+        out[e * e + e - 1:: e] += gv[e - 1] * fv[e: limit // e]
     out.flags.writeable = False
     return SieveTable(kind=None, lo=1, hi=limit, values=out)

@@ -50,13 +50,13 @@ def _parse_seeds(spec: str) -> list[pairs.ExponentPair]:
         tok = tok.strip()
         if tok in pairs.SEED_PAIRS:
             out.append(pairs.SEED_PAIRS[tok])
+        elif tok.startswith("hb:") and ".." in tok:
+            lo, hi = map(int, tok[3:].split(".."))
+            if lo > hi:
+                raise ValueError(f"seed range {tok!r} is empty (hb:a..b needs a <= b)")
+            out.extend(pairs.heath_brown_pair(m) for m in range(lo, hi + 1))
         elif tok.startswith("hb:"):
-            rng = tok[3:]
-            if ".." in rng:
-                lo, hi = rng.split("..")
-                out.extend(pairs.heath_brown_pair(m) for m in range(int(lo), int(hi) + 1))
-            else:
-                out.append(pairs.heath_brown_pair(int(rng)))
+            out.append(pairs.heath_brown_pair(int(tok[3:])))
         else:
             raise ValueError(f"unknown seed {tok!r} (names: "
                              f"{', '.join(pairs.SEED_PAIRS)}, hb:m, hb:a..b)")

@@ -34,9 +34,8 @@ NAIVE_BUDGET = 10**7
 FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
 # N point evaluations plus x/N block entries cost N c_point + (x/N) c_entry,
 # least at N = sqrt(x / SPLIT_RATIO) with SPLIT_RATIO = c_point / c_entry.
-# Near x = 1e10 an eval_point takes ~28 us and a block entry 60-64 ns for the
-# sieved tau2 and 2^omega (20-30 ns for one and Lambda); the time is flat
-# within noise for ratios 300-1000.
+# A block entry costs 20-64 ns and an eval_point 10.7 us (sum-large benchmark
+# workload, 2 vCPU); at x = 1e12 the time is flat within noise for ratios 100-500.
 SPLIT_RATIO = 500
 BLOCK_CHUNK = 1 << 16           # block entries whose multiplicities exist at once
 RESIDUAL_FLOOR = 1e-9
@@ -79,7 +78,9 @@ def _lookup(kind: FunctionKind, n: int, table: SieveTable | None):
 
 def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None):
     """Direct O(x) evaluation; exact (Lambda via compensated summation)."""
-    if not 1 <= x <= NAIVE_BUDGET:
+    if x < 1:
+        raise ValueError(f"need x >= 1, got {x}")
+    if x > NAIVE_BUDGET:
         raise BudgetError(f"naive evaluation limited to x <= {NAIVE_BUDGET}")
     _check_table(kind, table)
     if table is None or not table.covers(1, x):
@@ -136,7 +137,9 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     that partial sum with every other term, one per n; so the float result
     is the same, bit for bit, for every split N <= isqrt(x).
     """
-    if not 1 <= x <= FAST_BUDGET:
+    if x < 1:
+        raise ValueError(f"need x >= 1, got {x}")
+    if x > FAST_BUDGET:
         raise BudgetError(f"fast evaluation limited to x <= {FAST_BUDGET}")
     _check_table(kind, table)
     N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else split

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import (LAMBDA, MOBIUS, OMEGA, SieveTable, build_sieve,
+from .arith import (LAMBDA, MOBIUS, OMEGA, ONE, SieveTable, build_sieve,
                     dirichlet_convolve)
 from .errors import CoverageError, WindowError
 
@@ -129,7 +129,8 @@ class VaughanCoefficients:
 
     a_lambda = (mu 1_U * Lambda 1_U), supported on n <= U^2 (float, carries
     log p); b = (mu 1_U * 1); a_mu = (mu 1_U * mu 1_U); b_plus = (mu 1_U^+ * 1).
-    Arrays are indexed by n (entry 0 unused).
+    Each is one `dirichlet_convolve` of truncated tables.  Arrays are indexed
+    by n (entry 0 unused).
     """
 
     U: int
@@ -157,6 +158,18 @@ class VaughanCoefficients:
         return np.concatenate(([0.0], out))
 
 
+def _cut(values: np.ndarray, lo: int, hi: int, limit: int) -> SieveTable:
+    """A derived table on [1, limit]: values[d - 1] for lo < d <= hi, else 0."""
+    out = np.zeros(limit, dtype=values.dtype)
+    out[lo:hi] = values[lo:hi]
+    return SieveTable(kind=None, lo=1, hi=limit, values=out)
+
+
+def _by_n(f: SieveTable, g: SieveTable, limit: int) -> np.ndarray:
+    """(f * g) on [1, limit], indexed by n (entry 0 unused)."""
+    return np.insert(dirichlet_convolve(f, g, limit).values, 0, 0)
+
+
 def vaughan_coeffs(U: int, limit: int) -> VaughanCoefficients:
     """Tabulate the four coefficient sequences up to `limit` (>= U^2)."""
     if U < 1:
@@ -164,31 +177,15 @@ def vaughan_coeffs(U: int, limit: int) -> VaughanCoefficients:
     if limit < U * U:
         raise CoverageError(f"limit must be >= U^2 = {U*U}")
     mu = build_sieve(MOBIUS, 1, limit).values
-    lam = build_sieve(LAMBDA, 1, max(U, 1)).values
-    a_lambda = np.zeros(U * U + 1, dtype=np.float64)
-    a_mu = np.zeros(U * U + 1, dtype=np.int64)
-    for d in range(1, U + 1):
-        md = int(mu[d - 1])
-        if md == 0:
-            continue
-        for e in range(1, U + 1):
-            if lam[e - 1] != 0.0:
-                a_lambda[d * e] += md * lam[e - 1]
-            me = int(mu[e - 1])
-            if me != 0:
-                a_mu[d * e] += md * me
-    b = np.zeros(limit + 1, dtype=np.int64)
-    b_plus = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        md = int(mu[d - 1])
-        if md == 0:
-            continue
-        if d <= U:
-            b[d:: d] += md
-        else:
-            b_plus[d:: d] += md
-    return VaughanCoefficients(U=U, limit=limit, a_lambda=a_lambda, b=b,
-                               a_mu=a_mu, b_plus=b_plus)
+    lam = build_sieve(LAMBDA, 1, U).values
+    one = build_sieve(ONE, 1, limit)
+    mu_low = _cut(mu, 0, U, U * U)
+    return VaughanCoefficients(
+        U=U, limit=limit,
+        a_lambda=_by_n(mu_low, _cut(lam, 0, U, U * U), U * U),
+        b=_by_n(_cut(mu, 0, U, limit), one, limit),
+        a_mu=_by_n(mu_low, mu_low, U * U),
+        b_plus=_by_n(_cut(mu, U, limit, limit), one, limit))
 
 
 # ---------------------------------------------------------------------------

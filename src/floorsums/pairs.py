@@ -124,8 +124,8 @@ def enumerate_pairs(seeds: Iterable[ExponentPair], depth: int) -> set[ExponentPa
     Deduplicated by exact (k, l); the first derivation found (shortest word,
     seeds in given order, A before B) is the one kept.
     """
-    if depth > 20:
-        raise ValueError("depth capped at 20")
+    if not 0 <= depth <= 20:
+        raise ValueError(f"depth must lie in [0, 20], got {depth}")
     seen: dict[tuple[Fraction, Fraction], ExponentPair] = {}
     frontier: list[ExponentPair] = []
     for s in seeds:

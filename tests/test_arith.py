@@ -222,6 +222,36 @@ def test_convolution_examples():
     assert (got.values == t3.values[:100]).all()
 
 
+def _convolve_reference(f, g, limit):
+    """The product by one strided update per d <= limit, in ascending d."""
+    out = np.zeros(limit, dtype=np.result_type(f.values, g.values))
+    fv, gv = f.values[:limit], g.values[:limit]
+    for d in range(1, limit + 1):
+        c = fv[d - 1]
+        if c != 0:
+            out[d - 1:: d] += c * gv[:limit // d]
+    return out
+
+
+@pytest.fixture(scope="module")
+def tables_10007():
+    return {kind: A.build_sieve(kind, 1, 10007) for kind in ALL_KINDS}
+
+
+# perfect squares and their neighbours are where the two passes meet
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 15, 16, 17, 24, 99, 100, 101,
+                                   1000, 10007])
+def test_convolution_bits_match_reference(tables_10007, limit):
+    # Lambda products are float sums: equal bytes need the same order of
+    # additions for every n, which approx comparisons cannot see
+    for f in tables_10007.values():
+        for g in tables_10007.values():
+            got = A.dirichlet_convolve(f, g, limit).values
+            want = _convolve_reference(f, g, limit)
+            assert got.dtype == want.dtype, (f.kind, g.kind)
+            assert got.tobytes() == want.tobytes(), (f.kind, g.kind)
+
+
 def test_convolution_coverage_checked():
     f = A.build_sieve(A.ONE, 1, 10)
     g = A.build_sieve(A.ONE, 1, 20)

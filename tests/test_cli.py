@@ -188,9 +188,13 @@ def test_error_reports_are_machine_readable(capsys):
 @pytest.mark.parametrize("argv, message", [
     ("verify vaughan-mu --trials 0", "trials >= 1"),
     ("verify hyperbola --trials -1", "trials >= 1"),
-    ("pairs derive --word A --seed hb:9..3", "exactly one seed pair"),
+    ("pairs derive --word A --seed hb:9..3", "'hb:9..3' is empty"),
     ("pairs derive --word A --seed classic,bourgain", "exactly one seed pair"),
+    ("pairs search --target lambda --depth 3 --seeds hb:9..3,classic", "'hb:9..3' is empty"),
+    ("pairs search --target lambda --depth -2 --seeds classic", "depth must lie in [0, 20]"),
     ("scan --function mu --grid 0:1000:5", "1 <= lo < hi"),
+    ("sum --function mu --x 0", "need x >= 1"),
+    ("sum --function tau3 --x -5 --method naive", "need x >= 1"),
 ])
 def test_malformed_inputs_are_typed_errors(capsys, argv, message):
     assert cli.main(argv.split()) == 1

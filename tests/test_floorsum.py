@@ -164,6 +164,12 @@ def test_budgets():
         FS.floor_sum_fast(A.ONE, 10**12 + 1)
     with pytest.raises(BudgetError):    # 5e11 block entries
         FS.floor_sum_fast(A.ONE, 10**12, split=1)
+    # below the range is an argument error, not a budget one
+    for x in (0, -5):
+        with pytest.raises(ValueError, match="x >= 1"):
+            FS.floor_sum_fast(A.ONE, x)
+        with pytest.raises(ValueError, match="x >= 1"):
+            FS.floor_sum_naive(A.ONE, x)
 
 
 def test_main_term_constant_one_telescopes():

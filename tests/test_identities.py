@@ -95,6 +95,37 @@ def test_normalized_views_bounded():
     assert np.max(np.abs(co.alpha_mu())) <= 1 + 1e-12
 
 
+def _vaughan_reference(U, limit):
+    """The four coefficient arrays by explicit loops over d and e."""
+    mu = A.build_sieve(A.MOBIUS, 1, limit).values
+    lam = A.build_sieve(A.LAMBDA, 1, U).values
+    a_lambda = np.zeros(U * U + 1, dtype=np.float64)
+    a_mu = np.zeros(U * U + 1, dtype=np.int64)
+    for d in range(1, U + 1):
+        md = int(mu[d - 1])
+        if md == 0:
+            continue
+        for e in range(1, U + 1):
+            if lam[e - 1] != 0.0:
+                a_lambda[d * e] += md * lam[e - 1]
+            a_mu[d * e] += md * int(mu[e - 1])
+    b = np.zeros(limit + 1, dtype=np.int64)
+    b_plus = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, limit + 1):
+        (b if d <= U else b_plus)[d:: d] += int(mu[d - 1])
+    return {"a_lambda": a_lambda, "b": b, "a_mu": a_mu, "b_plus": b_plus}
+
+
+@pytest.mark.parametrize("U", range(1, 23))
+def test_vaughan_coefficient_bits_match_reference(U):
+    for limit in (U * U, U * U + 1, 1000):
+        co = I.vaughan_coeffs(U, limit)
+        for name, want in _vaughan_reference(U, limit).items():
+            got = getattr(co, name)
+            assert got.dtype == want.dtype, (limit, name)
+            assert got.tobytes() == want.tobytes(), (limit, name)
+
+
 def test_b_plus_complements_b():
     co = I.vaughan_coeffs(7, 80)
     # (mu 1^- * 1) + (mu 1^+ * 1) = mu * 1 = [n = 1]

@@ -81,6 +81,8 @@ def test_enumerate_pairs_from_trivial_seed():
     assert (F(55, 194), F(55, 97)) in deep
     with pytest.raises(ValueError):
         P.enumerate_pairs([TRIVIAL], 21)
+    with pytest.raises(ValueError, match=r"\[0, 20\]"):
+        P.enumerate_pairs([TRIVIAL], -2)
 
 
 # ---------------------------------------------------------------------------
