@@ -3,9 +3,11 @@ hyperbola principle, with and without exponential weights.
 
 Each verifier evaluates both sides of an identity independently and returns
 (lhs, rhs, |lhs - rhs|); the sides agree to rounding (relative 1e-9) for any
-admissible parameters and any phase.  Range conditions with real endpoints
-(R/n < m <= R1/n and friends) are evaluated by exact integer comparisons,
-never by floating-point division.
+admissible parameters and any phase.  Every side is one double sum
+sum_n a(n) sum_{lo(n) < m <= hi(n)} b(m) w(mn) over a weight list w computed
+once per call: w(k) = e(F(k)) for a phase F, or h(k).  Range conditions with
+real endpoints (R/n < m <= R1/n and friends) are evaluated by exact integer
+comparisons, never by floating-point division.
 
 Note on the Vaughan forms: the third sum of the Lambda identity and of the
 mu identity both restrict the inner variable to m > max(U, R/n).  For U >= 2
@@ -32,30 +34,20 @@ from .errors import CoverageError, WindowError
 TWO_PI = 2.0 * math.pi
 
 
-def _frac_of_ratio(num, den: int) -> float:
-    """(num/den) mod 1 with exact reduction; num integral or float, den int > 0."""
-    if isinstance(num, int):
-        return (num % den) / den
-    fr = Fraction(num)  # floats convert exactly
-    d = fr.denominator * den
-    return float(Fraction(fr.numerator % d, d))
-
-
 @dataclass(frozen=True)
 class PhaseFunction:
     """A phase t -> F(t) used inside e(F(t)) on integer arguments t >= 1.
 
-    Built-in forms keep their parameters and reduce F(t) mod 1 exactly
-    (integer arithmetic, or exact rational arithmetic for float parameters).
-    Opaque callables must be pure and deterministic; their values are reduced
-    in floating point.
+    Every built-in form is F(t) = z / (t + a)^r: `reciprocal` (r = 1, a = 0),
+    `power_reciprocal` (a = 0) and `shifted_reciprocal` (z = h x, r = 1,
+    a in {0, 1}).  They reduce F(t) mod 1 exactly (integer arithmetic, or
+    exact rational arithmetic for a float z).  Opaque callables must be pure
+    and deterministic; their values are reduced in floating point.
     """
 
     form: str                       # reciprocal | power_reciprocal | shifted_reciprocal | opaque
     z: int | float = 0
     r: int = 1
-    h: int | float = 0
-    x: int | float = 0
     a: int = 0
     fn: Optional[Callable[[int], float]] = None
 
@@ -75,7 +67,7 @@ class PhaseFunction:
     def shifted_reciprocal(cls, h, x, a: int) -> "PhaseFunction":
         if h < 0 or x < 0 or a not in (0, 1):
             raise ValueError("need h, x >= 0 and a in {0, 1}")
-        return cls(form="shifted_reciprocal", h=h, x=x, a=a)
+        return cls(form="shifted_reciprocal", z=h * x, a=a)
 
     @classmethod
     def opaque(cls, fn: Callable[[int], float]) -> "PhaseFunction":
@@ -87,36 +79,30 @@ class PhaseFunction:
 
     def frac(self, t: int) -> float:
         """F(t) mod 1 in [0, 1)."""
-        if self.form == "reciprocal":
-            return _frac_of_ratio(self.z, t)
-        if self.form == "power_reciprocal":
-            return _frac_of_ratio(self.z, t**self.r)
-        if self.form == "shifted_reciprocal":
-            hx = self.h * self.x
-            if isinstance(self.h, int) and isinstance(self.x, int):
-                return _frac_of_ratio(hx, t + self.a)
-            return _frac_of_ratio(float(hx), t + self.a)
-        return self.fn(t) % 1.0
+        if self.fn is not None:
+            return self.fn(t) % 1.0
+        den = (t + self.a) ** self.r
+        if isinstance(self.z, int):
+            return (self.z % den) / den
+        fr = Fraction(self.z)  # floats convert exactly
+        d = fr.denominator * den
+        return float(Fraction(fr.numerator % d, d))
 
     def unit(self, t: int) -> complex:
         """e(F(t)) = exp(2 pi i F(t))."""
         return cmath.exp(1j * TWO_PI * self.frac(t))
 
     def unit_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized e(F(t)) for integer arrays (exact reduction for
-        integer-parameter forms)."""
+        """Vectorized e(F(t)) for integer arrays.  The int64 path is taken
+        only when z and every (t + a)^r are below 2^62, tested in Python
+        integers; otherwise each entry goes through `frac`."""
         t = np.asarray(t, dtype=np.int64)
-        if self.form == "reciprocal" and isinstance(self.z, int) and self.z < 2**62:
-            ph = np.mod(self.z, t) / t
-        elif (self.form == "power_reciprocal" and isinstance(self.z, int)
-              and self.z < 2**62 and t[-1] ** self.r < 2**62):
-            tr = t**self.r
-            ph = np.mod(self.z, tr) / tr
-        elif (self.form == "shifted_reciprocal" and isinstance(self.h, int)
-              and isinstance(self.x, int) and self.h * self.x < 2**62):
-            ph = np.mod(self.h * self.x, t + self.a) / (t + self.a)
+        if (self.fn is None and isinstance(self.z, int) and self.z < 2**62
+                and (t.size == 0 or (int(t.max()) + self.a) ** self.r < 2**62)):
+            d = (t + self.a) ** self.r
+            ph = np.mod(self.z, d) / d
         else:
-            ph = np.array([self.frac(int(v)) for v in t])
+            ph = np.array([self.frac(int(v)) for v in t], dtype=np.float64)
         return np.exp(1j * TWO_PI * ph)
 
 
@@ -143,12 +129,6 @@ class VaughanCoefficients:
     def alpha_lambda(self, R: int) -> np.ndarray:
         """a_lambda normalized by log R; |alpha| <= 1 for R >= U^2."""
         return self.a_lambda / math.log(R)
-
-    def beta(self) -> np.ndarray:
-        """b_m normalized by 2^omega(m); |beta| <= 1."""
-        om = build_sieve(OMEGA, 1, self.limit).values
-        out = self.b[1:] / np.exp2(om)
-        return np.concatenate(([0.0], out))
 
     def alpha_mu(self) -> np.ndarray:
         """a_mu normalized by 2^omega(n); |alpha| <= 1."""
@@ -191,6 +171,38 @@ def vaughan_coeffs(U: int, limit: int) -> VaughanCoefficients:
 # ---------------------------------------------------------------------------
 # identity verifiers
 
+def _indexed(values: np.ndarray, hi: int) -> list:
+    """values[0..hi-1] of a table starting at 1, as a list indexed by n."""
+    return [0] + values[:hi].tolist()
+
+
+def _units(phase: PhaseFunction, hi: int) -> list:
+    """e(F(k)) for k = 1..hi, as a list indexed by k."""
+    return [None] + list(map(phase.unit, range(1, hi + 1)))
+
+
+def _dot(b, w: list, lo: int, hi: int, step: int = 1, skip_zeros: bool = False):
+    """sum_{lo < m <= hi} b[m] w[m step], leaving out the zero b[m] if
+    `skip_zeros`; b None stands for b = 1."""
+    ws = w[(lo + 1) * step:hi * step + 1:step]
+    if b is None:
+        return sum(ws)
+    return sum(x * y for x, y in zip(b[lo + 1:hi + 1], ws, strict=True)
+               if x or not skip_zeros)
+
+
+def _double_sum(a: list, ns: range, b, w: list, lo, hi, skip_zeros: bool = False):
+    """sum_{n in ns} a[n] sum_{lo(n) < m <= hi(n)} b[m] w[mn], in ascending n
+    and m, leaving out the zero a[n] and b[m] if `skip_zeros`.
+
+    Which terms are left out decides whether an all-zero side is an int, a
+    float or a complex, so each verifier keeps the convention it is written
+    with: the Vaughan forms skip zeros, the hyperbola forms do not.
+    """
+    return sum(a[n] * _dot(b, w, lo(n), hi(n), n, skip_zeros)
+               for n in ns if a[n] or not skip_zeros)
+
+
 def _check_dyadic(R: int, R1: int, U: int) -> None:
     if not (1 < R < R1 <= 2 * R):
         raise WindowError(f"need 1 < R < R1 <= 2R, got R={R}, R1={R1}")
@@ -202,35 +214,18 @@ def vaughan_lambda_sides(R: int, R1: int, U: int,
                          phase: PhaseFunction) -> tuple[complex, complex, float]:
     """Both sides of the Vaughan decomposition of sum Lambda(n) e(F(n))."""
     _check_dyadic(R, R1, U)
-    lam = build_sieve(LAMBDA, 1, R1).values
-    mu = build_sieve(MOBIUS, 1, max(U, 1)).values
+    lam = _indexed(build_sieve(LAMBDA, 1, R1).values, R1)
+    mu = _indexed(build_sieve(MOBIUS, 1, U).values, U)
     co = vaughan_coeffs(U, max(R1, U * U))
-    e = phase.unit
+    w = _units(phase, R1)
+    logs = [0.0] + [math.log(m) for m in range(1, R1 + 1)]
+    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
 
-    lhs = sum(lam[n - 1] * e(n) for n in range(R + 1, R1 + 1) if lam[n - 1] != 0.0)
-
-    t1 = 0j
-    for n in range(1, U + 1):
-        mn = int(mu[n - 1])
-        if mn == 0:
-            continue
-        t1 += mn * sum(math.log(m) * e(m * n)
-                       for m in range(R // n + 1, R1 // n + 1))
-    t2 = 0j
-    for n in range(1, U * U + 1):
-        an = co.a_lambda[n]
-        if an == 0.0:
-            continue
-        t2 += an * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
-    t3 = 0j
-    for n in range(U + 1, R1 // U + 1):
-        ln = lam[n - 1]
-        if ln == 0.0:
-            continue
-        t3 += ln * sum(int(co.b[m]) * e(m * n)
-                       for m in range(max(U, R // n) + 1, R1 // n + 1)
-                       if co.b[m] != 0)
-    rhs = t1 - t2 - t3
+    lhs = _dot(lam, w, R, R1, skip_zeros=True)
+    rhs = (_double_sum(mu, range(1, U + 1), logs, w, lo, hi, True)
+           - _double_sum(co.a_lambda.tolist(), range(1, U * U + 1), None, w, lo, hi, True)
+           - _double_sum(lam, range(U + 1, R1 // U + 1), co.b.tolist(), w,
+                         lambda n: max(U, R // n), hi, True))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -238,34 +233,16 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
                          phase: PhaseFunction) -> tuple[complex, complex, float]:
     """Both sides of the Vaughan decomposition of sum mu(n) e(F(n))."""
     _check_dyadic(R, R1, U)
-    mu = build_sieve(MOBIUS, 1, R1).values
+    mu = _indexed(build_sieve(MOBIUS, 1, R1).values, R1)
     co = vaughan_coeffs(U, max(R1, U * U))
-    e = phase.unit
+    w = _units(phase, R1)
+    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
 
-    lhs = sum(int(mu[n - 1]) * e(n) for n in range(R + 1, R1 + 1) if mu[n - 1] != 0)
-
-    s12 = 0j
-    for n in range(1, U * U + 1):
-        an = int(co.a_mu[n])
-        if an == 0:
-            continue
-        s12 += an * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
-    s3 = 0j
-    for n in range(U + 1, R1 // U + 1):
-        bn = int(co.b_plus[n])
-        if bn == 0:
-            continue
-        s3 += bn * sum(int(mu[m - 1]) * e(m * n)
-                       for m in range(max(U, R // n) + 1, R1 // n + 1)
-                       if mu[m - 1] != 0)
-    rhs = -s12 + s3
+    lhs = _dot(mu, w, R, R1, skip_zeros=True)
+    rhs = (-_double_sum(co.a_mu.tolist(), range(1, U * U + 1), None, w, lo, hi, True)
+           + _double_sum(co.b_plus.tolist(), range(U + 1, R1 // U + 1), mu, w,
+                         lambda n: max(U, R // n), hi, True))
     return lhs, rhs, abs(lhs - rhs)
-
-
-def _h_or_one(h_values):
-    if h_values is None:
-        return lambda n: 1
-    return h_values
 
 
 def hyperbola_sides(f: SieveTable, g: SieveTable, h_values, x: int,
@@ -279,23 +256,25 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, h_values, x: int,
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
     if not (f.covers(1, x) and g.covers(1, x)):
         raise CoverageError(f"tables must cover [1, {x}]")
-    h = _h_or_one(h_values)
-    conv = dirichlet_convolve(f, g, x)
-    lhs = sum(conv.value(n) * h(n) for n in range(1, x + 1))
+    w = [None] + ([1] * x if h_values is None else list(map(h_values, range(1, x + 1))))
+    fv, gv = _indexed(f.values, x), _indexed(g.values, x)
+    lhs = _dot(_indexed(dirichlet_convolve(f, g, x).values, x), w, 0, x)
 
-    fv, gv = f.value, g.value
-    s1 = sum(fv(n) * sum(gv(m) * h(m * n) for m in range(1, x // n + 1))
-             for n in range(1, U + 1))
-    s2 = sum(gv(n) * sum(fv(m) * h(m * n) for m in range(1, x // n + 1))
-             for n in range(1, x // U + 1))
-    s3 = sum(fv(n) * sum(gv(m) * h(m * n) for m in range(1, x // U + 1))
-             for n in range(1, U + 1))
-    rhs = s1 + s2 - s3
+    lo, hi = (lambda n: 0), (lambda n: x // n)
+    rhs = (_double_sum(fv, range(1, U + 1), gv, w, lo, hi)
+           + _double_sum(gv, range(1, x // U + 1), fv, w, lo, hi)
+           - _double_sum(fv, range(1, U + 1), gv, w, lo, lambda n: x // U))
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _range_sum(g, e, n: int, m_lo: int, m_hi: int) -> complex:
-    return sum(g(m) * e(m * n) for m in range(m_lo + 1, m_hi + 1))
+def _exp_setup(f: SieveTable, g: SieveTable, phase: PhaseFunction,
+               R: int, R1: int, U: int):
+    """Window and coverage checks of the dyadic form; (f, g, w) as lists."""
+    if not (R < R1 and 1 <= U <= R):
+        raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
+    if not (f.covers(1, R1) and g.covers(1, R1)):
+        raise CoverageError("tables too short for the requested ranges")
+    return _indexed(f.values, R1), _indexed(g.values, R1), _units(phase, R1)
 
 
 def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
@@ -305,24 +284,14 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     Identity over pairs mn in (R, R1]: the f-smooth range n <= U R1/R, the
     g-smooth range n <= R/U, minus the overlap correction.
     """
-    if not (R < R1 and 1 <= U <= R):
-        raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
+    fv, gv, w = _exp_setup(f, g, phase, R, R1, U)
     hi_f = (U * R1) // R
-    if not (f.covers(1, R1) and g.covers(1, R1)):
-        raise CoverageError("tables too short for the requested ranges")
-    e = phase.unit
-    fv, gv = f.value, g.value
+    lhs = _dot(_indexed(dirichlet_convolve(f, g, R1).values, R1), w, R, R1)
 
-    conv = dirichlet_convolve(f, g, R1)
-    lhs = sum(conv.value(n) * e(n) for n in range(R + 1, R1 + 1))
-
-    t1 = sum(fv(n) * _range_sum(gv, e, n, R // n, R1 // n)
-             for n in range(1, hi_f + 1))
-    t2 = sum(gv(n) * _range_sum(fv, e, n, R // n, R1 // n)
-             for n in range(1, R // U + 1))
-    t3 = sum(fv(n) * _range_sum(gv, e, n, R // n, R // U)
-             for n in range(U + 1, hi_f + 1))
-    rhs = t1 + t2 - t3
+    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
+    rhs = (_double_sum(fv, range(1, hi_f + 1), gv, w, lo, hi)
+           + _double_sum(gv, range(1, R // U + 1), fv, w, lo, hi)
+           - _double_sum(fv, range(U + 1, hi_f + 1), gv, w, lo, lambda n: R // U))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -330,19 +299,12 @@ def hyperbola_exp_split(f: SieveTable, g: SieveTable, phase: PhaseFunction,
                         R: int, R1: int, U: int) -> complex:
     """The intermediate four-sum S1 + S2 + S3 - S4 of the same identity;
     equals the lhs independently of the three-term form."""
-    if not (R < R1 and 1 <= U <= R):
-        raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
-    e = phase.unit
-    fv, gv = f.value, g.value
-    s1 = sum(fv(n) * _range_sum(gv, e, n, R // n, R1 // n)
-             for n in range(1, U + 1))
-    s2 = sum(gv(n) * _range_sum(fv, e, n, R // n, R1 // n)
-             for n in range(1, R // U + 1))
-    s3 = sum(gv(n) * _range_sum(fv, e, n, 0, R1 // n)
-             for n in range(R // U + 1, R1 // U + 1))
-    s4 = sum(fv(n) * _range_sum(gv, e, n, R // U, R1 // U)
-             for n in range(1, U + 1))
-    return s1 + s2 + s3 - s4
+    fv, gv, w = _exp_setup(f, g, phase, R, R1, U)
+    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
+    return (_double_sum(fv, range(1, U + 1), gv, w, lo, hi)
+            + _double_sum(gv, range(1, R // U + 1), fv, w, lo, hi)
+            + _double_sum(gv, range(R // U + 1, R1 // U + 1), fv, w, lambda n: 0, hi)
+            - _double_sum(fv, range(1, U + 1), gv, w, lambda n: R // U, lambda n: R1 // U))
 
 
 # ---------------------------------------------------------------------------

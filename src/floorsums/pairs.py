@@ -156,7 +156,7 @@ class Infeasible:
         return False
 
 
-def _constraint_ok(pair_: ExponentPair, name: str, g, strict: bool) -> bool:
+def _constraint_ok(pair_: ExponentPair, g, strict: bool) -> bool:
     """Check g(k, l) > 0 (strict) or >= 0 at the pair's base point.
 
     For +eps carriers a tight constraint only survives when the perturbation
@@ -212,18 +212,17 @@ def theorem_exponent(target, p: ExponentPair) -> Union[Fraction, Infeasible]:
              lambda k, l: l * l + l + 3 - k * (5 - l) - 9 * k * k, True),
         ]
         for cname, g, strict in checks:
-            if not _constraint_ok(p, cname, g, strict):
+            if not _constraint_ok(p, g, strict):
                 return Infeasible(cname)
         return 14 * (k + 1) / (29 * k - l + 30)
     if name == "tau":
         if r < 2:
             raise ValueError("tau target needs r >= 2")
-        if not _constraint_ok(p, "1 - l > k(r-1)",
-                              lambda k, l: 1 - l - k * (r - 1), True):
+        if not _constraint_ok(p, lambda k, l: 1 - l - k * (r - 1), True):
             return Infeasible("1 - l > k(r-1)")
         return (k * (r - 1) + l + r - 1) / (k * (r - 1) + l + 2 * r - 1)
     if name == "two_omega":
-        if not _constraint_ok(p, "k + l < 1", lambda k, l: 1 - k - l, True):
+        if not _constraint_ok(p, lambda k, l: 1 - k - l, True):
             return Infeasible("k + l < 1")
         return 2 * (k + 1) / (3 * k - l + 5)
     raise ValueError(f"unknown target {target!r}")

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from floorsums import cli
+from floorsums.identities import PhaseFunction
 
 
 def run(capsys, *argv):
@@ -171,6 +172,17 @@ def test_expsum_check_command(capsys):
                  "--z", "1000000", "--R", "1995", "--pair", "1/6,2/3")
     assert d["ratio"] <= 10
     assert d["parameters"]["kind"] == "two_pow_omega"
+
+
+def test_expsum_bilinear_power_beyond_int64(capsys):
+    # (mn)^10 reaches 88^10 > 2^63, so the sum must not take the int64 path
+    z = 2**61 + 1
+    d = run_json(capsys, "expsum", "check", "--case", "bilinear-power", "--z", str(z),
+                 "--R", "56", "--r", "10", "--pair", "1/6,2/3")
+    assert d["parameters"]["kind"] == "bilinear(N=11, M=2)"
+    ph = PhaseFunction.power_reciprocal(z, 10)
+    ref = abs(sum(ph.unit(m * n) for n in range(12, 23) for m in range(3, 5)))
+    assert abs(d["measured"] - ref) <= 1e-9
 
 
 def test_error_reports_are_machine_readable(capsys):

@@ -52,6 +52,12 @@ def test_exp_sum_linearity_over_partition():
         assert abs(a + b - c) <= 1e-10 * (1 + abs(c))
 
 
+def test_exp_sum_with_no_nonzero_coefficient_is_zero():
+    # chi_2 vanishes on (10, 15], so no phase is evaluated at all
+    for ph in (PhaseFunction.reciprocal(5), PhaseFunction.power_reciprocal(5, 2)):
+        assert E.exp_sum(A.CHI_TWO, 10, 15, ph) == 0j
+
+
 def test_exp_sum_window():
     with pytest.raises(WindowError):
         E.exp_sum(A.ONE, 10, 21, PhaseFunction.zero())

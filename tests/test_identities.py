@@ -52,6 +52,33 @@ def test_unit_array_matches_scalar_path():
         assert np.allclose(arr, ref, atol=1e-12)
 
 
+def _assert_unit_array_matches_unit(ph, t):
+    ref = np.array([ph.unit(int(v)) for v in t])
+    assert np.abs(ph.unit_array(t) - ref).max() <= 1e-12
+
+
+def test_unit_array_does_not_wrap_int64():
+    # 112^10 > 2^63: an int64 test of t^r wraps and picks the vector path
+    ph = I.PhaseFunction.power_reciprocal(2**61 + 1, 10)
+    _assert_unit_array_matches_unit(ph, np.arange(24, 113, dtype=np.int64))
+
+
+def test_unit_array_tests_the_largest_entry_not_the_last():
+    rng = random.Random(3)
+    t = np.array([rng.randint(1, 10**5) for _ in range(200)] + [10**5, 7],
+                 dtype=np.int64)
+    _assert_unit_array_matches_unit(I.PhaseFunction.power_reciprocal(987654321, 4), t)
+
+
+@pytest.mark.parametrize("ph", [
+    I.PhaseFunction.reciprocal(10**6), I.PhaseFunction.reciprocal(123456.75),
+    I.PhaseFunction.power_reciprocal(5, 2), I.PhaseFunction.shifted_reciprocal(3, 100, 1),
+    I.PhaseFunction.opaque(lambda t: math.sqrt(t))], ids=lambda ph: ph.form)
+def test_unit_array_accepts_an_empty_array(ph):
+    out = ph.unit_array(np.zeros(0, dtype=np.int64))
+    assert out.shape == (0,) and out.dtype == np.complex128
+
+
 # ---------------------------------------------------------------------------
 # coefficients
 
@@ -91,7 +118,6 @@ def test_a_mu_bounded_by_tau():
 def test_normalized_views_bounded():
     co = I.vaughan_coeffs(10, 120)
     assert np.max(np.abs(co.alpha_lambda(120))) <= 1 + 1e-12
-    assert np.max(np.abs(co.beta())) <= 1 + 1e-12
     assert np.max(np.abs(co.alpha_mu())) <= 1 + 1e-12
 
 
@@ -259,6 +285,113 @@ def test_mu2_equals_chi2_star_one_to_1e6():
     mu2 = A.build_sieve(A.MOBIUS_SQUARED, 1, n)
     conv = A.dirichlet_convolve(chi, one, n)
     assert (conv.values == mu2.values).all()
+
+
+# ---------------------------------------------------------------------------
+# the verifiers against the hand-written loops they replace
+
+def _loops_vaughan_lambda(R, R1, U, e):
+    lam = A.build_sieve(A.LAMBDA, 1, R1).values
+    mu = A.build_sieve(A.MOBIUS, 1, U).values
+    co = I.vaughan_coeffs(U, max(R1, U * U))
+    lhs = sum(lam[n - 1] * e(n) for n in range(R + 1, R1 + 1) if lam[n - 1] != 0.0)
+    t1 = t2 = t3 = 0j
+    for n in range(1, U + 1):
+        if mu[n - 1] != 0:
+            t1 += int(mu[n - 1]) * sum(math.log(m) * e(m * n)
+                                       for m in range(R // n + 1, R1 // n + 1))
+    for n in range(1, U * U + 1):
+        if co.a_lambda[n] != 0.0:
+            t2 += co.a_lambda[n] * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
+    for n in range(U + 1, R1 // U + 1):
+        if lam[n - 1] != 0.0:
+            t3 += lam[n - 1] * sum(int(co.b[m]) * e(m * n)
+                                   for m in range(max(U, R // n) + 1, R1 // n + 1)
+                                   if co.b[m] != 0)
+    return lhs, t1 - t2 - t3
+
+
+def _loops_vaughan_mobius(R, R1, U, e):
+    mu = A.build_sieve(A.MOBIUS, 1, R1).values
+    co = I.vaughan_coeffs(U, max(R1, U * U))
+    lhs = sum(int(mu[n - 1]) * e(n) for n in range(R + 1, R1 + 1) if mu[n - 1] != 0)
+    s12 = s3 = 0j
+    for n in range(1, U * U + 1):
+        if co.a_mu[n] != 0:
+            s12 += int(co.a_mu[n]) * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
+    for n in range(U + 1, R1 // U + 1):
+        if co.b_plus[n] != 0:
+            s3 += int(co.b_plus[n]) * sum(int(mu[m - 1]) * e(m * n)
+                                          for m in range(max(U, R // n) + 1, R1 // n + 1)
+                                          if mu[m - 1] != 0)
+    return lhs, -s12 + s3
+
+
+def _loops(a, ns, b, e, lo, hi):
+    return sum(a(n) * sum(b(m) * e(m * n) for m in range(lo(n) + 1, hi(n) + 1))
+               for n in ns)
+
+
+def _loops_hyperbola(f, g, h, x, U):
+    fv, gv = f.value, g.value
+    lhs = sum(A.dirichlet_convolve(f, g, x).value(n) * h(n) for n in range(1, x + 1))
+    return lhs, (_loops(fv, range(1, U + 1), gv, h, lambda n: 0, lambda n: x // n)
+                 + _loops(gv, range(1, x // U + 1), fv, h, lambda n: 0, lambda n: x // n)
+                 - _loops(fv, range(1, U + 1), gv, h, lambda n: 0, lambda n: x // U))
+
+
+def _loops_hyperbola_exp(f, g, e, R, R1, U):
+    fv, gv, hi_f = f.value, g.value, (U * R1) // R
+    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
+    conv = A.dirichlet_convolve(f, g, R1)
+    lhs = sum(conv.value(n) * e(n) for n in range(R + 1, R1 + 1))
+    rhs = (_loops(fv, range(1, hi_f + 1), gv, e, lo, hi)
+           + _loops(gv, range(1, R // U + 1), fv, e, lo, hi)
+           - _loops(fv, range(U + 1, hi_f + 1), gv, e, lo, lambda n: R // U))
+    split = (_loops(fv, range(1, U + 1), gv, e, lo, hi)
+             + _loops(gv, range(1, R // U + 1), fv, e, lo, hi)
+             + _loops(gv, range(R // U + 1, R1 // U + 1), fv, e, lambda n: 0, hi)
+             - _loops(fv, range(1, U + 1), gv, e, lambda n: R // U, lambda n: R1 // U))
+    return lhs, rhs, split
+
+
+def _bits(v):
+    """Type and exact value, the sign of a zero included."""
+    if isinstance(v, (complex, np.complexfloating)):
+        return "complex", repr(complex(v))
+    if isinstance(v, (float, np.floating)):
+        return "float", repr(float(v))
+    return type(v).__name__, v
+
+
+def test_verifiers_match_their_loops_bit_for_bit():
+    rng = random.Random(2024)
+    kinds = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.LAMBDA, A.tau(3), A.OMEGA,
+             A.TWO_POW_OMEGA, A.CHI_TWO]
+    for _ in range(40):
+        R = rng.randint(4, 150)
+        R1 = rng.randint(R + 1, 2 * R)
+        ph = I.random_phase(rng) if rng.random() < 0.8 else I.PhaseFunction.zero()
+        U = rng.randint(1, math.isqrt(R))
+        for fn, ref in ((I.vaughan_lambda_sides, _loops_vaughan_lambda),
+                        (I.vaughan_mobius_sides, _loops_vaughan_mobius)):
+            lhs, rhs, _ = fn(R, R1, U, ph)
+            assert list(map(_bits, (lhs, rhs))) == list(map(_bits, ref(R, R1, U, ph.unit)))
+
+        f = A.build_sieve(rng.choice(kinds), 1, R1 + rng.randint(0, 3))
+        g = A.build_sieve(rng.choice(kinds), 1, R1)
+        U = rng.randint(1, R)
+        lhs, rhs, _ = I.hyperbola_exp_sides(f, g, ph, R, R1, U)
+        split = I.hyperbola_exp_split(f, g, ph, R, R1, U)
+        assert (list(map(_bits, (lhs, rhs, split)))
+                == list(map(_bits, _loops_hyperbola_exp(f, g, ph.unit, R, R1, U))))
+
+        x = rng.randint(1, R1)
+        U = rng.randint(1, x)
+        for h in (ph.unit, None):
+            lhs, rhs, _ = I.hyperbola_sides(f, g, h, x, U)
+            ref = _loops_hyperbola(f, g, h or (lambda n: 1), x, U)
+            assert list(map(_bits, (lhs, rhs))) == list(map(_bits, ref))
 
 
 # ---------------------------------------------------------------------------
