@@ -353,7 +353,11 @@ def _factor_exponents(n: int) -> tuple[list[int], int]:
 
 
 def eval_point(kind: FunctionKind, n: int):
-    """f(n) for an isolated argument; agrees with build_sieve entrywise."""
+    """f(n) for an isolated argument; agrees with build_sieve entrywise, except
+    that Lambda may differ in the last bit.  Here log p is math.log(p); the
+    sieve takes np.log on an array for the primes above sqrt(hi), and the two
+    disagree by one ulp at a few primes (285343 is the first on x86-64 with
+    numpy 2.4)."""
     if kind.tag == "tau" and kind.r > MAX_TAU_R:
         raise BudgetError(f"tau order {kind.r} exceeds configured maximum {MAX_TAU_R}")
     if n < 1:

@@ -8,9 +8,9 @@ Identical arguments produce byte-identical output.
 Each subcommand declares only the options it reads.  Output options:
 `sieve --out` (the CSV to write, required), `sum --format json|csv`, `scan
 --out` (an extra CSV of the sums), and `--precision` on those three
-(significant digits for reals in CSV, default 15).  `verify --seed` is the
-master seed of the randomized trials (default 0).  Budgets are fixed
-constants in `arith`, not settings.
+(significant digits for reals in CSV, default 15, at least 1).  `verify
+--seed` is the master seed of the randomized trials (default 0).  Budgets
+are fixed constants in `arith`, not settings.
 """
 
 from __future__ import annotations
@@ -343,6 +343,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # checked before any output, so a CSV is never left half written
+        if getattr(args, "precision", 1) < 1:
+            raise ValueError(f"--precision must be >= 1, got {args.precision}")
         return _DISPATCH[args.command](args)
     except Exception as exc:  # argparse errors exit(2) before reaching here
         _emit({"error": type(exc).__name__, "message": str(exc)})

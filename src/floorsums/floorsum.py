@@ -124,7 +124,7 @@ def _float_terms(kind: FunctionKind, x: int, N: int, table: SieveTable | None,
 
 def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
                    table: SieveTable | None = None):
-    """Split evaluation, exactly equal to floor_sum_naive.
+    """Split evaluation, exactly equal to floor_sum_naive for integer kinds.
 
     The head sums f(floor(x/n)) for n <= N by point evaluation; the blocks
     sum f(d) m(d) over d <= x // (N+1), streamed from the sieve in chunks.
@@ -134,8 +134,10 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     chunk's int64 dot product is checked against 2^63 before it is taken.
     Lambda is summed with math.fsum in a fixed order: the quotients
     d <= x // (isqrt(x)+1), the only ones shared by several n, first, then
-    that partial sum with every other term, one per n; so the float result
-    is the same, bit for bit, for every split N <= isqrt(x).
+    that partial sum with every other term, one per n.  Head terms come from
+    eval_point and block terms from the sieve, which may give log p one ulp
+    apart (see eval_point); so the float result can differ from
+    floor_sum_naive, and between splits N <= isqrt(x), in its last bits.
     """
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")

@@ -19,6 +19,7 @@ no logarithmic weight on its a_n sums.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import (LAMBDA, MOBIUS, OMEGA, ONE, SieveTable, build_sieve,
-                    dirichlet_convolve)
+from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE,
+                    TWO_POW_OMEGA, SieveTable, build_sieve, dirichlet_convolve,
+                    tau)
 from .errors import CoverageError, WindowError
 
 TWO_PI = 2.0 * math.pi
@@ -114,13 +116,11 @@ class VaughanCoefficients:
     """Cutoff-U convolution coefficients used by the Vaughan identities.
 
     a_lambda = (mu 1_U * Lambda 1_U), supported on n <= U^2 (float, carries
-    log p); b = (mu 1_U * 1); a_mu = (mu 1_U * mu 1_U); b_plus = (mu 1_U^+ * 1).
-    Each is one `dirichlet_convolve` of truncated tables.  Arrays are indexed
-    by n (entry 0 unused).
+    log p); b = (mu 1_U * 1); a_mu = (mu 1_U * mu 1_U); b_plus = (mu 1_U^+ * 1)
+    = [n = 1] - b, since mu * 1 = [n = 1].  So mu and Lambda are read on
+    [1, U] only.  Arrays are indexed by n (entry 0 unused).
     """
 
-    U: int
-    limit: int
     a_lambda: np.ndarray
     b: np.ndarray
     a_mu: np.ndarray
@@ -133,15 +133,14 @@ class VaughanCoefficients:
     def alpha_mu(self) -> np.ndarray:
         """a_mu normalized by 2^omega(n); |alpha| <= 1."""
         lim = len(self.a_mu) - 1
-        om = build_sieve(OMEGA, 1, lim).values
-        out = self.a_mu[1:] / np.exp2(om)
+        out = self.a_mu[1:] / build_sieve(TWO_POW_OMEGA, 1, lim).values
         return np.concatenate(([0.0], out))
 
 
-def _cut(values: np.ndarray, lo: int, hi: int, limit: int) -> SieveTable:
-    """A derived table on [1, limit]: values[d - 1] for lo < d <= hi, else 0."""
+def _cut(values: np.ndarray, limit: int) -> SieveTable:
+    """`values` (a table from 1) zero-padded to a derived table on [1, limit]."""
     out = np.zeros(limit, dtype=values.dtype)
-    out[lo:hi] = values[lo:hi]
+    out[:len(values)] = values
     return SieveTable(kind=None, lo=1, hi=limit, values=out)
 
 
@@ -156,16 +155,14 @@ def vaughan_coeffs(U: int, limit: int) -> VaughanCoefficients:
         raise ValueError("U must be >= 1")
     if limit < U * U:
         raise CoverageError(f"limit must be >= U^2 = {U*U}")
-    mu = build_sieve(MOBIUS, 1, limit).values
-    lam = build_sieve(LAMBDA, 1, U).values
-    one = build_sieve(ONE, 1, limit)
-    mu_low = _cut(mu, 0, U, U * U)
+    mu = build_sieve(MOBIUS, 1, U).values
+    mu_low = _cut(mu, U * U)
+    b = _by_n(_cut(mu, limit), build_sieve(ONE, 1, limit), limit)
+    b_plus = -b
+    b_plus[1] += 1
     return VaughanCoefficients(
-        U=U, limit=limit,
-        a_lambda=_by_n(mu_low, _cut(lam, 0, U, U * U), U * U),
-        b=_by_n(_cut(mu, 0, U, limit), one, limit),
-        a_mu=_by_n(mu_low, mu_low, U * U),
-        b_plus=_by_n(_cut(mu, U, limit, limit), one, limit))
+        a_lambda=_by_n(mu_low, _cut(build_sieve(LAMBDA, 1, U).values, U * U), U * U),
+        b=b, a_mu=_by_n(mu_low, mu_low, U * U), b_plus=b_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +310,7 @@ def hyperbola_exp_split(f: SieveTable, g: SieveTable, phase: PhaseFunction,
 VERIFY_SUBJECTS = ("vaughan-lambda", "vaughan-mu", "hyperbola", "hyperbola-exp")
 
 _PHASE_PARAM_MAX = 10**6
+_MAX_R, _MAX_X = 500, 400     # verify draws R <= _MAX_R, x <= _MAX_X <= 2 _MAX_R
 
 
 def random_phase(rng) -> PhaseFunction:
@@ -343,22 +341,21 @@ def _trial_rng(seed: int, trial: int):
 def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
     """Per-trial residual reports for one identity family.
 
-    Instances draw R in [20, 500], admissible U, and phases from all forms;
+    Instances draw R in [20, _MAX_R], admissible U, and phases from all forms;
     per-instance seeds derive from (seed, trial) so runs are reproducible
-    and trials are independent.
+    and trials are independent.  f and g come from one table per kind.
     """
-    from .arith import CHI_TWO, MOBIUS_SQUARED, ONE, TWO_POW_OMEGA, tau
-
     if subject not in VERIFY_SUBJECTS:
         raise ValueError(f"unknown subject {subject!r}; pick from {VERIFY_SUBJECTS}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     kinds = (ONE, MOBIUS, MOBIUS_SQUARED, LAMBDA, tau(2), tau(3), OMEGA,
              TWO_POW_OMEGA, CHI_TWO)
+    table = functools.cache(lambda kind: build_sieve(kind, 1, 2 * _MAX_R))
     out = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        R = rng.randint(20, 500)
+        R = rng.randint(20, _MAX_R)
         R1 = rng.randint(R + 1, 2 * R)
         phase = random_phase(rng)
         if subject in ("vaughan-lambda", "vaughan-mu"):
@@ -367,17 +364,14 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
             lhs, rhs, res = fn(R, R1, U, phase)
             params = {"R": R, "R1": R1, "U": U}
         elif subject == "hyperbola":
-            x = rng.randint(30, 400)
+            x = rng.randint(30, _MAX_X)
             U = rng.randint(1, x)
-            f = build_sieve(rng.choice(kinds), 1, x)
-            g = build_sieve(rng.choice(kinds), 1, x)
+            f, g = table(rng.choice(kinds)), table(rng.choice(kinds))
             lhs, rhs, res = hyperbola_sides(f, g, phase.unit, x, U)
             params = {"x": x, "U": U, "f": str(f.kind), "g": str(g.kind)}
         else:
             U = rng.randint(1, R)
-            cover = 2 * R1 + 1
-            f = build_sieve(rng.choice(kinds), 1, cover)
-            g = build_sieve(rng.choice(kinds), 1, cover)
+            f, g = table(rng.choice(kinds)), table(rng.choice(kinds))
             lhs, rhs, res = hyperbola_exp_sides(f, g, phase, R, R1, U)
             params = {"R": R, "R1": R1, "U": U, "f": str(f.kind), "g": str(g.kind)}
         rel = res / (1 + abs(lhs))

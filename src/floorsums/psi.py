@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _MAX_H = 10**6
+_MAX_GRID = 10**6           # grid points; verify_pointwise_bound holds ~42 bytes each
+_MAX_WORK = 10**10          # (h, x) pairs verify_pointwise_bound evaluates: H * grid
 
 
 def psi_exact(x: float) -> float:
@@ -105,9 +107,12 @@ def verify_pointwise_bound(H: int, grid_size: int) -> float:
 
     Grid points at integers are excluded (psi jumps there).  A correct
     construction keeps the returned value at rounding level, <= 1e-9.
+    grid_size <= _MAX_GRID and H * grid_size <= _MAX_WORK cap memory and time.
     """
-    if grid_size < 10**3:
-        raise ValueError("grid_size must be >= 1000")
+    if not 10**3 <= grid_size <= _MAX_GRID:
+        raise ValueError(f"grid_size must be in [1000, {_MAX_GRID}]")
+    if H * grid_size > _MAX_WORK:
+        raise ValueError(f"H * grid_size must be <= {_MAX_WORK}, got {H * grid_size}")
     poly = vaaler_polynomial(H)
     x = np.arange(1, grid_size) / grid_size
     err = np.abs((x - np.floor(x) - 0.5) - poly(x))

@@ -110,6 +110,20 @@ def test_sieve_past_int32_matches_eval_point(kind):
                 assert t.value(n) == ref, n
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_sieve_matches_eval_point_to_the_ulp(kind):
+    # eval_point takes math.log(p), the sieve np.log on the primes above
+    # sqrt(hi); which of them differ in the last bit depends on numpy's SIMD
+    # dispatch, so only the one-ulp bound is asserted
+    lo, hi = 280000, 300000
+    for n, v in zip(range(lo, hi + 1), A.build_sieve(kind, lo, hi).values.tolist()):
+        ref = A.eval_point(kind, n)
+        if kind.tag == "lambda":
+            assert abs(v - ref) <= math.ulp(ref), n
+        else:
+            assert v == ref, n
+
+
 def test_value_range_invariants():
     n = 5000
     assert set(A.build_sieve(A.MOBIUS_SQUARED, 1, n).values.tolist()) <= {0, 1}

@@ -207,14 +207,23 @@ def test_error_reports_are_machine_readable(capsys):
     ("scan --function mu --grid 0:1000:5", "1 <= lo < hi"),
     ("sum --function mu --x 0", "need x >= 1"),
     ("sum --function tau3 --x -5 --method naive", "need x >= 1"),
+    ("sum --function mu --x 100 --format csv --precision -1", "--precision must be >= 1"),
+    ("sum --function mu --x 100 --precision 0", "--precision must be >= 1"),
+    ("sieve --function lambda --lo 1 --hi 20 --out {tmp}/lam.csv --precision -1",
+     "--precision must be >= 1"),
+    ("sieve --function mu --lo 1 --hi 20 --out {tmp}/mu.csv --precision 0",
+     "--precision must be >= 1"),
+    ("scan --function mu --grid 10:1000:5 --out {tmp}/scan.csv --precision -1",
+     "--precision must be >= 1"),
 ])
-def test_malformed_inputs_are_typed_errors(capsys, argv, message):
-    assert cli.main(argv.split()) == 1
+def test_malformed_inputs_are_typed_errors(capsys, tmp_path, argv, message):
+    assert cli.main(argv.replace("{tmp}", str(tmp_path)).split()) == 1
     out = capsys.readouterr()
     d = json.loads(out.out)
     assert d["error"] == "ValueError"
     assert message in d["message"]
     assert out.err == ""
+    assert not any(tmp_path.iterdir())   # no CSV, not even a header
 
 
 # every option each (sub)command accepts, besides -h

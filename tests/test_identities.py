@@ -160,6 +160,38 @@ def test_b_plus_complements_b():
     assert not total[1:].any()
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Record every build_sieve (kind, lo, hi) and dirichlet_convolve limit
+    that identities makes."""
+    log = {"sieve": [], "convolve": []}
+
+    def sieve(kind, lo, hi):
+        log["sieve"].append((kind, lo, hi))
+        return A.build_sieve(kind, lo, hi)
+
+    def convolve(f, g, limit):
+        log["convolve"].append(limit)
+        return A.dirichlet_convolve(f, g, limit)
+
+    monkeypatch.setattr(I, "build_sieve", sieve)
+    monkeypatch.setattr(I, "dirichlet_convolve", convolve)
+    return log
+
+
+@pytest.mark.parametrize("U, limit", [(1, 1), (3, 9), (7, 80), (22, 1000)])
+def test_vaughan_coeffs_sieves_up_to_U_and_makes_three_products(calls, U, limit):
+    I.vaughan_coeffs(U, limit)
+    assert len(calls["convolve"]) == 3
+    assert [c for c in calls["sieve"] if c[2] > U] in ([], [(A.ONE, 1, limit)])
+
+
+def test_run_verification_builds_one_table_per_kind(calls):
+    I.run_verification("hyperbola-exp", 20, 0)
+    kinds = [k for k, _, _ in calls["sieve"]]
+    assert kinds and len(kinds) == len(set(kinds))
+
+
 # ---------------------------------------------------------------------------
 # Vaughan identity verifiers
 

@@ -94,3 +94,22 @@ def test_h_range_validated():
         PS.vaaler_polynomial(10**6 + 1)
     with pytest.raises(ValueError):
         PS.verify_pointwise_bound(5, 999)
+
+
+@pytest.mark.parametrize("H, grid, message", [
+    (10, 10**6 + 1, "grid_size must be in [1000, 1000000]"),
+    (10, 200_000_000, "grid_size must be in [1000, 1000000]"),
+    (10**4 + 1, 10**6, "H * grid_size must be <= 10000000000"),
+    (10**6, 10**4 + 1, "H * grid_size must be <= 10000000000"),
+])
+def test_grid_budget_rejected_before_allocating(monkeypatch, H, grid, message):
+    # the caps are checked before the polynomial or any grid is built
+    monkeypatch.setattr(PS, "vaaler_polynomial", None)
+    with pytest.raises(ValueError) as err:
+        PS.verify_pointwise_bound(H, grid)
+    assert message in str(err.value)
+
+
+def test_grid_budget_admits_its_edges():
+    assert PS.verify_pointwise_bound(1, 10**6) <= 1e-9
+    assert PS.verify_pointwise_bound(10**4, 10**3) <= 1e-9
