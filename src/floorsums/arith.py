@@ -107,6 +107,7 @@ _KIND_ALIASES = {
     "lambda": LAMBDA, "von_mangoldt": LAMBDA,
     "omega": OMEGA,
     "2omega": TWO_POW_OMEGA, "two_pow_omega": TWO_POW_OMEGA, "2^omega": TWO_POW_OMEGA,
+    "two_omega": TWO_POW_OMEGA, "two-omega": TWO_POW_OMEGA,
     "chi2": CHI_TWO, "chi_two": CHI_TWO,
 }
 

@@ -10,7 +10,7 @@ Each subcommand declares only the options it reads.  Output options:
 --out` (an extra CSV of the sums), and `--precision` on those three
 (significant digits for reals in CSV, default 15, at least 1).  `verify
 --seed` is the master seed of the randomized trials (default 0).  Budgets
-are fixed constants in `arith`, not settings.
+are fixed module constants, not settings.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from . import arith, expsum, floorsum, identities, pairs
 from . import psi as psi_mod
 
 _PRECISION_HELP = "significant digits for reals in CSV output (default 15)"
+_MAX_GRID_POINTS = 10**3      # scan grid points; each is one exact sum S_f(x)
 
 
 def _emit(obj) -> None:
@@ -68,6 +69,8 @@ def _parse_grid(spec: str) -> list[int]:
     lo, hi, points = int(lo), int(hi), int(points)
     if points < 2 or not 1 <= lo < hi:
         raise ValueError("grid must be lo:hi:points with 1 <= lo < hi, points >= 2")
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"grid points must be <= {_MAX_GRID_POINTS}, got {points}")
     xs = np.logspace(np.log10(lo), np.log10(hi), points)
     return sorted(set(int(round(v)) for v in xs))
 
@@ -147,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--pair", default=None,
                     help="exponent pair as two rationals k,l: e.g. 1/6,2/3")
     pc.add_argument("--r", type=int, default=2, help="order for tau/bilinear cases")
-    pc.add_argument("--epsilon", type=float, default=expsum.DEFAULT_EPSILON)
 
     p = sub.add_parser("pairs", help="exact-rational exponent-pair calculus",
                        description="A/B-process derivations, error-exponent evaluation per target "
@@ -211,20 +213,19 @@ def _cmd_sum(args) -> int:
 def _cmd_scan(args) -> int:
     kind = arith.kind_from_name(args.function)
     grid = _parse_grid(args.grid)
-    constant, _ = floorsum.main_term_constant(kind, args.cutoff)
-    fit = floorsum.error_scan(kind, grid, constant=constant)
+    fit = floorsum.error_scan(kind, grid, cutoff=args.cutoff)
     if args.out:
         p = args.precision
         with open(args.out, "w") as fh:
             fh.write("x,sum,main_term,residual\n")
             for x, s in zip(fit.grid, fit.sums):
-                main = x * constant
+                main = x * fit.constant
                 sv = s if isinstance(s, int) else _fmt_real(s, p)
                 fh.write(f"{x},{sv},{_fmt_real(main, p)},"
                          f"{_fmt_real(float(s) - main, p)}\n")
     _emit({"function": str(kind), "grid": list(fit.grid),
            "residuals": list(fit.residuals), "slope": fit.slope,
-           "intercept": fit.intercept, "constant": constant,
+           "intercept": fit.intercept, "constant": fit.constant,
            "cutoff": args.cutoff})
     return 0
 
@@ -266,8 +267,7 @@ def _cmd_expsum(args) -> int:
     z = args.z
     zval: int | float = int(z) if z.lstrip("+-").isdigit() else float(z)
     pr = _parse_pair(args.pair) if args.pair else None
-    rep = expsum.check_bound(args.case, zval, args.R, pair=pr, r=args.r,
-                             epsilon=args.epsilon)
+    rep = expsum.check_bound(args.case, zval, args.R, pair=pr, r=args.r)
     _emit({"case": rep.case, "measured": rep.measured, "claimed": rep.claimed,
            "ratio": rep.ratio, "parameters": rep.parameters})
     return 0

@@ -35,7 +35,7 @@ from .identities import PhaseFunction
 from .pairs import ExponentPair
 
 COEFF_TOLERANCE = 1e-12
-DEFAULT_EPSILON = 0.05
+EPSILON = 0.05                  # fixed: the claimed bounds carry a factor z^EPSILON
 
 
 def exp_sum(kind: FunctionKind, R: int, R1: int, phase: PhaseFunction) -> complex:
@@ -147,7 +147,7 @@ def _quadratic_feasibility(p: ExponentPair) -> Fraction:
 
 
 def check_bound(case: str, z, R: int, pair: ExponentPair | None = None,
-                r: int = 2, epsilon: float = DEFAULT_EPSILON) -> BoundCheckReport:
+                r: int = 2) -> BoundCheckReport:
     """Measured |S| against the claimed bound for one case at (z, R).
 
     R1 is fixed at 2R.  Raises WindowError outside the case's admissible
@@ -156,7 +156,7 @@ def check_bound(case: str, z, R: int, pair: ExponentPair | None = None,
     if z <= 0 or R < 2:
         raise ValueError("need z > 0 and R >= 2")
     R1 = 2 * R
-    eps_factor = float(z) ** epsilon
+    eps_factor = float(z) ** EPSILON
     logR = math.log(R)
 
     if case == "lambda-reciprocal":
@@ -222,7 +222,7 @@ def check_bound(case: str, z, R: int, pair: ExponentPair | None = None,
         raise ValueError(f"unknown case {case!r}")
 
     params = {"z": z, "R": R, "R1": R1, "kind": kind_name,
-              "pair": str(pair) if pair else None, "r": r, "epsilon": epsilon}
+              "pair": str(pair) if pair else None, "r": r, "epsilon": EPSILON}
     return BoundCheckReport(case=case, measured=measured, claimed=claimed,
                             ratio=measured / claimed, parameters=params)
 

@@ -55,14 +55,16 @@ class FloorSumReport:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Exact sums S_f(x) over a grid of x values, and the log-log regression
-    of their residual magnitudes."""
+    """Exact sums S_f(x) over a grid of x values, the main-term constant C_f
+    they are compared with, and the log-log regression of their residual
+    magnitudes."""
 
     grid: tuple[int, ...]
     sums: tuple[int | float, ...]
     residuals: tuple[float, ...]
     slope: float
     intercept: float
+    constant: float
 
 
 def _check_table(kind: FunctionKind, table: SieveTable | None) -> None:
@@ -256,27 +258,25 @@ def psi_correction_sum(kind: FunctionKind, x: int, N: int) -> float:
 # ---------------------------------------------------------------------------
 # empirical error scans
 
-def error_scan(kind: FunctionKind, x_grid, cutoff: int = 10**8,
-               constant: float | None = None) -> FitReport:
+def error_scan(kind: FunctionKind, x_grid, cutoff: int = 10**8) -> FitReport:
     """Residuals E(x) = S_f(x) - x C_f over a grid, with a log-log OLS slope.
 
     |E| is floored at 1e-9 before the log so exact cancellations do not
-    produce -inf.  `constant` overrides the cutoff-based C_f when the caller
-    has already computed it.
+    produce -inf.  C_f is summed to `cutoff` and reported with the fit.
     """
     grid = [int(v) for v in x_grid]
     if len(grid) < 2:
         raise ValueError("grid must contain at least 2 points for a fit")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    if constant is None:
-        constant, _ = main_term_constant(kind, cutoff)
+    constant, _ = main_term_constant(kind, cutoff)
     sums = [floor_sum_fast(kind, x) for x in grid]
     residuals = [abs(float(s) - x * constant) for x, s in zip(grid, sums)]
     logs = np.log([max(r, RESIDUAL_FLOOR) for r in residuals])
     slope, intercept = np.polyfit(np.log(grid), logs, 1)
     return FitReport(grid=tuple(grid), sums=tuple(sums), residuals=tuple(residuals),
-                     slope=float(slope), intercept=float(intercept))
+                     slope=float(slope), intercept=float(intercept),
+                     constant=constant)
 
 
 def summarize(kind: FunctionKind, x: int, method: str = "fast",

@@ -5,9 +5,12 @@ Each verifier evaluates both sides of an identity independently and returns
 (lhs, rhs, |lhs - rhs|); the sides agree to rounding (relative 1e-9) for any
 admissible parameters and any phase.  Every side is one double sum
 sum_n a(n) sum_{lo(n) < m <= hi(n)} b(m) w(mn) over a weight list w computed
-once per call: w(k) = e(F(k)) for a phase F, or h(k).  Range conditions with
-real endpoints (R/n < m <= R1/n and friends) are evaluated by exact integer
-comparisons, never by floating-point division.
+once per call: w(k) = e(F(k)) for a phase F, or h(k).  w is computed only
+on the window the sums read: k in (R, R1] for the three dyadic verifiers,
+whose every term has R < mn <= R1; k in [1, R1] for `hyperbola_exp_split`,
+whose S3 and S4 also read mn <= R; k in [1, x] for `hyperbola_sides`.
+Range conditions with real endpoints (R/n < m <= R1/n and friends) are
+evaluated by exact integer comparisons, never by floating-point division.
 
 Note on the Vaughan forms: the third sum of the Lambda identity and of the
 mu identity both restrict the inner variable to m > max(U, R/n).  For U >= 2
@@ -22,7 +25,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional
 
@@ -42,9 +44,11 @@ class PhaseFunction:
 
     Every built-in form is F(t) = z / (t + a)^r: `reciprocal` (r = 1, a = 0),
     `power_reciprocal` (a = 0) and `shifted_reciprocal` (z = h x, r = 1,
-    a in {0, 1}).  They reduce F(t) mod 1 exactly (integer arithmetic, or
-    exact rational arithmetic for a float z).  Opaque callables must be pure
-    and deterministic; their values are reduced in floating point.
+    a in {0, 1}), with z an int or a float.  One exact formula reduces them
+    all: z = p/q by `z.as_integer_ratio()` (exact for both), so F(t) mod 1
+    = (p mod d) / d with d = q (t + a)^r, in integers and one correctly
+    rounded division.  Opaque callables must be pure and deterministic;
+    their values are reduced in floating point.
     """
 
     form: str                       # reciprocal | power_reciprocal | shifted_reciprocal | opaque
@@ -83,12 +87,9 @@ class PhaseFunction:
         """F(t) mod 1 in [0, 1)."""
         if self.fn is not None:
             return self.fn(t) % 1.0
-        den = (t + self.a) ** self.r
-        if isinstance(self.z, int):
-            return (self.z % den) / den
-        fr = Fraction(self.z)  # floats convert exactly
-        d = fr.denominator * den
-        return float(Fraction(fr.numerator % d, d))
+        p, q = self.z.as_integer_ratio()
+        d = q * (t + self.a) ** self.r
+        return (p % d) / d
 
     def unit(self, t: int) -> complex:
         """e(F(t)) = exp(2 pi i F(t))."""
@@ -173,9 +174,10 @@ def _indexed(values: np.ndarray, hi: int) -> list:
     return [0] + values[:hi].tolist()
 
 
-def _units(phase: PhaseFunction, hi: int) -> list:
-    """e(F(k)) for k = 1..hi, as a list indexed by k."""
-    return [None] + list(map(phase.unit, range(1, hi + 1)))
+def _units(phase: PhaseFunction, lo: int, hi: int) -> list:
+    """e(F(k)) for lo < k <= hi, as a list indexed by k; None below the
+    window, so a read outside it fails."""
+    return [None] * (lo + 1) + list(map(phase.unit, range(lo + 1, hi + 1)))
 
 
 def _dot(b, w: list, lo: int, hi: int, step: int = 1, skip_zeros: bool = False):
@@ -214,7 +216,7 @@ def vaughan_lambda_sides(R: int, R1: int, U: int,
     lam = _indexed(build_sieve(LAMBDA, 1, R1).values, R1)
     mu = _indexed(build_sieve(MOBIUS, 1, U).values, U)
     co = vaughan_coeffs(U, max(R1, U * U))
-    w = _units(phase, R1)
+    w = _units(phase, R, R1)
     logs = [0.0] + [math.log(m) for m in range(1, R1 + 1)]
     lo, hi = (lambda n: R // n), (lambda n: R1 // n)
 
@@ -232,7 +234,7 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
     _check_dyadic(R, R1, U)
     mu = _indexed(build_sieve(MOBIUS, 1, R1).values, R1)
     co = vaughan_coeffs(U, max(R1, U * U))
-    w = _units(phase, R1)
+    w = _units(phase, R, R1)
     lo, hi = (lambda n: R // n), (lambda n: R1 // n)
 
     lhs = _dot(mu, w, R, R1, skip_zeros=True)
@@ -264,14 +266,13 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, h_values, x: int,
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _exp_setup(f: SieveTable, g: SieveTable, phase: PhaseFunction,
-               R: int, R1: int, U: int):
-    """Window and coverage checks of the dyadic form; (f, g, w) as lists."""
+def _exp_setup(f: SieveTable, g: SieveTable, R: int, R1: int, U: int):
+    """Window and coverage checks of the dyadic form; (f, g) as lists."""
     if not (R < R1 and 1 <= U <= R):
         raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
     if not (f.covers(1, R1) and g.covers(1, R1)):
         raise CoverageError("tables too short for the requested ranges")
-    return _indexed(f.values, R1), _indexed(g.values, R1), _units(phase, R1)
+    return _indexed(f.values, R1), _indexed(g.values, R1)
 
 
 def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
@@ -281,7 +282,8 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     Identity over pairs mn in (R, R1]: the f-smooth range n <= U R1/R, the
     g-smooth range n <= R/U, minus the overlap correction.
     """
-    fv, gv, w = _exp_setup(f, g, phase, R, R1, U)
+    fv, gv = _exp_setup(f, g, R, R1, U)
+    w = _units(phase, R, R1)
     hi_f = (U * R1) // R
     lhs = _dot(_indexed(dirichlet_convolve(f, g, R1).values, R1), w, R, R1)
 
@@ -296,7 +298,8 @@ def hyperbola_exp_split(f: SieveTable, g: SieveTable, phase: PhaseFunction,
                         R: int, R1: int, U: int) -> complex:
     """The intermediate four-sum S1 + S2 + S3 - S4 of the same identity;
     equals the lhs independently of the three-term form."""
-    fv, gv, w = _exp_setup(f, g, phase, R, R1, U)
+    fv, gv = _exp_setup(f, g, R, R1, U)
+    w = _units(phase, 0, R1)
     lo, hi = (lambda n: R // n), (lambda n: R1 // n)
     return (_double_sum(fv, range(1, U + 1), gv, w, lo, hi)
             + _double_sum(gv, range(1, R // U + 1), fv, w, lo, hi)
@@ -311,6 +314,7 @@ VERIFY_SUBJECTS = ("vaughan-lambda", "vaughan-mu", "hyperbola", "hyperbola-exp")
 
 _PHASE_PARAM_MAX = 10**6
 _MAX_R, _MAX_X = 500, 400     # verify draws R <= _MAX_R, x <= _MAX_X <= 2 _MAX_R
+_MAX_TRIALS = 10**4           # about 1.5 ms and one report dict per trial
 
 
 def random_phase(rng) -> PhaseFunction:
@@ -349,6 +353,8 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
         raise ValueError(f"unknown subject {subject!r}; pick from {VERIFY_SUBJECTS}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"need trials <= {_MAX_TRIALS}, got {trials}")
     kinds = (ONE, MOBIUS, MOBIUS_SQUARED, LAMBDA, tau(2), tau(3), OMEGA,
              TWO_POW_OMEGA, CHI_TWO)
     table = functools.cache(lambda kind: build_sieve(kind, 1, 2 * _MAX_R))

@@ -173,38 +173,22 @@ def _constraint_ok(pair_: ExponentPair, g, strict: bool) -> bool:
     return not strict
 
 
-_TARGET_NAMES = {"lambda": "lambda", "two_omega": "two_omega", "2omega": "two_omega",
-                 "two-omega": "two_omega"}
-
-
-def _target_key(target) -> tuple[str, int]:
-    if isinstance(target, FunctionKind):
-        if target.tag == "lambda":
-            return ("lambda", 0)
-        if target.tag == "tau":
-            return ("tau", target.r)
-        if target.tag == "two_pow_omega":
-            return ("two_omega", 0)
-        raise ValueError(f"no theorem exponent for kind {target}")
-    s = str(target).strip().lower()
-    if s in _TARGET_NAMES:
-        return (_TARGET_NAMES[s], 0)
-    if s.startswith("tau"):
-        rest = s[3:].lstrip(":")
-        return ("tau", int(rest) if rest else 2)
-    return _target_key(kind_from_name(s))
+def _target_kind(target) -> FunctionKind:
+    """A FunctionKind as given, or parsed from its command-line name."""
+    return target if isinstance(target, FunctionKind) else kind_from_name(target)
 
 
 def theorem_exponent(target, p: ExponentPair) -> Union[Fraction, Infeasible]:
     """Error exponent the pair yields for the target's floor-quotient sum.
 
-    Targets: 'lambda', 'tau:r' (r >= 2), 'two_omega' (also accepts the
-    corresponding FunctionKind).  Returns the exact rational exponent, or an
-    Infeasible marker naming the violated constraint.
+    Targets: Lambda, tau_r (r >= 2) and 2^omega, as a FunctionKind or a
+    name `kind_from_name` parses ('lambda', 'tau:r', 'two-omega', ...).
+    Returns the exact rational exponent, or an Infeasible marker naming the
+    violated constraint.
     """
-    name, r = _target_key(target)
+    kind = _target_kind(target)
     k, l = p.k, p.l
-    if name == "lambda":
+    if kind.tag == "lambda":
         checks = [
             ("k <= 1/6", lambda k, l: Fraction(1, 6) - k, False),
             ("3k + 4l >= 1", lambda k, l: 3 * k + 4 * l - 1, False),
@@ -215,17 +199,18 @@ def theorem_exponent(target, p: ExponentPair) -> Union[Fraction, Infeasible]:
             if not _constraint_ok(p, g, strict):
                 return Infeasible(cname)
         return 14 * (k + 1) / (29 * k - l + 30)
-    if name == "tau":
+    if kind.tag == "tau":
+        r = kind.r
         if r < 2:
             raise ValueError("tau target needs r >= 2")
         if not _constraint_ok(p, lambda k, l: 1 - l - k * (r - 1), True):
             return Infeasible("1 - l > k(r-1)")
         return (k * (r - 1) + l + r - 1) / (k * (r - 1) + l + 2 * r - 1)
-    if name == "two_omega":
+    if kind.tag == "two_pow_omega":
         if not _constraint_ok(p, lambda k, l: 1 - k - l, True):
             return Infeasible("k + l < 1")
         return 2 * (k + 1) / (3 * k - l + 5)
-    raise ValueError(f"unknown target {target!r}")
+    raise ValueError(f"no theorem exponent for kind {kind}")
 
 
 def tau_closed_form(r: int) -> Fraction:
@@ -274,14 +259,19 @@ class ProfileConstraintError(ValueError):
     """A bound profile violates one of its named feasibility constraints."""
 
 
-def profile_to_exponent(profile, target: str) -> Fraction:
+def profile_to_exponent(profile, target) -> Fraction:
     """Turn a bound profile into the floor-quotient error exponent.
 
-    target 'lambda': (1+alpha)/(3-beta); target 'tau': (2a+b)/(2a+b+1).
-    Raises ProfileConstraintError naming the first violated constraint.
+    target Lambda: (1+alpha)/(3-beta); target tau_r: (2a+b)/(2a+b+1).  The
+    target is parsed as in `theorem_exponent`; any other kind is a
+    ValueError.  Raises ProfileConstraintError naming the first violated
+    constraint.
     """
     prof = profile if isinstance(profile, BoundProfile) else BoundProfile(*profile)
-    family = "lambda" if str(target).lower().startswith("lambda") else "tau"
+    kind = _target_kind(target)
+    if kind.tag not in ("lambda", "tau"):
+        raise ValueError(f"no profile exponent for kind {kind}")
+    family = kind.tag
     for name, ok in prof.constraint_report(family).items():
         if not ok:
             raise ProfileConstraintError(name)

@@ -205,6 +205,8 @@ def test_error_reports_are_machine_readable(capsys):
     ("pairs search --target lambda --depth 3 --seeds hb:9..3,classic", "'hb:9..3' is empty"),
     ("pairs search --target lambda --depth -2 --seeds classic", "depth must lie in [0, 20]"),
     ("scan --function mu --grid 0:1000:5", "1 <= lo < hi"),
+    ("scan --function mu --grid 10:1000:1001 --cutoff 1000 --out {tmp}/scan.csv",
+     "grid points must be <= 1000"),
     ("sum --function mu --x 0", "need x >= 1"),
     ("sum --function tau3 --x -5 --method naive", "need x >= 1"),
     ("sum --function mu --x 100 --format csv --precision -1", "--precision must be >= 1"),
@@ -226,6 +228,21 @@ def test_malformed_inputs_are_typed_errors(capsys, tmp_path, argv, message):
     assert not any(tmp_path.iterdir())   # no CSV, not even a header
 
 
+def test_grid_budget_rejected_before_allocating(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(cli.np, "logspace", no_grid)
+    for points in (cli._MAX_GRID_POINTS + 1, 10**8):
+        with pytest.raises(ValueError, match="grid points must be <= 1000"):
+            cli._parse_grid(f"1:1000000:{points}")
+
+
+def test_grid_budget_admits_its_edge():
+    grid = cli._parse_grid(f"1000000:1000000000:{cli._MAX_GRID_POINTS}")
+    assert len(grid) == cli._MAX_GRID_POINTS and grid[-1] == 10**9
+
+
 # every option each (sub)command accepts, besides -h
 OPTION_SURFACE = {
     (): set(),
@@ -236,7 +253,7 @@ OPTION_SURFACE = {
     ("psi",): {"--H", "--grid", "--report"},
     ("verify",): {"--trials", "--seed"},
     ("expsum",): set(),
-    ("expsum", "check"): {"--case", "--z", "--R", "--pair", "--r", "--epsilon"},
+    ("expsum", "check"): {"--case", "--z", "--R", "--pair", "--r"},
     ("pairs",): set(),
     ("pairs", "derive"): {"--word", "--seed"},
     ("pairs", "exponent"): {"--target", "--pair"},
@@ -264,6 +281,7 @@ def test_option_surface():
     "constant --function mu --cutoff 1000 --format csv",
     "psi --H 5 --grid 1000 --out {tmp}/psi.csv",
     "expsum check --case unitary-reciprocal --z 1000000 --R 1995 --json",
+    "expsum check --case unitary-reciprocal --z 1000000 --R 1995 --epsilon 0.05",
 ])
 def test_options_a_command_does_not_read_are_rejected(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:

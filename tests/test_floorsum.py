@@ -278,6 +278,7 @@ def test_error_scan_shape_and_slope():
     assert len(fit.grid) == len(fit.residuals) == 4
     assert all(r >= 0 for r in fit.residuals)
     assert math.isfinite(fit.slope) and math.isfinite(fit.intercept)
+    assert fit.constant == FS.main_term_constant(A.MOBIUS_SQUARED, 10**6)[0]
 
 
 def test_summarize_report_fields():

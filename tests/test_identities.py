@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,17 @@ def test_phase_forms_and_exact_reduction():
     assert ph.frac(2) == 0.25
     ph = I.PhaseFunction.opaque(lambda t: 1.75 * t)
     assert ph.frac(2) == pytest.approx(0.5)
+
+
+def test_frac_matches_exact_rational_reference():
+    # one formula, z = p/q by as_integer_ratio, for int and float z alike
+    rng = random.Random(31)
+    for _ in range(3000):
+        scale = 10 ** rng.randint(0, 30)
+        z = rng.randint(0, scale) if rng.random() < 0.5 else rng.uniform(0, scale)
+        t, a, r = rng.randint(1, 10**6), rng.randint(0, 1), rng.randint(1, 4)
+        ph = I.PhaseFunction(form="power_reciprocal", z=z, r=r, a=a)
+        assert repr(ph.frac(t)) == repr(float((Fraction(z) / (t + a) ** r) % 1))
 
 
 def test_phase_validation():
@@ -190,6 +202,45 @@ def test_run_verification_builds_one_table_per_kind(calls):
     I.run_verification("hyperbola-exp", 20, 0)
     kinds = [k for k, _, _ in calls["sieve"]]
     assert kinds and len(kinds) == len(set(kinds))
+
+
+@pytest.fixture
+def units(monkeypatch):
+    """Count the e(F(t)) evaluations PhaseFunction.unit makes."""
+    seen = []
+    unit = I.PhaseFunction.unit
+
+    def counted(self, t):
+        seen.append(t)
+        return unit(self, t)
+
+    monkeypatch.setattr(I.PhaseFunction, "unit", counted)
+    return seen
+
+
+@pytest.mark.parametrize("R, R1, U", [(4, 5, 1), (50, 97, 7), (120, 240, 10)])
+def test_dyadic_verifiers_evaluate_the_phase_on_their_window(units, R, R1, U):
+    ph = I.PhaseFunction.reciprocal(98765.25)
+    f = A.build_sieve(A.tau(2), 1, R1)
+    for call in (lambda: I.vaughan_lambda_sides(R, R1, U, ph),
+                 lambda: I.vaughan_mobius_sides(R, R1, U, ph),
+                 lambda: I.hyperbola_exp_sides(f, f, ph, R, R1, U)):
+        units.clear()
+        call()
+        assert sorted(units) == list(range(R + 1, R1 + 1))
+    units.clear()
+    I.hyperbola_exp_split(f, f, ph, R, R1, U)   # S3 and S4 read mn <= R
+    assert sorted(units) == list(range(1, R1 + 1))
+
+
+def test_trials_budget_rejected_before_any_trial(monkeypatch):
+    def no_trial(seed, trial):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(I, "_trial_rng", no_trial)
+    for trials in (I._MAX_TRIALS + 1, 10**8):
+        with pytest.raises(ValueError, match="trials <= 10000"):
+            I.run_verification("hyperbola", trials, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,13 @@ def test_theorem_exponent_accepts_function_kinds():
     assert P.theorem_exponent(TWO_POW_OMEGA, BOURGAIN) == F(97, 202)
 
 
+@pytest.mark.parametrize("name", ["two_omega", "two-omega", "2omega", " Two-Omega "])
+def test_two_omega_names_parse_to_the_unitary_divisor_kind(name):
+    from floorsums.arith import TWO_POW_OMEGA, kind_from_name
+    assert kind_from_name(name) == TWO_POW_OMEGA
+    assert P.theorem_exponent(name, BOURGAIN) == F(97, 202)
+
+
 @pytest.mark.parametrize("r", range(4, 13))
 def test_tau_closed_form_r4_to_r12(r):
     expo = P.theorem_exponent(f"tau:{r}", P.heath_brown_pair(2 * r - 1))
@@ -147,6 +154,16 @@ def test_eps_carrier_boundary_rules():
 def test_lambda_profile_golden():
     prof = P.BoundProfile(F(1, 12), F(19, 24), F(0))
     assert P.profile_to_exponent(prof, "lambda") == F(26, 53)
+
+
+@pytest.mark.parametrize("target, message", [
+    ("mu", "no profile exponent for kind mobius"),
+    ("two_omega", "no profile exponent for kind two_pow_omega"),
+    ("garbage", "unknown function name"),
+    ("lambda2", "unknown function name")])
+def test_profile_rejects_targets_without_a_theorem(target, message):
+    with pytest.raises(ValueError, match=message):
+        P.profile_to_exponent(P.BoundProfile(F(1, 12), F(19, 24), F(0)), target)
 
 
 def test_profile_constraint_violation_named():
