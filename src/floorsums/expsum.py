@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -78,14 +78,12 @@ def type_I_max(weight: str, N: int, R: int, R1: int, phase: PhaseFunction) -> fl
     return total
 
 
-CoeffSpec = Union[complex, float, Sequence, Callable[[int], complex]]
+CoeffSpec = Union[complex, float, Sequence]
 
 
 def _as_coeffs(spec: CoeffSpec, lo: int, count: int) -> np.ndarray:
     """Coefficients for indices lo+1 .. lo+count as a complex array."""
-    if callable(spec):
-        arr = np.array([spec(lo + i + 1) for i in range(count)], dtype=np.complex128)
-    elif np.isscalar(spec):
+    if np.isscalar(spec):
         arr = np.full(count, complex(spec), dtype=np.complex128)
     else:
         arr = np.asarray(spec, dtype=np.complex128)
@@ -100,8 +98,8 @@ def type_II_sum(alpha_seq: CoeffSpec, beta_seq: CoeffSpec, M: int, N: int,
                 phase: PhaseFunction) -> complex:
     """Bilinear sum_{N<n<=2N} alpha_n sum_{M<m<=2M} beta_m e(F(mn)).
 
-    Coefficient specs may be scalars, callables of the index, or sequences
-    aligned with (N, 2N] and (M, 2M]; moduli must not exceed 1.
+    Coefficient specs may be scalars or sequences aligned with (N, 2N] and
+    (M, 2M]; moduli must not exceed 1.
     """
     alpha = _as_coeffs(alpha_seq, N, N)
     beta = _as_coeffs(beta_seq, M, M)
@@ -167,10 +165,10 @@ def check_bound(case: str, z, R: int, pair: ExponentPair | None = None,
             raise WindowError("pair fails 20k^2 + k(23-8l) + 2 - 7l > 0")
         if not _window_int(R, z, 2, 3):
             raise WindowError(f"need R <= z^(2/3): z={z}, R={R}")
-        measured = abs(exp_sum(LAMBDA, R, R1, PhaseFunction.reciprocal(z)))
+        kind = LAMBDA
+        measured = abs(exp_sum(kind, R, R1, PhaseFunction.reciprocal(z)))
         expo = (7 * p.k + p.l + 6) / (12 * (p.k + 1))
         claimed = eps_factor * (float(z) ** (1 / 6) * R ** float(expo) + R ** (7 / 8))
-        kind_name = "lambda"
     elif case == "bilinear-power":
         p = _require_pair(pair)
         if not _window_int(R, z, 2, 2 * r + 1):
@@ -181,47 +179,47 @@ def check_bound(case: str, z, R: int, pair: ExponentPair | None = None,
         expo = (2 * (4 - r) + p.k * (9 - 2 * r) + p.l) / (12 * (p.k + 1))
         claimed = (eps_factor * math.log(float(z) + 2) ** 2
                    * (float(z) ** (1 / 6) * R ** float(expo) + R ** (7 / 8)))
-        kind_name = f"bilinear(N={N}, M={M})"
+        kind = f"bilinear(N={N}, M={M})"          # a label, not a FunctionKind
     elif case == "tau-exponent-pair":
         p = _require_pair(pair)
         T = float(z) / R
         if T <= 0:
             raise WindowError("need z/R > 0")
-        measured = abs(exp_sum(tau(r), R, R1, PhaseFunction.reciprocal(z)))
+        kind = tau(r)
+        measured = abs(exp_sum(kind, R, R1, PhaseFunction.reciprocal(z)))
         expo = (p.l - p.k) / r + 1 - Fraction(1, r)
         claimed = eps_factor * (T ** float(p.k) * R ** float(expo) * logR**r
                                 + (R / T) * logR ** (r + 1))
-        kind_name = f"tau{r}"
     elif case == "mobius-power":
         if not _window_int(R, z, 2, 5):
             raise WindowError(f"need R <= z^(2/5): z={z}, R={R}")
-        measured = abs(exp_sum(MOBIUS, R, R1, PhaseFunction.power_reciprocal(z, 2)))
+        kind = MOBIUS
+        measured = abs(exp_sum(kind, R, R1, PhaseFunction.power_reciprocal(z, 2)))
         claimed = eps_factor * (float(z) ** (1 / 6) * R ** (38 / 97) + R ** (7 / 8))
-        kind_name = "mobius"
     elif case == "squarefree-reciprocal":
         if not _window_int(R, z, 7, 10):
             raise WindowError(f"need R <= z^(7/10): z={z}, R={R}")
-        measured = abs(exp_sum(MOBIUS_SQUARED, R, R1, PhaseFunction.reciprocal(z)))
+        kind = MOBIUS_SQUARED
+        measured = abs(exp_sum(kind, R, R1, PhaseFunction.reciprocal(z)))
         claimed = eps_factor * float(z) ** (3497 / 13774) * R ** (15 / 71)
-        kind_name = "mobius_squared"
     elif case == "unitary-reciprocal":
         p = _require_pair(pair)
         w = 2 * (p.k + 1) / (3 * (p.k + 1) - p.l)
         if not _window_int(R, z, w.numerator, w.denominator):
             raise WindowError(f"need R <= z^{w}: z={z}, R={R}")
-        measured = abs(exp_sum(TWO_POW_OMEGA, R, R1, PhaseFunction.reciprocal(z)))
+        kind = TWO_POW_OMEGA
+        measured = abs(exp_sum(kind, R, R1, PhaseFunction.reciprocal(z)))
         claimed = eps_factor * float(z) ** float(p.k) * R ** float((1 + p.l - 3 * p.k) / 2)
-        kind_name = "two_pow_omega"
     elif case == "omega-reciprocal":
         if not _window_int(R, z, 26, 41):
             raise WindowError(f"need R <= z^(26/41): z={z}, R={R}")
-        measured = abs(exp_sum(OMEGA, R, R1, PhaseFunction.reciprocal(z)))
+        kind = OMEGA
+        measured = abs(exp_sum(kind, R, R1, PhaseFunction.reciprocal(z)))
         claimed = eps_factor * float(z) ** (1 / 6) * R ** (128 / 195)
-        kind_name = "omega"
     else:
         raise ValueError(f"unknown case {case!r}")
 
-    params = {"z": z, "R": R, "R1": R1, "kind": kind_name,
+    params = {"z": z, "R": R, "R1": R1, "kind": str(kind),
               "pair": str(pair) if pair else None, "r": r, "epsilon": EPSILON}
     return BoundCheckReport(case=case, measured=measured, claimed=claimed,
                             ratio=measured / claimed, parameters=params)

@@ -39,6 +39,7 @@ FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
 SPLIT_RATIO = 500
 BLOCK_CHUNK = 1 << 16           # block entries whose multiplicities exist at once
 RESIDUAL_FLOOR = 1e-9
+CUTOFF_BUDGET = 10**9           # 10x the largest default cutoff (scan's 10^8)
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,8 @@ def main_term_constant(kind: FunctionKind, cutoff: int) -> tuple[float, float]:
     """(sum_{n<=cutoff} f(n)/(n(n+1)), tail bound on the remainder)."""
     if cutoff < 10**3:
         raise ValueError("cutoff must be >= 1000")
+    if cutoff > CUTOFF_BUDGET:
+        raise BudgetError(f"main-term constant limited to cutoff <= {CUTOFF_BUDGET}")
     parts = []
     for seg_lo, vals in iter_segment_values(kind, 1, cutoff):
         n = np.arange(seg_lo, seg_lo + len(vals), dtype=np.float64)

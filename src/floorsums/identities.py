@@ -96,12 +96,14 @@ class PhaseFunction:
         return cmath.exp(1j * TWO_PI * self.frac(t))
 
     def unit_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized e(F(t)) for integer arrays.  The int64 path is taken
-        only when z and every (t + a)^r are below 2^62, tested in Python
-        integers; otherwise each entry goes through `frac`."""
+        """Vectorized e(F(t)) for integer arrays, with the phases of `frac`.
+        The int64 path is taken only when z < 2^62 and every (t + a)^r < 2^53,
+        tested in Python integers: then z mod d and d convert to float64
+        exactly, so their quotient is correctly rounded.  Otherwise each
+        entry goes through `frac`."""
         t = np.asarray(t, dtype=np.int64)
         if (self.fn is None and isinstance(self.z, int) and self.z < 2**62
-                and (t.size == 0 or (int(t.max()) + self.a) ** self.r < 2**62)):
+                and (t.size == 0 or (int(t.max()) + self.a) ** self.r < 2**53)):
             d = (t + self.a) ** self.r
             ph = np.mod(self.z, d) / d
         else:
@@ -114,12 +116,12 @@ class PhaseFunction:
 
 @dataclass(frozen=True)
 class VaughanCoefficients:
-    """Cutoff-U convolution coefficients used by the Vaughan identities.
-
-    a_lambda = (mu 1_U * Lambda 1_U), supported on n <= U^2 (float, carries
-    log p); b = (mu 1_U * 1); a_mu = (mu 1_U * mu 1_U); b_plus = (mu 1_U^+ * 1)
-    = [n = 1] - b, since mu * 1 = [n = 1].  So mu and Lambda are read on
-    [1, U] only.  Arrays are indexed by n (entry 0 unused).
+    """Cutoff-U convolution coefficients of the Vaughan identities, indexed
+    by n (entry 0 unused): a_lambda = (mu 1_U * Lambda 1_U), supported on
+    n <= U^2 (float, carries log p); b = (mu 1_U * 1); a_mu = (mu 1_U * mu 1_U);
+    b_plus = (mu 1_U^+ * 1) = [n = 1] - b, since mu * 1 = [n = 1].  So mu and
+    Lambda are read on [1, U] only.  Each verifier builds just the two it
+    reads, by the same `_product`, from the tables it sieves for its sides.
     """
 
     a_lambda: np.ndarray
@@ -138,15 +140,10 @@ class VaughanCoefficients:
         return np.concatenate(([0.0], out))
 
 
-def _cut(values: np.ndarray, limit: int) -> SieveTable:
-    """`values` (a table from 1) zero-padded to a derived table on [1, limit]."""
-    out = np.zeros(limit, dtype=values.dtype)
-    out[:len(values)] = values
-    return SieveTable(kind=None, lo=1, hi=limit, values=out)
-
-
-def _by_n(f: SieveTable, g: SieveTable, limit: int) -> np.ndarray:
-    """(f * g) on [1, limit], indexed by n (entry 0 unused)."""
+def _product(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
+    """(f * g) on [1, limit], indexed by n (entry 0 unused), for tables f, g
+    of at most `limit` entries that start at 1 and are zero past their ends."""
+    f, g = (SieveTable(None, 1, limit, np.pad(v, (0, limit - len(v)))) for v in (f, g))
     return np.insert(dirichlet_convolve(f, g, limit).values, 0, 0)
 
 
@@ -157,13 +154,12 @@ def vaughan_coeffs(U: int, limit: int) -> VaughanCoefficients:
     if limit < U * U:
         raise CoverageError(f"limit must be >= U^2 = {U*U}")
     mu = build_sieve(MOBIUS, 1, U).values
-    mu_low = _cut(mu, U * U)
-    b = _by_n(_cut(mu, limit), build_sieve(ONE, 1, limit), limit)
+    b = _product(mu, build_sieve(ONE, 1, limit).values, limit)
     b_plus = -b
     b_plus[1] += 1
     return VaughanCoefficients(
-        a_lambda=_by_n(mu_low, _cut(build_sieve(LAMBDA, 1, U).values, U * U), U * U),
-        b=b, a_mu=_by_n(mu_low, mu_low, U * U), b_plus=b_plus)
+        a_lambda=_product(mu, build_sieve(LAMBDA, 1, U).values, U * U),
+        b=b, a_mu=_product(mu, mu, U * U), b_plus=b_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +209,18 @@ def vaughan_lambda_sides(R: int, R1: int, U: int,
                          phase: PhaseFunction) -> tuple[complex, complex, float]:
     """Both sides of the Vaughan decomposition of sum Lambda(n) e(F(n))."""
     _check_dyadic(R, R1, U)
-    lam = _indexed(build_sieve(LAMBDA, 1, R1).values, R1)
-    mu = _indexed(build_sieve(MOBIUS, 1, U).values, U)
-    co = vaughan_coeffs(U, max(R1, U * U))
+    lam_t, mu_t = build_sieve(LAMBDA, 1, R1).values, build_sieve(MOBIUS, 1, U).values
+    a = _product(mu_t, lam_t[:U], U * U).tolist()
+    b = _product(mu_t, build_sieve(ONE, 1, R1).values, R1).tolist()
+    lam, mu = _indexed(lam_t, R1), _indexed(mu_t, U)
     w = _units(phase, R, R1)
     logs = [0.0] + [math.log(m) for m in range(1, R1 + 1)]
     lo, hi = (lambda n: R // n), (lambda n: R1 // n)
 
     lhs = _dot(lam, w, R, R1, skip_zeros=True)
     rhs = (_double_sum(mu, range(1, U + 1), logs, w, lo, hi, True)
-           - _double_sum(co.a_lambda.tolist(), range(1, U * U + 1), None, w, lo, hi, True)
-           - _double_sum(lam, range(U + 1, R1 // U + 1), co.b.tolist(), w,
+           - _double_sum(a, range(1, U * U + 1), None, w, lo, hi, True)
+           - _double_sum(lam, range(U + 1, R1 // U + 1), b, w,
                          lambda n: max(U, R // n), hi, True))
     return lhs, rhs, abs(lhs - rhs)
 
@@ -232,14 +229,17 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
                          phase: PhaseFunction) -> tuple[complex, complex, float]:
     """Both sides of the Vaughan decomposition of sum mu(n) e(F(n))."""
     _check_dyadic(R, R1, U)
-    mu = _indexed(build_sieve(MOBIUS, 1, R1).values, R1)
-    co = vaughan_coeffs(U, max(R1, U * U))
+    mu_t = build_sieve(MOBIUS, 1, R1).values
+    a = _product(mu_t[:U], mu_t[:U], U * U).tolist()
+    b_plus = -_product(mu_t[:U], build_sieve(ONE, 1, R1).values, R1)
+    b_plus[1] += 1
+    mu = _indexed(mu_t, R1)
     w = _units(phase, R, R1)
     lo, hi = (lambda n: R // n), (lambda n: R1 // n)
 
     lhs = _dot(mu, w, R, R1, skip_zeros=True)
-    rhs = (-_double_sum(co.a_mu.tolist(), range(1, U * U + 1), None, w, lo, hi, True)
-           + _double_sum(co.b_plus.tolist(), range(U + 1, R1 // U + 1), mu, w,
+    rhs = (-_double_sum(a, range(1, U * U + 1), None, w, lo, hi, True)
+           + _double_sum(b_plus.tolist(), range(U + 1, R1 // U + 1), mu, w,
                          lambda n: max(U, R // n), hi, True))
     return lhs, rhs, abs(lhs - rhs)
 

@@ -2,11 +2,17 @@
 
 import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from floorsums import cli
+from floorsums import cli, floorsum
 from floorsums.identities import PhaseFunction
+
+
+README_EXAMPLES = [line for line in (Path(__file__).parents[1] / "README.md")
+                   .read_text().splitlines() if line.startswith("floorsums ")]
 
 
 def run(capsys, *argv):
@@ -241,6 +247,32 @@ def test_grid_budget_rejected_before_allocating(monkeypatch):
 def test_grid_budget_admits_its_edge():
     grid = cli._parse_grid(f"1000000:1000000000:{cli._MAX_GRID_POINTS}")
     assert len(grid) == cli._MAX_GRID_POINTS and grid[-1] == 10**9
+
+
+@pytest.mark.parametrize("argv", [
+    "constant --function lambda --cutoff 1000000000000",
+    "sum --function mu --x 100 --method naive --cutoff 1000000001",
+    "scan --function tau2 --grid 10:1000:5 --cutoff 1000000000000",
+])
+def test_cutoff_budget_is_a_json_error(capsys, monkeypatch, argv):
+    def no_segment(*args):
+        raise AssertionError("a segment was sieved")
+
+    monkeypatch.setattr(floorsum, "iter_segment_values", no_segment)
+    assert cli.main(argv.split()) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "BudgetError",
+        "message": "main-term constant limited to cutoff <= 1000000000"}
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 11
+
+
+@pytest.mark.parametrize("line", README_EXAMPLES)
+def test_readme_example_parses(line):
+    # an option the parser no longer has exits with status 2 here
+    cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 # every option each (sub)command accepts, besides -h

@@ -217,6 +217,18 @@ def test_main_term_constant_cutoff_guard():
         FS.main_term_constant(A.ONE, 100)
 
 
+def test_main_term_constant_cutoff_budget_rejected_before_any_segment(monkeypatch):
+    def no_segment(*args):
+        raise AssertionError("a segment was sieved")
+
+    monkeypatch.setattr(FS, "iter_segment_values", no_segment)
+    for cutoff in (FS.CUTOFF_BUDGET + 1, 10**12):
+        with pytest.raises(BudgetError, match="cutoff <= 1000000000"):
+            FS.main_term_constant(A.LAMBDA, cutoff)
+    with pytest.raises(AssertionError, match="a segment was sieved"):
+        FS.main_term_constant(A.LAMBDA, FS.CUTOFF_BUDGET)   # the edge is admitted
+
+
 def test_psi_correction_window_and_vacuous_range():
     with pytest.raises(WindowError):
         FS.psi_correction_sum(A.ONE, 10**4, 5)       # below x^(1/3)

@@ -82,6 +82,22 @@ def test_unit_array_tests_the_largest_entry_not_the_last():
     _assert_unit_array_matches_unit(I.PhaseFunction.power_reciprocal(987654321, 4), t)
 
 
+@pytest.mark.parametrize("ph, t", [
+    # 37^10 < 2^53 < 40^10 and 70^10 < 2^62: phases on both sides of 2^53
+    (I.PhaseFunction.power_reciprocal(10**18 + 12345, 10), range(30, 38)),
+    (I.PhaseFunction.power_reciprocal(10**18 + 12345, 10), range(40, 71)),
+    (I.PhaseFunction.power_reciprocal(10**18 + 12345, 10), range(30, 71)),
+    (I.PhaseFunction.reciprocal(2**61 + 12345), range(2**53 - 40, 2**53)),
+    (I.PhaseFunction.reciprocal(2**61 + 12345), range(2**53 - 20, 2**53 + 21)),
+    (I.PhaseFunction.shifted_reciprocal(3, 2**60 + 1, 1), range(2**53 - 20, 2**53 + 21)),
+], ids=lambda v: f"{v.start}..{v.stop - 1}" if isinstance(v, range) else v.form)
+def test_unit_array_equals_frac_bit_for_bit(ph, t):
+    # converting an int64 above 2^53 to float64 rounds, so the int64 path
+    # must not take (t + a)^r past 2^53
+    want = np.exp(1j * I.TWO_PI * np.array([ph.frac(v) for v in t]))
+    assert ph.unit_array(np.array(t, dtype=np.int64)).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("ph", [
     I.PhaseFunction.reciprocal(10**6), I.PhaseFunction.reciprocal(123456.75),
     I.PhaseFunction.power_reciprocal(5, 2), I.PhaseFunction.shifted_reciprocal(3, 100, 1),
@@ -196,6 +212,17 @@ def test_vaughan_coeffs_sieves_up_to_U_and_makes_three_products(calls, U, limit)
     I.vaughan_coeffs(U, limit)
     assert len(calls["convolve"]) == 3
     assert [c for c in calls["sieve"] if c[2] > U] in ([], [(A.ONE, 1, limit)])
+
+
+@pytest.mark.parametrize("fn, kinds", [
+    (I.vaughan_lambda_sides, [(A.LAMBDA, 97), (A.MOBIUS, 7), (A.ONE, 97)]),
+    (I.vaughan_mobius_sides, [(A.MOBIUS, 97), (A.ONE, 97)])], ids=["lambda", "mu"])
+def test_vaughan_verifiers_sieve_once_and_build_two_products(calls, fn, kinds):
+    # each function is sieved once; only the two coefficients read are built
+    fn(50, 97, 7, I.PhaseFunction.reciprocal(1234.5))
+    assert sorted(calls["sieve"], key=str) == sorted(
+        [(k, 1, hi) for k, hi in kinds], key=str)
+    assert sorted(calls["convolve"]) == [49, 97]
 
 
 def test_run_verification_builds_one_table_per_kind(calls):
