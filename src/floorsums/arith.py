@@ -13,7 +13,16 @@ evaluators: a single segmented kernel that walks the prime powers up to hi
 with the primes up to sqrt(hi), and `eval_point`, which trial-divides an
 isolated argument n <= 10^12 by the primes below 10^4 and classifies the
 cofactor as 1, p, p^2 or pq (below 10007^3 nothing else is left).  The tail
-bounds on main-term constants in `floorsum` read the same table.
+bounds on main-term constants in `floorsum` read the same table, and so does
+the kernel's choice of working dtype: the narrowest one that holds every
+value the walk can form below 2^hi.bit_length().
+
+The kernel finds the one prime factor above sqrt(hi) that an n may have by
+an exact test on logarithms: an unsigned byte per n adds round(s log2 p) for
+every walked p^a dividing n, and a sum below one threshold per binade
+[2^k, 2^(k+1)) marks the factor.  Its rounding error, at most half a unit per
+odd prime factor, stays below the factor's weight of more than
+s log2 sqrt(hi) units for every hi (see `_log_scale`).
 
 Tables are immutable after construction and all operations are pure, so
 concurrent reads are safe.
@@ -167,15 +176,20 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _steps(kind: FunctionKind, amax: int) -> dict[int, int | tuple[int, int]]:
-    """How f changes on the multiples of p^a, for a = 1..amax: from g(a-1)
+_MAX_EXPONENT = 63              # every hi < 2^64
+
+
+@lru_cache(maxsize=None)
+def _steps(kind: FunctionKind) -> dict[int, int | tuple[int, int]]:
+    """How f changes on the multiples of p^a, for a = 1..63: from g(a-1)
     to g(a), as the difference (additive) or as the ratio num/den in lowest
     terms (multiplicative).  Exponents where g does not change are left out;
-    a multiplicative factor that reaches 0 must stay 0.
+    a multiplicative factor that reaches 0 must stay 0.  Worked out once per
+    kind.
     """
-    g = [kind.local(a) for a in range(amax + 1)]
+    g = [kind.local(a) for a in range(_MAX_EXPONENT + 1)]
     steps = {}
-    for a in range(1, amax + 1):
+    for a in range(1, _MAX_EXPONENT + 1):
         if g[a] == g[a - 1]:
             continue
         if kind.additive:
@@ -186,28 +200,96 @@ def _steps(kind: FunctionKind, amax: int) -> dict[int, int | tuple[int, int]]:
     return steps
 
 
-def _advance(val: np.ndarray, where, step, additive: bool) -> None:
+@lru_cache(maxsize=None)
+def _working_dtype(kind: FunctionKind, bits: int) -> np.dtype:
+    """The narrowest signed dtype that holds every value the walk forms on
+    n < 2^bits.
+
+    Such a value combines (multiplies, or adds for an additive f) one factor
+    of size at most G(a) = max_{b<=a} |g(b)| per p^a exactly dividing n, so
+    it depends only on the exponents of n; moving them in decreasing order
+    onto 2, 3, 5, ... gives an n' <= n with the same bound, and the search
+    below runs over those n' only.
+    """
+    G = [abs(kind.local(0))]
+    for a in range(1, bits + 1):
+        G.append(max(G[-1], abs(kind.local(a))))
+    combine = int.__add__ if kind.additive else int.__mul__
+    small = primes_upto(64).tolist()         # their product exceeds 2^64
+
+    def largest(i: int, room: int, amax: int) -> int:
+        best, q, a = G[0], small[i], 1
+        while a <= amax and q <= room:
+            best = max(best, combine(G[a], largest(i + 1, room // q, a)))
+            q, a = q * small[i], a + 1
+        return best
+
+    bound = largest(0, (1 << bits) - 1, bits)
+    if bound >= 2**63:
+        raise BudgetError(f"{kind} may exceed int64 below 2^{bits}")
+    return np.min_scalar_type(-bound - 1)
+
+
+def _advance(val: np.ndarray, step, additive: bool) -> None:
+    """Move every entry of `val` (a view) by one step of _steps."""
     if additive:
-        val[where] += step
+        val += step
         return
     num, den = step
-    if num == 0:
-        val[where] = 0
+    if (num, den) == (-1, 1):
+        np.negative(val, out=val)
     else:
-        # exact: every entry in `where` is a multiple of g(a-1)
-        val[where] *= num
+        # exact: every entry moved is a multiple of g(a-1), so of den;
+        # dividing first keeps every value within _working_dtype's bound
         if den > 1:
-            val[where] //= den
+            val //= den
+        val *= num
+
+
+def _log_scale(hi: int, primes: np.ndarray) -> tuple[int, int]:
+    """(s, t) such that an n <= hi in [2^k, 2^(k+1)) has a prime factor
+    above the walked ones iff acc(n) < s k - t (see _segment_values).
+
+    acc(n), the sum of round(s log2 p) over the walked p^a dividing n, is
+    within 1/2 per odd prime factor of s log2 m, m the walked part of n
+    (s log2 2 = s is exact), so within e/2 for e = floor(log_3 hi), or 0
+    when no odd prime is walked.  Without the factor m = n, and the integer
+    acc(n) >= s k - e/2 is >= s k - t for t = floor(e/2).  With it n = m q,
+    where q exceeds B = max(isqrt(hi), last prime) as `primes` is a prefix
+    of the primes; so acc(n) < s (k + 1 - g) + e/2 for g = log2(B + 1),
+    which is at most s k - t once s (g - 1) >= e/2 + t.  The 1e-6 covers
+    float rounding in log2.
+    """
+    e = 0
+    if primes.size > 1 and primes[1] <= hi:     # an odd prime is walked
+        power = 3
+        while power <= hi:
+            e, power = e + 1, power * 3
+    if e == 0:
+        return 1, 0
+    gap = math.log2(max(isqrt(hi), int(primes[-1])) + 1) - 1     # >= 1, as B >= 3
+    return math.ceil((e / 2 + e // 2 + 1e-6) / gap), e // 2
 
 
 def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """f on [lo, hi] from one walk over the prime powers p^a <= hi, p in `primes`.
 
-    Every n starts at g(0) and moves from g(a-1) to g(a) on the multiples
-    of p^a.  The walk also builds the part of n made of the primes walked;
-    where that is less than n, one prime above sqrt(hi) remains, and f moves
-    from g(0) to g(1) once more.  That residual pass is skipped when
-    g(1) = g(0).  Lambda is set at the prime powers themselves instead.
+    `primes` holds every prime up to some bound of at least isqrt(hi), so an
+    n in [lo, hi] has at most one prime factor above the walked ones.  Every
+    n starts at g(0) and moves from g(a-1) to g(a) on the multiples of p^a,
+    in the narrowest dtype that holds every value formed (_working_dtype),
+    cast to int64 once at the end.  Where n has a prime factor above the
+    walked ones, f moves from g(0) to g(1) once more (skipped when g(1) =
+    g(0)).  That residual test is exact without forming n's walked part: an
+    unsigned accumulator adds round(s log2 p) at every multiple of p^a, and
+    n has such a factor iff its sum is below s k - t on n in [2^k, 2^(k+1)).
+    The rounding error is at most 1/2 per odd prime factor, at most
+    floor(log_3 hi)/2 in all, while the factor is worth more than
+    log2 isqrt(hi) bits; _log_scale picks s and t from hi so that the error
+    stays below the gap (s = 2 from hi = 16 on), and the accumulator's width
+    holds s log2 hi (uint8 for every hi < 2^64).
+    Lambda is set at the prime powers themselves, and at the n no walked
+    prime divides: 1 (log 1 = 0) and the primes above the walked ones.
     """
     size = hi - lo + 1
     if kind.tag == "chi_two":       # mu on [1, sqrt(hi)], read on the squares
@@ -219,42 +301,63 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
             val[m * m - lo] = mu[m - 1]
         return val
 
-    lam = kind.tag == "lambda"
-    amax = hi.bit_length() - 1
-    if lam:
+    if kind.tag == "lambda":
         val = np.zeros(size, dtype=np.float64)
-        steps, residual = {}, True
-    else:
-        val = np.full(size, kind.local(0), dtype=np.int64)
-        steps = _steps(kind, amax)
-        if not steps:               # f is constant (one, tau_1)
-            return val
-        residual = 1 in steps
+        rest = np.ones(size, dtype=bool)        # no walked prime divides n
+        for p in primes.tolist():
+            if p > hi:
+                break
+            rest[-lo % p::p] = False
+            q = p
+            while q <= hi:
+                if q >= lo:
+                    val[q - lo] = math.log(p)
+                q *= p
+        n = np.flatnonzero(rest) + lo          # primes above the walked ones, and 1
+        val[n - lo] = np.log(n.astype(np.float64))     # log 1 = 0
+        return val
+
+    steps = _steps(kind)
+    if not steps:                   # f is constant (one, tau_1)
+        return np.full(size, kind.local(0), dtype=np.int64)
+    val = np.full(size, kind.local(0), dtype=_working_dtype(kind, hi.bit_length()))
+    residual = 1 in steps
+    top = _MAX_EXPONENT if residual else max(steps)     # the last exponent the walk reads
     if residual:
-        smooth = np.ones(size, dtype=np.int32 if hi < 2**31 else np.int64)
-    exponents = range(1, amax + 1) if residual else sorted(steps)
+        s, t = _log_scale(hi, primes)
+        acc = np.zeros(size, dtype=np.min_scalar_type(s * hi.bit_length() + t))
     for p in primes.tolist():
-        for a in exponents:
-            q = p ** a
+        if p > hi:
+            break
+        if residual:
+            c = round(s * math.log2(p))
+        q = p
+        for a in range(1, top + 1):
+            start = -lo % q         # index of the first multiple of q in [lo, hi]
+            if start < size:
+                if residual:
+                    acc[start::q] += c
+                if a in steps:
+                    _advance(val[start::q], steps[a], kind.additive)
+            q *= p
             if q > hi:
                 break
-            start = -lo % q         # index of the first multiple of q in [lo, hi]
-            if start >= size:
-                continue
-            if residual:
-                smooth[start::q] *= p
-            if lam and q >= lo:
-                val[q - lo] = math.log(p)
-            elif a in steps:
-                _advance(val, slice(start, None, q), steps[a], kind.additive)
     if residual:
-        n = np.arange(lo, hi + 1, dtype=smooth.dtype)
-        if lam:                     # n > 1 is prime when no walked prime divides it
-            large = (smooth == 1) & (n > 1)
-            val[large] = np.log(n[large].astype(np.float64))
+        big = np.empty(size, dtype=bool)    # n has a prime factor above the walked ones
+        for k in range(lo.bit_length() - 1, hi.bit_length()):
+            i, j = max(lo, 1 << k) - lo, min(hi, (2 << k) - 1) - lo + 1
+            np.less(acc[i:j], max(0, s * k - t), out=big[i:j])
+        # f moves from g(0) to g(1) there, where g(0) is 0 (additive) or
+        # f(1) = 1: add g(1) [big], or multiply by 1 + (g(1) - 1) [big]
+        move = big.view(np.int8)
+        if kind.additive:
+            move *= kind.local(1)
+            val += move
         else:
-            _advance(val, smooth < n, steps[1], kind.additive)
-    return val
+            move *= kind.local(1) - 1
+            move += 1
+            val *= move
+    return val.astype(np.int64, copy=False)
 
 
 def iter_segment_values(kind: FunctionKind, lo: int, hi: int):

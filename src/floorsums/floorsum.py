@@ -26,16 +26,17 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import (FACTOR_BUDGET, SIEVE_BUDGET, FunctionKind, SieveTable,
-                    build_sieve, eval_point, iter_segment_values, primes_upto)
+from .arith import (FACTOR_BUDGET, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
+                    SieveTable, build_sieve, eval_point, iter_segment_values, primes_upto)
 from .errors import BudgetError, WindowError
 
 NAIVE_BUDGET = 10**7
 FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
 # N point evaluations plus x/N block entries cost N c_point + (x/N) c_entry,
 # least at N = sqrt(x / SPLIT_RATIO) with SPLIT_RATIO = c_point / c_entry.
-# A block entry costs 20-64 ns and an eval_point 10.7 us (sum-large benchmark
-# workload, 2 vCPU); at x = 1e12 the time is flat within noise for ratios 100-500.
+# At x = 1e12 a block entry costs 20-42 ns and an eval_point 21-27 us (2 vCPU),
+# a ratio of 630-1330 by kind; the time is flat within noise for ratios
+# 250-1000, and a new ratio moves the split and so Lambda's last bits.
 SPLIT_RATIO = 500
 BLOCK_CHUNK = 1 << 16           # block entries whose multiplicities exist at once
 RESIDUAL_FLOOR = 1e-9
@@ -224,9 +225,13 @@ def main_term_constant(kind: FunctionKind, cutoff: int) -> tuple[float, float]:
     if cutoff > CUTOFF_BUDGET:
         raise BudgetError(f"main-term constant limited to cutoff <= {CUTOFF_BUDGET}")
     parts = []
+    buf = np.empty(min(cutoff, SEGMENT_SIZE))
     for seg_lo, vals in iter_segment_values(kind, 1, cutoff):
-        n = np.arange(seg_lo, seg_lo + len(vals), dtype=np.float64)
-        parts.append(float(np.sum(vals / (n * (n + 1)))))
+        n = np.arange(seg_lo, seg_lo + len(vals) + 1, dtype=np.float64)
+        terms = np.multiply(n[:-1], n[1:], out=buf[:len(vals)])      # n (n + 1)
+        np.divide(vals, terms, out=terms)
+        parts.append(float(terms.sum()))
+        del n               # freed before the next segment is sieved: lower peak RSS
     return math.fsum(parts), _tail_bound(kind, cutoff)
 
 
@@ -284,14 +289,14 @@ def error_scan(kind: FunctionKind, x_grid, cutoff: int = 10**8) -> FitReport:
 
 def summarize(kind: FunctionKind, x: int, method: str = "fast",
               cutoff: int = 10**7) -> FloorSumReport:
-    """One-shot report: exact sum, main-term constant, residual."""
-    if method == "fast":
-        s = floor_sum_fast(kind, x)
-    elif method == "naive":
-        s = floor_sum_naive(kind, x)
-    else:
+    """One-shot report: exact sum, main-term constant, residual.
+
+    The constant comes first, so a cutoff over its budget is refused before
+    the sum is evaluated."""
+    if method not in ("fast", "naive"):
         raise ValueError(f"unknown method {method!r}")
     c, tail = main_term_constant(kind, cutoff)
+    s = floor_sum_fast(kind, x) if method == "fast" else floor_sum_naive(kind, x)
     return FloorSumReport(kind=kind, x=x, sum=s, constant=c,
                           constant_tail_bound=tail,
                           residual=float(s) - x * c)

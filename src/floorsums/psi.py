@@ -37,16 +37,6 @@ class TrigPolynomial:
     H: int
     damping: np.ndarray
 
-    @property
-    def coefficients(self) -> dict[int, complex]:
-        """{h: c_h} for 1 <= |h| <= H, built on each access."""
-        h = np.arange(1, self.H + 1)
-        coeffs: dict[int, complex] = {}
-        for hh, im in zip(h.tolist(), (self.damping / (2 * np.pi * h)).tolist()):
-            coeffs[hh] = complex(0.0, im)
-            coeffs[-hh] = complex(0.0, -im)
-        return coeffs
-
     def __call__(self, x):
         """Evaluate at a float or numpy array, returning real values."""
         xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -64,14 +54,6 @@ class TrigPolynomial:
             acc -= (self.damping[start:start + step] / (math.pi * hh)) @ \
                 np.sin(phase, out=phase)
         return acc if np.ndim(x) else float(acc[0])
-
-    def eval_complex(self, x: float) -> complex:
-        """Direct two-sided evaluation sum c_h e(hx); imag part ~ 0."""
-        out = 0j
-        for h, c in self.coefficients.items():
-            out += c * complex(math.cos(2 * math.pi * h * x),
-                               math.sin(2 * math.pi * h * x))
-        return out
 
 
 def vaaler_polynomial(H: int) -> TrigPolynomial:

@@ -2,11 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from floorsums import arith as A
+from floorsums import floorsum as FS
 from floorsums.errors import BudgetError, CoverageError
 
 ALL_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.LAMBDA, A.tau(2), A.tau(3),
@@ -122,6 +125,122 @@ def test_sieve_matches_eval_point_to_the_ulp(kind):
             assert abs(v - ref) <= math.ulp(ref), n
         else:
             assert v == ref, n
+
+
+def _segment_reference(kind, lo, hi, primes):
+    """The smooth-product kernel: f on [lo, hi] from one walk over the prime
+    powers p^a <= hi, p in `primes`, all in int64 (Lambda float64).
+
+    Every n starts at g(0) and moves from g(a-1) to g(a) on the multiples of
+    p^a.  The walk also builds the part of n made of the primes walked;
+    where that is less than n, one prime above sqrt(hi) remains, and f moves
+    from g(0) to g(1) once more.  Lambda is set at the prime powers
+    themselves, and at the n > 1 whose walked part is 1.
+    """
+    size = hi - lo + 1
+    if kind.tag == "chi_two":
+        val = np.zeros(size, dtype=np.int64)
+        root = isqrt(hi)
+        m = np.arange(isqrt(lo - 1) + 1, root + 1)
+        if m.size:
+            mu = _segment_reference(A.MOBIUS, 1, root, A.primes_upto(isqrt(root)))
+            val[m * m - lo] = mu[m - 1]
+        return val
+
+    def advance(where, step):
+        if kind.additive:
+            val[where] += step
+        elif step == 0:
+            val[where] = 0
+        else:
+            val[where] *= step.numerator
+            val[where] //= step.denominator
+
+    lam = kind.tag == "lambda"
+    amax = hi.bit_length() - 1
+    steps = {}
+    if lam:
+        val = np.zeros(size, dtype=np.float64)
+    else:
+        g = [kind.local(a) for a in range(amax + 1)]
+        for a in range(1, amax + 1):
+            if g[a] != g[a - 1]:
+                steps[a] = g[a] - g[a - 1] if kind.additive else Fraction(g[a], g[a - 1])
+        val = np.full(size, g[0], dtype=np.int64)
+        if not steps:
+            return val
+    residual = lam or 1 in steps
+    if residual:
+        smooth = np.ones(size, dtype=np.int32 if hi < 2**31 else np.int64)
+    for p in primes.tolist():
+        for a in range(1, amax + 1) if residual else sorted(steps):
+            q = p ** a
+            if q > hi:
+                break
+            start = -lo % q
+            if start >= size:
+                continue
+            if residual:
+                smooth[start::q] *= p
+            if lam and q >= lo:
+                val[q - lo] = math.log(p)
+            elif a in steps:
+                advance(slice(start, None, q), steps[a])
+    if residual:
+        n = np.arange(lo, hi + 1, dtype=smooth.dtype)
+        if lam:
+            large = (smooth == 1) & (n > 1)
+            val[large] = np.log(n[large].astype(np.float64))
+        else:
+            advance(smooth < n, steps[1])
+    return val
+
+
+KERNEL_WINDOWS = ([(1, 2**20), (2**20 + 1, 2**21)]
+                  + [(2**k - 1000, 2**k + 999) for k in range(16, 31)]
+                  + [(2**31 - 100, 2**31 + 100), (10**12 - 200, 10**12)]
+                  + [(1, 1), (1, 2), (2, 3), (1, 10)])
+
+
+@pytest.mark.parametrize("lo, hi", KERNEL_WINDOWS)
+def test_segment_kernel_matches_smooth_product_reference(lo, hi):
+    # the same dtype and the same bytes as the smooth-product kernel, past
+    # every binade edge of the residual test's thresholds; tau8 is the
+    # widest working dtype
+    primes = A.primes_upto(isqrt(hi))
+    for kind in ALL_KINDS + [A.tau(8)]:
+        got = A._segment_values(kind, lo, hi, primes)
+        want = _segment_reference(kind, lo, hi, primes)
+        assert got.dtype == want.dtype, kind
+        assert got.tobytes() == want.tobytes(), kind
+
+
+def test_working_dtype_is_the_narrowest_that_holds_every_value():
+    # |g| is non-decreasing in a for these kinds (mu and mu^2 peak at n = 1),
+    # so the search's bound is the largest |f(n)| itself
+    for kind in (A.MOBIUS, A.MOBIUS_SQUARED, A.tau(2), A.tau(3), A.tau(8),
+                 A.OMEGA, A.TWO_POW_OMEGA):
+        for bits in (4, 12, 20):
+            largest = int(np.abs(A.build_sieve(kind, 1, 2**bits - 1).values).max())
+            assert A._working_dtype(kind, bits) == np.min_scalar_type(-largest - 1), (kind, bits)
+    # tau_64 wraps int64 at 7207200 < 2^23: refused, not wrapped
+    with pytest.raises(BudgetError, match="may exceed int64"):
+        A._working_dtype(A.tau(64), 23)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_main_term_constant_bits_match_reference_loop(kind):
+    # four segments, the last of 5 entries, each walking the primes up to
+    # isqrt(cutoff), not just up to its own isqrt(hi)
+    cutoff = 3 * A.SEGMENT_SIZE + 5
+    primes = A.primes_upto(isqrt(cutoff))
+    parts = []
+    for lo in range(1, cutoff + 1, A.SEGMENT_SIZE):
+        hi = min(lo + A.SEGMENT_SIZE - 1, cutoff)
+        vals = _segment_reference(kind, lo, hi, primes)
+        n = np.arange(lo, hi + 1, dtype=np.float64)
+        parts.append(float(np.sum(vals / (n * (n + 1)))))
+    assert FS.main_term_constant(kind, cutoff)[0].hex() == math.fsum(parts).hex()
 
 
 def test_value_range_invariants():

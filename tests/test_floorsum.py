@@ -229,6 +229,15 @@ def test_main_term_constant_cutoff_budget_rejected_before_any_segment(monkeypatc
         FS.main_term_constant(A.LAMBDA, FS.CUTOFF_BUDGET)   # the edge is admitted
 
 
+def test_summarize_checks_the_cutoff_before_the_sum(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("the sum was evaluated")
+
+    monkeypatch.setattr(FS, "floor_sum_fast", no_sum)
+    with pytest.raises(BudgetError, match="cutoff <= 1000000000"):
+        FS.summarize(A.tau(3), 10**11, cutoff=10**12)
+
+
 def test_psi_correction_window_and_vacuous_range():
     with pytest.raises(WindowError):
         FS.psi_correction_sum(A.ONE, 10**4, 5)       # below x^(1/3)
