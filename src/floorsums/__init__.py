@@ -15,11 +15,10 @@ from .errors import BudgetError, CoverageError, WindowError
 from .expsum import (BoundCheckReport, check_bound, exp_sum, type_I_max,
                      type_II_sum)
 from .floorsum import (FitReport, FloorSumReport, error_scan, floor_sum_fast,
-                       floor_sum_naive, main_term_constant, psi_correction_sum)
-from .identities import (PhaseFunction, VaughanCoefficients,
-                         hyperbola_exp_sides, hyperbola_sides,
-                         vaughan_coeffs, vaughan_lambda_sides,
-                         vaughan_mobius_sides)
+                       floor_sum_naive, main_term_constant, psi_correction_sum,
+                       series_constant)
+from .identities import (PhaseFunction, hyperbola_exp_sides, hyperbola_sides,
+                         vaughan_lambda_sides, vaughan_mobius_sides)
 from .pairs import (BalanceProblem, BalanceResult, BoundProfile, ExponentPair,
                     Infeasible, TermExponent, apply_A, apply_B,
                     balance_exponents, eliminate_H, enumerate_pairs,

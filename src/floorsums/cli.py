@@ -102,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--method", choices=("naive", "fast"), default="fast")
-    p.add_argument("--cutoff", type=int, default=10**7, help="series cutoff for the constant")
+    p.add_argument("--cutoff", type=int, default=None,
+                   help="sum the constant C_f by sieve to this cutoff (at most 10^9) instead "
+                        "of from its Dirichlet series (the default)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--precision", type=int, default=15, help=_PRECISION_HELP)
 
@@ -111,15 +113,18 @@ def build_parser() -> argparse.ArgumentParser:
                                    "log-log slope of |S - x C_f| (ordinary least squares).")
     p.add_argument("--function", required=True)
     p.add_argument("--grid", required=True, help="lo:hi:points, log-spaced")
-    p.add_argument("--cutoff", type=int, default=10**8)
+    p.add_argument("--cutoff", type=int, default=10**8,
+                   help="sum the constant C_f by sieve to this cutoff (default 10^8, at most 10^9)")
     p.add_argument("--out", help="also write the sums and residuals as CSV")
     p.add_argument("--precision", type=int, default=15, help=_PRECISION_HELP)
 
-    p = sub.add_parser("constant", help="main-term constant C_f with tail bound",
-                       description="Partial sum of C_f = sum_{n>=1} f(n)/(n(n+1)) at a cutoff, plus an "
-                                   "explicit upper bound on the discarded tail.")
+    p = sub.add_parser("constant", help="main-term constant C_f with its error bound",
+                       description="C_f = sum_{n>=1} f(n)/(n(n+1)) from its Dirichlet series, with an "
+                                   "a-priori error bound; with --cutoff, the partial sum to the cutoff "
+                                   "plus an explicit upper bound on the discarded tail.")
     p.add_argument("--function", required=True)
-    p.add_argument("--cutoff", type=int, required=True)
+    p.add_argument("--cutoff", type=int, default=None,
+                   help="sum C_f by sieve to this cutoff (at most 10^9) instead of from its series")
 
     p = sub.add_parser("psi", help="Vaaler approximation quality of the Bernoulli function psi",
                        description="Check |psi(x) - psi_H(x)| <= F_H(x)/(2H+2) pointwise on a uniform grid, "
@@ -232,7 +237,10 @@ def _cmd_scan(args) -> int:
 
 def _cmd_constant(args) -> int:
     kind = arith.kind_from_name(args.function)
-    value, tail = floorsum.main_term_constant(kind, args.cutoff)
+    if args.cutoff is None:
+        value, tail = floorsum.series_constant(kind)
+    else:
+        value, tail = floorsum.main_term_constant(kind, args.cutoff)
     _emit({"function": str(kind), "cutoff": args.cutoff, "value": value,
            "tail_bound": tail})
     return 0

@@ -9,11 +9,14 @@ blocks, one sieve entry each, streamed in segments).  Both are exact; the
 split only affects speed, so they cross-check each other.  The default split
 balances the two costs: N = isqrt(x // SPLIT_RATIO).
 
-The main-term constant C_f = sum f(n)/(n(n+1)) is accumulated in segments
-with an explicit per-function tail bound.  Integer-valued functions are
-summed in exact integers; Lambda sums go through math.fsum.  Everything is
-pure: grid scans parallelize trivially over x, and a shared immutable sieve
-may be read from any number of workers.
+The main-term constant C_f = sum f(n)/(n(n+1)) comes two ways.
+`series_constant` evaluates it from the Dirichlet series of f, without a
+sieve, with an a-priori error bound of at most 1e-12; `summarize` uses it by
+default.  `main_term_constant` sums it in segments to a cutoff, with an
+explicit per-function tail bound; `error_scan` and every explicit cutoff use
+that.  Integer-valued functions are summed in exact integers; Lambda sums go
+through math.fsum.  Everything is pure: grid scans parallelize trivially over
+x, and a shared immutable sieve may be read from any number of workers.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import (FACTOR_BUDGET, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
+from .arith import (FACTOR_BUDGET, MAX_TAU_R, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
                     SieveTable, build_sieve, eval_point, iter_segment_values, primes_upto)
 from .errors import BudgetError, WindowError
 
@@ -69,6 +72,14 @@ class FitReport:
     constant: float
 
 
+def _check_x(x: int, method: str) -> None:
+    budget = FAST_BUDGET if method == "fast" else NAIVE_BUDGET
+    if x < 1:
+        raise ValueError(f"need x >= 1, got {x}")
+    if x > budget:
+        raise BudgetError(f"{method} evaluation limited to x <= {budget}")
+
+
 def _check_table(kind: FunctionKind, table: SieveTable | None) -> None:
     if table is not None and table.kind != kind:
         raise ValueError(f"table holds {table.kind}, expected {kind}")
@@ -82,10 +93,7 @@ def _lookup(kind: FunctionKind, n: int, table: SieveTable | None):
 
 def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None):
     """Direct O(x) evaluation; exact (Lambda via compensated summation)."""
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    if x > NAIVE_BUDGET:
-        raise BudgetError(f"naive evaluation limited to x <= {NAIVE_BUDGET}")
+    _check_x(x, "naive")
     _check_table(kind, table)
     if table is None or not table.covers(1, x):
         table = build_sieve(kind, 1, x)
@@ -143,10 +151,7 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     apart (see eval_point); so the float result can differ from
     floor_sum_naive, and between splits N <= isqrt(x), in its last bits.
     """
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    if x > FAST_BUDGET:
-        raise BudgetError(f"fast evaluation limited to x <= {FAST_BUDGET}")
+    _check_x(x, "fast")
     _check_table(kind, table)
     N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else split
     if not 1 <= N <= x:
@@ -236,6 +241,185 @@ def main_term_constant(kind: FunctionKind, cutoff: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# main-term constant from Dirichlet series
+
+_U = 2.0 ** -53                 # unit roundoff of float64
+_ULPS = 4                       # assumed error of numpy's power, log, log1p, expm1, in ulps
+_SERIES_K = 80                  # the series sums k = 2.._SERIES_K
+_EM_N = 10                      # zeta sums: n < _EM_N directly, then Euler-Maclaurin
+# B_2j/(2j)! for j = 1..10: the corrections take j <= 9, the remainder bound j = 10
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000,
+              43867 / 5109094217170944000, -174611 / 802857662698291200000)
+_MOBIUS_32 = (1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0,
+              -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1, -1, 0)   # mu(1..32)
+
+
+class _Bounded:
+    """A float64 array with an elementwise absolute error bound.
+
+    Each operation propagates its operands' bounds (to all orders for + - *
+    and /, by the mean value theorem for log1p and expm1) and adds its own
+    rounding: u |value|, or _ULPS ulps for a library function.  Python ints
+    and exactly representable floats enter with bound 0."""
+
+    __slots__ = ("v", "e")
+
+    def __init__(self, v, e=0.0):
+        self.v, self.e = v, e
+
+    def __getitem__(self, i):
+        return _Bounded(self.v[i], self.e[i])
+
+    def __neg__(self):
+        return _Bounded(-self.v, self.e)
+
+    def __add__(self, o):
+        o = o if isinstance(o, _Bounded) else _Bounded(o)
+        v = self.v + o.v
+        return _Bounded(v, self.e + o.e + _U * abs(v))
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        o = o if isinstance(o, _Bounded) else _Bounded(o)
+        v = self.v * o.v
+        return _Bounded(v, abs(self.v) * o.e + abs(o.v) * self.e + self.e * o.e + _U * abs(v))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = o if isinstance(o, _Bounded) else _Bounded(o)
+        v = self.v / o.v
+        return _Bounded(v, (self.e + abs(v) * o.e) / (abs(o.v) - o.e) + _U * abs(v))
+
+    def __rtruediv__(self, o):
+        return _Bounded(o) / self
+
+    def log1p(self):
+        v = np.log1p(self.v)
+        return _Bounded(v, self.e / (1 + self.v - self.e) + _library(v))
+
+    def expm1(self):
+        v = np.expm1(self.v)
+        return _Bounded(v, np.exp(self.v + self.e) * self.e + _library(v))
+
+
+def _library(v):
+    """The rounding bound of a library function's result: _ULPS ulps <= 2 _ULPS u |v|."""
+    return 2 * _ULPS * _U * abs(v)
+
+
+def _computed(v) -> _Bounded:
+    return _Bounded(v, _library(v))
+
+
+def _zeta_sums(s: np.ndarray, log_weight: bool) -> _Bounded:
+    """zeta(s) - 1 = sum_{n>=2} n^-s, or -zeta'(s) = sum_{n>=2} log(n) n^-s
+    with `log_weight`, for integers s >= 2 given as floats.
+
+    The terms n < _EM_N are summed directly; the tail n >= _EM_N is the
+    Euler-Maclaurin expansion of g(x) = x^-s (or log(x) x^-s) with the
+    corrections B_2j/(2j)! (s)_(2j-1) N^(1-s-2j) (times log N - H_(2j-1)(s)
+    for the log weight, H_m(s) = sum_{i<m} 1/(s+i)), j <= 9.  Its remainder
+    is at most 2 |B_20|/20! times the integral of |g^(20)| over [N, inf),
+    since |B_20({x}) - B_20| <= 2 |B_20|; |g^(m)(x)| <= (s)_m x^(-s-m)
+    (log x + H_m(s)) bounds that integral in closed form.  The sum runs from
+    the small tail up to n = 2, so every partial sum is below the total."""
+    N = _EM_N
+    L = _computed(np.log(float(N)))
+    power = _computed(N ** (1.0 - s))                 # N^(1-s)
+    if log_weight:
+        tail = power * (L / (s - 1) + 1 / _Bounded((s - 1) ** 2)) + L * _computed(N ** -s) * 0.5
+    else:
+        tail = power / (s - 1) + _computed(N ** -s) * 0.5
+    rising = _Bounded(s)                              # (s)_(2j-1)
+    harmonic = _Bounded(1 / s, _U / s)                # H_(2j-1)(s)
+    for j, c in enumerate(_EM_COEFFS[:-1], start=1):
+        term = _Bounded(c, _U * abs(c)) * rising * _computed(N ** (1.0 - s - 2 * j))
+        tail = tail + (term * (L - harmonic) if log_weight else term)
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+        harmonic = harmonic + 1 / _Bounded(s + 2 * j - 1) + 1 / _Bounded(s + 2 * j)
+    a = s + len(_EM_COEFFS) * 2 - 1                   # rising = (s)_(2J+1), a = s + 2J + 1
+    remainder = 2 * abs(_EM_COEFFS[-1]) * rising.v * N ** -a
+    if log_weight:
+        remainder *= math.log(N) + harmonic.v + 2 / a   # L + 1/a + H_(2J+2)(s)
+    total = _Bounded(tail.v, tail.e + remainder)
+    for n in range(N - 1, 1, -1):
+        term = _computed(float(n) ** -s)
+        total = total + (_computed(np.log(float(n))) * term if log_weight else term)
+    return total
+
+
+def _prime_zeta(z1: _Bounded, K: int) -> _Bounded:
+    """P(k) = sum_p p^-k = sum_{j>=1} mu(j)/j log zeta(jk) for k = 2..K,
+    from z1[t - 2] = zeta(t) - 1, t = 2..2K.
+
+    It takes the j <= J = 1 + 63 // k, so jk <= k + 63 <= 2K.  The rest is at
+    most sum_{j>J} (zeta(jk) - 1) <= 4 * 2^(-(J+1)k), as zeta(t) - 1 <=
+    2^-t (1 + 2/(t-1)) <= 2 * 2^-t for t >= 3."""
+    k = np.arange(2, K + 1)
+    J = 1 + 63 // k
+    logs = z1.log1p()
+    total = _Bounded(np.zeros(K - 1), np.ldexp(4.0, -(J + 1) * k))
+    for j in range(1, int(J.max()) + 1):
+        idx = np.minimum(j * k, 2 * K) - 2
+        live = (J >= j) * _MOBIUS_32[j - 1]           # mu(j) where j <= J(k), else 0
+        term = logs[idx] * live / j
+        total = total + term
+    return total
+
+
+def series_constant(kind: FunctionKind) -> tuple[float, float]:
+    """(C_f = sum f(n)/(n(n+1)), an a-priori bound on its error), from the
+    Dirichlet series D_f(s) = sum f(n) n^-s without sieving.
+
+    For n >= 2, 1/(n(n+1)) = sum_{k>=2} (-1)^k n^-k, so
+    C_f = f(1)/2 + sum_{k>=2} (-1)^k (D_f(k) - f(1)).  Each D_f is a closed
+    form in zeta, zeta' and the prime zeta function P (see `_zeta_sums` and
+    `_prime_zeta`), evaluated in float64 with a running error bound
+    (`_Bounded`).  The terms k > _SERIES_K sum to
+    sum_{n>=2} f(n) (-1)^(K+1) n^-(K+1) / (1 + 1/n), at most
+    2^(1-K) sum_{n>=2} |f(n)| n^-2 in absolute value.  The bound adds that,
+    the Euler-Maclaurin remainders and every rounding; it lies in
+    (0, 1e-12] for every supported kind (tau8's is the largest)."""
+    if kind.tag == "tau" and kind.r > MAX_TAU_R:
+        raise BudgetError(f"tau order {kind.r} exceeds configured maximum {MAX_TAU_R}")
+    K = _SERIES_K
+    z1 = _zeta_sums(np.arange(2.0, 2 * K + 1), log_weight=False)   # zeta(t) - 1, t = 2..2K
+    z, z2 = z1[:K - 1], z1[2::2]                                   # at k and 2k, k = 2..K
+    tag = kind.tag
+    if tag == "one" or (tag == "tau" and kind.r == 1):
+        d = z
+    elif tag == "mobius":
+        d = -z / (1 + z)
+    elif tag == "mobius_squared":
+        d = (z - z2) / (1 + z2)
+    elif tag == "lambda":
+        d = _zeta_sums(np.arange(2.0, K + 1), log_weight=True) / (1 + z)
+    elif tag == "tau":
+        d = (kind.r * z.log1p()).expm1()
+    elif tag == "omega":
+        d = (1 + z) * _prime_zeta(z1, K)
+    elif tag == "two_pow_omega":
+        d = (z * (2 + z) - z2) / (1 + z2)
+    else:                                                          # chi_two
+        d = -z2 / (1 + z2)
+    f1 = 0 if tag in ("lambda", "omega") else 1
+    signed = d.v * (1 - 2 * (np.arange(2, K + 1) % 2))            # (-1)^k (D_f(k) - f(1))
+    value = math.fsum([f1 / 2, *signed.tolist()])
+    # sum_{n>=2} |f(n)| n^-2: D_f(2) - f(1) for f >= 0, and zeta(2) - 1 for mu
+    # and chi_2, whose |f| <= 1
+    abs_sum = (z if tag in ("mobius", "chi_two") else d)
+    head = float(abs_sum.v[0] + abs_sum.e[0])
+    bound = float(np.sum(d.e)) + _U * abs(value) + 2.0 ** (1 - K) * head
+    return value, bound * (1 + 2.0 ** -20)        # slack for the bound's own rounding
+
+
+# ---------------------------------------------------------------------------
 # psi-correction bookkeeping
 
 def psi_of_quotient(x: int, d: int) -> Fraction:
@@ -271,12 +455,16 @@ def error_scan(kind: FunctionKind, x_grid, cutoff: int = 10**8) -> FitReport:
 
     |E| is floored at 1e-9 before the log so exact cancellations do not
     produce -inf.  C_f is summed to `cutoff` and reported with the fit.
+    Every grid point is checked against the split evaluator's budget before
+    the constant is summed.
     """
     grid = [int(v) for v in x_grid]
     if len(grid) < 2:
         raise ValueError("grid must contain at least 2 points for a fit")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
+    for x in grid:
+        _check_x(x, "fast")
     constant, _ = main_term_constant(kind, cutoff)
     sums = [floor_sum_fast(kind, x) for x in grid]
     residuals = [abs(float(s) - x * constant) for x, s in zip(grid, sums)]
@@ -288,14 +476,17 @@ def error_scan(kind: FunctionKind, x_grid, cutoff: int = 10**8) -> FitReport:
 
 
 def summarize(kind: FunctionKind, x: int, method: str = "fast",
-              cutoff: int = 10**7) -> FloorSumReport:
+              cutoff: int | None = None) -> FloorSumReport:
     """One-shot report: exact sum, main-term constant, residual.
 
-    The constant comes first, so a cutoff over its budget is refused before
-    the sum is evaluated."""
+    The constant is `series_constant(kind)`, or with a `cutoff` the partial
+    sum `main_term_constant(kind, cutoff)`; its error bound is reported as
+    `constant_tail_bound`.  x is checked against the method's budget, and
+    the cutoff against its own, before any constant or sum is computed."""
     if method not in ("fast", "naive"):
         raise ValueError(f"unknown method {method!r}")
-    c, tail = main_term_constant(kind, cutoff)
+    _check_x(x, method)
+    c, tail = series_constant(kind) if cutoff is None else main_term_constant(kind, cutoff)
     s = floor_sum_fast(kind, x) if method == "fast" else floor_sum_naive(kind, x)
     return FloorSumReport(kind=kind, x=x, sum=s, constant=c,
                           constant_tail_bound=tail,

@@ -112,54 +112,13 @@ class PhaseFunction:
 
 
 # ---------------------------------------------------------------------------
-# Vaughan coefficient tables
-
-@dataclass(frozen=True)
-class VaughanCoefficients:
-    """Cutoff-U convolution coefficients of the Vaughan identities, indexed
-    by n (entry 0 unused): a_lambda = (mu 1_U * Lambda 1_U), supported on
-    n <= U^2 (float, carries log p); b = (mu 1_U * 1); a_mu = (mu 1_U * mu 1_U);
-    b_plus = (mu 1_U^+ * 1) = [n = 1] - b, since mu * 1 = [n = 1].  So mu and
-    Lambda are read on [1, U] only.  Each verifier builds just the two it
-    reads, by the same `_product`, from the tables it sieves for its sides.
-    """
-
-    a_lambda: np.ndarray
-    b: np.ndarray
-    a_mu: np.ndarray
-    b_plus: np.ndarray
-
-    def alpha_lambda(self, R: int) -> np.ndarray:
-        """a_lambda normalized by log R; |alpha| <= 1 for R >= U^2."""
-        return self.a_lambda / math.log(R)
-
-    def alpha_mu(self) -> np.ndarray:
-        """a_mu normalized by 2^omega(n); |alpha| <= 1."""
-        lim = len(self.a_mu) - 1
-        out = self.a_mu[1:] / build_sieve(TWO_POW_OMEGA, 1, lim).values
-        return np.concatenate(([0.0], out))
-
+# Vaughan coefficients: products of sieved tables
 
 def _product(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
     """(f * g) on [1, limit], indexed by n (entry 0 unused), for tables f, g
     of at most `limit` entries that start at 1 and are zero past their ends."""
     f, g = (SieveTable(None, 1, limit, np.pad(v, (0, limit - len(v)))) for v in (f, g))
     return np.insert(dirichlet_convolve(f, g, limit).values, 0, 0)
-
-
-def vaughan_coeffs(U: int, limit: int) -> VaughanCoefficients:
-    """Tabulate the four coefficient sequences up to `limit` (>= U^2)."""
-    if U < 1:
-        raise ValueError("U must be >= 1")
-    if limit < U * U:
-        raise CoverageError(f"limit must be >= U^2 = {U*U}")
-    mu = build_sieve(MOBIUS, 1, U).values
-    b = _product(mu, build_sieve(ONE, 1, limit).values, limit)
-    b_plus = -b
-    b_plus[1] += 1
-    return VaughanCoefficients(
-        a_lambda=_product(mu, build_sieve(LAMBDA, 1, U).values, U * U),
-        b=b, a_mu=_product(mu, mu, U * U), b_plus=b_plus)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from floorsums import cli, floorsum
+from floorsums import arith, cli, floorsum
 from floorsums.identities import PhaseFunction
 
 
@@ -263,6 +263,36 @@ def test_cutoff_budget_is_a_json_error(capsys, monkeypatch, argv):
     assert json.loads(capsys.readouterr().out) == {
         "error": "BudgetError",
         "message": "main-term constant limited to cutoff <= 1000000000"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("scan --function tau3 --grid 1000:10000000000000:3",
+     "fast evaluation limited to x <= 1000000000000"),
+    ("sum --function tau3 --x 100000000 --method naive",
+     "naive evaluation limited to x <= 10000000"),
+    ("sum --function tau3 --x 100000000 --method naive --cutoff 10000000",
+     "naive evaluation limited to x <= 10000000"),
+])
+def test_x_budget_is_a_json_error_before_any_constant(capsys, monkeypatch, argv, message):
+    def no_segment(*args):
+        raise AssertionError("a segment was sieved")
+
+    monkeypatch.setattr(floorsum, "iter_segment_values", no_segment)
+    assert cli.main(argv.split()) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "BudgetError", "message": message}
+
+
+def test_sum_and_constant_default_to_the_series_constant(capsys, monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("the constant was sieved")
+
+    monkeypatch.setattr(floorsum, "main_term_constant", no_sieve)
+    value, bound = floorsum.series_constant(arith.tau(3))
+    d = run_json(capsys, "sum", "--function", "tau3", "--x", "100000")
+    assert d["cutoff"] is None
+    assert (d["constant"], d["constant_tail_bound"]) == (value, bound)
+    d = run_json(capsys, "constant", "--function", "tau3")
+    assert d == {"cutoff": None, "function": "tau3", "tail_bound": bound, "value": value}
 
 
 def test_readme_has_examples():

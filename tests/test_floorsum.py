@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -236,6 +237,109 @@ def test_summarize_checks_the_cutoff_before_the_sum(monkeypatch):
     monkeypatch.setattr(FS, "floor_sum_fast", no_sum)
     with pytest.raises(BudgetError, match="cutoff <= 1000000000"):
         FS.summarize(A.tau(3), 10**11, cutoff=10**12)
+
+
+def test_summarize_checks_x_before_any_constant(monkeypatch):
+    def no_segment(*args):
+        raise AssertionError("a segment was sieved")
+
+    monkeypatch.setattr(FS, "iter_segment_values", no_segment)
+    for cutoff in (None, 10**7):
+        with pytest.raises(BudgetError, match="naive evaluation limited to x <= 10000000"):
+            FS.summarize(A.tau(3), 10**8, method="naive", cutoff=cutoff)
+        with pytest.raises(BudgetError, match="fast evaluation limited to x <= 1000000000000$"):
+            FS.summarize(A.tau(3), 10**13, cutoff=cutoff)
+        with pytest.raises(ValueError, match="x >= 1"):
+            FS.summarize(A.MOBIUS, 0, cutoff=cutoff)
+
+
+def test_error_scan_checks_every_grid_point_before_the_constant(monkeypatch):
+    def no_segment(*args):
+        raise AssertionError("a segment was sieved")
+
+    monkeypatch.setattr(FS, "iter_segment_values", no_segment)
+    with pytest.raises(BudgetError, match="fast evaluation limited to x <= 1000000000000$"):
+        FS.error_scan(A.tau(3), [1000, 10**12, 10**12 + 1])
+    with pytest.raises(ValueError, match="x >= 1"):
+        FS.error_scan(A.tau(3), [0, 1000])
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet-series constant
+
+SERIES_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.LAMBDA, *map(A.tau, range(1, 9)),
+                A.OMEGA, A.TWO_POW_OMEGA, A.CHI_TWO]
+
+
+def _dirichlet_series(kind, s):
+    """D_f(s) = sum f(n) n^-s in mpmath, from zeta, zeta' and primezeta."""
+    z = mp.zeta
+    return {"one": lambda: z(s), "mobius": lambda: 1 / z(s),
+            "mobius_squared": lambda: z(s) / z(2 * s),
+            "lambda": lambda: -z(s, 1, 1) / z(s), "tau": lambda: z(s) ** kind.r,
+            "omega": lambda: z(s) * mp.primezeta(s),
+            "two_pow_omega": lambda: z(s) ** 2 / z(2 * s),
+            "chi_two": lambda: 1 / z(2 * s)}[kind.tag]()
+
+
+def _reference_constant(kind):
+    """C_f = f(1)/2 + sum_{k>=2} (-1)^k (D_f(k) - f(1)) at 50 digits; the
+    terms past k = 200 are below 8 * 2^-200."""
+    f1 = A.eval_point(kind, 1)
+    return mp.mpf(f1) / 2 + mp.fsum((-1) ** k * (_dirichlet_series(kind, k) - f1)
+                                    for k in range(2, 201))
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS, ids=str)
+def test_series_constant_is_within_its_bound_of_mpmath(kind):
+    value, bound = FS.series_constant(kind)
+    assert 0 < bound <= 1e-12
+    with mp.workdps(50):
+        assert abs(mp.mpf(value) - _reference_constant(kind)) <= bound
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS, ids=str)
+def test_series_constant_lies_within_the_sieved_tail(kind):
+    value, bound = FS.series_constant(kind)
+    for cutoff in (10**3, 10**4, 10**5, 10**6):
+        c, tail = FS.main_term_constant(kind, cutoff)
+        assert abs(value - c) <= tail + bound
+        if kind not in (A.MOBIUS, A.CHI_TWO):       # f >= 0: partial sums from below
+            assert c <= value + bound
+
+
+@pytest.mark.parametrize("N", [FS._EM_N, 3, 2])
+def test_zeta_sums_are_within_their_bounds(monkeypatch, N):
+    # at N = 2 and 3 the Euler-Maclaurin remainder dominates the bound
+    monkeypatch.setattr(FS, "_EM_N", N)
+    s = np.arange(2.0, 2 * FS._SERIES_K + 1)
+    with mp.workdps(60):
+        for log_weight, ref in ((False, lambda t: mp.zeta(t) - 1),
+                                (True, lambda t: -mp.zeta(t, 1, 1))):
+            got = FS._zeta_sums(s, log_weight)
+            for t, v, e in zip(s.astype(int).tolist(), got.v, got.e):
+                assert 0 < e and abs(mp.mpf(v) - ref(t)) <= e, (log_weight, t)
+
+
+def test_series_literals():
+    for j, c in enumerate(FS._EM_COEFFS, start=1):
+        assert c == float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
+    assert FS._MOBIUS_32 == tuple(A.eval_point(A.MOBIUS, j) for j in range(1, 33))
+
+
+def test_series_constant_needs_a_supported_tau_order():
+    with pytest.raises(BudgetError, match="tau order 9"):
+        FS.series_constant(A.tau(A.MAX_TAU_R + 1))
+
+
+def test_summarize_defaults_to_the_series_constant(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("the constant was sieved")
+
+    monkeypatch.setattr(FS, "main_term_constant", no_sieve)
+    rep = FS.summarize(A.tau(3), 10**5)
+    assert (rep.constant, rep.constant_tail_bound) == FS.series_constant(A.tau(3))
+    assert rep.residual == rep.sum - 10**5 * rep.constant
 
 
 def test_psi_correction_window_and_vacuous_range():

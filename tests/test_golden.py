@@ -2,7 +2,8 @@
 
 `golden_cli.json` maps an argument line to the exact stdout it produced when
 the file was recorded.  It covers every function's main-term constant and its
-tail bound (through `constant` and `sum`), the exact sums, the psi report, the
+error bound, from the Dirichlet series and sieved to a cutoff (through
+`constant` and `sum`, with and without `--cutoff`), the exact sums, the psi report, the
 four `verify` suites, one admissible `expsum check` line per bound case, and
 `pairs derive`, `pairs exponent` and `pairs search`.
 """

@@ -110,43 +110,58 @@ def test_unit_array_accepts_an_empty_array(ph):
 # ---------------------------------------------------------------------------
 # coefficients
 
+def _coeffs(U, limit):
+    """The four cutoff-U coefficient sequences, indexed by n (entry 0 unused),
+    built by `_product` as the verifiers build them: a_lambda = mu 1_U *
+    Lambda 1_U and a_mu = mu 1_U * mu 1_U on n <= U^2, b = mu 1_U * 1 and
+    b_plus = [n = 1] - b on n <= limit."""
+    mu = A.build_sieve(A.MOBIUS, 1, U).values
+    b = I._product(mu, A.build_sieve(A.ONE, 1, limit).values, limit)
+    b_plus = -b
+    b_plus[1] += 1
+    return {"a_lambda": I._product(mu, A.build_sieve(A.LAMBDA, 1, U).values, U * U),
+            "b": b, "a_mu": I._product(mu, mu, U * U), "b_plus": b_plus}
+
+
 def test_vaughan_coefficient_examples():
-    co = I.vaughan_coeffs(2, 10)
-    assert co.a_lambda[4] == pytest.approx(-math.log(2))
-    assert co.b[6] == 0
-    assert co.b[1] == 1
+    co = _coeffs(2, 10)
+    assert co["a_lambda"][4] == pytest.approx(-math.log(2))
+    assert co["b"][6] == 0
+    assert co["b"][1] == 1
 
 
 def test_b_is_delta_below_cutoff():
-    co = I.vaughan_coeffs(9, 100)
+    co = _coeffs(9, 100)
     for m in range(1, 10):
-        assert co.b[m] == (1 if m == 1 else 0)
+        assert co["b"][m] == (1 if m == 1 else 0)
 
 
 def test_a_lambda_against_double_sum():
     u, limit = 6, 60
-    co = I.vaughan_coeffs(u, limit)
+    co = _coeffs(u, limit)
     mu = A.build_sieve(A.MOBIUS, 1, u)
     lam = A.build_sieve(A.LAMBDA, 1, u)
     for n in range(1, u * u + 1):
         direct = sum(mu.value(d) * lam.value(n // d)
                      for d in range(1, u + 1)
                      if n % d == 0 and n // d <= u)
-        assert co.a_lambda[n] == pytest.approx(direct, abs=1e-12)
+        assert co["a_lambda"][n] == pytest.approx(direct, abs=1e-12)
 
 
 def test_a_mu_bounded_by_tau():
     u, limit = 12, 160
-    co = I.vaughan_coeffs(u, limit)
+    co = _coeffs(u, limit)
     t2 = A.build_sieve(A.tau(2), 1, u * u)
     for n in range(1, u * u + 1):
-        assert abs(int(co.a_mu[n])) <= t2.value(n)
+        assert abs(int(co["a_mu"][n])) <= t2.value(n)
 
 
 def test_normalized_views_bounded():
-    co = I.vaughan_coeffs(10, 120)
-    assert np.max(np.abs(co.alpha_lambda(120))) <= 1 + 1e-12
-    assert np.max(np.abs(co.alpha_mu())) <= 1 + 1e-12
+    # |a_lambda| <= log R for R >= U^2 and |a_mu| <= 2^omega
+    co = _coeffs(10, 120)
+    assert np.max(np.abs(co["a_lambda"])) / math.log(120) <= 1 + 1e-12
+    two_omega = A.build_sieve(A.TWO_POW_OMEGA, 1, 100).values
+    assert np.max(np.abs(co["a_mu"][1:]) / two_omega) <= 1 + 1e-12
 
 
 def _vaughan_reference(U, limit):
@@ -173,17 +188,17 @@ def _vaughan_reference(U, limit):
 @pytest.mark.parametrize("U", range(1, 23))
 def test_vaughan_coefficient_bits_match_reference(U):
     for limit in (U * U, U * U + 1, 1000):
-        co = I.vaughan_coeffs(U, limit)
+        co = _coeffs(U, limit)
         for name, want in _vaughan_reference(U, limit).items():
-            got = getattr(co, name)
+            got = co[name]
             assert got.dtype == want.dtype, (limit, name)
             assert got.tobytes() == want.tobytes(), (limit, name)
 
 
 def test_b_plus_complements_b():
-    co = I.vaughan_coeffs(7, 80)
+    co = _coeffs(7, 80)
     # (mu 1^- * 1) + (mu 1^+ * 1) = mu * 1 = [n = 1]
-    total = co.b[1:] + co.b_plus[1:]
+    total = co["b"][1:] + co["b_plus"][1:]
     assert total[0] == 1
     assert not total[1:].any()
 
@@ -205,13 +220,6 @@ def calls(monkeypatch):
     monkeypatch.setattr(I, "build_sieve", sieve)
     monkeypatch.setattr(I, "dirichlet_convolve", convolve)
     return log
-
-
-@pytest.mark.parametrize("U, limit", [(1, 1), (3, 9), (7, 80), (22, 1000)])
-def test_vaughan_coeffs_sieves_up_to_U_and_makes_three_products(calls, U, limit):
-    I.vaughan_coeffs(U, limit)
-    assert len(calls["convolve"]) == 3
-    assert [c for c in calls["sieve"] if c[2] > U] in ([], [(A.ONE, 1, limit)])
 
 
 @pytest.mark.parametrize("fn, kinds", [
@@ -403,7 +411,7 @@ def test_mu2_equals_chi2_star_one_to_1e6():
 def _loops_vaughan_lambda(R, R1, U, e):
     lam = A.build_sieve(A.LAMBDA, 1, R1).values
     mu = A.build_sieve(A.MOBIUS, 1, U).values
-    co = I.vaughan_coeffs(U, max(R1, U * U))
+    co = _vaughan_reference(U, max(R1, U * U))
     lhs = sum(lam[n - 1] * e(n) for n in range(R + 1, R1 + 1) if lam[n - 1] != 0.0)
     t1 = t2 = t3 = 0j
     for n in range(1, U + 1):
@@ -411,27 +419,27 @@ def _loops_vaughan_lambda(R, R1, U, e):
             t1 += int(mu[n - 1]) * sum(math.log(m) * e(m * n)
                                        for m in range(R // n + 1, R1 // n + 1))
     for n in range(1, U * U + 1):
-        if co.a_lambda[n] != 0.0:
-            t2 += co.a_lambda[n] * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
+        if co["a_lambda"][n] != 0.0:
+            t2 += co["a_lambda"][n] * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
     for n in range(U + 1, R1 // U + 1):
         if lam[n - 1] != 0.0:
-            t3 += lam[n - 1] * sum(int(co.b[m]) * e(m * n)
+            t3 += lam[n - 1] * sum(int(co["b"][m]) * e(m * n)
                                    for m in range(max(U, R // n) + 1, R1 // n + 1)
-                                   if co.b[m] != 0)
+                                   if co["b"][m] != 0)
     return lhs, t1 - t2 - t3
 
 
 def _loops_vaughan_mobius(R, R1, U, e):
     mu = A.build_sieve(A.MOBIUS, 1, R1).values
-    co = I.vaughan_coeffs(U, max(R1, U * U))
+    co = _vaughan_reference(U, max(R1, U * U))
     lhs = sum(int(mu[n - 1]) * e(n) for n in range(R + 1, R1 + 1) if mu[n - 1] != 0)
     s12 = s3 = 0j
     for n in range(1, U * U + 1):
-        if co.a_mu[n] != 0:
-            s12 += int(co.a_mu[n]) * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
+        if co["a_mu"][n] != 0:
+            s12 += int(co["a_mu"][n]) * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
     for n in range(U + 1, R1 // U + 1):
-        if co.b_plus[n] != 0:
-            s3 += int(co.b_plus[n]) * sum(int(mu[m - 1]) * e(m * n)
+        if co["b_plus"][n] != 0:
+            s3 += int(co["b_plus"][n]) * sum(int(mu[m - 1]) * e(m * n)
                                           for m in range(max(U, R // n) + 1, R1 // n + 1)
                                           if mu[m - 1] != 0)
     return lhs, -s12 + s3
