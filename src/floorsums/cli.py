@@ -113,8 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "log-log slope of |S - x C_f| (ordinary least squares).")
     p.add_argument("--function", required=True)
     p.add_argument("--grid", required=True, help="lo:hi:points, log-spaced")
-    p.add_argument("--cutoff", type=int, default=10**8,
-                   help="sum the constant C_f by sieve to this cutoff (default 10^8, at most 10^9)")
+    p.add_argument("--cutoff", type=int, default=None,
+                   help="sum the constant C_f by sieve to this cutoff (at most 10^9) instead "
+                        "of from its Dirichlet series (the default)")
     p.add_argument("--out", help="also write the sums and residuals as CSV")
     p.add_argument("--precision", type=int, default=15, help=_PRECISION_HELP)
 
@@ -231,16 +232,13 @@ def _cmd_scan(args) -> int:
     _emit({"function": str(kind), "grid": list(fit.grid),
            "residuals": list(fit.residuals), "slope": fit.slope,
            "intercept": fit.intercept, "constant": fit.constant,
-           "cutoff": args.cutoff})
+           "constant_tail_bound": fit.constant_tail_bound, "cutoff": args.cutoff})
     return 0
 
 
 def _cmd_constant(args) -> int:
     kind = arith.kind_from_name(args.function)
-    if args.cutoff is None:
-        value, tail = floorsum.series_constant(kind)
-    else:
-        value, tail = floorsum.main_term_constant(kind, args.cutoff)
+    value, tail = floorsum._main_term(kind, args.cutoff)
     _emit({"function": str(kind), "cutoff": args.cutoff, "value": value,
            "tail_bound": tail})
     return 0

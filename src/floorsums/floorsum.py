@@ -11,12 +11,13 @@ balances the two costs: N = isqrt(x // SPLIT_RATIO).
 
 The main-term constant C_f = sum f(n)/(n(n+1)) comes two ways.
 `series_constant` evaluates it from the Dirichlet series of f, without a
-sieve, with an a-priori error bound of at most 1e-12; `summarize` uses it by
-default.  `main_term_constant` sums it in segments to a cutoff, with an
-explicit per-function tail bound; `error_scan` and every explicit cutoff use
-that.  Integer-valued functions are summed in exact integers; Lambda sums go
-through math.fsum.  Everything is pure: grid scans parallelize trivially over
-x, and a shared immutable sieve may be read from any number of workers.
+sieve, with an a-priori error bound of at most 1e-12; `summarize` and
+`error_scan` use it by default.  `main_term_constant` sums it in segments to
+a cutoff, with an explicit per-function tail bound; every explicit cutoff
+uses that.  Integer-valued functions are summed in exact integers; Lambda
+sums go through math.fsum.  Everything is pure: grid scans parallelize
+trivially over x, and a shared immutable sieve may be read from any number
+of workers.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
 SPLIT_RATIO = 500
 BLOCK_CHUNK = 1 << 16           # block entries whose multiplicities exist at once
 RESIDUAL_FLOOR = 1e-9
-CUTOFF_BUDGET = 10**9           # 10x the largest default cutoff (scan's 10^8)
+CUTOFF_BUDGET = 10**9           # largest sieved cutoff: 10^9 terms at 11-41 ns each (2 vCPU)
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class FloorSumReport:
 @dataclass(frozen=True)
 class FitReport:
     """Exact sums S_f(x) over a grid of x values, the main-term constant C_f
-    they are compared with, and the log-log regression of their residual
-    magnitudes."""
+    they are compared with and its error bound, and the log-log regression
+    of their residual magnitudes."""
 
     grid: tuple[int, ...]
     sums: tuple[int | float, ...]
@@ -70,6 +71,7 @@ class FitReport:
     slope: float
     intercept: float
     constant: float
+    constant_tail_bound: float
 
 
 def _check_x(x: int, method: str) -> None:
@@ -202,14 +204,18 @@ def _power_envelope(local) -> float:
     return B * (1 + 1e-9)
 
 
-def _tail_bound(kind: FunctionKind, cutoff: int) -> float:
-    """Upper bound on sum_{n > cutoff} |f(n)|/(n(n+1)).
+def _tail_bound(kind: FunctionKind, cutoff: int | None) -> float:
+    """The error bound of the main-term constant taken at `cutoff`: for an
+    integer cutoff, an upper bound on sum_{n > cutoff} |f(n)|/(n(n+1)); for
+    None, the a-priori bound of `series_constant(kind)`.
 
     Functions with every |f(p^a)| <= 1 use the exact telescoped tail;
     log-size functions (Lambda, the additive omega) use the integral bound;
     the others use |f(n)| <= B n^eps with eps=0.3 and B the exact product of
     local suprema of |f(p^a)|/p^(eps a) over prime powers.
     """
+    if cutoff is None:
+        return series_constant(kind)[1]
     c = cutoff
     if kind.tag == "lambda":
         return (math.log(c) + 1.0) / c
@@ -450,13 +456,21 @@ def psi_correction_sum(kind: FunctionKind, x: int, N: int) -> float:
 # ---------------------------------------------------------------------------
 # empirical error scans
 
-def error_scan(kind: FunctionKind, x_grid, cutoff: int = 10**8) -> FitReport:
+def _main_term(kind: FunctionKind, cutoff: int | None) -> tuple[float, float]:
+    """(C_f, its error bound): `series_constant(kind)`, or with a `cutoff`
+    the partial sum `main_term_constant(kind, cutoff)`."""
+    return series_constant(kind) if cutoff is None else main_term_constant(kind, cutoff)
+
+
+def error_scan(kind: FunctionKind, x_grid, cutoff: int | None = None) -> FitReport:
     """Residuals E(x) = S_f(x) - x C_f over a grid, with a log-log OLS slope.
 
     |E| is floored at 1e-9 before the log so exact cancellations do not
-    produce -inf.  C_f is summed to `cutoff` and reported with the fit.
-    Every grid point is checked against the split evaluator's budget before
-    the constant is summed.
+    produce -inf.  C_f is `series_constant(kind)`, or with a `cutoff` the
+    partial sum `main_term_constant(kind, cutoff)`; it is reported with the
+    fit, and its error bound as `constant_tail_bound`.  Every grid point is
+    checked against the split evaluator's budget before the constant is
+    computed.
     """
     grid = [int(v) for v in x_grid]
     if len(grid) < 2:
@@ -465,14 +479,14 @@ def error_scan(kind: FunctionKind, x_grid, cutoff: int = 10**8) -> FitReport:
         raise ValueError("grid must be strictly increasing")
     for x in grid:
         _check_x(x, "fast")
-    constant, _ = main_term_constant(kind, cutoff)
+    constant, tail = _main_term(kind, cutoff)
     sums = [floor_sum_fast(kind, x) for x in grid]
     residuals = [abs(float(s) - x * constant) for x, s in zip(grid, sums)]
     logs = np.log([max(r, RESIDUAL_FLOOR) for r in residuals])
     slope, intercept = np.polyfit(np.log(grid), logs, 1)
     return FitReport(grid=tuple(grid), sums=tuple(sums), residuals=tuple(residuals),
                      slope=float(slope), intercept=float(intercept),
-                     constant=constant)
+                     constant=constant, constant_tail_bound=tail)
 
 
 def summarize(kind: FunctionKind, x: int, method: str = "fast",
@@ -486,7 +500,7 @@ def summarize(kind: FunctionKind, x: int, method: str = "fast",
     if method not in ("fast", "naive"):
         raise ValueError(f"unknown method {method!r}")
     _check_x(x, method)
-    c, tail = series_constant(kind) if cutoff is None else main_term_constant(kind, cutoff)
+    c, tail = _main_term(kind, cutoff)
     s = floor_sum_fast(kind, x) if method == "fast" else floor_sum_naive(kind, x)
     return FloorSumReport(kind=kind, x=x, sum=s, constant=c,
                           constant_tail_bound=tail,

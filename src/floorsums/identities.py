@@ -7,8 +7,7 @@ admissible parameters and any phase.  Every side is one double sum
 sum_n a(n) sum_{lo(n) < m <= hi(n)} b(m) w(mn) over a weight list w computed
 once per call: w(k) = e(F(k)) for a phase F, or h(k).  w is computed only
 on the window the sums read: k in (R, R1] for the three dyadic verifiers,
-whose every term has R < mn <= R1; k in [1, R1] for `hyperbola_exp_split`,
-whose S3 and S4 also read mn <= R; k in [1, x] for `hyperbola_sides`.
+whose every term has R < mn <= R1, and k in [1, x] for `hyperbola_sides`.
 Range conditions with real endpoints (R/n < m <= R1/n and friends) are
 evaluated by exact integer comparisons, never by floating-point division.
 
@@ -251,19 +250,6 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
            + _double_sum(gv, range(1, R // U + 1), fv, w, lo, hi)
            - _double_sum(fv, range(U + 1, hi_f + 1), gv, w, lo, lambda n: R // U))
     return lhs, rhs, abs(lhs - rhs)
-
-
-def hyperbola_exp_split(f: SieveTable, g: SieveTable, phase: PhaseFunction,
-                        R: int, R1: int, U: int) -> complex:
-    """The intermediate four-sum S1 + S2 + S3 - S4 of the same identity;
-    equals the lhs independently of the three-term form."""
-    fv, gv = _exp_setup(f, g, R, R1, U)
-    w = _units(phase, 0, R1)
-    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
-    return (_double_sum(fv, range(1, U + 1), gv, w, lo, hi)
-            + _double_sum(gv, range(1, R // U + 1), fv, w, lo, hi)
-            + _double_sum(gv, range(R // U + 1, R1 // U + 1), fv, w, lambda n: 0, hi)
-            - _double_sum(fv, range(1, U + 1), gv, w, lambda n: R // U, lambda n: R1 // U))
 
 
 # ---------------------------------------------------------------------------

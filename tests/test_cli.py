@@ -277,7 +277,11 @@ def test_x_budget_is_a_json_error_before_any_constant(capsys, monkeypatch, argv,
     def no_segment(*args):
         raise AssertionError("a segment was sieved")
 
+    def no_series(*args):
+        raise AssertionError("the series constant was computed")
+
     monkeypatch.setattr(floorsum, "iter_segment_values", no_segment)
+    monkeypatch.setattr(floorsum, "series_constant", no_series)
     assert cli.main(argv.split()) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "BudgetError", "message": message}
 
@@ -293,6 +297,17 @@ def test_sum_and_constant_default_to_the_series_constant(capsys, monkeypatch):
     assert (d["constant"], d["constant_tail_bound"]) == (value, bound)
     d = run_json(capsys, "constant", "--function", "tau3")
     assert d == {"cutoff": None, "function": "tau3", "tail_bound": bound, "value": value}
+
+
+def test_scan_defaults_to_the_series_constant(capsys, monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("the constant was sieved")
+
+    monkeypatch.setattr(floorsum, "main_term_constant", no_sieve)
+    value, bound = floorsum.series_constant(arith.tau(3))
+    d = run_json(capsys, "scan", "--function", "tau3", "--grid", "1000:100000:3")
+    assert d["cutoff"] is None
+    assert (d["constant"], d["constant_tail_bound"]) == (value, bound)
 
 
 def test_readme_has_examples():

@@ -257,11 +257,16 @@ def test_error_scan_checks_every_grid_point_before_the_constant(monkeypatch):
     def no_segment(*args):
         raise AssertionError("a segment was sieved")
 
+    def no_series(*args):
+        raise AssertionError("the series constant was computed")
+
     monkeypatch.setattr(FS, "iter_segment_values", no_segment)
-    with pytest.raises(BudgetError, match="fast evaluation limited to x <= 1000000000000$"):
-        FS.error_scan(A.tau(3), [1000, 10**12, 10**12 + 1])
-    with pytest.raises(ValueError, match="x >= 1"):
-        FS.error_scan(A.tau(3), [0, 1000])
+    monkeypatch.setattr(FS, "series_constant", no_series)
+    for cutoff in (None, 10**7):
+        with pytest.raises(BudgetError, match="fast evaluation limited to x <= 1000000000000$"):
+            FS.error_scan(A.tau(3), [1000, 10**12, 10**12 + 1], cutoff=cutoff)
+        with pytest.raises(ValueError, match="x >= 1"):
+            FS.error_scan(A.tau(3), [0, 1000], cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +330,24 @@ def test_series_literals():
     for j, c in enumerate(FS._EM_COEFFS, start=1):
         assert c == float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
     assert FS._MOBIUS_32 == tuple(A.eval_point(A.MOBIUS, j) for j in range(1, 33))
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS, ids=str)
+def test_tail_bound_without_a_cutoff_is_the_series_bound(kind):
+    assert FS._tail_bound(kind, None) == FS.series_constant(kind)[1]
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS, ids=str)
+def test_error_scan_defaults_to_the_series_constant(monkeypatch, kind):
+    def no_sieve(*args):
+        raise AssertionError("the constant was sieved")
+
+    monkeypatch.setattr(FS, "main_term_constant", no_sieve)
+    value, bound = FS.series_constant(kind)
+    fit = FS.error_scan(kind, [1000, 2000])
+    assert (fit.constant.hex(), fit.constant_tail_bound) == (value.hex(), bound)
+    assert fit.residuals == tuple(abs(float(FS.floor_sum_fast(kind, x)) - x * value)
+                                  for x in (1000, 2000))
 
 
 def test_series_constant_needs_a_supported_tau_order():
@@ -403,7 +426,8 @@ def test_error_scan_shape_and_slope():
     assert len(fit.grid) == len(fit.residuals) == 4
     assert all(r >= 0 for r in fit.residuals)
     assert math.isfinite(fit.slope) and math.isfinite(fit.intercept)
-    assert fit.constant == FS.main_term_constant(A.MOBIUS_SQUARED, 10**6)[0]
+    assert ((fit.constant, fit.constant_tail_bound)
+            == FS.main_term_constant(A.MOBIUS_SQUARED, 10**6))
 
 
 def test_summarize_report_fields():

@@ -3,9 +3,10 @@
 `golden_cli.json` maps an argument line to the exact stdout it produced when
 the file was recorded.  It covers every function's main-term constant and its
 error bound, from the Dirichlet series and sieved to a cutoff (through
-`constant` and `sum`, with and without `--cutoff`), the exact sums, the psi report, the
-four `verify` suites, one admissible `expsum check` line per bound case, and
-`pairs derive`, `pairs exponent` and `pairs search`.
+`constant`, `sum` and `scan`, with and without `--cutoff`), the exact sums,
+the residual scans, the psi report, the four `verify` suites, one admissible
+`expsum check` line per bound case, and `pairs derive`, `pairs exponent` and
+`pairs search`.
 """
 
 import json

@@ -239,6 +239,20 @@ def test_run_verification_builds_one_table_per_kind(calls):
     assert kinds and len(kinds) == len(set(kinds))
 
 
+def _hyperbola_exp_split(f, g, phase, R, R1, U):
+    """The intermediate four-sum S1 + S2 + S3 - S4 of the dyadic exponential
+    hyperbola identity: a second form that equals its lhs independently of
+    the three-term form `hyperbola_exp_sides` evaluates.  S3 and S4 also
+    read mn <= R, so the phase is evaluated on [1, R1]."""
+    fv, gv = I._exp_setup(f, g, R, R1, U)
+    w = I._units(phase, 0, R1)
+    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
+    return (I._double_sum(fv, range(1, U + 1), gv, w, lo, hi)
+            + I._double_sum(gv, range(1, R // U + 1), fv, w, lo, hi)
+            + I._double_sum(gv, range(R // U + 1, R1 // U + 1), fv, w, lambda n: 0, hi)
+            - I._double_sum(fv, range(1, U + 1), gv, w, lambda n: R // U, lambda n: R1 // U))
+
+
 @pytest.fixture
 def units(monkeypatch):
     """Count the e(F(t)) evaluations PhaseFunction.unit makes."""
@@ -264,7 +278,7 @@ def test_dyadic_verifiers_evaluate_the_phase_on_their_window(units, R, R1, U):
         call()
         assert sorted(units) == list(range(R + 1, R1 + 1))
     units.clear()
-    I.hyperbola_exp_split(f, f, ph, R, R1, U)   # S3 and S4 read mn <= R
+    _hyperbola_exp_split(f, f, ph, R, R1, U)   # S3 and S4 read mn <= R
     assert sorted(units) == list(range(1, R1 + 1))
 
 
@@ -392,7 +406,7 @@ def test_hyperbola_exp_squarefree_route_and_split():
     R, R1, U = 64, 128, 16
     l, r, res = I.hyperbola_exp_sides(chi, one, ph, R, R1, U)
     assert res <= 1e-9 * (1 + abs(l))
-    split = I.hyperbola_exp_split(chi, one, ph, R, R1, U)
+    split = _hyperbola_exp_split(chi, one, ph, R, R1, U)
     assert abs(split - l) <= 1e-9 * (1 + abs(l))
 
 
@@ -500,7 +514,7 @@ def test_verifiers_match_their_loops_bit_for_bit():
         g = A.build_sieve(rng.choice(kinds), 1, R1)
         U = rng.randint(1, R)
         lhs, rhs, _ = I.hyperbola_exp_sides(f, g, ph, R, R1, U)
-        split = I.hyperbola_exp_split(f, g, ph, R, R1, U)
+        split = _hyperbola_exp_split(f, g, ph, R, R1, U)
         assert (list(map(_bits, (lhs, rhs, split)))
                 == list(map(_bits, _loops_hyperbola_exp(f, g, ph.unit, R, R1, U))))
 
@@ -541,6 +555,6 @@ def test_exp_split_agrees_on_random_instances():
         g = A.build_sieve(rng.choice(kinds), 1, 2 * R1 + 1)
         ph = I.random_phase(rng)
         l, r, res = I.hyperbola_exp_sides(f, g, ph, R, R1, U)
-        split = I.hyperbola_exp_split(f, g, ph, R, R1, U)
+        split = _hyperbola_exp_split(f, g, ph, R, R1, U)
         assert res <= 1e-9 * (1 + abs(l))
         assert abs(split - l) <= 1e-9 * (1 + abs(l))
