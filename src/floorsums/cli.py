@@ -75,8 +75,9 @@ def _parse_grid(spec: str) -> list[int]:
     return sorted(set(int(round(v)) for v in xs))
 
 
-# built once: each build leaves cyclic garbage whose heap blocks fragment the
-# space psi's big buffers reuse (verify-mix peak RSS 68 -> 72-81 MiB)
+# built once per process, for callers that run many commands in-process: a
+# build takes about 2 ms and leaves cyclic garbage (verify-mix, seeds 1-3:
+# peak RSS 62.5-64.5 MiB with the cache, 0.4-0.6 MiB more without)
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(

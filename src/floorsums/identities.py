@@ -259,7 +259,7 @@ VERIFY_SUBJECTS = ("vaughan-lambda", "vaughan-mu", "hyperbola", "hyperbola-exp")
 
 _PHASE_PARAM_MAX = 10**6
 _MAX_R, _MAX_X = 500, 400     # verify draws R <= _MAX_R, x <= _MAX_X <= 2 _MAX_R
-_MAX_TRIALS = 10**4           # about 1.5 ms and one report dict per trial
+_MAX_TRIALS = 10**4           # about 1 ms and one report dict per trial
 
 
 def random_phase(rng) -> PhaseFunction:

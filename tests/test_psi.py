@@ -132,3 +132,30 @@ def test_grid_budget_rejected_before_allocating(monkeypatch, H, grid, message):
 def test_grid_budget_admits_its_edges():
     assert PS.verify_pointwise_bound(1, 10**6) <= 1e-9
     assert PS.verify_pointwise_bound(10**4, 10**3) <= 1e-9
+    assert PS.verify_pointwise_bound(10**6, 10**4) <= 1e-9
+    assert PS.verify_pointwise_bound(10**4, 10**6) <= 1e-9
+
+
+def exact_phase_grid(poly, G):
+    """psi_H(k/G), k = 0..G-1, as -fsum(w_h sin(2 pi ((hk) mod G)/G))."""
+    h = np.arange(1, poly.H + 1)
+    w = poly.damping / (math.pi * h)
+    return np.array([-math.fsum((w * np.sin(2 * math.pi * ((h * k) % G) / G)).tolist())
+                     for k in range(G)])
+
+
+# (5000, 1000) has H >= G, so harmonics fold onto the same residue
+@pytest.mark.parametrize("H, G", [(10, 2000), (1000, 2000), (5000, 1000)])
+def test_grid_values_match_exact_phase_reference(H, G):
+    poly = PS.vaaler_polynomial(H)
+    values = PS._grid_values(poly, G)
+    assert np.max(np.abs(values - exact_phase_grid(poly, G))) <= 2e-15
+    # the evaluator at arbitrary x rounds h*x, so it agrees less closely
+    assert np.max(np.abs(values - poly(np.arange(G) / G))) <= 1e-12
+
+
+def test_pointwise_bound_never_evaluates_the_polynomial(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("TrigPolynomial.__call__ evaluated")
+    monkeypatch.setattr(PS.TrigPolynomial, "__call__", refuse)
+    assert PS.verify_pointwise_bound(100, 10**4) <= 1e-9
