@@ -30,12 +30,15 @@ import numpy as np
 
 from .arith import (LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, TWO_POW_OMEGA,
                     FunctionKind, build_sieve, tau)
-from .errors import WindowError
+from .errors import BudgetError, WindowError
 from .identities import PhaseFunction
 from .pairs import ExponentPair
 
 COEFF_TOLERANCE = 1e-12
 EPSILON = 0.05                  # fixed: the claimed bounds carry a factor z^EPSILON
+# bits of R^den and z^num together in an exact window test; on a 2-vCPU host
+# 1.2e6 bits take 0.04 s and 1.2e7 bits 1.2 s (a --pair with a large denominator)
+_MAX_POWER_BITS = 2**22
 
 
 def exp_sum(kind: FunctionKind, R: int, R1: int, phase: PhaseFunction) -> complex:
@@ -129,6 +132,10 @@ class BoundCheckReport:
 def _window_int(R: int, z, num: int, den: int) -> bool:
     # R <= z^(num/den), exactly when z is an integer
     if isinstance(z, int):
+        bits = den * R.bit_length() + num * z.bit_length()
+        if bits > _MAX_POWER_BITS:
+            raise BudgetError(f"exact window test R^{den} <= z^{num} needs {bits} bits, "
+                              f"above {_MAX_POWER_BITS}")
         return R**den <= z**num
     return R <= z ** (num / den)
 

@@ -3,19 +3,23 @@ hyperbola principle, with and without exponential weights.
 
 Each verifier evaluates both sides of an identity independently and returns
 (lhs, rhs, |lhs - rhs|); the sides agree to rounding (relative 1e-9) for any
-admissible parameters and any phase.  Every side is one double sum
-sum_n a(n) sum_{lo(n) < m <= hi(n)} b(m) w(mn) over a weight list w computed
-once per call: w(k) = e(F(k)) for a phase F, or h(k).  w is computed only
-on the window the sums read: k in (R, R1] for the three dyadic verifiers,
-whose every term has R < mn <= R1, and k in [1, x] for `hyperbola_sides`.
-Range conditions with real endpoints (R/n < m <= R1/n and friends) are
-evaluated by exact integer comparisons, never by floating-point division.
+admissible parameters and any phase.  On its window every side is a sum of
+terms sum_k c(k) w(k), one dot product each.  w(k) = e(F(k)) for a phase F,
+or h(k), computed once per call on the window the sums read: k in (R, R1]
+for the three dyadic verifiers and k in [1, x] for `hyperbola_sides`.  Each
+coefficient vector c is a Dirichlet product of tables cut to the term's
+ranges, built by the one product kernel `dirichlet_convolve`: a double sum
+sum_n a(n) sum_{R/n < m <= R1/n} b(m) w(mn) is (a * b)(k) read on (R, R1],
+so real range endpoints never meet a floating-point division.  On integer
+tables the identity is an equality of integer coefficient vectors, and the
+phase only adds the rounding of the dot products.
 
 Note on the Vaughan forms: the third sum of the Lambda identity and of the
-mu identity both restrict the inner variable to m > max(U, R/n).  For U >= 2
-the extra guard is vacuous (b_m = [m=1] below the cutoff) but it is what
-makes the identity exact all the way down to U = 1.  The mu identity carries
-no logarithmic weight on its a_n sums.
+mu identity both restrict the inner variable to m > max(U, R/n).  On the
+window m > R/n holds by itself, so the term is the product of two tables cut
+to n > U and m > U.  For U >= 2 the cut of b is vacuous (b_m = [m=1] below
+the cutoff) but it is what makes the identity exact all the way down to
+U = 1.  The mu identity carries no logarithmic weight on its a_n sums.
 """
 
 from __future__ import annotations
@@ -111,50 +115,36 @@ class PhaseFunction:
 
 
 # ---------------------------------------------------------------------------
-# Vaughan coefficients: products of sieved tables
+# coefficient vectors: Dirichlet products of range-restricted tables
 
 def _product(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
     """(f * g) on [1, limit], indexed by n (entry 0 unused), for tables f, g
     of at most `limit` entries that start at 1 and are zero past their ends."""
-    f, g = (SieveTable(None, 1, limit, np.pad(v, (0, limit - len(v)))) for v in (f, g))
-    return np.insert(dirichlet_convolve(f, g, limit).values, 0, 0)
+    tables = []
+    for v in (f, g):
+        padded = np.zeros(limit, dtype=v.dtype)
+        padded[:len(v)] = v
+        tables.append(SieveTable(None, 1, limit, padded))
+    out = np.zeros(limit + 1, dtype=np.result_type(f, g))
+    out[1:] = dirichlet_convolve(*tables, limit).values
+    return out
+
+
+def _part(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """A table starting at 1 cut to lo < n <= hi: zero for n <= lo."""
+    out = values[:hi].copy()
+    out[:lo] = 0
+    return out
+
+
+def _side(w: np.ndarray, *terms: np.ndarray):
+    """One side of an identity, sum_j c_j . w, for the coefficient vectors c_j
+    of its terms read on w's window; a Python int, float or complex."""
+    return sum(np.dot(c, w) for c in terms).item()
 
 
 # ---------------------------------------------------------------------------
 # identity verifiers
-
-def _indexed(values: np.ndarray, hi: int) -> list:
-    """values[0..hi-1] of a table starting at 1, as a list indexed by n."""
-    return [0] + values[:hi].tolist()
-
-
-def _units(phase: PhaseFunction, lo: int, hi: int) -> list:
-    """e(F(k)) for lo < k <= hi, as a list indexed by k; None below the
-    window, so a read outside it fails."""
-    return [None] * (lo + 1) + list(map(phase.unit, range(lo + 1, hi + 1)))
-
-
-def _dot(b, w: list, lo: int, hi: int, step: int = 1, skip_zeros: bool = False):
-    """sum_{lo < m <= hi} b[m] w[m step], leaving out the zero b[m] if
-    `skip_zeros`; b None stands for b = 1."""
-    ws = w[(lo + 1) * step:hi * step + 1:step]
-    if b is None:
-        return sum(ws)
-    return sum(x * y for x, y in zip(b[lo + 1:hi + 1], ws, strict=True)
-               if x or not skip_zeros)
-
-
-def _double_sum(a: list, ns: range, b, w: list, lo, hi, skip_zeros: bool = False):
-    """sum_{n in ns} a[n] sum_{lo(n) < m <= hi(n)} b[m] w[mn], in ascending n
-    and m, leaving out the zero a[n] and b[m] if `skip_zeros`.
-
-    Which terms are left out decides whether an all-zero side is an int, a
-    float or a complex, so each verifier keeps the convention it is written
-    with: the Vaughan forms skip zeros, the hyperbola forms do not.
-    """
-    return sum(a[n] * _dot(b, w, lo(n), hi(n), n, skip_zeros)
-               for n in ns if a[n] or not skip_zeros)
-
 
 def _check_dyadic(R: int, R1: int, U: int) -> None:
     if not (1 < R < R1 <= 2 * R):
@@ -165,72 +155,59 @@ def _check_dyadic(R: int, R1: int, U: int) -> None:
 
 def vaughan_lambda_sides(R: int, R1: int, U: int,
                          phase: PhaseFunction) -> tuple[complex, complex, float]:
-    """Both sides of the Vaughan decomposition of sum Lambda(n) e(F(n))."""
+    """Both sides of the Vaughan decomposition of sum Lambda(n) e(F(n)):
+    Lambda = (mu 1_U * log) - (a * 1) - (Lambda 1_{>U} * b 1_{>U}) on (R, R1],
+    with a = mu 1_U * Lambda 1_U and b = mu 1_U * 1."""
     _check_dyadic(R, R1, U)
-    lam_t, mu_t = build_sieve(LAMBDA, 1, R1).values, build_sieve(MOBIUS, 1, U).values
-    a = _product(mu_t, lam_t[:U], U * U).tolist()
-    b = _product(mu_t, build_sieve(ONE, 1, R1).values, R1).tolist()
-    lam, mu = _indexed(lam_t, R1), _indexed(mu_t, U)
-    w = _units(phase, R, R1)
-    logs = [0.0] + [math.log(m) for m in range(1, R1 + 1)]
-    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
-
-    lhs = _dot(lam, w, R, R1, skip_zeros=True)
-    rhs = (_double_sum(mu, range(1, U + 1), logs, w, lo, hi, True)
-           - _double_sum(a, range(1, U * U + 1), None, w, lo, hi, True)
-           - _double_sum(lam, range(U + 1, R1 // U + 1), b, w,
-                         lambda n: max(U, R // n), hi, True))
+    lam, mu = build_sieve(LAMBDA, 1, R1).values, build_sieve(MOBIUS, 1, U).values
+    one = build_sieve(ONE, 1, R1).values
+    a = _product(mu, lam[:U], U * U)
+    b = _product(mu, one, R1)
+    logs = np.log(np.arange(1, R1 + 1))
+    w = phase.unit_array(np.arange(R + 1, R1 + 1))
+    lhs = _side(w, lam[R:])
+    rhs = _side(w, _product(mu, logs, R1)[R + 1:], -_product(a[1:], one, R1)[R + 1:],
+                -_product(_part(lam, U, R1), _part(b[1:], U, R1), R1)[R + 1:])
     return lhs, rhs, abs(lhs - rhs)
 
 
 def vaughan_mobius_sides(R: int, R1: int, U: int,
                          phase: PhaseFunction) -> tuple[complex, complex, float]:
-    """Both sides of the Vaughan decomposition of sum mu(n) e(F(n))."""
+    """Both sides of the Vaughan decomposition of sum mu(n) e(F(n)):
+    mu = -(a * 1) + (b+ * mu 1_{>U}) on (R, R1], with a = mu 1_U * mu 1_U and
+    b+ = mu 1_{>U} * 1 = [n = 1] - mu 1_U * 1, which vanishes on n <= U."""
     _check_dyadic(R, R1, U)
-    mu_t = build_sieve(MOBIUS, 1, R1).values
-    a = _product(mu_t[:U], mu_t[:U], U * U).tolist()
-    b_plus = -_product(mu_t[:U], build_sieve(ONE, 1, R1).values, R1)
-    b_plus[1] += 1
-    mu = _indexed(mu_t, R1)
-    w = _units(phase, R, R1)
-    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
-
-    lhs = _dot(mu, w, R, R1, skip_zeros=True)
-    rhs = (-_double_sum(a, range(1, U * U + 1), None, w, lo, hi, True)
-           + _double_sum(b_plus.tolist(), range(U + 1, R1 // U + 1), mu, w,
-                         lambda n: max(U, R // n), hi, True))
+    mu = build_sieve(MOBIUS, 1, R1).values
+    one = build_sieve(ONE, 1, R1).values
+    mu_hi = _part(mu, U, R1)
+    a = _product(mu[:U], mu[:U], U * U)
+    b_plus = _product(mu_hi, one, R1)
+    w = phase.unit_array(np.arange(R + 1, R1 + 1))
+    lhs = _side(w, mu[R:])
+    rhs = _side(w, -_product(a[1:], one, R1)[R + 1:],
+                _product(b_plus[1:], mu_hi, R1)[R + 1:])
     return lhs, rhs, abs(lhs - rhs)
 
 
 def hyperbola_sides(f: SieveTable, g: SieveTable, h_values, x: int,
                     U: int) -> tuple[complex, complex, float]:
-    """Both sides of the hyperbola split of sum_{n<=x} (f*g)(n) h(n).
+    """Both sides of the hyperbola split of sum_{n<=x} (f*g)(n) h(n):
+    f * g = (f 1_U * g) + (g 1_{x/U} * f) - (f 1_U * g 1_{x/U}) on [1, x].
 
-    `h_values` is a callable on [1, x] (None means h = 1, keeping integer
-    inputs exact end to end).
+    `h_values` is a callable on [1, x] (None means h = 1: on integer tables
+    both sides are then exact int64 sums).
     """
     if not 1 <= U <= x:
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
     if not (f.covers(1, x) and g.covers(1, x)):
         raise CoverageError(f"tables must cover [1, {x}]")
-    w = [None] + ([1] * x if h_values is None else list(map(h_values, range(1, x + 1))))
-    fv, gv = _indexed(f.values, x), _indexed(g.values, x)
-    lhs = _dot(_indexed(dirichlet_convolve(f, g, x).values, x), w, 0, x)
-
-    lo, hi = (lambda n: 0), (lambda n: x // n)
-    rhs = (_double_sum(fv, range(1, U + 1), gv, w, lo, hi)
-           + _double_sum(gv, range(1, x // U + 1), fv, w, lo, hi)
-           - _double_sum(fv, range(1, U + 1), gv, w, lo, lambda n: x // U))
+    w = (np.ones(x, dtype=np.int64) if h_values is None
+         else np.array(list(map(h_values, range(1, x + 1)))))
+    fv, gv = f.values[:x], g.values[:x]
+    lhs = _side(w, dirichlet_convolve(f, g, x).values)
+    rhs = _side(w, _product(fv[:U], gv, x)[1:], _product(gv[:x // U], fv, x)[1:],
+                -_product(fv[:U], gv[:x // U], x)[1:])
     return lhs, rhs, abs(lhs - rhs)
-
-
-def _exp_setup(f: SieveTable, g: SieveTable, R: int, R1: int, U: int):
-    """Window and coverage checks of the dyadic form; (f, g) as lists."""
-    if not (R < R1 and 1 <= U <= R):
-        raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
-    if not (f.covers(1, R1) and g.covers(1, R1)):
-        raise CoverageError("tables too short for the requested ranges")
-    return _indexed(f.values, R1), _indexed(g.values, R1)
 
 
 def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
@@ -238,17 +215,19 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     """Both sides of the dyadic exponential form of the hyperbola split.
 
     Identity over pairs mn in (R, R1]: the f-smooth range n <= U R1/R, the
-    g-smooth range n <= R/U, minus the overlap correction.
+    g-smooth range n <= R/U, minus the overlap correction; as coefficients,
+    f * g = (f 1_{UR1/R} * g) + (g 1_{R/U} * f) - (f 1_{(U, UR1/R]} * g 1_{R/U}).
     """
-    fv, gv = _exp_setup(f, g, R, R1, U)
-    w = _units(phase, R, R1)
-    hi_f = (U * R1) // R
-    lhs = _dot(_indexed(dirichlet_convolve(f, g, R1).values, R1), w, R, R1)
-
-    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
-    rhs = (_double_sum(fv, range(1, hi_f + 1), gv, w, lo, hi)
-           + _double_sum(gv, range(1, R // U + 1), fv, w, lo, hi)
-           - _double_sum(fv, range(U + 1, hi_f + 1), gv, w, lo, lambda n: R // U))
+    if not (R < R1 and 1 <= U <= R):
+        raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
+    if not (f.covers(1, R1) and g.covers(1, R1)):
+        raise CoverageError("tables too short for the requested ranges")
+    fv, gv = f.values[:R1], g.values[:R1]
+    hi_f, hi_g = (U * R1) // R, R // U
+    w = phase.unit_array(np.arange(R + 1, R1 + 1))
+    lhs = _side(w, dirichlet_convolve(f, g, R1).values[R:])
+    rhs = _side(w, _product(fv[:hi_f], gv, R1)[R + 1:], _product(gv[:hi_g], fv, R1)[R + 1:],
+                -_product(_part(fv, U, hi_f), gv[:hi_g], R1)[R + 1:])
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -259,7 +238,7 @@ VERIFY_SUBJECTS = ("vaughan-lambda", "vaughan-mu", "hyperbola", "hyperbola-exp")
 
 _PHASE_PARAM_MAX = 10**6
 _MAX_R, _MAX_X = 500, 400     # verify draws R <= _MAX_R, x <= _MAX_X <= 2 _MAX_R
-_MAX_TRIALS = 10**4           # about 1 ms and one report dict per trial
+_MAX_TRIALS = 10**4           # 0.7-0.9 ms and one report dict per trial
 
 
 def random_phase(rng) -> PhaseFunction:

@@ -46,6 +46,13 @@ def test_pairs_derive(capsys):
     assert d["eps_carrier"] is True
 
 
+def test_pairs_derive_single_hb_seed(capsys):
+    one = run_json(capsys, "pairs", "derive", "--word", "BA", "--seed", "hb:5")
+    span = run_json(capsys, "pairs", "derive", "--word", "BA", "--seed", "hb:5..5")
+    assert (one["k"], one["l"], one["eps_carrier"]) == ("127/285", "29/57", True)
+    assert one == {**span, "seed": "hb:5"}
+
+
 def test_pairs_search(capsys):
     d = run_json(capsys, "pairs", "search", "--target", "tau:3", "--depth", "4",
                  "--seeds", "classic,bourgain")
@@ -121,6 +128,18 @@ def test_sieve_writes_csv(capsys, tmp_path):
     lines = dest.read_text().strip().splitlines()
     assert lines[0] == "n,value"
     assert lines[4] == "4,0"
+
+
+def test_sieve_writes_lambda_csv_at_precision(capsys, tmp_path):
+    dest = tmp_path / "lam.csv"
+    d = run_json(capsys, "sieve", "--function", "lambda", "--lo", "1", "--hi", "30",
+                 "--out", str(dest), "--precision", "6")
+    assert d == {"entries": 30, "function": "lambda", "hi": 30, "lo": 1, "out": str(dest)}
+    log = {2: "0.693147", 3: "1.09861", 5: "1.60944", 7: "1.94591", 11: "2.3979",
+           13: "2.56495", 17: "2.83321", 19: "2.94444", 23: "3.13549", 29: "3.3673"}
+    prime = {4: 2, 8: 2, 16: 2, 9: 3, 27: 3, 25: 5}
+    want = ["n,value"] + [f"{n},{log.get(prime.get(n, n), '0')}" for n in range(1, 31)]
+    assert dest.read_text() == "\n".join(want) + "\n"
 
 
 def test_scan_report_and_csv(capsys, tmp_path, monkeypatch):

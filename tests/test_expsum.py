@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +11,7 @@ import pytest
 
 from floorsums import arith as A
 from floorsums import expsum as E
-from floorsums.errors import WindowError
+from floorsums.errors import BudgetError, WindowError
 from floorsums.identities import PhaseFunction
 from floorsums.pairs import BoundProfile, pair
 
@@ -224,6 +225,23 @@ def test_bound_window_violations_raise():
     with pytest.raises(WindowError):
         E.check_bound("lambda-reciprocal", 10**6, 1000,
                       pair=pair(Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_float_z_window_matches_integer_z():
+    # mobius-power needs R <= z^(2/5); 10^(12/5) = 251.19
+    for z in (10**6, 1e6):
+        assert E.check_bound("mobius-power", z, 251).parameters["R"] == 251
+        with pytest.raises(WindowError):
+            E.check_bound("mobius-power", z, 252)
+
+
+def test_exact_window_test_is_work_capped():
+    # k = 1/1000003 makes R^den <= z^num a comparison of 1.2e8-bit integers
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="bits"):
+        E.check_bound("unitary-reciprocal", 10**6, 100,
+                      pair=pair(Fraction(1, 1000003), Fraction(1, 2)))
+    assert time.perf_counter() - start < 1
 
 
 def test_unknown_case_rejected():

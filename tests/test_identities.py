@@ -222,15 +222,18 @@ def calls(monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("fn, kinds", [
-    (I.vaughan_lambda_sides, [(A.LAMBDA, 97), (A.MOBIUS, 7), (A.ONE, 97)]),
-    (I.vaughan_mobius_sides, [(A.MOBIUS, 97), (A.ONE, 97)])], ids=["lambda", "mu"])
-def test_vaughan_verifiers_sieve_once_and_build_two_products(calls, fn, kinds):
-    # each function is sieved once; only the two coefficients read are built
+@pytest.mark.parametrize("fn, kinds, limits", [
+    (I.vaughan_lambda_sides, [(A.LAMBDA, 97), (A.MOBIUS, 7), (A.ONE, 97)], [49, 97, 97, 97, 97]),
+    (I.vaughan_mobius_sides, [(A.MOBIUS, 97), (A.ONE, 97)], [49, 97, 97, 97])],
+    ids=["lambda", "mu"])
+def test_vaughan_verifiers_sieve_once_and_pin_their_products(calls, fn, kinds, limits):
+    # each function is sieved once; a = mu 1_U * (Lambda or mu) 1_U is built
+    # on [1, U^2], every other product on [1, R1]: lambda builds b and its
+    # three terms, mu builds b+ and its two terms
     fn(50, 97, 7, I.PhaseFunction.reciprocal(1234.5))
     assert sorted(calls["sieve"], key=str) == sorted(
         [(k, 1, hi) for k, hi in kinds], key=str)
-    assert sorted(calls["convolve"]) == [49, 97]
+    assert calls["convolve"] == limits
 
 
 def test_run_verification_builds_one_table_per_kind(calls):
@@ -239,23 +242,23 @@ def test_run_verification_builds_one_table_per_kind(calls):
     assert kinds and len(kinds) == len(set(kinds))
 
 
-def _hyperbola_exp_split(f, g, phase, R, R1, U):
-    """The intermediate four-sum S1 + S2 + S3 - S4 of the dyadic exponential
-    hyperbola identity: a second form that equals its lhs independently of
-    the three-term form `hyperbola_exp_sides` evaluates.  S3 and S4 also
-    read mn <= R, so the phase is evaluated on [1, R1]."""
-    fv, gv = I._exp_setup(f, g, R, R1, U)
-    w = I._units(phase, 0, R1)
-    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
-    return (I._double_sum(fv, range(1, U + 1), gv, w, lo, hi)
-            + I._double_sum(gv, range(1, R // U + 1), fv, w, lo, hi)
-            + I._double_sum(gv, range(R // U + 1, R1 // U + 1), fv, w, lambda n: 0, hi)
-            - I._double_sum(fv, range(1, U + 1), gv, w, lambda n: R // U, lambda n: R1 // U))
+@pytest.fixture
+def windows(monkeypatch):
+    """Record the arguments of every PhaseFunction.unit_array call."""
+    seen = []
+    unit_array = I.PhaseFunction.unit_array
+
+    def recorded(self, t):
+        seen.append(np.asarray(t).tolist())
+        return unit_array(self, t)
+
+    monkeypatch.setattr(I.PhaseFunction, "unit_array", recorded)
+    return seen
 
 
 @pytest.fixture
 def units(monkeypatch):
-    """Count the e(F(t)) evaluations PhaseFunction.unit makes."""
+    """Record the arguments of every scalar PhaseFunction.unit call."""
     seen = []
     unit = I.PhaseFunction.unit
 
@@ -268,18 +271,18 @@ def units(monkeypatch):
 
 
 @pytest.mark.parametrize("R, R1, U", [(4, 5, 1), (50, 97, 7), (120, 240, 10)])
-def test_dyadic_verifiers_evaluate_the_phase_on_their_window(units, R, R1, U):
+def test_dyadic_verifiers_evaluate_the_phase_on_their_window(windows, units, R, R1, U):
     ph = I.PhaseFunction.reciprocal(98765.25)
     f = A.build_sieve(A.tau(2), 1, R1)
     for call in (lambda: I.vaughan_lambda_sides(R, R1, U, ph),
                  lambda: I.vaughan_mobius_sides(R, R1, U, ph),
                  lambda: I.hyperbola_exp_sides(f, f, ph, R, R1, U)):
-        units.clear()
+        windows.clear()
         call()
-        assert sorted(units) == list(range(R + 1, R1 + 1))
-    units.clear()
-    _hyperbola_exp_split(f, f, ph, R, R1, U)   # S3 and S4 read mn <= R
-    assert sorted(units) == list(range(1, R1 + 1))
+        assert windows == [list(range(R + 1, R1 + 1))]
+    assert units == []
+    _hyperbola_exp_split(f, f, ph, R, R1, U)   # S3 and S4 may read mn <= R
+    assert set(range(R + 1, R1 + 1)) <= set(units) <= set(range(1, R1 + 1))
 
 
 def test_trials_budget_rejected_before_any_trial(monkeypatch):
@@ -420,7 +423,7 @@ def test_mu2_equals_chi2_star_one_to_1e6():
 
 
 # ---------------------------------------------------------------------------
-# the verifiers against the hand-written loops they replace
+# the verifiers against hand-written loops, and their coefficient vectors
 
 def _loops_vaughan_lambda(R, R1, U, e):
     lam = A.build_sieve(A.LAMBDA, 1, R1).values
@@ -472,31 +475,38 @@ def _loops_hyperbola(f, g, h, x, U):
                  - _loops(fv, range(1, U + 1), gv, h, lambda n: 0, lambda n: x // U))
 
 
+def _hyperbola_exp_split(f, g, phase, R, R1, U):
+    """The intermediate four-sum S1 + S2 + S3 - S4 of the dyadic exponential
+    hyperbola identity: a second form that equals its lhs independently of
+    the three-term form `hyperbola_exp_sides` evaluates.  S3 and S4 may also
+    read mn <= R, so the phase is evaluated on [1, R1]."""
+    fv, gv, e = f.value, g.value, phase.unit
+    lo, hi = (lambda n: R // n), (lambda n: R1 // n)
+    return (_loops(fv, range(1, U + 1), gv, e, lo, hi)
+            + _loops(gv, range(1, R // U + 1), fv, e, lo, hi)
+            + _loops(gv, range(R // U + 1, R1 // U + 1), fv, e, lambda n: 0, hi)
+            - _loops(fv, range(1, U + 1), gv, e, lambda n: R // U, lambda n: R1 // U))
+
+
 def _loops_hyperbola_exp(f, g, e, R, R1, U):
     fv, gv, hi_f = f.value, g.value, (U * R1) // R
     lo, hi = (lambda n: R // n), (lambda n: R1 // n)
     conv = A.dirichlet_convolve(f, g, R1)
     lhs = sum(conv.value(n) * e(n) for n in range(R + 1, R1 + 1))
-    rhs = (_loops(fv, range(1, hi_f + 1), gv, e, lo, hi)
-           + _loops(gv, range(1, R // U + 1), fv, e, lo, hi)
-           - _loops(fv, range(U + 1, hi_f + 1), gv, e, lo, lambda n: R // U))
-    split = (_loops(fv, range(1, U + 1), gv, e, lo, hi)
-             + _loops(gv, range(1, R // U + 1), fv, e, lo, hi)
-             + _loops(gv, range(R // U + 1, R1 // U + 1), fv, e, lambda n: 0, hi)
-             - _loops(fv, range(1, U + 1), gv, e, lambda n: R // U, lambda n: R1 // U))
-    return lhs, rhs, split
+    return lhs, (_loops(fv, range(1, hi_f + 1), gv, e, lo, hi)
+                 + _loops(gv, range(1, R // U + 1), fv, e, lo, hi)
+                 - _loops(fv, range(U + 1, hi_f + 1), gv, e, lo, lambda n: R // U))
 
 
-def _bits(v):
-    """Type and exact value, the sign of a zero included."""
-    if isinstance(v, (complex, np.complexfloating)):
-        return "complex", repr(complex(v))
-    if isinstance(v, (float, np.floating)):
-        return "float", repr(float(v))
-    return type(v).__name__, v
+def _assert_close(got, want):
+    """got == want up to rounding: 1e-12 relative to 1 + |want|, per side."""
+    for g, w in zip(got, want, strict=True):
+        assert abs(g - w) <= 1e-12 * (1 + abs(w)), (g, w)
 
 
-def test_verifiers_match_their_loops_bit_for_bit():
+def test_verifiers_match_their_loops():
+    # the hand-written loops are the float reference of the coefficient-domain
+    # verifiers: they sum the same terms in another order
     rng = random.Random(2024)
     kinds = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.LAMBDA, A.tau(3), A.OMEGA,
              A.TWO_POW_OMEGA, A.CHI_TWO]
@@ -507,23 +517,81 @@ def test_verifiers_match_their_loops_bit_for_bit():
         U = rng.randint(1, math.isqrt(R))
         for fn, ref in ((I.vaughan_lambda_sides, _loops_vaughan_lambda),
                         (I.vaughan_mobius_sides, _loops_vaughan_mobius)):
-            lhs, rhs, _ = fn(R, R1, U, ph)
-            assert list(map(_bits, (lhs, rhs))) == list(map(_bits, ref(R, R1, U, ph.unit)))
+            _assert_close(fn(R, R1, U, ph)[:2], ref(R, R1, U, ph.unit))
 
         f = A.build_sieve(rng.choice(kinds), 1, R1 + rng.randint(0, 3))
         g = A.build_sieve(rng.choice(kinds), 1, R1)
         U = rng.randint(1, R)
-        lhs, rhs, _ = I.hyperbola_exp_sides(f, g, ph, R, R1, U)
-        split = _hyperbola_exp_split(f, g, ph, R, R1, U)
-        assert (list(map(_bits, (lhs, rhs, split)))
-                == list(map(_bits, _loops_hyperbola_exp(f, g, ph.unit, R, R1, U))))
+        _assert_close(I.hyperbola_exp_sides(f, g, ph, R, R1, U)[:2],
+                      _loops_hyperbola_exp(f, g, ph.unit, R, R1, U))
 
         x = rng.randint(1, R1)
         U = rng.randint(1, x)
         for h in (ph.unit, None):
-            lhs, rhs, _ = I.hyperbola_sides(f, g, h, x, U)
-            ref = _loops_hyperbola(f, g, h or (lambda n: 1), x, U)
-            assert list(map(_bits, (lhs, rhs))) == list(map(_bits, ref))
+            _assert_close(I.hyperbola_sides(f, g, h, x, U)[:2],
+                          _loops_hyperbola(f, g, h or (lambda n: 1), x, U))
+
+
+@pytest.fixture
+def sides(monkeypatch):
+    """Record the coefficient vectors of every side the verifiers evaluate."""
+    seen = []
+    side = I._side
+
+    def recorded(w, *terms):
+        seen.append([np.array(c) for c in terms])
+        return side(w, *terms)
+
+    monkeypatch.setattr(I, "_side", recorded)
+    return seen
+
+
+def _coefficient_gap(sides, call):
+    """Run one verifier; its lhs vector and the signed sum of its rhs vectors."""
+    sides.clear()
+    call()
+    (lhs,), rhs = sides
+    return lhs, sum(rhs)
+
+
+def test_identities_are_equalities_of_coefficient_vectors(sides):
+    # on integer tables each side's coefficients are exact integers, so the
+    # identity holds entry for entry; Lambda carries the rounding of log
+    rng = random.Random(16)
+    kinds = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.tau(2), A.tau(3), A.OMEGA,
+             A.TWO_POW_OMEGA, A.CHI_TWO]
+    worst = 0.0
+    for _ in range(200):
+        R = rng.randint(2, 3000)
+        R1 = rng.randint(R + 1, 2 * R)
+        U = rng.randint(1, math.isqrt(R))
+        ph = I.random_phase(rng)
+        lhs, rhs = _coefficient_gap(sides, lambda: I.vaughan_mobius_sides(R, R1, U, ph))
+        assert lhs.dtype == rhs.dtype == np.int64 and np.array_equal(lhs, rhs)
+        lhs, rhs = _coefficient_gap(sides, lambda: I.vaughan_lambda_sides(R, R1, U, ph))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+
+        f = A.build_sieve(rng.choice(kinds), 1, R1)
+        g = A.build_sieve(rng.choice(kinds), 1, R1)
+        U = rng.randint(1, R)
+        lhs, rhs = _coefficient_gap(sides, lambda: I.hyperbola_exp_sides(f, g, ph, R, R1, U))
+        assert lhs.dtype == rhs.dtype == np.int64 and np.array_equal(lhs, rhs)
+        x = rng.randint(1, R1)
+        U = rng.randint(1, x)
+        lhs, rhs = _coefficient_gap(sides, lambda: I.hyperbola_sides(f, g, None, x, U))
+        assert lhs.dtype == rhs.dtype == np.int64 and np.array_equal(lhs, rhs)
+    assert worst <= 1e-13
+
+    R = 10**5
+    lhs, rhs = _coefficient_gap(sides, lambda: I.vaughan_mobius_sides(
+        R, 2 * R, math.isqrt(R) // 2, I.PhaseFunction.reciprocal(12345)))
+    assert np.array_equal(lhs, rhs)
+
+
+def test_vaughan_mobius_residual_at_1e5():
+    # exact coefficients leave one dot product's rounding per term
+    l, r, res = I.vaughan_mobius_sides(10**5, 2 * 10**5, 158, I.PhaseFunction.reciprocal(12345))
+    assert res <= 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,15 @@ def test_infeasible_pairs_name_their_constraint():
     assert "1/6" in r.constraint
 
 
+def test_trivial_pair_is_infeasible_for_two_omega():
+    # k + l = 1 fails the strict constraint; the marker is falsy, so an
+    # `if theorem_exponent(...)` cannot take it for an exponent
+    r = P.theorem_exponent("two-omega", P.SEED_PAIRS["trivial"])
+    assert P.SEED_PAIRS["trivial"].as_tuple() == (0, 1)
+    assert r == P.Infeasible("k + l < 1")
+    assert bool(r) is False
+
+
 def test_eps_carrier_boundary_rules():
     # k = 1/6 exactly: fine for a bare pair, ruled out for a +eps carrier
     bare = P.pair(F(1, 6), F(2, 3))
@@ -223,6 +232,14 @@ def test_profile_independent_evaluation_agrees():
 # balancer
 
 T = P.TermExponent.of
+
+
+def test_term_exponent_str():
+    # variables in sorted order, exponents as reduced rationals; a scale
+    # other than 1 wraps the monomial
+    assert str(T(x=F(1, 2), H=-1)) == "H^-1 x^1/2"
+    assert str(T(scale=F(1, 3), x=F(2, 3), R=1)) == "(R^1 x^2/3)^1/3"
+    assert str(T(scale=2)) == "(1)^2"
 
 
 def test_balance_symmetric_crossing():
