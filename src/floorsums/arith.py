@@ -108,6 +108,11 @@ def tau(r: int) -> FunctionKind:
     return FunctionKind("tau", r)
 
 
+def _check_tau_order(kind: FunctionKind) -> None:
+    if kind.tag == "tau" and kind.r > MAX_TAU_R:
+        raise BudgetError(f"tau order {kind.r} exceeds configured maximum {MAX_TAU_R}")
+
+
 _KIND_ALIASES = {
     "one": ONE, "1": ONE, "unit": ONE,
     "mu": MOBIUS, "mobius": MOBIUS,
@@ -304,14 +309,13 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     if kind.tag == "lambda":
         val = np.zeros(size, dtype=np.float64)
         rest = np.ones(size, dtype=bool)        # no walked prime divides n
-        for p in primes.tolist():
-            if p > hi:
-                break
+        walked = primes[primes <= hi]
+        for p, log_p in zip(walked.tolist(), np.log(walked.astype(np.float64)).tolist()):
             rest[-lo % p::p] = False
             q = p
             while q <= hi:
                 if q >= lo:
-                    val[q - lo] = math.log(p)
+                    val[q - lo] = log_p
                 q *= p
         n = np.flatnonzero(rest) + lo          # primes above the walked ones, and 1
         val[n - lo] = np.log(n.astype(np.float64))     # log 1 = 0
@@ -368,8 +372,7 @@ def iter_segment_values(kind: FunctionKind, lo: int, hi: int):
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    if kind.tag == "tau" and kind.r > MAX_TAU_R:
-        raise BudgetError(f"tau order {kind.r} exceeds configured maximum {MAX_TAU_R}")
+    _check_tau_order(kind)
     primes = primes_upto(isqrt(hi))
     seg_lo = lo
     while seg_lo <= hi:
@@ -457,20 +460,16 @@ def _factor_exponents(n: int) -> tuple[list[int], int]:
 
 
 def eval_point(kind: FunctionKind, n: int):
-    """f(n) for an isolated argument; agrees with build_sieve entrywise, except
-    that Lambda may differ in the last bit.  Here log p is math.log(p); the
-    sieve takes np.log on an array for the primes above sqrt(hi), and the two
-    disagree by one ulp at a few primes (285343 is the first on x86-64 with
-    numpy 2.4)."""
-    if kind.tag == "tau" and kind.r > MAX_TAU_R:
-        raise BudgetError(f"tau order {kind.r} exceeds configured maximum {MAX_TAU_R}")
+    """f(n) for an isolated argument; agrees with build_sieve entrywise, bit
+    for bit: both take log p from np.log on float64."""
+    _check_tau_order(kind)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > FACTOR_BUDGET:
         raise BudgetError(f"n={n} exceeds factorization budget {FACTOR_BUDGET}")
     exps, prime = _factor_exponents(n)
     if kind.tag == "lambda":
-        return math.log(prime) if len(exps) == 1 else 0.0
+        return float(np.log(float(prime))) if len(exps) == 1 else 0.0
     local = [kind.local(a) for a in exps]
     return sum(local) if kind.additive else math.prod(local)
 
@@ -479,21 +478,31 @@ def eval_point(kind: FunctionKind, n: int):
 # Dirichlet convolution on tables
 
 def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
-    """Pointwise Dirichlet product (f * g)(n) = sum_{d | n} f(d) g(n/d) on [1, limit]
-    by the hyperbola split: the pairs d <= e by ascending d, then d > e by descending
-    e, so each n sums its terms in ascending d, as a walk over every d would."""
+    """Pointwise Dirichlet product (f * g)(n) = sum_{d | n} f(d) g(n/d) on [1, limit],
+    as a read-only derived table; both tables must cover [1, limit]."""
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
     if f.lo != 1 or g.lo != 1:
         raise CoverageError("convolution inputs must start at 1")
     if f.hi < limit or g.hi < limit:
         raise CoverageError(f"inputs must cover [1, {limit}]")
-    out = np.zeros(limit, dtype=np.result_type(f.values, g.values))
-    fv, gv = f.values, g.values
-    root = isqrt(limit)
-    for d in range(1, root + 1):            # d <= e: n = d e from d^2 on
-        out[d * d - 1:: d] += fv[d - 1] * gv[d - 1: limit // d]
-    for e in range(root, 0, -1):            # d > e: n = d e from e (e + 1) on
-        out[e * e + e - 1:: e] += gv[e - 1] * fv[e: limit // e]
+    out = _convolve(f.values, g.values, limit)
     out.flags.writeable = False
     return SieveTable(kind=None, lo=1, hi=limit, values=out)
+
+
+def _convolve(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
+    """(f * g) on [1, limit] at index n - 1, for value arrays that start at
+    n = 1 and read as zero past their ends.  The pairs d <= e by ascending d,
+    then d > e by descending e, so each n sums its terms in ascending d; only
+    the d <= sqrt(limit) with f(d) != 0 and the e with g(e) != 0 are visited,
+    and a zero term skipped changes no bit (a sum from +0 is never -0)."""
+    out = np.zeros(limit, dtype=np.result_type(f, g))
+    root = isqrt(limit)
+    for d in (np.flatnonzero(f[:root]) + 1).tolist():      # d <= e: n = d e from d^2 on
+        e = min(limit // d, len(g))
+        out[d * d - 1: d * e: d] += f[d - 1] * g[d - 1: e]
+    for e in (np.flatnonzero(g[:root])[::-1] + 1).tolist():    # d > e: n = d e from e (e + 1) on
+        d = min(limit // e, len(f))
+        out[e * e + e - 1: e * d: e] += g[e - 1] * f[e: d]
+    return out

@@ -30,8 +30,9 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import (FACTOR_BUDGET, MAX_TAU_R, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
-                    SieveTable, build_sieve, eval_point, iter_segment_values, primes_upto)
+from .arith import (FACTOR_BUDGET, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind, SieveTable,
+                    _check_tau_order, build_sieve, eval_point, iter_segment_values,
+                    primes_upto)
 from .errors import BudgetError, WindowError
 
 NAIVE_BUDGET = 10**7
@@ -40,7 +41,7 @@ FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
 # least at N = sqrt(x / SPLIT_RATIO) with SPLIT_RATIO = c_point / c_entry.
 # At x = 1e12 a block entry costs 20-42 ns and an eval_point 21-27 us (2 vCPU),
 # a ratio of 630-1330 by kind; the time is flat within noise for ratios
-# 250-1000, and a new ratio moves the split and so Lambda's last bits.
+# 250-1000.
 SPLIT_RATIO = 500
 BLOCK_CHUNK = 1 << 16           # block entries whose multiplicities exist at once
 RESIDUAL_FLOOR = 1e-9
@@ -148,10 +149,10 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     chunk's int64 dot product is checked against 2^63 before it is taken.
     Lambda is summed with math.fsum in a fixed order: the quotients
     d <= x // (isqrt(x)+1), the only ones shared by several n, first, then
-    that partial sum with every other term, one per n.  Head terms come from
-    eval_point and block terms from the sieve, which may give log p one ulp
-    apart (see eval_point); so the float result can differ from
-    floor_sum_naive, and between splits N <= isqrt(x), in its last bits.
+    that partial sum with every other term, one per n.  eval_point and the
+    sieve give every term the same bits, so the float result is the same
+    for every split N <= isqrt(x); it can differ from floor_sum_naive, which
+    fsums all terms at once, in its last bits.
     """
     _check_x(x, "fast")
     _check_table(kind, table)
@@ -392,8 +393,7 @@ def series_constant(kind: FunctionKind) -> tuple[float, float]:
     2^(1-K) sum_{n>=2} |f(n)| n^-2 in absolute value.  The bound adds that,
     the Euler-Maclaurin remainders and every rounding; it lies in
     (0, 1e-12] for every supported kind (tau8's is the largest)."""
-    if kind.tag == "tau" and kind.r > MAX_TAU_R:
-        raise BudgetError(f"tau order {kind.r} exceeds configured maximum {MAX_TAU_R}")
+    _check_tau_order(kind)
     K = _SERIES_K
     z1 = _zeta_sums(np.arange(2.0, 2 * K + 1), log_weight=False)   # zeta(t) - 1, t = 2..2K
     z, z2 = z1[:K - 1], z1[2::2]                                   # at k and 2k, k = 2..K

@@ -4,12 +4,12 @@ hyperbola principle, with and without exponential weights.
 Each verifier evaluates both sides of an identity independently and returns
 (lhs, rhs, |lhs - rhs|); the sides agree to rounding (relative 1e-9) for any
 admissible parameters and any phase.  On its window every side is a sum of
-terms sum_k c(k) w(k), one dot product each.  w(k) = e(F(k)) for a phase F,
-or h(k), computed once per call on the window the sums read: k in (R, R1]
-for the three dyadic verifiers and k in [1, x] for `hyperbola_sides`.  Each
-coefficient vector c is a Dirichlet product of tables cut to the term's
-ranges, built by the one product kernel `dirichlet_convolve`: a double sum
-sum_n a(n) sum_{R/n < m <= R1/n} b(m) w(mn) is (a * b)(k) read on (R, R1],
+terms sum_k c(k) w(k), one dot product each.  w(k) = e(F(k)) (or 1) is
+computed once per call by `unit_array` on the window the sums read: k in
+(R, R1] for the three dyadic verifiers and k in [1, x] for `hyperbola_sides`.
+Each coefficient vector c is a Dirichlet product of value arrays cut to the
+term's ranges, from arith's kernel `_convolve` (k at index k - 1): a double
+sum sum_n a(n) sum_{R/n < m <= R1/n} b(m) w(mn) is (a * b) read on (R, R1],
 so real range endpoints never meet a floating-point division.  On integer
 tables the identity is an equality of integer coefficient vectors, and the
 phase only adds the rounding of the dot products.
@@ -34,8 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE,
-                    TWO_POW_OMEGA, SieveTable, build_sieve, dirichlet_convolve,
-                    tau)
+                    TWO_POW_OMEGA, SieveTable, _convolve, build_sieve, tau)
 from .errors import CoverageError, WindowError
 
 TWO_PI = 2.0 * math.pi
@@ -117,22 +116,9 @@ class PhaseFunction:
 # ---------------------------------------------------------------------------
 # coefficient vectors: Dirichlet products of range-restricted tables
 
-def _product(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
-    """(f * g) on [1, limit], indexed by n (entry 0 unused), for tables f, g
-    of at most `limit` entries that start at 1 and are zero past their ends."""
-    tables = []
-    for v in (f, g):
-        padded = np.zeros(limit, dtype=v.dtype)
-        padded[:len(v)] = v
-        tables.append(SieveTable(None, 1, limit, padded))
-    out = np.zeros(limit + 1, dtype=np.result_type(f, g))
-    out[1:] = dirichlet_convolve(*tables, limit).values
-    return out
-
-
-def _part(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """A table starting at 1 cut to lo < n <= hi: zero for n <= lo."""
-    out = values[:hi].copy()
+def _part(values: np.ndarray, lo: int) -> np.ndarray:
+    """A table starting at 1 cut to n > lo: a copy, zero for n <= lo."""
+    out = values.copy()
     out[:lo] = 0
     return out
 
@@ -161,13 +147,13 @@ def vaughan_lambda_sides(R: int, R1: int, U: int,
     _check_dyadic(R, R1, U)
     lam, mu = build_sieve(LAMBDA, 1, R1).values, build_sieve(MOBIUS, 1, U).values
     one = build_sieve(ONE, 1, R1).values
-    a = _product(mu, lam[:U], U * U)
-    b = _product(mu, one, R1)
+    a = _convolve(mu, lam[:U], U * U)
+    b = _convolve(mu, one, R1)
     logs = np.log(np.arange(1, R1 + 1))
     w = phase.unit_array(np.arange(R + 1, R1 + 1))
     lhs = _side(w, lam[R:])
-    rhs = _side(w, _product(mu, logs, R1)[R + 1:], -_product(a[1:], one, R1)[R + 1:],
-                -_product(_part(lam, U, R1), _part(b[1:], U, R1), R1)[R + 1:])
+    rhs = _side(w, _convolve(mu, logs, R1)[R:], -_convolve(a, one, R1)[R:],
+                -_convolve(_part(lam, U), _part(b, U), R1)[R:])
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -179,34 +165,31 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
     _check_dyadic(R, R1, U)
     mu = build_sieve(MOBIUS, 1, R1).values
     one = build_sieve(ONE, 1, R1).values
-    mu_hi = _part(mu, U, R1)
-    a = _product(mu[:U], mu[:U], U * U)
-    b_plus = _product(mu_hi, one, R1)
+    mu_hi = _part(mu, U)
+    a = _convolve(mu[:U], mu[:U], U * U)
+    b_plus = _convolve(mu_hi, one, R1)
     w = phase.unit_array(np.arange(R + 1, R1 + 1))
     lhs = _side(w, mu[R:])
-    rhs = _side(w, -_product(a[1:], one, R1)[R + 1:],
-                _product(b_plus[1:], mu_hi, R1)[R + 1:])
+    rhs = _side(w, -_convolve(a, one, R1)[R:], _convolve(b_plus, mu_hi, R1)[R:])
     return lhs, rhs, abs(lhs - rhs)
 
 
-def hyperbola_sides(f: SieveTable, g: SieveTable, h_values, x: int,
-                    U: int) -> tuple[complex, complex, float]:
-    """Both sides of the hyperbola split of sum_{n<=x} (f*g)(n) h(n):
+def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
+                    x: int, U: int) -> tuple[complex, complex, float]:
+    """Both sides of the hyperbola split of sum_{n<=x} (f*g)(n) e(F(n)):
     f * g = (f 1_U * g) + (g 1_{x/U} * f) - (f 1_U * g 1_{x/U}) on [1, x].
-
-    `h_values` is a callable on [1, x] (None means h = 1: on integer tables
-    both sides are then exact int64 sums).
-    """
+    With `phase` None the weight is 1, and on integer tables both sides are
+    exact int64 sums."""
     if not 1 <= U <= x:
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
     if not (f.covers(1, x) and g.covers(1, x)):
         raise CoverageError(f"tables must cover [1, {x}]")
-    w = (np.ones(x, dtype=np.int64) if h_values is None
-         else np.array(list(map(h_values, range(1, x + 1)))))
+    w = (np.ones(x, dtype=np.int64) if phase is None
+         else phase.unit_array(np.arange(1, x + 1)))
     fv, gv = f.values[:x], g.values[:x]
-    lhs = _side(w, dirichlet_convolve(f, g, x).values)
-    rhs = _side(w, _product(fv[:U], gv, x)[1:], _product(gv[:x // U], fv, x)[1:],
-                -_product(fv[:U], gv[:x // U], x)[1:])
+    lhs = _side(w, _convolve(fv, gv, x))
+    rhs = _side(w, _convolve(fv[:U], gv, x), _convolve(gv[:x // U], fv, x),
+                -_convolve(fv[:U], gv[:x // U], x))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -225,9 +208,9 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     fv, gv = f.values[:R1], g.values[:R1]
     hi_f, hi_g = (U * R1) // R, R // U
     w = phase.unit_array(np.arange(R + 1, R1 + 1))
-    lhs = _side(w, dirichlet_convolve(f, g, R1).values[R:])
-    rhs = _side(w, _product(fv[:hi_f], gv, R1)[R + 1:], _product(gv[:hi_g], fv, R1)[R + 1:],
-                -_product(_part(fv, U, hi_f), gv[:hi_g], R1)[R + 1:])
+    lhs = _side(w, _convolve(fv, gv, R1)[R:])
+    rhs = _side(w, _convolve(fv[:hi_f], gv, R1)[R:], _convolve(gv[:hi_g], fv, R1)[R:],
+                -_convolve(_part(fv[:hi_f], U), gv[:hi_g], R1)[R:])
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -297,7 +280,7 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
             x = rng.randint(30, _MAX_X)
             U = rng.randint(1, x)
             f, g = table(rng.choice(kinds)), table(rng.choice(kinds))
-            lhs, rhs, res = hyperbola_sides(f, g, phase.unit, x, U)
+            lhs, rhs, res = hyperbola_sides(f, g, phase, x, U)
             params = {"x": x, "U": U, "f": str(f.kind), "g": str(g.kind)}
         else:
             U = rng.randint(1, R)

@@ -115,16 +115,11 @@ def test_sieve_past_int32_matches_eval_point(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_sieve_matches_eval_point_to_the_ulp(kind):
-    # eval_point takes math.log(p), the sieve np.log on the primes above
-    # sqrt(hi); which of them differ in the last bit depends on numpy's SIMD
-    # dispatch, so only the one-ulp bound is asserted
+    # both take log p from np.log on float64, so Lambda agrees bit for bit;
+    # math.log(285343) is one ulp off np.log's value on x86-64
     lo, hi = 280000, 300000
     for n, v in zip(range(lo, hi + 1), A.build_sieve(kind, lo, hi).values.tolist()):
-        ref = A.eval_point(kind, n)
-        if kind.tag == "lambda":
-            assert abs(v - ref) <= math.ulp(ref), n
-        else:
-            assert v == ref, n
+        assert v == A.eval_point(kind, n), n
 
 
 def _segment_reference(kind, lo, hi, primes):
@@ -355,10 +350,12 @@ def test_convolution_examples():
     assert (got.values == t3.values[:100]).all()
 
 
-def _convolve_reference(f, g, limit):
-    """The product by one strided update per d <= limit, in ascending d."""
-    out = np.zeros(limit, dtype=np.result_type(f.values, g.values))
-    fv, gv = f.values[:limit], g.values[:limit]
+def _convolve_reference(fv, gv, limit):
+    """The product of two value arrays that start at n = 1 and read as zero
+    past their ends, by one strided update per d <= limit, in ascending d."""
+    out = np.zeros(limit, dtype=np.result_type(fv, gv))
+    fv, gv = (np.concatenate([v[:limit], np.zeros(max(0, limit - len(v)), v.dtype)])
+              for v in (fv, gv))
     for d in range(1, limit + 1):
         c = fv[d - 1]
         if c != 0:
@@ -380,9 +377,40 @@ def test_convolution_bits_match_reference(tables_10007, limit):
     for f in tables_10007.values():
         for g in tables_10007.values():
             got = A.dirichlet_convolve(f, g, limit).values
-            want = _convolve_reference(f, g, limit)
+            want = _convolve_reference(f.values, g.values, limit)
             assert got.dtype == want.dtype, (f.kind, g.kind)
             assert got.tobytes() == want.tobytes(), (f.kind, g.kind)
+
+
+def _support_cases(rng, limit):
+    """Value arrays for the kernel: int and float, shorter than `limit`,
+    all-zero, and cut below some U, as the verifiers pass them."""
+    root = isqrt(limit)
+    mu = A.build_sieve(A.MOBIUS, 1, limit).values
+    lam = A.build_sieve(A.LAMBDA, 1, limit).values
+    t3 = A.build_sieve(A.tau(3), 1, limit).values
+    logs = np.log(np.arange(1, limit + 1, dtype=np.float64))
+    U = rng.randint(1, root + 1)
+    cut = [v.copy() for v in (mu, lam, t3, logs)]
+    for v in cut:
+        v[:U] = 0
+    return ([mu, lam, t3, logs, mu[:root], lam[:rng.randint(0, limit)], t3[:U * U],
+             logs[:1], np.zeros(limit, np.int64), np.zeros(rng.randint(0, 3)), mu[:0]]
+            + cut)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 15, 16, 17, 99, 100, 1000])
+def test_convolve_kernel_bits_match_reference_on_supports(limit):
+    # walking only the nonzero f(d) and g(e) keeps each n's sum in ascending
+    # d, so float products keep their bytes; shorter arrays read as zero
+    rng = random.Random(limit)
+    cases = _support_cases(rng, limit)
+    for f in cases:
+        for g in cases:
+            got = A._convolve(f, g, limit)
+            want = _convolve_reference(f, g, limit)
+            assert got.dtype == want.dtype, (len(f), len(g))
+            assert got.tobytes() == want.tobytes(), (len(f), len(g))
 
 
 def test_convolution_coverage_checked():

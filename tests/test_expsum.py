@@ -137,11 +137,10 @@ def test_type_II_matches_double_loop_oracle():
 
 
 def test_type_II_vaughan_coefficients():
-    from floorsums.arith import LAMBDA, MOBIUS, build_sieve
-    from floorsums.identities import _product
+    from floorsums.arith import LAMBDA, MOBIUS, _convolve, build_sieve
     mu, lam = (build_sieve(k, 1, 5).values for k in (MOBIUS, LAMBDA))
-    a_lambda = _product(mu, lam, 25)            # mu 1_U * Lambda 1_U, U = 5
-    alpha = list(a_lambda[10:19] / math.log(32))    # n in (9, 18], support <= U^2 = 25
+    a_lambda = _convolve(mu, lam, 25)           # mu 1_U * Lambda 1_U, U = 5
+    alpha = list(a_lambda[9:18] / math.log(32))     # n in (9, 18], support <= U^2 = 25
     v = E.type_II_sum(alpha, 1, 11, 9, PhaseFunction.reciprocal(5000))
     direct = sum(alpha[i] * sum(cmath.exp(2j * math.pi * ((5000 % (m * n)) / (m * n)))
                                 for m in range(12, 23))

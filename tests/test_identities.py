@@ -111,29 +111,29 @@ def test_unit_array_accepts_an_empty_array(ph):
 # coefficients
 
 def _coeffs(U, limit):
-    """The four cutoff-U coefficient sequences, indexed by n (entry 0 unused),
-    built by `_product` as the verifiers build them: a_lambda = mu 1_U *
+    """The four cutoff-U coefficient sequences, at index n - 1, built by the
+    product kernel as the verifiers build them: a_lambda = mu 1_U *
     Lambda 1_U and a_mu = mu 1_U * mu 1_U on n <= U^2, b = mu 1_U * 1 and
     b_plus = [n = 1] - b on n <= limit."""
     mu = A.build_sieve(A.MOBIUS, 1, U).values
-    b = I._product(mu, A.build_sieve(A.ONE, 1, limit).values, limit)
+    b = A._convolve(mu, A.build_sieve(A.ONE, 1, limit).values, limit)
     b_plus = -b
-    b_plus[1] += 1
-    return {"a_lambda": I._product(mu, A.build_sieve(A.LAMBDA, 1, U).values, U * U),
-            "b": b, "a_mu": I._product(mu, mu, U * U), "b_plus": b_plus}
+    b_plus[0] += 1
+    return {"a_lambda": A._convolve(mu, A.build_sieve(A.LAMBDA, 1, U).values, U * U),
+            "b": b, "a_mu": A._convolve(mu, mu, U * U), "b_plus": b_plus}
 
 
 def test_vaughan_coefficient_examples():
     co = _coeffs(2, 10)
-    assert co["a_lambda"][4] == pytest.approx(-math.log(2))
-    assert co["b"][6] == 0
-    assert co["b"][1] == 1
+    assert co["a_lambda"][3] == pytest.approx(-math.log(2))
+    assert co["b"][5] == 0
+    assert co["b"][0] == 1
 
 
 def test_b_is_delta_below_cutoff():
     co = _coeffs(9, 100)
     for m in range(1, 10):
-        assert co["b"][m] == (1 if m == 1 else 0)
+        assert co["b"][m - 1] == (1 if m == 1 else 0)
 
 
 def test_a_lambda_against_double_sum():
@@ -145,7 +145,7 @@ def test_a_lambda_against_double_sum():
         direct = sum(mu.value(d) * lam.value(n // d)
                      for d in range(1, u + 1)
                      if n % d == 0 and n // d <= u)
-        assert co["a_lambda"][n] == pytest.approx(direct, abs=1e-12)
+        assert co["a_lambda"][n - 1] == pytest.approx(direct, abs=1e-12)
 
 
 def test_a_mu_bounded_by_tau():
@@ -153,7 +153,7 @@ def test_a_mu_bounded_by_tau():
     co = _coeffs(u, limit)
     t2 = A.build_sieve(A.tau(2), 1, u * u)
     for n in range(1, u * u + 1):
-        assert abs(int(co["a_mu"][n])) <= t2.value(n)
+        assert abs(int(co["a_mu"][n - 1])) <= t2.value(n)
 
 
 def test_normalized_views_bounded():
@@ -161,27 +161,27 @@ def test_normalized_views_bounded():
     co = _coeffs(10, 120)
     assert np.max(np.abs(co["a_lambda"])) / math.log(120) <= 1 + 1e-12
     two_omega = A.build_sieve(A.TWO_POW_OMEGA, 1, 100).values
-    assert np.max(np.abs(co["a_mu"][1:]) / two_omega) <= 1 + 1e-12
+    assert np.max(np.abs(co["a_mu"]) / two_omega) <= 1 + 1e-12
 
 
 def _vaughan_reference(U, limit):
-    """The four coefficient arrays by explicit loops over d and e."""
+    """The four coefficient arrays, at index n - 1, by explicit loops over d and e."""
     mu = A.build_sieve(A.MOBIUS, 1, limit).values
     lam = A.build_sieve(A.LAMBDA, 1, U).values
-    a_lambda = np.zeros(U * U + 1, dtype=np.float64)
-    a_mu = np.zeros(U * U + 1, dtype=np.int64)
+    a_lambda = np.zeros(U * U, dtype=np.float64)
+    a_mu = np.zeros(U * U, dtype=np.int64)
     for d in range(1, U + 1):
         md = int(mu[d - 1])
         if md == 0:
             continue
         for e in range(1, U + 1):
             if lam[e - 1] != 0.0:
-                a_lambda[d * e] += md * lam[e - 1]
-            a_mu[d * e] += md * int(mu[e - 1])
-    b = np.zeros(limit + 1, dtype=np.int64)
-    b_plus = np.zeros(limit + 1, dtype=np.int64)
+                a_lambda[d * e - 1] += md * lam[e - 1]
+            a_mu[d * e - 1] += md * int(mu[e - 1])
+    b = np.zeros(limit, dtype=np.int64)
+    b_plus = np.zeros(limit, dtype=np.int64)
     for d in range(1, limit + 1):
-        (b if d <= U else b_plus)[d:: d] += int(mu[d - 1])
+        (b if d <= U else b_plus)[d - 1:: d] += int(mu[d - 1])
     return {"a_lambda": a_lambda, "b": b, "a_mu": a_mu, "b_plus": b_plus}
 
 
@@ -198,15 +198,15 @@ def test_vaughan_coefficient_bits_match_reference(U):
 def test_b_plus_complements_b():
     co = _coeffs(7, 80)
     # (mu 1^- * 1) + (mu 1^+ * 1) = mu * 1 = [n = 1]
-    total = co["b"][1:] + co["b_plus"][1:]
+    total = co["b"] + co["b_plus"]
     assert total[0] == 1
     assert not total[1:].any()
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Record every build_sieve (kind, lo, hi) and dirichlet_convolve limit
-    that identities makes."""
+    """Record every build_sieve (kind, lo, hi) and product-kernel limit that
+    identities makes."""
     log = {"sieve": [], "convolve": []}
 
     def sieve(kind, lo, hi):
@@ -215,10 +215,10 @@ def calls(monkeypatch):
 
     def convolve(f, g, limit):
         log["convolve"].append(limit)
-        return A.dirichlet_convolve(f, g, limit)
+        return A._convolve(f, g, limit)
 
     monkeypatch.setattr(I, "build_sieve", sieve)
-    monkeypatch.setattr(I, "dirichlet_convolve", convolve)
+    monkeypatch.setattr(I, "_convolve", convolve)
     return log
 
 
@@ -283,6 +283,12 @@ def test_dyadic_verifiers_evaluate_the_phase_on_their_window(windows, units, R, 
     assert units == []
     _hyperbola_exp_split(f, f, ph, R, R1, U)   # S3 and S4 may read mn <= R
     assert set(range(R + 1, R1 + 1)) <= set(units) <= set(range(1, R1 + 1))
+
+
+def test_hyperbola_evaluates_the_phase_once_on_its_window(windows, units):
+    f = A.build_sieve(A.tau(2), 1, 60)
+    I.hyperbola_sides(f, f, I.PhaseFunction.reciprocal(98765.25), 60, 7)
+    assert windows == [list(range(1, 61))] and units == []
 
 
 def test_trials_budget_rejected_before_any_trial(monkeypatch):
@@ -369,7 +375,7 @@ def test_hyperbola_with_phase_and_lambda_weights():
     lam = A.build_sieve(A.LAMBDA, 1, 60)
     one = A.build_sieve(A.ONE, 1, 60)
     ph = I.PhaseFunction.reciprocal(777)
-    l, r, res = I.hyperbola_sides(lam, one, ph.unit, 60, 7)
+    l, r, res = I.hyperbola_sides(lam, one, ph, 60, 7)
     assert res <= 1e-9 * (1 + abs(l))
 
 
@@ -436,13 +442,13 @@ def _loops_vaughan_lambda(R, R1, U, e):
             t1 += int(mu[n - 1]) * sum(math.log(m) * e(m * n)
                                        for m in range(R // n + 1, R1 // n + 1))
     for n in range(1, U * U + 1):
-        if co["a_lambda"][n] != 0.0:
-            t2 += co["a_lambda"][n] * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
+        if co["a_lambda"][n - 1] != 0.0:
+            t2 += co["a_lambda"][n - 1] * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
     for n in range(U + 1, R1 // U + 1):
         if lam[n - 1] != 0.0:
-            t3 += lam[n - 1] * sum(int(co["b"][m]) * e(m * n)
+            t3 += lam[n - 1] * sum(int(co["b"][m - 1]) * e(m * n)
                                    for m in range(max(U, R // n) + 1, R1 // n + 1)
-                                   if co["b"][m] != 0)
+                                   if co["b"][m - 1] != 0)
     return lhs, t1 - t2 - t3
 
 
@@ -452,11 +458,11 @@ def _loops_vaughan_mobius(R, R1, U, e):
     lhs = sum(int(mu[n - 1]) * e(n) for n in range(R + 1, R1 + 1) if mu[n - 1] != 0)
     s12 = s3 = 0j
     for n in range(1, U * U + 1):
-        if co["a_mu"][n] != 0:
-            s12 += int(co["a_mu"][n]) * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
+        if co["a_mu"][n - 1] != 0:
+            s12 += int(co["a_mu"][n - 1]) * sum(e(m * n) for m in range(R // n + 1, R1 // n + 1))
     for n in range(U + 1, R1 // U + 1):
-        if co["b_plus"][n] != 0:
-            s3 += int(co["b_plus"][n]) * sum(int(mu[m - 1]) * e(m * n)
+        if co["b_plus"][n - 1] != 0:
+            s3 += int(co["b_plus"][n - 1]) * sum(int(mu[m - 1]) * e(m * n)
                                           for m in range(max(U, R // n) + 1, R1 // n + 1)
                                           if mu[m - 1] != 0)
     return lhs, -s12 + s3
@@ -527,9 +533,9 @@ def test_verifiers_match_their_loops():
 
         x = rng.randint(1, R1)
         U = rng.randint(1, x)
-        for h in (ph.unit, None):
-            _assert_close(I.hyperbola_sides(f, g, h, x, U)[:2],
-                          _loops_hyperbola(f, g, h or (lambda n: 1), x, U))
+        for p in (ph, None):
+            _assert_close(I.hyperbola_sides(f, g, p, x, U)[:2],
+                          _loops_hyperbola(f, g, p.unit if p else (lambda n: 1), x, U))
 
 
 @pytest.fixture
