@@ -1,17 +1,18 @@
 """Exact-rational exponent-pair calculus and one-variable minimax balancing.
 
-Everything here is exact: pairs, profiles, term exponents and balance results
-are built from `fractions.Fraction` and no operation ever rounds.  An exponent
-pair (k, l) certifies |sum e(F(n))| << T^k R^{l-k} + R/T for monomial-like
-phases; the A and B processes transform pairs, and the theorem-exponent
-evaluators turn a pair into the error exponent of the corresponding
-floor-quotient estimate, or report which feasibility constraint fails.
+Everything here is exact and no operation ever rounds.  An exponent pair
+(k, l) certifies |sum e(F(n))| << T^k R^{l-k} + R/T for monomial-like phases.
+Internally a pair is the reduced integer triple (a, b, c), c > 0, k = a/c,
+l = b/c: the A and B processes are one integer map, and each target's theorem
+exponent is one table row of integer forms in (a, b, c), read by one
+evaluator.  `Fraction`s carry values across the module boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .arith import FunctionKind, kind_from_name
@@ -21,6 +22,7 @@ HALF = Fraction(1, 2)
 # exact perturbation used to probe constraint tightness for +eps pairs and
 # to certify balancer optima
 EPS_PROBE = Fraction(1, 10**9)
+_PROBE = EPS_PROBE.denominator
 
 
 def parse_rational(s: str) -> Fraction:
@@ -71,10 +73,6 @@ class ExponentPair:
         return f"({self.k}, {self.l}){eps}"
 
 
-def pair(k, l, eps_carrier: bool = False) -> ExponentPair:
-    return ExponentPair(Fraction(k), Fraction(l), eps_carrier=eps_carrier)
-
-
 #: classical seed pairs usable by name in the CLI and in searches
 SEED_PAIRS: dict[str, ExponentPair] = {
     "trivial": ExponentPair(Fraction(0), Fraction(1), seed="trivial"),
@@ -84,29 +82,38 @@ SEED_PAIRS: dict[str, ExponentPair] = {
 }
 
 
-def apply_A(p: ExponentPair) -> ExponentPair:
-    """A-process: (k, l) -> (k/(2k+2), (k+l+1)/(2k+2))."""
-    d = 2 * p.k + 2
-    return ExponentPair(p.k / d, (p.k + p.l + 1) / d,
-                        eps_carrier=p.eps_carrier, word=("A",) + p.word, seed=p.seed)
+def _triple(p: ExponentPair) -> tuple[int, int, int]:
+    """The reduced (a, b, c) with k = a/c and l = b/c."""
+    c = lcm(p.k.denominator, p.l.denominator)
+    return p.k.numerator * (c // p.k.denominator), p.l.numerator * (c // p.l.denominator), c
 
 
-def apply_B(p: ExponentPair) -> ExponentPair:
-    """B-process (an involution): (k, l) -> (l - 1/2, k + 1/2)."""
-    return ExponentPair(p.l - HALF, p.k + HALF,
-                        eps_carrier=p.eps_carrier, word=("B",) + p.word, seed=p.seed)
+def _process(letter: str, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """A: (k, l) -> (k/(2k+2), (k+l+1)/(2k+2)); B: (k, l) -> (l - 1/2, k + 1/2)."""
+    if letter not in ("A", "B"):
+        raise ValueError(f"invalid process letter {letter!r}")
+    a, b, c = (a, a + b + c, 2 * a + 2 * c) if letter == "A" else (2 * b - c, 2 * a + c, 2 * c)
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
 
 
 def apply_word(word: str, p: ExponentPair) -> ExponentPair:
     """Apply a word over {A, B} in composition order ('BA' = B after A)."""
-    for ch in reversed(word):
-        if ch == "A":
-            p = apply_A(p)
-        elif ch == "B":
-            p = apply_B(p)
-        else:
-            raise ValueError(f"invalid process letter {ch!r}")
-    return p
+    a, b, c = _triple(p)
+    for letter in reversed(word):
+        a, b, c = _process(letter, a, b, c)
+    return ExponentPair(Fraction(a, c), Fraction(b, c), p.eps_carrier,
+                        tuple(word) + p.word, p.seed)
+
+
+def apply_A(p: ExponentPair) -> ExponentPair:
+    """A-process: (k, l) -> (k/(2k+2), (k+l+1)/(2k+2))."""
+    return apply_word("A", p)
+
+
+def apply_B(p: ExponentPair) -> ExponentPair:
+    """B-process (an involution): (k, l) -> (l - 1/2, k + 1/2)."""
+    return apply_word("B", p)
 
 
 def heath_brown_pair(m: int) -> ExponentPair:
@@ -118,29 +125,29 @@ def heath_brown_pair(m: int) -> ExponentPair:
     return ExponentPair(k, l, eps_carrier=True, seed=f"hb:{m}")
 
 
-def enumerate_pairs(seeds: Iterable[ExponentPair], depth: int) -> set[ExponentPair]:
-    """All pairs reachable from the seeds by A/B words of length <= depth.
-
-    Deduplicated by exact (k, l); the first derivation found (shortest word,
-    seeds in given order, A before B) is the one kept.
-    """
+def _orbit(seeds: Iterable[ExponentPair], depth: int) -> dict[tuple[int, int, int], tuple]:
+    """Reduced triple -> (word, seed) of its first derivation, as in enumerate_pairs."""
     if not 0 <= depth <= 20:
         raise ValueError(f"depth must lie in [0, 20], got {depth}")
-    seen: dict[tuple[Fraction, Fraction], ExponentPair] = {}
-    frontier: list[ExponentPair] = []
+    seen: dict[tuple[int, int, int], tuple[str, ExponentPair]] = {}
     for s in seeds:
-        if s.as_tuple() not in seen:
-            seen[s.as_tuple()] = s
-            frontier.append(s)
+        seen.setdefault(_triple(s), ("", s))
+    start = 0
     for _ in range(depth):
-        nxt = []
-        for p in frontier:
-            for q in (apply_A(p), apply_B(p)):
-                if q.as_tuple() not in seen:
-                    seen[q.as_tuple()] = q
-                    nxt.append(q)
-        frontier = nxt
-    return set(seen.values())
+        # the last level is the tail of `seen`, which keeps insertion order
+        level, start = list(seen)[start:], len(seen)
+        for t in level:
+            word, s = seen[t]
+            for letter in "AB":
+                seen.setdefault(_process(letter, *t), (letter + word, s))
+    return seen
+
+
+def enumerate_pairs(seeds: Iterable[ExponentPair], depth: int) -> set[ExponentPair]:
+    """All pairs reachable from the seeds by A/B words of length <= depth,
+    deduplicated by exact (k, l), each with the first derivation found
+    (shortest word, seeds in given order, A before B)."""
+    return {apply_word(word, s) for word, s in _orbit(seeds, depth).values()}
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +163,44 @@ class Infeasible:
         return False
 
 
-def _constraint_ok(pair_: ExponentPair, g, strict: bool) -> bool:
-    """Check g(k, l) > 0 (strict) or >= 0 at the pair's base point.
-
-    For +eps carriers a tight constraint only survives when the perturbation
-    (k+eps, l+eps) moves strictly inside; probed exactly with EPS_PROBE.
-    """
-    v = g(pair_.k, pair_.l)
-    if v < 0:
-        return False
-    if v > 0:
-        return True
-    # tight at the base point
-    if pair_.eps_carrier:
-        return g(pair_.k + EPS_PROBE, pair_.l + EPS_PROBE) > 0
-    return not strict
-
-
 def _target_kind(target) -> FunctionKind:
     """A FunctionKind as given, or parsed from its command-line name."""
     return target if isinstance(target, FunctionKind) else kind_from_name(target)
+
+
+def _exponent_row(target):
+    """(numerator, denominator, constraints): the exponent is a ratio of
+    linear forms in (a, b, c); each constraint (name, g, strict) asks g > 0 or
+    g >= 0, with g(a, b, c) of the sign of the named form in (k, l)."""
+    kind = _target_kind(target)
+    if kind.tag == "lambda":  # 14(k+1) / (29k - l + 30)
+        return (14, 0, 14), (29, -1, 30), (
+            ("k <= 1/6", lambda a, b, c: c - 6 * a, False),
+            ("3k + 4l >= 1", lambda a, b, c: 3 * a + 4 * b - c, False),
+            ("l^2 + l + 3 - k(5-l) - 9k^2 > 0",
+             lambda a, b, c: b * b + b * c + 3 * c * c - a * (5 * c - b) - 9 * a * a, True))
+    if kind.tag == "tau":  # (k(r-1) + l + r - 1) / (k(r-1) + l + 2r - 1)
+        r = kind.r
+        if r < 2:
+            raise ValueError("tau target needs r >= 2")
+        return (r - 1, 1, r - 1), (r - 1, 1, 2 * r - 1), (
+            ("1 - l > k(r-1)", lambda a, b, c: c - b - (r - 1) * a, True),)
+    if kind.tag == "two_pow_omega":  # 2(k+1) / (3k - l + 5)
+        return (2, 0, 2), (3, -1, 5), (("k + l < 1", lambda a, b, c: c - a - b, True),)
+    raise ValueError(f"no theorem exponent for kind {kind}")
+
+
+def _evaluate(row, a: int, b: int, c: int, eps: bool) -> Union[str, tuple[int, int]]:
+    """(numerator, denominator) of the row's exponent, or the name of the
+    first violated constraint.  A tight constraint holds for a bare pair if
+    not strict, for a +eps carrier if g > 0 at (k + EPS_PROBE, l + EPS_PROBE)."""
+    (n0, n1, n2), (d0, d1, d2), constraints = row
+    for name, g, strict in constraints:
+        v = g(a, b, c)
+        if v < 0 or v == 0 and (g(a * _PROBE + c, b * _PROBE + c, c * _PROBE) <= 0
+                                if eps else strict):
+            return name
+    return n0 * a + n1 * b + n2 * c, d0 * a + d1 * b + d2 * c
 
 
 def theorem_exponent(target, p: ExponentPair) -> Union[Fraction, Infeasible]:
@@ -186,36 +211,8 @@ def theorem_exponent(target, p: ExponentPair) -> Union[Fraction, Infeasible]:
     Returns the exact rational exponent, or an Infeasible marker naming the
     violated constraint.
     """
-    kind = _target_kind(target)
-    k, l = p.k, p.l
-    if kind.tag == "lambda":
-        checks = [
-            ("k <= 1/6", lambda k, l: Fraction(1, 6) - k, False),
-            ("3k + 4l >= 1", lambda k, l: 3 * k + 4 * l - 1, False),
-            ("l^2 + l + 3 - k(5-l) - 9k^2 > 0",
-             lambda k, l: l * l + l + 3 - k * (5 - l) - 9 * k * k, True),
-        ]
-        for cname, g, strict in checks:
-            if not _constraint_ok(p, g, strict):
-                return Infeasible(cname)
-        return 14 * (k + 1) / (29 * k - l + 30)
-    if kind.tag == "tau":
-        r = kind.r
-        if r < 2:
-            raise ValueError("tau target needs r >= 2")
-        if not _constraint_ok(p, lambda k, l: 1 - l - k * (r - 1), True):
-            return Infeasible("1 - l > k(r-1)")
-        return (k * (r - 1) + l + r - 1) / (k * (r - 1) + l + 2 * r - 1)
-    if kind.tag == "two_pow_omega":
-        if not _constraint_ok(p, lambda k, l: 1 - k - l, True):
-            return Infeasible("k + l < 1")
-        return 2 * (k + 1) / (3 * k - l + 5)
-    raise ValueError(f"no theorem exponent for kind {kind}")
-
-
-def tau_closed_form(r: int) -> Fraction:
-    """1/2 - 1/(2(4r^3 - r - 1)), the exponent the hb(2r-1) pair produces."""
-    return HALF - Fraction(1, 2 * (4 * r**3 - r - 1))
+    e = _evaluate(_exponent_row(target), *_triple(p), p.eps_carrier)
+    return Infeasible(e) if isinstance(e, str) else Fraction(*e)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +453,16 @@ def minimize_over_pairs(target, seeds: Iterable[ExponentPair],
 
     Ties break lexicographically on (k, l).  Raises if nothing is feasible.
     """
-    best: tuple[Fraction, Fraction, Fraction, ExponentPair] | None = None
-    for p in enumerate_pairs(list(seeds), depth):
-        e = theorem_exponent(target, p)
-        if isinstance(e, Infeasible):
-            continue
-        key = (e, p.k, p.l)
-        if best is None or key < best[:3]:
-            best = (e, p.k, p.l, p)
-    if best is None:
+    orbit = _orbit(seeds, depth)
+    row = _exponent_row(target)
+    feasible = [(e, t) for t, (_, s) in orbit.items()
+                if not isinstance(e := _evaluate(row, *t, s.eps_carrier), str)]
+    if not feasible:
         raise ValueError(f"no feasible pair for target {target!r}")
-    return best[3], best[0]
+    n, d = feasible[0][0]
+    for (n1, d1), _ in feasible:  # denominators are positive on the admissible box
+        if n1 * d < n * d1:
+            n, d = n1, d1
+    t = min((t for (n1, d1), t in feasible if n1 * d == n * d1),
+            key=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])))
+    return apply_word(*orbit[t]), Fraction(n, d)

@@ -208,7 +208,7 @@ def test_criterion_09_desk_scale_error_behavior():
 def test_criterion_10_bound_sanity_ratios():
     t0 = time.perf_counter()
     z = 10**6
-    classic = P.pair(F(1, 6), F(2, 3))
+    classic = P.ExponentPair(F(1, 6), F(2, 3))
     ratios = {
         "lambda-reciprocal": E.check_bound("lambda-reciprocal", z,
                                            int(z**0.6), pair=classic).ratio,

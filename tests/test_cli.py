@@ -60,11 +60,12 @@ def test_pairs_search(capsys):
 
 
 def test_pairs_search_hb_seed_range(capsys):
-    from floorsums.pairs import parse_rational, tau_closed_form
+    from fractions import Fraction as F
     d = run_json(capsys, "pairs", "search", "--target", "tau:5", "--depth", "0",
                  "--seeds", "hb:5..19")
-    # at least as good as the hb:9 member of the family
-    assert parse_rational(d["exponent"]) <= tau_closed_form(5)
+    # at least as good as the hb:9 member of the family, 1/2 - 1/(2(4r^3 - r - 1))
+    r = 5
+    assert F(d["exponent"]) <= F(1, 2) - F(1, 2 * (4 * r**3 - r - 1))
 
 
 def test_pairs_balance(capsys, tmp_path):

@@ -13,9 +13,9 @@ from floorsums import arith as A
 from floorsums import expsum as E
 from floorsums.errors import BudgetError, WindowError
 from floorsums.identities import PhaseFunction
-from floorsums.pairs import BoundProfile, pair
+from floorsums.pairs import BoundProfile, ExponentPair
 
-CLASSIC = pair(Fraction(1, 6), Fraction(2, 3))
+CLASSIC = ExponentPair(Fraction(1, 6), Fraction(2, 3))
 
 
 def test_exp_sum_counts_with_zero_phase():
@@ -223,7 +223,7 @@ def test_bound_window_violations_raise():
     # infeasible pair for the Lambda single-sum case
     with pytest.raises(WindowError):
         E.check_bound("lambda-reciprocal", 10**6, 1000,
-                      pair=pair(Fraction(1, 2), Fraction(1, 2)))
+                      pair=ExponentPair(Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_float_z_window_matches_integer_z():
@@ -239,7 +239,7 @@ def test_exact_window_test_is_work_capped():
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="bits"):
         E.check_bound("unitary-reciprocal", 10**6, 100,
-                      pair=pair(Fraction(1, 1000003), Fraction(1, 2)))
+                      pair=ExponentPair(Fraction(1, 1000003), Fraction(1, 2)))
     assert time.perf_counter() - start < 1
 
 

@@ -114,20 +114,20 @@ def test_two_omega_names_parse_to_the_unitary_divisor_kind(name):
 def test_tau_closed_form_r4_to_r12(r):
     expo = P.theorem_exponent(f"tau:{r}", P.heath_brown_pair(2 * r - 1))
     assert expo == F(1, 2) - F(1, 2 * (4 * r**3 - r - 1))
-    assert expo == P.tau_closed_form(r)
 
 
 def test_tau_closed_form_small_orders():
-    assert P.tau_closed_form(4) == F(125, 251)
-    assert P.tau_closed_form(5) == F(493, 988)
-    assert P.tau_closed_form(6) == F(428, 857)
+    # the published tau_4, tau_5, tau_6 exponents, at hb(7), hb(9), hb(11)
+    assert P.theorem_exponent("tau:4", P.heath_brown_pair(7)) == F(125, 251)
+    assert P.theorem_exponent("tau:5", P.heath_brown_pair(9)) == F(493, 988)
+    assert P.theorem_exponent("tau:6", P.heath_brown_pair(11)) == F(428, 857)
 
 
 def test_infeasible_pairs_name_their_constraint():
     r = P.theorem_exponent("tau:6", CLASSIC)       # 1 - 2/3 < (1/6) * 5
     assert isinstance(r, P.Infeasible)
     assert "1 - l" in r.constraint
-    r = P.theorem_exponent("lambda", P.pair(F(1, 4), F(3, 4)))
+    r = P.theorem_exponent("lambda", P.ExponentPair(F(1, 4), F(3, 4)))
     assert isinstance(r, P.Infeasible)
     assert "1/6" in r.constraint
 
@@ -143,7 +143,7 @@ def test_trivial_pair_is_infeasible_for_two_omega():
 
 def test_eps_carrier_boundary_rules():
     # k = 1/6 exactly: fine for a bare pair, ruled out for a +eps carrier
-    bare = P.pair(F(1, 6), F(2, 3))
+    bare = P.ExponentPair(F(1, 6), F(2, 3))
     carrier = P.ExponentPair(F(1, 6), F(2, 3), eps_carrier=True)
     assert P.theorem_exponent("lambda", bare) == F(98, 205)
     assert isinstance(P.theorem_exponent("lambda", carrier), P.Infeasible)
@@ -155,6 +155,101 @@ def test_eps_carrier_boundary_rules():
     assert isinstance(P.theorem_exponent(f"tau:{r_val}", tight), P.Infeasible)
     assert isinstance(P.theorem_exponent(f"tau:{r_val}", P.ExponentPair(k, l)),
                       P.Infeasible)   # strict fails at equality without eps too
+
+
+# ---------------------------------------------------------------------------
+# an independent Fraction reference: the A/B formulas, a breadth-first orbit,
+# and the three theorem exponents with their constraints probed at (k+eps, l+eps)
+
+REF_EPS = F(1, 10**9)
+REF_TARGETS = ["lambda"] + [f"tau:{r}" for r in range(2, 9)] + ["two-omega"]
+
+
+def _ref_A(k, l):
+    return k / (2 * k + 2), (k + l + 1) / (2 * k + 2)
+
+
+def _ref_B(k, l):
+    return l - F(1, 2), k + F(1, 2)
+
+
+def _ref_orbit(seeds, depth):
+    """(k, l) -> (level, word, seed) of its first derivation, breadth first."""
+    found, level = {}, []
+    for s in seeds:
+        if s.as_tuple() not in found:
+            found[s.as_tuple()] = (0, "", s)
+            level.append(s.as_tuple())
+    for d in range(1, depth + 1):
+        nxt = []
+        for kl in level:
+            word, s = found[kl][1:]
+            for letter, process in (("A", _ref_A), ("B", _ref_B)):
+                q = process(*kl)
+                if q not in found:
+                    found[q] = (d, letter + word, s)
+                    nxt.append(q)
+        level = nxt
+    return found
+
+
+def _ref_exponent(target, k, l, eps):
+    if target == "lambda":
+        value = 14 * (k + 1) / (29 * k - l + 30)
+        checks = [("k <= 1/6", lambda k, l: F(1, 6) - k, False),
+                  ("3k + 4l >= 1", lambda k, l: 3 * k + 4 * l - 1, False),
+                  ("l^2 + l + 3 - k(5-l) - 9k^2 > 0",
+                   lambda k, l: l * l + l + 3 - k * (5 - l) - 9 * k * k, True)]
+    elif target == "two-omega":
+        value = 2 * (k + 1) / (3 * k - l + 5)
+        checks = [("k + l < 1", lambda k, l: 1 - k - l, True)]
+    else:
+        r = int(target[4:])
+        value = (k * (r - 1) + l + r - 1) / (k * (r - 1) + l + 2 * r - 1)
+        checks = [("1 - l > k(r-1)", lambda k, l: 1 - l - k * (r - 1), True)]
+    for name, g, strict in checks:
+        v = g(k, l)
+        if v == 0:
+            v = g(k + REF_EPS, l + REF_EPS) if eps else (-1 if strict else 1)
+        if v <= 0:
+            return P.Infeasible(name)
+    return value
+
+
+def test_enumerate_pairs_matches_fraction_reference():
+    seeds = [CLASSIC, BOURGAIN] + [P.heath_brown_pair(m) for m in range(5, 20)]
+    ref = _ref_orbit(seeds, 8)
+    for depth in range(9):
+        want = {(kl, word, s.seed, s.eps_carrier)
+                for kl, (level, word, s) in ref.items() if level <= depth}
+        got = {(p.as_tuple(), "".join(p.word), p.seed, p.eps_carrier)
+               for p in P.enumerate_pairs(seeds, depth)}
+        assert got == want, depth
+
+
+def test_theorem_exponent_matches_fraction_reference():
+    rng = random.Random(1729)
+    points = []
+    for _ in range(10000):
+        den = rng.choice((6, 12, 84, 97, 1000, 2**20, 10**9))
+        points.append((F(rng.randint(0, den // 2), den),
+                       F(rng.randint(-(-den // 2), den), den)))
+    # exactly on each constraint that can be tight in the box: k = 1/6,
+    # 1 - l = k(r-1) and k + l = 1 (3k + 4l >= 2 there, and the quadratic is
+    # positive wherever k <= 1/6 holds)
+    boundary = []
+    for i in range(61):
+        l = F(1, 2) + F(i, 120)
+        boundary += [(F(1, 6), l), (1 - l, l)] + [((1 - l) / (r - 1), l) for r in range(2, 9)]
+    for n, (k, l) in enumerate(points + boundary):
+        targets = (REF_TARGETS if n >= len(points)
+                   else ["lambda", f"tau:{rng.randint(2, 8)}", "two-omega"])
+        for eps in (False, True):
+            p = P.ExponentPair(k, l, eps_carrier=eps)
+            for target in targets:
+                want = _ref_exponent(target, k, l, eps)
+                assert P.theorem_exponent(target, p) == want, (target, k, l, eps)
+    assert 2 * (len(points) + len(boundary)) >= 20000
 
 
 # ---------------------------------------------------------------------------
