@@ -1,5 +1,6 @@
-"""Direct evaluation of exponential sums over arithmetic functions and
-desk-scale sanity ratios measured |S| / claimed bound.
+"""Direct evaluation of exponential sums over arithmetic functions, the
+unweighted bilinear sum behind bilinear-power, and desk-scale sanity ratios
+measured |S| / claimed bound.
 
 The bound checks are sanity probes, not proofs: each case evaluates the sum
 exactly (compensated summation, exact mod-1 phase reduction), evaluates the
@@ -9,7 +10,7 @@ z^0.05, and reports the ratio.  Thresholds live in the test suite, not here.
 Cases (kind, phase, window, claimed bound):
   lambda-reciprocal      Lambda, e(z/n),   R <= z^(2/3),
                          z^(1/6) R^((7k+l+6)/(12(k+1))) + R^(7/8)
-  bilinear-power         bilinear coefficients, e(z/(mn)^r), R <= z^(2/(2r+1)),
+  bilinear-power         unit coefficients, e(z/(mn)^r), R <= z^(2/(2r+1)),
                          log(z+2)^2 (z^(1/6) R^((2(4-r)+k(9-2r)+l)/(12(k+1))) + R^(7/8))
   tau-exponent-pair      tau_r, e(z/n) with T = z/R,
                          T^k R^((l-k)/r + 1 - 1/r) log(R)^r + (R/T) log(R)^(r+1)
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import BudgetError, WindowError
 from .identities import PhaseFunction
 from .pairs import ExponentPair
 
-COEFF_TOLERANCE = 1e-12
 EPSILON = 0.05                  # fixed: the claimed bounds carry a factor z^EPSILON
 # bits of R^den and z^num together in an exact window test; on a 2-vCPU host
 # 1.2e6 bits take 0.04 s and 1.2e7 bits 1.2 s (a --pair with a large denominator)
@@ -54,64 +53,12 @@ def exp_sum(kind: FunctionKind, R: int, R1: int, phase: PhaseFunction) -> comple
     return complex(math.fsum(w * units.real), math.fsum(w * units.imag))
 
 
-def type_I_max(weight: str, N: int, R: int, R1: int, phase: PhaseFunction) -> float:
-    """sum_{N < n <= 2N} max over prefixes of |sum_m w(m) e(F(mn))|.
-
-    Inner m ranges over (R/n, M] for the worst integer M <= R1/n, computed as
-    an exact prefix maximum.  `weight` is 'unit' or 'log' (w(m) = log m).
-    """
-    if weight not in ("unit", "log"):
-        raise ValueError("weight must be 'unit' or 'log'")
-    if N**3 > R:
-        raise WindowError(f"need N <= R^(1/3), got N={N}, R={R}")
-    if not 1 < R < R1 <= 2 * R:
-        raise WindowError(f"need 1 < R < R1 <= 2R, got R={R}, R1={R1}")
-    total = 0.0
-    for n in range(N + 1, 2 * N + 1):
-        m_lo, m_hi = R // n, R1 // n
-        acc = 0j
-        best = 0.0
-        for m in range(m_lo + 1, m_hi + 1):
-            w = math.log(m) if weight == "log" else 1.0
-            acc += w * phase.unit(m * n)
-            a = abs(acc)
-            if a > best:
-                best = a
-        total += best
-    return total
-
-
-CoeffSpec = Union[complex, float, Sequence]
-
-
-def _as_coeffs(spec: CoeffSpec, lo: int, count: int) -> np.ndarray:
-    """Coefficients for indices lo+1 .. lo+count as a complex array."""
-    if np.isscalar(spec):
-        arr = np.full(count, complex(spec), dtype=np.complex128)
-    else:
-        arr = np.asarray(spec, dtype=np.complex128)
-        if arr.shape != (count,):
-            raise ValueError(f"expected {count} coefficients, got shape {arr.shape}")
-    if arr.size and np.max(np.abs(arr)) > 1 + COEFF_TOLERANCE:
-        raise ValueError("coefficient modulus exceeds 1")
-    return arr
-
-
-def type_II_sum(alpha_seq: CoeffSpec, beta_seq: CoeffSpec, M: int, N: int,
-                phase: PhaseFunction) -> complex:
-    """Bilinear sum_{N<n<=2N} alpha_n sum_{M<m<=2M} beta_m e(F(mn)).
-
-    Coefficient specs may be scalars or sequences aligned with (N, 2N] and
-    (M, 2M]; moduli must not exceed 1.
-    """
-    alpha = _as_coeffs(alpha_seq, N, N)
-    beta = _as_coeffs(beta_seq, M, M)
+def type_II_sum(M: int, N: int, phase: PhaseFunction) -> complex:
+    """Bilinear sum_{N<n<=2N} sum_{M<m<=2M} e(F(mn)), one row per n."""
     m = np.arange(M + 1, 2 * M + 1, dtype=np.int64)
     re, im = [], []
-    for i, n in enumerate(range(N + 1, 2 * N + 1)):
-        if alpha[i] == 0:
-            continue
-        row = alpha[i] * np.sum(beta * phase.unit_array(m * n))
+    for n in range(N + 1, 2 * N + 1):
+        row = np.sum(phase.unit_array(m * n))
         re.append(row.real)
         im.append(row.imag)
     return complex(math.fsum(re), math.fsum(im))
@@ -158,6 +105,8 @@ def check_bound(case: str, z, R: int, pair: ExponentPair | None = None,
     R1 is fixed at 2R.  Raises WindowError outside the case's admissible
     (z, R) window; never clips silently.  No pass/fail judgment is made here.
     """
+    if not z < math.inf:                    # inf and nan
+        raise ValueError(f"need a finite z, got z={z}")
     if z <= 0 or R < 2:
         raise ValueError("need z > 0 and R >= 2")
     R1 = 2 * R
@@ -182,7 +131,7 @@ def check_bound(case: str, z, R: int, pair: ExponentPair | None = None,
             raise WindowError(f"need R <= z^(2/(2r+1)): z={z}, R={R}, r={r}")
         N = max(math.isqrt(R), min(int(round(R ** 0.6)), int(R ** (2 / 3))))
         M = max(1, R // (2 * N))
-        measured = abs(type_II_sum(1, 1, M, N, PhaseFunction.power_reciprocal(z, r)))
+        measured = abs(type_II_sum(M, N, PhaseFunction.power_reciprocal(z, r)))
         expo = (2 * (4 - r) + p.k * (9 - 2 * r) + p.l) / (12 * (p.k + 1))
         claimed = (eps_factor * math.log(float(z) + 2) ** 2
                    * (float(z) ** (1 / 6) * R ** float(expo) + R ** (7 / 8)))

@@ -61,20 +61,22 @@ class PhaseFunction:
 
     @classmethod
     def reciprocal(cls, z) -> "PhaseFunction":
-        if z < 0:
-            raise ValueError("z must be >= 0")
+        if not 0 <= z < math.inf:           # also false for nan
+            raise ValueError(f"need 0 <= z < inf, got z={z}")
         return cls(form="reciprocal", z=z)
 
     @classmethod
     def power_reciprocal(cls, z, r: int) -> "PhaseFunction":
-        if z < 0 or r < 1:
-            raise ValueError("need z >= 0 and r >= 1")
+        if not 0 <= z < math.inf or r < 1:
+            raise ValueError(f"need 0 <= z < inf and r >= 1, got z={z}, r={r}")
         return cls(form="power_reciprocal", z=z, r=r)
 
     @classmethod
     def shifted_reciprocal(cls, h, x, a: int) -> "PhaseFunction":
-        if h < 0 or x < 0 or a not in (0, 1):
-            raise ValueError("need h, x >= 0 and a in {0, 1}")
+        if not (0 <= h < math.inf and 0 <= x < math.inf and h * x < math.inf) \
+                or a not in (0, 1):
+            raise ValueError(f"need 0 <= h, x, hx < inf and a in {{0, 1}}, "
+                             f"got h={h}, x={x}, a={a}")
         return cls(form="shifted_reciprocal", z=h * x, a=a)
 
     @classmethod

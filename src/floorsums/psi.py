@@ -5,8 +5,8 @@ The degree-H Vaaler polynomial damps psi's Fourier coefficients -1/(2 pi i h)
 by J(h/(H+1)) with J(t) = pi t (1-t) cot(pi t) + t, and satisfies the
 pointwise bound |psi(x) - psi_H(x)| <= F_H(x)/(2H+2) against the Fejer kernel
 F_H(x) = sum_{|h|<=H} (1 - |h|/(H+1)) e(hx).  Correctness is gated on that
-inequality (verify_pointwise_bound), not on the coefficient formulas.  The
-check samples psi_H on the grid k/G, where psi_H is a discrete sine transform:
+inequality (verify_pointwise_bound), not on the coefficient formulas.  psi_H
+is never evaluated off the grid k/G, where it is a discrete sine transform:
 one FFT of length G gives every grid value in O(H + G log G), with each phase
 2 pi ((hk) mod G)/G exact.  The grid and work caps are kept, so the check's
 memory and time stay bounded.  Everything here is pure and stateless.
@@ -24,11 +24,6 @@ _MAX_GRID = 10**6           # grid points; verify_pointwise_bound peaks near 65 
 _MAX_WORK = 10**10          # (h, x) pairs of the Vaaler sum on the grid: H * grid
 
 
-def psi_exact(x: float) -> float:
-    """psi(x) = x - floor(x) - 1/2, in [-1/2, 1/2)."""
-    return x - math.floor(x) - 0.5
-
-
 @dataclass(frozen=True, eq=False)
 class TrigPolynomial:
     """A real-valued trigonometric polynomial sum_{1<=|h|<=H} c_h e(hx).
@@ -39,24 +34,6 @@ class TrigPolynomial:
 
     H: int
     damping: np.ndarray
-
-    def __call__(self, x):
-        """Evaluate at a float or numpy array, returning real values."""
-        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        h = np.arange(1, self.H + 1)
-        # c_h = i J_h/(2 pi h) gives  -sum J_h sin(2 pi h x)/(pi h)
-        acc = np.zeros(xs.shape, dtype=np.float64)
-        # chunk the harmonics, each chunk computed in place in one reused
-        # buffer, so H up to 1e6 stays in bounded memory
-        step = max(1, (1 << 22) // max(xs.size, 1))
-        buf = np.empty((min(step, self.H), xs.size))
-        for start in range(0, self.H, step):
-            hh = h[start:start + step]
-            phase = np.outer(hh, xs, out=buf[:hh.size])
-            phase *= 2 * math.pi
-            acc -= (self.damping[start:start + step] / (math.pi * hh)) @ \
-                np.sin(phase, out=phase)
-        return acc if np.ndim(x) else float(acc[0])
 
 
 def vaaler_polynomial(H: int) -> TrigPolynomial:

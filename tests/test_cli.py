@@ -211,6 +211,17 @@ def test_expsum_bilinear_power_beyond_int64(capsys):
     assert abs(d["measured"] - ref) <= 1e-9
 
 
+@pytest.mark.parametrize("z", ["inf", "nan", "1e400"])
+@pytest.mark.parametrize("case", ["tau-exponent-pair", "mobius-power", "bilinear-power"])
+def test_expsum_non_finite_z_is_a_value_error(capsys, case, z):
+    # 1e400 parses to inf; nan used to reach the window test of mobius-power
+    code, out = run(capsys, "expsum", "check", "--case", case, "--z", z,
+                    "--R", "100", "--pair", "1/6,2/3")
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError",
+                               "message": f"need a finite z, got z={float(z)}"}
+
+
 def test_error_reports_are_machine_readable(capsys):
     code, out = run(capsys, "sum", "--function", "nope", "--x", "10")
     assert code == 1

@@ -5,7 +5,8 @@ the file was recorded.  It covers every function's main-term constant and its
 error bound, from the Dirichlet series and sieved to a cutoff (through
 `constant`, `sum` and `scan`, with and without `--cutoff`), the exact sums,
 the residual scans, the psi report, the four `verify` suites, one admissible
-`expsum check` line per bound case, `pairs derive`, and `pairs exponent` on
+`expsum check` line per bound case (bilinear-power also at r = 1, 2 and 3,
+and with a float z), `pairs derive`, and `pairs exponent` on
 Bourgain's pair and on two pairs tight at a constraint (the non-strict
 k <= 1/6 admits a bare pair, the strict tau one rejects it).  `pairs search`
 is pinned at depth 8 for tau_3 and at depth 10 for every target the benchmark

@@ -54,6 +54,24 @@ def test_phase_validation():
         I.PhaseFunction.shifted_reciprocal(1, 1, 2)
 
 
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+def test_phase_rejects_non_finite_sizes(v):
+    for make in (lambda: I.PhaseFunction.reciprocal(v),
+                 lambda: I.PhaseFunction.power_reciprocal(v, 2),
+                 lambda: I.PhaseFunction.shifted_reciprocal(v, 10, 0),
+                 lambda: I.PhaseFunction.shifted_reciprocal(3, v, 1),
+                 lambda: I.PhaseFunction.shifted_reciprocal(0, v, 0)):
+        with pytest.raises(ValueError, match="< inf"):
+            make()
+
+
+def test_shifted_phase_rejects_overflowing_product():
+    with pytest.raises(ValueError, match="< inf"):
+        I.PhaseFunction.shifted_reciprocal(1e200, 1e200, 0)
+    # an int z of any size is finite
+    assert I.PhaseFunction.reciprocal(10**400).frac(3) == (10**400 % 3) / 3
+
+
 def test_unit_array_matches_scalar_path():
     rng = random.Random(12)
     for _ in range(20):
