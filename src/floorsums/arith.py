@@ -10,12 +10,12 @@ Each function is defined once, by its local factor g(a) = f(p^a) in
 exactly dividing n (the sum, for the additive omega).  Lambda, whose value
 at p^a depends on p, is the one special case.  The table drives both
 evaluators: a single segmented kernel that walks the prime powers up to hi
-with the primes up to sqrt(hi), and `eval_point`, which trial-divides an
-isolated argument n <= 10^12 by the primes below 10^4 and classifies the
-cofactor as 1, p, p^2 or pq (below 10007^3 nothing else is left).  The tail
-bounds on main-term constants in `floorsum` read the same table, and so does
-the kernel's choice of working dtype: the narrowest one that holds every
-value the walk can form below 2^hi.bit_length().
+with the primes up to sqrt(hi), and `eval_points`, which trial-divides an
+array of n <= 10^12 by the primes up to cbrt(max n) and classifies each
+cofactor as 1, p, p^2 or pq (nothing else is left); `eval_point` is it on
+one argument.  The tail bounds on main-term constants in `floorsum` read the
+same table, and so does the kernel's choice of working dtype: the narrowest
+one that holds every value the walk can form below 2^hi.bit_length().
 
 The kernel finds the one prime factor above sqrt(hi) that an n may have by
 an exact test on logarithms: an unsigned byte per n adds round(s log2 p) for
@@ -42,7 +42,7 @@ from .errors import BudgetError, CoverageError
 
 SEGMENT_SIZE = 1 << 20
 SIEVE_BUDGET = 1 << 27      # entries per table
-FACTOR_BUDGET = 10**12      # largest n eval_point accepts; < 10007^3, see _factor_exponents
+FACTOR_BUDGET = 10**12      # largest n eval_points accepts; below 2.15e12, see _is_prime
 MAX_TAU_R = 8               # fixed: the int64 sieve wraps for large orders (tau_64 at n = 7207200)
 
 _TAGS = ("one", "mobius", "mobius_squared", "lambda", "tau", "omega",
@@ -402,8 +402,8 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
 # ---------------------------------------------------------------------------
 # point evaluation by trial division and a cofactor test
 
-# Python ints: iterating the numpy array would box a numpy scalar per step
-_SMALL_PRIMES = tuple(primes_upto(10**4).tolist())
+_TEST_BLOCK = 1 << 16           # divisibility tests (primes x rows) held at once
+_PRUNE_EVERY = 16               # primes between two prunings of the finished rows
 
 
 def _is_prime(m: int) -> bool:
@@ -426,52 +426,151 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _factor_exponents(n: int) -> tuple[list[int], int]:
-    """The exponents of the prime factorization of 1 <= n <= FACTOR_BUDGET,
-    and its prime when there is exactly one.
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 0."""
+    c = round(n ** (1 / 3))
+    while c ** 3 > n:
+        c -= 1
+    while (c + 1) ** 3 <= n:
+        c += 1
+    return c
 
-    Trial division by the primes below 10^4.  When it runs out of primes,
-    the cofactor m has no prime factor below 10007, and m <= 10^12 <
-    10007^3 leaves it 1, p, p^2 or pq.
+
+@lru_cache(maxsize=32)
+def _odd_primes(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The odd primes p <= c, with p^-1 mod 2^64 and floor((2^64 - 1) / p)
+    as uint64.
+
+    Multiplying by p^-1 is a bijection mod 2^64 that maps each multiple
+    k p <= 2^64 - 1 onto k, so onto [0, floor((2^64 - 1) / p)], and every
+    other uint64 above that.  So for every m < 2^64, p divides m iff
+    m p^-1 mod 2^64 <= floor((2^64 - 1) / p), and the product is then m / p.
+    Newton's step x -> x (2 - p x) doubles the correct low bits of x = p,
+    right to 3 bits as p^2 = 1 mod 8."""
+    primes = primes_upto(c)[1:]
+    p = primes.astype(np.uint64)
+    inv = p.copy()
+    for _ in range(5):                      # 3 -> 96 bits
+        inv *= np.uint64(2) - p * inv
+    out = primes, inv, np.uint64(2**64 - 1) // p
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _local_values(kind: FunctionKind) -> np.ndarray:
+    """g(a) = f(p^a) for a = 0..63, as a read-only int64 array."""
+    g = np.array([kind.local(a) for a in range(_MAX_EXPONENT + 1)], dtype=np.int64)
+    g.flags.writeable = False
+    return g
+
+
+def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
+    """f on an array of 1 <= n <= FACTOR_BUDGET, entrywise the value
+    build_sieve gives, bit for bit: Lambda takes log p from np.log on
+    float64, as the sieve does.  Every value depends on its n alone.
+
+    The powers of 2 come off by a bit test, and the odd primes up to
+    c = floor(cbrt(max n)) by exact divisibility tests on uint64 (see
+    `_odd_primes`): a block of primes at a time against every row still
+    being divided, as many primes as keep the block within _TEST_BLOCK tests
+    (one at least).  Every _PRUNE_EVERY primes, the rows whose cofactor is
+    below the square of the next prime leave, as it is then 1 or a prime.
+    Every prime factor of a cofactor exceeds c, and (c + 1)^3 > n leaves at
+    most two of them: 1, p, p^2 or pq.  Below (c + 1)^2 it is 1 or p;
+    above, `isqrt` finds p^2 and `_is_prime` tells p from pq.
     """
-    exps: list[int] = []
-    prime = 0
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            n //= p
-            a = 1
-            while n % p == 0:
-                n //= p
-                a += 1
-            exps.append(a)
-            prime = p
+    _check_tau_order(kind)
+    n = np.asarray(n)
+    if n.size and n.min() < 1:
+        raise ValueError("n must be >= 1")
+    top = int(n.max()) if n.size else 1
+    if top > FACTOR_BUDGET:
+        raise BudgetError(f"n={top} exceeds factorization budget {FACTOR_BUDGET}")
+    m = n.astype(np.int64).ravel()          # the cofactor still to factor
+    lam = kind.tag == "lambda"
+    if lam:
+        count = np.zeros(m.size, dtype=np.int8)     # distinct prime factors
+        prime = np.ones(m.size, dtype=np.int64)     # the last one found
     else:
-        root = isqrt(n)
-        if n > 1 and root * root == n:
-            return exps + [2], root
-        if n > 1 and not _is_prime(n):
-            return exps + [1, 1], 0
-    if n > 1:
-        exps.append(1)
-        prime = n
-    return exps, prime
+        g = _local_values(kind)
+        if (g == g[0]).all():               # f is constant (one, tau_1)
+            return np.full(n.shape, g[0], dtype=np.int64)
+        val = np.full(m.size, g[0], dtype=np.int64)
+
+    def record(rows, a, p):
+        """p^a exactly divides n at `rows` (an index may repeat)."""
+        if lam:
+            np.add.at(count, rows, 1)
+            prime[rows] = p
+        elif kind.additive:
+            np.add.at(val, rows, g[a])
+        else:
+            np.multiply.at(val, rows, g[a])
+
+    low = m & -m                            # the power of 2 dividing m
+    rows = np.flatnonzero(low > 1)
+    m[rows] //= low[rows]
+    record(rows, np.frexp(low[rows].astype(np.float64))[1] - 1, 2)
+
+    c = max(_icbrt(top), 3)                 # (c + 1)^2 > 11: _is_prime's range
+    odd, inv, lim = _odd_primes(c)
+    live = np.flatnonzero(m > 1)            # rows still being divided
+    mv = m[live].astype(np.uint64)          # and their cofactors
+    i = pruned = 0
+    while i < odd.size:
+        if i >= pruned:
+            keep = np.flatnonzero(mv >= int(odd[i]) ** 2)
+            live, mv = live[keep], mv[keep]
+            if not live.size:
+                break
+            pruned = i + _PRUNE_EVERY
+        k = min(max(1, _TEST_BLOCK // live.size), odd.size - i)
+        t = np.multiply.outer(inv[i: i + k], mv)
+        j, r = np.divmod(np.flatnonzero(t <= lim[i: i + k, None]), live.size)
+        if r.size:                      # p = odd[i + j] divides m at r
+            p_inv, p_lim = inv[i + j], lim[i + j]
+            q = t[j, r]                 # m / p^a
+            unit = p_inv.copy()         # p^-a mod 2^64
+            a = np.ones(r.size, dtype=np.int64)
+            more = np.arange(r.size)
+            while more.size:
+                t = q[more] * p_inv[more]
+                div = t <= p_lim[more]
+                more = more[div]
+                q[more] = t[div]
+                unit[more] *= p_inv[more]
+                a[more] += 1
+            np.multiply.at(mv, r, unit)     # divided by every p^a found at r
+            rows = live[r]
+            m[rows] = mv[r]
+            record(rows, a, odd[i + j])
+        i += k
+
+    rows = np.flatnonzero(m > 1)            # the cofactor is p, p^2 or pq there,
+    big = rows[m[rows] >= (c + 1) ** 2]     # and below (c + 1)^2 a prime
+    root = np.array([isqrt(v) for v in m[big].tolist()], dtype=np.int64)
+    square = root * root == m[big]
+    record(big[square], 2, root[square])
+    rest = big[~square]
+    pq = rest[[not _is_prime(v) for v in m[rest].tolist()]]
+    record(np.repeat(pq, 2), 1, 0)          # p != q
+    m[big[square]] = m[pq] = 1
+    rows = np.flatnonzero(m > 1)
+    record(rows, 1, m[rows])
+    if lam:
+        out = np.zeros(m.size, dtype=np.float64)
+        one = np.flatnonzero(count == 1)
+        out[one] = np.log(prime[one].astype(np.float64))
+        return out.reshape(n.shape)
+    return val.reshape(n.shape)
 
 
 def eval_point(kind: FunctionKind, n: int):
-    """f(n) for an isolated argument; agrees with build_sieve entrywise, bit
-    for bit: both take log p from np.log on float64."""
-    _check_tau_order(kind)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > FACTOR_BUDGET:
-        raise BudgetError(f"n={n} exceeds factorization budget {FACTOR_BUDGET}")
-    exps, prime = _factor_exponents(n)
-    if kind.tag == "lambda":
-        return float(np.log(float(prime))) if len(exps) == 1 else 0.0
-    local = [kind.local(a) for a in exps]
-    return sum(local) if kind.additive else math.prod(local)
+    """f(n) for an isolated argument, as a Python int or float:
+    `eval_points` on one entry."""
+    return eval_points(kind, np.array([n])).item()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 error scans.
 
 Two evaluators: a naive O(x) reference and a split evaluator that sums
-f(floor(x/n)) directly for n up to a split point N (the head, one point
-evaluation each) and then groups the remaining n by their common quotient
-value d with exact multiplicities floor(x/d) - max(N, floor(x/(d+1))) (the
-blocks, one sieve entry each, streamed in segments).  Both are exact; the
+f(floor(x/n)) directly for n up to a split point N (the head, all N
+quotients factored in one `eval_points` call) and then groups the remaining
+n by their common quotient value d with exact multiplicities
+floor(x/d) - max(N, floor(x/(d+1))) (the blocks, one sieve entry and one
+division each, streamed in segments).  Both are exact; the
 split only affects speed, so they cross-check each other.  The default split
 balances the two costs: N = isqrt(x // SPLIT_RATIO).
 
@@ -31,18 +32,20 @@ from math import isqrt
 import numpy as np
 
 from .arith import (FACTOR_BUDGET, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind, SieveTable,
-                    _check_tau_order, build_sieve, eval_point, iter_segment_values,
+                    _check_tau_order, build_sieve, eval_points, iter_segment_values,
                     primes_upto)
 from .errors import BudgetError, WindowError
 
 NAIVE_BUDGET = 10**7
 FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
-# N point evaluations plus x/N block entries cost N c_point + (x/N) c_entry,
-# least at N = sqrt(x / SPLIT_RATIO) with SPLIT_RATIO = c_point / c_entry.
-# At x = 1e12 a block entry costs 20-42 ns and an eval_point 21-27 us (2 vCPU),
-# a ratio of 630-1330 by kind; the time is flat within noise for ratios
-# 250-1000.
-SPLIT_RATIO = 500
+# N head rows plus x/N block entries cost N c_row + (x/N) c_entry, least at
+# N = sqrt(x / SPLIT_RATIO) with SPLIT_RATIO = c_row / c_entry.  At x = 1e12
+# and N = 2e5 a head row costs 0.46-0.72 us and a block entry 6-22 ns (sieve
+# and division; 2 vCPU), a ratio of 23-80 by kind.  Summed over tau3, mu,
+# Lambda and 2^omega, a sweep of ratios 5-500 at x = 1e8..1e12 put the least
+# time at 15-35, with 25 within noise of it at every x; at x = 1e12 ratio 100
+# was 1.4x slower.
+SPLIT_RATIO = 25
 BLOCK_CHUNK = 1 << 16           # block entries whose multiplicities exist at once
 RESIDUAL_FLOOR = 1e-9
 CUTOFF_BUDGET = 10**9           # largest sieved cutoff: 10^9 terms at 11-41 ns each (2 vCPU)
@@ -88,12 +91,6 @@ def _check_table(kind: FunctionKind, table: SieveTable | None) -> None:
         raise ValueError(f"table holds {table.kind}, expected {kind}")
 
 
-def _lookup(kind: FunctionKind, n: int, table: SieveTable | None):
-    if table is not None and table.covers(n, n):
-        return table.value(n)
-    return eval_point(kind, n)
-
-
 def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None):
     """Direct O(x) evaluation; exact (Lambda via compensated summation)."""
     _check_x(x, "naive")
@@ -123,10 +120,8 @@ def _blocks(kind: FunctionKind, x: int, N: int, table: SieveTable | None,
     for seg_lo, vals in segments:
         for i in range(0, len(vals), BLOCK_CHUNK):
             v = vals[i: i + BLOCK_CHUNK]
-            d = np.arange(seg_lo + i, seg_lo + i + len(v), dtype=np.int64)
-            m = x // d
-            m -= np.maximum(N, x // (d + 1))
-            yield seg_lo + i, v, m
+            q = x // np.arange(seg_lo + i, seg_lo + i + len(v) + 1, dtype=np.int64)
+            yield seg_lo + i, v, q[:-1] - np.maximum(N, q[1:])
 
 
 def _float_terms(kind: FunctionKind, x: int, N: int, table: SieveTable | None,
@@ -141,15 +136,17 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
                    table: SieveTable | None = None):
     """Split evaluation, exactly equal to floor_sum_naive for integer kinds.
 
-    The head sums f(floor(x/n)) for n <= N by point evaluation; the blocks
-    sum f(d) m(d) over d <= x // (N+1), streamed from the sieve in chunks.
+    The head sums f(floor(x/n)) for n <= N, the N quotients factored in
+    one `eval_points` call; the blocks sum f(d) m(d) over d <= x // (N+1),
+    streamed from the sieve in chunks, with m(d) from one division per d.
     `split` overrides the default N = max(1, isqrt(x // SPLIT_RATIO)); the
-    result does not depend on it.  A covering `table` short-circuits point
-    evaluations and the sieve.  Integer sums are exact Python ints; each
+    result does not depend on it.  A `table` that covers [x // N, x]
+    short-circuits the factoring, and one that covers the blocks the sieve.
+    Integer sums are exact: the head in Python ints, and each block
     chunk's int64 dot product is checked against 2^63 before it is taken.
     Lambda is summed with math.fsum in a fixed order: the quotients
     d <= x // (isqrt(x)+1), the only ones shared by several n, first, then
-    that partial sum with every other term, one per n.  eval_point and the
+    that partial sum with every other term, one per n.  eval_points and the
     sieve give every term the same bits, so the float result is the same
     for every split N <= isqrt(x); it can differ from floor_sum_naive, which
     fsums all terms at once, in its last bits.
@@ -163,14 +160,18 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     if d0 > SIEVE_BUDGET:
         raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
 
-    head = (_lookup(kind, x // n, table) for n in range(1, N + 1))
+    q = x // np.arange(1, N + 1, dtype=np.int64)
+    if table is not None and table.covers(x // N, x):
+        head = table.values[q - table.lo]
+    else:
+        head = eval_points(kind, q)
 
     if kind.tag == "lambda":
         shared = min(x // (isqrt(x) + 1), d0)
         inner = math.fsum(_float_terms(kind, x, N, table, 1, shared))
-        return math.fsum(chain([inner], head,
+        return math.fsum(chain([inner], head.tolist(),
                                _float_terms(kind, x, N, table, shared + 1, d0)))
-    total = sum(head)
+    total = sum(head.tolist())              # exact, in Python ints
     for d_lo, v, m in _blocks(kind, x, N, table, 1, d0):
         # the chunk's sum of |f(d)| m(d) is at most max|f| times its sum of
         # m(d), which telescopes to at most x//d_lo - x//(d_hi+1)

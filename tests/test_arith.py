@@ -101,16 +101,13 @@ def test_sieve_offset_segment_matches_definition(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_sieve_past_int32_matches_eval_point(kind):
     # segments with hi >= 2^31 track their smooth parts in int64; the
-    # windows near 999983^2 and the budget give eval_point's p^2, pq and
-    # prime cofactors
+    # windows near 999983^2 and the budget give the p^2, pq and prime
+    # cofactors; both take log p from np.log on float64, so Lambda agrees
+    # bit for bit
     for lo in (2**31 - 100, 999983**2 - 100, 10**12 - 200):
-        t = A.build_sieve(kind, lo, lo + 200)
-        for n in range(lo, lo + 201):
-            ref = A.eval_point(kind, n)
-            if kind.tag == "lambda":
-                assert abs(t.value(n) - ref) < 1e-12, n
-            else:
-                assert t.value(n) == ref, n
+        got = A.eval_points(kind, np.arange(lo, lo + 201))
+        want = A.build_sieve(kind, lo, lo + 200).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), lo
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
@@ -118,8 +115,9 @@ def test_sieve_matches_eval_point_to_the_ulp(kind):
     # both take log p from np.log on float64, so Lambda agrees bit for bit;
     # math.log(285343) is one ulp off np.log's value on x86-64
     lo, hi = 280000, 300000
-    for n, v in zip(range(lo, hi + 1), A.build_sieve(kind, lo, hi).values.tolist()):
-        assert v == A.eval_point(kind, n), n
+    got = A.eval_points(kind, np.arange(lo, hi + 1))
+    want = A.build_sieve(kind, lo, hi).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _segment_reference(kind, lo, hi, primes):
@@ -287,14 +285,156 @@ def test_eval_point_large_arguments():
 
 
 def test_factor_budget_enforced():
-    # eval_point's cofactor after trial division below 10^4 is 1, p, p^2 or
-    # pq only below 10007^3, and its Miller-Rabin bases are deterministic
-    # only below 2152302898747
+    # at the budget eval_points trial-divides by the primes up to
+    # cbrt(10^12) = 10^4 and leaves a cofactor that below 10007^3 is 1, p,
+    # p^2 or pq; its Miller-Rabin bases are deterministic only below
+    # 2152302898747, and its divisibility tests exact below 2^64
     assert A.FACTOR_BUDGET < 10007**3
     assert A.FACTOR_BUDGET < 2_152_302_898_747
+    assert A.FACTOR_BUDGET < 2**63
     assert A.eval_point(A.tau(2), 10**12) == 169
     with pytest.raises(BudgetError):
         A.eval_point(A.tau(2), 10**12 + 1)
+
+
+# ---------------------------------------------------------------------------
+# eval_points against scalar trial division
+
+def _is_prime_reference(m):
+    """Miller-Rabin on bases 2, 3, 5, 7, 11 (odd 11 < m < 2152302898747)."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_PRIMES_BELOW_10007 = tuple(A.primes_upto(10**4).tolist())
+
+
+def _factor_reference(n):
+    """(exponents, the prime when there is exactly one) of 1 <= n <= 10^12,
+    one n at a time: trial division by the primes below 10^4, then the
+    cofactor, below 10007^3, is 1, p, p^2 or pq."""
+    exps, prime = [], 0
+    for p in _PRIMES_BELOW_10007:
+        if p * p > n:
+            break
+        if n % p == 0:
+            n //= p
+            a = 1
+            while n % p == 0:
+                n //= p
+                a += 1
+            exps.append(a)
+            prime = p
+    else:
+        root = isqrt(n)
+        if n > 1 and root * root == n:
+            return exps + [2], root
+        if n > 1 and not _is_prime_reference(n):
+            return exps + [1, 1], 0
+    if n > 1:
+        exps.append(1)
+        prime = n
+    return exps, prime
+
+
+def _values_reference(kind, factored):
+    """f from each (exponents, prime) of _factor_reference."""
+    if kind.tag == "lambda":
+        return [float(np.log(float(p))) if len(e) == 1 else 0.0 for e, p in factored]
+    g = [kind.local(a) for a in range(64)]
+    combine = sum if kind.additive else math.prod
+    return [combine([g[a] for a in e]) for e, _ in factored]
+
+
+NINE_NAMES = ("one", "mu", "mu2", "lambda", "tau2", "tau3", "omega", "2omega", "chi2")
+EDGE_POINTS = (1, 10007**2, 9973 * 10007, 999983 * 999979, 2**39, 3**25, 10**12)
+
+
+@pytest.fixture(scope="module")
+def factored_points():
+    """50,000 seeded n in [1, 10^12], half uniform and half log-uniform,
+    then the edge cases, with their reference factorizations."""
+    rng = random.Random(20)
+    n = [rng.randint(1, 10**12) for _ in range(25_000)]
+    n += [int(10 ** rng.uniform(0, 12)) for _ in range(25_000)]
+    n += EDGE_POINTS
+    return np.array(n, dtype=np.int64), [_factor_reference(v) for v in n]
+
+
+def _bits(values):
+    return np.asarray(values).view(np.int64)
+
+
+@pytest.mark.parametrize("name", NINE_NAMES)
+def test_eval_points_match_scalar_trial_division(name, factored_points):
+    kind = A.kind_from_name(name)
+    n, factored = factored_points
+    got = A.eval_points(kind, n)
+    want = np.array(_values_reference(kind, factored), dtype=got.dtype)
+    assert got.dtype == (np.float64 if name == "lambda" else np.int64)
+    bad = np.flatnonzero(_bits(got) != _bits(want))      # Lambda bit for bit
+    assert not bad.size, [(int(n[i]), got[i], want[i]) for i in bad[:5]]
+
+
+@pytest.mark.parametrize("name", NINE_NAMES)
+def test_eval_points_values_do_not_depend_on_the_batch(name, factored_points):
+    kind = A.kind_from_name(name)
+    n = factored_points[0][-400:]           # seeded log-uniform points and the edges
+    whole = A.eval_points(kind, n)
+    perm = np.random.default_rng(5).permutation(n.size)
+    permuted = np.empty_like(whole)
+    permuted[perm] = A.eval_points(kind, n[perm])
+    single = [A.eval_points(kind, n[i: i + 1])[0] for i in range(n.size)]
+    assert np.array_equal(_bits(permuted), _bits(whole))
+    assert np.array_equal(_bits(np.array(single, dtype=whole.dtype)), _bits(whole))
+    assert [A.eval_point(kind, v) for v in EDGE_POINTS] == whole[-len(EDGE_POINTS):].tolist()
+
+
+def test_eval_points_check_their_range_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started on an argument out of range")
+
+    monkeypatch.setattr(A, "_local_values", no_work)
+    monkeypatch.setattr(A, "_odd_primes", no_work)
+    good = np.arange(1, 1001)
+    for bad, error in ((0, ValueError), (-7, ValueError),
+                       (A.FACTOR_BUDGET + 1, BudgetError), (2**70, BudgetError)):
+        for kind in (A.tau(3), A.LAMBDA):
+            if bad < 2**63:
+                with pytest.raises(error):
+                    A.eval_points(kind, np.append(good, bad))
+            with pytest.raises(error):
+                A.eval_point(kind, bad)
+
+
+def test_divisibility_by_inverse_is_exact_below_2_64():
+    # eval_points tests p | m as m p^-1 mod 2^64 <= (2^64 - 1) // p, which
+    # then is m / p; exact for every m < 2^64 > FACTOR_BUDGET
+    primes, inv, lim = A._odd_primes(10**4)
+    p = primes.tolist()
+    assert p == A.primes_upto(10**4).tolist()[1:]
+    assert all(i * q % 2**64 == 1 for i, q in zip(inv.tolist(), p))
+    assert lim.tolist() == [(2**64 - 1) // q for q in p]
+    rng = random.Random(11)
+    for q, i, l in list(zip(p, inv, lim))[::25] + [(p[-1], inv[-1], lim[-1])]:
+        m = [rng.randrange(2**64) for _ in range(100)]
+        m += [q * rng.randrange(2**64 // q + 1) for _ in range(100)] + [0, q, 2**64 - 1]
+        t = np.array(m, dtype=np.uint64) * i
+        assert (t <= l).tolist() == [v % q == 0 for v in m], q
+        assert t[t <= l].tolist() == [v // q for v in m if v % q == 0], q
 
 
 def test_sieve_budget_enforced():

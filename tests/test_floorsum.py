@@ -124,19 +124,19 @@ def test_large_x_sums_pinned(x):
 
 
 def test_blocks_span_several_segments(monkeypatch):
-    x = 10**11
+    x = 10**12
     assert x // (isqrt(x // FS.SPLIT_RATIO) + 1) > 4 * A.SEGMENT_SIZE
-    calls = []
-    point = FS.eval_point
+    rows = []
+    points = FS.eval_points
 
     def counted(kind, n):
-        calls.append(n)
-        return point(kind, n)
+        rows.append(len(n))
+        return points(kind, n)
 
-    monkeypatch.setattr(FS, "eval_point", counted)
+    monkeypatch.setattr(FS, "eval_points", counted)
     assert FS.floor_sum_fast(A.ONE, x) == x
-    # the head is the cost-modelled N, not isqrt(x)
-    assert len(calls) == isqrt(x // FS.SPLIT_RATIO)
+    # the head is the cost-modelled N, not isqrt(x), factored in one call
+    assert rows == [isqrt(x // FS.SPLIT_RATIO)]
 
 
 def test_block_sum_guards_int64():
