@@ -4,15 +4,22 @@ hyperbola principle, with and without exponential weights.
 Each verifier evaluates both sides of an identity independently and returns
 (lhs, rhs, |lhs - rhs|); the sides agree to rounding (relative 1e-9) for any
 admissible parameters and any phase.  On its window every side is a sum of
-terms sum_k c(k) w(k), one dot product each.  w(k) = e(F(k)) (or 1) is
-computed once per call by `unit_array` on the window the sums read: k in
-(R, R1] for the three dyadic verifiers and k in [1, x] for `hyperbola_sides`.
-Each coefficient vector c is a Dirichlet product of value arrays cut to the
-term's ranges, from arith's kernel `_convolve` (k at index k - 1): a double
-sum sum_n a(n) sum_{R/n < m <= R1/n} b(m) w(mn) is (a * b) read on (R, R1],
-so real range endpoints never meet a floating-point division.  On integer
-tables the identity is an equality of integer coefficient vectors, and the
-phase only adds the rounding of the dot products.
+terms sum_k c(k) w(k), one dot product each, taken by `_window_sides`:
+w(k) = e(F(k)) (or 1) is computed once per window by `unit_array`, on
+k in (R, R1] for the three dyadic verifiers and k in [1, x] for
+`hyperbola_sides`.  Each coefficient vector c is a Dirichlet product of
+value arrays cut to the term's ranges, from arith's kernel `_convolve`
+(k at index k - 1): a double sum sum_n a(n) sum_{R/n < m <= R1/n} b(m) w(mn)
+is (a * b) read on (R, R1], so real range endpoints never meet a
+floating-point division.  On integer tables the identity is an equality of
+integer coefficient vectors, and the phase only adds the rounding of the
+dot products.
+
+A product's value at n does not depend on the limit it is built to (the
+kernel sums each n's terms in ascending d, and a sieve's value at n does not
+depend on where its table ends), so a Vaughan product built on [1, 2 _MAX_R]
+and read on (R, R1] is the product built on [1, R1], bit for bit.
+`run_verification` builds each cutoff U's Vaughan products once per run.
 
 Note on the Vaughan forms: the third sum of the Lambda identity and of the
 mu identity both restrict the inner variable to m > max(U, R/n).  On the
@@ -101,17 +108,18 @@ class PhaseFunction:
 
     def unit_array(self, t: np.ndarray) -> np.ndarray:
         """Vectorized e(F(t)) for integer arrays, with the phases of `frac`.
-        The int64 path is taken only when z < 2^62 and every (t + a)^r < 2^53,
-        tested in Python integers: then z mod d and d convert to float64
-        exactly, so their quotient is correctly rounded.  Otherwise each
-        entry goes through `frac`."""
+        With z = p/q, the int64 path is taken only when p < 2^62 and every
+        d = q (t + a)^r < 2^53, tested in Python integers: then p mod d and d
+        convert to float64 exactly, so their quotient is correctly rounded.
+        Otherwise (an opaque phase or a window out of range) each entry goes
+        through `frac`."""
         t = np.asarray(t, dtype=np.int64)
-        if (self.fn is None and isinstance(self.z, int) and self.z < 2**62
-                and (t.size == 0 or (int(t.max()) + self.a) ** self.r < 2**53)):
-            d = (t + self.a) ** self.r
-            ph = np.mod(self.z, d) / d
-        else:
-            ph = np.array([self.frac(int(v)) for v in t], dtype=np.float64)
+        if self.fn is None:
+            p, q = self.z.as_integer_ratio()
+            if p < 2**62 and (t.size == 0 or q * (int(t.max()) + self.a) ** self.r < 2**53):
+                d = q * (t + self.a) ** self.r
+                return np.exp(1j * TWO_PI * (np.mod(p, d) / d))
+        ph = np.array([self.frac(int(v)) for v in t], dtype=np.float64)
         return np.exp(1j * TWO_PI * ph)
 
 
@@ -131,6 +139,18 @@ def _side(w: np.ndarray, *terms: np.ndarray):
     return sum(np.dot(c, w) for c in terms).item()
 
 
+def _window_sides(sides, R: int, R1: int,
+                  phase: PhaseFunction | None) -> tuple[complex, complex, float]:
+    """(lhs, rhs, |lhs - rhs|) on the window (R, R1] for `sides`, the lhs and
+    rhs term lists of coefficient vectors that start at n = 1 and cover R1:
+    w = e(F(k)) on the window (1 when `phase` is None), one dot product per
+    term."""
+    w = (np.ones(R1 - R, dtype=np.int64) if phase is None
+         else phase.unit_array(np.arange(R + 1, R1 + 1)))
+    lhs, rhs = (_side(w, *(c[R:R1] for c in terms)) for terms in sides)
+    return lhs, rhs, abs(lhs - rhs)
+
+
 # ---------------------------------------------------------------------------
 # identity verifiers
 
@@ -141,6 +161,27 @@ def _check_dyadic(R: int, R1: int, U: int) -> None:
         raise WindowError(f"need 1 <= U <= sqrt(R), got U={U}, R={R}")
 
 
+def _vaughan_lambda_terms(lam: np.ndarray, mu: np.ndarray, one: np.ndarray, U: int):
+    """The lhs and rhs coefficient vectors of `vaughan_lambda_sides` on
+    [1, L], from the tables Lambda and 1 on [1, L] and mu on at least [1, U]."""
+    L, mu = len(lam), mu[:U]
+    a = _convolve(mu, lam[:U], U * U)
+    b = _convolve(mu, one, L)
+    logs = np.log(np.arange(1, L + 1))
+    return [lam], [_convolve(mu, logs, L), -_convolve(a, one, L),
+                   -_convolve(_part(lam, U), _part(b, U), L)]
+
+
+def _vaughan_mobius_terms(mu: np.ndarray, one: np.ndarray, U: int):
+    """The lhs and rhs coefficient vectors of `vaughan_mobius_sides` on
+    [1, L], from the tables mu and 1 on [1, L]."""
+    L = len(mu)
+    mu_hi = _part(mu, U)
+    a = _convolve(mu[:U], mu[:U], U * U)
+    b_plus = _convolve(mu_hi, one, L)
+    return [mu], [-_convolve(a, one, L), _convolve(b_plus, mu_hi, L)]
+
+
 def vaughan_lambda_sides(R: int, R1: int, U: int,
                          phase: PhaseFunction) -> tuple[complex, complex, float]:
     """Both sides of the Vaughan decomposition of sum Lambda(n) e(F(n)):
@@ -149,14 +190,7 @@ def vaughan_lambda_sides(R: int, R1: int, U: int,
     _check_dyadic(R, R1, U)
     lam, mu = build_sieve(LAMBDA, 1, R1).values, build_sieve(MOBIUS, 1, U).values
     one = build_sieve(ONE, 1, R1).values
-    a = _convolve(mu, lam[:U], U * U)
-    b = _convolve(mu, one, R1)
-    logs = np.log(np.arange(1, R1 + 1))
-    w = phase.unit_array(np.arange(R + 1, R1 + 1))
-    lhs = _side(w, lam[R:])
-    rhs = _side(w, _convolve(mu, logs, R1)[R:], -_convolve(a, one, R1)[R:],
-                -_convolve(_part(lam, U), _part(b, U), R1)[R:])
-    return lhs, rhs, abs(lhs - rhs)
+    return _window_sides(_vaughan_lambda_terms(lam, mu, one, U), R, R1, phase)
 
 
 def vaughan_mobius_sides(R: int, R1: int, U: int,
@@ -165,15 +199,8 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
     mu = -(a * 1) + (b+ * mu 1_{>U}) on (R, R1], with a = mu 1_U * mu 1_U and
     b+ = mu 1_{>U} * 1 = [n = 1] - mu 1_U * 1, which vanishes on n <= U."""
     _check_dyadic(R, R1, U)
-    mu = build_sieve(MOBIUS, 1, R1).values
-    one = build_sieve(ONE, 1, R1).values
-    mu_hi = _part(mu, U)
-    a = _convolve(mu[:U], mu[:U], U * U)
-    b_plus = _convolve(mu_hi, one, R1)
-    w = phase.unit_array(np.arange(R + 1, R1 + 1))
-    lhs = _side(w, mu[R:])
-    rhs = _side(w, -_convolve(a, one, R1)[R:], _convolve(b_plus, mu_hi, R1)[R:])
-    return lhs, rhs, abs(lhs - rhs)
+    mu, one = build_sieve(MOBIUS, 1, R1).values, build_sieve(ONE, 1, R1).values
+    return _window_sides(_vaughan_mobius_terms(mu, one, U), R, R1, phase)
 
 
 def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
@@ -186,13 +213,11 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
     if not (f.covers(1, x) and g.covers(1, x)):
         raise CoverageError(f"tables must cover [1, {x}]")
-    w = (np.ones(x, dtype=np.int64) if phase is None
-         else phase.unit_array(np.arange(1, x + 1)))
     fv, gv = f.values[:x], g.values[:x]
-    lhs = _side(w, _convolve(fv, gv, x))
-    rhs = _side(w, _convolve(fv[:U], gv, x), _convolve(gv[:x // U], fv, x),
-                -_convolve(fv[:U], gv[:x // U], x))
-    return lhs, rhs, abs(lhs - rhs)
+    lhs = [_convolve(fv, gv, x)]
+    rhs = [_convolve(fv[:U], gv, x), _convolve(gv[:x // U], fv, x),
+           -_convolve(fv[:U], gv[:x // U], x)]
+    return _window_sides((lhs, rhs), 0, x, phase)
 
 
 def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
@@ -209,11 +234,10 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
         raise CoverageError("tables too short for the requested ranges")
     fv, gv = f.values[:R1], g.values[:R1]
     hi_f, hi_g = (U * R1) // R, R // U
-    w = phase.unit_array(np.arange(R + 1, R1 + 1))
-    lhs = _side(w, _convolve(fv, gv, R1)[R:])
-    rhs = _side(w, _convolve(fv[:hi_f], gv, R1)[R:], _convolve(gv[:hi_g], fv, R1)[R:],
-                -_convolve(_part(fv[:hi_f], U), gv[:hi_g], R1)[R:])
-    return lhs, rhs, abs(lhs - rhs)
+    lhs = [_convolve(fv, gv, R1)]
+    rhs = [_convolve(fv[:hi_f], gv, R1), _convolve(gv[:hi_g], fv, R1),
+           -_convolve(_part(fv[:hi_f], U), gv[:hi_g], R1)]
+    return _window_sides((lhs, rhs), R, R1, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +247,7 @@ VERIFY_SUBJECTS = ("vaughan-lambda", "vaughan-mu", "hyperbola", "hyperbola-exp")
 
 _PHASE_PARAM_MAX = 10**6
 _MAX_R, _MAX_X = 500, 400     # verify draws R <= _MAX_R, x <= _MAX_X <= 2 _MAX_R
-_MAX_TRIALS = 10**4           # 0.7-0.9 ms and one report dict per trial
+_MAX_TRIALS = 10**4           # 0.1-0.3 ms and one report dict per trial
 
 
 def random_phase(rng) -> PhaseFunction:
@@ -256,7 +280,9 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
 
     Instances draw R in [20, _MAX_R], admissible U, and phases from all forms;
     per-instance seeds derive from (seed, trial) so runs are reproducible
-    and trials are independent.  f and g come from one table per kind.
+    and trials are independent.  f and g come from one table per kind, and
+    the Vaughan products of each U are built once per run on [1, 2 _MAX_R];
+    a trial reads them on its window.
     """
     if subject not in VERIFY_SUBJECTS:
         raise ValueError(f"unknown subject {subject!r}; pick from {VERIFY_SUBJECTS}")
@@ -267,6 +293,14 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
     kinds = (ONE, MOBIUS, MOBIUS_SQUARED, LAMBDA, tau(2), tau(3), OMEGA,
              TWO_POW_OMEGA, CHI_TWO)
     table = functools.cache(lambda kind: build_sieve(kind, 1, 2 * _MAX_R))
+
+    @functools.cache
+    def vaughan(U):
+        if subject == "vaughan-lambda":
+            return _vaughan_lambda_terms(table(LAMBDA).values, table(MOBIUS).values,
+                                         table(ONE).values, U)
+        return _vaughan_mobius_terms(table(MOBIUS).values, table(ONE).values, U)
+
     out = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
@@ -275,8 +309,8 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
         phase = random_phase(rng)
         if subject in ("vaughan-lambda", "vaughan-mu"):
             U = rng.randint(1, isqrt(R))
-            fn = vaughan_lambda_sides if subject == "vaughan-lambda" else vaughan_mobius_sides
-            lhs, rhs, res = fn(R, R1, U, phase)
+            _check_dyadic(R, R1, U)
+            lhs, rhs, res = _window_sides(vaughan(U), R, R1, phase)
             params = {"R": R, "R1": R1, "U": U}
         elif subject == "hyperbola":
             x = rng.randint(30, _MAX_X)

@@ -116,6 +116,57 @@ def test_unit_array_equals_frac_bit_for_bit(ph, t):
     assert ph.unit_array(np.array(t, dtype=np.int64)).tobytes() == want.tobytes()
 
 
+def _frac_units(ph, t):
+    return np.exp(1j * I.TWO_PI * np.array([ph.frac(int(v)) for v in t], dtype=np.float64))
+
+
+def test_unit_array_equals_frac_for_float_z():
+    # a float z = p/q takes the same exact int64 path as an int z
+    rng = random.Random(53)
+    for _ in range(60):
+        z = rng.uniform(0, 10 ** rng.randint(0, 15))
+        t = np.array(rng.sample(range(1, 10**6), 40) + [10**6], dtype=np.int64)
+        for ph in (I.PhaseFunction.reciprocal(z),
+                   *(I.PhaseFunction.power_reciprocal(z, r) for r in (1, 2, 3)),
+                   *(I.PhaseFunction.shifted_reciprocal(rng.uniform(1, 100), z, a)
+                     for a in (0, 1))):
+            assert ph.unit_array(t).tobytes() == _frac_units(ph, t).tobytes(), ph
+
+
+@pytest.mark.parametrize("ph, t_max", [
+    # q (t_max + a)^r on both sides of 2^53, exactly 2^53 - 1 and 2^53 where
+    # q and r allow it; q is 1, 2 or 4 for these z
+    (I.PhaseFunction.reciprocal(1e15 + 7), 2**53 - 1),
+    (I.PhaseFunction.reciprocal(1e15 + 7), 2**53),
+    (I.PhaseFunction.reciprocal(123456.5), 2**52 - 1),
+    (I.PhaseFunction.reciprocal(123456.5), 2**52),
+    (I.PhaseFunction.reciprocal(2.0**62 - 2.0**9), 100),    # p = z on both sides of 2^62
+    (I.PhaseFunction.reciprocal(2.0**62), 100),
+    (I.PhaseFunction.reciprocal(2.0**70 + 2.0**20), 100),
+    (I.PhaseFunction.power_reciprocal(987654.25, 1), 2**51 - 1),
+    (I.PhaseFunction.power_reciprocal(987654.25, 1), 2**51),
+    (I.PhaseFunction.power_reciprocal(123456.5, 2), 2**26 - 1),
+    (I.PhaseFunction.power_reciprocal(123456.5, 2), 2**26),
+    (I.PhaseFunction.power_reciprocal(98765.25, 3), 2**17 - 1),
+    (I.PhaseFunction.power_reciprocal(98765.25, 3), 2**17),
+    (I.PhaseFunction.shifted_reciprocal(3.0, 1e6, 1), 2**53 - 2),
+    (I.PhaseFunction.shifted_reciprocal(3.0, 1e6, 1), 2**53 - 1),
+    (I.PhaseFunction.shifted_reciprocal(2.5, 3.0, 0), 2**52 - 1),
+    (I.PhaseFunction.shifted_reciprocal(2.5, 3.0, 0), 2**52),
+], ids=lambda v: v.form if isinstance(v, I.PhaseFunction) else str(v))
+def test_unit_array_float_z_at_the_int64_bound(monkeypatch, ph, t_max):
+    t = np.arange(max(1, t_max - 30), t_max + 1, dtype=np.int64)
+    want = _frac_units(ph, t)
+    p, q = ph.z.as_integer_ratio()
+    exact = p < 2**62 and q * (t_max + ph.a) ** ph.r < 2**53
+    fracs = []
+    frac = I.PhaseFunction.frac
+    monkeypatch.setattr(I.PhaseFunction, "frac",
+                        lambda self, v: fracs.append(v) or frac(self, v))
+    assert ph.unit_array(t).tobytes() == want.tobytes()
+    assert fracs == ([] if exact else t.tolist())
+
+
 @pytest.mark.parametrize("ph", [
     I.PhaseFunction.reciprocal(10**6), I.PhaseFunction.reciprocal(123456.75),
     I.PhaseFunction.power_reciprocal(5, 2), I.PhaseFunction.shifted_reciprocal(3, 100, 1),
@@ -254,10 +305,58 @@ def test_vaughan_verifiers_sieve_once_and_pin_their_products(calls, fn, kinds, l
     assert calls["convolve"] == limits
 
 
-def test_run_verification_builds_one_table_per_kind(calls):
-    I.run_verification("hyperbola-exp", 20, 0)
+@pytest.mark.parametrize("subject", I.VERIFY_SUBJECTS)
+def test_run_verification_builds_one_table_per_kind(calls, subject):
+    I.run_verification(subject, 20, 0)
     kinds = [k for k, _, _ in calls["sieve"]]
     assert kinds and len(kinds) == len(set(kinds))
+
+
+@pytest.mark.parametrize("subject, products", [("vaughan-lambda", 5), ("vaughan-mu", 4)])
+def test_run_verification_builds_each_cutoffs_products_once(calls, subject, products):
+    # a = mu 1_U * (Lambda or mu) 1_U on [1, U^2], every other product on
+    # [1, 2 _MAX_R], once per distinct U in order of first use
+    cutoffs = list(dict.fromkeys(r["U"] for r in I.run_verification(subject, 200, 0)))
+    assert len(cutoffs) > 5
+    assert calls["convolve"] == [lim for U in cutoffs
+                                 for lim in [U * U] + [2 * I._MAX_R] * (products - 1)]
+
+
+@pytest.mark.parametrize("fn, subject", [(I.vaughan_lambda_sides, "vaughan-lambda"),
+                                         (I.vaughan_mobius_sides, "vaughan-mu")],
+                         ids=["lambda", "mu"])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_run_verification_matches_the_public_verifiers(fn, subject, seed):
+    # the run reads products built once on [1, 2 _MAX_R]; the public
+    # verifier builds them on [1, R1] for each draw: same bits
+    for report in I.run_verification(subject, 300, seed):
+        rng = I._trial_rng(seed, report["trial"])
+        R = rng.randint(20, I._MAX_R)
+        R1 = rng.randint(R + 1, 2 * R)
+        phase = I.random_phase(rng)
+        U = rng.randint(1, math.isqrt(R))
+        assert (R, R1, U) == (report["R"], report["R1"], report["U"])
+        lhs, _, res = fn(R, R1, U, phase)
+        assert report["residual"].hex() == res.hex()
+        assert report["relative"].hex() == (res / (1 + abs(lhs))).hex()
+
+
+@pytest.mark.parametrize("U", [1, 2, 7, 22])
+def test_vaughan_terms_do_not_depend_on_their_limit(U):
+    # products built on [1, 2 _MAX_R] and cut to [1, R1] equal those built
+    # on [1, R1], byte for byte
+    top = 2 * I._MAX_R
+    tables = {k: A.build_sieve(k, 1, top).values for k in (A.LAMBDA, A.MOBIUS, A.ONE)}
+    wide = (I._vaughan_lambda_terms(tables[A.LAMBDA], tables[A.MOBIUS], tables[A.ONE], U),
+            I._vaughan_mobius_terms(tables[A.MOBIUS], tables[A.ONE], U))
+    for R1 in sorted({U * U + 1, 2 * U * U + 3, 97, top - 1, top}):
+        lam, one = (A.build_sieve(k, 1, R1).values for k in (A.LAMBDA, A.ONE))
+        mu = A.build_sieve(A.MOBIUS, 1, R1).values
+        narrow = (I._vaughan_lambda_terms(lam, A.build_sieve(A.MOBIUS, 1, U).values, one, U),
+                  I._vaughan_mobius_terms(mu, one, U))
+        for w_sides, n_sides in zip(wide, narrow, strict=True):
+            for w_terms, n_terms in zip(w_sides, n_sides, strict=True):
+                assert [c[:R1].tobytes() for c in w_terms] == [c.tobytes() for c in n_terms]
 
 
 @pytest.fixture
