@@ -9,8 +9,8 @@ Each subcommand declares only the options it reads.  Output options:
 `sieve --out` (the CSV to write, required), `sum --format json|csv`, `scan
 --out` (an extra CSV of the sums), and `--precision` on those three
 (significant digits for reals in CSV, default 15, at least 1).  `verify
---seed` is the master seed of the randomized trials (default 0).  Budgets
-are fixed module constants, not settings.
+--seed` is the master seed of the randomized trials (non-negative, default
+0).  Budgets are fixed module constants, not settings.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "or its dyadic exponential form; reports per-trial residuals.")
     p.add_argument("subject", choices=identities.VERIFY_SUBJECTS)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="master seed of the trials")
+    p.add_argument("--seed", type=int, default=0, help="master seed of the trials, non-negative")
 
     p = sub.add_parser("expsum", help="exponential-sum bound sanity ratios",
                        description="Measure |sum_{R<n<=2R} f(n) e(F(n))| exactly and compare against a "

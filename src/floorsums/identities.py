@@ -111,16 +111,18 @@ class PhaseFunction:
         With z = p/q, the int64 path is taken only when p < 2^62 and every
         d = q (t + a)^r < 2^53, tested in Python integers: then p mod d and d
         convert to float64 exactly, so their quotient is correctly rounded.
-        Otherwise (an opaque phase or a window out of range) each entry goes
-        through `frac`."""
+        Otherwise each entry is reduced on a Python int: an opaque phase by
+        `frac`'s formula fn(k) % 1.0 inline, a window out of range by `frac`."""
         t = np.asarray(t, dtype=np.int64)
-        if self.fn is None:
+        if self.fn is not None:
+            ph = [self.fn(k) % 1.0 for k in t.tolist()]
+        else:
             p, q = self.z.as_integer_ratio()
             if p < 2**62 and (t.size == 0 or q * (int(t.max()) + self.a) ** self.r < 2**53):
                 d = q * (t + self.a) ** self.r
                 return np.exp(1j * TWO_PI * (np.mod(p, d) / d))
-        ph = np.array([self.frac(int(v)) for v in t], dtype=np.float64)
-        return np.exp(1j * TWO_PI * ph)
+            ph = [self.frac(k) for k in t.tolist()]
+        return np.exp(1j * TWO_PI * np.array(ph, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ VERIFY_SUBJECTS = ("vaughan-lambda", "vaughan-mu", "hyperbola", "hyperbola-exp")
 
 _PHASE_PARAM_MAX = 10**6
 _MAX_R, _MAX_X = 500, 400     # verify draws R <= _MAX_R, x <= _MAX_X <= 2 _MAX_R
-_MAX_TRIALS = 10**4           # 0.1-0.3 ms and one report dict per trial
+_MAX_TRIALS = 10**4           # 0.1-0.2 ms and one report dict per trial
 
 
 def random_phase(rng) -> PhaseFunction:
@@ -290,6 +292,8 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
         raise ValueError(f"need trials >= 1, got {trials}")
     if trials > _MAX_TRIALS:
         raise ValueError(f"need trials <= {_MAX_TRIALS}, got {trials}")
+    if seed < 0:        # random.Random seeds from |seed|: -s would replay s's trial 0
+        raise ValueError(f"need seed >= 0, got {seed}")
     kinds = (ONE, MOBIUS, MOBIUS_SQUARED, LAMBDA, tau(2), tau(3), OMEGA,
              TWO_POW_OMEGA, CHI_TWO)
     table = functools.cache(lambda kind: build_sieve(kind, 1, 2 * _MAX_R))

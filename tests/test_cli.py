@@ -237,6 +237,8 @@ def test_error_reports_are_machine_readable(capsys):
 @pytest.mark.parametrize("argv, message", [
     ("verify vaughan-mu --trials 0", "trials >= 1"),
     ("verify hyperbola --trials -1", "trials >= 1"),
+    ("verify vaughan-lambda --trials 5 --seed -1", "seed >= 0, got -1"),
+    ("verify hyperbola --seed -123", "seed >= 0, got -123"),
     ("pairs derive --word A --seed hb:9..3", "'hb:9..3' is empty"),
     ("pairs derive --word A --seed classic,bourgain", "exactly one seed pair"),
     ("pairs search --target lambda --depth 3 --seeds hb:9..3,classic", "'hb:9..3' is empty"),

@@ -12,7 +12,8 @@ and with a float z), `pairs derive`, and `pairs exponent` on
 Bourgain's pair and on two pairs tight at a constraint (the non-strict
 k <= 1/6 admits a bare pair, the strict tau one rejects it).  `pairs search`
 is pinned at depth 8 for tau_3 and at depth 10 for every target the benchmark
-searches: lambda, tau:2 to tau:6 and two-omega.
+searches: lambda, tau:2 to tau:6 and two-omega.  One error line pins
+`verify --seed -1`, rejected before any trial.
 """
 
 import json
@@ -28,7 +29,8 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_cli_output_is_byte_identical(capsys, argv):
-    assert cli.main(argv.split()) == 0
+    # a recorded error line exits with status 1, every other line with 0
+    assert cli.main(argv.split()) == int(GOLDEN[argv].startswith('{"error": '))
     assert capsys.readouterr().out == GOLDEN[argv]
 
 

@@ -108,6 +108,8 @@ def test_unit_array_tests_the_largest_entry_not_the_last():
     (I.PhaseFunction.reciprocal(2**61 + 12345), range(2**53 - 40, 2**53)),
     (I.PhaseFunction.reciprocal(2**61 + 12345), range(2**53 - 20, 2**53 + 21)),
     (I.PhaseFunction.shifted_reciprocal(3, 2**60 + 1, 1), range(2**53 - 20, 2**53 + 21)),
+    # an opaque phase is reduced per entry by frac's formula
+    (I.PhaseFunction.opaque(lambda t: 123.25 * math.sqrt(t) + 987654.5 / t), range(1, 501)),
 ], ids=lambda v: f"{v.start}..{v.stop - 1}" if isinstance(v, range) else v.form)
 def test_unit_array_equals_frac_bit_for_bit(ph, t):
     # converting an int64 above 2^53 to float64 rounds, so the int64 path
@@ -416,6 +418,19 @@ def test_trials_budget_rejected_before_any_trial(monkeypatch):
     for trials in (I._MAX_TRIALS + 1, 10**8):
         with pytest.raises(ValueError, match="trials <= 10000"):
             I.run_verification("hyperbola", trials, 0)
+
+
+@pytest.mark.parametrize("subject", I.VERIFY_SUBJECTS)
+def test_negative_seed_rejected_before_any_trial(monkeypatch, subject):
+    # random.Random seeds from |seed|, and (-s << 20) ^ 0 = -(s << 20): a
+    # negative seed would replay trial 0 of its absolute value
+    def no_trial(seed, trial):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(I, "_trial_rng", no_trial)
+    for seed in (-1, -5, -123):
+        with pytest.raises(ValueError, match=f"seed >= 0, got {seed}"):
+            I.run_verification(subject, 10, seed)
 
 
 # ---------------------------------------------------------------------------
