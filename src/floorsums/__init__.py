@@ -10,7 +10,7 @@ balancer that rederives the error exponents.
 
 from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE,
                     TWO_POW_OMEGA, FunctionKind, SieveTable, build_sieve,
-                    dirichlet_convolve, eval_point, kind_from_name, tau)
+                    dirichlet_convolve, kind_from_name, tau)
 from .errors import BudgetError, CoverageError, WindowError
 from .expsum import BoundCheckReport, check_bound, exp_sum, type_II_sum
 from .floorsum import (FitReport, FloorSumReport, error_scan, floor_sum_fast,
@@ -23,7 +23,6 @@ from .pairs import (BalanceProblem, BalanceResult, BoundProfile, ExponentPair,
                     balance_exponents, eliminate_H, enumerate_pairs,
                     heath_brown_pair, minimize_over_pairs, profile_to_exponent,
                     theorem_exponent)
-from .psi import (TrigPolynomial, fejer_envelope, vaaler_polynomial,
-                  verify_pointwise_bound)
+from .psi import fejer_envelope, vaaler_polynomial, verify_pointwise_bound
 
 __version__ = "0.1.0"

@@ -8,14 +8,16 @@ divisors), and chi_2 (chi_2(m^2) = mu(m), zero off squares).
 Each function is defined once, by its local factor g(a) = f(p^a) in
 `_LOCAL_FACTORS`: f(n) is the product of g(a) over the prime powers p^a
 exactly dividing n (the sum, for the additive omega).  Lambda, whose value
-at p^a depends on p, is the one special case.  The table drives both
-evaluators: a single segmented kernel that walks the prime powers up to hi
-with the primes up to sqrt(hi), and `eval_points`, which trial-divides an
-array of n <= 10^12 by the primes up to cbrt(max n) and classifies each
-cofactor as 1, p, p^2 or pq (nothing else is left); `eval_point` is it on
-one argument.  The tail bounds on main-term constants in `floorsum` read the
-same table, and so does the kernel's choice of working dtype: the narrowest
-one that holds every value the walk can form below 2^hi.bit_length().
+at p^a depends on p, is the one special case; `eval_points` counts its
+distinct primes with omega's table, as Lambda(n) = log p exactly where
+omega(n) = 1.  The table drives both evaluators: a single segmented kernel
+that walks the prime powers up to hi with the primes up to sqrt(hi), and
+`eval_points`, which trial-divides an integer array of n <= 10^12 by the
+primes up to cbrt(max n) and classifies each cofactor as 1, p, p^2 or pq
+(nothing else is left).  The tail bounds on main-term constants in
+`floorsum` read the same table, and so does the kernel's choice of working
+dtype: the narrowest one that holds every value the walk can form below
+2^hi.bit_length().
 
 The kernel finds the one prime factor above sqrt(hi) that an n may have by
 an exact test on logarithms: an unsigned byte per n adds round(s log2 p) for
@@ -31,6 +33,7 @@ concurrent reads are safe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -466,8 +469,16 @@ def _local_values(kind: FunctionKind) -> np.ndarray:
     return g
 
 
+def _check_integers(n: np.ndarray, name: str) -> None:
+    """Refuse bools, floats and other non-integers, which a cast would
+    truncate, with ValueError; an object array must hold ints."""
+    if n.dtype.kind not in "iu" and not (n.dtype.kind == "O" and all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in n.flat)):
+        raise ValueError(f"need integer {name}, got dtype {n.dtype}")
+
+
 def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
-    """f on an array of 1 <= n <= FACTOR_BUDGET, entrywise the value
+    """f on an integer array of 1 <= n <= FACTOR_BUDGET, entrywise the value
     build_sieve gives, bit for bit: Lambda takes log p from np.log on
     float64, as the sieve does.  Every value depends on its n alone.
 
@@ -483,6 +494,7 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
     """
     _check_tau_order(kind)
     n = np.asarray(n)
+    _check_integers(n, "n")
     if n.size and n.min() < 1:
         raise ValueError("n must be >= 1")
     top = int(n.max()) if n.size else 1
@@ -490,22 +502,19 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
         raise BudgetError(f"n={top} exceeds factorization budget {FACTOR_BUDGET}")
     m = n.astype(np.int64).ravel()          # the cofactor still to factor
     lam = kind.tag == "lambda"
+    g = _local_values(OMEGA if lam else kind)   # Lambda(n) = log p where omega(n) = 1
+    if (g == g[0]).all():                   # f is constant (one, tau_1)
+        return np.full(n.shape, g[0], dtype=np.int64)
+    val = np.full(m.size, g[0], dtype=np.int64)
     if lam:
-        count = np.zeros(m.size, dtype=np.int8)     # distinct prime factors
-        prime = np.ones(m.size, dtype=np.int64)     # the last one found
-    else:
-        g = _local_values(kind)
-        if (g == g[0]).all():               # f is constant (one, tau_1)
-            return np.full(n.shape, g[0], dtype=np.int64)
-        val = np.full(m.size, g[0], dtype=np.int64)
+        prime = np.ones(m.size, dtype=np.int64)     # the last prime factor found
 
     def record(rows, a, p):
         """p^a exactly divides n at `rows` (an index may repeat)."""
-        if lam:
-            np.add.at(count, rows, 1)
-            prime[rows] = p
-        elif kind.additive:
+        if lam or kind.additive:
             np.add.at(val, rows, g[a])
+            if lam:
+                prime[rows] = p
         else:
             np.multiply.at(val, rows, g[a])
 
@@ -561,16 +570,10 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
     record(rows, 1, m[rows])
     if lam:
         out = np.zeros(m.size, dtype=np.float64)
-        one = np.flatnonzero(count == 1)
+        one = np.flatnonzero(val == 1)
         out[one] = np.log(prime[one].astype(np.float64))
         return out.reshape(n.shape)
     return val.reshape(n.shape)
-
-
-def eval_point(kind: FunctionKind, n: int):
-    """f(n) for an isolated argument, as a Python int or float:
-    `eval_points` on one entry."""
-    return eval_points(kind, np.array([n])).item()
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ def _cmd_psi(args) -> int:
         payload["envelope_max"] = float(np.max(env))
         # |c_h| = |J_h|/(2 pi h) <= 1/(2h)
         h = np.arange(1, args.H + 1)
-        damping = psi_mod.vaaler_polynomial(args.H).damping
+        damping = psi_mod.vaaler_polynomial(args.H)
         payload["coefficient_envelope_ok"] = bool(np.all(
             np.abs(damping) / (2 * np.pi * h) <= 1 / (2 * h) + 1e-15))
     _emit(payload)

@@ -32,8 +32,8 @@ from math import isqrt
 import numpy as np
 
 from .arith import (FACTOR_BUDGET, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind, SieveTable,
-                    _check_tau_order, build_sieve, eval_points, iter_segment_values,
-                    primes_upto)
+                    _check_integers, _check_tau_order, build_sieve, eval_points,
+                    iter_segment_values, primes_upto)
 from .errors import BudgetError, WindowError
 
 NAIVE_BUDGET = 10**7
@@ -153,7 +153,9 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     """
     _check_x(x, "fast")
     _check_table(kind, table)
-    N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else split
+    if split is not None:
+        _check_integers(np.asarray(split), "split")
+    N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else int(split)   # numpy ints may wrap
     if not 1 <= N <= x:
         raise ValueError(f"split must lie in [1, x], got {N}")
     d0 = x // (N + 1)

@@ -13,7 +13,8 @@ value arrays cut to the term's ranges, from arith's kernel `_convolve`
 is (a * b) read on (R, R1], so real range endpoints never meet a
 floating-point division.  On integer tables the identity is an equality of
 integer coefficient vectors, and the phase only adds the rounding of the
-dot products.
+dot products.  Both hyperbola forms take their term lists from one builder,
+`_hyperbola_terms`, cut at different points.
 
 A product's value at n does not depend on the limit it is built to (the
 kernel sums each n's terms in ascending d, and a sieve's value at n does not
@@ -135,21 +136,15 @@ def _part(values: np.ndarray, lo: int) -> np.ndarray:
     return out
 
 
-def _side(w: np.ndarray, *terms: np.ndarray):
-    """One side of an identity, sum_j c_j . w, for the coefficient vectors c_j
-    of its terms read on w's window; a Python int, float or complex."""
-    return sum(np.dot(c, w) for c in terms).item()
-
-
 def _window_sides(sides, R: int, R1: int,
                   phase: PhaseFunction | None) -> tuple[complex, complex, float]:
     """(lhs, rhs, |lhs - rhs|) on the window (R, R1] for `sides`, the lhs and
     rhs term lists of coefficient vectors that start at n = 1 and cover R1:
-    w = e(F(k)) on the window (1 when `phase` is None), one dot product per
-    term."""
+    each side is sum_j c_j . w with w = e(F(k)) on the window (1 when `phase`
+    is None), one dot product per term, as a Python int, float or complex."""
     w = (np.ones(R1 - R, dtype=np.int64) if phase is None
          else phase.unit_array(np.arange(R + 1, R1 + 1)))
-    lhs, rhs = (_side(w, *(c[R:R1] for c in terms)) for terms in sides)
+    lhs, rhs = (sum(np.dot(c[R:R1], w) for c in terms).item() for terms in sides)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -205,6 +200,17 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
     return _window_sides(_vaughan_mobius_terms(mu, one, U), R, R1, phase)
 
 
+def _hyperbola_terms(fv: np.ndarray, gv: np.ndarray, a: int, b: int, c: int):
+    """The lhs and rhs coefficient vectors on [1, L] of the hyperbola split
+    f * g = (f 1_a * g) + (g 1_b * f) - (f 1_(c,a] * g 1_b), from f and g on
+    [1, L].  It holds on a window (R, L] with (a + 1)(b + 1) > L, as no
+    d e <= L has d > a and e > b, and c b <= R, as the overlap left out at
+    d <= c lies below the window."""
+    L = len(fv)
+    return [_convolve(fv, gv, L)], [_convolve(fv[:a], gv, L), _convolve(gv[:b], fv, L),
+                                    -_convolve(_part(fv[:a], c), gv[:b], L)]
+
+
 def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
                     x: int, U: int) -> tuple[complex, complex, float]:
     """Both sides of the hyperbola split of sum_{n<=x} (f*g)(n) e(F(n)):
@@ -215,11 +221,8 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
     if not (f.covers(1, x) and g.covers(1, x)):
         raise CoverageError(f"tables must cover [1, {x}]")
-    fv, gv = f.values[:x], g.values[:x]
-    lhs = [_convolve(fv, gv, x)]
-    rhs = [_convolve(fv[:U], gv, x), _convolve(gv[:x // U], fv, x),
-           -_convolve(fv[:U], gv[:x // U], x)]
-    return _window_sides((lhs, rhs), 0, x, phase)
+    terms = _hyperbola_terms(f.values[:x], g.values[:x], U, x // U, 0)
+    return _window_sides(terms, 0, x, phase)
 
 
 def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
@@ -234,12 +237,8 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
         raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
     if not (f.covers(1, R1) and g.covers(1, R1)):
         raise CoverageError("tables too short for the requested ranges")
-    fv, gv = f.values[:R1], g.values[:R1]
-    hi_f, hi_g = (U * R1) // R, R // U
-    lhs = [_convolve(fv, gv, R1)]
-    rhs = [_convolve(fv[:hi_f], gv, R1), _convolve(gv[:hi_g], fv, R1),
-           -_convolve(_part(fv[:hi_f], U), gv[:hi_g], R1)]
-    return _window_sides((lhs, rhs), R, R1, phase)
+    terms = _hyperbola_terms(f.values[:R1], g.values[:R1], U * R1 // R, R // U, U)
+    return _window_sides(terms, R, R1, phase)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 approximation by trigonometric polynomials.
 
 The degree-H Vaaler polynomial damps psi's Fourier coefficients -1/(2 pi i h)
-by J(h/(H+1)) with J(t) = pi t (1-t) cot(pi t) + t, and satisfies the
-pointwise bound |psi(x) - psi_H(x)| <= F_H(x)/(2H+2) against the Fejer kernel
+by J(h/(H+1)) with J(t) = pi t (1-t) cot(pi t) + t (`vaaler_polynomial`
+returns these factors J_h as an array), and satisfies the pointwise bound
+|psi(x) - psi_H(x)| <= F_H(x)/(2H+2) against the Fejer kernel
 F_H(x) = sum_{|h|<=H} (1 - |h|/(H+1)) e(hx).  Correctness is gated on that
 inequality (verify_pointwise_bound), not on the coefficient formulas.  psi_H
 is never evaluated off the grid k/G, where it is a discrete sine transform:
@@ -15,7 +16,6 @@ memory and time stay bounded.  Everything here is pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,26 +24,17 @@ _MAX_GRID = 10**6           # grid points; verify_pointwise_bound peaks near 65 
 _MAX_WORK = 10**10          # (h, x) pairs of the Vaaler sum on the grid: H * grid
 
 
-@dataclass(frozen=True, eq=False)
-class TrigPolynomial:
-    """A real-valued trigonometric polynomial sum_{1<=|h|<=H} c_h e(hx).
-
-    Stored as its real damping factors J_h, h = 1..H (a read-only array):
-    c_h = i J_h/(2 pi h) and c_{-h} = conj(c_h), with |c_h| <= 1/(2|h|).
-    """
-
-    H: int
-    damping: np.ndarray
-
-
-def vaaler_polynomial(H: int) -> TrigPolynomial:
-    """The degree-H Vaaler approximation of psi: J_h = J(h/(H+1))."""
+def vaaler_polynomial(H: int) -> np.ndarray:
+    """The degree-H Vaaler approximation of psi, as its real damping factors
+    J_h = J(h/(H+1)), h = 1..H, in a read-only array: psi_H(x) =
+    sum_{1<=|h|<=H} c_h e(hx) with c_h = i J_h/(2 pi h) and
+    c_{-h} = conj(c_h), so |c_h| <= 1/(2|h|)."""
     if not 1 <= H <= _MAX_H:
         raise ValueError(f"H must be in [1, {_MAX_H}]")
     t = np.arange(1, H + 1, dtype=np.float64) / (H + 1)
     jhat = np.pi * t * (1 - t) / np.tan(np.pi * t) + t
     jhat.flags.writeable = False
-    return TrigPolynomial(H=H, damping=jhat)
+    return jhat
 
 
 def fejer_kernel(H: int, x) -> np.ndarray | float:
@@ -64,15 +55,16 @@ def fejer_envelope(H: int, x) -> np.ndarray | float:
     return v / (2 * H + 2)
 
 
-def _grid_values(poly: TrigPolynomial, grid_size: int) -> np.ndarray:
-    """psi_H(k/G) for k = 0..G-1, G = grid_size, by one FFT.
+def _grid_values(damping: np.ndarray, grid_size: int) -> np.ndarray:
+    """psi_H(k/G) for k = 0..G-1, G = grid_size, by one FFT, from the damping
+    factors J_h of `vaaler_polynomial`.
 
     psi_H(k/G) = -sum_h w_h sin(2 pi hk/G) with w_h = J_h/(pi h) depends on h
     only mod G, so folding b_r = sum_{h = r mod G} w_h gives
     psi_H(k/G) = Im(sum_r b_r e(-rk/G)) = Im(fft(b))[k].
     """
-    h = np.arange(1, poly.H + 1)
-    b = np.bincount(h % grid_size, weights=poly.damping / (math.pi * h),
+    h = np.arange(1, damping.size + 1)
+    b = np.bincount(h % grid_size, weights=damping / (math.pi * h),
                     minlength=grid_size)
     return np.fft.fft(b).imag
 

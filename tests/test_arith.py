@@ -246,42 +246,40 @@ def test_value_range_invariants():
 
 
 def test_eval_point_examples():
-    assert A.eval_point(A.tau(3), 4) == 6
-    assert A.eval_point(A.OMEGA, 12) == 2
-    assert A.eval_point(A.TWO_POW_OMEGA, 1) == 1
+    assert A.eval_points(A.tau(3), np.array([4])).tolist() == [6]
+    assert A.eval_points(A.OMEGA, np.array([12])).tolist() == [2]
+    assert A.eval_points(A.TWO_POW_OMEGA, np.array([1])).tolist() == [1]
 
 
 def test_tau3_point_matches_triple_enumeration():
     # tau_3(n) = #{(a,b,c): abc = n}
-    for n in (4, 12, 30, 64, 97):
-        count = sum(1 for a in range(1, n + 1) if n % a == 0
-                    for b in range(1, n + 1) if (n // a) % b == 0)
-        assert A.eval_point(A.tau(3), n) == count
+    n = (4, 12, 30, 64, 97)
+    count = [sum(1 for a in range(1, v + 1) if v % a == 0
+                 for b in range(1, v + 1) if (v // a) % b == 0) for v in n]
+    assert A.eval_points(A.tau(3), np.array(n)).tolist() == count
 
 
 def test_eval_point_agrees_with_sieve_random():
     rng = random.Random(2024)
-    table = {k: A.build_sieve(k, 1, 10**5) for k in ALL_KINDS}
-    for _ in range(10**4):
-        kind = rng.choice(ALL_KINDS)
-        n = rng.randint(1, 10**5)
-        a, b = table[kind].value(n), A.eval_point(kind, n)
+    n = np.array([rng.randint(1, 10**5) for _ in range(10**4)])
+    for kind in ALL_KINDS:
+        a, b = A.build_sieve(kind, 1, 10**5).values[n - 1], A.eval_points(kind, n)
         if kind.tag == "lambda":
-            assert abs(a - b) < 1e-12
+            assert np.max(np.abs(a - b)) < 1e-12
         else:
-            assert a == b
+            assert np.array_equal(a, b)
 
 
 def test_eval_point_large_arguments():
     # semiprime just under the budget: a pq cofactor after trial division
     p, q = 999983, 999979
-    n = p * q
-    assert A.eval_point(A.tau(2), n) == 4
-    assert A.eval_point(A.OMEGA, n) == 2
-    assert A.eval_point(A.MOBIUS, n) == 1
-    assert A.eval_point(A.LAMBDA, n) == 0.0
-    assert A.eval_point(A.LAMBDA, p) == pytest.approx(math.log(p))
-    assert A.eval_point(A.CHI_TWO, p * p) == -1
+    n = np.array([p * q])
+    assert A.eval_points(A.tau(2), n).tolist() == [4]
+    assert A.eval_points(A.OMEGA, n).tolist() == [2]
+    assert A.eval_points(A.MOBIUS, n).tolist() == [1]
+    lam = A.eval_points(A.LAMBDA, np.array([p * q, p])).tolist()
+    assert lam == [0.0, pytest.approx(math.log(p))]
+    assert A.eval_points(A.CHI_TWO, np.array([p * p])).tolist() == [-1]
 
 
 def test_factor_budget_enforced():
@@ -292,9 +290,9 @@ def test_factor_budget_enforced():
     assert A.FACTOR_BUDGET < 10007**3
     assert A.FACTOR_BUDGET < 2_152_302_898_747
     assert A.FACTOR_BUDGET < 2**63
-    assert A.eval_point(A.tau(2), 10**12) == 169
+    assert A.eval_points(A.tau(2), np.array([10**12])).tolist() == [169]
     with pytest.raises(BudgetError):
-        A.eval_point(A.tau(2), 10**12 + 1)
+        A.eval_points(A.tau(2), np.array([10**12 + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +398,8 @@ def test_eval_points_values_do_not_depend_on_the_batch(name, factored_points):
     single = [A.eval_points(kind, n[i: i + 1])[0] for i in range(n.size)]
     assert np.array_equal(_bits(permuted), _bits(whole))
     assert np.array_equal(_bits(np.array(single, dtype=whole.dtype)), _bits(whole))
-    assert [A.eval_point(kind, v) for v in EDGE_POINTS] == whole[-len(EDGE_POINTS):].tolist()
+    edges = A.eval_points(kind, np.array(EDGE_POINTS))
+    assert np.array_equal(_bits(edges), _bits(whole[-len(EDGE_POINTS):]))
 
 
 def test_eval_points_check_their_range_before_any_work(monkeypatch):
@@ -416,8 +415,34 @@ def test_eval_points_check_their_range_before_any_work(monkeypatch):
             if bad < 2**63:
                 with pytest.raises(error):
                     A.eval_points(kind, np.append(good, bad))
-            with pytest.raises(error):
-                A.eval_point(kind, bad)
+            with pytest.raises(error):      # an object array of Python ints
+                A.eval_points(kind, np.array([bad, 2 * bad], dtype=object))
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([7.9]), np.array([7.0, 12.0]), np.array([], dtype=np.float64),
+    np.array([True, False]), np.array([3, 7.9], dtype=object),
+    np.array([3, Fraction(7)], dtype=object), np.array([3, True], dtype=object)],
+    ids=["float", "integral-float", "empty-float", "bool", "object-float",
+         "object-fraction", "object-bool"])
+def test_eval_points_reject_non_integer_input(monkeypatch, bad):
+    # a float would be truncated (Lambda at 7.9 read as log 7) and a bool
+    # read as 1; both are refused before any work
+    def no_work(*args):
+        raise AssertionError("work started on a non-integer argument")
+
+    monkeypatch.setattr(A, "_local_values", no_work)
+    monkeypatch.setattr(A, "_odd_primes", no_work)
+    for kind in (A.LAMBDA, A.MOBIUS, A.tau(3)):
+        with pytest.raises(ValueError, match="need integer n"):
+            A.eval_points(kind, bad)
+
+
+def test_eval_points_accept_every_integer_dtype():
+    n = np.arange(1, 200)
+    want = A.build_sieve(A.MOBIUS, 1, 199).values
+    for dtype in (np.int16, np.uint16, np.int32, np.uint64, object):   # object: Python ints
+        assert np.array_equal(A.eval_points(A.MOBIUS, n.astype(dtype)), want), dtype
 
 
 def test_divisibility_by_inverse_is_exact_below_2_64():
@@ -447,7 +472,7 @@ def test_tau_order_capped():
     with pytest.raises(BudgetError):
         A.build_sieve(A.tau(9), 1, 100)
     with pytest.raises(BudgetError):
-        A.eval_point(A.tau(9), 12)
+        A.eval_points(A.tau(9), np.array([12]))
     with pytest.raises(ValueError):
         A.tau(0)
 
@@ -456,7 +481,7 @@ def test_highest_tau_order_exact_in_sieve():
     # 7207200 = 2^5 3^2 5^2 7 11 13, where tau_64 wraps int64
     lo, hi = 7207200, 7207210
     t = A.build_sieve(A.tau(8), lo, hi)
-    assert t.values.tolist() == [A.eval_point(A.tau(8), n) for n in range(lo, hi + 1)]
+    assert t.values.tolist() == A.eval_points(A.tau(8), np.arange(lo, hi + 1)).tolist()
 
 
 def test_tau1_behaves_like_one():

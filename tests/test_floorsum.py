@@ -19,7 +19,7 @@ SIX_KINDS = [A.LAMBDA, A.tau(2), A.tau(3), A.MOBIUS_SQUARED, A.TWO_POW_OMEGA,
 
 def brute_floor_sum(kind, x):
     """Definition-level oracle: point evaluation term by term."""
-    vals = [A.eval_point(kind, x // n) for n in range(1, x + 1)]
+    vals = A.eval_points(kind, x // np.arange(1, x + 1)).tolist()
     return math.fsum(vals) if kind.tag == "lambda" else sum(vals)
 
 
@@ -28,7 +28,7 @@ def test_naive_examples():
     assert FS.floor_sum_naive(A.tau(2), 6) == 11 == brute_floor_sum(A.tau(2), 6)
     # x = 1: the single term f(1)
     for kind in SIX_KINDS:
-        assert FS.floor_sum_naive(kind, 1) == A.eval_point(kind, 1)
+        assert FS.floor_sum_naive(kind, 1) == A.eval_points(kind, np.array([1])).item()
 
 
 def test_naive_matches_brute_oracle():
@@ -89,6 +89,20 @@ def test_block_rearrangement_exact_100_random_triples():
         x = rng.randint(2, 10**5)
         n = rng.randint(1, x)
         assert FS.floor_sum_fast(kind, x, split=n) == FS.floor_sum_naive(kind, x)
+
+
+@pytest.mark.parametrize("split", [2.5, 2.0, np.float64(3), True, Fraction(3)],
+                         ids=["float", "integral-float", "numpy-float", "bool", "fraction"])
+def test_fast_split_must_be_an_integer(split):
+    with pytest.raises(ValueError, match="need integer split"):
+        FS.floor_sum_fast(A.tau(2), 100, split=split)
+
+
+def test_fast_split_accepts_numpy_integers():
+    # uint8 arithmetic would wrap at N + 1 = 256
+    want = FS.floor_sum_naive(A.tau(2), 1000)
+    assert FS.floor_sum_fast(A.tau(2), 1000, split=np.int64(3)) == want
+    assert FS.floor_sum_fast(A.tau(2), 1000, split=np.uint8(255)) == want
 
 
 def test_lambda_sum_is_split_invariant_bit_for_bit():
@@ -290,7 +304,7 @@ def _dirichlet_series(kind, s):
 def _reference_constant(kind):
     """C_f = f(1)/2 + sum_{k>=2} (-1)^k (D_f(k) - f(1)) at 50 digits; the
     terms past k = 200 are below 8 * 2^-200."""
-    f1 = A.eval_point(kind, 1)
+    f1 = A.eval_points(kind, np.array([1])).item()
     return mp.mpf(f1) / 2 + mp.fsum((-1) ** k * (_dirichlet_series(kind, k) - f1)
                                     for k in range(2, 201))
 
@@ -329,7 +343,7 @@ def test_zeta_sums_are_within_their_bounds(monkeypatch, N):
 def test_series_literals():
     for j, c in enumerate(FS._EM_COEFFS, start=1):
         assert c == float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
-    assert FS._MOBIUS_32 == tuple(A.eval_point(A.MOBIUS, j) for j in range(1, 33))
+    assert FS._MOBIUS_32 == tuple(A.eval_points(A.MOBIUS, np.arange(1, 33)).tolist())
 
 
 @pytest.mark.parametrize("kind", SERIES_KINDS, ids=str)

@@ -672,15 +672,16 @@ def test_verifiers_match_their_loops():
 
 @pytest.fixture
 def sides(monkeypatch):
-    """Record the coefficient vectors of every side the verifiers evaluate."""
+    """Record the coefficient vectors of every side the verifiers evaluate,
+    read on their windows."""
     seen = []
-    side = I._side
+    window_sides = I._window_sides
 
-    def recorded(w, *terms):
-        seen.append([np.array(c) for c in terms])
-        return side(w, *terms)
+    def recorded(terms, R, R1, phase):
+        seen.extend([np.array(c[R:R1]) for c in side] for side in terms)
+        return window_sides(terms, R, R1, phase)
 
-    monkeypatch.setattr(I, "_side", recorded)
+    monkeypatch.setattr(I, "_window_sides", recorded)
     return seen
 
 

@@ -9,20 +9,21 @@ import pytest
 from floorsums import psi as PS
 
 
-def coefficients(poly):
-    """{h: c_h} for 1 <= |h| <= H: c_h = i J_h/(2 pi h), c_{-h} = conj(c_h)."""
-    h = np.arange(1, poly.H + 1)
+def coefficients(damping):
+    """{h: c_h} for 1 <= |h| <= H: c_h = i J_h/(2 pi h), c_{-h} = conj(c_h),
+    from the damping factors J_h of `vaaler_polynomial`."""
+    h = np.arange(1, damping.size + 1)
     coeffs = {}
-    for hh, im in zip(h.tolist(), (poly.damping / (2 * np.pi * h)).tolist()):
+    for hh, im in zip(h.tolist(), (damping / (2 * np.pi * h)).tolist()):
         coeffs[hh] = complex(0.0, im)
         coeffs[-hh] = complex(0.0, -im)
     return coeffs
 
 
-def eval_complex(poly, x):
+def eval_complex(damping, x):
     """Direct two-sided evaluation sum c_h e(hx); imag part ~ 0."""
     out = 0j
-    for h, c in coefficients(poly).items():
+    for h, c in coefficients(damping).items():
         out += c * complex(math.cos(2 * math.pi * h * x),
                            math.sin(2 * math.pi * h * x))
     return out
@@ -79,12 +80,19 @@ def test_pointwise_bound_excludes_integer_grid_points():
 
 
 def test_polynomial_real_valued():
-    poly = PS.vaaler_polynomial(23)
+    damping = PS.vaaler_polynomial(23)
     rng = random.Random(6)
     xs = [rng.uniform(-2, 2) for _ in range(100)]
     for x in xs:
-        z = eval_complex(poly, x)
+        z = eval_complex(damping, x)
         assert abs(z.imag) <= 1e-12
+
+
+def test_vaaler_polynomial_is_its_read_only_damping_array():
+    for H in (1, 2, 7, 100):
+        damping = PS.vaaler_polynomial(H)
+        assert damping.shape == (H,) and damping.dtype == np.float64
+        assert not damping.flags.writeable
 
 
 def test_h_range_validated():
@@ -117,10 +125,10 @@ def test_grid_budget_admits_its_edges():
     assert PS.verify_pointwise_bound(10**4, 10**6) <= 1e-9
 
 
-def exact_phase_grid(poly, G):
+def exact_phase_grid(damping, G):
     """psi_H(k/G), k = 0..G-1, as -fsum(w_h sin(2 pi ((hk) mod G)/G))."""
-    h = np.arange(1, poly.H + 1)
-    w = poly.damping / (math.pi * h)
+    h = np.arange(1, damping.size + 1)
+    w = damping / (math.pi * h)
     return np.array([-math.fsum((w * np.sin(2 * math.pi * ((h * k) % G) / G)).tolist())
                      for k in range(G)])
 
@@ -128,6 +136,6 @@ def exact_phase_grid(poly, G):
 # (5000, 1000) has H >= G, so harmonics fold onto the same residue
 @pytest.mark.parametrize("H, G", [(10, 2000), (1000, 2000), (5000, 1000)])
 def test_grid_values_match_exact_phase_reference(H, G):
-    poly = PS.vaaler_polynomial(H)
-    values = PS._grid_values(poly, G)
-    assert np.max(np.abs(values - exact_phase_grid(poly, G))) <= 2e-15
+    damping = PS.vaaler_polynomial(H)
+    values = PS._grid_values(damping, G)
+    assert np.max(np.abs(values - exact_phase_grid(damping, G))) <= 2e-15
