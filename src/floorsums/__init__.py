@@ -20,9 +20,8 @@ from .identities import (PhaseFunction, hyperbola_exp_sides, hyperbola_sides,
                          vaughan_lambda_sides, vaughan_mobius_sides)
 from .pairs import (BalanceProblem, BalanceResult, BoundProfile, ExponentPair,
                     Infeasible, TermExponent, apply_A, apply_B,
-                    balance_exponents, eliminate_H, enumerate_pairs,
-                    heath_brown_pair, minimize_over_pairs, profile_to_exponent,
-                    theorem_exponent)
+                    balance_exponents, eliminate_H, heath_brown_pair,
+                    minimize_over_pairs, profile_to_exponent, theorem_exponent)
 from .psi import fejer_envelope, vaaler_polynomial, verify_pointwise_bound
 
 __version__ = "0.1.0"

@@ -8,7 +8,10 @@ n by their common quotient value d with exact multiplicities
 floor(x/d) - max(N, floor(x/(d+1))) (the blocks, one sieve entry and one
 division each, streamed in segments).  Both are exact; the
 split only affects speed, so they cross-check each other.  The default split
-balances the two costs: N = isqrt(x // SPLIT_RATIO).
+balances the two costs: N = isqrt(x // SPLIT_RATIO).  Either evaluator
+takes an optional sieve table in place of all its own evaluation of f; the
+table is taken whole or not at all: it must hold the summed function and
+cover [1, x], else the call raises before any work.
 
 The main-term constant C_f = sum f(n)/(n(n+1)) comes two ways.
 `series_constant` evaluates it from the Dirichlet series of f, without a
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import isqrt
 
@@ -34,7 +38,7 @@ import numpy as np
 from .arith import (FACTOR_BUDGET, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind, SieveTable,
                     _check_integers, _check_tau_order, build_sieve, eval_points,
                     iter_segment_values, primes_upto)
-from .errors import BudgetError, WindowError
+from .errors import BudgetError, CoverageError, WindowError
 
 NAIVE_BUDGET = 10**7
 FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
@@ -78,24 +82,35 @@ class FitReport:
     constant_tail_bound: float
 
 
-def _check_x(x: int, method: str) -> None:
+def _check_x(x, method: str) -> int:
+    """x as a Python int, once it is an integer within the method's budget."""
+    _check_integers(np.asarray(x), "x")
+    x = int(x)
     budget = FAST_BUDGET if method == "fast" else NAIVE_BUDGET
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
     if x > budget:
         raise BudgetError(f"{method} evaluation limited to x <= {budget}")
+    return x
 
 
-def _check_table(kind: FunctionKind, table: SieveTable | None) -> None:
-    if table is not None and table.kind != kind:
+def _check_table(kind: FunctionKind, table: SieveTable | None, x: int) -> None:
+    """A table stands in for every value of f the sum reads: it must hold
+    `kind` and cover [1, x]."""
+    if table is None:
+        return
+    if table.kind != kind:
         raise ValueError(f"table holds {table.kind}, expected {kind}")
+    if not table.covers(1, x):
+        raise CoverageError(f"table covers [{table.lo}, {table.hi}], need [1, {x}]")
 
 
 def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None):
-    """Direct O(x) evaluation; exact (Lambda via compensated summation)."""
-    _check_x(x, "naive")
-    _check_table(kind, table)
-    if table is None or not table.covers(1, x):
+    """Direct O(x) evaluation; exact (Lambda via compensated summation).
+    A `table` replaces the sieve of [1, x]."""
+    x = _check_x(x, "naive")
+    _check_table(kind, table, x)
+    if table is None:
         table = build_sieve(kind, 1, x)
     q = x // np.arange(1, x + 1, dtype=np.int64)
     vals = table.values[q - table.lo]
@@ -105,29 +120,23 @@ def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None)
     return int(np.sum(vals))
 
 
-def _blocks(kind: FunctionKind, x: int, N: int, table: SieveTable | None,
-            lo: int, hi: int):
+def _blocks(segments, x: int, N: int, lo: int, hi: int):
     """Yield (d_lo, f(d), m(d)) for d in [lo, hi], at most BLOCK_CHUNK entries
     at a time: m(d) = floor(x/d) - max(N, floor(x/(d+1))) counts the n > N
-    with floor(x/n) = d.  Values come from `table` when it covers [lo, hi],
-    else from the streamed sieve."""
+    with floor(x/n) = d.  `segments(lo, hi)` yields the values of f on
+    [lo, hi] as (seg_lo, values) pieces."""
     if lo > hi:
         return
-    if table is not None and table.covers(lo, hi):
-        segments = [(lo, table.values[lo - table.lo: hi - table.lo + 1])]
-    else:
-        segments = iter_segment_values(kind, lo, hi)
-    for seg_lo, vals in segments:
+    for seg_lo, vals in segments(lo, hi):
         for i in range(0, len(vals), BLOCK_CHUNK):
             v = vals[i: i + BLOCK_CHUNK]
             q = x // np.arange(seg_lo + i, seg_lo + i + len(v) + 1, dtype=np.int64)
             yield seg_lo + i, v, q[:-1] - np.maximum(N, q[1:])
 
 
-def _float_terms(kind: FunctionKind, x: int, N: int, table: SieveTable | None,
-                 lo: int, hi: int):
+def _float_terms(segments, x: int, N: int, lo: int, hi: int):
     """The nonzero block terms f(d) m(d), d in [lo, hi], as Python floats."""
-    for _, v, m in _blocks(kind, x, N, table, lo, hi):
+    for _, v, m in _blocks(segments, x, N, lo, hi):
         t = v * m
         yield from t[t != 0].tolist()
 
@@ -140,9 +149,8 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     one `eval_points` call; the blocks sum f(d) m(d) over d <= x // (N+1),
     streamed from the sieve in chunks, with m(d) from one division per d.
     `split` overrides the default N = max(1, isqrt(x // SPLIT_RATIO)); the
-    result does not depend on it.  A `table` that covers [x // N, x]
-    short-circuits the factoring, and one that covers the blocks the sieve.
-    Integer sums are exact: the head in Python ints, and each block
+    result does not depend on it.  A `table` replaces both the factoring and
+    the sieve.  Integer sums are exact: the head in Python ints, and each block
     chunk's int64 dot product is checked against 2^63 before it is taken.
     Lambda is summed with math.fsum in a fixed order: the quotients
     d <= x // (isqrt(x)+1), the only ones shared by several n, first, then
@@ -151,8 +159,8 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     for every split N <= isqrt(x); it can differ from floor_sum_naive, which
     fsums all terms at once, in its last bits.
     """
-    _check_x(x, "fast")
-    _check_table(kind, table)
+    x = _check_x(x, "fast")
+    _check_table(kind, table, x)
     if split is not None:
         _check_integers(np.asarray(split), "split")
     N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else int(split)   # numpy ints may wrap
@@ -163,18 +171,20 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
         raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
 
     q = x // np.arange(1, N + 1, dtype=np.int64)
-    if table is not None and table.covers(x // N, x):
-        head = table.values[q - table.lo]
-    else:
+    if table is None:
         head = eval_points(kind, q)
+        segments = partial(iter_segment_values, kind)
+    else:
+        head = table.values[q - table.lo]
+        segments = lambda lo, hi: [(lo, table.values[lo - table.lo: hi - table.lo + 1])]
 
     if kind.tag == "lambda":
         shared = min(x // (isqrt(x) + 1), d0)
-        inner = math.fsum(_float_terms(kind, x, N, table, 1, shared))
+        inner = math.fsum(_float_terms(segments, x, N, 1, shared))
         return math.fsum(chain([inner], head.tolist(),
-                               _float_terms(kind, x, N, table, shared + 1, d0)))
+                               _float_terms(segments, x, N, shared + 1, d0)))
     total = sum(head.tolist())              # exact, in Python ints
-    for d_lo, v, m in _blocks(kind, x, N, table, 1, d0):
+    for d_lo, v, m in _blocks(segments, x, N, 1, d0):
         # the chunk's sum of |f(d)| m(d) is at most max|f| times its sum of
         # m(d), which telescopes to at most x//d_lo - x//(d_hi+1)
         bound = max(int(v.max()), -int(v.min())) * (x // d_lo - x // (d_lo + len(v)))
@@ -472,16 +482,14 @@ def error_scan(kind: FunctionKind, x_grid, cutoff: int | None = None) -> FitRepo
     produce -inf.  C_f is `series_constant(kind)`, or with a `cutoff` the
     partial sum `main_term_constant(kind, cutoff)`; it is reported with the
     fit, and its error bound as `constant_tail_bound`.  Every grid point is
-    checked against the split evaluator's budget before the constant is
-    computed.
+    checked to be an integer within the split evaluator's budget before the
+    constant is computed.
     """
-    grid = [int(v) for v in x_grid]
+    grid = [_check_x(x, "fast") for x in x_grid]
     if len(grid) < 2:
         raise ValueError("grid must contain at least 2 points for a fit")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    for x in grid:
-        _check_x(x, "fast")
     constant, tail = _main_term(kind, cutoff)
     sums = [floor_sum_fast(kind, x) for x in grid]
     residuals = [abs(float(s) - x * constant) for x, s in zip(grid, sums)]
@@ -502,7 +510,7 @@ def summarize(kind: FunctionKind, x: int, method: str = "fast",
     the cutoff against its own, before any constant or sum is computed."""
     if method not in ("fast", "naive"):
         raise ValueError(f"unknown method {method!r}")
-    _check_x(x, method)
+    x = _check_x(x, method)
     c, tail = _main_term(kind, cutoff)
     s = floor_sum_fast(kind, x) if method == "fast" else floor_sum_naive(kind, x)
     return FloorSumReport(kind=kind, x=x, sum=s, constant=c,

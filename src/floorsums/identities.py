@@ -14,7 +14,8 @@ is (a * b) read on (R, R1], so real range endpoints never meet a
 floating-point division.  On integer tables the identity is an equality of
 integer coefficient vectors, and the phase only adds the rounding of the
 dot products.  Both hyperbola forms take their term lists from one builder,
-`_hyperbola_terms`, cut at different points.
+`_hyperbola_terms`, cut at different points; the Vaughan builders make their
+all-ones vector themselves, so no table of 1 is sieved for them.
 
 A product's value at n does not depend on the limit it is built to (the
 kernel sums each n's terms in ascending d, and a sieve's value at n does not
@@ -91,10 +92,6 @@ class PhaseFunction:
     def opaque(cls, fn: Callable[[int], float]) -> "PhaseFunction":
         return cls(form="opaque", fn=fn)
 
-    @classmethod
-    def zero(cls) -> "PhaseFunction":
-        return cls.reciprocal(0)
-
     def frac(self, t: int) -> float:
         """F(t) mod 1 in [0, 1)."""
         if self.fn is not None:
@@ -158,10 +155,11 @@ def _check_dyadic(R: int, R1: int, U: int) -> None:
         raise WindowError(f"need 1 <= U <= sqrt(R), got U={U}, R={R}")
 
 
-def _vaughan_lambda_terms(lam: np.ndarray, mu: np.ndarray, one: np.ndarray, U: int):
+def _vaughan_lambda_terms(lam: np.ndarray, mu: np.ndarray, U: int):
     """The lhs and rhs coefficient vectors of `vaughan_lambda_sides` on
-    [1, L], from the tables Lambda and 1 on [1, L] and mu on at least [1, U]."""
+    [1, L], from the tables Lambda on [1, L] and mu on at least [1, U]."""
     L, mu = len(lam), mu[:U]
+    one = np.ones(L, dtype=np.int64)
     a = _convolve(mu, lam[:U], U * U)
     b = _convolve(mu, one, L)
     logs = np.log(np.arange(1, L + 1))
@@ -169,10 +167,11 @@ def _vaughan_lambda_terms(lam: np.ndarray, mu: np.ndarray, one: np.ndarray, U: i
                    -_convolve(_part(lam, U), _part(b, U), L)]
 
 
-def _vaughan_mobius_terms(mu: np.ndarray, one: np.ndarray, U: int):
+def _vaughan_mobius_terms(mu: np.ndarray, U: int):
     """The lhs and rhs coefficient vectors of `vaughan_mobius_sides` on
-    [1, L], from the tables mu and 1 on [1, L]."""
+    [1, L], from the table mu on [1, L]."""
     L = len(mu)
+    one = np.ones(L, dtype=np.int64)
     mu_hi = _part(mu, U)
     a = _convolve(mu[:U], mu[:U], U * U)
     b_plus = _convolve(mu_hi, one, L)
@@ -186,8 +185,7 @@ def vaughan_lambda_sides(R: int, R1: int, U: int,
     with a = mu 1_U * Lambda 1_U and b = mu 1_U * 1."""
     _check_dyadic(R, R1, U)
     lam, mu = build_sieve(LAMBDA, 1, R1).values, build_sieve(MOBIUS, 1, U).values
-    one = build_sieve(ONE, 1, R1).values
-    return _window_sides(_vaughan_lambda_terms(lam, mu, one, U), R, R1, phase)
+    return _window_sides(_vaughan_lambda_terms(lam, mu, U), R, R1, phase)
 
 
 def vaughan_mobius_sides(R: int, R1: int, U: int,
@@ -196,8 +194,8 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
     mu = -(a * 1) + (b+ * mu 1_{>U}) on (R, R1], with a = mu 1_U * mu 1_U and
     b+ = mu 1_{>U} * 1 = [n = 1] - mu 1_U * 1, which vanishes on n <= U."""
     _check_dyadic(R, R1, U)
-    mu, one = build_sieve(MOBIUS, 1, R1).values, build_sieve(ONE, 1, R1).values
-    return _window_sides(_vaughan_mobius_terms(mu, one, U), R, R1, phase)
+    mu = build_sieve(MOBIUS, 1, R1).values
+    return _window_sides(_vaughan_mobius_terms(mu, U), R, R1, phase)
 
 
 def _hyperbola_terms(fv: np.ndarray, gv: np.ndarray, a: int, b: int, c: int):
@@ -300,9 +298,8 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
     @functools.cache
     def vaughan(U):
         if subject == "vaughan-lambda":
-            return _vaughan_lambda_terms(table(LAMBDA).values, table(MOBIUS).values,
-                                         table(ONE).values, U)
-        return _vaughan_mobius_terms(table(MOBIUS).values, table(ONE).values, U)
+            return _vaughan_lambda_terms(table(LAMBDA).values, table(MOBIUS).values, U)
+        return _vaughan_mobius_terms(table(MOBIUS).values, U)
 
     out = []
     for t in range(trials):

@@ -126,7 +126,9 @@ def heath_brown_pair(m: int) -> ExponentPair:
 
 
 def _orbit(seeds: Iterable[ExponentPair], depth: int) -> dict[tuple[int, int, int], tuple]:
-    """Reduced triple -> (word, seed) of its first derivation, as in enumerate_pairs."""
+    """Every pair reachable from the seeds by A/B words of length <= depth:
+    reduced triple -> (word, seed) of its first derivation (shortest word,
+    seeds in given order, A before B)."""
     if not 0 <= depth <= 20:
         raise ValueError(f"depth must lie in [0, 20], got {depth}")
     seen: dict[tuple[int, int, int], tuple[str, ExponentPair]] = {}
@@ -141,13 +143,6 @@ def _orbit(seeds: Iterable[ExponentPair], depth: int) -> dict[tuple[int, int, in
             for letter in "AB":
                 seen.setdefault(_process(letter, *t), (letter + word, s))
     return seen
-
-
-def enumerate_pairs(seeds: Iterable[ExponentPair], depth: int) -> set[ExponentPair]:
-    """All pairs reachable from the seeds by A/B words of length <= depth,
-    deduplicated by exact (k, l), each with the first derivation found
-    (shortest word, seeds in given order, A before B)."""
-    return {apply_word(word, s) for word, s in _orbit(seeds, depth).values()}
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +349,8 @@ class BalanceProblem:
     With a single fixed symbol (say x, exponent normalized so nu is the free
     variable's exponent base x) this is an exact 1-D minimax.  With two or
     more fixed symbols only two-term balances are defined: the optimum equates
-    the terms' exponent vectors.
+    the terms' exponent vectors.  A scalar balance searches `interval`, by
+    default [1/3, 1/2] for the free variable N and [0, 1] for any other.
     """
 
     terms: tuple[TermExponent, ...]
@@ -367,13 +363,6 @@ class BalanceProblem:
         if interval is not None:
             iv = (Fraction(interval[0]), Fraction(interval[1]))
         return cls(terms=tuple(terms), free_variable=free_variable, interval=iv)
-
-    def default_interval(self) -> tuple[Fraction, Fraction]:
-        if self.interval is not None:
-            return self.interval
-        if self.free_variable == "N":
-            return (Fraction(1, 3), HALF)
-        return (Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -426,7 +415,8 @@ def balance_exponents(problem: BalanceProblem) -> BalanceResult:
         sym = fixed_symbols[0] if fixed_symbols else "x"
         slopes = [t.exponent_of(free) for t in terms]
         intercepts = [t.without(free).get(sym, Fraction(0)) for t in terms]
-        lo, hi = problem.default_interval()
+        lo, hi = problem.interval or ((Fraction(1, 3), HALF) if free == "N"
+                                      else (Fraction(0), Fraction(1)))
         nu, val, active = _scalar_balance(slopes, intercepts, lo, hi)
         return BalanceResult(nu_star=nu, value=val, active_terms=active)
 

@@ -4,9 +4,9 @@ approximation by trigonometric polynomials.
 The degree-H Vaaler polynomial damps psi's Fourier coefficients -1/(2 pi i h)
 by J(h/(H+1)) with J(t) = pi t (1-t) cot(pi t) + t (`vaaler_polynomial`
 returns these factors J_h as an array), and satisfies the pointwise bound
-|psi(x) - psi_H(x)| <= F_H(x)/(2H+2) against the Fejer kernel
-F_H(x) = sum_{|h|<=H} (1 - |h|/(H+1)) e(hx).  Correctness is gated on that
-inequality (verify_pointwise_bound), not on the coefficient formulas.  psi_H
+|psi(x) - psi_H(x)| <= F_H(x)/(2H+2) (`fejer_envelope`) against the Fejer
+kernel F_H(x) = sum_{|h|<=H} (1 - |h|/(H+1)) e(hx).  Correctness is gated on
+that inequality (verify_pointwise_bound), not on the coefficient formulas.  psi_H
 is never evaluated off the grid k/G, where it is a discrete sine transform:
 one FFT of length G gives every grid value in O(H + G log G), with each phase
 2 pi ((hk) mod G)/G exact.  The grid and work caps are kept, so the check's
@@ -37,22 +37,18 @@ def vaaler_polynomial(H: int) -> np.ndarray:
     return jhat
 
 
-def fejer_kernel(H: int, x) -> np.ndarray | float:
-    """F_H(x) = sin^2((H+1) pi x) / ((H+1) sin^2(pi x)) >= 0, F_H(0) = H+1."""
+def fejer_envelope(H: int, x) -> np.ndarray | float:
+    """Pointwise Vaaler error envelope F_H(x)/(2H+2), with the Fejer kernel
+    F_H(x) = sin^2((H+1) pi x) / ((H+1) sin^2(pi x)) >= 0, F_H(0) = H+1."""
+    if H < 1:
+        raise ValueError("H must be >= 1")
     xs = np.asarray(x, dtype=np.float64)
     s = np.sin(np.pi * xs)
     num = np.sin((H + 1) * np.pi * xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.where(np.abs(s) < 1e-15, float(H + 1), num * num / ((H + 1) * s * s))
+    val = val / (2 * H + 2)
     return val if val.shape else float(val)
-
-
-def fejer_envelope(H: int, x) -> np.ndarray | float:
-    """Pointwise Vaaler error envelope F_H(x)/(2H+2)."""
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    v = fejer_kernel(H, x)
-    return v / (2 * H + 2)
 
 
 def _grid_values(damping: np.ndarray, grid_size: int) -> np.ndarray:

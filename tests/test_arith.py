@@ -629,3 +629,17 @@ def test_kind_parsing():
     assert A.kind_from_name("2omega") == A.TWO_POW_OMEGA
     with pytest.raises(ValueError):
         A.kind_from_name("zeta")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: A.FunctionKind("zeta"), ValueError, "unknown function tag 'zeta'"),
+    (lambda: A.FunctionKind("mobius", 2), ValueError, "mobius takes no order parameter"),
+    (lambda: A.build_sieve(A.ONE, 5, 10).value(11), CoverageError,
+     r"n=11 outside table range \[5, 10\]"),
+    (lambda: A.build_sieve(A.ONE, 5, 10).value(4), CoverageError, "n=4 outside"),
+    (lambda: next(A.iter_segment_values(A.ONE, 10, 9)), ValueError,
+     "need 1 <= lo <= hi, got lo=10, hi=9"),
+], ids=["tag", "order", "above-table", "below-table", "segment-range"])
+def test_malformed_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

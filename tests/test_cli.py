@@ -234,34 +234,61 @@ def test_error_reports_are_machine_readable(capsys):
 
 
 
-@pytest.mark.parametrize("argv, message", [
-    ("verify vaughan-mu --trials 0", "trials >= 1"),
-    ("verify hyperbola --trials -1", "trials >= 1"),
-    ("verify vaughan-lambda --trials 5 --seed -1", "seed >= 0, got -1"),
-    ("verify hyperbola --seed -123", "seed >= 0, got -123"),
-    ("pairs derive --word A --seed hb:9..3", "'hb:9..3' is empty"),
-    ("pairs derive --word A --seed classic,bourgain", "exactly one seed pair"),
-    ("pairs search --target lambda --depth 3 --seeds hb:9..3,classic", "'hb:9..3' is empty"),
-    ("pairs search --target lambda --depth -2 --seeds classic", "depth must lie in [0, 20]"),
-    ("scan --function mu --grid 0:1000:5", "1 <= lo < hi"),
+# (argv, message, error name); a test's id is "argv-message"
+MALFORMED = [
+    ("verify vaughan-mu --trials 0", "trials >= 1", "ValueError"),
+    ("verify hyperbola --trials -1", "trials >= 1", "ValueError"),
+    ("verify vaughan-lambda --trials 5 --seed -1", "seed >= 0, got -1", "ValueError"),
+    ("verify hyperbola --seed -123", "seed >= 0, got -123", "ValueError"),
+    ("pairs derive --word A --seed hb:9..3", "'hb:9..3' is empty", "ValueError"),
+    ("pairs derive --word A --seed classic,bourgain", "exactly one seed pair", "ValueError"),
+    ("pairs derive --word AC --seed classic", "invalid process letter 'C'", "ValueError"),
+    ("pairs search --target lambda --depth 3 --seeds hb:9..3,classic", "'hb:9..3' is empty",
+     "ValueError"),
+    ("pairs search --target lambda --depth -2 --seeds classic", "depth must lie in [0, 20]",
+     "ValueError"),
+    ("pairs search --target lambda --depth 2 --seeds foo", "unknown seed 'foo'", "ValueError"),
+    ("pairs exponent --target lambda --pair 1/6", "pair must look like", "ValueError"),
+    ("pairs exponent --target mu --pair 1/6,2/3", "no theorem exponent for kind mobius",
+     "ValueError"),
+    ("pairs exponent --target tau:1 --pair 1/6,2/3", "tau target needs r >= 2", "ValueError"),
+    ("scan --function mu --grid 0:1000:5", "1 <= lo < hi", "ValueError"),
     ("scan --function mu --grid 10:1000:1001 --cutoff 1000 --out {tmp}/scan.csv",
-     "grid points must be <= 1000"),
-    ("sum --function mu --x 0", "need x >= 1"),
-    ("sum --function tau3 --x -5 --method naive", "need x >= 1"),
-    ("sum --function mu --x 100 --format csv --precision -1", "--precision must be >= 1"),
-    ("sum --function mu --x 100 --precision 0", "--precision must be >= 1"),
+     "grid points must be <= 1000", "ValueError"),
+    ("sum --function mu --x 0", "need x >= 1", "ValueError"),
+    ("sum --function tau3 --x -5 --method naive", "need x >= 1", "ValueError"),
+    ("sum --function mu --x 100 --format csv --precision -1", "--precision must be >= 1",
+     "ValueError"),
+    ("sum --function mu --x 100 --precision 0", "--precision must be >= 1", "ValueError"),
     ("sieve --function lambda --lo 1 --hi 20 --out {tmp}/lam.csv --precision -1",
-     "--precision must be >= 1"),
+     "--precision must be >= 1", "ValueError"),
     ("sieve --function mu --lo 1 --hi 20 --out {tmp}/mu.csv --precision 0",
-     "--precision must be >= 1"),
+     "--precision must be >= 1", "ValueError"),
+    ("sieve --function mu --lo 1 --hi 20", "sieve needs --out", "ValueError"),
+    ("sieve --function mu --lo 10 --hi 1 --out {tmp}/mu.csv", "need 1 <= lo <= hi",
+     "ValueError"),
     ("scan --function mu --grid 10:1000:5 --out {tmp}/scan.csv --precision -1",
-     "--precision must be >= 1"),
-])
-def test_malformed_inputs_are_typed_errors(capsys, tmp_path, argv, message):
+     "--precision must be >= 1", "ValueError"),
+    ("expsum check --case lambda-reciprocal --z 1000000 --R 100",
+     "this case needs an exponent pair", "ValueError"),
+    ("expsum check --case lambda-reciprocal --z 1000000 --R 100 --pair 0,1",
+     "pair fails 20k^2", "WindowError"),
+    ("expsum check --case bilinear-power --z 1000 --R 900 --pair 1/6,2/3",
+     "need R <= z^(2/(2r+1))", "WindowError"),
+    ("expsum check --case unitary-reciprocal --z 100 --R 100000 --pair 1/6,2/3",
+     "need R <= z^14/17", "WindowError"),
+    ("expsum check --case tau-exponent-pair --z 5e-324 --R 2 --pair 1/6,2/3",   # z/R rounds to 0
+     "need z/R > 0", "WindowError"),
+]
+
+
+@pytest.mark.parametrize("argv, message, error", MALFORMED,
+                         ids=[f"{argv}-{message}" for argv, message, _ in MALFORMED])
+def test_malformed_inputs_are_typed_errors(capsys, tmp_path, argv, message, error):
     assert cli.main(argv.replace("{tmp}", str(tmp_path)).split()) == 1
     out = capsys.readouterr()
     d = json.loads(out.out)
-    assert d["error"] == "ValueError"
+    assert d["error"] == error
     assert message in d["message"]
     assert out.err == ""
     assert not any(tmp_path.iterdir())   # no CSV, not even a header

@@ -19,7 +19,7 @@ CLASSIC = ExponentPair(Fraction(1, 6), Fraction(2, 3))
 
 
 def test_exp_sum_counts_with_zero_phase():
-    v = E.exp_sum(A.ONE, 10, 20, PhaseFunction.zero())
+    v = E.exp_sum(A.ONE, 10, 20, PhaseFunction.reciprocal(0))
     assert v == pytest.approx(10)
 
 
@@ -61,16 +61,16 @@ def test_exp_sum_with_no_nonzero_coefficient_is_zero():
 
 def test_exp_sum_window():
     with pytest.raises(WindowError):
-        E.exp_sum(A.ONE, 10, 21, PhaseFunction.zero())
+        E.exp_sum(A.ONE, 10, 21, PhaseFunction.reciprocal(0))
     with pytest.raises(WindowError):
-        E.exp_sum(A.ONE, 10, 10, PhaseFunction.zero())
+        E.exp_sum(A.ONE, 10, 10, PhaseFunction.reciprocal(0))
 
 
 # ---------------------------------------------------------------------------
 # the bilinear sum
 
 def test_type_II_constant_coefficients():
-    v = E.type_II_sum(8, 12, PhaseFunction.zero())
+    v = E.type_II_sum(8, 12, PhaseFunction.reciprocal(0))
     assert v == pytest.approx(96)
 
 

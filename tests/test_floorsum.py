@@ -11,7 +11,7 @@ import pytest
 
 from floorsums import arith as A
 from floorsums import floorsum as FS
-from floorsums.errors import BudgetError, WindowError
+from floorsums.errors import BudgetError, CoverageError, WindowError
 
 SIX_KINDS = [A.LAMBDA, A.tau(2), A.tau(3), A.MOBIUS_SQUARED, A.TWO_POW_OMEGA,
              A.OMEGA]
@@ -63,6 +63,58 @@ def test_derived_table_is_not_a_table_of_one():
     with pytest.raises(ValueError):
         FS.floor_sum_naive(A.ONE, 1000, table=derived)
     assert FS.floor_sum_fast(A.ONE, 1000, table=one) == 1000
+
+
+def forbid_evaluation(monkeypatch):
+    """Make every sieve and point evaluation floorsum starts fail."""
+    def fail(*args):
+        raise AssertionError("f was evaluated")
+
+    for name in ("build_sieve", "iter_segment_values", "eval_points"):
+        monkeypatch.setattr(FS, name, fail)
+
+
+@pytest.mark.parametrize("fn", [FS.floor_sum_naive, FS.floor_sum_fast], ids=["naive", "fast"])
+def test_table_must_hold_the_kind_and_cover_one_to_x(monkeypatch, fn):
+    x, N = 1000, isqrt(1000 // FS.SPLIT_RATIO)
+    mu, one = A.build_sieve(A.MOBIUS, 1, x), A.build_sieve(A.ONE, 1, x)
+    refused = [(A.dirichlet_convolve(mu, one, x), ValueError, "holds None"),
+               (mu, ValueError, "holds mobius"),
+               (A.build_sieve(A.ONE, 1, x - 1), CoverageError, r"\[1, 999\], need"),
+               (A.build_sieve(A.ONE, 2, x), CoverageError, r"\[2, 1000\], need"),
+               (A.build_sieve(A.ONE, x // N, x), CoverageError, "need"),   # the head's range
+               (A.build_sieve(A.ONE, 1, x // (N + 1)), CoverageError, "need")]  # the blocks'
+    wide = A.build_sieve(A.TWO_POW_OMEGA, 1, 3 * x)
+    want = fn(A.TWO_POW_OMEGA, x)
+    forbid_evaluation(monkeypatch)
+    for table, error, message in refused:
+        with pytest.raises(error, match=message):
+            fn(A.ONE, x, table=table)
+    # a table that covers [1, x] replaces every evaluation of f
+    assert fn(A.TWO_POW_OMEGA, x, table=wide) == want
+    assert fn(A.ONE, x, table=one) == x
+
+
+ENTRY_POINTS = {"naive": lambda x: FS.floor_sum_naive(A.tau(2), x),
+                "fast": lambda x: FS.floor_sum_fast(A.tau(2), x),
+                "summarize": lambda x: FS.summarize(A.tau(2), x),
+                "error_scan": lambda x: FS.error_scan(A.tau(2), [1000, x])}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("x", [True, 10.5, 1e6, Fraction(10**6), np.float64(10**6)],
+                         ids=["bool", "float", "integral-float", "fraction", "numpy-float"])
+def test_x_must_be_an_integer(monkeypatch, entry, x):
+    forbid_evaluation(monkeypatch)
+    with pytest.raises(ValueError, match="need integer x"):
+        ENTRY_POINTS[entry](x)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_x_may_be_a_numpy_integer(entry):
+    want = ENTRY_POINTS[entry](10**5)
+    assert ENTRY_POINTS[entry](np.int64(10**5)) == want
+    assert ENTRY_POINTS[entry](np.uint32(10**5)) == want
 
 
 def test_fast_equals_naive_all_kinds():
@@ -450,3 +502,13 @@ def test_summarize_report_fields():
     assert isinstance(rep.sum, int)
     assert rep.residual == pytest.approx(rep.sum - rep.x * rep.constant)
     assert rep.constant_tail_bound >= 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FS.floor_sum_fast(A.ONE, 100, split=0), r"split must lie in \[1, x\], got 0"),
+    (lambda: FS.floor_sum_fast(A.ONE, 100, split=101), "got 101"),
+    (lambda: FS.summarize(A.ONE, 100, method="exact"), "unknown method 'exact'"),
+], ids=["split-0", "split-above-x", "method"])
+def test_malformed_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -294,13 +294,13 @@ def calls(monkeypatch):
 
 
 @pytest.mark.parametrize("fn, kinds, limits", [
-    (I.vaughan_lambda_sides, [(A.LAMBDA, 97), (A.MOBIUS, 7), (A.ONE, 97)], [49, 97, 97, 97, 97]),
-    (I.vaughan_mobius_sides, [(A.MOBIUS, 97), (A.ONE, 97)], [49, 97, 97, 97])],
+    (I.vaughan_lambda_sides, [(A.LAMBDA, 97), (A.MOBIUS, 7)], [49, 97, 97, 97, 97]),
+    (I.vaughan_mobius_sides, [(A.MOBIUS, 97)], [49, 97, 97, 97])],
     ids=["lambda", "mu"])
 def test_vaughan_verifiers_sieve_once_and_pin_their_products(calls, fn, kinds, limits):
-    # each function is sieved once; a = mu 1_U * (Lambda or mu) 1_U is built
-    # on [1, U^2], every other product on [1, R1]: lambda builds b and its
-    # three terms, mu builds b+ and its two terms
+    # each function is sieved once, and 1 not at all; a = mu 1_U * (Lambda or
+    # mu) 1_U is built on [1, U^2], every other product on [1, R1]: lambda
+    # builds b and its three terms, mu builds b+ and its two terms
     fn(50, 97, 7, I.PhaseFunction.reciprocal(1234.5))
     assert sorted(calls["sieve"], key=str) == sorted(
         [(k, 1, hi) for k, hi in kinds], key=str)
@@ -312,6 +312,8 @@ def test_run_verification_builds_one_table_per_kind(calls, subject):
     I.run_verification(subject, 20, 0)
     kinds = [k for k, _, _ in calls["sieve"]]
     assert kinds and len(kinds) == len(set(kinds))
+    if subject.startswith("vaughan"):     # the products build their own 1
+        assert A.ONE not in kinds
 
 
 @pytest.mark.parametrize("subject, products", [("vaughan-lambda", 5), ("vaughan-mu", 4)])
@@ -348,14 +350,13 @@ def test_vaughan_terms_do_not_depend_on_their_limit(U):
     # products built on [1, 2 _MAX_R] and cut to [1, R1] equal those built
     # on [1, R1], byte for byte
     top = 2 * I._MAX_R
-    tables = {k: A.build_sieve(k, 1, top).values for k in (A.LAMBDA, A.MOBIUS, A.ONE)}
-    wide = (I._vaughan_lambda_terms(tables[A.LAMBDA], tables[A.MOBIUS], tables[A.ONE], U),
-            I._vaughan_mobius_terms(tables[A.MOBIUS], tables[A.ONE], U))
+    tables = {k: A.build_sieve(k, 1, top).values for k in (A.LAMBDA, A.MOBIUS)}
+    wide = (I._vaughan_lambda_terms(tables[A.LAMBDA], tables[A.MOBIUS], U),
+            I._vaughan_mobius_terms(tables[A.MOBIUS], U))
     for R1 in sorted({U * U + 1, 2 * U * U + 3, 97, top - 1, top}):
-        lam, one = (A.build_sieve(k, 1, R1).values for k in (A.LAMBDA, A.ONE))
-        mu = A.build_sieve(A.MOBIUS, 1, R1).values
-        narrow = (I._vaughan_lambda_terms(lam, A.build_sieve(A.MOBIUS, 1, U).values, one, U),
-                  I._vaughan_mobius_terms(mu, one, U))
+        lam, mu = (A.build_sieve(k, 1, R1).values for k in (A.LAMBDA, A.MOBIUS))
+        narrow = (I._vaughan_lambda_terms(lam, A.build_sieve(A.MOBIUS, 1, U).values, U),
+                  I._vaughan_mobius_terms(mu, U))
         for w_sides, n_sides in zip(wide, narrow, strict=True):
             for w_terms, n_terms in zip(w_sides, n_sides, strict=True):
                 assert [c[:R1].tobytes() for c in w_terms] == [c.tobytes() for c in n_terms]
@@ -447,7 +448,7 @@ def test_vaughan_lambda_examples():
 def test_vaughan_lambda_zero_phase_is_chebyshev_difference():
     lam = A.build_sieve(A.LAMBDA, 1, 97)
     expected = math.fsum(lam.value(n) for n in range(51, 98))
-    l, r, res = I.vaughan_lambda_sides(50, 97, 7, I.PhaseFunction.zero())
+    l, r, res = I.vaughan_lambda_sides(50, 97, 7, I.PhaseFunction.reciprocal(0))
     assert l == pytest.approx(expected, rel=1e-12)
     assert res <= 1e-9 * (1 + abs(l))
 
@@ -455,7 +456,7 @@ def test_vaughan_lambda_zero_phase_is_chebyshev_difference():
 def test_vaughan_mobius_zero_phase_is_mertens_difference():
     mu = A.build_sieve(A.MOBIUS, 1, 97)
     expected = sum(mu.value(n) for n in range(51, 98))
-    l, r, res = I.vaughan_mobius_sides(50, 97, 7, I.PhaseFunction.zero())
+    l, r, res = I.vaughan_mobius_sides(50, 97, 7, I.PhaseFunction.reciprocal(0))
     assert l == pytest.approx(expected, rel=1e-12)
     assert res <= 1e-9 * (1 + abs(l))
 
@@ -472,7 +473,7 @@ def test_vaughan_mobius_examples():
 
 
 def test_vaughan_window_checks():
-    ph = I.PhaseFunction.zero()
+    ph = I.PhaseFunction.reciprocal(0)
     with pytest.raises(WindowError):
         I.vaughan_lambda_sides(50, 101, 7, ph)    # R1 > 2R
     with pytest.raises(WindowError):
@@ -534,7 +535,7 @@ def test_hyperbola_exp_unitary_route():
 def test_hyperbola_exp_counts_with_zero_phase():
     one = A.build_sieve(A.ONE, 1, 100)
     t2 = A.build_sieve(A.tau(2), 1, 40)
-    l, r, res = I.hyperbola_exp_sides(one, one, I.PhaseFunction.zero(), 20, 40, 4)
+    l, r, res = I.hyperbola_exp_sides(one, one, I.PhaseFunction.reciprocal(0), 20, 40, 4)
     expected = sum(t2.value(n) for n in range(21, 41))
     assert l == pytest.approx(expected) and res <= 1e-9 * (1 + abs(l))
 
@@ -651,7 +652,7 @@ def test_verifiers_match_their_loops():
     for _ in range(40):
         R = rng.randint(4, 150)
         R1 = rng.randint(R + 1, 2 * R)
-        ph = I.random_phase(rng) if rng.random() < 0.8 else I.PhaseFunction.zero()
+        ph = I.random_phase(rng) if rng.random() < 0.8 else I.PhaseFunction.reciprocal(0)
         U = rng.randint(1, math.isqrt(R))
         for fn, ref in ((I.vaughan_lambda_sides, _loops_vaughan_lambda),
                         (I.vaughan_mobius_sides, _loops_vaughan_mobius)):
@@ -765,3 +766,21 @@ def test_exp_split_agrees_on_random_instances():
         split = _hyperbola_exp_split(f, g, ph, R, R1, U)
         assert res <= 1e-9 * (1 + abs(l))
         assert abs(split - l) <= 1e-9 * (1 + abs(l))
+
+
+def _one(hi):
+    return A.build_sieve(A.ONE, 1, hi)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: I.hyperbola_exp_sides(_one(40), _one(40), I.PhaseFunction.reciprocal(7), 40, 40, 4),
+     WindowError, "need R < R1"),
+    (lambda: I.hyperbola_exp_sides(_one(40), _one(40), I.PhaseFunction.reciprocal(7), 20, 40, 21),
+     WindowError, "1 <= U <= R, got R=20, R1=40, U=21"),
+    (lambda: I.hyperbola_exp_sides(_one(39), _one(40), I.PhaseFunction.reciprocal(7), 20, 40, 4),
+     CoverageError, "tables too short"),
+    (lambda: I.run_verification("zeta", 1, 0), ValueError, "unknown subject 'zeta'"),
+], ids=["exp-empty-window", "exp-cutoff", "exp-short-table", "subject"])
+def test_malformed_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

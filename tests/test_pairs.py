@@ -73,16 +73,23 @@ def test_heath_brown_values():
         P.heath_brown_pair(2)
 
 
-def test_enumerate_pairs_from_trivial_seed():
-    got = {p.as_tuple() for p in P.enumerate_pairs([TRIVIAL], 1)}
+def orbit(seeds, depth):
+    """{((k, l), word, seed name, eps_carrier)} over the A/B orbit that
+    `minimize_over_pairs` walks."""
+    return {((F(a, c), F(b, c)), word, s.seed, s.eps_carrier)
+            for (a, b, c), (word, s) in P._orbit(seeds, depth).items()}
+
+
+def test_orbit_from_trivial_seed():
+    got = {kl for kl, *_ in orbit([TRIVIAL], 1)}
     assert got == {(F(0), F(1)), (F(1, 2), F(1, 2))}
-    assert {p.as_tuple() for p in P.enumerate_pairs([TRIVIAL], 0)} == {(F(0), F(1))}
-    deep = {p.as_tuple() for p in P.enumerate_pairs([BOURGAIN], 2)}
+    assert {kl for kl, *_ in orbit([TRIVIAL], 0)} == {(F(0), F(1))}
+    deep = {kl for kl, *_ in orbit([BOURGAIN], 2)}
     assert (F(55, 194), F(55, 97)) in deep
     with pytest.raises(ValueError):
-        P.enumerate_pairs([TRIVIAL], 21)
+        P._orbit([TRIVIAL], 21)
     with pytest.raises(ValueError, match=r"\[0, 20\]"):
-        P.enumerate_pairs([TRIVIAL], -2)
+        P._orbit([TRIVIAL], -2)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +223,13 @@ def _ref_exponent(target, k, l, eps):
     return value
 
 
-def test_enumerate_pairs_matches_fraction_reference():
+def test_orbit_matches_fraction_reference():
     seeds = [CLASSIC, BOURGAIN] + [P.heath_brown_pair(m) for m in range(5, 20)]
     ref = _ref_orbit(seeds, 8)
     for depth in range(9):
         want = {(kl, word, s.seed, s.eps_carrier)
                 for kl, (level, word, s) in ref.items() if level <= depth}
-        got = {(p.as_tuple(), "".join(p.word), p.seed, p.eps_carrier)
-               for p in P.enumerate_pairs(seeds, depth)}
-        assert got == want, depth
+        assert orbit(seeds, depth) == want, depth
 
 
 def test_theorem_exponent_matches_fraction_reference():
@@ -487,3 +492,18 @@ def test_rational_serialization_round_trip():
     assert P.parse_rational("97/203") == F(97, 203)
     assert P.parse_rational("-68/497") == F(-68, 497)
     assert P.parse_rational("5") == F(5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: P.BoundProfile(F(1, 10), F(1, 2)).constraint_report("mu"),
+     "unknown profile family 'mu'"),
+    (lambda: P.TermExponent.of(x=1, y=1), "unknown variable 'y'"),
+    (lambda: P.balance_exponents(P.BalanceProblem.of(
+        [P.TermExponent.of(x=1, N=-1)], "N", (F(1, 2), F(1, 3)))), "empty interval"),
+    (lambda: P.balance_exponents(P.BalanceProblem.of(
+        [P.TermExponent.of(x=1, z=1, N=1), P.TermExponent.of(x=2, z=1, N=1)], "N")),
+     "equal slope"),
+], ids=["profile-family", "variable", "empty-interval", "vector-equal-slopes"])
+def test_malformed_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -40,11 +40,14 @@ def test_fejer_envelope_values():
 
 
 def test_fejer_kernel_nonnegative_random():
+    # F_H >= 0 through the envelope F_H/(2H+2), which peaks at F_H(0) = H + 1
     rng = random.Random(4)
     for _ in range(10**4):
         H = rng.randint(1, 40)
         x = rng.uniform(-2, 2)
         assert PS.fejer_envelope(H, x) >= 0
+    for H in (1, 7, 40):
+        assert PS.fejer_envelope(H, [0.0, 1.0, -3.0]).tolist() == [0.5] * 3
 
 
 def test_fejer_kernel_matches_direct_sum():
@@ -55,7 +58,7 @@ def test_fejer_kernel_matches_direct_sum():
         x = rng.uniform(0.001, 0.999)
         direct = 1 + 2 * sum((1 - h / (H + 1)) * math.cos(2 * math.pi * h * x)
                              for h in range(1, H + 1))
-        assert PS.fejer_kernel(H, x) == pytest.approx(direct, abs=1e-10)
+        assert (2 * H + 2) * PS.fejer_envelope(H, x) == pytest.approx(direct, abs=1e-10)
 
 
 def test_coefficient_envelope_and_symmetry():
@@ -139,3 +142,9 @@ def test_grid_values_match_exact_phase_reference(H, G):
     damping = PS.vaaler_polynomial(H)
     values = PS._grid_values(damping, G)
     assert np.max(np.abs(values - exact_phase_grid(damping, G))) <= 2e-15
+
+
+@pytest.mark.parametrize("H", [0, -3])
+def test_malformed_inputs_are_refused(H):
+    with pytest.raises(ValueError, match="H must be >= 1"):
+        PS.fejer_envelope(H, 0.25)
