@@ -14,8 +14,7 @@ from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE,
 from .errors import BudgetError, CoverageError, WindowError
 from .expsum import BoundCheckReport, check_bound, exp_sum, type_II_sum
 from .floorsum import (FitReport, FloorSumReport, error_scan, floor_sum_fast,
-                       floor_sum_naive, main_term_constant, psi_correction_sum,
-                       series_constant)
+                       floor_sum_naive, main_term_constant, series_constant)
 from .identities import (PhaseFunction, hyperbola_exp_sides, hyperbola_sides,
                          vaughan_lambda_sides, vaughan_mobius_sides)
 from .pairs import (BalanceProblem, BalanceResult, BoundProfile, ExponentPair,

@@ -145,21 +145,25 @@ def kind_from_name(name: str) -> FunctionKind:
 
 @dataclass(frozen=True)
 class SieveTable:
-    """Values of one arithmetic function on the interval [lo, hi].
+    """Values of one arithmetic function from n = lo on.
 
     `values[i]` holds f(lo + i); integer functions use an exact int64 array,
     Lambda a float64 array of log p values.  The array is marked read-only.
+    The table ends where its values do, at hi = lo + len(values) - 1.
     `kind` is None for a derived table (a Dirichlet product), which no
     evaluator accepts in place of a table of a named function.
     """
 
     kind: FunctionKind | None
     lo: int
-    hi: int
     values: np.ndarray
 
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.values) - 1
+
     def __len__(self) -> int:
-        return self.hi - self.lo + 1
+        return len(self.values)
 
     def value(self, n: int):
         """f(n) as a Python int or float, following the array's dtype."""
@@ -367,14 +371,23 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     return val.astype(np.int64, copy=False)
 
 
+def _check_range(lo, hi) -> tuple[int, int]:
+    """(lo, hi) as Python ints, once both are integers with 1 <= lo <= hi."""
+    _check_integers(np.asarray(lo), "lo")
+    _check_integers(np.asarray(hi), "hi")
+    lo, hi = int(lo), int(hi)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    return lo, hi
+
+
 def iter_segment_values(kind: FunctionKind, lo: int, hi: int):
     """Yield (seg_lo, values) chunks covering [lo, hi] without holding it all.
 
     Streaming counterpart of build_sieve for scans over ranges larger than
     the table budget (e.g. main-term constants at cutoff 1e8).
     """
-    if not 1 <= lo <= hi:
-        raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    lo, hi = _check_range(lo, hi)
     _check_tau_order(kind)
     primes = primes_upto(isqrt(hi))
     seg_lo = lo
@@ -390,8 +403,7 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
     Raises BudgetError when the table would exceed SIEVE_BUDGET entries or
     when a tau order above MAX_TAU_R is requested.
     """
-    if not 1 <= lo <= hi:
-        raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    lo, hi = _check_range(lo, hi)
     if hi - lo + 1 > SIEVE_BUDGET:
         raise BudgetError(f"table of {hi - lo + 1} entries exceeds budget {SIEVE_BUDGET}")
     dtype = np.float64 if kind.tag == "lambda" else np.int64
@@ -399,7 +411,7 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
     for seg_lo, vals in iter_segment_values(kind, lo, hi):
         out[seg_lo - lo: seg_lo - lo + len(vals)] = vals
     out.flags.writeable = False
-    return SieveTable(kind=kind, lo=lo, hi=hi, values=out)
+    return SieveTable(kind=kind, lo=lo, values=out)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +594,8 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
 def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     """Pointwise Dirichlet product (f * g)(n) = sum_{d | n} f(d) g(n/d) on [1, limit],
     as a read-only derived table; both tables must cover [1, limit]."""
+    _check_integers(np.asarray(limit), "limit")
+    limit = int(limit)
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
     if f.lo != 1 or g.lo != 1:
@@ -590,7 +604,7 @@ def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
         raise CoverageError(f"inputs must cover [1, {limit}]")
     out = _convolve(f.values, g.values, limit)
     out.flags.writeable = False
-    return SieveTable(kind=None, lo=1, hi=limit, values=out)
+    return SieveTable(kind=None, lo=1, values=out)
 
 
 _PAIR_CAP = 1 << 11     # largest limit the pair index serves (measured crossover 2048-4096)

@@ -11,7 +11,7 @@ split only affects speed, so they cross-check each other.  The default split
 balances the two costs: N = isqrt(x // SPLIT_RATIO).  Either evaluator
 takes an optional sieve table in place of all its own evaluation of f; the
 table is taken whole or not at all: it must hold the summed function and
-cover [1, x], else the call raises before any work.
+its values must cover [1, x], else the call raises before any work.
 
 The main-term constant C_f = sum f(n)/(n(n+1)) comes two ways.
 `series_constant` evaluates it from the Dirichlet series of f, without a
@@ -28,17 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import isqrt
 
 import numpy as np
 
-from .arith import (FACTOR_BUDGET, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind, SieveTable,
-                    _check_integers, _check_tau_order, build_sieve, eval_points,
+from .arith import (FACTOR_BUDGET, MOBIUS, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
+                    SieveTable, _check_integers, _check_tau_order, build_sieve, eval_points,
                     iter_segment_values, primes_upto)
-from .errors import BudgetError, CoverageError, WindowError
+from .errors import BudgetError, CoverageError
 
 NAIVE_BUDGET = 10**7
 FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
@@ -271,8 +270,6 @@ _EM_N = 10                      # zeta sums: n < _EM_N directly, then Euler-Macl
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
               -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000,
               43867 / 5109094217170944000, -174611 / 802857662698291200000)
-_MOBIUS_32 = (1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0,
-              -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1, -1, 0)   # mu(1..32)
 
 
 class _Bounded:
@@ -383,11 +380,12 @@ def _prime_zeta(z1: _Bounded, K: int) -> _Bounded:
     2^-t (1 + 2/(t-1)) <= 2 * 2^-t for t >= 3."""
     k = np.arange(2, K + 1)
     J = 1 + 63 // k
+    mu = build_sieve(MOBIUS, 1, J.max()).values.tolist()
     logs = z1.log1p()
     total = _Bounded(np.zeros(K - 1), np.ldexp(4.0, -(J + 1) * k))
-    for j in range(1, int(J.max()) + 1):
+    for j in range(1, len(mu) + 1):
         idx = np.minimum(j * k, 2 * K) - 2
-        live = (J >= j) * _MOBIUS_32[j - 1]           # mu(j) where j <= J(k), else 0
+        live = (J >= j) * mu[j - 1]                   # mu(j) where j <= J(k), else 0
         term = logs[idx] * live / j
         total = total + term
     return total
@@ -436,34 +434,6 @@ def series_constant(kind: FunctionKind) -> tuple[float, float]:
     head = float(abs_sum.v[0] + abs_sum.e[0])
     bound = float(np.sum(d.e)) + _U * abs(value) + 2.0 ** (1 - K) * head
     return value, bound * (1 + 2.0 ** -20)        # slack for the bound's own rounding
-
-
-# ---------------------------------------------------------------------------
-# psi-correction bookkeeping
-
-def psi_of_quotient(x: int, d: int) -> Fraction:
-    """psi(x/d) as an exact rational for integer x, d."""
-    return Fraction(x % d, d) - Fraction(1, 2)
-
-
-def psi_correction_sum(kind: FunctionKind, x: int, N: int) -> float:
-    """sum_{N < d <= x/N} f(d) (psi(x/(d+1)) - psi(x/d)), psi exact.
-
-    The window x^(1/3) <= N < x^(1/2) is enforced; an empty d-range gives 0.
-    """
-    if not (N**3 >= x and N * N < x):
-        raise WindowError(f"need x^(1/3) <= N < x^(1/2), got x={x}, N={N}")
-    hi = x // N
-    if hi < N + 1:
-        return 0.0
-    tab = build_sieve(kind, N + 1, hi)
-    terms = []
-    for d in range(N + 1, hi + 1):
-        fd = tab.value(d)
-        if fd == 0:
-            continue
-        terms.append(fd * ((x % (d + 1)) / (d + 1) - (x % d) / d))
-    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

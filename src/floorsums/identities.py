@@ -14,8 +14,7 @@ is (a * b) read on (R, R1], so real range endpoints never meet a
 floating-point division.  On integer tables the identity is an equality of
 integer coefficient vectors, and the phase only adds the rounding of the
 dot products.  Both hyperbola forms take their term lists from one builder,
-`_hyperbola_terms`, cut at different points; the Vaughan builders make their
-all-ones vector themselves, so no table of 1 is sieved for them.
+`_hyperbola_terms`, cut at different points.
 
 A product's value at n does not depend on the limit it is built to (the
 kernel sums each n's terms in ascending d, and a sieve's value at n does not

@@ -500,8 +500,7 @@ def test_convolution_examples():
     n = 200
     mu = A.build_sieve(A.MOBIUS, 1, n)
     one = A.build_sieve(A.ONE, 1, n)
-    log_table = A.SieveTable(A.LAMBDA, 1, n,
-                             np.log(np.arange(1, n + 1, dtype=np.float64)))
+    log_table = A.SieveTable(A.LAMBDA, 1, np.log(np.arange(1, n + 1, dtype=np.float64)))
     lam = A.dirichlet_convolve(mu, log_table, 8)
     assert lam.value(8) == pytest.approx(math.log(2))
 
@@ -643,3 +642,37 @@ def test_kind_parsing():
 def test_malformed_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def _contents(t):
+    return type(t.lo), t.lo, t.hi, t.values.tolist()
+
+
+_MU20, _ONE20 = A.build_sieve(A.MOBIUS, 1, 20), A.build_sieve(A.ONE, 1, 20)
+RANGE_CALLS = {
+    "sieve-lo": lambda v: _contents(A.build_sieve(A.MOBIUS, v, 20)),
+    "sieve-hi": lambda v: _contents(A.build_sieve(A.MOBIUS, 1, v)),
+    "segments-lo": lambda v: [(s, a.tolist()) for s, a in A.iter_segment_values(A.MOBIUS, v, 20)],
+    "segments-hi": lambda v: [(s, a.tolist()) for s, a in A.iter_segment_values(A.MOBIUS, 1, v)],
+    "convolve-limit": lambda v: _contents(A.dirichlet_convolve(_MU20, _ONE20, v)),
+}
+
+
+@pytest.mark.parametrize("entry", RANGE_CALLS)
+@pytest.mark.parametrize("v", [True, 2.5, 10.0, Fraction(10), np.float64(10)],
+                         ids=["bool", "float", "integral-float", "fraction", "numpy-float"])
+def test_range_must_be_integers(monkeypatch, entry, v):
+    def fail(*args):
+        raise AssertionError("work was done")
+
+    monkeypatch.setattr(A, "_segment_values", fail)
+    monkeypatch.setattr(A, "_convolve", fail)
+    with pytest.raises(ValueError, match="need integer (lo|hi|limit)"):
+        RANGE_CALLS[entry](v)
+
+
+@pytest.mark.parametrize("entry", RANGE_CALLS)
+def test_range_may_be_numpy_integers(entry):
+    want = RANGE_CALLS[entry](10)
+    assert RANGE_CALLS[entry](np.int64(10)) == want
+    assert RANGE_CALLS[entry](np.uint32(10)) == want

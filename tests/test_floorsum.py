@@ -11,7 +11,8 @@ import pytest
 
 from floorsums import arith as A
 from floorsums import floorsum as FS
-from floorsums.errors import BudgetError, CoverageError, WindowError
+from floorsums import identities as I
+from floorsums.errors import BudgetError, CoverageError
 
 SIX_KINDS = [A.LAMBDA, A.tau(2), A.tau(3), A.MOBIUS_SQUARED, A.TWO_POW_OMEGA,
              A.OMEGA]
@@ -93,6 +94,32 @@ def test_table_must_hold_the_kind_and_cover_one_to_x(monkeypatch, fn):
     # a table that covers [1, x] replaces every evaluation of f
     assert fn(A.TWO_POW_OMEGA, x, table=wide) == want
     assert fn(A.ONE, x, table=one) == x
+
+
+def test_a_table_ends_where_its_values_do(monkeypatch):
+    # a hand-built table of 1000 values covers [1, 1000] and nothing more
+    t = A.SieveTable(kind=A.ONE, lo=1, values=np.ones(1000, dtype=np.int64))
+    assert (t.hi, len(t)) == (1000, 1000)
+    assert t.covers(1, 1000) and not t.covers(1, 1001)
+    forbid_evaluation(monkeypatch)
+
+    def no_product(*args):
+        raise AssertionError("a Dirichlet product was formed")
+
+    monkeypatch.setattr(A, "_convolve", no_product)
+    monkeypatch.setattr(I, "_convolve", no_product)
+    phase = I.PhaseFunction.reciprocal(7)
+    for call in (lambda: FS.floor_sum_naive(A.ONE, 2000, table=t),
+                 lambda: FS.floor_sum_fast(A.ONE, 2000, table=t),
+                 lambda: A.dirichlet_convolve(t, t, 2000),
+                 lambda: I.hyperbola_sides(t, t, phase, 2000, 10),
+                 lambda: I.hyperbola_exp_sides(t, t, phase, 1000, 2000, 10),
+                 lambda: t.value(1500)):
+        with pytest.raises(CoverageError):
+            call()
+    assert FS.floor_sum_naive(A.ONE, 1000, table=t) == 1000
+    assert FS.floor_sum_fast(A.ONE, 1000, table=t) == 1000
+    assert t.value(1000) == 1
 
 
 ENTRY_POINTS = {"naive": lambda x: FS.floor_sum_naive(A.tau(2), x),
@@ -207,9 +234,14 @@ def test_blocks_span_several_segments(monkeypatch):
 
 def test_block_sum_guards_int64():
     huge = np.full(1000, 2**62, dtype=np.int64)
-    table = A.SieveTable(kind=A.ONE, lo=1, hi=1000, values=huge)
+    table = A.SieveTable(kind=A.ONE, lo=1, values=huge)
     with pytest.raises(BudgetError):
         FS.floor_sum_fast(A.ONE, 1000, table=table)
+
+
+def psi(x, d):
+    """psi(x/d) = {x/d} - 1/2 as an exact rational, for integers x, d."""
+    return Fraction(x % d, d) - Fraction(1, 2)
 
 
 def test_quotient_multiplicity_psi_reconstruction():
@@ -219,8 +251,7 @@ def test_quotient_multiplicity_psi_reconstruction():
     for _ in range(200):
         x = rng.randint(2, 10**6)
         d = rng.randint(1, x)
-        lhs = (Fraction(x, d * (d + 1)) + FS.psi_of_quotient(x, d + 1)
-               - FS.psi_of_quotient(x, d))
+        lhs = Fraction(x, d * (d + 1)) + psi(x, d + 1) - psi(x, d)
         assert lhs == x // d - x // (d + 1)
 
 
@@ -395,7 +426,6 @@ def test_zeta_sums_are_within_their_bounds(monkeypatch, N):
 def test_series_literals():
     for j, c in enumerate(FS._EM_COEFFS, start=1):
         assert c == float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
-    assert FS._MOBIUS_32 == tuple(A.eval_points(A.MOBIUS, np.arange(1, 33)).tolist())
 
 
 @pytest.mark.parametrize("kind", SERIES_KINDS, ids=str)
@@ -431,27 +461,6 @@ def test_summarize_defaults_to_the_series_constant(monkeypatch):
     assert rep.residual == rep.sum - 10**5 * rep.constant
 
 
-def test_psi_correction_window_and_vacuous_range():
-    with pytest.raises(WindowError):
-        FS.psi_correction_sum(A.ONE, 10**4, 5)       # below x^(1/3)
-    with pytest.raises(WindowError):
-        FS.psi_correction_sum(A.ONE, 10**4, 100)     # at x^(1/2)
-    # x // N < N + 1 leaves an empty d-range
-    assert FS.psi_correction_sum(A.tau(2), 962, 31) == 0.0
-
-
-def test_psi_correction_matches_exact_rational_sum():
-    for kind, x, n in [(A.ONE, 10**4, 30), (A.tau(2), 10**4, 25),
-                       (A.MOBIUS_SQUARED, 5000, 20)]:
-        got = FS.psi_correction_sum(kind, x, n)
-        exact = Fraction(0)
-        tab = A.build_sieve(kind, n + 1, x // n)
-        for d in range(n + 1, x // n + 1):
-            exact += tab.value(d) * (FS.psi_of_quotient(x, d + 1)
-                                     - FS.psi_of_quotient(x, d))
-        assert got == pytest.approx(float(exact), abs=1e-9)
-
-
 def test_full_bookkeeping_identity():
     # head + x * partial-C + head psi terms + psi correction - clip delta == S,
     # every piece exact rational
@@ -462,11 +471,9 @@ def test_full_bookkeeping_identity():
         head = sum(tab.value(x // m) for m in range(1, n + 1))
         d_hi = x // n
         partial_c = sum(Fraction(tab.value(d), d * (d + 1)) for d in range(1, d_hi + 1))
-        psi_small = sum(tab.value(d) * (FS.psi_of_quotient(x, d + 1)
-                                        - FS.psi_of_quotient(x, d))
+        psi_small = sum(tab.value(d) * (psi(x, d + 1) - psi(x, d))
                         for d in range(1, n + 1))
-        psi_corr = sum(tab.value(d) * (FS.psi_of_quotient(x, d + 1)
-                                       - FS.psi_of_quotient(x, d))
+        psi_corr = sum(tab.value(d) * (psi(x, d + 1) - psi(x, d))
                        for d in range(n + 1, d_hi + 1))
         # unclipped block count minus the true (n > N)-restricted count
         d0 = x // (n + 1)

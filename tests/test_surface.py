@@ -13,7 +13,7 @@ EXPORTS = {
     "BoundCheckReport", "check_bound", "exp_sum", "type_II_sum",
     # floorsum
     "FitReport", "FloorSumReport", "error_scan", "floor_sum_fast", "floor_sum_naive",
-    "main_term_constant", "psi_correction_sum", "series_constant",
+    "main_term_constant", "series_constant",
     # identities
     "PhaseFunction", "hyperbola_exp_sides", "hyperbola_sides", "vaughan_lambda_sides",
     "vaughan_mobius_sides",
