@@ -635,7 +635,8 @@ def _convolve(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
       limit.  `add.at` adds in index order, so n's terms arrive by ascending d.
     - above it, the hyperbola split: the pairs d <= e by ascending d, then
       d > e by descending e, one strided update per d <= sqrt(limit) with
-      f(d) != 0 and per e with g(e) != 0.
+      f(d) != 0 and per e with g(e) != 0; a coefficient of +-1 adds or
+      subtracts the other array in place, with no limit-sized temporary.
     A zero term added or skipped changes no bit, as a sum from +0 is never
     -0, so both regimes give the same bytes, Lambda products included."""
     out = np.zeros(limit, dtype=np.result_type(f, g))
@@ -649,8 +650,19 @@ def _convolve(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
     root = isqrt(limit)
     for d in (np.flatnonzero(f[:root]) + 1).tolist():      # d <= e: n = d e from d^2 on
         e = min(limit // d, len(g))
-        out[d * d - 1: d * e: d] += f[d - 1] * g[d - 1: e]
+        _add_scaled(out[d * d - 1: d * e: d], f[d - 1], g[d - 1: e])
     for e in (np.flatnonzero(g[:root])[::-1] + 1).tolist():    # d > e: n = d e from e (e + 1) on
         d = min(limit // e, len(f))
-        out[e * e + e - 1: e * d: e] += g[e - 1] * f[e: d]
+        _add_scaled(out[e * e + e - 1: e * d: e], g[e - 1], f[e: d])
     return out
+
+
+def _add_scaled(view: np.ndarray, c, v: np.ndarray) -> None:
+    """view += c v in place, with no temporary for c = +-1: 1 v is v and
+    x - y is x + (-y), so the bits are those of c v, floats included."""
+    if c == 1:
+        view += v
+    elif c == -1:
+        view -= v
+    else:
+        view += c * v

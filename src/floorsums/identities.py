@@ -14,13 +14,16 @@ is (a * b) read on (R, R1], so real range endpoints never meet a
 floating-point division.  On integer tables the identity is an equality of
 integer coefficient vectors, and the phase only adds the rounding of the
 dot products.  Both hyperbola forms take their term lists from one builder,
-`_hyperbola_terms`, cut at different points.
+`_hyperbola_terms`, cut at different points; up to arith's `_PAIR_CAP` it
+reads the kernel's divisor-pair index on the window alone, with the bits of
+the kernel's products.
 
 A product's value at n does not depend on the limit it is built to (the
 kernel sums each n's terms in ascending d, and a sieve's value at n does not
 depend on where its table ends), so a Vaughan product built on [1, 2 _MAX_R]
 and read on (R, R1] is the product built on [1, R1], bit for bit.
-`run_verification` builds each cutoff U's Vaughan products once per run.
+`run_verification` builds each cutoff U's Vaughan products once per process
+and subject, and the suite's opaque phase is evaluated in numpy.
 
 Note on the Vaughan forms: the third sum of the Lambda identity and of the
 mu identity both restrict the inner variable to m > max(U, R/n).  On the
@@ -41,8 +44,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE,
-                    TWO_POW_OMEGA, SieveTable, _convolve, build_sieve, tau)
+from .arith import (_PAIR_CAP, CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE,
+                    TWO_POW_OMEGA, SieveTable, _convolve, _divisor_pairs, build_sieve, tau)
 from .errors import CoverageError, WindowError
 
 TWO_PI = 2.0 * math.pi
@@ -109,8 +112,14 @@ class PhaseFunction:
         d = q (t + a)^r < 2^53, tested in Python integers: then p mod d and d
         convert to float64 exactly, so their quotient is correctly rounded.
         Otherwise each entry is reduced on a Python int: an opaque phase by
-        `frac`'s formula fn(k) % 1.0 inline, a window out of range by `frac`."""
+        `frac`'s formula fn(k) % 1.0 inline, a window out of range by `frac`.
+        The suite's opaque draw c1 sqrt(t) + c2/t (`_SqrtPhase`) is taken in
+        float64 arrays: sqrt, *, /, + and mod 1 are each correctly rounded
+        entrywise, as in the scalar formula, so the bits are the same."""
         t = np.asarray(t, dtype=np.int64)
+        if isinstance(self.fn, _SqrtPhase):
+            tf = t.astype(np.float64)
+            return np.exp(1j * TWO_PI * np.mod(self.fn.c1 * np.sqrt(tf) + self.fn.c2 / tf, 1.0))
         if self.fn is not None:
             ph = [self.fn(k) % 1.0 for k in t.tolist()]
         else:
@@ -120,6 +129,18 @@ class PhaseFunction:
                 return np.exp(1j * TWO_PI * (np.mod(p, d) / d))
             ph = [self.frac(k) for k in t.tolist()]
         return np.exp(1j * TWO_PI * np.array(ph, dtype=np.float64))
+
+
+@dataclass(frozen=True)
+class _SqrtPhase:
+    """The opaque phase t -> c1 sqrt(t) + c2/t that `random_phase` draws; a
+    type of its own so that `unit_array` can take it in numpy."""
+
+    c1: float
+    c2: float
+
+    def __call__(self, t: int) -> float:
+        return self.c1 * math.sqrt(t) + self.c2 / t
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +218,37 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
     return _window_sides(_vaughan_mobius_terms(mu, U), R, R1, phase)
 
 
-def _hyperbola_terms(fv: np.ndarray, gv: np.ndarray, a: int, b: int, c: int):
-    """The lhs and rhs coefficient vectors on [1, L] of the hyperbola split
-    f * g = (f 1_a * g) + (g 1_b * f) - (f 1_(c,a] * g 1_b), from f and g on
-    [1, L].  It holds on a window (R, L] with (a + 1)(b + 1) > L, as no
-    d e <= L has d > a and e > b, and c b <= R, as the overlap left out at
-    d <= c lies below the window."""
+def _hyperbola_terms(fv: np.ndarray, gv: np.ndarray, a: int, b: int, c: int, R: int):
+    """The lhs and rhs coefficient vectors of the hyperbola split
+    f * g = (f 1_a * g) + (g 1_b * f) - (f 1_(c,a] * g 1_b) on the window
+    (R, L], from f and g on [1, L], as vectors on [1, L].  It holds on the
+    window when (a + 1)(b + 1) > L, as no d e <= L has d > a and e > b, and
+    c b <= R, as the overlap left out at d <= c lies below the window.
+
+    Up to L = _PAIR_CAP the terms are read from the divisor-pair index on
+    the window alone, zero below it: f(d) g(e) and g(d) f(e) are gathered
+    once over the pairs d e = n in (R, L], and each term is one `np.add.at`
+    over them, the pairs its cuts drop zeroed.  Each n sums its terms from
+    +0 in ascending d, as `_convolve` does, and a zero term changes no bit,
+    so every term has the bits of the product `_convolve` builds."""
     L = len(fv)
-    return [_convolve(fv, gv, L)], [_convolve(fv[:a], gv, L), _convolve(gv[:b], fv, L),
-                                    -_convolve(_part(fv[:a], c), gv[:b], L)]
+    if L > _PAIR_CAP:
+        return [_convolve(fv, gv, L)], [_convolve(fv[:a], gv, L), _convolve(gv[:b], fv, L),
+                                        -_convolve(_part(fv[:a], c), gv[:b], L)]
+    n, d, e = _divisor_pairs()
+    lo, hi = np.searchsorted(n, [R, L]).tolist()       # the pairs with R <= n - 1 < L
+    n, d, e = n[lo:hi], d[lo:hi], e[lo:hi]
+    fg, gf = fv[d] * gv[e], gv[d] * fv[e]
+    f_cut = d < a                                      # d <= a: the index holds d - 1
+
+    def term(prod):
+        out = np.zeros(L, dtype=prod.dtype)
+        np.add.at(out, n, prod)
+        return out
+
+    # a pair that a cut drops adds a zero, which changes no bit
+    return [term(fg)], [term(fg * f_cut), term(gf * (d < b)),
+                        -term(fg * (f_cut & (e < b) & (d >= c)))]
 
 
 def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
@@ -216,9 +259,11 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
     exact int64 sums."""
     if not 1 <= U <= x:
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
+    if f.lo != 1 or g.lo != 1:       # the values are read at index n - 1
+        raise CoverageError("tables must start at 1")
     if not (f.covers(1, x) and g.covers(1, x)):
         raise CoverageError(f"tables must cover [1, {x}]")
-    terms = _hyperbola_terms(f.values[:x], g.values[:x], U, x // U, 0)
+    terms = _hyperbola_terms(f.values[:x], g.values[:x], U, x // U, 0, 0)
     return _window_sides(terms, 0, x, phase)
 
 
@@ -232,9 +277,11 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     """
     if not (R < R1 and 1 <= U <= R):
         raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
+    if f.lo != 1 or g.lo != 1:
+        raise CoverageError("tables must start at 1")
     if not (f.covers(1, R1) and g.covers(1, R1)):
         raise CoverageError("tables too short for the requested ranges")
-    terms = _hyperbola_terms(f.values[:R1], g.values[:R1], U * R1 // R, R // U, U)
+    terms = _hyperbola_terms(f.values[:R1], g.values[:R1], U * R1 // R, R // U, U, R)
     return _window_sides(terms, R, R1, phase)
 
 
@@ -245,7 +292,13 @@ VERIFY_SUBJECTS = ("vaughan-lambda", "vaughan-mu", "hyperbola", "hyperbola-exp")
 
 _PHASE_PARAM_MAX = 10**6
 _MAX_R, _MAX_X = 500, 400     # verify draws R <= _MAX_R, x <= _MAX_X <= 2 _MAX_R
-_MAX_TRIALS = 10**4           # 0.1-0.2 ms and one report dict per trial
+_MAX_TRIALS = 10**4           # 0.03-0.1 ms and one report dict per trial
+_SUITE_KINDS = (ONE, MOBIUS, MOBIUS_SQUARED, LAMBDA, tau(2), tau(3), OMEGA,
+                TWO_POW_OMEGA, CHI_TWO)   # the hyperbola suites draw f and g from these
+
+# (subject, U) -> the Vaughan products of cutoff U on [1, 2 _MAX_R], read-only
+# and kept for the process: U <= isqrt(_MAX_R) bounds it at 2 x 22 entries
+_VAUGHAN_PRODUCTS: dict[tuple[str, int], list] = {}
 
 
 def random_phase(rng) -> PhaseFunction:
@@ -265,7 +318,7 @@ def random_phase(rng) -> PhaseFunction:
                                                 rng.randint(0, 1))
     c1 = rng.uniform(1, 1000)
     c2 = rng.uniform(1, _PHASE_PARAM_MAX)
-    return PhaseFunction.opaque(lambda t, c1=c1, c2=c2: c1 * math.sqrt(t) + c2 / t)
+    return PhaseFunction.opaque(_SqrtPhase(c1, c2))
 
 
 def _trial_rng(seed: int, trial: int):
@@ -278,8 +331,9 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
 
     Instances draw R in [20, _MAX_R], admissible U, and phases from all forms;
     per-instance seeds derive from (seed, trial) so runs are reproducible
-    and trials are independent.  f and g come from one table per kind, and
-    the Vaughan products of each U are built once per run on [1, 2 _MAX_R];
+    and trials are independent.  f and g come from one table per kind and
+    run.  The Vaughan products of each U are built on [1, 2 _MAX_R] the
+    first time the process draws U for the subject and kept for later runs;
     a trial reads them on its window.
     """
     if subject not in VERIFY_SUBJECTS:
@@ -290,15 +344,20 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
         raise ValueError(f"need trials <= {_MAX_TRIALS}, got {trials}")
     if seed < 0:        # random.Random seeds from |seed|: -s would replay s's trial 0
         raise ValueError(f"need seed >= 0, got {seed}")
-    kinds = (ONE, MOBIUS, MOBIUS_SQUARED, LAMBDA, tau(2), tau(3), OMEGA,
-             TWO_POW_OMEGA, CHI_TWO)
     table = functools.cache(lambda kind: build_sieve(kind, 1, 2 * _MAX_R))
 
-    @functools.cache
     def vaughan(U):
-        if subject == "vaughan-lambda":
-            return _vaughan_lambda_terms(table(LAMBDA).values, table(MOBIUS).values, U)
-        return _vaughan_mobius_terms(table(MOBIUS).values, U)
+        sides = _VAUGHAN_PRODUCTS.get((subject, U))
+        if sides is None:
+            if subject == "vaughan-lambda":
+                sides = _vaughan_lambda_terms(table(LAMBDA).values, table(MOBIUS).values, U)
+            else:
+                sides = _vaughan_mobius_terms(table(MOBIUS).values, U)
+            for terms in sides:
+                for c in terms:
+                    c.flags.writeable = False
+            _VAUGHAN_PRODUCTS[subject, U] = sides
+        return sides
 
     out = []
     for t in range(trials):
@@ -314,12 +373,12 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
         elif subject == "hyperbola":
             x = rng.randint(30, _MAX_X)
             U = rng.randint(1, x)
-            f, g = table(rng.choice(kinds)), table(rng.choice(kinds))
+            f, g = table(rng.choice(_SUITE_KINDS)), table(rng.choice(_SUITE_KINDS))
             lhs, rhs, res = hyperbola_sides(f, g, phase, x, U)
             params = {"x": x, "U": U, "f": str(f.kind), "g": str(g.kind)}
         else:
             U = rng.randint(1, R)
-            f, g = table(rng.choice(kinds)), table(rng.choice(kinds))
+            f, g = table(rng.choice(_SUITE_KINDS)), table(rng.choice(_SUITE_KINDS))
             lhs, rhs, res = hyperbola_exp_sides(f, g, phase, R, R1, U)
             params = {"R": R, "R1": R1, "U": U, "f": str(f.kind), "g": str(g.kind)}
         rel = res / (1 + abs(lhs))

@@ -110,6 +110,9 @@ def test_unit_array_tests_the_largest_entry_not_the_last():
     (I.PhaseFunction.shifted_reciprocal(3, 2**60 + 1, 1), range(2**53 - 20, 2**53 + 21)),
     # an opaque phase is reduced per entry by frac's formula
     (I.PhaseFunction.opaque(lambda t: 123.25 * math.sqrt(t) + 987654.5 / t), range(1, 501)),
+    # the suite's draw of the same form is taken in float64 arrays
+    (I.PhaseFunction.opaque(I._SqrtPhase(123.25, 987654.5)), range(1, 1001)),
+    (I.PhaseFunction.opaque(I._SqrtPhase(999.9, 0.1)), range(2**53 - 20, 2**53 + 21)),
 ], ids=lambda v: f"{v.start}..{v.stop - 1}" if isinstance(v, range) else v.form)
 def test_unit_array_equals_frac_bit_for_bit(ph, t):
     # converting an int64 above 2^53 to float64 rounds, so the int64 path
@@ -172,7 +175,8 @@ def test_unit_array_float_z_at_the_int64_bound(monkeypatch, ph, t_max):
 @pytest.mark.parametrize("ph", [
     I.PhaseFunction.reciprocal(10**6), I.PhaseFunction.reciprocal(123456.75),
     I.PhaseFunction.power_reciprocal(5, 2), I.PhaseFunction.shifted_reciprocal(3, 100, 1),
-    I.PhaseFunction.opaque(lambda t: math.sqrt(t))], ids=lambda ph: ph.form)
+    I.PhaseFunction.opaque(lambda t: math.sqrt(t)),
+    I.PhaseFunction.opaque(I._SqrtPhase(2.5, 3.5))], ids=lambda ph: ph.form)
 def test_unit_array_accepts_an_empty_array(ph):
     out = ph.unit_array(np.zeros(0, dtype=np.int64))
     assert out.shape == (0,) and out.dtype == np.complex128
@@ -277,7 +281,7 @@ def test_b_plus_complements_b():
 @pytest.fixture
 def calls(monkeypatch):
     """Record every build_sieve (kind, lo, hi) and product-kernel limit that
-    identities makes."""
+    identities makes, from an empty cache of Vaughan products."""
     log = {"sieve": [], "convolve": []}
 
     def sieve(kind, lo, hi):
@@ -290,6 +294,7 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(I, "build_sieve", sieve)
     monkeypatch.setattr(I, "_convolve", convolve)
+    monkeypatch.setattr(I, "_VAUGHAN_PRODUCTS", {})
     return log
 
 
@@ -314,16 +319,26 @@ def test_run_verification_builds_one_table_per_kind(calls, subject):
     assert kinds and len(kinds) == len(set(kinds))
     if subject.startswith("vaughan"):     # the products build their own 1
         assert A.ONE not in kinds
+    # the hyperbola forms sieve again on the next run; the Vaughan forms,
+    # whose products are kept for the process, need no table at all
+    calls["sieve"].clear()
+    I.run_verification(subject, 20, 0)
+    assert [k for k, _, _ in calls["sieve"]] == ([] if subject.startswith("vaughan")
+                                                 else kinds)
 
 
 @pytest.mark.parametrize("subject, products", [("vaughan-lambda", 5), ("vaughan-mu", 4)])
 def test_run_verification_builds_each_cutoffs_products_once(calls, subject, products):
     # a = mu 1_U * (Lambda or mu) 1_U on [1, U^2], every other product on
-    # [1, 2 _MAX_R], once per distinct U in order of first use
+    # [1, 2 _MAX_R], once per distinct U in order of first use; a second run
+    # of the subject reads the products the first one built
     cutoffs = list(dict.fromkeys(r["U"] for r in I.run_verification(subject, 200, 0)))
     assert len(cutoffs) > 5
     assert calls["convolve"] == [lim for U in cutoffs
                                  for lim in [U * U] + [2 * I._MAX_R] * (products - 1)]
+    calls["convolve"].clear()
+    I.run_verification(subject, 200, 0)
+    assert calls["convolve"] == []
 
 
 @pytest.mark.parametrize("fn, subject", [(I.vaughan_lambda_sides, "vaughan-lambda"),
@@ -728,6 +743,41 @@ def test_identities_are_equalities_of_coefficient_vectors(sides):
     assert np.array_equal(lhs, rhs)
 
 
+def _kernel_hyperbola_terms(fv, gv, a, b, c):
+    """The hyperbola split's four products, each built by the kernel on [1, L]."""
+    L = len(fv)
+    return [A._convolve(fv, gv, L)], [A._convolve(fv[:a], gv, L), A._convolve(gv[:b], fv, L),
+                                      -A._convolve(I._part(fv[:a], c), gv[:b], L)]
+
+
+def test_windowed_hyperbola_terms_match_the_kernel_bit_for_bit():
+    # up to _PAIR_CAP the builder reads only the pairs on the window (R, L];
+    # its terms have the kernel's bits there, for every ordered pair of the
+    # suite's kinds, in both forms (R = 0 for hyperbola_sides) and on both
+    # sides of the cap
+    cap = A._PAIR_CAP
+    tables = {k: A.build_sieve(k, 1, cap + 1).values for k in I._SUITE_KINDS}
+    rng = random.Random(81)
+    for f in I._SUITE_KINDS:
+        for g in I._SUITE_KINDS:
+            cases = []
+            for x in (rng.randint(30, I._MAX_X), 2 * I._MAX_R):
+                U = rng.randint(1, x)
+                cases.append((0, x, U, x // U, 0))
+            R = rng.randint(20, I._MAX_R)
+            for R, R1 in ((R, rng.randint(R + 1, 2 * R)), (I._MAX_R, 2 * I._MAX_R),
+                          (cap // 2, cap), (cap // 2 + 1, cap + 1)):
+                U = rng.randint(1, R)
+                cases.append((R, R1, U * R1 // R, R // U, U))
+            for R, L, a, b, c in cases:
+                fv, gv = tables[f][:L], tables[g][:L]
+                got = I._hyperbola_terms(fv, gv, a, b, c, R)
+                want = _kernel_hyperbola_terms(fv, gv, a, b, c)
+                for got_side, want_side in zip(got, want, strict=True):
+                    assert ([(v.dtype, v[R:].tobytes()) for v in got_side]
+                            == [(v.dtype, v[R:].tobytes()) for v in want_side]), (f, g, R, L)
+
+
 def test_vaughan_mobius_residual_at_1e5():
     # exact coefficients leave one dot product's rounding per term
     l, r, res = I.vaughan_mobius_sides(10**5, 2 * 10**5, 158, I.PhaseFunction.reciprocal(12345))
@@ -772,6 +822,11 @@ def _one(hi):
     return A.build_sieve(A.ONE, 1, hi)
 
 
+def _from_zero(hi):
+    # f(n) = n on [0, hi]: read from index 0 as if it started at 1, it is n + 1
+    return A.SieveTable(kind=None, lo=0, values=np.arange(hi + 1))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: I.hyperbola_exp_sides(_one(40), _one(40), I.PhaseFunction.reciprocal(7), 40, 40, 4),
      WindowError, "need R < R1"),
@@ -779,8 +834,14 @@ def _one(hi):
      WindowError, "1 <= U <= R, got R=20, R1=40, U=21"),
     (lambda: I.hyperbola_exp_sides(_one(39), _one(40), I.PhaseFunction.reciprocal(7), 20, 40, 4),
      CoverageError, "tables too short"),
+    (lambda: I.hyperbola_sides(_from_zero(100), _one(100), None, 100, 10),
+     CoverageError, "tables must start at 1"),
+    (lambda: I.hyperbola_exp_sides(_one(40), _from_zero(40), I.PhaseFunction.reciprocal(7),
+                                   20, 40, 4),
+     CoverageError, "tables must start at 1"),
     (lambda: I.run_verification("zeta", 1, 0), ValueError, "unknown subject 'zeta'"),
-], ids=["exp-empty-window", "exp-cutoff", "exp-short-table", "subject"])
+], ids=["exp-empty-window", "exp-cutoff", "exp-short-table", "table-from-zero",
+        "exp-table-from-zero", "subject"])
 def test_malformed_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
