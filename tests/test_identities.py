@@ -176,7 +176,8 @@ def test_unit_array_float_z_at_the_int64_bound(monkeypatch, ph, t_max):
     I.PhaseFunction.reciprocal(10**6), I.PhaseFunction.reciprocal(123456.75),
     I.PhaseFunction.power_reciprocal(5, 2), I.PhaseFunction.shifted_reciprocal(3, 100, 1),
     I.PhaseFunction.opaque(lambda t: math.sqrt(t)),
-    I.PhaseFunction.opaque(I._SqrtPhase(2.5, 3.5))], ids=lambda ph: ph.form)
+    pytest.param(I.PhaseFunction.opaque(I._SqrtPhase(2.5, 3.5)), id="opaque_numpy")],
+    ids=lambda ph: ph.form)
 def test_unit_array_accepts_an_empty_array(ph):
     out = ph.unit_array(np.zeros(0, dtype=np.int64))
     assert out.shape == (0,) and out.dtype == np.complex128
