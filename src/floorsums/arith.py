@@ -41,7 +41,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .errors import BudgetError, CoverageError
+from .errors import BudgetError, CoverageError, require_integers
 
 SEGMENT_SIZE = 1 << 20
 SIEVE_BUDGET = 1 << 27      # entries per table
@@ -64,6 +64,7 @@ class FunctionKind:
     r: int = 0
 
     def __post_init__(self):
+        require_integers(r=self.r)
         if self.tag not in _TAGS:
             raise ValueError(f"unknown function tag {self.tag!r}")
         if self.tag == "tau":
@@ -607,46 +608,17 @@ def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     return SieveTable(kind=None, lo=1, values=out)
 
 
-_PAIR_CAP = 1 << 11     # largest limit the pair index serves (measured crossover 2048-4096)
-
-
-@lru_cache(maxsize=1)
-def _divisor_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair d e = n <= _PAIR_CAP, as read-only index arrays
-    (n - 1, d - 1, e - 1) sorted by n and, within each n, by ascending d:
-    15,937 pairs, built on first use."""
-    d = np.arange(1, _PAIR_CAP + 1)
-    count = _PAIR_CAP // d                  # the e paired with each d
-    d = np.repeat(d, count)
-    e = np.arange(d.size) - np.repeat(np.cumsum(count) - count, count) + 1
-    order = np.argsort(d * e, kind="stable")    # stable: d stays ascending
-    out = tuple(a[order] - 1 for a in (d * e, d, e))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 def _convolve(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
     """(f * g) on [1, limit] at index n - 1, for value arrays that start at
-    n = 1 and read as zero past their ends.  Each n sums its terms
-    f(d) g(n/d) from +0 in ascending d, in one of two regimes:
-    - limit <= _PAIR_CAP: one `np.add.at` over the pairs n <= limit of the
-      divisor-pair index (`_divisor_pairs`), on f and g padded with zeros to
-      limit.  `add.at` adds in index order, so n's terms arrive by ascending d.
-    - above it, the hyperbola split: the pairs d <= e by ascending d, then
-      d > e by descending e, one strided update per d <= sqrt(limit) with
-      f(d) != 0 and per e with g(e) != 0; a coefficient of +-1 adds or
-      subtracts the other array in place, with no limit-sized temporary.
-    A zero term added or skipped changes no bit, as a sum from +0 is never
-    -0, so both regimes give the same bytes, Lambda products included."""
+    n = 1 and read as zero past their ends, by the hyperbola split: the
+    pairs d <= e by ascending d, then d > e by descending e, one strided
+    update per d <= sqrt(limit) with f(d) != 0 and per e with g(e) != 0; a
+    coefficient of +-1 adds or subtracts the other array in place, with no
+    limit-sized temporary.  Each n sums its terms f(d) g(n/d) from +0 in
+    ascending d, and a zero term skipped changes no bit, as a sum from +0 is
+    never -0, so float (Lambda) products have the bits of that order.
+    `identities._hyperbola_terms` relies on this for its windowed terms."""
     out = np.zeros(limit, dtype=np.result_type(f, g))
-    if limit <= _PAIR_CAP:
-        n, d, e = _divisor_pairs()
-        k = np.searchsorted(n, limit)           # the pairs with n - 1 < limit
-        fp, gp = np.zeros(limit, f.dtype), np.zeros(limit, g.dtype)
-        fp[:len(f)], gp[:len(g)] = f[:limit], g[:limit]
-        np.add.at(out, n[:k], fp[d[:k]] * gp[e[:k]])
-        return out
     root = isqrt(limit)
     for d in (np.flatnonzero(f[:root]) + 1).tolist():      # d <= e: n = d e from d^2 on
         e = min(limit // d, len(g))

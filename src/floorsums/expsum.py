@@ -30,7 +30,7 @@ import numpy as np
 
 from .arith import (LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, TWO_POW_OMEGA,
                     FunctionKind, build_sieve, tau)
-from .errors import BudgetError, WindowError
+from .errors import BudgetError, WindowError, require_integers
 from .identities import PhaseFunction
 from .pairs import ExponentPair
 
@@ -55,6 +55,7 @@ def exp_sum(kind: FunctionKind, R: int, R1: int, phase: PhaseFunction) -> comple
 
 def type_II_sum(M: int, N: int, phase: PhaseFunction) -> complex:
     """Bilinear sum_{N<n<=2N} sum_{M<m<=2M} e(F(mn)), one row per n."""
+    require_integers(M=M, N=N)
     m = np.arange(M + 1, 2 * M + 1, dtype=np.int64)
     re, im = [], []
     for n in range(N + 1, 2 * N + 1):
@@ -105,6 +106,7 @@ def check_bound(case: str, z, R: int, pair: ExponentPair | None = None,
     R1 is fixed at 2R.  Raises WindowError outside the case's admissible
     (z, R) window; never clips silently.  No pass/fail judgment is made here.
     """
+    require_integers(R=R, r=r)
     if not z < math.inf:                    # inf and nan
         raise ValueError(f"need a finite z, got z={z}")
     if z <= 0 or R < 2:

@@ -14,16 +14,18 @@ is (a * b) read on (R, R1], so real range endpoints never meet a
 floating-point division.  On integer tables the identity is an equality of
 integer coefficient vectors, and the phase only adds the rounding of the
 dot products.  Both hyperbola forms take their term lists from one builder,
-`_hyperbola_terms`, cut at different points; up to arith's `_PAIR_CAP` it
-reads the kernel's divisor-pair index on the window alone, with the bits of
-the kernel's products.
+`_hyperbola_terms`, cut at different points; up to `_PAIR_CAP` it reads a
+cached index of divisor pairs on the window alone, with the bits of the
+kernel's products.
 
 A product's value at n does not depend on the limit it is built to (the
 kernel sums each n's terms in ascending d, and a sieve's value at n does not
 depend on where its table ends), so a Vaughan product built on [1, 2 _MAX_R]
 and read on (R, R1] is the product built on [1, R1], bit for bit.
-`run_verification` builds each cutoff U's Vaughan products once per process
-and subject, and the suite's opaque phase is evaluated in numpy.
+`run_verification` sieves each suite table once per process
+(`_suite_table`) and builds each cutoff U's Vaughan products once per
+process and subject (`_vaughan_products`); the draws bound both caches.  The
+suite's opaque phase is evaluated in numpy.
 
 Note on the Vaughan forms: the third sum of the Lambda identity and of the
 mu identity both restrict the inner variable to m > max(U, R/n).  On the
@@ -44,9 +46,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import (_PAIR_CAP, CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE,
-                    TWO_POW_OMEGA, SieveTable, _convolve, _divisor_pairs, build_sieve, tau)
-from .errors import CoverageError, WindowError
+from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE, TWO_POW_OMEGA,
+                    SieveTable, _convolve, build_sieve, tau)
+from .errors import CoverageError, WindowError, require_integers
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,12 +80,14 @@ class PhaseFunction:
 
     @classmethod
     def power_reciprocal(cls, z, r: int) -> "PhaseFunction":
+        require_integers(r=r)
         if not 0 <= z < math.inf or r < 1:
             raise ValueError(f"need 0 <= z < inf and r >= 1, got z={z}, r={r}")
         return cls(form="power_reciprocal", z=z, r=r)
 
     @classmethod
     def shifted_reciprocal(cls, h, x, a: int) -> "PhaseFunction":
+        require_integers(a=a)
         if not (0 <= h < math.inf and 0 <= x < math.inf and h * x < math.inf) \
                 or a not in (0, 1):
             raise ValueError(f"need 0 <= h, x, hx < inf and a in {{0, 1}}, "
@@ -115,8 +119,13 @@ class PhaseFunction:
         `frac`'s formula fn(k) % 1.0 inline, a window out of range by `frac`.
         The suite's opaque draw c1 sqrt(t) + c2/t (`_SqrtPhase`) is taken in
         float64 arrays: sqrt, *, /, + and mod 1 are each correctly rounded
-        entrywise, as in the scalar formula, so the bits are the same."""
-        t = np.asarray(t, dtype=np.int64)
+        entrywise, as in the scalar formula, so the bits are the same.
+        A t of any dtype but a signed or unsigned integer one (bool, float,
+        object) is refused with ValueError."""
+        t = np.asarray(t)
+        if t.dtype.kind not in "iu":
+            raise ValueError(f"need integer t, got dtype {t.dtype}")
+        t = t.astype(np.int64, copy=False)
         if isinstance(self.fn, _SqrtPhase):
             tf = t.astype(np.float64)
             return np.exp(1j * TWO_PI * np.mod(self.fn.c1 * np.sqrt(tf) + self.fn.c2 / tf, 1.0))
@@ -169,6 +178,7 @@ def _window_sides(sides, R: int, R1: int,
 # identity verifiers
 
 def _check_dyadic(R: int, R1: int, U: int) -> None:
+    require_integers(R=R, R1=R1, U=U)
     if not (1 < R < R1 <= 2 * R):
         raise WindowError(f"need 1 < R < R1 <= 2R, got R={R}, R1={R1}")
     if not (1 <= U and U * U <= R):
@@ -218,6 +228,25 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
     return _window_sides(_vaughan_mobius_terms(mu, U), R, R1, phase)
 
 
+_PAIR_CAP = 1 << 11     # largest limit the pair index serves (measured crossover 2048-4096)
+
+
+@functools.lru_cache(maxsize=1)
+def _divisor_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair d e = n <= _PAIR_CAP, as read-only index arrays
+    (n - 1, d - 1, e - 1) sorted by n and, within each n, by ascending d:
+    15,937 pairs, built on first use."""
+    d = np.arange(1, _PAIR_CAP + 1)
+    count = _PAIR_CAP // d                  # the e paired with each d
+    d = np.repeat(d, count)
+    e = np.arange(d.size) - np.repeat(np.cumsum(count) - count, count) + 1
+    order = np.argsort(d * e, kind="stable")    # stable: d stays ascending
+    out = tuple(a[order] - 1 for a in (d * e, d, e))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _hyperbola_terms(fv: np.ndarray, gv: np.ndarray, a: int, b: int, c: int, R: int):
     """The lhs and rhs coefficient vectors of the hyperbola split
     f * g = (f 1_a * g) + (g 1_b * f) - (f 1_(c,a] * g 1_b) on the window
@@ -257,6 +286,7 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
     f * g = (f 1_U * g) + (g 1_{x/U} * f) - (f 1_U * g 1_{x/U}) on [1, x].
     With `phase` None the weight is 1, and on integer tables both sides are
     exact int64 sums."""
+    require_integers(x=x, U=U)
     if not 1 <= U <= x:
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
     if f.lo != 1 or g.lo != 1:       # the values are read at index n - 1
@@ -275,6 +305,7 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     g-smooth range n <= R/U, minus the overlap correction; as coefficients,
     f * g = (f 1_{UR1/R} * g) + (g 1_{R/U} * f) - (f 1_{(U, UR1/R]} * g 1_{R/U}).
     """
+    require_integers(R=R, R1=R1, U=U)
     if not (R < R1 and 1 <= U <= R):
         raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
     if f.lo != 1 or g.lo != 1:
@@ -296,9 +327,28 @@ _MAX_TRIALS = 10**4           # 0.03-0.1 ms and one report dict per trial
 _SUITE_KINDS = (ONE, MOBIUS, MOBIUS_SQUARED, LAMBDA, tau(2), tau(3), OMEGA,
                 TWO_POW_OMEGA, CHI_TWO)   # the hyperbola suites draw f and g from these
 
-# (subject, U) -> the Vaughan products of cutoff U on [1, 2 _MAX_R], read-only
-# and kept for the process: U <= isqrt(_MAX_R) bounds it at 2 x 22 entries
-_VAUGHAN_PRODUCTS: dict[tuple[str, int], list] = {}
+
+@functools.cache
+def _suite_table(kind) -> SieveTable:
+    """The read-only table of `kind` on [1, 2 _MAX_R], sieved once per
+    process: the suites draw from _SUITE_KINDS, so at most 9 are kept."""
+    return build_sieve(kind, 1, 2 * _MAX_R)
+
+
+@functools.cache
+def _vaughan_products(subject: str, U: int):
+    """The lhs and rhs Vaughan products of cutoff U on [1, 2 _MAX_R], made
+    read-only and built once per process: U <= isqrt(_MAX_R) keeps at most
+    2 x 22 of them.  A trial reads them on its window."""
+    if subject == "vaughan-lambda":
+        sides = _vaughan_lambda_terms(_suite_table(LAMBDA).values,
+                                      _suite_table(MOBIUS).values, U)
+    else:
+        sides = _vaughan_mobius_terms(_suite_table(MOBIUS).values, U)
+    for terms in sides:
+        for c in terms:
+            c.flags.writeable = False
+    return sides
 
 
 def random_phase(rng) -> PhaseFunction:
@@ -323,7 +373,7 @@ def random_phase(rng) -> PhaseFunction:
 
 def _trial_rng(seed: int, trial: int):
     import random
-    return random.Random((seed << 20) ^ trial)
+    return random.Random((int(seed) << 20) ^ trial)     # random refuses numpy ints
 
 
 def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
@@ -331,34 +381,18 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
 
     Instances draw R in [20, _MAX_R], admissible U, and phases from all forms;
     per-instance seeds derive from (seed, trial) so runs are reproducible
-    and trials are independent.  f and g come from one table per kind and
-    run.  The Vaughan products of each U are built on [1, 2 _MAX_R] the
-    first time the process draws U for the subject and kept for later runs;
-    a trial reads them on its window.
+    and trials are independent.  f and g come from `_suite_table` and the
+    Vaughan products from `_vaughan_products`, both kept for the process.
     """
     if subject not in VERIFY_SUBJECTS:
         raise ValueError(f"unknown subject {subject!r}; pick from {VERIFY_SUBJECTS}")
+    require_integers(trials=trials, seed=seed)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if trials > _MAX_TRIALS:
         raise ValueError(f"need trials <= {_MAX_TRIALS}, got {trials}")
     if seed < 0:        # random.Random seeds from |seed|: -s would replay s's trial 0
         raise ValueError(f"need seed >= 0, got {seed}")
-    table = functools.cache(lambda kind: build_sieve(kind, 1, 2 * _MAX_R))
-
-    def vaughan(U):
-        sides = _VAUGHAN_PRODUCTS.get((subject, U))
-        if sides is None:
-            if subject == "vaughan-lambda":
-                sides = _vaughan_lambda_terms(table(LAMBDA).values, table(MOBIUS).values, U)
-            else:
-                sides = _vaughan_mobius_terms(table(MOBIUS).values, U)
-            for terms in sides:
-                for c in terms:
-                    c.flags.writeable = False
-            _VAUGHAN_PRODUCTS[subject, U] = sides
-        return sides
-
     out = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
@@ -368,17 +402,17 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
         if subject in ("vaughan-lambda", "vaughan-mu"):
             U = rng.randint(1, isqrt(R))
             _check_dyadic(R, R1, U)
-            lhs, rhs, res = _window_sides(vaughan(U), R, R1, phase)
+            lhs, rhs, res = _window_sides(_vaughan_products(subject, U), R, R1, phase)
             params = {"R": R, "R1": R1, "U": U}
         elif subject == "hyperbola":
             x = rng.randint(30, _MAX_X)
             U = rng.randint(1, x)
-            f, g = table(rng.choice(_SUITE_KINDS)), table(rng.choice(_SUITE_KINDS))
+            f, g = _suite_table(rng.choice(_SUITE_KINDS)), _suite_table(rng.choice(_SUITE_KINDS))
             lhs, rhs, res = hyperbola_sides(f, g, phase, x, U)
             params = {"x": x, "U": U, "f": str(f.kind), "g": str(g.kind)}
         else:
             U = rng.randint(1, R)
-            f, g = table(rng.choice(_SUITE_KINDS)), table(rng.choice(_SUITE_KINDS))
+            f, g = _suite_table(rng.choice(_SUITE_KINDS)), _suite_table(rng.choice(_SUITE_KINDS))
             lhs, rhs, res = hyperbola_exp_sides(f, g, phase, R, R1, U)
             params = {"R": R, "R1": R1, "U": U, "f": str(f.kind), "g": str(g.kind)}
         rel = res / (1 + abs(lhs))

@@ -532,11 +532,9 @@ def tables_10007():
     return {kind: A.build_sieve(kind, 1, 10007) for kind in ALL_KINDS}
 
 
-# perfect squares and their neighbours are where the two passes meet;
-# _PAIR_CAP and its neighbours are where the pair index gives way to them
+# perfect squares and their neighbours are where the two passes meet
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 15, 16, 17, 24, 99, 100, 101,
-                                   1000, 2025, A._PAIR_CAP - 1, A._PAIR_CAP,
-                                   A._PAIR_CAP + 1, 10007])
+                                   1000, 2025, 2047, 2048, 2049, 10007])
 def test_convolution_bits_match_reference(tables_10007, limit):
     # Lambda products are float sums: equal bytes need the same order of
     # additions for every n, which approx comparisons cannot see
@@ -566,7 +564,7 @@ def _support_cases(rng, limit):
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 15, 16, 17, 99, 100, 1000, 2025,
-                                   A._PAIR_CAP - 1, A._PAIR_CAP, A._PAIR_CAP + 1])
+                                   2047, 2048, 2049])
 def test_convolve_kernel_bits_match_reference_on_supports(limit):
     # walking only the nonzero f(d) and g(e) keeps each n's sum in ascending
     # d, so float products keep their bytes; shorter arrays read as zero
@@ -578,18 +576,6 @@ def test_convolve_kernel_bits_match_reference_on_supports(limit):
             want = _convolve_reference(f, g, limit)
             assert got.dtype == want.dtype, (len(f), len(g))
             assert got.tobytes() == want.tobytes(), (len(f), len(g))
-
-
-def test_divisor_pair_index_lists_every_pair_by_n_then_d():
-    n, d, e = A._divisor_pairs()
-    want = sorted((p * q, p, q) for p in range(1, A._PAIR_CAP + 1)
-                  for q in range(1, A._PAIR_CAP // p + 1))
-    got = list(zip((n + 1).tolist(), (d + 1).tolist(), (e + 1).tolist()))
-    assert got == want
-    assert len(got) == 15937
-    for a in (n, d, e):
-        assert a.dtype == np.intp and not a.flags.writeable
-    assert A._divisor_pairs() is A._divisor_pairs()
 
 
 def test_convolution_coverage_checked():
@@ -638,10 +624,17 @@ def test_kind_parsing():
     (lambda: A.build_sieve(A.ONE, 5, 10).value(4), CoverageError, "n=4 outside"),
     (lambda: next(A.iter_segment_values(A.ONE, 10, 9)), ValueError,
      "need 1 <= lo <= hi, got lo=10, hi=9"),
-], ids=["tag", "order", "above-table", "below-table", "segment-range"])
+    (lambda: A.tau(2.5), ValueError, "need integer r, got 2.5"),
+    (lambda: A.tau(True), ValueError, "need integer r, got True"),
+], ids=["tag", "order", "above-table", "below-table", "segment-range", "tau-float", "tau-bool"])
 def test_malformed_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_tau_order_may_be_a_numpy_integer():
+    assert A.tau(np.int64(3)) == A.tau(3)
+    assert str(A.tau(np.uint8(3))) == "tau3"
 
 
 def _contents(t):

@@ -178,6 +178,23 @@ def test_exact_window_test_is_work_capped():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: E.type_II_sum(5.5, 5, PhaseFunction.reciprocal(7)), "need integer M, got 5.5"),
+    (lambda: E.type_II_sum(5, True, PhaseFunction.reciprocal(7)), "need integer N, got True"),
+    (lambda: E.check_bound("bilinear-power", 10**6, 100, pair=CLASSIC, r=1.5),
+     "need integer r, got 1.5"),
+    (lambda: E.check_bound("omega-reciprocal", 10**6, 1000.5), "need integer R, got 1000.5"),
+], ids=["type-II-M-float", "type-II-N-bool", "bilinear-r-float", "omega-R-float"])
+def test_malformed_inputs_are_refused(monkeypatch, call, message):
+    def fail(*args):
+        raise AssertionError("work was done")
+
+    monkeypatch.setattr(E, "exp_sum", fail)
+    monkeypatch.setattr(PhaseFunction, "unit_array", fail)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         E.check_bound("nonsense", 10, 10)

@@ -282,7 +282,8 @@ def test_b_plus_complements_b():
 @pytest.fixture
 def calls(monkeypatch):
     """Record every build_sieve (kind, lo, hi) and product-kernel limit that
-    identities makes, from an empty cache of Vaughan products."""
+    identities makes, from empty suite caches, which are emptied again after
+    the test."""
     log = {"sieve": [], "convolve": []}
 
     def sieve(kind, lo, hi):
@@ -295,8 +296,12 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(I, "build_sieve", sieve)
     monkeypatch.setattr(I, "_convolve", convolve)
-    monkeypatch.setattr(I, "_VAUGHAN_PRODUCTS", {})
-    return log
+    caches = (I._suite_table, I._vaughan_products)
+    for cache in caches:
+        cache.cache_clear()
+    yield log
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("fn, kinds, limits", [
@@ -320,12 +325,10 @@ def test_run_verification_builds_one_table_per_kind(calls, subject):
     assert kinds and len(kinds) == len(set(kinds))
     if subject.startswith("vaughan"):     # the products build their own 1
         assert A.ONE not in kinds
-    # the hyperbola forms sieve again on the next run; the Vaughan forms,
-    # whose products are kept for the process, need no table at all
+    # tables and products are kept for the process: a second run sieves nothing
     calls["sieve"].clear()
     I.run_verification(subject, 20, 0)
-    assert [k for k, _, _ in calls["sieve"]] == ([] if subject.startswith("vaughan")
-                                                 else kinds)
+    assert calls["sieve"] == []
 
 
 @pytest.mark.parametrize("subject, products", [("vaughan-lambda", 5), ("vaughan-mu", 4)])
@@ -340,6 +343,24 @@ def test_run_verification_builds_each_cutoffs_products_once(calls, subject, prod
     calls["convolve"].clear()
     I.run_verification(subject, 200, 0)
     assert calls["convolve"] == []
+
+
+def test_suite_caches_are_bounded_by_the_draws_and_read_only(calls):
+    # every subject on several seeds fills no more than the draws allow, and
+    # every admissible key read afterwards adds nothing past that bound
+    for subject in I.VERIFY_SUBJECTS:
+        for seed in range(4):
+            I.run_verification(subject, 100, seed)
+    tables, products = len(I._SUITE_KINDS), 2 * math.isqrt(I._MAX_R)
+    assert I._suite_table.cache_info().currsize <= tables
+    assert I._vaughan_products.cache_info().currsize <= products
+    arrays = [I._suite_table(kind).values for kind in I._SUITE_KINDS]
+    for subject in ("vaughan-lambda", "vaughan-mu"):
+        for U in range(1, math.isqrt(I._MAX_R) + 1):
+            arrays += [c for terms in I._vaughan_products(subject, U) for c in terms]
+    assert I._suite_table.cache_info().currsize == tables
+    assert I._vaughan_products.cache_info().currsize == products
+    assert not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("fn, subject", [(I.vaughan_lambda_sides, "vaughan-lambda"),
@@ -751,12 +772,24 @@ def _kernel_hyperbola_terms(fv, gv, a, b, c):
                                       -A._convolve(I._part(fv[:a], c), gv[:b], L)]
 
 
+def test_divisor_pair_index_lists_every_pair_by_n_then_d():
+    n, d, e = I._divisor_pairs()
+    want = sorted((p * q, p, q) for p in range(1, I._PAIR_CAP + 1)
+                  for q in range(1, I._PAIR_CAP // p + 1))
+    got = list(zip((n + 1).tolist(), (d + 1).tolist(), (e + 1).tolist()))
+    assert got == want
+    assert len(got) == 15937
+    for a in (n, d, e):
+        assert a.dtype == np.intp and not a.flags.writeable
+    assert I._divisor_pairs() is I._divisor_pairs()
+
+
 def test_windowed_hyperbola_terms_match_the_kernel_bit_for_bit():
     # up to _PAIR_CAP the builder reads only the pairs on the window (R, L];
     # its terms have the kernel's bits there, for every ordered pair of the
     # suite's kinds, in both forms (R = 0 for hyperbola_sides) and on both
     # sides of the cap
-    cap = A._PAIR_CAP
+    cap = I._PAIR_CAP
     tables = {k: A.build_sieve(k, 1, cap + 1).values for k in I._SUITE_KINDS}
     rng = random.Random(81)
     for f in I._SUITE_KINDS:
@@ -841,8 +874,46 @@ def _from_zero(hi):
                                    20, 40, 4),
      CoverageError, "tables must start at 1"),
     (lambda: I.run_verification("zeta", 1, 0), ValueError, "unknown subject 'zeta'"),
+    (lambda: I.PhaseFunction.power_reciprocal(5, 1.5), ValueError, "need integer r, got 1.5"),
+    (lambda: I.PhaseFunction.shifted_reciprocal(1, 5, True), ValueError,
+     "need integer a, got True"),
+    (lambda: I.PhaseFunction.reciprocal(7).unit_array(np.array([1.5, 2.5])), ValueError,
+     "need integer t, got dtype float64"),
+    (lambda: I.PhaseFunction.reciprocal(7).unit_array(np.array([True, False])), ValueError,
+     "need integer t, got dtype bool"),
+    (lambda: I.hyperbola_sides(_one(100), _one(100), None, 100.5, 10), ValueError,
+     "need integer x, got 100.5"),
+    (lambda: I.hyperbola_sides(_one(100), _one(100), None, True, True), ValueError,
+     "need integer x, got True"),
+    (lambda: I.hyperbola_exp_sides(_one(100), _one(100), I.PhaseFunction.reciprocal(7),
+                                   50.5, 100, 3), ValueError, "need integer R, got 50.5"),
+    (lambda: I.vaughan_lambda_sides(50.5, 100, 3, I.PhaseFunction.reciprocal(7)), ValueError,
+     "need integer R, got 50.5"),
+    (lambda: I.vaughan_mobius_sides(50, 100, 3.0, I.PhaseFunction.reciprocal(7)), ValueError,
+     "need integer U, got 3.0"),
+    (lambda: I.run_verification("hyperbola", 2.5, 0), ValueError, "need integer trials"),
+    (lambda: I.run_verification("hyperbola", 2, 0.5), ValueError, "need integer seed"),
+    (lambda: I.run_verification("hyperbola", True, 0), ValueError,
+     "need integer trials, got True"),
 ], ids=["exp-empty-window", "exp-cutoff", "exp-short-table", "table-from-zero",
-        "exp-table-from-zero", "subject"])
+        "exp-table-from-zero", "subject", "power-float", "shift-bool", "unit-array-float",
+        "unit-array-bool", "x-float", "x-bool", "exp-R-float", "lambda-R-float",
+        "mu-U-float", "trials-float", "seed-float", "trials-bool"])
 def test_malformed_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_integer_arguments_may_be_numpy_integers():
+    ph = I.PhaseFunction.reciprocal(1234.5)
+    f = _one(100)
+    assert (I.PhaseFunction.power_reciprocal(5, np.int64(2))
+            == I.PhaseFunction.power_reciprocal(5, 2))
+    assert I.hyperbola_sides(f, f, ph, np.int64(100), np.int32(7)) == \
+        I.hyperbola_sides(f, f, ph, 100, 7)
+    assert I.vaughan_mobius_sides(np.int64(50), 97, np.uint8(7), ph) == \
+        I.vaughan_mobius_sides(50, 97, 7, ph)
+    t = np.arange(1, 50, dtype=np.uint32)
+    assert ph.unit_array(t).tobytes() == ph.unit_array(t.astype(np.int64)).tobytes()
+    assert I.run_verification("vaughan-mu", np.int64(3), np.int64(5)) == \
+        I.run_verification("vaughan-mu", 3, 5)

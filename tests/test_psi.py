@@ -144,7 +144,22 @@ def test_grid_values_match_exact_phase_reference(H, G):
     assert np.max(np.abs(values - exact_phase_grid(damping, G))) <= 2e-15
 
 
-@pytest.mark.parametrize("H", [0, -3])
-def test_malformed_inputs_are_refused(H):
-    with pytest.raises(ValueError, match="H must be >= 1"):
-        PS.fejer_envelope(H, 0.25)
+@pytest.mark.parametrize("call, message", [
+    (lambda: PS.fejer_envelope(0, 0.25), "H must be >= 1"),
+    (lambda: PS.fejer_envelope(-3, 0.25), "H must be >= 1"),
+    (lambda: PS.fejer_envelope(2.5, 0.25), "need integer H, got 2.5"),
+    (lambda: PS.vaaler_polynomial(2.5), "need integer H, got 2.5"),
+    (lambda: PS.verify_pointwise_bound(2.5, 1000), "need integer H, got 2.5"),
+    (lambda: PS.verify_pointwise_bound(True, 1000), "need integer H, got True"),
+    (lambda: PS.verify_pointwise_bound(10, 1000.0), "need integer grid_size, got 1000.0"),
+], ids=["0", "-3", "envelope-float", "vaaler-float", "bound-float", "bound-bool",
+        "bound-grid-float"])
+def test_malformed_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_degree_may_be_a_numpy_integer():
+    assert PS.vaaler_polynomial(np.int64(10)).tobytes() == PS.vaaler_polynomial(10).tobytes()
+    assert PS.verify_pointwise_bound(np.int64(10), np.int64(1000)) == \
+        PS.verify_pointwise_bound(10, 1000)
