@@ -33,7 +33,6 @@ concurrent reads are safe.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -78,7 +77,9 @@ class FunctionKind:
         return self.tag == "omega"
 
     def local(self, a: int) -> int:
-        """g(a) = f(p^a) for every prime p; undefined for Lambda."""
+        """g(a) = f(p^a) for every prime p; Lambda has none."""
+        if self.tag == "lambda":
+            raise ValueError("Lambda has no local factor: Lambda(p^a) = log p depends on p")
         return _LOCAL_FACTORS[self.tag](a, self.r)
 
     def __str__(self) -> str:
@@ -146,18 +147,24 @@ def kind_from_name(name: str) -> FunctionKind:
 
 @dataclass(frozen=True)
 class SieveTable:
-    """Values of one arithmetic function from n = lo on.
+    """Values of one arithmetic function from n = lo on, lo an integer >= 1.
 
     `values[i]` holds f(lo + i); integer functions use an exact int64 array,
     Lambda a float64 array of log p values.  The array is marked read-only.
     The table ends where its values do, at hi = lo + len(values) - 1.
     `kind` is None for a derived table (a Dirichlet product), which no
-    evaluator accepts in place of a table of a named function.
+    evaluator accepts in place of a table of a named function.  Every
+    reader of f(1..n) takes it, coverage checked, from `prefix`.
     """
 
     kind: FunctionKind | None
     lo: int
     values: np.ndarray
+
+    def __post_init__(self):
+        require_integers(lo=self.lo)
+        if self.lo < 1:
+            raise ValueError(f"need lo >= 1, got lo={self.lo}")
 
     @property
     def hi(self) -> int:
@@ -168,12 +175,17 @@ class SieveTable:
 
     def value(self, n: int):
         """f(n) as a Python int or float, following the array's dtype."""
+        require_integers(n=n)
         if not self.lo <= n <= self.hi:
             raise CoverageError(f"n={n} outside table range [{self.lo}, {self.hi}]")
         return self.values.item(n - self.lo)
 
-    def covers(self, lo: int, hi: int) -> bool:
-        return self.lo <= lo and hi <= self.hi
+    def prefix(self, n: int) -> np.ndarray:
+        """f(1..n) as a view, f(n) at index n - 1; CoverageError unless the
+        table covers [1, n]."""
+        if self.lo != 1 or not 0 <= n <= self.hi:
+            raise CoverageError(f"table covers [{self.lo}, {self.hi}], need [1, {n}]")
+        return self.values[:n]
 
 
 @lru_cache(maxsize=32)
@@ -374,8 +386,7 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
 
 def _check_range(lo, hi) -> tuple[int, int]:
     """(lo, hi) as Python ints, once both are integers with 1 <= lo <= hi."""
-    _check_integers(np.asarray(lo), "lo")
-    _check_integers(np.asarray(hi), "hi")
+    require_integers(lo=lo, hi=hi)
     lo, hi = int(lo), int(hi)
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -482,14 +493,6 @@ def _local_values(kind: FunctionKind) -> np.ndarray:
     return g
 
 
-def _check_integers(n: np.ndarray, name: str) -> None:
-    """Refuse bools, floats and other non-integers, which a cast would
-    truncate, with ValueError; an object array must hold ints."""
-    if n.dtype.kind not in "iu" and not (n.dtype.kind == "O" and all(
-            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in n.flat)):
-        raise ValueError(f"need integer {name}, got dtype {n.dtype}")
-
-
 def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
     """f on an integer array of 1 <= n <= FACTOR_BUDGET, entrywise the value
     build_sieve gives, bit for bit: Lambda takes log p from np.log on
@@ -507,7 +510,7 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
     """
     _check_tau_order(kind)
     n = np.asarray(n)
-    _check_integers(n, "n")
+    require_integers(n=n)
     if n.size and n.min() < 1:
         raise ValueError("n must be >= 1")
     top = int(n.max()) if n.size else 1
@@ -595,15 +598,11 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
 def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     """Pointwise Dirichlet product (f * g)(n) = sum_{d | n} f(d) g(n/d) on [1, limit],
     as a read-only derived table; both tables must cover [1, limit]."""
-    _check_integers(np.asarray(limit), "limit")
+    require_integers(limit=limit)
     limit = int(limit)
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
-    if f.lo != 1 or g.lo != 1:
-        raise CoverageError("convolution inputs must start at 1")
-    if f.hi < limit or g.hi < limit:
-        raise CoverageError(f"inputs must cover [1, {limit}]")
-    out = _convolve(f.values, g.values, limit)
+    out = _convolve(f.prefix(limit), g.prefix(limit), limit)
     out.flags.writeable = False
     return SieveTable(kind=None, lo=1, values=out)
 

@@ -31,7 +31,7 @@ import numpy as np
 from .arith import (LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, TWO_POW_OMEGA,
                     FunctionKind, build_sieve, tau)
 from .errors import BudgetError, WindowError, require_integers
-from .identities import PhaseFunction
+from .identities import PhaseFunction, _check_dyadic
 from .pairs import ExponentPair
 
 EPSILON = 0.05                  # fixed: the claimed bounds carry a factor z^EPSILON
@@ -42,8 +42,7 @@ _MAX_POWER_BITS = 2**22
 
 def exp_sum(kind: FunctionKind, R: int, R1: int, phase: PhaseFunction) -> complex:
     """sum_{R < n <= R1} f(n) e(F(n)) with compensated summation."""
-    if not 1 < R < R1 <= 2 * R:
-        raise WindowError(f"need 1 < R < R1 <= 2R, got R={R}, R1={R1}")
+    _check_dyadic(R, R1)
     tab = build_sieve(kind, R + 1, R1)
     n = np.arange(R + 1, R1 + 1, dtype=np.int64)
     vals = tab.values

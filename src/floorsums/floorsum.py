@@ -9,9 +9,9 @@ floor(x/d) - max(N, floor(x/(d+1))) (the blocks, one sieve entry and one
 division each, streamed in segments).  Both are exact; the
 split only affects speed, so they cross-check each other.  The default split
 balances the two costs: N = isqrt(x // SPLIT_RATIO).  Either evaluator
-takes an optional sieve table in place of all its own evaluation of f; the
-table is taken whole or not at all: it must hold the summed function and
-its values must cover [1, x], else the call raises before any work.
+takes an optional sieve table in place of all its own evaluation of f and
+reads its prefix f(1..x) (`SieveTable.prefix`); a table that does not hold
+the summed function or cover [1, x] is refused before any work.
 
 The main-term constant C_f = sum f(n)/(n(n+1)) comes two ways.
 `series_constant` evaluates it from the Dirichlet series of f, without a
@@ -35,9 +35,9 @@ from math import isqrt
 import numpy as np
 
 from .arith import (FACTOR_BUDGET, MOBIUS, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
-                    SieveTable, _check_integers, _check_tau_order, build_sieve, eval_points,
+                    SieveTable, _check_tau_order, build_sieve, eval_points,
                     iter_segment_values, primes_upto)
-from .errors import BudgetError, CoverageError
+from .errors import BudgetError, require_integers
 
 NAIVE_BUDGET = 10**7
 FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
@@ -83,7 +83,7 @@ class FitReport:
 
 def _check_x(x, method: str) -> int:
     """x as a Python int, once it is an integer within the method's budget."""
-    _check_integers(np.asarray(x), "x")
+    require_integers(x=x)
     x = int(x)
     budget = FAST_BUDGET if method == "fast" else NAIVE_BUDGET
     if x < 1:
@@ -93,26 +93,21 @@ def _check_x(x, method: str) -> int:
     return x
 
 
-def _check_table(kind: FunctionKind, table: SieveTable | None, x: int) -> None:
-    """A table stands in for every value of f the sum reads: it must hold
-    `kind` and cover [1, x]."""
-    if table is None:
-        return
+def _table_prefix(kind: FunctionKind, table: SieveTable, x: int) -> np.ndarray:
+    """f(1..x) from a table that stands in for every value of f the sum
+    reads: it must hold `kind` and cover [1, x]."""
     if table.kind != kind:
         raise ValueError(f"table holds {table.kind}, expected {kind}")
-    if not table.covers(1, x):
-        raise CoverageError(f"table covers [{table.lo}, {table.hi}], need [1, {x}]")
+    return table.prefix(x)
 
 
 def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None):
     """Direct O(x) evaluation; exact (Lambda via compensated summation).
     A `table` replaces the sieve of [1, x]."""
     x = _check_x(x, "naive")
-    _check_table(kind, table, x)
-    if table is None:
-        table = build_sieve(kind, 1, x)
+    values = build_sieve(kind, 1, x).values if table is None else _table_prefix(kind, table, x)
     q = x // np.arange(1, x + 1, dtype=np.int64)
-    vals = table.values[q - table.lo]
+    vals = values[q - 1]
     if kind.tag == "lambda":
         return math.fsum(vals)
     # int64 cannot wrap: x < 2^24 terms, each |f| <= tau_8(9979200) < 2^31 on [1, 1e7]
@@ -159,9 +154,9 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     fsums all terms at once, in its last bits.
     """
     x = _check_x(x, "fast")
-    _check_table(kind, table, x)
+    values = None if table is None else _table_prefix(kind, table, x)
     if split is not None:
-        _check_integers(np.asarray(split), "split")
+        require_integers(split=split)
     N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else int(split)   # numpy ints may wrap
     if not 1 <= N <= x:
         raise ValueError(f"split must lie in [1, x], got {N}")
@@ -170,12 +165,12 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
         raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
 
     q = x // np.arange(1, N + 1, dtype=np.int64)
-    if table is None:
+    if values is None:
         head = eval_points(kind, q)
         segments = partial(iter_segment_values, kind)
     else:
-        head = table.values[q - table.lo]
-        segments = lambda lo, hi: [(lo, table.values[lo - table.lo: hi - table.lo + 1])]
+        head = values[q - 1]
+        segments = lambda lo, hi: [(lo, values[lo - 1: hi])]
 
     if kind.tag == "lambda":
         shared = min(x // (isqrt(x) + 1), d0)
@@ -244,6 +239,8 @@ def _tail_bound(kind: FunctionKind, cutoff: int | None) -> float:
 
 def main_term_constant(kind: FunctionKind, cutoff: int) -> tuple[float, float]:
     """(sum_{n<=cutoff} f(n)/(n(n+1)), tail bound on the remainder)."""
+    require_integers(cutoff=cutoff)
+    cutoff = int(cutoff)
     if cutoff < 10**3:
         raise ValueError("cutoff must be >= 1000")
     if cutoff > CUTOFF_BUDGET:

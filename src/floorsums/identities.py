@@ -48,7 +48,7 @@ import numpy as np
 
 from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE, TWO_POW_OMEGA,
                     SieveTable, _convolve, build_sieve, tau)
-from .errors import CoverageError, WindowError, require_integers
+from .errors import WindowError, require_integers
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,7 +99,11 @@ class PhaseFunction:
         return cls(form="opaque", fn=fn)
 
     def frac(self, t: int) -> float:
-        """F(t) mod 1 in [0, 1)."""
+        """F(t) mod 1 in [0, 1), for an integer t >= 1."""
+        _check_t(t)
+        return self._frac(int(t))
+
+    def _frac(self, t: int) -> float:
         if self.fn is not None:
             return self.fn(t) % 1.0
         p, q = self.z.as_integer_ratio()
@@ -111,20 +115,19 @@ class PhaseFunction:
         return cmath.exp(1j * TWO_PI * self.frac(t))
 
     def unit_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized e(F(t)) for integer arrays, with the phases of `frac`.
+        """Vectorized e(F(t)) for integer arrays of t >= 1, checked once per
+        array, with the phases of `frac`.
         With z = p/q, the int64 path is taken only when p < 2^62 and every
         d = q (t + a)^r < 2^53, tested in Python integers: then p mod d and d
         convert to float64 exactly, so their quotient is correctly rounded.
         Otherwise each entry is reduced on a Python int: an opaque phase by
-        `frac`'s formula fn(k) % 1.0 inline, a window out of range by `frac`.
+        `frac`'s formula fn(k) % 1.0 inline, a window out of range by
+        `_frac`, `frac`'s formula without its check.
         The suite's opaque draw c1 sqrt(t) + c2/t (`_SqrtPhase`) is taken in
         float64 arrays: sqrt, *, /, + and mod 1 are each correctly rounded
-        entrywise, as in the scalar formula, so the bits are the same.
-        A t of any dtype but a signed or unsigned integer one (bool, float,
-        object) is refused with ValueError."""
+        entrywise, as in the scalar formula, so the bits are the same."""
         t = np.asarray(t)
-        if t.dtype.kind not in "iu":
-            raise ValueError(f"need integer t, got dtype {t.dtype}")
+        _check_t(t)
         t = t.astype(np.int64, copy=False)
         if isinstance(self.fn, _SqrtPhase):
             tf = t.astype(np.float64)
@@ -136,8 +139,16 @@ class PhaseFunction:
             if p < 2**62 and (t.size == 0 or q * (int(t.max()) + self.a) ** self.r < 2**53):
                 d = q * (t + self.a) ** self.r
                 return np.exp(1j * TWO_PI * (np.mod(p, d) / d))
-            ph = [self.frac(k) for k in t.tolist()]
+            ph = [self._frac(k) for k in t.tolist()]
         return np.exp(1j * TWO_PI * np.array(ph, dtype=np.float64))
+
+
+def _check_t(t) -> None:
+    """Refuse a t, an integer or an array of them, that is not >= 1."""
+    require_integers(t=t)
+    low = t.min(initial=1) if isinstance(t, np.ndarray) else t
+    if low < 1:
+        raise ValueError(f"need t >= 1, got {low}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +188,8 @@ def _window_sides(sides, R: int, R1: int,
 # ---------------------------------------------------------------------------
 # identity verifiers
 
-def _check_dyadic(R: int, R1: int, U: int) -> None:
+def _check_dyadic(R: int, R1: int, U: int = 1) -> None:
+    """Integers 1 < R < R1 <= 2R and 1 <= U <= sqrt(R); U = 1 suits every window."""
     require_integers(R=R, R1=R1, U=U)
     if not (1 < R < R1 <= 2 * R):
         raise WindowError(f"need 1 < R < R1 <= 2R, got R={R}, R1={R1}")
@@ -289,11 +301,7 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
     require_integers(x=x, U=U)
     if not 1 <= U <= x:
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
-    if f.lo != 1 or g.lo != 1:       # the values are read at index n - 1
-        raise CoverageError("tables must start at 1")
-    if not (f.covers(1, x) and g.covers(1, x)):
-        raise CoverageError(f"tables must cover [1, {x}]")
-    terms = _hyperbola_terms(f.values[:x], g.values[:x], U, x // U, 0, 0)
+    terms = _hyperbola_terms(f.prefix(x), g.prefix(x), U, x // U, 0, 0)
     return _window_sides(terms, 0, x, phase)
 
 
@@ -308,11 +316,7 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     require_integers(R=R, R1=R1, U=U)
     if not (R < R1 and 1 <= U <= R):
         raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
-    if f.lo != 1 or g.lo != 1:
-        raise CoverageError("tables must start at 1")
-    if not (f.covers(1, R1) and g.covers(1, R1)):
-        raise CoverageError("tables too short for the requested ranges")
-    terms = _hyperbola_terms(f.values[:R1], g.values[:R1], U * R1 // R, R // U, U, R)
+    terms = _hyperbola_terms(f.prefix(R1), g.prefix(R1), U * R1 // R, R // U, U, R)
     return _window_sides(terms, R, R1, phase)
 
 

@@ -16,6 +16,7 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .arith import FunctionKind, kind_from_name
+from .errors import require_integers
 
 HALF = Fraction(1, 2)
 
@@ -118,6 +119,7 @@ def apply_B(p: ExponentPair) -> ExponentPair:
 
 def heath_brown_pair(m: int) -> ExponentPair:
     """The pair (2/((m-1)^2 (m+2)), 1 - (3m-2)/(m(m-1)(m+2))) + eps, m >= 3."""
+    require_integers(m=m)
     if m < 3:
         raise ValueError("heath_brown_pair requires m >= 3")
     k = Fraction(2, (m - 1) ** 2 * (m + 2))
@@ -129,6 +131,7 @@ def _orbit(seeds: Iterable[ExponentPair], depth: int) -> dict[tuple[int, int, in
     """Every pair reachable from the seeds by A/B words of length <= depth:
     reduced triple -> (word, seed) of its first derivation (shortest word,
     seeds in given order, A before B)."""
+    require_integers(depth=depth)
     if not 0 <= depth <= 20:
         raise ValueError(f"depth must lie in [0, 20], got {depth}")
     seen: dict[tuple[int, int, int], tuple[str, ExponentPair]] = {}

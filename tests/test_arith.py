@@ -622,11 +622,21 @@ def test_kind_parsing():
     (lambda: A.build_sieve(A.ONE, 5, 10).value(11), CoverageError,
      r"n=11 outside table range \[5, 10\]"),
     (lambda: A.build_sieve(A.ONE, 5, 10).value(4), CoverageError, "n=4 outside"),
+    (lambda: A.build_sieve(A.ONE, 5, 10).value(True), ValueError, "need integer n, got True"),
+    (lambda: A.build_sieve(A.ONE, 5, 10).value(7.5), ValueError, "need integer n, got 7.5"),
+    (lambda: A.build_sieve(A.ONE, 5, 10).prefix(7), CoverageError,
+     r"table covers \[5, 10\], need \[1, 7\]"),
+    (lambda: A.SieveTable(A.ONE, 0, np.ones(3, np.int64)), ValueError, "need lo >= 1, got lo=0"),
+    (lambda: A.SieveTable(A.ONE, 1.0, np.ones(3, np.int64)), ValueError,
+     "need integer lo, got 1.0"),
+    (lambda: A.LAMBDA.local(1), ValueError, "Lambda has no local factor"),
     (lambda: next(A.iter_segment_values(A.ONE, 10, 9)), ValueError,
      "need 1 <= lo <= hi, got lo=10, hi=9"),
     (lambda: A.tau(2.5), ValueError, "need integer r, got 2.5"),
     (lambda: A.tau(True), ValueError, "need integer r, got True"),
-], ids=["tag", "order", "above-table", "below-table", "segment-range", "tau-float", "tau-bool"])
+], ids=["tag", "order", "above-table", "below-table", "value-bool", "value-float",
+        "prefix-not-from-one", "table-from-zero", "table-lo-float", "lambda-local",
+        "segment-range", "tau-float", "tau-bool"])
 def test_malformed_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()

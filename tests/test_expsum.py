@@ -64,6 +64,11 @@ def test_exp_sum_window():
         E.exp_sum(A.ONE, 10, 21, PhaseFunction.reciprocal(0))
     with pytest.raises(WindowError):
         E.exp_sum(A.ONE, 10, 10, PhaseFunction.reciprocal(0))
+    # the window's own names, before any table is asked for
+    for R, R1, name in ((10.5, 20, "R, got 10.5"), (10, 20.0, "R1, got 20.0"),
+                        (True, 2, "R, got True")):
+        with pytest.raises(ValueError, match=f"need integer {name}"):
+            E.exp_sum(A.ONE, R, R1, PhaseFunction.reciprocal(0))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,9 @@ def test_a_table_ends_where_its_values_do(monkeypatch):
     # a hand-built table of 1000 values covers [1, 1000] and nothing more
     t = A.SieveTable(kind=A.ONE, lo=1, values=np.ones(1000, dtype=np.int64))
     assert (t.hi, len(t)) == (1000, 1000)
-    assert t.covers(1, 1000) and not t.covers(1, 1001)
+    assert t.prefix(1000).tolist() == [1] * 1000
+    with pytest.raises(CoverageError, match=r"table covers \[1, 1000\], need \[1, 1001\]"):
+        t.prefix(1001)
     forbid_evaluation(monkeypatch)
 
     def no_product(*args):
@@ -182,6 +184,9 @@ def test_fast_split_accepts_numpy_integers():
     want = FS.floor_sum_naive(A.tau(2), 1000)
     assert FS.floor_sum_fast(A.tau(2), 1000, split=np.int64(3)) == want
     assert FS.floor_sum_fast(A.tau(2), 1000, split=np.uint8(255)) == want
+    # and so may main_term_constant's cutoff, with its tail bound a Python float
+    c, tail = FS.main_term_constant(A.tau(2), np.int64(2000))
+    assert (c, tail) == FS.main_term_constant(A.tau(2), 2000) and type(tail) is float
 
 
 def test_lambda_sum_is_split_invariant_bit_for_bit():
@@ -515,7 +520,8 @@ def test_summarize_report_fields():
     (lambda: FS.floor_sum_fast(A.ONE, 100, split=0), r"split must lie in \[1, x\], got 0"),
     (lambda: FS.floor_sum_fast(A.ONE, 100, split=101), "got 101"),
     (lambda: FS.summarize(A.ONE, 100, method="exact"), "unknown method 'exact'"),
-], ids=["split-0", "split-above-x", "method"])
+    (lambda: FS.main_term_constant(A.ONE, 2000.5), "need integer cutoff, got 2000.5"),
+], ids=["split-0", "split-above-x", "method", "cutoff-float"])
 def test_malformed_inputs_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()

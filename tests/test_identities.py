@@ -165,8 +165,8 @@ def test_unit_array_float_z_at_the_int64_bound(monkeypatch, ph, t_max):
     p, q = ph.z.as_integer_ratio()
     exact = p < 2**62 and q * (t_max + ph.a) ** ph.r < 2**53
     fracs = []
-    frac = I.PhaseFunction.frac
-    monkeypatch.setattr(I.PhaseFunction, "frac",
+    frac = I.PhaseFunction._frac         # frac's formula, which the fallback calls unchecked
+    monkeypatch.setattr(I.PhaseFunction, "_frac",
                         lambda self, v: fracs.append(v) or frac(self, v))
     assert ph.unit_array(t).tobytes() == want.tobytes()
     assert fracs == ([] if exact else t.tolist())
@@ -857,7 +857,8 @@ def _one(hi):
 
 
 def _from_zero(hi):
-    # f(n) = n on [0, hi]: read from index 0 as if it started at 1, it is n + 1
+    # f(n) = n on [0, hi], refused at construction: read from index 0 as if
+    # it started at 1, it would be n + 1
     return A.SieveTable(kind=None, lo=0, values=np.arange(hi + 1))
 
 
@@ -867,12 +868,12 @@ def _from_zero(hi):
     (lambda: I.hyperbola_exp_sides(_one(40), _one(40), I.PhaseFunction.reciprocal(7), 20, 40, 21),
      WindowError, "1 <= U <= R, got R=20, R1=40, U=21"),
     (lambda: I.hyperbola_exp_sides(_one(39), _one(40), I.PhaseFunction.reciprocal(7), 20, 40, 4),
-     CoverageError, "tables too short"),
+     CoverageError, r"table covers \[1, 39\], need \[1, 40\]"),
     (lambda: I.hyperbola_sides(_from_zero(100), _one(100), None, 100, 10),
-     CoverageError, "tables must start at 1"),
+     ValueError, "need lo >= 1, got lo=0"),
     (lambda: I.hyperbola_exp_sides(_one(40), _from_zero(40), I.PhaseFunction.reciprocal(7),
                                    20, 40, 4),
-     CoverageError, "tables must start at 1"),
+     ValueError, "need lo >= 1, got lo=0"),
     (lambda: I.run_verification("zeta", 1, 0), ValueError, "unknown subject 'zeta'"),
     (lambda: I.PhaseFunction.power_reciprocal(5, 1.5), ValueError, "need integer r, got 1.5"),
     (lambda: I.PhaseFunction.shifted_reciprocal(1, 5, True), ValueError,
@@ -881,6 +882,12 @@ def _from_zero(hi):
      "need integer t, got dtype float64"),
     (lambda: I.PhaseFunction.reciprocal(7).unit_array(np.array([True, False])), ValueError,
      "need integer t, got dtype bool"),
+    (lambda: I.PhaseFunction.reciprocal(7).unit_array(np.array([0, 1])), ValueError,
+     "need t >= 1, got 0"),
+    (lambda: I.PhaseFunction.reciprocal(7).frac(2.5), ValueError, "need integer t, got 2.5"),
+    (lambda: I.PhaseFunction.reciprocal(7).unit(True), ValueError, "need integer t, got True"),
+    (lambda: I.PhaseFunction.reciprocal(7).frac(0), ValueError, "need t >= 1, got 0"),
+    (lambda: I.PhaseFunction.opaque(math.sqrt).unit(-3), ValueError, "need t >= 1, got -3"),
     (lambda: I.hyperbola_sides(_one(100), _one(100), None, 100.5, 10), ValueError,
      "need integer x, got 100.5"),
     (lambda: I.hyperbola_sides(_one(100), _one(100), None, True, True), ValueError,
@@ -897,7 +904,8 @@ def _from_zero(hi):
      "need integer trials, got True"),
 ], ids=["exp-empty-window", "exp-cutoff", "exp-short-table", "table-from-zero",
         "exp-table-from-zero", "subject", "power-float", "shift-bool", "unit-array-float",
-        "unit-array-bool", "x-float", "x-bool", "exp-R-float", "lambda-R-float",
+        "unit-array-bool", "unit-array-zero", "frac-float", "unit-bool", "frac-zero",
+        "opaque-unit-negative", "x-float", "x-bool", "exp-R-float", "lambda-R-float",
         "mu-U-float", "trials-float", "seed-float", "trials-bool"])
 def test_malformed_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=message):
@@ -915,5 +923,7 @@ def test_integer_arguments_may_be_numpy_integers():
         I.vaughan_mobius_sides(50, 97, 7, ph)
     t = np.arange(1, 50, dtype=np.uint32)
     assert ph.unit_array(t).tobytes() == ph.unit_array(t.astype(np.int64)).tobytes()
+    assert ph.unit_array(t.astype(object)).tobytes() == ph.unit_array(t).tobytes()
+    assert ph.frac(np.uint8(7)) == ph.frac(7) and ph.unit(np.int64(7)) == ph.unit(7)
     assert I.run_verification("vaughan-mu", np.int64(3), np.int64(5)) == \
         I.run_verification("vaughan-mu", 3, 5)

@@ -503,7 +503,10 @@ def test_rational_serialization_round_trip():
     (lambda: P.balance_exponents(P.BalanceProblem.of(
         [P.TermExponent.of(x=1, z=1, N=1), P.TermExponent.of(x=2, z=1, N=1)], "N")),
      "equal slope"),
-], ids=["profile-family", "variable", "empty-interval", "vector-equal-slopes"])
+    (lambda: P.heath_brown_pair(3.5), "need integer m, got 3.5"),
+    (lambda: P.minimize_over_pairs("tau:2", [CLASSIC], True), "need integer depth, got True"),
+], ids=["profile-family", "variable", "empty-interval", "vector-equal-slopes",
+        "hb-float", "depth-bool"])
 def test_malformed_inputs_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
