@@ -44,7 +44,7 @@ from .errors import BudgetError, CoverageError, require_integers
 
 SEGMENT_SIZE = 1 << 20
 SIEVE_BUDGET = 1 << 27      # entries per table
-FACTOR_BUDGET = 10**12      # largest n eval_points accepts; below 2.15e12, see _is_prime
+FACTOR_BUDGET = 10**12      # largest n eval_points accepts; a cost cap: _is_prime is exact to 2^64
 MAX_TAU_R = 8               # fixed: the int64 sieve wraps for large orders (tau_64 at n = 7207200)
 
 _TAGS = ("one", "mobius", "mobius_squared", "lambda", "tau", "omega",
@@ -433,20 +433,41 @@ _TEST_BLOCK = 1 << 16           # divisibility tests (primes x rows) held at onc
 _PRUNE_EVERY = 16               # primes between two prunings of the finished rows
 
 
+# (bound, bases): Miller-Rabin on the bases, each reduced mod m, is exact for
+# every odd m below the bound; the smallest known sets, from
+# https://miller-rabin.appspot.com/ (the last is Jim Sinclair's)
+_MR_BASES = (
+    (341_531, (9345883071009581737,)),
+    (350_269_456_337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7_999_252_175_582_851, (2, 4130806001517, 149795463772692060, 186635894390467037,
+                             3967304179347715805)),
+    (585_226_005_592_931_977, (2, 123635709730000, 9233062284813009, 43835965440333360,
+                               761179012939631437, 1263739024124850375)),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
+
+
 def _is_prime(m: int) -> bool:
-    """Miller-Rabin on bases 2, 3, 5, 7, 11: deterministic for odd m > 11
-    below 2,152,302,898,747, which covers every m <= FACTOR_BUDGET."""
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11):
+    """Miller-Rabin, exact for every odd 3 <= m < 2^64: on the first set of
+    _MR_BASES whose bound exceeds m, each base reduced mod m and skipped
+    where m divides it."""
+    m1 = m - 1
+    s = (m1 & -m1).bit_length() - 1         # m - 1 = d 2^s with d odd
+    d = m1 >> s
+    for bound, bases in _MR_BASES:
+        if m < bound:
+            break
+    for a in bases:
+        a %= m
+        if a == 0:
+            continue
         x = pow(a, d, m)
-        if x in (1, m - 1):
+        if x == 1 or x == m1:
             continue
         for _ in range(s - 1):
             x = x * x % m
-            if x == m - 1:
+            if x == m1:
                 break
         else:
             return False
@@ -539,7 +560,7 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
     m[rows] //= low[rows]
     record(rows, np.frexp(low[rows].astype(np.float64))[1] - 1, 2)
 
-    c = max(_icbrt(top), 3)                 # (c + 1)^2 > 11: _is_prime's range
+    c = _icbrt(top)
     odd, inv, lim = _odd_primes(c)
     live = np.flatnonzero(m > 1)            # rows still being divided
     mv = m[live].astype(np.uint64)          # and their cofactors

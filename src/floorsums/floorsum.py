@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from math import isqrt
 
@@ -388,6 +388,21 @@ def _prime_zeta(z1: _Bounded, K: int) -> _Bounded:
     return total
 
 
+@cache
+def _series_table(name: str) -> _Bounded:
+    """A kind-independent table of `series_constant`, built once per process
+    with read-only arrays: "zeta" is zeta(t) - 1 for t = 2..2K, "log" is
+    -zeta'(k) and "prime" is P(k) for k = 2..K, where K = _SERIES_K."""
+    K = _SERIES_K
+    if name == "prime":
+        table = _prime_zeta(_series_table("zeta"), K)
+    else:
+        top = 2 * K if name == "zeta" else K
+        table = _zeta_sums(np.arange(2.0, top + 1), log_weight=name == "log")
+    table.v.flags.writeable = table.e.flags.writeable = False
+    return table
+
+
 def series_constant(kind: FunctionKind) -> tuple[float, float]:
     """(C_f = sum f(n)/(n(n+1)), an a-priori bound on its error), from the
     Dirichlet series D_f(s) = sum f(n) n^-s without sieving.
@@ -395,15 +410,15 @@ def series_constant(kind: FunctionKind) -> tuple[float, float]:
     For n >= 2, 1/(n(n+1)) = sum_{k>=2} (-1)^k n^-k, so
     C_f = f(1)/2 + sum_{k>=2} (-1)^k (D_f(k) - f(1)).  Each D_f is a closed
     form in zeta, zeta' and the prime zeta function P (see `_zeta_sums` and
-    `_prime_zeta`), evaluated in float64 with a running error bound
-    (`_Bounded`).  The terms k > _SERIES_K sum to
-    sum_{n>=2} f(n) (-1)^(K+1) n^-(K+1) / (1 + 1/n), at most
-    2^(1-K) sum_{n>=2} |f(n)| n^-2 in absolute value.  The bound adds that,
+    `_prime_zeta`, tabulated once per process by `_series_table`), evaluated
+    in float64 with a running error bound (`_Bounded`).  The terms
+    k > _SERIES_K sum to sum_{n>=2} f(n) (-1)^(K+1) n^-(K+1) / (1 + 1/n),
+    at most 2^(1-K) sum_{n>=2} |f(n)| n^-2 in absolute value.  The bound adds that,
     the Euler-Maclaurin remainders and every rounding; it lies in
     (0, 1e-12] for every supported kind (tau8's is the largest)."""
     _check_tau_order(kind)
     K = _SERIES_K
-    z1 = _zeta_sums(np.arange(2.0, 2 * K + 1), log_weight=False)   # zeta(t) - 1, t = 2..2K
+    z1 = _series_table("zeta")                                     # zeta(t) - 1, t = 2..2K
     z, z2 = z1[:K - 1], z1[2::2]                                   # at k and 2k, k = 2..K
     tag = kind.tag
     if tag == "one" or (tag == "tau" and kind.r == 1):
@@ -413,11 +428,11 @@ def series_constant(kind: FunctionKind) -> tuple[float, float]:
     elif tag == "mobius_squared":
         d = (z - z2) / (1 + z2)
     elif tag == "lambda":
-        d = _zeta_sums(np.arange(2.0, K + 1), log_weight=True) / (1 + z)
+        d = _series_table("log") / (1 + z)
     elif tag == "tau":
         d = (kind.r * z.log1p()).expm1()
     elif tag == "omega":
-        d = (1 + z) * _prime_zeta(z1, K)
+        d = (1 + z) * _series_table("prime")
     elif tag == "two_pow_omega":
         d = (z * (2 + z) - z2) / (1 + z2)
     else:                                                          # chi_two

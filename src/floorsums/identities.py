@@ -115,8 +115,8 @@ class PhaseFunction:
         return cmath.exp(1j * TWO_PI * self.frac(t))
 
     def unit_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized e(F(t)) for integer arrays of t >= 1, checked once per
-        array, with the phases of `frac`.
+        """Vectorized e(F(t)) for integer arrays of 1 <= t < 2^63, checked
+        once per array, with the phases of `frac`.
         With z = p/q, the int64 path is taken only when p < 2^62 and every
         d = q (t + a)^r < 2^53, tested in Python integers: then p mod d and d
         convert to float64 exactly, so their quotient is correctly rounded.
@@ -128,6 +128,8 @@ class PhaseFunction:
         entrywise, as in the scalar formula, so the bits are the same."""
         t = np.asarray(t)
         _check_t(t)
+        if t.dtype.kind in "uO" and t.max(initial=0) >= 2**63:     # int64 would wrap
+            raise ValueError(f"need t < 2^63, got {t.max()}")
         t = t.astype(np.int64, copy=False)
         if isinstance(self.fn, _SqrtPhase):
             tf = t.astype(np.float64)

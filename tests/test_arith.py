@@ -284,15 +284,47 @@ def test_eval_point_large_arguments():
 
 def test_factor_budget_enforced():
     # at the budget eval_points trial-divides by the primes up to
-    # cbrt(10^12) = 10^4 and leaves a cofactor that below 10007^3 is 1, p,
-    # p^2 or pq; its Miller-Rabin bases are deterministic only below
-    # 2152302898747, and its divisibility tests exact below 2^64
+    # cbrt(10^12) = 10^4 and leaves a cofactor that is 1, p, p^2 or pq; its
+    # Miller-Rabin test and divisibility tests are exact below 2^64, and n
+    # is held in int64.  The scalar references of the tests below,
+    # _factor_reference and _is_prime_reference, are exact below 10007^3
+    # and 2152302898747
     assert A.FACTOR_BUDGET < 10007**3
     assert A.FACTOR_BUDGET < 2_152_302_898_747
     assert A.FACTOR_BUDGET < 2**63
     assert A.eval_points(A.tau(2), np.array([10**12])).tolist() == [169]
     with pytest.raises(BudgetError):
         A.eval_points(A.tau(2), np.array([10**12 + 1]))
+
+
+def test_is_prime_on_every_odd_m_of_the_one_base_set():
+    m = np.arange(3, 341_531, 2)
+    prime = np.isin(m, A.primes_upto(341_531))
+    got = np.array([A._is_prime(v) for v in m.tolist()])
+    assert np.array_equal(got, prime), m[got != prime][:5]
+
+
+@pytest.mark.parametrize("m, prime", [
+    # each base set's bound, composite and the first m the next set takes
+    (341_531, False), (350_269_456_337, False), (55_245_642_489_451, False),
+    (7_999_252_175_582_851, False), (585_226_005_592_931_977, False),
+    # strong pseudoprimes to bases 2, 3, 5, 7, 11; a product of two primes near 2^32
+    (2_152_302_898_747, False), (3_825_123_056_546_413_051, False),
+    (4_294_967_291 * 4_294_967_279, False),
+    # primes near 2^61, 2^63 and 2^64
+    (2**61 - 1, True), (2**63 - 25, True), (2**64 - 59, True)])
+def test_is_prime_on_bounds_pseudoprimes_and_large_primes(m, prime):
+    assert A._is_prime(m) is prime
+
+
+@pytest.mark.parametrize("bound", [350_269_456_337, 55_245_642_489_451])
+def test_is_prime_matches_the_sieve_below_a_base_set_bound(bound):
+    lo = bound - 2000
+    tau2 = A.build_sieve(A.tau(2), lo, bound - 1).values
+    m = np.arange(lo, bound)
+    odd = m % 2 == 1
+    got = [A._is_prime(v) for v in m[odd].tolist()]
+    assert got == (tau2[odd] == 2).tolist()
 
 
 # ---------------------------------------------------------------------------

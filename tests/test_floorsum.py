@@ -428,6 +428,39 @@ def test_zeta_sums_are_within_their_bounds(monkeypatch, N):
                 assert 0 < e and abs(mp.mpf(v) - ref(t)) <= e, (log_weight, t)
 
 
+def test_series_tables_are_built_once_and_read_only(monkeypatch):
+    calls = {"_zeta_sums": 0, "_prime_zeta": 0}
+
+    def counted(name):
+        real = getattr(FS, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(FS, name, counted(name))
+    backward = [k for k in reversed(SERIES_KINDS) if k != A.OMEGA]
+    got = {}
+    try:
+        for order in (SERIES_KINDS, [A.OMEGA, *backward]):     # "prime" builds "zeta" first
+            FS._series_table.cache_clear()
+            calls.update(dict.fromkeys(calls, 0))
+            for kind in order:
+                got.setdefault(kind, set()).add(repr(FS.series_constant(kind)))
+            assert calls == {"_zeta_sums": 2, "_prime_zeta": 1}
+    finally:
+        FS._series_table.cache_clear()       # no table outlives the patch
+    assert all(len(reprs) == 1 for reprs in got.values())
+    for name in ("zeta", "log", "prime"):
+        table = FS._series_table(name)
+        for a in (table.v, table.e):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
 def test_series_literals():
     for j, c in enumerate(FS._EM_COEFFS, start=1):
         assert c == float(mp.bernoulli(2 * j) / mp.factorial(2 * j))

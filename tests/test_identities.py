@@ -884,6 +884,10 @@ def _from_zero(hi):
      "need integer t, got dtype bool"),
     (lambda: I.PhaseFunction.reciprocal(7).unit_array(np.array([0, 1])), ValueError,
      "need t >= 1, got 0"),
+    (lambda: I.PhaseFunction.reciprocal(7).unit_array(np.array([2**63 + 5], dtype=np.uint64)),
+     ValueError, r"need t < 2\^63, got 9223372036854775813"),
+    (lambda: I.PhaseFunction.reciprocal(7).unit_array(np.array([3, 2**63], dtype=object)),
+     ValueError, r"need t < 2\^63, got 9223372036854775808"),
     (lambda: I.PhaseFunction.reciprocal(7).frac(2.5), ValueError, "need integer t, got 2.5"),
     (lambda: I.PhaseFunction.reciprocal(7).unit(True), ValueError, "need integer t, got True"),
     (lambda: I.PhaseFunction.reciprocal(7).frac(0), ValueError, "need t >= 1, got 0"),
@@ -904,7 +908,8 @@ def _from_zero(hi):
      "need integer trials, got True"),
 ], ids=["exp-empty-window", "exp-cutoff", "exp-short-table", "table-from-zero",
         "exp-table-from-zero", "subject", "power-float", "shift-bool", "unit-array-float",
-        "unit-array-bool", "unit-array-zero", "frac-float", "unit-bool", "frac-zero",
+        "unit-array-bool", "unit-array-zero", "unit-array-uint64-wrap",
+        "unit-array-object-overflow", "frac-float", "unit-bool", "frac-zero",
         "opaque-unit-negative", "x-float", "x-bool", "exp-R-float", "lambda-R-float",
         "mu-U-float", "trials-float", "seed-float", "trials-bool"])
 def test_malformed_inputs_are_refused(call, error, message):
