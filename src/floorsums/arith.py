@@ -45,7 +45,11 @@ from .errors import BudgetError, CoverageError, require_integers
 SEGMENT_SIZE = 1 << 20
 SIEVE_BUDGET = 1 << 27      # entries per table
 FACTOR_BUDGET = 10**12      # largest n eval_points accepts; a cost cap: _is_prime is exact to 2^64
-MAX_TAU_R = 8               # fixed: the int64 sieve wraps for large orders (tau_64 at n = 7207200)
+# fixed: the sieve refuses a kind it could wrap (`_working_dtype`), but
+# eval_points multiplies local factors in unchecked int64 (tau_64 would wrap at
+# n = 7207200), floor_sum_naive sums a sieve in int64, and series_constant's
+# 1e-12 error bound is met up to tau_8 (5.3e-13)
+MAX_TAU_R = 8
 
 _TAGS = ("one", "mobius", "mobius_squared", "lambda", "tau", "omega",
          "two_pow_omega", "chi_two")
@@ -623,9 +627,30 @@ def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     limit = int(limit)
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
-    out = _convolve(f.prefix(limit), g.prefix(limit), limit)
+    fv, gv = f.prefix(limit), g.prefix(limit)
+    _check_product(fv, gv)
+    out = _convolve(fv, gv, limit)
     out.flags.writeable = False
     return SieveTable(kind=None, lo=1, values=out)
+
+
+def _abs_max(v: np.ndarray) -> int:
+    """The largest |value| of an integer array as a Python int, 0 if empty."""
+    return max(int(v.max(initial=0)), -int(v.min(initial=0)))
+
+
+def _check_product(f: np.ndarray, g: np.ndarray, sums: int = 1) -> None:
+    """Refuse with BudgetError, before any work, an integer product of f and
+    g on [1, L], L = len(f), whose values, or a sum of `sums` of them, its
+    dtype could wrap: |(f * g)(n)| <= F G tau(n) <= F G 2 isqrt(L), with F
+    and G the largest |value| of f and g, as tau(n) <= 2 sqrt(n).  A float
+    product (Lambda) passes."""
+    dtype = np.result_type(f, g)
+    if dtype.kind in "iu":
+        bound = _abs_max(f) * _abs_max(g) * 2 * isqrt(len(f)) * sums
+        if bound > np.iinfo(dtype).max:
+            raise BudgetError(f"Dirichlet product on [1, {len(f)}] may exceed {dtype} "
+                              f"(bound {bound})")
 
 
 def _convolve(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:

@@ -27,6 +27,9 @@ from . import psi as psi_mod
 
 _PRECISION_HELP = "significant digits for reals in CSV output (default 15)"
 _MAX_GRID_POINTS = 10**3      # scan grid points; each is one exact sum S_f(x)
+# seed pairs of one spec, as --depth is capped at 20: a depth-20 search grows
+# with every seed (lambda: 4.5 s, 386 MiB with 17 seeds; 8.5 s, 722 MiB with 32)
+_MAX_SEEDS = 32
 
 
 def _emit(obj) -> None:
@@ -46,22 +49,29 @@ def _parse_pair(s: str) -> pairs.ExponentPair:
 
 
 def _parse_seeds(spec: str) -> list[pairs.ExponentPair]:
-    out = []
+    """The pairs a seed spec names (pair names, hb:m, hb:a..b), counted
+    before any is built and at most _MAX_SEEDS."""
+    named = []          # a pair name, or a range of Heath-Brown m, per token
     for tok in spec.split(","):
         tok = tok.strip()
         if tok in pairs.SEED_PAIRS:
-            out.append(pairs.SEED_PAIRS[tok])
+            named.append(tok)
         elif tok.startswith("hb:") and ".." in tok:
             lo, hi = map(int, tok[3:].split(".."))
             if lo > hi:
                 raise ValueError(f"seed range {tok!r} is empty (hb:a..b needs a <= b)")
-            out.extend(pairs.heath_brown_pair(m) for m in range(lo, hi + 1))
+            named.append(range(lo, hi + 1))
         elif tok.startswith("hb:"):
-            out.append(pairs.heath_brown_pair(int(tok[3:])))
+            m = int(tok[3:])
+            named.append(range(m, m + 1))
         else:
             raise ValueError(f"unknown seed {tok!r} (names: "
                              f"{', '.join(pairs.SEED_PAIRS)}, hb:m, hb:a..b)")
-    return out
+    count = sum(1 if isinstance(n, str) else len(n) for n in named)
+    if count > _MAX_SEEDS:
+        raise ValueError(f"seeds name {count} pairs, at most {_MAX_SEEDS}")
+    return [p for n in named for p in ([pairs.SEED_PAIRS[n]] if isinstance(n, str)
+                                       else map(pairs.heath_brown_pair, n))]
 
 
 def _parse_grid(spec: str) -> list[int]:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, TWO_POW_OMEGA,
+from .arith import (LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, SIEVE_BUDGET, TWO_POW_OMEGA,
                     FunctionKind, build_sieve, tau)
 from .errors import BudgetError, WindowError, require_integers
 from .identities import PhaseFunction, _check_dyadic
@@ -53,15 +53,15 @@ def exp_sum(kind: FunctionKind, R: int, R1: int, phase: PhaseFunction) -> comple
 
 
 def type_II_sum(M: int, N: int, phase: PhaseFunction) -> complex:
-    """Bilinear sum_{N<n<=2N} sum_{M<m<=2M} e(F(mn)), one row per n."""
+    """Bilinear sum_{N<n<=2N} sum_{M<m<=2M} e(F(mn)): the units of the N x M
+    grid of products mn in one `unit_array` call, its row sums added by fsum."""
     require_integers(M=M, N=N)
+    if max(M, 0) * max(N, 0) > SIEVE_BUDGET:
+        raise BudgetError(f"grid of {M} x {N} entries exceeds budget {SIEVE_BUDGET}")
     m = np.arange(M + 1, 2 * M + 1, dtype=np.int64)
-    re, im = [], []
-    for n in range(N + 1, 2 * N + 1):
-        row = np.sum(phase.unit_array(m * n))
-        re.append(row.real)
-        im.append(row.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    n = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+    rows = phase.unit_array(np.multiply.outer(n, m)).sum(axis=1)
+    return complex(math.fsum(rows.real), math.fsum(rows.imag))
 
 
 # ---------------------------------------------------------------------------

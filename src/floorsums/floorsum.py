@@ -35,7 +35,7 @@ from math import isqrt
 import numpy as np
 
 from .arith import (FACTOR_BUDGET, MOBIUS, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
-                    SieveTable, _check_tau_order, build_sieve, eval_points,
+                    SieveTable, _abs_max, _check_tau_order, build_sieve, eval_points,
                     iter_segment_values, primes_upto)
 from .errors import BudgetError, require_integers
 
@@ -105,12 +105,18 @@ def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None)
     """Direct O(x) evaluation; exact (Lambda via compensated summation).
     A `table` replaces the sieve of [1, x]."""
     x = _check_x(x, "naive")
-    values = build_sieve(kind, 1, x).values if table is None else _table_prefix(kind, table, x)
+    if table is None:
+        # int64 cannot wrap: x < 2^24 terms, each |f| <= tau_8(9979200) < 2^31 on [1, 1e7]
+        values = build_sieve(kind, 1, x).values
+    else:
+        values = _table_prefix(kind, table, x)
+        bound = _abs_max(values) * x if values.dtype.kind in "iu" else 0
+        if bound >= 2**63:
+            raise BudgetError(f"naive sum of the table may exceed int64 (bound {bound})")
     q = x // np.arange(1, x + 1, dtype=np.int64)
     vals = values[q - 1]
     if kind.tag == "lambda":
         return math.fsum(vals)
-    # int64 cannot wrap: x < 2^24 terms, each |f| <= tau_8(9979200) < 2^31 on [1, 1e7]
     return int(np.sum(vals))
 
 
@@ -181,7 +187,7 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     for d_lo, v, m in _blocks(segments, x, N, 1, d0):
         # the chunk's sum of |f(d)| m(d) is at most max|f| times its sum of
         # m(d), which telescopes to at most x//d_lo - x//(d_hi+1)
-        bound = max(int(v.max()), -int(v.min())) * (x // d_lo - x // (d_lo + len(v)))
+        bound = _abs_max(v) * (x // d_lo - x // (d_lo + len(v)))
         if bound >= 2**63:
             raise BudgetError(f"block sum at d = {d_lo} may exceed int64 (bound {bound})")
         total += int(np.dot(v, m))

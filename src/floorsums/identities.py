@@ -47,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE, TWO_POW_OMEGA,
-                    SieveTable, _convolve, build_sieve, tau)
+                    SieveTable, _check_product, _convolve, build_sieve, tau)
 from .errors import WindowError, require_integers
 
 TWO_PI = 2.0 * math.pi
@@ -100,8 +100,7 @@ class PhaseFunction:
 
     def frac(self, t: int) -> float:
         """F(t) mod 1 in [0, 1), for an integer t >= 1."""
-        _check_t(t)
-        return self._frac(int(t))
+        return self._frac(_check_t(t))
 
     def _frac(self, t: int) -> float:
         if self.fn is not None:
@@ -115,42 +114,38 @@ class PhaseFunction:
         return cmath.exp(1j * TWO_PI * self.frac(t))
 
     def unit_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized e(F(t)) for integer arrays of 1 <= t < 2^63, checked
-        once per array, with the phases of `frac`.
-        With z = p/q, the int64 path is taken only when p < 2^62 and every
-        d = q (t + a)^r < 2^53, tested in Python integers: then p mod d and d
-        convert to float64 exactly, so their quotient is correctly rounded.
-        Otherwise each entry is reduced on a Python int: an opaque phase by
-        `frac`'s formula fn(k) % 1.0 inline, a window out of range by
-        `_frac`, `frac`'s formula without its check.
-        The suite's opaque draw c1 sqrt(t) + c2/t (`_SqrtPhase`) is taken in
-        float64 arrays: sqrt, *, /, + and mod 1 are each correctly rounded
-        entrywise, as in the scalar formula, so the bits are the same."""
-        t = np.asarray(t)
-        _check_t(t)
-        if t.dtype.kind in "uO" and t.max(initial=0) >= 2**63:     # int64 would wrap
-            raise ValueError(f"need t < 2^63, got {t.max()}")
-        t = t.astype(np.int64, copy=False)
+        """e(F(t)) on an integer array of 1 <= t < 2^63, checked once, in t's
+        shape and with the bits of `frac`, by one of three rules: the suite's
+        draw c1 sqrt(t) + c2/t (`_SqrtPhase`) in float64, each operation
+        correctly rounded as in the scalar formula; a built-in z = p/q in int64
+        when p < 2^62 and every d = q (t + a)^r < 2^53 (tested in Python ints),
+        so that p mod d and d are exact floats and their quotient is correctly
+        rounded; otherwise `_frac`, `frac`'s formula unchecked, per entry."""
+        t = _check_t(np.asarray(t))
+        p, q = self.z.as_integer_ratio()
         if isinstance(self.fn, _SqrtPhase):
             tf = t.astype(np.float64)
-            return np.exp(1j * TWO_PI * np.mod(self.fn.c1 * np.sqrt(tf) + self.fn.c2 / tf, 1.0))
-        if self.fn is not None:
-            ph = [self.fn(k) % 1.0 for k in t.tolist()]
+            ph = np.mod(self.fn.c1 * np.sqrt(tf) + self.fn.c2 / tf, 1.0)
+        elif self.fn is None and p < 2**62 \
+                and q * (int(t.max(initial=1)) + self.a) ** self.r < 2**53:
+            d = q * (t + self.a) ** self.r
+            ph = np.mod(p, d) / d
         else:
-            p, q = self.z.as_integer_ratio()
-            if p < 2**62 and (t.size == 0 or q * (int(t.max()) + self.a) ** self.r < 2**53):
-                d = q * (t + self.a) ** self.r
-                return np.exp(1j * TWO_PI * (np.mod(p, d) / d))
-            ph = [self._frac(k) for k in t.tolist()]
-        return np.exp(1j * TWO_PI * np.array(ph, dtype=np.float64))
+            ph = np.array([self._frac(k) for k in t.ravel().tolist()],
+                          dtype=np.float64).reshape(t.shape)
+        return np.exp(1j * TWO_PI * ph)
 
 
-def _check_t(t) -> None:
-    """Refuse a t, an integer or an array of them, that is not >= 1."""
+def _check_t(t):
+    """The one test of t: an integer t >= 1 comes back as an int, an integer
+    array of them as int64, refused if an entry reaches 2^63, where it wraps."""
     require_integers(t=t)
-    low = t.min(initial=1) if isinstance(t, np.ndarray) else t
-    if low < 1:
+    arr = isinstance(t, np.ndarray)
+    if (low := t.min(initial=1) if arr else t) < 1:
         raise ValueError(f"need t >= 1, got {low}")
+    if arr and t.dtype.kind in "uO" and (high := t.max(initial=1)) >= 2**63:
+        raise ValueError(f"need t < 2^63, got {high}")
+    return t.astype(np.int64, copy=False) if arr else int(t)
 
 
 @dataclass(frozen=True)
@@ -299,12 +294,13 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
     """Both sides of the hyperbola split of sum_{n<=x} (f*g)(n) e(F(n)):
     f * g = (f 1_U * g) + (g 1_{x/U} * f) - (f 1_U * g 1_{x/U}) on [1, x].
     With `phase` None the weight is 1, and on integer tables both sides are
-    exact int64 sums."""
+    exact int64 sums, refused with BudgetError if int64 could wrap."""
     require_integers(x=x, U=U)
     if not 1 <= U <= x:
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
-    terms = _hyperbola_terms(f.prefix(x), g.prefix(x), U, x // U, 0, 0)
-    return _window_sides(terms, 0, x, phase)
+    fv, gv = f.prefix(x), g.prefix(x)
+    _check_product(fv, gv, 3 * x if phase is None else 1)    # a side sums 3 terms on x entries
+    return _window_sides(_hyperbola_terms(fv, gv, U, x // U, 0, 0), 0, x, phase)
 
 
 def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
@@ -318,8 +314,9 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     require_integers(R=R, R1=R1, U=U)
     if not (R < R1 and 1 <= U <= R):
         raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
-    terms = _hyperbola_terms(f.prefix(R1), g.prefix(R1), U * R1 // R, R // U, U, R)
-    return _window_sides(terms, R, R1, phase)
+    fv, gv = f.prefix(R1), g.prefix(R1)
+    _check_product(fv, gv)
+    return _window_sides(_hyperbola_terms(fv, gv, U * R1 // R, R // U, U, R), R, R1, phase)
 
 
 # ---------------------------------------------------------------------------

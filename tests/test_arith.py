@@ -622,6 +622,44 @@ def test_convolution_coverage_checked():
         A.dirichlet_convolve(f, g, 0)
 
 
+def _table(value, n):
+    values = np.full(n, value, dtype=np.int64)
+    values.flags.writeable = False
+    return A.SieveTable(kind=None, lo=1, values=values)
+
+
+def test_convolution_refuses_an_int64_wrap_before_any_work(monkeypatch):
+    # (f * f)(12) = 6 2^80 for f = 2^40 wrapped to all zeros; the bound
+    # F G 2 isqrt(12) = 4 2^80 >= 2^63 is refused
+    big = _table(2**40, 12)
+    monkeypatch.setattr(A, "_convolve", lambda *a: pytest.fail("work was done"))
+    with pytest.raises(BudgetError, match=r"Dirichlet product on \[1, 12\] may exceed int64"):
+        A.dirichlet_convolve(big, big, 12)
+    # an int32 product wraps at 2^31: 2^20 squared was all zeros too
+    narrow = A.SieveTable(kind=None, lo=1, values=np.full(12, 2**20, dtype=np.int32))
+    with pytest.raises(BudgetError, match="may exceed int32"):
+        A.dirichlet_convolve(narrow, narrow, 12)
+    monkeypatch.undo()
+    # F G 2 isqrt(12) = 6 2^58 < 2^63: accepted, and exact
+    small = _table(2**29, 12)
+    assert A.dirichlet_convolve(small, small, 12).value(12) == 6 * 2**58
+    # a float product (Lambda) is not bounded
+    lam = A.build_sieve(A.LAMBDA, 1, 100)
+    assert A.dirichlet_convolve(lam, lam, 100).values.dtype == np.float64
+
+
+def test_convolution_bound_passes_the_library_products():
+    n = 10**6
+    tau3, tau8 = A.build_sieve(A.tau(3), 1, n), A.build_sieve(A.tau(8), 1, n)
+    # 10^6 = 2^6 5^6 and tau_r(p^6) = C(r + 5, 5)
+    assert A.dirichlet_convolve(tau3, tau3, n).value(n) == math.comb(11, 5) ** 2
+    assert A.dirichlet_convolve(tau8, A.build_sieve(A.ONE, 1, n), n).value(n) == \
+        math.comb(14, 8) ** 2
+    # tau_8 * tau_8 at 10^6 fits int64 but its bound (5.8 2^63) does not
+    with pytest.raises(BudgetError):
+        A.dirichlet_convolve(tau8, tau8, n)
+
+
 def test_mobius_inversion_medium_range():
     n = 10**5
     mu = A.build_sieve(A.MOBIUS, 1, n)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,23 @@ def test_pairs_search_hb_seed_range(capsys):
     # at least as good as the hb:9 member of the family, 1/2 - 1/(2(4r^3 - r - 1))
     r = 5
     assert F(d["exponent"]) <= F(1, 2) - F(1, 2 * (4 * r**3 - r - 1))
+
+
+def test_pairs_seed_specs_are_counted_before_any_pair_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(cli.pairs, "heath_brown_pair", lambda m: pytest.fail("pair built"))
+    start = time.perf_counter()
+    code, out = run(capsys, "pairs", "search", "--target", "lambda", "--depth", "1",
+                    "--seeds", "hb:3..1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and json.loads(out) == {
+        "error": "ValueError", "message": "seeds name 999998 pairs, at most 32"}
+    code, out = run(capsys, "pairs", "search", "--target", "lambda", "--depth", "1",
+                    "--seeds", "classic,bourgain,hb:3..33")
+    assert json.loads(out)["message"] == "seeds name 33 pairs, at most 32"
+    monkeypatch.undo()
+    d = run_json(capsys, "pairs", "search", "--target", "lambda", "--depth", "1",
+                 "--seeds", "classic,hb:3..33")          # 32 pairs, the cap
+    assert d["depth"] == 1
 
 
 def test_pairs_balance(capsys, tmp_path):

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from floorsums import arith as A
@@ -93,6 +94,38 @@ def test_type_II_matches_double_loop_oracle():
                          for n in range(N + 1, 2 * N + 1)
                          for m in range(M + 1, 2 * M + 1))
             assert E.type_II_sum(M, N, ph) == pytest.approx(direct, abs=1e-10)
+
+
+def _type_II_rows(M, N, phase):
+    """The bilinear sum one row per n, each row summed by np.sum."""
+    m = np.arange(M + 1, 2 * M + 1, dtype=np.int64)
+    rows = [np.sum(phase.unit_array(m * n)) for n in range(N + 1, 2 * N + 1)]
+    return complex(math.fsum(r.real for r in rows), math.fsum(r.imag for r in rows))
+
+
+def test_type_II_is_one_grid_call_with_the_row_bits(monkeypatch):
+    rng = random.Random(30)
+    cases = [(rng.randint(1, 2000), rng.randint(1, 60), z, rng.randint(1, 3))
+             for z in [rng.randint(1, 10**12) for _ in range(12)]
+             + [rng.uniform(1, 10**12) for _ in range(12)]]
+    # (mn)^3 crosses 2^53 inside the grid, so rows differ in their rule
+    cases += [(500, 300, 10**18 + 7, 3), (500, 300, 987654.25, 3)]
+    unit_array = PhaseFunction.unit_array
+    for M, N, z, r in cases:
+        ph = PhaseFunction.power_reciprocal(z, r)
+        want = _type_II_rows(M, N, ph)
+        calls = []
+        monkeypatch.setattr(PhaseFunction, "unit_array",
+                            lambda self, t: calls.append(t.shape) or unit_array(self, t))
+        assert E.type_II_sum(M, N, ph) == want, (M, N, z, r)
+        assert calls == [(N, M)]
+        monkeypatch.undo()
+
+
+def test_type_II_grid_is_budgeted(monkeypatch):
+    monkeypatch.setattr(PhaseFunction, "unit_array", lambda *a: pytest.fail("work was done"))
+    with pytest.raises(BudgetError, match="exceeds budget"):
+        E.type_II_sum(2**14, 2**13 + 1, PhaseFunction.reciprocal(7))
 
 
 def test_type_II_rank_one_factorizes_with_split_phase():

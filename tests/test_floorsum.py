@@ -242,6 +242,12 @@ def test_block_sum_guards_int64():
     table = A.SieveTable(kind=A.ONE, lo=1, values=huge)
     with pytest.raises(BudgetError):
         FS.floor_sum_fast(A.ONE, 1000, table=table)
+    # the naive sum of 1000 terms 2^62 wrapped to 0; F x >= 2^63 is refused
+    with pytest.raises(BudgetError, match="naive sum of the table may exceed int64"):
+        FS.floor_sum_naive(A.ONE, 1000, table=table)
+    # and passes at F x < 2^53, exactly
+    table = A.SieveTable(kind=A.ONE, lo=1, values=np.full(1000, 2**43, dtype=np.int64))
+    assert FS.floor_sum_naive(A.ONE, 1000, table=table) == 1000 * 2**43
 
 
 def psi(x, d):

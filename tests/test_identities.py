@@ -9,7 +9,7 @@ import pytest
 
 from floorsums import arith as A
 from floorsums import identities as I
-from floorsums.errors import CoverageError, WindowError
+from floorsums.errors import BudgetError, CoverageError, WindowError
 
 
 def rel(residual, lhs):
@@ -181,6 +181,44 @@ def test_unit_array_float_z_at_the_int64_bound(monkeypatch, ph, t_max):
 def test_unit_array_accepts_an_empty_array(ph):
     out = ph.unit_array(np.zeros(0, dtype=np.int64))
     assert out.shape == (0,) and out.dtype == np.complex128
+
+
+_SHAPE_PHASES = [
+    I.PhaseFunction.power_reciprocal(123457, 2),                    # int64
+    I.PhaseFunction.opaque(I._SqrtPhase(2.5, 3.5)),                 # float64 draw
+    I.PhaseFunction.opaque(math.sqrt),                              # per entry
+    I.PhaseFunction.power_reciprocal(10**18 + 12345, 10),           # d >= 2^53: per entry
+    I.PhaseFunction.power_reciprocal(2**70, 3),                     # p >= 2^62: per entry
+]
+
+
+@pytest.mark.parametrize("t", [
+    np.array(41), np.array([41, 57, 60]), np.array([[1, 2], [3, 4]]),
+    np.array([[40, 41, 57], [60, 70, 44]], dtype=np.uint32), np.zeros(0, dtype=np.int64),
+    np.zeros((2, 0), dtype=np.int64)], ids=lambda t: f"shape{t.shape}")
+@pytest.mark.parametrize("ph", _SHAPE_PHASES, ids=["int64", "sqrt-draw", "opaque",
+                                                  "d-past-2^53", "p-past-2^62"])
+def test_unit_array_keeps_the_shape_of_t(ph, t):
+    out = ph.unit_array(t)
+    assert out.shape == t.shape and out.dtype == np.complex128
+    assert out.tobytes() == ph.unit_array(t.ravel()).reshape(t.shape).tobytes()
+    assert out.tobytes() == _frac_units(ph, t.ravel()).tobytes()
+
+
+def test_unit_array_tests_t_once(monkeypatch):
+    calls = []
+    check_t = I._check_t
+    monkeypatch.setattr(I, "_check_t", lambda t: calls.append(t) or check_t(t))
+    for ph in _SHAPE_PHASES:
+        ph.unit_array(np.arange(40, 50).reshape(2, 5))
+    assert len(calls) == len(_SHAPE_PHASES)
+
+
+def test_check_t_returns_an_int_or_an_int64_array():
+    assert type(I._check_t(np.uint8(7))) is int and I._check_t(2**70) == 2**70
+    t = I._check_t(np.array([[3, 2**63 - 1]], dtype=np.uint64))
+    assert t.dtype == np.int64 and t.tolist() == [[3, 2**63 - 1]]
+    assert I._check_t(np.array([5, 6], dtype=object)).dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +593,39 @@ def test_hyperbola_coverage_guard():
         I.hyperbola_sides(one, one, None, 20, 3)
     with pytest.raises(WindowError):
         I.hyperbola_sides(one, one, None, 10, 11)
+
+
+def _const(value, n):
+    values = np.full(n, value, dtype=np.int64)
+    values.flags.writeable = False
+    return A.SieveTable(kind=None, lo=1, values=values)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: I.hyperbola_sides(t(40), t(40), None, 40, 5),
+    lambda t: I.hyperbola_sides(t(40), t(40), I.PhaseFunction.reciprocal(7), 40, 5),
+    lambda t: I.hyperbola_sides(t(3000), t(3000), None, 3000, 50),      # above the pair cap
+    lambda t: I.hyperbola_exp_sides(t(40), t(40), I.PhaseFunction.reciprocal(0), 20, 40, 4),
+    lambda t: I.hyperbola_exp_sides(t(3000), t(3000), I.PhaseFunction.reciprocal(0),
+                                    1500, 3000, 4),
+], ids=["unweighted", "weighted", "unweighted-above-cap", "exp", "exp-above-cap"])
+def test_hyperbola_refuses_an_int64_wrap_before_any_work(monkeypatch, call):
+    # tables of 2^40 wrapped to sides (0, 0, 0) and (0j, 0j, 0.0)
+    monkeypatch.setattr(I, "_hyperbola_terms", lambda *a: pytest.fail("work was done"))
+    with pytest.raises(BudgetError, match="may exceed int64"):
+        call(lambda n: _const(2**40, n))
+
+
+def test_unweighted_hyperbola_side_bounds_its_sum():
+    # F G 2 isqrt(40) = 12 2^56 < 2^63 holds each product value, but a side
+    # sums 3 terms on 40 entries: refused unweighted, taken with a phase
+    f = _const(2**28, 40)
+    with pytest.raises(BudgetError):
+        I.hyperbola_sides(f, f, None, 40, 5)
+    lhs, rhs, res = I.hyperbola_sides(f, f, I.PhaseFunction.reciprocal(7), 40, 5)
+    assert res <= 1e-9 * (1 + abs(lhs))
+    g = _const(2**20, 40)
+    assert I.hyperbola_sides(g, g, None, 40, 5) == (2**40 * 158, 2**40 * 158, 0)   # sum of tau(n)
 
 
 def test_hyperbola_exp_unitary_route():

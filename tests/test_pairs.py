@@ -298,6 +298,27 @@ def test_lambda_profile_reduces_to_theorem_exponent():
         done += 1
 
 
+def test_lambda_row_is_the_profile_exponent_on_the_search_orbit():
+    # a consistency check of three modules, not the paper's result: the row
+    # 14(k+1)/(29k - l + 30) is profile_to_exponent of (1/6, beta, 7/8) with
+    # beta = (7k + l + 6)/(12(k + 1)), the R-exponent of lambda-reciprocal's
+    # claimed bound in expsum, on every pair the row accepts
+    seeds = [CLASSIC, BOURGAIN] + [P.heath_brown_pair(m) for m in range(5, 20)]
+    for depth, size, feasible in ((8, 2306, 1430), (10, 6089, 3768)):
+        orbit = P._orbit(seeds, depth)
+        agree = 0
+        for (a, b, c), (_, s) in orbit.items():
+            p = P.ExponentPair(F(a, c), F(b, c), s.eps_carrier)
+            row = P.theorem_exponent("lambda", p)
+            if isinstance(row, P.Infeasible):
+                continue
+            beta = (7 * p.k + p.l + 6) / (12 * (p.k + 1))
+            # raises if the profile refuses a pair the row accepts
+            assert P.profile_to_exponent(P.BoundProfile(F(1, 6), beta, F(7, 8)), "lambda") == row
+            agree += 1
+        assert (len(orbit), agree) == (size, feasible), depth
+
+
 def test_tau_profile_reduces_to_theorem_exponent():
     rng = random.Random(1618)
     done = 0
