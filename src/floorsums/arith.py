@@ -17,7 +17,9 @@ primes up to cbrt(max n) and classifies each cofactor as 1, p, p^2 or pq
 (nothing else is left).  The tail bounds on main-term constants in
 `floorsum` read the same table, and so does the kernel's choice of working
 dtype: the narrowest one that holds every value the walk can form below
-2^hi.bit_length().
+2^hi.bit_length().  The kernel does not walk 2^1..2^4, 3^1, 3^2, 5 and 7
+strided: it starts from one period of that walk on n mod 5040, built once
+per function, and walks on from there.
 
 The kernel finds the one prime factor above sqrt(hi) that an n may have by
 an exact test on logarithms: an unsigned byte per n adds round(s log2 p) for
@@ -36,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, isqrt
 
 import numpy as np
@@ -153,8 +156,10 @@ def kind_from_name(name: str) -> FunctionKind:
 class SieveTable:
     """Values of one arithmetic function from n = lo on, lo an integer >= 1.
 
-    `values[i]` holds f(lo + i); integer functions use an exact int64 array,
-    Lambda a float64 array of log p values.  The array is marked read-only.
+    `values[i]` holds f(lo + i) in a 1-d array: int64 for an integer
+    function, float64 (log p values) for Lambda, any integer or float dtype
+    for a derived table; any other array is refused.  The array is marked
+    read-only.
     The table ends where its values do, at hi = lo + len(values) - 1.
     `kind` is None for a derived table (a Dirichlet product), which no
     evaluator accepts in place of a table of a named function.  Every
@@ -169,6 +174,13 @@ class SieveTable:
         require_integers(lo=self.lo)
         if self.lo < 1:
             raise ValueError(f"need lo >= 1, got lo={self.lo}")
+        v = self.values
+        want = ("integer or float" if self.kind is None
+                else "float64" if self.kind.tag == "lambda" else "int64")
+        if not (isinstance(v, np.ndarray) and v.ndim == 1
+                and (v.dtype.kind in "iuf" if self.kind is None else v.dtype == want)):
+            got = f"{v.ndim}-d {v.dtype}" if isinstance(v, np.ndarray) else type(v).__name__
+            raise ValueError(f"{self.kind or 'derived'} table needs a 1-d {want} array, got {got}")
 
     @property
     def hi(self) -> int:
@@ -300,6 +312,52 @@ def _log_scale(hi: int, primes: np.ndarray) -> tuple[int, int]:
     return math.ceil((e / 2 + e // 2 + 1e-6) / gap), e // 2
 
 
+# the kernel's wheel, (p, a) for P = 5040 = 2^4 3^2 5 7: for b <= a, whether
+# p^b divides n depends on n mod P alone
+_WHEEL = ((2, 4), (3, 2), (5, 1), (7, 1))
+_PERIOD = 5040
+
+
+@lru_cache(maxsize=None)
+def _wheel_period(kind: FunctionKind, s: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The kernel's walk over the p^b, b <= a for (p, a) in _WHEEL, on one period,
+    n mod _PERIOD at index n: (val, acc) by the same `_advance` steps and
+    round(s log2 p) weights, acc None for s = 0.  Built once per (kind, s),
+    each read-only in its narrowest dtype: 5-25 KiB per kind."""
+    steps = _steps(kind)
+    val = np.full(_PERIOD, kind.local(0), dtype=np.int64)
+    acc = np.zeros(_PERIOD, dtype=np.int64)
+    for p, top in _WHEEL:
+        for a in range(1, top + 1):
+            acc[::p ** a] += round(s * math.log2(p))
+            if a in steps:
+                _advance(val[::p ** a], steps[a], kind.additive)
+    val = val.astype(np.min_scalar_type(-_abs_max(val) - 1))
+    val.flags.writeable = False
+    if not s:
+        return val, None
+    acc = acc.astype(np.min_scalar_type(int(acc.max())))
+    acc.flags.writeable = False
+    return val, acc
+
+
+def _from_period(period: np.ndarray, lo: int, size: int, dtype) -> np.ndarray:
+    """A fresh `dtype` array of `size` entries holding period[n mod _PERIOD]
+    for n from lo on: one period sliced at lo mod _PERIOD, then doubled in
+    place, with no temporary."""
+    out = np.empty(size, dtype=dtype)
+    r = lo % _PERIOD
+    k = min(size, _PERIOD)
+    first = period[r: r + k]
+    out[:len(first)] = first
+    out[len(first): k] = period[: k - len(first)]
+    while k < size:                 # out[:k] holds whole periods
+        n = min(k, size - k)
+        out[k: k + n] = out[:n]
+        k += n
+    return out
+
+
 def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """f on [lo, hi] from one walk over the prime powers p^a <= hi, p in `primes`.
 
@@ -317,6 +375,15 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     log2 isqrt(hi) bits; _log_scale picks s and t from hi so that the error
     stays below the gap (s = 2 from hi = 16 on), and the accumulator's width
     holds s log2 hi (uint8 for every hi < 2^64).
+    val and acc start from one period of the wheel P = 5040
+    (`_wheel_period`), which holds the walk over 2^1..2^4, 3^1, 3^2, 5 and 7
+    at n mod P: p^b divides n iff it divides n mod P.  The walk then takes
+    2, 3, 5 and 7 from exponents 5, 3, 2 and 2, and every other prime from
+    1; `primes` shorter than 2, 3, 5, 7 is extended to them, still a prefix
+    of the primes as _log_scale needs.  Every value formed, in the period
+    or after it, is a partial product (a partial sum, if additive) of the
+    same G(a) factors of n's own exponents, so `_working_dtype`'s bound
+    still covers it.
     Lambda is set at the prime powers themselves, and at the n no walked
     prime divides: 1 (log 1 = 0) and the primes above the walked ones.
     """
@@ -348,28 +415,29 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     steps = _steps(kind)
     if not steps:                   # f is constant (one, tau_1)
         return np.full(size, kind.local(0), dtype=np.int64)
-    val = np.full(size, kind.local(0), dtype=_working_dtype(kind, hi.bit_length()))
     residual = 1 in steps
     top = _MAX_EXPONENT if residual else max(steps)     # the last exponent the walk reads
+    if primes.size < len(_WHEEL):   # the wheel's primes are walked at any hi
+        primes = primes_upto(_WHEEL[-1][0])
+    s, t = _log_scale(hi, primes) if residual else (0, 0)
+    val_period, acc_period = _wheel_period(kind, s)
+    val = _from_period(val_period, lo, size, _working_dtype(kind, hi.bit_length()))
     if residual:
-        s, t = _log_scale(hi, primes)
-        acc = np.zeros(size, dtype=np.min_scalar_type(s * hi.bit_length() + t))
-    for p in primes.tolist():
+        acc = _from_period(acc_period, lo, size, np.min_scalar_type(s * hi.bit_length() + t))
+    for p, a in zip_longest(primes.tolist(), [a + 1 for _, a in _WHEEL], fillvalue=1):
         if p > hi:
             break
         if residual:
             c = round(s * math.log2(p))
-        q = p
-        for a in range(1, top + 1):
+        q = p ** a
+        while q <= hi and a <= top:
             start = -lo % q         # index of the first multiple of q in [lo, hi]
             if start < size:
                 if residual:
                     acc[start::q] += c
                 if a in steps:
                     _advance(val[start::q], steps[a], kind.additive)
-            q *= p
-            if q > hi:
-                break
+            q, a = q * p, a + 1
     if residual:
         big = np.empty(size, dtype=bool)    # n has a prime factor above the walked ones
         for k in range(lo.bit_length() - 1, hi.bit_length()):

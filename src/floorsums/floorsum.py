@@ -1,14 +1,16 @@
 """Exact evaluation of S_f(x) = sum_{n<=x} f(floor(x/n)) with empirical
 error scans.
 
-Two evaluators: a naive O(x) reference and a split evaluator that sums
-f(floor(x/n)) directly for n up to a split point N (the head, all N
-quotients factored in one `eval_points` call) and then groups the remaining
-n by their common quotient value d with exact multiplicities
-floor(x/d) - max(N, floor(x/(d+1))) (the blocks, one sieve entry and one
-division each, streamed in segments).  Both are exact; the
-split only affects speed, so they cross-check each other.  The default split
-balances the two costs: N = isqrt(x // SPLIT_RATIO).  Either evaluator
+Two evaluators: a naive O(x) reference and a split evaluator in three
+parts.  The head sums f(floor(x/n)) directly for n up to a split point N,
+all N quotients factored in one `eval_points` call.  The shared blocks
+group the n > N by their quotient d, for the d <= x // (isqrt(x)+1) that
+several n may share, with exact multiplicities floor(x/d) - max(N,
+floor(x/(d+1))), one division each.  The per-n range adds f(floor(x/n))
+for every other n, one division and one lookup each.  Both parts read one
+sieve of [1, x // (N+1)], streamed in segments.  Both evaluators are exact;
+the split only affects speed, so they cross-check each other.  The default
+split balances the costs: N = isqrt(x // SPLIT_RATIO).  Either evaluator
 takes an optional sieve table in place of all its own evaluation of f and
 reads its prefix f(1..x) (`SieveTable.prefix`); a table that does not hold
 the summed function or cover [1, x] is refused before any work.
@@ -47,7 +49,9 @@ FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
 # and division; 2 vCPU), a ratio of 23-80 by kind.  Summed over tau3, mu,
 # Lambda and 2^omega, a sweep of ratios 5-500 at x = 1e8..1e12 put the least
 # time at 15-35, with 25 within noise of it at every x; at x = 1e12 ratio 100
-# was 1.4x slower.
+# was 1.4x slower.  With the per-n range in place of the blocks above the
+# shared range, a sweep of 15-100 summed over the nine CLI names was flat
+# within noise from 20 to 70 at every x in 1e8..1e12.
 SPLIT_RATIO = 25
 BLOCK_CHUNK = 1 << 16           # block entries whose multiplicities exist at once
 RESIDUAL_FLOOR = 1e-9
@@ -120,24 +124,43 @@ def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None)
     return int(np.sum(vals))
 
 
-def _blocks(segments, x: int, N: int, lo: int, hi: int):
-    """Yield (d_lo, f(d), m(d)) for d in [lo, hi], at most BLOCK_CHUNK entries
-    at a time: m(d) = floor(x/d) - max(N, floor(x/(d+1))) counts the n > N
-    with floor(x/n) = d.  `segments(lo, hi)` yields the values of f on
-    [lo, hi] as (seg_lo, values) pieces."""
-    if lo > hi:
-        return
-    for seg_lo, vals in segments(lo, hi):
-        for i in range(0, len(vals), BLOCK_CHUNK):
-            v = vals[i: i + BLOCK_CHUNK]
-            q = x // np.arange(seg_lo + i, seg_lo + i + len(v) + 1, dtype=np.int64)
-            yield seg_lo + i, v, q[:-1] - np.maximum(N, q[1:])
+def _pieces(segments, x: int, N: int, shared: int, d0: int):
+    """The n > N of the sum, from one pass of `segments(1, d0)`, which
+    yields the values of f on [1, d0] as (seg_lo, values) pieces.  Yields
+    (v, m, count), at most BLOCK_CHUNK entries at a time: first the blocks d
+    <= shared, with v = f(d) and multiplicity m(d) = floor(x/d) - max(N,
+    floor(x/(d+1))), the number of n > N with floor(x/n) = d; then None;
+    then one term v = f(floor(x/n)) per n in (N, x // (shared+1)], with m
+    None.  Those n have their quotients in (shared, d0], and the n of one
+    segment's quotients form one range.  `count` bounds the number of n a
+    piece stands for."""
+    per_n = False
+    for seg_lo, vals in segments(1, d0) if d0 else ():
+        seg_hi = seg_lo + len(vals) - 1
+        for lo in range(seg_lo, min(seg_hi, shared) + 1, BLOCK_CHUNK):
+            hi = min(lo + BLOCK_CHUNK - 1, seg_hi, shared)
+            q = x // np.arange(lo, hi + 2, dtype=np.int64)
+            m = q[:-1] - np.maximum(N, q[1:])
+            yield vals[lo - seg_lo: hi - seg_lo + 1], m, x // lo - x // (hi + 1)
+        if seg_hi <= shared:
+            continue
+        if not per_n:
+            per_n = True
+            yield None
+        # the n > N with floor(x/n) in [max(seg_lo, shared + 1), seg_hi]
+        n_lo, n_hi = max(N, x // (seg_hi + 1)) + 1, x // max(seg_lo, shared + 1)
+        for lo in range(n_lo, n_hi + 1, BLOCK_CHUNK):
+            i = x // np.arange(lo, min(lo + BLOCK_CHUNK - 1, n_hi) + 1, dtype=np.int64)
+            i -= seg_lo                 # in place: one chunk-sized array less at the peak
+            yield vals[i], None, len(i)
+    if not per_n:
+        yield None
 
 
-def _float_terms(segments, x: int, N: int, lo: int, hi: int):
-    """The nonzero block terms f(d) m(d), d in [lo, hi], as Python floats."""
-    for _, v, m in _blocks(segments, x, N, lo, hi):
-        t = v * m
+def _floats(pieces):
+    """The nonzero terms f(d) m(d), or f(floor(x/n)), of `pieces` as Python floats."""
+    for v, m, _ in pieces:
+        t = v if m is None else v * m
         yield from t[t != 0].tolist()
 
 
@@ -145,19 +168,23 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
                    table: SieveTable | None = None):
     """Split evaluation, exactly equal to floor_sum_naive for integer kinds.
 
-    The head sums f(floor(x/n)) for n <= N, the N quotients factored in
-    one `eval_points` call; the blocks sum f(d) m(d) over d <= x // (N+1),
-    streamed from the sieve in chunks, with m(d) from one division per d.
+    Three parts cover the n <= x.  The head sums f(floor(x/n)) for n <= N,
+    the N quotients factored in one `eval_points` call.  The shared blocks
+    sum f(d) m(d) over d <= shared = min(x // (isqrt(x)+1), x // (N+1)),
+    the quotients that several n may share, with m(d) from one division per
+    d.  The per-n range adds f(floor(x/n)) for each n in (N, x // (shared+1)],
+    one division and one lookup per n; those quotients lie in (shared,
+    x // (N+1)] and have multiplicity 0 or 1.  The blocks and the per-n
+    range read one sieve pass over [1, x // (N+1)], streamed in chunks.
     `split` overrides the default N = max(1, isqrt(x // SPLIT_RATIO)); the
     result does not depend on it.  A `table` replaces both the factoring and
-    the sieve.  Integer sums are exact: the head in Python ints, and each block
-    chunk's int64 dot product is checked against 2^63 before it is taken.
-    Lambda is summed with math.fsum in a fixed order: the quotients
-    d <= x // (isqrt(x)+1), the only ones shared by several n, first, then
-    that partial sum with every other term, one per n.  eval_points and the
-    sieve give every term the same bits, so the float result is the same
-    for every split N <= isqrt(x); it can differ from floor_sum_naive, which
-    fsums all terms at once, in its last bits.
+    the sieve.  Integer sums are exact: the head in Python ints, and each
+    chunk's int64 dot product or sum is checked against 2^63 before it is
+    taken.  Lambda is summed with math.fsum in a fixed order: the shared
+    blocks first, then that partial sum with every other term, one per n.
+    eval_points and the sieve give every term the same bits, so the float
+    result is the same for every split N <= isqrt(x); it can differ from
+    floor_sum_naive, which fsums all terms at once, in its last bits.
     """
     x = _check_x(x, "fast")
     values = None if table is None else _table_prefix(kind, table, x)
@@ -177,20 +204,18 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     else:
         head = values[q - 1]
         segments = lambda lo, hi: [(lo, values[lo - 1: hi])]
+    pieces = _pieces(segments, x, N, min(x // (isqrt(x) + 1), d0), d0)
 
     if kind.tag == "lambda":
-        shared = min(x // (isqrt(x) + 1), d0)
-        inner = math.fsum(_float_terms(segments, x, N, 1, shared))
-        return math.fsum(chain([inner], head.tolist(),
-                               _float_terms(segments, x, N, shared + 1, d0)))
+        inner = math.fsum(_floats(iter(pieces.__next__, None)))    # the shared blocks
+        return math.fsum(chain([inner], head.tolist(), _floats(pieces)))
     total = sum(head.tolist())              # exact, in Python ints
-    for d_lo, v, m in _blocks(segments, x, N, 1, d0):
-        # the chunk's sum of |f(d)| m(d) is at most max|f| times its sum of
-        # m(d), which telescopes to at most x//d_lo - x//(d_hi+1)
-        bound = _abs_max(v) * (x // d_lo - x // (d_lo + len(v)))
+    for v, m, count in filter(None, pieces):    # the None between the parts left out
+        # the piece's sum of |f| over the n it stands for is at most max|f| count
+        bound = _abs_max(v) * count
         if bound >= 2**63:
-            raise BudgetError(f"block sum at d = {d_lo} may exceed int64 (bound {bound})")
-        total += int(np.dot(v, m))
+            raise BudgetError(f"block sum of {count} terms may exceed int64 (bound {bound})")
+        total += int(np.sum(v) if m is None else np.dot(v, m))
     return total
 
 

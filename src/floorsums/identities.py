@@ -59,11 +59,12 @@ class PhaseFunction:
 
     Every built-in form is F(t) = z / (t + a)^r: `reciprocal` (r = 1, a = 0),
     `power_reciprocal` (a = 0) and `shifted_reciprocal` (z = h x, r = 1,
-    a in {0, 1}), with z an int or a float.  One exact formula reduces them
-    all: z = p/q by `z.as_integer_ratio()` (exact for both), so F(t) mod 1
-    = (p mod d) / d with d = q (t + a)^r, in integers and one correctly
-    rounded division.  Opaque callables must be pure and deterministic;
-    their values are reduced in floating point.
+    a in {0, 1}), with z an int or a float; a numpy scalar is converted and
+    a bool refused.  One exact formula reduces them all: z = p/q by
+    `z.as_integer_ratio()` (exact for both), so F(t) mod 1 = (p mod d) / d
+    with d = q (t + a)^r, in integers and one correctly rounded division.
+    Opaque callables must be pure and deterministic; their values are
+    reduced in floating point.
     """
 
     form: str                       # reciprocal | power_reciprocal | shifted_reciprocal | opaque
@@ -74,6 +75,7 @@ class PhaseFunction:
 
     @classmethod
     def reciprocal(cls, z) -> "PhaseFunction":
+        z = _real(z=z)
         if not 0 <= z < math.inf:           # also false for nan
             raise ValueError(f"need 0 <= z < inf, got z={z}")
         return cls(form="reciprocal", z=z)
@@ -81,6 +83,7 @@ class PhaseFunction:
     @classmethod
     def power_reciprocal(cls, z, r: int) -> "PhaseFunction":
         require_integers(r=r)
+        z = _real(z=z)
         if not 0 <= z < math.inf or r < 1:
             raise ValueError(f"need 0 <= z < inf and r >= 1, got z={z}, r={r}")
         return cls(form="power_reciprocal", z=z, r=r)
@@ -88,6 +91,7 @@ class PhaseFunction:
     @classmethod
     def shifted_reciprocal(cls, h, x, a: int) -> "PhaseFunction":
         require_integers(a=a)
+        h, x = _real(h=h), _real(x=x)
         if not (0 <= h < math.inf and 0 <= x < math.inf and h * x < math.inf) \
                 or a not in (0, 1):
             raise ValueError(f"need 0 <= h, x, hx < inf and a in {{0, 1}}, "
@@ -134,6 +138,17 @@ class PhaseFunction:
             ph = np.array([self._frac(k) for k in t.ravel().tolist()],
                           dtype=np.float64).reshape(t.shape)
         return np.exp(1j * TWO_PI * ph)
+
+
+def _real(**named):
+    """The one named value as a Python int or float: a numpy integer or
+    float is converted, and a bool, which would pass for 0 or 1, is refused."""
+    (name, v), = named.items()
+    if isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"need an int or float {name}, got {v!r}")
+    if isinstance(v, np.integer):
+        return int(v)
+    return float(v) if isinstance(v, np.floating) else v
 
 
 def _check_t(t):

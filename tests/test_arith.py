@@ -189,10 +189,18 @@ def _segment_reference(kind, lo, hi, primes):
     return val
 
 
+P = 5040                        # the kernel's wheel period, 2^4 3^2 5 7
 KERNEL_WINDOWS = ([(1, 2**20), (2**20 + 1, 2**21)]
                   + [(2**k - 1000, 2**k + 999) for k in range(16, 31)]
                   + [(2**31 - 100, 2**31 + 100), (10**12 - 200, 10**12)]
-                  + [(1, 1), (1, 2), (2, 3), (1, 10)])
+                  + [(1, 1), (1, 2), (2, 3), (1, 10)]
+                  # lo = 0, 1 and P - 1 mod P, over several periods
+                  + [(200 * P + r, 203 * P + r + 17) for r in (0, 1, P - 1)]
+                  # shorter than a period: inside one, and across a boundary
+                  + [(3 * P + 100, 3 * P + 300), (7 * P - 100, 7 * P + 100), (P - 60, P - 1)]
+                  # the primes up to isqrt(hi) reach 7 at hi = 49; below, the
+                  # kernel extends them to the wheel's 2, 3, 5, 7
+                  + [(1, 48), (1, 49), (1, 50), (40, 49)])
 
 
 @pytest.mark.parametrize("lo, hi", KERNEL_WINDOWS)
@@ -206,6 +214,16 @@ def test_segment_kernel_matches_smooth_product_reference(lo, hi):
         want = _segment_reference(kind, lo, hi, primes)
         assert got.dtype == want.dtype, kind
         assert got.tobytes() == want.tobytes(), kind
+
+
+def test_segment_kernel_with_primes_past_hi():
+    # a segment of a longer sieve walks the primes up to the whole range's
+    # root, which can lie above the segment's hi
+    for lo, hi in ((1, 5), (1, 15), (2, 48)):
+        for kind in ALL_KINDS + [A.tau(8)]:
+            got = A._segment_values(kind, lo, hi, A.primes_upto(100))
+            want = _segment_reference(kind, lo, hi, A.primes_upto(100))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, lo, hi)
 
 
 def test_working_dtype_is_the_narrowest_that_holds_every_value():
@@ -699,13 +717,24 @@ def test_kind_parsing():
     (lambda: A.SieveTable(A.ONE, 0, np.ones(3, np.int64)), ValueError, "need lo >= 1, got lo=0"),
     (lambda: A.SieveTable(A.ONE, 1.0, np.ones(3, np.int64)), ValueError,
      "need integer lo, got 1.0"),
+    (lambda: A.SieveTable(A.tau(2), 1, np.array([1.5, 2, 2, 3, 2])), ValueError,
+     "tau2 table needs a 1-d int64 array, got 1-d float64"),
+    (lambda: A.SieveTable(A.ONE, 1, np.ones((2, 2), np.int64)), ValueError,
+     "one table needs a 1-d int64 array, got 2-d int64"),
+    (lambda: A.SieveTable(A.ONE, 1, [1, 1, 1]), ValueError,
+     "one table needs a 1-d int64 array, got list"),
+    (lambda: A.SieveTable(A.LAMBDA, 1, np.ones(3, np.int64)), ValueError,
+     "lambda table needs a 1-d float64 array, got 1-d int64"),
+    (lambda: A.SieveTable(None, 1, np.ones(3, bool)), ValueError,
+     "derived table needs a 1-d integer or float array, got 1-d bool"),
     (lambda: A.LAMBDA.local(1), ValueError, "Lambda has no local factor"),
     (lambda: next(A.iter_segment_values(A.ONE, 10, 9)), ValueError,
      "need 1 <= lo <= hi, got lo=10, hi=9"),
     (lambda: A.tau(2.5), ValueError, "need integer r, got 2.5"),
     (lambda: A.tau(True), ValueError, "need integer r, got True"),
 ], ids=["tag", "order", "above-table", "below-table", "value-bool", "value-float",
-        "prefix-not-from-one", "table-from-zero", "table-lo-float", "lambda-local",
+        "prefix-not-from-one", "table-from-zero", "table-lo-float", "table-float-values",
+        "table-2d", "table-list", "lambda-table-int", "derived-table-bool", "lambda-local",
         "segment-range", "tau-float", "tau-bool"])
 def test_malformed_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=message):

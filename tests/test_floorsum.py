@@ -8,6 +8,8 @@ from math import isqrt
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floorsums import arith as A
 from floorsums import floorsum as FS
@@ -170,6 +172,70 @@ def test_block_rearrangement_exact_100_random_triples():
         x = rng.randint(2, 10**5)
         n = rng.randint(1, x)
         assert FS.floor_sum_fast(kind, x, split=n) == FS.floor_sum_naive(kind, x)
+
+
+INTEGER_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.tau(2), A.tau(3), A.OMEGA,
+                 A.TWO_POW_OMEGA, A.CHI_TWO]
+# derandomized and without an example database: the same examples every
+# run, about 1 s each (2 vCPU)
+SPLIT_EXAMPLES = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@st.composite
+def x_and_split(draw, root_at_most=False):
+    """x <= 10^6 and a split N in [1, x], or in [1, isqrt(x)]."""
+    x = draw(st.integers(1, 10**6))
+    return x, draw(st.integers(1, isqrt(x) if root_at_most else x))
+
+
+@SPLIT_EXAMPLES
+@given(st.sampled_from(INTEGER_KINDS), x_and_split())
+def test_fast_equals_naive_for_any_split(kind, x_n):
+    # the head, the shared blocks and the per-n range in every proportion
+    x, n = x_n
+    assert FS.floor_sum_fast(kind, x, split=n) == FS.floor_sum_naive(kind, x)
+
+
+@SPLIT_EXAMPLES
+@given(x_and_split(root_at_most=True))
+def test_lambda_repr_does_not_depend_on_a_split_up_to_the_root(x_n):
+    x, n = x_n
+    want = FS.floor_sum_fast(A.LAMBDA, x, split=isqrt(x))
+    assert repr(FS.floor_sum_fast(A.LAMBDA, x, split=n)) == repr(want)
+
+
+DEGENERATE_X = [1, 2, 3] + [v for s in (5, 31, 300)
+                            for v in (s * s, s * s + s - 1, s * s + s, s * s + 2 * s)]
+
+
+@pytest.mark.parametrize("x", DEGENERATE_X)
+def test_splits_from_the_root_on_leave_the_per_n_range_empty(x):
+    root = isqrt(x)
+    splits = sorted({root, root + 1, x // 2, x} & set(range(1, x + 1)))
+    values = A.build_sieve(A.ONE, 1, x).values
+    table = lambda lo, hi: [(lo, values[lo - 1: hi])]
+    for n in splits:
+        d0 = x // (n + 1)
+        # every piece is a shared block, and the None that ends them comes last
+        pieces = list(FS._pieces(table, x, n, min(x // (root + 1), d0), d0))
+        assert pieces.index(None) == len(pieces) - 1, n
+    for kind in INTEGER_KINDS:
+        want = FS.floor_sum_naive(kind, x)
+        for n in splits:
+            assert FS.floor_sum_fast(kind, x, split=n) == want, (kind, n)
+
+
+@pytest.mark.parametrize("x", [20000, 50021])
+def test_blocks_and_per_n_chunks_straddle_segments(monkeypatch, x):
+    # segments of 1000 entries and chunks of 37: the shared range ends inside
+    # a segment, and the per-n range of one segment spans several chunks
+    monkeypatch.setattr(A, "SEGMENT_SIZE", 1000)
+    monkeypatch.setattr(FS, "BLOCK_CHUNK", 37)
+    for kind in INTEGER_KINDS:
+        for n in (1, 7, isqrt(x // 25)):
+            assert FS.floor_sum_fast(kind, x, split=n) == FS.floor_sum_naive(kind, x), (kind, n)
+    want = FS.floor_sum_fast(A.LAMBDA, x, split=isqrt(x))
+    assert repr(FS.floor_sum_fast(A.LAMBDA, x, split=1)) == repr(want)
 
 
 @pytest.mark.parametrize("split", [2.5, 2.0, np.float64(3), True, Fraction(3)],

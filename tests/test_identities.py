@@ -65,6 +65,29 @@ def test_phase_rejects_non_finite_sizes(v):
             make()
 
 
+def test_phase_sizes_may_be_numpy_numbers():
+    # converted to Python numbers, so as_integer_ratio and int arithmetic apply
+    got = I.PhaseFunction.reciprocal(np.int64(2**62)).unit_array(np.array([3]))
+    assert got.tobytes() == I.PhaseFunction.reciprocal(2**62).unit_array(np.array([3])).tobytes()
+    ph = I.PhaseFunction.reciprocal(np.uint64(2**63 + 1))
+    assert type(ph.z) is int and ph.frac(3) == ((2**63 + 1) % 3) / 3
+    assert type(I.PhaseFunction.power_reciprocal(np.float64(2.5), 2).z) is float
+    # an int64 product h x would wrap at 2^63
+    assert I.PhaseFunction.shifted_reciprocal(np.int64(2**40), np.int64(2**40), 1).z == 2**80
+
+
+@pytest.mark.parametrize("make", [
+    lambda: I.PhaseFunction.reciprocal(True),
+    lambda: I.PhaseFunction.power_reciprocal(np.True_, 2),
+    lambda: I.PhaseFunction.shifted_reciprocal(True, 10, 0),
+    lambda: I.PhaseFunction.shifted_reciprocal(3, False, 1),
+], ids=["reciprocal", "power", "shifted-h", "shifted-x"])
+def test_phase_sizes_refuse_bools(make):
+    # True would pass for z = 1
+    with pytest.raises(ValueError, match="need an int or float"):
+        make()
+
+
 def test_shifted_phase_rejects_overflowing_product():
     with pytest.raises(ValueError, match="< inf"):
         I.PhaseFunction.shifted_reciprocal(1e200, 1e200, 0)
