@@ -70,7 +70,7 @@ class FunctionKind:
     r: int = 0
 
     def __post_init__(self):
-        require_integers(r=self.r)
+        object.__setattr__(self, "r", require_integers(r=self.r))
         if self.tag not in _TAGS:
             raise ValueError(f"unknown function tag {self.tag!r}")
         if self.tag == "tau":
@@ -171,7 +171,7 @@ class SieveTable:
     values: np.ndarray
 
     def __post_init__(self):
-        require_integers(lo=self.lo)
+        object.__setattr__(self, "lo", require_integers(lo=self.lo))
         if self.lo < 1:
             raise ValueError(f"need lo >= 1, got lo={self.lo}")
         v = self.values
@@ -191,7 +191,7 @@ class SieveTable:
 
     def value(self, n: int):
         """f(n) as a Python int or float, following the array's dtype."""
-        require_integers(n=n)
+        n = require_integers(n=n)
         if not self.lo <= n <= self.hi:
             raise CoverageError(f"n={n} outside table range [{self.lo}, {self.hi}]")
         return self.values.item(n - self.lo)
@@ -458,8 +458,7 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
 
 def _check_range(lo, hi) -> tuple[int, int]:
     """(lo, hi) as Python ints, once both are integers with 1 <= lo <= hi."""
-    require_integers(lo=lo, hi=hi)
-    lo, hi = int(lo), int(hi)
+    lo, hi = require_integers(lo=lo, hi=hi)
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     return lo, hi
@@ -602,8 +601,7 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
     above, `isqrt` finds p^2 and `_is_prime` tells p from pq.
     """
     _check_tau_order(kind)
-    n = np.asarray(n)
-    require_integers(n=n)
+    n = require_integers(n=np.asarray(n))
     if n.size and n.min() < 1:
         raise ValueError("n must be >= 1")
     top = int(n.max()) if n.size else 1
@@ -691,8 +689,7 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
 def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     """Pointwise Dirichlet product (f * g)(n) = sum_{d | n} f(d) g(n/d) on [1, limit],
     as a read-only derived table; both tables must cover [1, limit]."""
-    require_integers(limit=limit)
-    limit = int(limit)
+    limit = require_integers(limit=limit)
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
     fv, gv = f.prefix(limit), g.prefix(limit)

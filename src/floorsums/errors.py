@@ -1,4 +1,6 @@
-"""Shared exception types and the one integer check of arguments."""
+"""Shared exception types and the checks of arguments.  Each returns what it
+checks in the order named (one value alone, several as a tuple), a numpy
+scalar as the Python number it equals, so no bound or exact formula wraps."""
 
 import numbers
 
@@ -17,19 +19,36 @@ class WindowError(ValueError):
     """A parameter lies outside the admissible window of an operation."""
 
 
-def require_integers(**named) -> None:
-    """Refuse bools, floats and other non-integers, which a cast or a slice
-    would truncate or read as 0 and 1, with ValueError.  A scalar passes as
-    a Python or numpy integer, an array by an integer dtype or as an object
-    array of such integers.  A type test per scalar: 0.3-0.6 us a call on two
-    or three Python ints (2 vCPUs), so the hyperbola trials can afford it."""
+def require_integers(**named):
+    """The named values, each checked to be an integer: a scalar comes back
+    as a Python int, an array unchanged.  Bools, floats and other
+    non-integers, which a cast or a slice would truncate or read as 0 and 1,
+    are refused with ValueError; an array passes by an integer dtype or as
+    an object array of integers.  0.3-0.6 us a call on two or three Python
+    ints (2 vCPUs), so the hyperbola trials can afford it."""
+    out = []
     for name, v in named.items():
         if type(v) is int or _is_integer(v):
-            continue
-        if not isinstance(v, np.ndarray):
+            v = int(v)
+        elif not isinstance(v, np.ndarray):
             raise ValueError(f"need integer {name}, got {v!r}")
-        if v.dtype.kind not in "iu" and not (v.dtype.kind == "O" and all(map(_is_integer, v.flat))):
+        elif not (v.dtype.kind in "iu" or v.dtype.kind == "O" and all(map(_is_integer, v.flat))):
             raise ValueError(f"need integer {name}, got dtype {v.dtype}")
+        out.append(v)
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def require_reals(**named):
+    """The named real values: a numpy integer comes back as an int, a numpy
+    float as a float, any other value unchanged, and a bool, which would
+    pass for 0 or 1, is refused with ValueError."""
+    out = []
+    for name, v in named.items():
+        if isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"need an int or float {name}, got {v!r}")
+        out.append(int(v) if isinstance(v, np.integer) else
+                   float(v) if isinstance(v, np.floating) else v)
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 def _is_integer(v) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .arith import (LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, SIEVE_BUDGET, TWO_POW_OMEGA,
                     FunctionKind, build_sieve, tau)
-from .errors import BudgetError, WindowError, require_integers
+from .errors import BudgetError, WindowError, require_integers, require_reals
 from .identities import PhaseFunction, _check_dyadic
 from .pairs import ExponentPair
 
@@ -42,7 +42,7 @@ _MAX_POWER_BITS = 2**22
 
 def exp_sum(kind: FunctionKind, R: int, R1: int, phase: PhaseFunction) -> complex:
     """sum_{R < n <= R1} f(n) e(F(n)) with compensated summation."""
-    _check_dyadic(R, R1)
+    R, R1, _ = _check_dyadic(R, R1)
     tab = build_sieve(kind, R + 1, R1)
     n = np.arange(R + 1, R1 + 1, dtype=np.int64)
     vals = tab.values
@@ -55,8 +55,8 @@ def exp_sum(kind: FunctionKind, R: int, R1: int, phase: PhaseFunction) -> comple
 def type_II_sum(M: int, N: int, phase: PhaseFunction) -> complex:
     """Bilinear sum_{N<n<=2N} sum_{M<m<=2M} e(F(mn)): the units of the N x M
     grid of products mn in one `unit_array` call, its row sums added by fsum."""
-    require_integers(M=M, N=N)
-    if max(M, 0) * max(N, 0) > SIEVE_BUDGET:
+    M, N = require_integers(M=M, N=N)
+    if max(M, 1) * max(N, 1) > SIEVE_BUDGET:     # the aranges of M and N entries too
         raise BudgetError(f"grid of {M} x {N} entries exceeds budget {SIEVE_BUDGET}")
     m = np.arange(M + 1, 2 * M + 1, dtype=np.int64)
     n = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
@@ -105,7 +105,8 @@ def check_bound(case: str, z, R: int, pair: ExponentPair | None = None,
     R1 is fixed at 2R.  Raises WindowError outside the case's admissible
     (z, R) window; never clips silently.  No pass/fail judgment is made here.
     """
-    require_integers(R=R, r=r)
+    R, r = require_integers(R=R, r=r)
+    z = require_reals(z=z)
     if not z < math.inf:                    # inf and nan
         raise ValueError(f"need a finite z, got z={z}")
     if z <= 0 or R < 2:

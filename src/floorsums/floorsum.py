@@ -87,8 +87,7 @@ class FitReport:
 
 def _check_x(x, method: str) -> int:
     """x as a Python int, once it is an integer within the method's budget."""
-    require_integers(x=x)
-    x = int(x)
+    x = require_integers(x=x)
     budget = FAST_BUDGET if method == "fast" else NAIVE_BUDGET
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
@@ -188,9 +187,7 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     """
     x = _check_x(x, "fast")
     values = None if table is None else _table_prefix(kind, table, x)
-    if split is not None:
-        require_integers(split=split)
-    N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else int(split)   # numpy ints may wrap
+    N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else require_integers(split=split)
     if not 1 <= N <= x:
         raise ValueError(f"split must lie in [1, x], got {N}")
     d0 = x // (N + 1)
@@ -270,8 +267,7 @@ def _tail_bound(kind: FunctionKind, cutoff: int | None) -> float:
 
 def main_term_constant(kind: FunctionKind, cutoff: int) -> tuple[float, float]:
     """(sum_{n<=cutoff} f(n)/(n(n+1)), tail bound on the remainder)."""
-    require_integers(cutoff=cutoff)
-    cutoff = int(cutoff)
+    cutoff = require_integers(cutoff=cutoff)
     if cutoff < 10**3:
         raise ValueError("cutoff must be >= 1000")
     if cutoff > CUTOFF_BUDGET:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE, TWO_POW_OMEGA,
                     SieveTable, _check_product, _convolve, build_sieve, tau)
-from .errors import WindowError, require_integers
+from .errors import WindowError, require_integers, require_reals
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,23 +75,23 @@ class PhaseFunction:
 
     @classmethod
     def reciprocal(cls, z) -> "PhaseFunction":
-        z = _real(z=z)
+        z = require_reals(z=z)
         if not 0 <= z < math.inf:           # also false for nan
             raise ValueError(f"need 0 <= z < inf, got z={z}")
         return cls(form="reciprocal", z=z)
 
     @classmethod
     def power_reciprocal(cls, z, r: int) -> "PhaseFunction":
-        require_integers(r=r)
-        z = _real(z=z)
+        r = require_integers(r=r)
+        z = require_reals(z=z)
         if not 0 <= z < math.inf or r < 1:
             raise ValueError(f"need 0 <= z < inf and r >= 1, got z={z}, r={r}")
         return cls(form="power_reciprocal", z=z, r=r)
 
     @classmethod
     def shifted_reciprocal(cls, h, x, a: int) -> "PhaseFunction":
-        require_integers(a=a)
-        h, x = _real(h=h), _real(x=x)
+        a = require_integers(a=a)
+        h, x = require_reals(h=h, x=x)
         if not (0 <= h < math.inf and 0 <= x < math.inf and h * x < math.inf) \
                 or a not in (0, 1):
             raise ValueError(f"need 0 <= h, x, hx < inf and a in {{0, 1}}, "
@@ -140,27 +140,16 @@ class PhaseFunction:
         return np.exp(1j * TWO_PI * ph)
 
 
-def _real(**named):
-    """The one named value as a Python int or float: a numpy integer or
-    float is converted, and a bool, which would pass for 0 or 1, is refused."""
-    (name, v), = named.items()
-    if isinstance(v, (bool, np.bool_)):
-        raise ValueError(f"need an int or float {name}, got {v!r}")
-    if isinstance(v, np.integer):
-        return int(v)
-    return float(v) if isinstance(v, np.floating) else v
-
-
 def _check_t(t):
     """The one test of t: an integer t >= 1 comes back as an int, an integer
     array of them as int64, refused if an entry reaches 2^63, where it wraps."""
-    require_integers(t=t)
+    t = require_integers(t=t)
     arr = isinstance(t, np.ndarray)
     if (low := t.min(initial=1) if arr else t) < 1:
         raise ValueError(f"need t >= 1, got {low}")
     if arr and t.dtype.kind in "uO" and (high := t.max(initial=1)) >= 2**63:
         raise ValueError(f"need t < 2^63, got {high}")
-    return t.astype(np.int64, copy=False) if arr else int(t)
+    return t.astype(np.int64, copy=False) if arr else t
 
 
 @dataclass(frozen=True)
@@ -200,13 +189,14 @@ def _window_sides(sides, R: int, R1: int,
 # ---------------------------------------------------------------------------
 # identity verifiers
 
-def _check_dyadic(R: int, R1: int, U: int = 1) -> None:
-    """Integers 1 < R < R1 <= 2R and 1 <= U <= sqrt(R); U = 1 suits every window."""
-    require_integers(R=R, R1=R1, U=U)
+def _check_dyadic(R: int, R1: int, U: int = 1) -> tuple[int, int, int]:
+    """(R, R1, U) as ints with 1 < R < R1 <= 2R and 1 <= U <= sqrt(R); U = 1 suits every window."""
+    R, R1, U = require_integers(R=R, R1=R1, U=U)
     if not (1 < R < R1 <= 2 * R):
         raise WindowError(f"need 1 < R < R1 <= 2R, got R={R}, R1={R1}")
     if not (1 <= U and U * U <= R):
         raise WindowError(f"need 1 <= U <= sqrt(R), got U={U}, R={R}")
+    return R, R1, U
 
 
 def _vaughan_lambda_terms(lam: np.ndarray, mu: np.ndarray, U: int):
@@ -237,7 +227,7 @@ def vaughan_lambda_sides(R: int, R1: int, U: int,
     """Both sides of the Vaughan decomposition of sum Lambda(n) e(F(n)):
     Lambda = (mu 1_U * log) - (a * 1) - (Lambda 1_{>U} * b 1_{>U}) on (R, R1],
     with a = mu 1_U * Lambda 1_U and b = mu 1_U * 1."""
-    _check_dyadic(R, R1, U)
+    R, R1, U = _check_dyadic(R, R1, U)
     lam, mu = build_sieve(LAMBDA, 1, R1).values, build_sieve(MOBIUS, 1, U).values
     return _window_sides(_vaughan_lambda_terms(lam, mu, U), R, R1, phase)
 
@@ -247,7 +237,7 @@ def vaughan_mobius_sides(R: int, R1: int, U: int,
     """Both sides of the Vaughan decomposition of sum mu(n) e(F(n)):
     mu = -(a * 1) + (b+ * mu 1_{>U}) on (R, R1], with a = mu 1_U * mu 1_U and
     b+ = mu 1_{>U} * 1 = [n = 1] - mu 1_U * 1, which vanishes on n <= U."""
-    _check_dyadic(R, R1, U)
+    R, R1, U = _check_dyadic(R, R1, U)
     mu = build_sieve(MOBIUS, 1, R1).values
     return _window_sides(_vaughan_mobius_terms(mu, U), R, R1, phase)
 
@@ -310,7 +300,7 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
     f * g = (f 1_U * g) + (g 1_{x/U} * f) - (f 1_U * g 1_{x/U}) on [1, x].
     With `phase` None the weight is 1, and on integer tables both sides are
     exact int64 sums, refused with BudgetError if int64 could wrap."""
-    require_integers(x=x, U=U)
+    x, U = require_integers(x=x, U=U)
     if not 1 <= U <= x:
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
     fv, gv = f.prefix(x), g.prefix(x)
@@ -326,11 +316,11 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     g-smooth range n <= R/U, minus the overlap correction; as coefficients,
     f * g = (f 1_{UR1/R} * g) + (g 1_{R/U} * f) - (f 1_{(U, UR1/R]} * g 1_{R/U}).
     """
-    require_integers(R=R, R1=R1, U=U)
+    R, R1, U = require_integers(R=R, R1=R1, U=U)
     if not (R < R1 and 1 <= U <= R):
         raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
     fv, gv = f.prefix(R1), g.prefix(R1)
-    _check_product(fv, gv)
+    _check_product(fv, gv, 3 * (R1 - R) if phase is None else 1)   # 3 terms on R1 - R entries
     return _window_sides(_hyperbola_terms(fv, gv, U * R1 // R, R // U, U, R), R, R1, phase)
 
 
@@ -391,7 +381,7 @@ def random_phase(rng) -> PhaseFunction:
 
 def _trial_rng(seed: int, trial: int):
     import random
-    return random.Random((int(seed) << 20) ^ trial)     # random refuses numpy ints
+    return random.Random((seed << 20) ^ trial)
 
 
 def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
@@ -404,7 +394,7 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
     """
     if subject not in VERIFY_SUBJECTS:
         raise ValueError(f"unknown subject {subject!r}; pick from {VERIFY_SUBJECTS}")
-    require_integers(trials=trials, seed=seed)
+    trials, seed = require_integers(trials=trials, seed=seed)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if trials > _MAX_TRIALS:

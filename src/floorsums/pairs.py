@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .arith import FunctionKind, kind_from_name
-from .errors import require_integers
+from .errors import require_integers, require_reals
 
 HALF = Fraction(1, 2)
 
@@ -30,8 +30,10 @@ def parse_rational(s: str) -> Fraction:
     """Parse 'p/q' or 'p' into an exact Fraction."""
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = map(int, s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"need a nonzero denominator, got {s!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 
@@ -57,7 +59,7 @@ class ExponentPair:
     seed: str = "custom"
 
     def __post_init__(self):
-        k, l = Fraction(self.k), Fraction(self.l)
+        k, l = map(Fraction, require_reals(k=self.k, l=self.l))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
         if not (0 <= k <= HALF <= l <= 1):
@@ -119,7 +121,7 @@ def apply_B(p: ExponentPair) -> ExponentPair:
 
 def heath_brown_pair(m: int) -> ExponentPair:
     """The pair (2/((m-1)^2 (m+2)), 1 - (3m-2)/(m(m-1)(m+2))) + eps, m >= 3."""
-    require_integers(m=m)
+    m = require_integers(m=m)
     if m < 3:
         raise ValueError("heath_brown_pair requires m >= 3")
     k = Fraction(2, (m - 1) ** 2 * (m + 2))
@@ -131,7 +133,7 @@ def _orbit(seeds: Iterable[ExponentPair], depth: int) -> dict[tuple[int, int, in
     """Every pair reachable from the seeds by A/B words of length <= depth:
     reduced triple -> (word, seed) of its first derivation (shortest word,
     seeds in given order, A before B)."""
-    require_integers(depth=depth)
+    depth = require_integers(depth=depth)
     if not 0 <= depth <= 20:
         raise ValueError(f"depth must lie in [0, 20], got {depth}")
     seen: dict[tuple[int, int, int], tuple[str, ExponentPair]] = {}
@@ -225,9 +227,9 @@ class BoundProfile:
     gamma: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        reals = require_reals(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
+        for name, v in zip(("alpha", "beta", "gamma"), reals):
+            object.__setattr__(self, name, Fraction(v))
 
     def constraint_report(self, family: str) -> dict[str, bool]:
         a, b, g = self.alpha, self.beta, self.gamma

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import require_integers
+from .errors import require_integers, require_reals
 
 _MAX_H = 10**6
 _MAX_GRID = 10**6           # grid points; verify_pointwise_bound peaks near 65 bytes each
@@ -31,7 +31,7 @@ def vaaler_polynomial(H: int) -> np.ndarray:
     J_h = J(h/(H+1)), h = 1..H, in a read-only array: psi_H(x) =
     sum_{1<=|h|<=H} c_h e(hx) with c_h = i J_h/(2 pi h) and
     c_{-h} = conj(c_h), so |c_h| <= 1/(2|h|)."""
-    require_integers(H=H)
+    H = require_integers(H=H)
     if not 1 <= H <= _MAX_H:
         raise ValueError(f"H must be in [1, {_MAX_H}]")
     t = np.arange(1, H + 1, dtype=np.float64) / (H + 1)
@@ -43,10 +43,10 @@ def vaaler_polynomial(H: int) -> np.ndarray:
 def fejer_envelope(H: int, x) -> np.ndarray | float:
     """Pointwise Vaaler error envelope F_H(x)/(2H+2), with the Fejer kernel
     F_H(x) = sin^2((H+1) pi x) / ((H+1) sin^2(pi x)) >= 0, F_H(0) = H+1."""
-    require_integers(H=H)
+    H = require_integers(H=H)
     if H < 1:
         raise ValueError("H must be >= 1")
-    xs = np.asarray(x, dtype=np.float64)
+    xs = np.asarray(require_reals(x=x), dtype=np.float64)
     s = np.sin(np.pi * xs)
     num = np.sin((H + 1) * np.pi * xs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -76,7 +76,7 @@ def verify_pointwise_bound(H: int, grid_size: int) -> float:
     construction keeps the returned value at rounding level, <= 1e-9.
     grid_size <= _MAX_GRID and H * grid_size <= _MAX_WORK cap memory and time.
     """
-    require_integers(H=H, grid_size=grid_size)
+    H, grid_size = require_integers(H=H, grid_size=grid_size)
     if not 10**3 <= grid_size <= _MAX_GRID:
         raise ValueError(f"grid_size must be in [1000, {_MAX_GRID}]")
     if H * grid_size > _MAX_WORK:

@@ -267,6 +267,7 @@ MALFORMED = [
      "ValueError"),
     ("pairs search --target lambda --depth 2 --seeds foo", "unknown seed 'foo'", "ValueError"),
     ("pairs exponent --target lambda --pair 1/6", "pair must look like", "ValueError"),
+    ("pairs exponent --target lambda --pair 1/0,1", "nonzero denominator, got '1/0'", "ValueError"),
     ("pairs exponent --target mu --pair 1/6,2/3", "no theorem exponent for kind mobius",
      "ValueError"),
     ("pairs exponent --target tau:1 --pair 1/6,2/3", "tau target needs r >= 2", "ValueError"),

@@ -176,9 +176,8 @@ def test_block_rearrangement_exact_100_random_triples():
 
 INTEGER_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.tau(2), A.tau(3), A.OMEGA,
                  A.TWO_POW_OMEGA, A.CHI_TWO]
-# derandomized and without an example database: the same examples every
-# run, about 1 s each (2 vCPU)
-SPLIT_EXAMPLES = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+# the profile of conftest.py draws the same examples every run: about 1 s each (2 vCPU)
+SPLIT_EXAMPLES = settings(max_examples=100)
 
 
 @st.composite

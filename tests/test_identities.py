@@ -631,12 +631,15 @@ def _const(value, n):
     lambda t: I.hyperbola_exp_sides(t(40), t(40), I.PhaseFunction.reciprocal(0), 20, 40, 4),
     lambda t: I.hyperbola_exp_sides(t(3000), t(3000), I.PhaseFunction.reciprocal(0),
                                     1500, 3000, 4),
-], ids=["unweighted", "weighted", "unweighted-above-cap", "exp", "exp-above-cap"])
+    # each product value fits, but a side sums 3 terms on R1 - R entries
+    lambda t: I.hyperbola_exp_sides(t(60, 5 * 10**8), t(60, 5 * 10**8), None, 30, 60, 5),
+], ids=["unweighted", "weighted", "unweighted-above-cap", "exp", "exp-above-cap",
+        "exp-unweighted-sum"])
 def test_hyperbola_refuses_an_int64_wrap_before_any_work(monkeypatch, call):
     # tables of 2^40 wrapped to sides (0, 0, 0) and (0j, 0j, 0.0)
     monkeypatch.setattr(I, "_hyperbola_terms", lambda *a: pytest.fail("work was done"))
     with pytest.raises(BudgetError, match="may exceed int64"):
-        call(lambda n: _const(2**40, n))
+        call(lambda n, value=2**40: _const(value, n))
 
 
 def test_unweighted_hyperbola_side_bounds_its_sum():
@@ -649,6 +652,13 @@ def test_unweighted_hyperbola_side_bounds_its_sum():
     assert res <= 1e-9 * (1 + abs(lhs))
     g = _const(2**20, 40)
     assert I.hyperbola_sides(g, g, None, 40, 5) == (2**40 * 158, 2**40 * 158, 0)   # sum of tau(n)
+    # the dyadic form sums 3 terms on R1 - R entries: its exact side 3.75e19
+    # wrapped to 606511852580896768
+    h = _const(5 * 10**8, 60)
+    with pytest.raises(BudgetError):
+        I.hyperbola_exp_sides(h, h, None, 30, 60, 5)
+    lhs, rhs, res = I.hyperbola_exp_sides(h, h, I.PhaseFunction.reciprocal(7), 30, 60, 5)
+    assert res <= 1e-9 * (1 + abs(lhs))
 
 
 def test_hyperbola_exp_unitary_route():
