@@ -47,6 +47,9 @@ from .errors import BudgetError, CoverageError, require_integers
 
 SEGMENT_SIZE = 1 << 20
 SIEVE_BUDGET = 1 << 27      # entries per table
+# largest isqrt(hi) of a sieved range, so hi < 2^48: the primes up to it take
+# 0.12 s and about 35 MiB to find (0.06 s at 10^7, for windows near 10^14; 2 vCPUs)
+PRIME_BUDGET = 1 << 24
 FACTOR_BUDGET = 10**12      # largest n eval_points accepts; a cost cap: _is_prime is exact to 2^64
 # fixed: the sieve refuses a kind it could wrap (`_working_dtype`), but
 # eval_points multiplies local factors in unchecked int64 (tau_64 would wrap at
@@ -457,10 +460,14 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
 
 
 def _check_range(lo, hi) -> tuple[int, int]:
-    """(lo, hi) as Python ints, once both are integers with 1 <= lo <= hi."""
+    """(lo, hi) as Python ints, once both are integers with 1 <= lo <= hi
+    and the sieving primes, those up to isqrt(hi), within PRIME_BUDGET."""
     lo, hi = require_integers(lo=lo, hi=hi)
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    if isqrt(hi) > PRIME_BUDGET:
+        raise BudgetError(f"sieving up to hi={hi} needs the primes up to {isqrt(hi)}, "
+                          f"beyond budget {PRIME_BUDGET}")
     return lo, hi
 
 

@@ -21,9 +21,13 @@ sieve, with an a-priori error bound of at most 1e-12; `summarize` and
 `error_scan` use it by default.  `main_term_constant` sums it in segments to
 a cutoff, with an explicit per-function tail bound; every explicit cutoff
 uses that.  Integer-valued functions are summed in exact integers; Lambda
-sums go through math.fsum.  Everything is pure: grid scans parallelize
-trivially over x, and a shared immutable sieve may be read from any number
-of workers.
+sums go through math.fsum.
+
+`error_scan` evaluates its whole grid in one pass, each sum equal to
+`floor_sum_fast`'s in value and type: the heads of consecutive points are
+factored together, and every point's blocks and per-n range read one
+shared sieve prefix.  Everything is pure, and a shared immutable sieve may
+be read from any number of workers.
 """
 
 from __future__ import annotations
@@ -54,6 +58,12 @@ FAST_BUDGET = FACTOR_BUDGET     # the head evaluates f at x itself
 # within noise from 20 to 70 at every x in 1e8..1e12.
 SPLIT_RATIO = 25
 BLOCK_CHUNK = 1 << 16           # block entries whose multiplicities exist at once
+# error_scan's two caps keep its peak RSS that of one point's sum.  A 20-point
+# tau3 grid to 1e12 took 13 MiB more with the whole 2^20-entry prefix shared,
+# and 3 MiB more with every head held before summing; on 20-point grids to
+# 1e7, heads of 4096 rows per call took 0.25 MiB more, of 1024 rows nothing.
+HEAD_ROWS = 1 << 10             # scan head rows factored in one eval_points call
+SHARED_PREFIX = 1 << 16         # sieve entries that every point of a scan reads
 RESIDUAL_FLOOR = 1e-9
 CUTOFF_BUDGET = 10**9           # largest sieved cutoff: 10^9 terms at 11-41 ns each (2 vCPU)
 
@@ -163,6 +173,36 @@ def _floats(pieces):
         yield from t[t != 0].tolist()
 
 
+def _split(x: int, split=None) -> tuple[int, int]:
+    """(N, d0): the split point N, by default max(1, isqrt(x // SPLIT_RATIO)),
+    and the top d0 = x // (N+1) of the sieved range, within the budget."""
+    N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else require_integers(split=split)
+    if not 1 <= N <= x:
+        raise ValueError(f"split must lie in [1, x], got {N}")
+    d0 = x // (N + 1)
+    if d0 > SIEVE_BUDGET:
+        raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
+    return N, d0
+
+
+def _split_sum(kind: FunctionKind, x: int, N: int, d0: int, head: np.ndarray, segments):
+    """S_f(x) from the head values f(floor(x/n)), n <= N, and `segments`,
+    which yields f on [1, d0] (see `_pieces`), summed as `floor_sum_fast`
+    says."""
+    pieces = _pieces(segments, x, N, min(x // (isqrt(x) + 1), d0), d0)
+    if kind.tag == "lambda":
+        inner = math.fsum(_floats(iter(pieces.__next__, None)))    # the shared blocks
+        return math.fsum(chain([inner], head.tolist(), _floats(pieces)))
+    total = sum(head.tolist())              # exact, in Python ints
+    for v, m, count in filter(None, pieces):    # the None between the parts left out
+        # the piece's sum of |f| over the n it stands for is at most max|f| count
+        bound = _abs_max(v) * count
+        if bound >= 2**63:
+            raise BudgetError(f"block sum of {count} terms may exceed int64 (bound {bound})")
+        total += int(np.sum(v) if m is None else np.dot(v, m))
+    return total
+
+
 def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
                    table: SieveTable | None = None):
     """Split evaluation, exactly equal to floor_sum_naive for integer kinds.
@@ -187,33 +227,49 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     """
     x = _check_x(x, "fast")
     values = None if table is None else _table_prefix(kind, table, x)
-    N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else require_integers(split=split)
-    if not 1 <= N <= x:
-        raise ValueError(f"split must lie in [1, x], got {N}")
-    d0 = x // (N + 1)
-    if d0 > SIEVE_BUDGET:
-        raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
-
+    N, d0 = _split(x, split)
     q = x // np.arange(1, N + 1, dtype=np.int64)
     if values is None:
-        head = eval_points(kind, q)
-        segments = partial(iter_segment_values, kind)
+        head, segments = eval_points(kind, q), partial(iter_segment_values, kind)
     else:
-        head = values[q - 1]
-        segments = lambda lo, hi: [(lo, values[lo - 1: hi])]
-    pieces = _pieces(segments, x, N, min(x // (isqrt(x) + 1), d0), d0)
+        head, segments = values[q - 1], lambda lo, hi: [(lo, values[lo - 1: hi])]
+    return _split_sum(kind, x, N, d0, head, segments)
 
-    if kind.tag == "lambda":
-        inner = math.fsum(_floats(iter(pieces.__next__, None)))    # the shared blocks
-        return math.fsum(chain([inner], head.tolist(), _floats(pieces)))
-    total = sum(head.tolist())              # exact, in Python ints
-    for v, m, count in filter(None, pieces):    # the None between the parts left out
-        # the piece's sum of |f| over the n it stands for is at most max|f| count
-        bound = _abs_max(v) * count
-        if bound >= 2**63:
-            raise BudgetError(f"block sum of {count} terms may exceed int64 (bound {bound})")
-        total += int(np.sum(v) if m is None else np.dot(v, m))
-    return total
+
+def _grid_sums(kind: FunctionKind, grid: list[int]) -> list:
+    """floor_sum_fast(kind, x) at every x of `grid`, an increasing list of
+    at least two x, equal in value and type, in one pass.  The heads of
+    consecutive points are factored together, at most HEAD_ROWS rows per
+    `eval_points` call (a bigger head alone), and each group is summed
+    before the next is factored.  The blocks and per-n ranges of every point
+    read one sieve of [1, min(D, SHARED_PREFIX)], D the largest d0, and
+    stream the rest of their range.  fsum is exact, so Lambda's sums do not
+    depend on where the segments break."""
+    splits = [(x, *_split(x)) for x in grid]
+    top = min(max(d0 for _, _, d0 in splits), SHARED_PREFIX)     # >= 1, as some x >= 2
+    prefix = build_sieve(kind, 1, top).values
+
+    def segments(lo, hi):           # _pieces reads [1, hi]
+        yield 1, prefix[:hi]
+        if hi > top:
+            yield from iter_segment_values(kind, top + 1, hi)
+
+    groups, rows = [[]], 0
+    for point in splits:
+        if groups[-1] and rows + point[1] > HEAD_ROWS:
+            groups.append([])
+            rows = 0
+        groups[-1].append(point)
+        rows += point[1]
+    sums = []
+    for group in groups:
+        head = eval_points(kind, np.concatenate(
+            [x // np.arange(1, N + 1, dtype=np.int64) for x, N, _ in group]))
+        start = 0
+        for x, N, d0 in group:
+            sums.append(_split_sum(kind, x, N, d0, head[start: start + N], segments))
+            start += N
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +556,7 @@ def error_scan(kind: FunctionKind, x_grid, cutoff: int | None = None) -> FitRepo
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     constant, tail = _main_term(kind, cutoff)
-    sums = [floor_sum_fast(kind, x) for x in grid]
+    sums = _grid_sums(kind, grid)
     residuals = [abs(float(s) - x * constant) for x, s in zip(grid, sums)]
     logs = np.log([max(r, RESIDUAL_FLOOR) for r in residuals])
     slope, intercept = np.polyfit(np.log(grid), logs, 1)

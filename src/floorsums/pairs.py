@@ -293,11 +293,12 @@ class TermExponent:
 
     @classmethod
     def of(cls, scale=1, **exps) -> "TermExponent":
-        items = tuple(sorted((v, Fraction(e)) for v, e in exps.items() if Fraction(e) != 0))
+        exps = {v: Fraction(require_reals(**{v: e})) for v, e in exps.items()}
+        items = tuple(sorted((v, e) for v, e in exps.items() if e != 0))
         for v, _ in items:
             if v not in VARIABLES:
                 raise ValueError(f"unknown variable {v!r}")
-        return cls(exponents=items, scale=Fraction(scale))
+        return cls(exponents=items, scale=Fraction(require_reals(scale=scale)))
 
     def exponent_of(self, var: str) -> Fraction:
         for v, e in self.exponents:
@@ -366,7 +367,7 @@ class BalanceProblem:
     def of(cls, terms, free_variable, interval=None) -> "BalanceProblem":
         iv = None
         if interval is not None:
-            iv = (Fraction(interval[0]), Fraction(interval[1]))
+            iv = tuple(map(Fraction, require_reals(lo=interval[0], hi=interval[1])))
         return cls(terms=tuple(terms), free_variable=free_variable, interval=iv)
 
 

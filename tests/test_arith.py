@@ -518,6 +518,28 @@ def test_sieve_budget_enforced():
         A.build_sieve(A.ONE, 1, 2**27 + 1)
 
 
+def test_sieving_primes_are_budgeted(monkeypatch):
+    # a 10-entry window at 1e16 sieved the primes up to 1e8 first: 8.4 s, 294 MiB
+    from floorsums.expsum import exp_sum
+    from floorsums.identities import PhaseFunction
+
+    class Sieved(Exception):
+        pass
+
+    def no_primes(n):
+        raise Sieved(n)
+
+    monkeypatch.setattr(A, "primes_upto", no_primes)
+    with pytest.raises(BudgetError, match="primes up to 100000000, beyond budget 16777216$"):
+        exp_sum(A.MOBIUS, 10**16, 10**16 + 10, PhaseFunction.reciprocal(7))
+    edge = (A.PRIME_BUDGET + 1) ** 2 - 1        # isqrt(edge) = PRIME_BUDGET
+    for sieve in (A.build_sieve, lambda *a: next(A.iter_segment_values(*a))):
+        with pytest.raises(BudgetError, match="beyond budget"):
+            sieve(A.MOBIUS, edge + 1, edge + 1)
+        with pytest.raises(Sieved):             # the edge is admitted
+            sieve(A.MOBIUS, edge, edge)
+
+
 def test_tau_order_capped():
     with pytest.raises(BudgetError):
         A.build_sieve(A.tau(9), 1, 100)

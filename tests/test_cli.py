@@ -164,13 +164,13 @@ def test_sieve_writes_lambda_csv_at_precision(capsys, tmp_path):
 def test_scan_report_and_csv(capsys, tmp_path, monkeypatch):
     from floorsums import floorsum
     calls = []
-    fast = floorsum.floor_sum_fast
+    split_sum = floorsum._split_sum
 
-    def counted(kind, x, *args, **kwargs):
+    def counted(kind, x, *args):
         calls.append(x)
-        return fast(kind, x, *args, **kwargs)
+        return split_sum(kind, x, *args)
 
-    monkeypatch.setattr(floorsum, "floor_sum_fast", counted)
+    monkeypatch.setattr(floorsum, "_split_sum", counted)
     dest = tmp_path / "scan.csv"
     d = run_json(capsys, "scan", "--function", "mu2", "--grid", "1000:20000:4",
                  "--cutoff", "100000", "--out", str(dest))

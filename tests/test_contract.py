@@ -13,7 +13,10 @@ module runs in a few seconds.
 """
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +154,12 @@ CASES = {
                             [real(st.sampled_from([0, 1, 0.5, Fraction(1, 6), -1])),
                              real(st.sampled_from([0, 1, 0.5, Fraction(2, 3)])),
                              real(st.sampled_from([0, 1, 0.875]))]),
+    "TermExponent.of": (lambda s, e: P.TermExponent.of(scale=s, N=e),
+                        [real(st.sampled_from([0, 1, 2, 0.5, Fraction(1, 3)])),
+                         real(st.sampled_from([0, 1, -1, 0.25, Fraction(2, 7)]))]),
+    "BalanceProblem.of": (lambda a, b: P.BalanceProblem.of([], "N", (a, b)),
+                          [real(st.sampled_from([0, 1, -2, 0.25, Fraction(1, 3)])),
+                           real(st.sampled_from([0, 1, 0.5, Fraction(1, 2)]))]),
     "heath_brown_pair": (P.heath_brown_pair, [integer(st.integers(-1, 40) | HUGE)]),
     "minimize_over_pairs": (lambda d: P.minimize_over_pairs("lambda", [CLASSIC], d),
                             [integer(st.integers(-1, 5) | HUGE)]),
@@ -250,3 +259,31 @@ def test_bool_pair_coordinates_are_refused():
     with pytest.raises(ValueError, match="need an int or float l, got np.True_"):
         P.ExponentPair(0, np.True_)
     assert P.ExponentPair(np.int64(0), np.float64(1.0)) == P.ExponentPair(0, 1)
+
+
+def test_bool_exponents_are_refused():
+    # N=True was built as N^1, and (False, True) as the interval (0, 1)
+    with pytest.raises(ValueError, match="need an int or float N, got True"):
+        P.TermExponent.of(N=True)
+    with pytest.raises(ValueError, match="need an int or float scale, got np.False_"):
+        P.TermExponent.of(scale=np.False_, x=1)
+    with pytest.raises(ValueError, match="need an int or float lo, got False"):
+        P.BalanceProblem.of([], "N", (False, True))
+    assert P.TermExponent.of(scale=np.int64(2), N=np.float64(0.5)) == P.TermExponent.of(2, N=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the suite's own settings
+
+def test_a_failing_hypothesis_test_is_an_ordinary_failure(tmp_path):
+    # where libcst is installed, the Hypothesis plugin's report of a failing
+    # example ended the session with INTERNALERROR under filterwarnings=error
+    (tmp_path / "conftest.py").write_text(Path(__file__).with_name("conftest.py").read_text())
+    (tmp_path / "pytest.ini").write_text("[pytest]\nfilterwarnings =\n    error\n")
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(n):\n    assert n < 5\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout
+    assert "INTERNALERROR" not in run.stdout and "1 failed" in run.stdout, run.stdout

@@ -443,6 +443,65 @@ def test_error_scan_checks_every_grid_point_before_the_constant(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# error_scan's one pass over its grid
+
+NINE_NAMES = ("one", "mu", "mu2", "lambda", "tau2", "tau3", "omega", "2omega", "chi2")
+SCAN_GRIDS = [
+    [1000, 1624, 2637, 4281, 6952, 11288, 18330, 29764, 48329, 78476, 127427, 206914,
+     335982, 545559, 885867, 1438450, 2335721, 3792690, 6158482, 10000000],  # 1000:10000000:20
+    list(range(1, 60)),
+    [1, 2, 3, 24, 25, 26, 100, 1000],
+    # d0 passes SHARED_PREFIX, and the streamed rest of it a segment boundary
+    [10**9, 3 * 10**10 + 1, 10**11 + 7],
+]
+
+
+def _typed(sums):
+    return [(type(s), repr(s)) for s in sums]
+
+
+@pytest.mark.parametrize("name", NINE_NAMES)
+def test_grid_sums_are_floor_sum_fast_bit_for_bit(name):
+    kind = A.kind_from_name(name)
+    for grid in SCAN_GRIDS:
+        want = [FS.floor_sum_fast(kind, x) for x in grid]
+        assert _typed(FS._grid_sums(kind, grid)) == _typed(want), grid
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(NINE_NAMES),
+       st.lists(st.integers(1, 10**7), min_size=2, max_size=5, unique=True).map(sorted),
+       st.sampled_from([1, 40, FS.HEAD_ROWS]), st.sampled_from([1, 100, FS.SHARED_PREFIX]))
+def test_grid_sums_equal_per_point_sums(name, grid, head_rows, prefix):
+    kind = A.kind_from_name(name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FS, "HEAD_ROWS", head_rows)
+        mp.setattr(FS, "SHARED_PREFIX", prefix)
+        got = FS._grid_sums(kind, grid)
+    assert _typed(got) == _typed([FS.floor_sum_fast(kind, x) for x in grid])
+
+
+def test_scan_groups_its_heads_and_sieves_one_prefix(monkeypatch):
+    rows, built, streamed = [], [], []
+    eval_points, build_sieve, segments = FS.eval_points, FS.build_sieve, FS.iter_segment_values
+    monkeypatch.setattr(FS, "eval_points", lambda k, n: rows.append(len(n)) or eval_points(k, n))
+    monkeypatch.setattr(FS, "build_sieve",
+                        lambda k, lo, hi: built.append((lo, hi)) or build_sieve(k, lo, hi))
+    monkeypatch.setattr(FS, "iter_segment_values",
+                        lambda k, lo, hi: streamed.append((lo, hi)) or segments(k, lo, hi))
+    monkeypatch.setattr(FS, "HEAD_ROWS", 20)
+    monkeypatch.setattr(FS, "SHARED_PREFIX", 100)
+    # heads of 6, 8, 14 and 63 rows, d0 = 142, 222, 333 and 1562
+    FS.error_scan(A.MOBIUS, [1000, 2000, 5000, 10**5])
+    assert rows == [14, 14, 63]         # the last head is above HEAD_ROWS: alone
+    assert built == [(1, 100)]
+    assert streamed == [(101, 142), (101, 222), (101, 333), (101, 1562)]
+    rows[:], built[:], streamed[:] = [], [], []
+    FS.error_scan(A.MOBIUS, [300, 500])     # d0 = 75 and 100: the prefix covers both
+    assert (rows, built, streamed) == ([7], [(1, 100)], [])
+
+
+# ---------------------------------------------------------------------------
 # the Dirichlet-series constant
 
 SERIES_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.LAMBDA, *map(A.tau, range(1, 9)),
