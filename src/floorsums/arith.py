@@ -202,6 +202,7 @@ class SieveTable:
     def prefix(self, n: int) -> np.ndarray:
         """f(1..n) as a view, f(n) at index n - 1; CoverageError unless the
         table covers [1, n]."""
+        n = require_integers(n=n)
         if self.lo != 1 or not 0 <= n <= self.hi:
             raise CoverageError(f"table covers [{self.lo}, {self.hi}], need [1, {n}]")
         return self.values[:n]
@@ -391,13 +392,12 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     prime divides: 1 (log 1 = 0) and the primes above the walked ones.
     """
     size = hi - lo + 1
-    if kind.tag == "chi_two":       # mu on [1, sqrt(hi)], read on the squares
+    if kind.tag == "chi_two":       # mu on the m with m^2 in [lo, hi], read on the squares
         val = np.zeros(size, dtype=np.int64)
-        root = isqrt(hi)
-        m = np.arange(isqrt(lo - 1) + 1, root + 1)
-        if m.size:
-            mu = _segment_values(MOBIUS, 1, root, primes_upto(isqrt(root)))
-            val[m * m - lo] = mu[m - 1]
+        m_lo, root = isqrt(lo - 1) + 1, isqrt(hi)
+        if m_lo <= root:
+            m = np.arange(m_lo, root + 1)
+            val[m * m - lo] = _segment_values(MOBIUS, m_lo, root, primes_upto(isqrt(root)))
         return val
 
     if kind.tag == "lambda":

@@ -23,18 +23,20 @@ a cutoff, with an explicit per-function tail bound; every explicit cutoff
 uses that.  Integer-valued functions are summed in exact integers; Lambda
 sums go through math.fsum.
 
-`error_scan` evaluates its whole grid in one pass, each sum equal to
-`floor_sum_fast`'s in value and type: the heads of consecutive points are
-factored together, and every point's blocks and per-n range read one
-shared sieve prefix.  Everything is pure, and a shared immutable sieve may
-be read from any number of workers.
+One evaluator computes every split sum: `floor_sum_fast` is its pass over
+one point and `error_scan` its pass over a whole grid, so their sums agree
+in value and type.  The heads of consecutive points are factored together,
+and every block and per-n range reads one prefix of f and streams the rest:
+a table's, or a sieve prefix shared only across grid points, as one point
+gains nothing from it.  Everything is pure, and a shared immutable sieve
+may be read from any number of workers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 from math import isqrt
 
@@ -133,18 +135,21 @@ def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None)
     return int(np.sum(vals))
 
 
-def _pieces(segments, x: int, N: int, shared: int, d0: int):
-    """The n > N of the sum, from one pass of `segments(1, d0)`, which
-    yields the values of f on [1, d0] as (seg_lo, values) pieces.  Yields
-    (v, m, count), at most BLOCK_CHUNK entries at a time: first the blocks d
-    <= shared, with v = f(d) and multiplicity m(d) = floor(x/d) - max(N,
-    floor(x/(d+1))), the number of n > N with floor(x/n) = d; then None;
-    then one term v = f(floor(x/n)) per n in (N, x // (shared+1)], with m
-    None.  Those n have their quotients in (shared, d0], and the n of one
-    segment's quotients form one range.  `count` bounds the number of n a
-    piece stands for."""
+def _pieces(kind: FunctionKind, prefix, x: int, N: int, shared: int, d0: int):
+    """The n > N of the sum, from one pass over f on [1, d0]: the values
+    f(1..len(prefix)) of `prefix`, then `iter_segment_values` for the rest.
+    Yields (v, m, count), at most BLOCK_CHUNK entries at a time: first the
+    blocks d <= shared, with v = f(d) and multiplicity m(d) = floor(x/d) -
+    max(N, floor(x/(d+1))), the number of n > N with floor(x/n) = d; then
+    None; then one term v = f(floor(x/n)) per n in (N, x // (shared+1)],
+    with m None.  Those n have their quotients in (shared, d0], and the n of
+    one segment's quotients form one range.  `count` bounds the number of n
+    a piece stands for."""
+    top = min(len(prefix), d0)
+    segments = chain([(1, prefix[:top])] if top else (),
+                     iter_segment_values(kind, top + 1, d0) if d0 > top else ())
     per_n = False
-    for seg_lo, vals in segments(1, d0) if d0 else ():
+    for seg_lo, vals in segments:
         seg_hi = seg_lo + len(vals) - 1
         for lo in range(seg_lo, min(seg_hi, shared) + 1, BLOCK_CHUNK):
             hi = min(lo + BLOCK_CHUNK - 1, seg_hi, shared)
@@ -173,23 +178,11 @@ def _floats(pieces):
         yield from t[t != 0].tolist()
 
 
-def _split(x: int, split=None) -> tuple[int, int]:
-    """(N, d0): the split point N, by default max(1, isqrt(x // SPLIT_RATIO)),
-    and the top d0 = x // (N+1) of the sieved range, within the budget."""
-    N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else require_integers(split=split)
-    if not 1 <= N <= x:
-        raise ValueError(f"split must lie in [1, x], got {N}")
-    d0 = x // (N + 1)
-    if d0 > SIEVE_BUDGET:
-        raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
-    return N, d0
-
-
-def _split_sum(kind: FunctionKind, x: int, N: int, d0: int, head: np.ndarray, segments):
-    """S_f(x) from the head values f(floor(x/n)), n <= N, and `segments`,
-    which yields f on [1, d0] (see `_pieces`), summed as `floor_sum_fast`
-    says."""
-    pieces = _pieces(segments, x, N, min(x // (isqrt(x) + 1), d0), d0)
+def _split_sum(kind: FunctionKind, x: int, N: int, d0: int, head: np.ndarray, prefix):
+    """S_f(x) from the head values f(floor(x/n)), n <= N, and f on [1, d0],
+    read from `prefix` and streamed beyond it (see `_pieces`), summed as
+    `floor_sum_fast` says."""
+    pieces = _pieces(kind, prefix, x, N, min(x // (isqrt(x) + 1), d0), d0)
     if kind.tag == "lambda":
         inner = math.fsum(_floats(iter(pieces.__next__, None)))    # the shared blocks
         return math.fsum(chain([inner], head.tolist(), _floats(pieces)))
@@ -199,7 +192,7 @@ def _split_sum(kind: FunctionKind, x: int, N: int, d0: int, head: np.ndarray, se
         bound = _abs_max(v) * count
         if bound >= 2**63:
             raise BudgetError(f"block sum of {count} terms may exceed int64 (bound {bound})")
-        total += int(np.sum(v) if m is None else np.dot(v, m))
+        total += int(v.sum() if m is None else v.dot(m))
     return total
 
 
@@ -225,49 +218,50 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     result is the same for every split N <= isqrt(x); it can differ from
     floor_sum_naive, which fsums all terms at once, in its last bits.
     """
-    x = _check_x(x, "fast")
-    values = None if table is None else _table_prefix(kind, table, x)
-    N, d0 = _split(x, split)
-    q = x // np.arange(1, N + 1, dtype=np.int64)
-    if values is None:
-        head, segments = eval_points(kind, q), partial(iter_segment_values, kind)
-    else:
-        head, segments = values[q - 1], lambda lo, hi: [(lo, values[lo - 1: hi])]
-    return _split_sum(kind, x, N, d0, head, segments)
+    return _split_sums(kind, [_check_x(x, "fast")], split, table)[0]
 
 
-def _grid_sums(kind: FunctionKind, grid: list[int]) -> list:
-    """floor_sum_fast(kind, x) at every x of `grid`, an increasing list of
-    at least two x, equal in value and type, in one pass.  The heads of
-    consecutive points are factored together, at most HEAD_ROWS rows per
-    `eval_points` call (a bigger head alone), and each group is summed
-    before the next is factored.  The blocks and per-n ranges of every point
-    read one sieve of [1, min(D, SHARED_PREFIX)], D the largest d0, and
-    stream the rest of their range.  fsum is exact, so Lambda's sums do not
-    depend on where the segments break."""
-    splits = [(x, *_split(x)) for x in grid]
-    top = min(max(d0 for _, _, d0 in splits), SHARED_PREFIX)     # >= 1, as some x >= 2
-    prefix = build_sieve(kind, 1, top).values
+def _split_sums(kind: FunctionKind, grid: list[int], split: int | None = None,
+                table: SieveTable | None = None) -> list:
+    """S_f(x) at every x of `grid`, an increasing list of checked x, as
+    `floor_sum_fast(kind, x, split, table)` says, in one pass.  Each x splits
+    at N = `split`, by default max(1, isqrt(x // SPLIT_RATIO)), and sieves up
+    to d0 = x // (N+1), within SIEVE_BUDGET.
 
-    def segments(lo, hi):           # _pieces reads [1, hi]
-        yield 1, prefix[:hi]
-        if hi > top:
-            yield from iter_segment_values(kind, top + 1, hi)
-
-    groups, rows = [[]], 0
-    for point in splits:
-        if groups[-1] and rows + point[1] > HEAD_ROWS:
+    Every block and per-n range reads one prefix of f and streams what lies
+    beyond it.  A table is a prefix that covers every block, and the heads
+    are looked up in it.  Without one, the heads of consecutive points are
+    factored together, at most HEAD_ROWS rows per `eval_points` call (a
+    bigger head alone), each group summed before the next is factored; and
+    where two or more points read it, the prefix is one sieve of [1, min(D,
+    SHARED_PREFIX)], D the largest d0.  One point streams all of its range,
+    so no sieving prime is walked twice.  fsum is exact, so Lambda's sums do
+    not depend on where the segments break."""
+    prefix = () if table is None else _table_prefix(kind, table, grid[-1])
+    groups, rows = [], math.inf         # the first point opens a group
+    for x in grid:
+        N = max(1, isqrt(x // SPLIT_RATIO)) if split is None else require_integers(split=split)
+        if not 1 <= N <= x:
+            raise ValueError(f"split must lie in [1, x], got {N}")
+        d0 = x // (N + 1)
+        if d0 > SIEVE_BUDGET:
+            raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
+        if rows + N > HEAD_ROWS:
             groups.append([])
             rows = 0
-        groups[-1].append(point)
-        rows += point[1]
+        groups[-1].append((x, N, d0))
+        rows += N
+    if table is None and len(grid) > 1:
+        top = max(d0 for group in groups for *_, d0 in group)
+        prefix = build_sieve(kind, 1, min(top, SHARED_PREFIX)).values
     sums = []
     for group in groups:
-        head = eval_points(kind, np.concatenate(
-            [x // np.arange(1, N + 1, dtype=np.int64) for x, N, _ in group]))
+        q = [x // np.arange(1, N + 1, dtype=np.int64) for x, N, _ in group]
+        q = q[0] if len(q) == 1 else np.concatenate(q)     # small table sums are hot: no copy
+        head = eval_points(kind, q) if table is None else prefix[q - 1]
         start = 0
         for x, N, d0 in group:
-            sums.append(_split_sum(kind, x, N, d0, head[start: start + N], segments))
+            sums.append(_split_sum(kind, x, N, d0, head[start: start + N], prefix))
             start += N
     return sums
 
@@ -556,7 +550,7 @@ def error_scan(kind: FunctionKind, x_grid, cutoff: int | None = None) -> FitRepo
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     constant, tail = _main_term(kind, cutoff)
-    sums = _grid_sums(kind, grid)
+    sums = _split_sums(kind, grid)
     residuals = [abs(float(s) - x * constant) for x, s in zip(grid, sums)]
     logs = np.log([max(r, RESIDUAL_FLOOR) for r in residuals])
     slope, intercept = np.polyfit(np.log(grid), logs, 1)

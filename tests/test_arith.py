@@ -75,6 +75,31 @@ def test_build_sieve_chi_two():
     assert t.values.tolist() == [1, 0, 0, -1, 0, 0, 0, 0, -1]
 
 
+def test_chi_two_windows_sieve_mu_only_on_their_roots(monkeypatch):
+    # mu is sieved on the m with m^2 in the window, not on all of [1, sqrt(hi)]
+    calls = []
+    segment = A._segment_values
+    monkeypatch.setattr(A, "_segment_values",
+                        lambda k, lo, hi, p: calls.append((k, lo, hi)) or segment(k, lo, hi, p))
+    for lo, hi in [(10**12 - 10**6, 10**12), (10**14 - 10, 10**14)]:
+        calls.clear()
+        got = A.build_sieve(A.CHI_TWO, lo, hi).values
+        m_lo, root = isqrt(lo - 1) + 1, isqrt(hi)
+        m = np.arange(m_lo, root + 1)
+        want = np.zeros(hi - lo + 1, dtype=np.int64)
+        want[m * m - lo] = A.eval_points(A.MOBIUS, m)
+        assert got.tolist() == want.tolist(), (lo, hi)
+        assert calls == [(A.CHI_TWO, lo, hi), (A.MOBIUS, m_lo, root)]
+
+
+def test_a_table_prefix_takes_an_integer_length():
+    t = A.build_sieve(A.ONE, 1, 10)
+    for n in (True, 2.5, np.float64(3)):
+        with pytest.raises(ValueError, match="need integer n"):
+            t.prefix(n)
+    assert t.prefix(np.uint8(3)).tolist() == [1, 1, 1]
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_sieve_matches_definition(kind):
     t = A.build_sieve(kind, 1, 300)

@@ -102,6 +102,7 @@ CASES = {
     "tau": (A.tau, [integer(st.integers(-2, 12) | HUGE)]),
     "SieveTable": (lambda lo: A.SieveTable(None, lo, np.arange(5)), [integer(SMALL | HUGE)]),
     "SieveTable.value": (A.build_sieve(A.tau(2), 5, 60).value, [integer(SMALL | HUGE)]),
+    "SieveTable.prefix": (A.build_sieve(A.tau(2), 1, 60).prefix, [integer(SMALL | HUGE)]),
     "build_sieve": (lambda lo, hi: A.build_sieve(A.tau(2), lo, hi),
                     [integer(SMALL), integer(SMALL | HUGE)]),
     "dirichlet_convolve": (lambda n: A.dirichlet_convolve(TABLE, ONE, n), [integer(SMALL | HUGE)]),

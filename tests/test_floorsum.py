@@ -212,11 +212,10 @@ def test_splits_from_the_root_on_leave_the_per_n_range_empty(x):
     root = isqrt(x)
     splits = sorted({root, root + 1, x // 2, x} & set(range(1, x + 1)))
     values = A.build_sieve(A.ONE, 1, x).values
-    table = lambda lo, hi: [(lo, values[lo - 1: hi])]
     for n in splits:
         d0 = x // (n + 1)
         # every piece is a shared block, and the None that ends them comes last
-        pieces = list(FS._pieces(table, x, n, min(x // (root + 1), d0), d0))
+        pieces = list(FS._pieces(A.ONE, values, x, n, min(x // (root + 1), d0), d0))
         assert pieces.index(None) == len(pieces) - 1, n
     for kind in INTEGER_KINDS:
         want = FS.floor_sum_naive(kind, x)
@@ -460,12 +459,21 @@ def _typed(sums):
     return [(type(s), repr(s)) for s in sums]
 
 
-@pytest.mark.parametrize("name", NINE_NAMES)
+@pytest.mark.parametrize("name", NINE_NAMES + ("tau4",))
 def test_grid_sums_are_floor_sum_fast_bit_for_bit(name):
+    # floor_sum_fast with and without a table, at the default split and at a second one
     kind = A.kind_from_name(name)
-    for grid in SCAN_GRIDS:
-        want = [FS.floor_sum_fast(kind, x) for x in grid]
-        assert _typed(FS._grid_sums(kind, grid)) == _typed(want), grid
+    table = A.build_sieve(kind, 1, 10**6)
+    rng = random.Random(34)
+    seeded = sorted({int(10 ** rng.uniform(0, 11)) for _ in range(4)})
+    for grid in SCAN_GRIDS + [seeded]:
+        want = _typed(FS._split_sums(kind, grid))
+        for x, sum_x in zip(grid, want):
+            for split in (None, max(1, isqrt(x // 100))):
+                assert _typed([FS.floor_sum_fast(kind, x, split)]) == [sum_x], (x, split)
+                if x <= 10**6:
+                    got = FS.floor_sum_fast(kind, x, split, table)
+                    assert _typed([got]) == [sum_x], (x, split, "table")
 
 
 @settings(max_examples=40)
@@ -477,8 +485,21 @@ def test_grid_sums_equal_per_point_sums(name, grid, head_rows, prefix):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FS, "HEAD_ROWS", head_rows)
         mp.setattr(FS, "SHARED_PREFIX", prefix)
-        got = FS._grid_sums(kind, grid)
+        got = FS._split_sums(kind, grid)
     assert _typed(got) == _typed([FS.floor_sum_fast(kind, x) for x in grid])
+
+
+def test_one_point_streams_its_whole_range_and_sieves_no_prefix(monkeypatch):
+    # a prefix shared with no other point would walk every sieving prime twice
+    streamed = []
+    segments = FS.iter_segment_values
+    monkeypatch.setattr(FS, "build_sieve", lambda *args: pytest.fail("a prefix was sieved"))
+    monkeypatch.setattr(FS, "iter_segment_values",
+                        lambda k, lo, hi: streamed.append((lo, hi)) or segments(k, lo, hi))
+    for x in (10**5, 10**10):       # d0 below and above SHARED_PREFIX
+        streamed.clear()
+        FS.floor_sum_fast(A.tau(3), x)
+        assert streamed == [(1, x // (isqrt(x // FS.SPLIT_RATIO) + 1))], x
 
 
 def test_scan_groups_its_heads_and_sieves_one_prefix(monkeypatch):
