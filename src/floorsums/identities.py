@@ -24,8 +24,14 @@ depend on where its table ends), so a Vaughan product built on [1, 2 _MAX_R]
 and read on (R, R1] is the product built on [1, R1], bit for bit.
 `run_verification` sieves each suite table once per process
 (`_suite_table`) and builds each cutoff U's Vaughan products once per
-process and subject (`_vaughan_products`); the draws bound both caches.  The
-suite's opaque phase is evaluated in numpy.
+process and subject (`_vaughan_products`); the draws bound both caches.  It
+draws its trials in chunks of at most `_CHUNK_ENTRIES` window entries plus
+one window, evaluates every window of a chunk in one `_unit_pass` (the pass
+`unit_array` makes on one window: one numpy pass per rule, the suite's
+opaque phase included), and takes each trial's dot products as
+`_window_sides` does, so each report has the bits of its public verifier's.
+The hyperbola suites' int64 guard runs once per kind pair and run, on the
+whole suite tables, whose bound covers every prefix a trial reads.
 
 Note on the Vaughan forms: the third sum of the Lambda identity and of the
 mu identity both restrict the inner variable to m > max(U, R/n).  On the
@@ -117,27 +123,13 @@ class PhaseFunction:
         """e(F(t)) = exp(2 pi i F(t))."""
         return cmath.exp(1j * TWO_PI * self.frac(t))
 
-    def unit_array(self, t: np.ndarray) -> np.ndarray:
+    def unit_array(self, t) -> np.ndarray:
         """e(F(t)) on an integer array of 1 <= t < 2^63, checked once, in t's
-        shape and with the bits of `frac`, by one of three rules: the suite's
-        draw c1 sqrt(t) + c2/t (`_SqrtPhase`) in float64, each operation
-        correctly rounded as in the scalar formula; a built-in z = p/q in int64
-        when p < 2^62 and every d = q (t + a)^r < 2^53 (tested in Python ints),
-        so that p mod d and d are exact floats and their quotient is correctly
-        rounded; otherwise `_frac`, `frac`'s formula unchecked, per entry."""
-        t = _check_t(np.asarray(t))
-        p, q = self.z.as_integer_ratio()
-        if isinstance(self.fn, _SqrtPhase):
-            tf = t.astype(np.float64)
-            ph = np.mod(self.fn.c1 * np.sqrt(tf) + self.fn.c2 / tf, 1.0)
-        elif self.fn is None and p < 2**62 \
-                and q * (int(t.max(initial=1)) + self.a) ** self.r < 2**53:
-            d = q * (t + self.a) ** self.r
-            ph = np.mod(p, d) / d
-        else:
-            ph = np.array([self._frac(k) for k in t.ravel().tolist()],
-                          dtype=np.float64).reshape(t.shape)
-        return np.exp(1j * TWO_PI * ph)
+        shape and with the bits of `frac`: the one-window call of
+        `_unit_pass`.  A list or other sequence is read entry by entry as
+        the Python numbers it holds, so an empty one is an empty array."""
+        t = _check_t(t if isinstance(t, np.ndarray) else np.array(t, dtype=object))
+        return _unit_pass((self,), t.ravel(), np.array([t.size])).reshape(t.shape)
 
 
 def _check_t(t):
@@ -164,6 +156,58 @@ class _SqrtPhase:
         return self.c1 * math.sqrt(t) + self.c2 / t
 
 
+def _unit_pass(phases, t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """e(F_j(t)) on t, an int64 array that `_check_t` passed, cut into
+    consecutive windows of sizes[j] entries, window j under phases[j], with
+    the bits of `frac` on every entry.  A window takes one of three rules:
+    the suite's draw c1 sqrt(t) + c2/t (`_SqrtPhase`) in float64, each
+    operation correctly rounded as in the scalar formula; a built-in z = p/q
+    in int64 when p < 2^62 and every d = q (t + a)^r < 2^53 on the window
+    (tested in Python ints), so that p mod d and d are exact floats and their
+    quotient is correctly rounded; otherwise `_frac`, `frac`'s formula
+    unchecked, per entry.  Each of the first two rules is one numpy pass over
+    all of its windows, their parameters repeated per entry, and one
+    exponential covers every window."""
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    top = np.ones(len(sizes), dtype=np.int64)       # each window's largest t
+    if (full := np.flatnonzero(sizes)).size:        # each nonempty run ends where the next starts
+        top[full] = np.maximum.reduceat(t, starts[full])
+    rule = np.full(len(sizes), 2, dtype=np.int8)
+    params = ([], [])                               # per window of rules 0 and 1
+    for j, (phase, hi) in enumerate(zip(phases, top.tolist())):
+        p, q = phase.z.as_integer_ratio()
+        if isinstance(phase.fn, _SqrtPhase):
+            rule[j] = 0
+            params[0].append((phase.fn.c1, phase.fn.c2))
+        elif phase.fn is None and p < 2**62 and q * (hi + phase.a) ** phase.r < 2**53:
+            # d < 2^53 leaves r <= 52 unless every t + a is 1, where any r gives 1
+            rule[j] = 1
+            params[1].append((p, q, phase.a, min(phase.r, 53)))
+    ph = np.empty(t.size)
+    for k, evaluate in enumerate((_sqrt_rule, _exact_rule)):
+        if not params[k]:
+            continue
+        sel = slice(None) if (rule == k).all() else np.repeat(rule == k, sizes)
+        rows = np.array(params[k])                  # one window takes its scalars
+        ph[sel] = evaluate(t[sel], *(rows[0] if len(rows) == 1 else
+                                     np.repeat(rows, sizes[rule == k], axis=0).T))
+    for j in np.flatnonzero(rule == 2).tolist():
+        a, b = starts[j], stops[j]
+        ph[a:b] = [phases[j]._frac(k) for k in t[a:b].tolist()]
+    return np.exp(1j * TWO_PI * ph)
+
+
+def _sqrt_rule(t, c1, c2):
+    tf = t.astype(np.float64)
+    return np.mod(c1 * np.sqrt(tf) + c2 / tf, 1.0)
+
+
+def _exact_rule(t, p, q, a, r):
+    d = q * (t + a) ** r
+    return np.mod(p, d) / d
+
+
 # ---------------------------------------------------------------------------
 # coefficient vectors: Dirichlet products of range-restricted tables
 
@@ -182,6 +226,11 @@ def _window_sides(sides, R: int, R1: int,
     is None), one dot product per term, as a Python int, float or complex."""
     w = (np.ones(R1 - R, dtype=np.int64) if phase is None
          else phase.unit_array(np.arange(R + 1, R1 + 1)))
+    return _dot_sides(sides, R, R1, w)
+
+
+def _dot_sides(sides, R: int, R1: int, w: np.ndarray) -> tuple[complex, complex, float]:
+    """(lhs, rhs, |lhs - rhs|) for `sides` against the weights w on (R, R1]."""
     lhs, rhs = (sum(np.dot(c[R:R1], w) for c in terms).item() for terms in sides)
     return lhs, rhs, abs(lhs - rhs)
 
@@ -331,7 +380,8 @@ VERIFY_SUBJECTS = ("vaughan-lambda", "vaughan-mu", "hyperbola", "hyperbola-exp")
 
 _PHASE_PARAM_MAX = 10**6
 _MAX_R, _MAX_X = 500, 400     # verify draws R <= _MAX_R, x <= _MAX_X <= 2 _MAX_R
-_MAX_TRIALS = 10**4           # 0.03-0.1 ms and one report dict per trial
+_MAX_TRIALS = 10**4           # 0.03-0.09 ms and one report dict per trial
+_CHUNK_ENTRIES = 1 << 14      # window entries per phase pass of a run, which bounds its arrays
 _SUITE_KINDS = (ONE, MOBIUS, MOBIUS_SQUARED, LAMBDA, tau(2), tau(3), OMEGA,
                 TWO_POW_OMEGA, CHI_TWO)   # the hyperbola suites draw f and g from these
 
@@ -401,29 +451,58 @@ def run_verification(subject: str, trials: int, seed: int) -> list[dict]:
         raise ValueError(f"need trials <= {_MAX_TRIALS}, got {trials}")
     if seed < 0:        # random.Random seeds from |seed|: -s would replay s's trial 0
         raise ValueError(f"need seed >= 0, got {seed}")
-    out = []
+    out, chunk, entries, checked = [], [], 0, set()
     for t in range(trials):
-        rng = _trial_rng(seed, t)
-        R = rng.randint(20, _MAX_R)
-        R1 = rng.randint(R + 1, 2 * R)
-        phase = random_phase(rng)
-        if subject in ("vaughan-lambda", "vaughan-mu"):
-            U = rng.randint(1, isqrt(R))
-            _check_dyadic(R, R1, U)
-            lhs, rhs, res = _window_sides(_vaughan_products(subject, U), R, R1, phase)
-            params = {"R": R, "R1": R1, "U": U}
-        elif subject == "hyperbola":
-            x = rng.randint(30, _MAX_X)
-            U = rng.randint(1, x)
-            f, g = _suite_table(rng.choice(_SUITE_KINDS)), _suite_table(rng.choice(_SUITE_KINDS))
-            lhs, rhs, res = hyperbola_sides(f, g, phase, x, U)
-            params = {"x": x, "U": U, "f": str(f.kind), "g": str(g.kind)}
-        else:
-            U = rng.randint(1, R)
-            f, g = _suite_table(rng.choice(_SUITE_KINDS)), _suite_table(rng.choice(_SUITE_KINDS))
-            lhs, rhs, res = hyperbola_exp_sides(f, g, phase, R, R1, U)
-            params = {"R": R, "R1": R1, "U": U, "f": str(f.kind), "g": str(g.kind)}
-        rel = res / (1 + abs(lhs))
-        out.append({"trial": t, "residual": res, "relative": rel,
+        chunk.append(trial := _draw_trial(subject, _trial_rng(seed, t), checked))
+        entries += trial[2] - trial[1]
+        if entries >= _CHUNK_ENTRIES or t == trials - 1:
+            out += _chunk_reports(chunk, len(out))
+            chunk, entries = [], 0
+    return out
+
+
+def _draw_trial(subject: str, rng, checked: set):
+    """One trial's draws as (phase, R, R1, terms, params): the window
+    (R, R1] (or (0, x]), a callable that returns its coefficient sides, and
+    the parameters its report names.  The sides are the public verifiers'
+    own; the hyperbola forms' int64 guard runs once per kind pair in
+    `checked`, on the whole suite tables, whose bound covers every prefix a
+    trial reads."""
+    R = rng.randint(20, _MAX_R)
+    R1 = rng.randint(R + 1, 2 * R)
+    phase = random_phase(rng)
+    if subject in ("vaughan-lambda", "vaughan-mu"):
+        U = rng.randint(1, isqrt(R))
+        _check_dyadic(R, R1, U)
+        return (phase, R, R1, functools.partial(_vaughan_products, subject, U),
+                {"R": R, "R1": R1, "U": U})
+    if subject == "hyperbola":
+        x = rng.randint(30, _MAX_X)
+        U = rng.randint(1, x)
+        lo, hi, cuts, params = 0, x, (U, x // U, 0, 0), {"x": x, "U": U}
+    else:
+        U = rng.randint(1, R)
+        lo, hi, cuts, params = R, R1, (U * R1 // R, R // U, U, R), {"R": R, "R1": R1, "U": U}
+    f, g = _suite_table(rng.choice(_SUITE_KINDS)), _suite_table(rng.choice(_SUITE_KINDS))
+    if (f.kind, g.kind) not in checked:
+        _check_product(f.values, g.values)
+        checked.add((f.kind, g.kind))
+    return (phase, lo, hi, functools.partial(_hyperbola_terms, f.values[:hi], g.values[:hi], *cuts),
+            {**params, "f": str(f.kind), "g": str(g.kind)})
+
+
+def _chunk_reports(chunk, first: int) -> list[dict]:
+    """The reports of the drawn trials in `chunk`, trial numbers from
+    `first` on: every window's e(F(t)) in one `_unit_pass`, t checked once,
+    then each trial's sides built and dotted as `_window_sides` does."""
+    phases, lo, hi = zip(*(trial[:3] for trial in chunk))
+    lo, sizes = np.array(lo), np.array(hi) - np.array(lo)
+    starts = np.cumsum(sizes) - sizes
+    t = _check_t(np.arange(sizes.sum()) + np.repeat(lo + 1 - starts, sizes))
+    units = _unit_pass(phases, t, sizes)
+    out = []
+    for k, ((phase, R, R1, terms, params), a) in enumerate(zip(chunk, starts.tolist())):
+        lhs, _, res = _dot_sides(terms(), R, R1, units[a:a + R1 - R])
+        out.append({"trial": first + k, "residual": res, "relative": res / (1 + abs(lhs)),
                     "phase": phase.form, **params})
     return out

@@ -188,6 +188,51 @@ def test_an_argument_acts_as_the_python_number_it_equals(call, args, data):
 
 
 # ---------------------------------------------------------------------------
+# array arguments: unit_array's t
+
+def _t_forms(v: list) -> list:
+    """unit_array's t with entries v, in every form a caller may pass: a
+    list, an object array, 1-d, 2-d and (for one entry) 0-d, and the
+    integer arrays that can hold v."""
+    forms = [v, np.array(v, dtype=object), np.array(v, dtype=object).reshape(1, -1)]
+    for dtype in (np.int64, np.uint64, np.int16):
+        info = np.iinfo(dtype)
+        if all(info.min <= k <= info.max for k in v):
+            forms += [np.array(v, dtype=dtype), np.array(v, dtype=dtype).reshape(-1, 1)]
+    if len(v) == 1:
+        forms += [np.array(v[0], dtype=object), np.array(v[0])]
+    return forms
+
+
+@settings(max_examples=60)
+@given(v=st.lists(SMALL | HUGE, max_size=4),
+       z=st.sampled_from([7, 123456.75, 2**70]))
+def test_unit_array_takes_t_in_every_array_form(v, z):
+    # each form acts as the int64 array of its entries, in its own shape, or
+    # every form is refused alike: an entry below 1 or at 2^63 and above
+    ph = I.PhaseFunction.reciprocal(z)
+    ok = all(1 <= k < 2**63 for k in v)
+    want = np.exp(1j * I.TWO_PI * np.array([ph.frac(k) for k in v] if ok else [],
+                                            dtype=np.float64))
+    for t in _t_forms(v):
+        if not ok:
+            with pytest.raises(ValueError, match="need t"):
+                ph.unit_array(t)
+            continue
+        got = ph.unit_array(t)
+        assert got.dtype == np.complex128 and got.shape == np.shape(t), t
+        assert got.tobytes() == want.tobytes(), t
+
+
+@pytest.mark.parametrize("t", [[1.0, 2.0], [True], [2, 2.5], np.array([], dtype=np.float64),
+                               np.array([3.0]), np.array([1, 2], dtype=object) * 1.5,
+                               [[1, 2], [3]], "12"], ids=repr)
+def test_unit_array_refuses_t_that_is_not_integers(t):
+    with pytest.raises(ValueError, match="need integer t"):
+        I.PhaseFunction.reciprocal(7).unit_array(t)
+
+
+# ---------------------------------------------------------------------------
 # the defects a numpy or bool argument caused, pinned
 
 def _flat(value, n):

@@ -424,23 +424,131 @@ def test_suite_caches_are_bounded_by_the_draws_and_read_only(calls):
     assert not any(a.flags.writeable for a in arrays)
 
 
-@pytest.mark.parametrize("fn, subject", [(I.vaughan_lambda_sides, "vaughan-lambda"),
-                                         (I.vaughan_mobius_sides, "vaughan-mu")],
-                         ids=["lambda", "mu"])
-@pytest.mark.parametrize("seed", [0, 9])
-def test_run_verification_matches_the_public_verifiers(fn, subject, seed):
-    # the run reads products built once on [1, 2 _MAX_R]; the public
-    # verifier builds them on [1, R1] for each draw: same bits
-    for report in I.run_verification(subject, 300, seed):
-        rng = I._trial_rng(seed, report["trial"])
-        R = rng.randint(20, I._MAX_R)
-        R1 = rng.randint(R + 1, 2 * R)
-        phase = I.random_phase(rng)
+def _replay(subject, seed, trial):
+    """The public verifier's (lhs, rhs, residual) on a trial's draws, and the
+    parameters its report should name."""
+    rng = I._trial_rng(seed, trial)
+    R = rng.randint(20, I._MAX_R)
+    R1 = rng.randint(R + 1, 2 * R)
+    phase = I.random_phase(rng)
+    if subject.startswith("vaughan"):
         U = rng.randint(1, math.isqrt(R))
-        assert (R, R1, U) == (report["R"], report["R1"], report["U"])
-        lhs, _, res = fn(R, R1, U, phase)
+        fn = I.vaughan_lambda_sides if subject == "vaughan-lambda" else I.vaughan_mobius_sides
+        return fn(R, R1, U, phase), {"R": R, "R1": R1, "U": U}
+    if subject == "hyperbola":
+        x = rng.randint(30, I._MAX_X)
+        U = rng.randint(1, x)
+        f, g = (A.build_sieve(rng.choice(I._SUITE_KINDS), 1, x) for _ in "fg")
+        return I.hyperbola_sides(f, g, phase, x, U), {"x": x, "U": U,
+                                                      "f": str(f.kind), "g": str(g.kind)}
+    U = rng.randint(1, R)
+    f, g = (A.build_sieve(rng.choice(I._SUITE_KINDS), 1, R1) for _ in "fg")
+    return I.hyperbola_exp_sides(f, g, phase, R, R1, U), {"R": R, "R1": R1, "U": U,
+                                                          "f": str(f.kind), "g": str(g.kind)}
+
+
+@pytest.mark.parametrize("subject", I.VERIFY_SUBJECTS,
+                         ids=["lambda", "mu", "hyperbola", "hyperbola-exp"])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_run_verification_matches_the_public_verifiers(subject, seed):
+    # the run reads tables and products built once on [1, 2 _MAX_R] and
+    # takes the phase of many windows in one pass; the public verifier builds
+    # them on [1, R1] for each draw and takes its own window: same bits
+    for report in I.run_verification(subject, 300, seed):
+        (lhs, _, res), params = _replay(subject, seed, report["trial"])
+        assert {k: report[k] for k in params} == params
         assert report["residual"].hex() == res.hex()
         assert report["relative"].hex() == (res / (1 + abs(lhs))).hex()
+
+
+@pytest.mark.parametrize("subject", I.VERIFY_SUBJECTS)
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, subject):
+    want = I.run_verification(subject, 200, 4)
+    for entries in (1, 2**10):
+        monkeypatch.setattr(I, "_CHUNK_ENTRIES", entries)
+        # repr shows every key in order and every float's bits
+        assert repr(I.run_verification(subject, 200, 4)) == repr(want)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Record (entries, window sizes) of every `_unit_pass` and count the
+    `_check_t` and `_check_product` calls made."""
+    log = {"passes": [], "check_t": 0, "check_product": 0}
+    unit_pass, check_t, check_product = I._unit_pass, I._check_t, I._check_product
+
+    def recorded(phases, t, sizes):
+        log["passes"].append((t.size, sizes.tolist()))
+        return unit_pass(phases, t, sizes)
+
+    def counted(name, fn):
+        return lambda *a: log.__setitem__(name, log[name] + 1) or fn(*a)
+
+    monkeypatch.setattr(I, "_unit_pass", recorded)
+    monkeypatch.setattr(I, "_check_t", counted("check_t", check_t))
+    monkeypatch.setattr(I, "_check_product", counted("check_product", check_product))
+    return log
+
+
+@pytest.mark.parametrize("entries", [1, 2**10, 2**14])
+@pytest.mark.parametrize("subject", I.VERIFY_SUBJECTS)
+def test_a_phase_pass_holds_at_most_the_chunk_and_one_window(monkeypatch, passes,
+                                                            subject, entries):
+    monkeypatch.setattr(I, "_CHUNK_ENTRIES", entries)
+    reports = I.run_verification(subject, 150, 2)
+    sizes = [s for _, chunk in passes["passes"] for s in chunk]
+    assert len(sizes) == len(reports)
+    for total, chunk in passes["passes"]:
+        assert total == sum(chunk) and sum(chunk[:-1]) < entries
+    assert (len(passes["passes"]) == len(reports)) == (entries == 1)
+    # t is checked once per pass, and the guard once per kind pair
+    assert passes["check_t"] == len(passes["passes"])
+    pairs = {(r["f"], r["g"]) for r in reports if "f" in r}
+    assert passes["check_product"] == len(pairs)
+
+
+@pytest.mark.parametrize("subject", ["hyperbola", "hyperbola-exp"])
+def test_the_run_keeps_the_int64_guard(monkeypatch, subject):
+    # a suite table whose products could wrap is refused before any phase
+    values = np.full(2 * I._MAX_R, 2**40, dtype=np.int64)
+    values.flags.writeable = False
+    monkeypatch.setattr(I, "_suite_table", lambda kind: A.SieveTable(None, 1, values))
+    monkeypatch.setattr(I, "_unit_pass", lambda *a: pytest.fail("work was done"))
+    with pytest.raises(BudgetError, match="may exceed int64"):
+        I.run_verification(subject, 5, 0)
+
+
+def test_the_chunk_pass_equals_one_unit_array_per_window():
+    windows = [
+        (I.PhaseFunction.opaque(I._SqrtPhase(123.25, 987654.5)), np.arange(30, 90)),
+        (I.PhaseFunction.reciprocal(123457), np.arange(1, 41)),
+        (I.PhaseFunction.power_reciprocal(1234.75, 2), np.array([], dtype=np.int64)),
+        # q (t + a)^r = 2 t >= 2^53: frac's formula per entry
+        (I.PhaseFunction.reciprocal(1.5), np.arange(2**52 - 5, 2**52 + 5)),
+        (I.PhaseFunction.shifted_reciprocal(2.5, 1000, 1), np.array([7, 3, 500, 2])),
+        (I.PhaseFunction.opaque(I._SqrtPhase(2.5, 3.5)), np.arange(2**53 - 3, 2**53 + 3)),
+        (I.PhaseFunction.opaque(math.sqrt), np.arange(5, 9)),
+        (I.PhaseFunction.reciprocal(98765), np.array([9, 4, 11])),
+    ]
+    want = [ph.unit_array(t) for ph, t in windows]
+    units = {id(t): u.tobytes() for (_, t), u in zip(windows, want)}
+    for order in (windows, windows[::-1], windows[1::2] + windows[::2]):
+        phases, ts = zip(*order)
+        got = I._unit_pass(phases, np.concatenate(ts), np.array([t.size for t in ts]))
+        assert got.tobytes() == b"".join(units[id(t)] for t in ts)
+    # windows of one rule, and no window at all
+    sqrt = [w for w in windows if isinstance(w[0].fn, I._SqrtPhase)]
+    got = I._unit_pass([p for p, _ in sqrt], np.concatenate([t for _, t in sqrt]),
+                       np.array([t.size for _, t in sqrt]))
+    assert got.tobytes() == want[0].tobytes() + want[5].tobytes()
+    assert I._unit_pass([], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)).size == 0
+
+
+def test_unit_array_takes_any_order_at_t_one():
+    # every t + a is 1, so any r gives d = q, an r past int64 included
+    for r in (1, 52, 53, 10**30):
+        ph = I.PhaseFunction.power_reciprocal(123456.75, r)
+        assert ph.unit_array([1, 1]).tobytes() == _frac_units(ph, [1, 1]).tobytes()
 
 
 @pytest.mark.parametrize("U", [1, 2, 7, 22])
