@@ -15,9 +15,9 @@ that walks the prime powers up to hi with the primes up to sqrt(hi), and
 `eval_points`, which trial-divides an integer array of n <= 10^12 by the
 primes up to cbrt(max n) and classifies each cofactor as 1, p, p^2 or pq
 (nothing else is left).  The tail bounds on main-term constants in
-`floorsum` read the same table, and so does the kernel's choice of working
-dtype: the narrowest one that holds every value the walk can form below
-2^hi.bit_length().  The kernel does not walk 2^1..2^4, 3^1, 3^2, 5 and 7
+`floorsum` read the same table, and so does `_magnitude`, the largest |f(n)|
+over n <= hi, which the kernel's working dtype and every int64 guard on a
+named kind read.  The kernel does not walk 2^1..2^4, 3^1, 3^2, 5 and 7
 strided: it starts from one period of that walk on n mod 5040, built once
 per function, and walks on from there.
 
@@ -35,6 +35,7 @@ concurrent reads are safe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,10 +52,10 @@ SIEVE_BUDGET = 1 << 27      # entries per table
 # 0.12 s and about 35 MiB to find (0.06 s at 10^7, for windows near 10^14; 2 vCPUs)
 PRIME_BUDGET = 1 << 24
 FACTOR_BUDGET = 10**12      # largest n eval_points accepts; a cost cap: _is_prime is exact to 2^64
-# fixed: the sieve refuses a kind it could wrap (`_working_dtype`), but
-# eval_points multiplies local factors in unchecked int64 (tau_64 would wrap at
-# n = 7207200), floor_sum_naive sums a sieve in int64, and series_constant's
-# 1e-12 error bound is met up to tau_8 (5.3e-13)
+# fixed: eval_points multiplies local factors in unchecked int64, the sums'
+# unguarded int64 chunks fit up to tau_8 by `_magnitude` (test_floorsum.py::
+# test_every_sum_but_the_first_block_fits_int64), and series_constant's 1e-12
+# error bound is met up to tau_8 (5.3e-13)
 MAX_TAU_R = 8
 
 _TAGS = ("one", "mobius", "mobius_squared", "lambda", "tau", "omega",
@@ -162,11 +163,13 @@ class SieveTable:
     `values[i]` holds f(lo + i) in a 1-d array: int64 for an integer
     function, float64 (log p values) for Lambda, any integer or float dtype
     for a derived table; any other array is refused.  The array is marked
-    read-only.
+    read-only, a writable one or a view copied first, so that a check of
+    the values holds for the table's life.
     The table ends where its values do, at hi = lo + len(values) - 1.
     `kind` is None for a derived table (a Dirichlet product), which no
     evaluator accepts in place of a table of a named function.  Every
-    reader of f(1..n) takes it, coverage checked, from `prefix`.
+    reader of f(1..n) takes it from `prefix`, which checks its coverage and
+    its values against the kind's `_magnitude`, which int64 guards read.
     """
 
     kind: FunctionKind | None
@@ -184,6 +187,10 @@ class SieveTable:
                 and (v.dtype.kind in "iuf" if self.kind is None else v.dtype == want)):
             got = f"{v.ndim}-d {v.dtype}" if isinstance(v, np.ndarray) else type(v).__name__
             raise ValueError(f"{self.kind or 'derived'} table needs a 1-d {want} array, got {got}")
+        if v.flags.writeable or not v.flags.owndata:    # a view's base may be written
+            v = v.copy()
+            v.flags.writeable = False
+            object.__setattr__(self, "values", v)
 
     @property
     def hi(self) -> int:
@@ -201,10 +208,15 @@ class SieveTable:
 
     def prefix(self, n: int) -> np.ndarray:
         """f(1..n) as a view, f(n) at index n - 1; CoverageError unless the
-        table covers [1, n]."""
+        table covers [1, n], ValueError if its values exceed its kind's
+        magnitude (`_beyond_magnitude`, scanned on the first call and kept)."""
         n = require_integers(n=n)
         if self.lo != 1 or not 0 <= n <= self.hi:
             raise CoverageError(f"table covers [{self.lo}, {self.hi}], need [1, {n}]")
+        if "_excess" not in vars(self):
+            vars(self)["_excess"] = _beyond_magnitude(self.kind, self.lo, self.values)
+        if self._excess is not None:
+            raise ValueError(self._excess)
         return self.values[:n]
 
 
@@ -246,30 +258,63 @@ def _steps(kind: FunctionKind) -> dict[int, int | tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _working_dtype(kind: FunctionKind, bits: int) -> np.dtype:
-    """The narrowest signed dtype that holds every value the walk forms on
-    n < 2^bits.
-
-    Such a value combines (multiplies, or adds for an additive f) one factor
-    of size at most G(a) = max_{b<=a} |g(b)| per p^a exactly dividing n, so
-    it depends only on the exponents of n; moving them in decreasing order
-    onto 2, 3, 5, ... gives an n' <= n with the same bound, and the search
-    below runs over those n' only.
-    """
-    G = [abs(kind.local(0))]
-    for a in range(1, bits + 1):
-        G.append(max(G[-1], abs(kind.local(a))))
+def _records(kind: FunctionKind, bits: int) -> tuple[list[int], list[int]]:
+    """The records of |f| below 2^bits: the n, from n = 0 with value 0, where
+    |f(n)| exceeds |f(m)| for every m < n, in order, and those values.
+    |f(n)| depends on n's exponents alone; moving them in decreasing order
+    onto 2, 3, 5, ... gives an n' <= n with the same value, so only those n'
+    are walked."""
+    g = [abs(kind.local(a)) for a in range(bits + 1)]
     combine = int.__add__ if kind.additive else int.__mul__
     small = primes_upto(64).tolist()         # their product exceeds 2^64
+    top = 1 << bits
+    least = {0: 0}                           # each |f| value met: its least n'
+    stack = [(0, 1, g[0], bits)]             # (i, n', |f(n')|, n''s last exponent)
+    while stack:
+        i, n, value, amax = stack.pop()
+        if least.get(value, top) > n:
+            least[value] = n
+        p = small[i]
+        q, a = n * p, 1
+        while a <= amax and q < top:
+            stack.append((i + 1, q, combine(value, g[a]), a))
+            q, a = q * p, a + 1
+    ns, values = [top], []                   # a value is a record if no larger one comes first
+    for value in sorted(least, reverse=True):
+        if least[value] < ns[-1]:
+            ns.append(least[value])
+            values.append(value)
+    return ns[:0:-1], values[::-1]
 
-    def largest(i: int, room: int, amax: int) -> int:
-        best, q, a = G[0], small[i], 1
-        while a <= amax and q <= room:
-            best = max(best, combine(G[a], largest(i + 1, room // q, a)))
-            q, a = q * small[i], a + 1
-        return best
 
-    bound = largest(0, (1 << bits) - 1, bits)
+def _magnitude(kind: FunctionKind, hi: int) -> int:
+    """The largest |f(n)| over 1 <= n <= hi (0 for hi = 0), exactly, for a named integer kind."""
+    ns, values = _records(kind, hi.bit_length())
+    return values[bisect_right(ns, hi) - 1]
+
+
+def _beyond_magnitude(kind: FunctionKind | None, lo: int, values: np.ndarray) -> str | None:
+    """Why `values`, f from n = lo on, exceed `_magnitude(kind, n)` at some n,
+    or None (always for a derived or Lambda table): one max and one min per
+    run between two of `_records`, where the bound is constant."""
+    if kind is None or kind.tag == "lambda":
+        return None
+    ns, bounds = _records(kind, (lo + len(values) - 1).bit_length())
+    for start, stop, bound in zip(ns, ns[1:] + [lo + len(values)], bounds):
+        run = values[max(start - lo, 0): max(stop - lo, 0)]
+        if _abs_max(run) > bound:
+            i = int(run.argmax() if run.max() > bound else run.argmin())
+            return (f"{kind} table holds {run[i]} at n={max(start, lo) + i}, "
+                    f"beyond |{kind}(m)| <= {bound} for m <= n")
+    return None
+
+
+@lru_cache(maxsize=None)
+def _working_dtype(kind: FunctionKind, bits: int) -> np.dtype:
+    """The narrowest signed dtype that holds every value the walk forms on
+    n < 2^bits: each is f(m) for some m <= n, one g(b), b <= a, per p^a
+    exactly dividing n (a quotient taken first is smaller still)."""
+    bound = _magnitude(kind, (1 << bits) - 1)
     if bound >= 2**63:
         raise BudgetError(f"{kind} may exceed int64 below 2^{bits}")
     return np.min_scalar_type(-bound - 1)
@@ -336,7 +381,7 @@ def _wheel_period(kind: FunctionKind, s: int) -> tuple[np.ndarray, np.ndarray | 
             acc[::p ** a] += round(s * math.log2(p))
             if a in steps:
                 _advance(val[::p ** a], steps[a], kind.additive)
-    val = val.astype(np.min_scalar_type(-_abs_max(val) - 1))
+    val = val.astype(np.min_scalar_type(-_magnitude(kind, _PERIOD) - 1))    # f(gcd(n, P))
     val.flags.writeable = False
     if not s:
         return val, None
@@ -385,9 +430,7 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     2, 3, 5 and 7 from exponents 5, 3, 2 and 2, and every other prime from
     1; `primes` shorter than 2, 3, 5, 7 is extended to them, still a prefix
     of the primes as _log_scale needs.  Every value formed, in the period
-    or after it, is a partial product (a partial sum, if additive) of the
-    same G(a) factors of n's own exponents, so `_working_dtype`'s bound
-    still covers it.
+    or after it, is one `_working_dtype` covers.
     Lambda is set at the prime powers themselves, and at the n no walked
     prime divides: 1 (log 1 = 0) and the primes above the walked ones.
     """
@@ -699,9 +742,7 @@ def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     limit = require_integers(limit=limit)
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
-    fv, gv = f.prefix(limit), g.prefix(limit)
-    _check_product(fv, gv)
-    out = _convolve(fv, gv, limit)
+    out = _convolve(*_check_product(f, g, limit), limit)
     out.flags.writeable = False
     return SieveTable(kind=None, lo=1, values=out)
 
@@ -711,18 +752,24 @@ def _abs_max(v: np.ndarray) -> int:
     return max(int(v.max(initial=0)), -int(v.min(initial=0)))
 
 
-def _check_product(f: np.ndarray, g: np.ndarray, sums: int = 1) -> None:
-    """Refuse with BudgetError, before any work, an integer product of f and
-    g on [1, L], L = len(f), whose values, or a sum of `sums` of them, its
-    dtype could wrap: |(f * g)(n)| <= F G tau(n) <= F G 2 isqrt(L), with F
-    and G the largest |value| of f and g, as tau(n) <= 2 sqrt(n).  A float
-    product (Lambda) passes."""
-    dtype = np.result_type(f, g)
-    if dtype.kind in "iu":
-        bound = _abs_max(f) * _abs_max(g) * 2 * isqrt(len(f)) * sums
-        if bound > np.iinfo(dtype).max:
-            raise BudgetError(f"Dirichlet product on [1, {len(f)}] may exceed {dtype} "
-                              f"(bound {bound})")
+def _check_product(f: SieveTable, g: SieveTable, limit: int,
+                   sums: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """f(1..L) and g(1..L), L = limit, from `prefix`, once their integer
+    product's values, or a sum of `sums` of them, cannot wrap its dtype:
+    else BudgetError, before any work.  |(f * g)(n)| <= F G tau(n) <=
+    F G 2 isqrt(L): F and G the `_magnitude` of a named kind, which `prefix`
+    checks its table holds, or where that refuses, as for a derived table,
+    the largest |value| on [1, L].  A float product (Lambda) passes."""
+    fv, gv = f.prefix(limit), g.prefix(limit)
+    dtype = np.result_type(fv, gv)
+    if dtype.kind not in "iu":
+        return fv, gv
+    for read in (False, True):
+        F, G = (_abs_max(v) if read or t.kind is None else _magnitude(t.kind, limit)
+                for t, v in ((f, fv), (g, gv)))
+        if (bound := F * G * 2 * isqrt(limit) * sums) <= np.iinfo(dtype).max:
+            return fv, gv
+    raise BudgetError(f"Dirichlet product on [1, {limit}] may exceed {dtype} (bound {bound})")
 
 
 def _convolve(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:

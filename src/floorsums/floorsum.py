@@ -13,7 +13,8 @@ the split only affects speed, so they cross-check each other.  The default
 split balances the costs: N = isqrt(x // SPLIT_RATIO).  Either evaluator
 takes an optional sieve table in place of all its own evaluation of f and
 reads its prefix f(1..x) (`SieveTable.prefix`); a table that does not hold
-the summed function or cover [1, x] is refused before any work.
+the summed function or cover [1, x] is refused before any work.  No int64
+sum reads its values to bound itself: each rests on f's `_magnitude`.
 
 The main-term constant C_f = sum f(n)/(n(n+1)) comes two ways.
 `series_constant` evaluates it from the Dirichlet series of f, without a
@@ -42,9 +43,9 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import (FACTOR_BUDGET, MOBIUS, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
-                    SieveTable, _abs_max, _check_tau_order, build_sieve, eval_points,
-                    iter_segment_values, primes_upto)
+from .arith import (FACTOR_BUDGET, MAX_TAU_R, MOBIUS, SEGMENT_SIZE, SIEVE_BUDGET,
+                    FunctionKind, SieveTable, _check_tau_order, _magnitude, build_sieve,
+                    eval_points, iter_segment_values, primes_upto)
 from .errors import BudgetError, require_integers
 
 NAIVE_BUDGET = 10**7
@@ -116,18 +117,21 @@ def _table_prefix(kind: FunctionKind, table: SieveTable, x: int) -> np.ndarray:
     return table.prefix(x)
 
 
+def _unproven(kind: FunctionKind) -> bool:
+    """Whether `kind` lies past MAX_TAU_R, where no test proves the sums'
+    unchecked int64 chunks safe, so each sum bounds them by `_magnitude`."""
+    return kind.tag == "tau" and kind.r > MAX_TAU_R
+
+
 def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None):
     """Direct O(x) evaluation; exact (Lambda via compensated summation).
     A `table` replaces the sieve of [1, x]."""
     x = _check_x(x, "naive")
-    if table is None:
-        # int64 cannot wrap: x < 2^24 terms, each |f| <= tau_8(9979200) < 2^31 on [1, 1e7]
-        values = build_sieve(kind, 1, x).values
-    else:
-        values = _table_prefix(kind, table, x)
-        bound = _abs_max(values) * x if values.dtype.kind in "iu" else 0
-        if bound >= 2**63:
-            raise BudgetError(f"naive sum of the table may exceed int64 (bound {bound})")
+    values = build_sieve(kind, 1, x).values if table is None else _table_prefix(kind, table, x)
+    # x terms of |f| <= _magnitude(kind, x) fit int64 up to tau_8 (test_floorsum.py::
+    # test_every_sum_but_the_first_block_fits_int64); past it a table's sum is bounded here
+    if _unproven(kind) and (bound := _magnitude(kind, x) * x) >= 2**63:
+        raise BudgetError(f"naive sum of the table may exceed int64 (bound {bound})")
     q = x // np.arange(1, x + 1, dtype=np.int64)
     vals = values[q - 1]
     if kind.tag == "lambda":
@@ -138,13 +142,12 @@ def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None)
 def _pieces(kind: FunctionKind, prefix, x: int, N: int, shared: int, d0: int):
     """The n > N of the sum, from one pass over f on [1, d0]: the values
     f(1..len(prefix)) of `prefix`, then `iter_segment_values` for the rest.
-    Yields (v, m, count), at most BLOCK_CHUNK entries at a time: first the
+    Yields (v, m), at most BLOCK_CHUNK entries at a time: first the
     blocks d <= shared, with v = f(d) and multiplicity m(d) = floor(x/d) -
     max(N, floor(x/(d+1))), the number of n > N with floor(x/n) = d; then
     None; then one term v = f(floor(x/n)) per n in (N, x // (shared+1)],
     with m None.  Those n have their quotients in (shared, d0], and the n of
-    one segment's quotients form one range.  `count` bounds the number of n
-    a piece stands for."""
+    one segment's quotients form one range."""
     top = min(len(prefix), d0)
     segments = chain([(1, prefix[:top])] if top else (),
                      iter_segment_values(kind, top + 1, d0) if d0 > top else ())
@@ -155,7 +158,7 @@ def _pieces(kind: FunctionKind, prefix, x: int, N: int, shared: int, d0: int):
             hi = min(lo + BLOCK_CHUNK - 1, seg_hi, shared)
             q = x // np.arange(lo, hi + 2, dtype=np.int64)
             m = q[:-1] - np.maximum(N, q[1:])
-            yield vals[lo - seg_lo: hi - seg_lo + 1], m, x // lo - x // (hi + 1)
+            yield vals[lo - seg_lo: hi - seg_lo + 1], m
         if seg_hi <= shared:
             continue
         if not per_n:
@@ -166,14 +169,14 @@ def _pieces(kind: FunctionKind, prefix, x: int, N: int, shared: int, d0: int):
         for lo in range(n_lo, n_hi + 1, BLOCK_CHUNK):
             i = x // np.arange(lo, min(lo + BLOCK_CHUNK - 1, n_hi) + 1, dtype=np.int64)
             i -= seg_lo                 # in place: one chunk-sized array less at the peak
-            yield vals[i], None, len(i)
+            yield vals[i], None
     if not per_n:
         yield None
 
 
 def _floats(pieces):
     """The nonzero terms f(d) m(d), or f(floor(x/n)), of `pieces` as Python floats."""
-    for v, m, _ in pieces:
+    for v, m in pieces:
         t = v if m is None else v * m
         yield from t[t != 0].tolist()
 
@@ -187,11 +190,7 @@ def _split_sum(kind: FunctionKind, x: int, N: int, d0: int, head: np.ndarray, pr
         inner = math.fsum(_floats(iter(pieces.__next__, None)))    # the shared blocks
         return math.fsum(chain([inner], head.tolist(), _floats(pieces)))
     total = sum(head.tolist())              # exact, in Python ints
-    for v, m, count in filter(None, pieces):    # the None between the parts left out
-        # the piece's sum of |f| over the n it stands for is at most max|f| count
-        bound = _abs_max(v) * count
-        if bound >= 2**63:
-            raise BudgetError(f"block sum of {count} terms may exceed int64 (bound {bound})")
+    for v, m in filter(None, pieces):       # the None between the parts left out
         total += int(v.sum() if m is None else v.dot(m))
     return total
 
@@ -211,8 +210,9 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     `split` overrides the default N = max(1, isqrt(x // SPLIT_RATIO)); the
     result does not depend on it.  A `table` replaces both the factoring and
     the sieve.  Integer sums are exact: the head in Python ints, and each
-    chunk's int64 dot product or sum is checked against 2^63 before it is
-    taken.  Lambda is summed with math.fsum in a fixed order: the shared
+    int64 chunk is proven below 2^63 by the kind's `_magnitude`, or checked
+    against it before any work: the first block, and past MAX_TAU_R every
+    chunk.  Lambda is summed with math.fsum in a fixed order: the shared
     blocks first, then that partial sum with every other term, one per n.
     eval_points and the sieve give every term the same bits, so the float
     result is the same for every split N <= isqrt(x); it can differ from
@@ -246,6 +246,19 @@ def _split_sums(kind: FunctionKind, grid: list[int], split: int | None = None,
         d0 = x // (N + 1)
         if d0 > SIEVE_BUDGET:
             raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
+        if kind.tag != "lambda":
+            if table is None:
+                _check_tau_order(kind)              # eval_points' refusal comes first
+            # the first block, d <= end, may wrap int64; every other piece sums
+            # |f| <= _magnitude(kind, d0) over at most the second count of n,
+            # which tier-1 proves safe up to tau_8
+            end = min(BLOCK_CHUNK, x // (isqrt(x) + 1), d0)
+            pieces = [(end, x - x // (end + 1))]
+            if _unproven(kind):
+                pieces.append((d0, max(BLOCK_CHUNK, x // (BLOCK_CHUNK + 1) + 1)))
+            for top, count in pieces:
+                if (bound := _magnitude(kind, top) * count) >= 2**63:
+                    raise BudgetError(f"block sum of {count} terms may exceed int64 (bound {bound})")
         if rows + N > HEAD_ROWS:
             groups.append([])
             rows = 0

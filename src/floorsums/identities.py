@@ -68,7 +68,9 @@ class PhaseFunction:
     a in {0, 1}), with z an int or a float; a numpy scalar is converted and
     a bool refused.  One exact formula reduces them all: z = p/q by
     `z.as_integer_ratio()` (exact for both), so F(t) mod 1 = (p mod d) / d
-    with d = q (t + a)^r, in integers and one correctly rounded division.
+    with d = q (t + a)^r, in integers and one correctly rounded division;
+    once t + a >= 2 and r >= p.bit_length() + 1075 that division rounds to
+    0.0, which is returned without forming d, so r sets no cost.
     Opaque callables must be pure and deterministic; their values are
     reduced in floating point.
     """
@@ -116,6 +118,8 @@ class PhaseFunction:
         if self.fn is not None:
             return self.fn(t) % 1.0
         p, q = self.z.as_integer_ratio()
+        if t + self.a >= 2 and self.r >= p.bit_length() + 1075:
+            return 0.0      # d >= 2^r > p 2^1075: p mod d = p, and p / d rounds to 0.0
         d = q * (t + self.a) ** self.r
         return (p % d) / d
 
@@ -163,11 +167,11 @@ def _unit_pass(phases, t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     the suite's draw c1 sqrt(t) + c2/t (`_SqrtPhase`) in float64, each
     operation correctly rounded as in the scalar formula; a built-in z = p/q
     in int64 when p < 2^62 and every d = q (t + a)^r < 2^53 on the window
-    (tested in Python ints), so that p mod d and d are exact floats and their
-    quotient is correctly rounded; otherwise `_frac`, `frac`'s formula
-    unchecked, per entry.  Each of the first two rules is one numpy pass over
-    all of its windows, their parameters repeated per entry, and one
-    exponential covers every window."""
+    (tested in Python ints once r <= 52), so that p mod d and d are exact
+    floats and their quotient is correctly rounded; otherwise `_frac`,
+    `frac`'s formula unchecked, per entry.  Each of the first two rules is
+    one numpy pass over all of its windows, their parameters repeated per
+    entry, and one exponential covers every window."""
     stops = np.cumsum(sizes)
     starts = stops - sizes
     top = np.ones(len(sizes), dtype=np.int64)       # each window's largest t
@@ -180,10 +184,10 @@ def _unit_pass(phases, t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         if isinstance(phase.fn, _SqrtPhase):
             rule[j] = 0
             params[0].append((phase.fn.c1, phase.fn.c2))
-        elif phase.fn is None and p < 2**62 and q * (hi + phase.a) ** phase.r < 2**53:
-            # d < 2^53 leaves r <= 52 unless every t + a is 1, where any r gives 1
+        elif phase.fn is None and p < 2**62 and phase.r <= 52 \
+                and q * (hi + phase.a) ** phase.r < 2**53:
             rule[j] = 1
-            params[1].append((p, q, phase.a, min(phase.r, 53)))
+            params[1].append((p, q, phase.a, phase.r))
     ph = np.empty(t.size)
     for k, evaluate in enumerate((_sqrt_rule, _exact_rule)):
         if not params[k]:
@@ -352,8 +356,7 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
     x, U = require_integers(x=x, U=U)
     if not 1 <= U <= x:
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
-    fv, gv = f.prefix(x), g.prefix(x)
-    _check_product(fv, gv, 3 * x if phase is None else 1)    # a side sums 3 terms on x entries
+    fv, gv = _check_product(f, g, x, 3 * x if phase is None else 1)   # a side: 3 x terms
     return _window_sides(_hyperbola_terms(fv, gv, U, x // U, 0, 0), 0, x, phase)
 
 
@@ -368,8 +371,7 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     R, R1, U = require_integers(R=R, R1=R1, U=U)
     if not (R < R1 and 1 <= U <= R):
         raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
-    fv, gv = f.prefix(R1), g.prefix(R1)
-    _check_product(fv, gv, 3 * (R1 - R) if phase is None else 1)   # 3 terms on R1 - R entries
+    fv, gv = _check_product(f, g, R1, 3 * (R1 - R) if phase is None else 1)  # 3 (R1 - R)
     return _window_sides(_hyperbola_terms(fv, gv, U * R1 // R, R // U, U, R), R, R1, phase)
 
 
@@ -485,7 +487,7 @@ def _draw_trial(subject: str, rng, checked: set):
         lo, hi, cuts, params = R, R1, (U * R1 // R, R // U, U, R), {"R": R, "R1": R1, "U": U}
     f, g = _suite_table(rng.choice(_SUITE_KINDS)), _suite_table(rng.choice(_SUITE_KINDS))
     if (f.kind, g.kind) not in checked:
-        _check_product(f.values, g.values)
+        _check_product(f, g, len(f))
         checked.add((f.kind, g.kind))
     return (phase, lo, hi, functools.partial(_hyperbola_terms, f.values[:hi], g.values[:hi], *cuts),
             {**params, "f": str(f.kind), "g": str(g.kind)})

@@ -591,6 +591,27 @@ def test_tables_immutable():
     t = A.build_sieve(A.ONE, 1, 10)
     with pytest.raises(ValueError):
         t.values[0] = 5
+    # a table of a writable array keeps its values: a sum checked once cannot
+    # go on to read 2^62 through it
+    ones = np.ones(1000, dtype=np.int64)
+    t = A.SieveTable(A.ONE, 1, ones)
+    assert FS.floor_sum_naive(A.ONE, 1000, table=t) == 1000
+    ones[:] = 2**62
+    assert FS.floor_sum_naive(A.ONE, 1000, table=t) == 1000
+    assert FS.floor_sum_fast(A.ONE, 1000, table=t) == 1000
+    with pytest.raises(ValueError):
+        t.values[0] = 5
+    # so does a table of a read-only view of a writable array
+    ones = np.ones(1000, dtype=np.int64)
+    view = ones[:]
+    view.flags.writeable = False
+    for v in (view, np.broadcast_to(ones, ones.shape)):
+        t = A.SieveTable(A.ONE, 1, v)
+        assert FS.floor_sum_naive(A.ONE, 1000, table=t) == 1000
+        ones[:] = 2**62
+        assert FS.floor_sum_naive(A.ONE, 1000, table=t) == 1000
+        assert FS.floor_sum_fast(A.ONE, 1000, table=t) == 1000
+        ones[:] = 1
 
 
 def test_convolution_examples():
@@ -723,6 +744,68 @@ def test_convolution_bound_passes_the_library_products():
     # tau_8 * tau_8 at 10^6 fits int64 but its bound (5.8 2^63) does not
     with pytest.raises(BudgetError):
         A.dirichlet_convolve(tau8, tau8, n)
+
+
+def test_a_product_refuses_a_table_beyond_its_kind(monkeypatch):
+    # a table labelled one that holds 2^40: the guard reads one's magnitude,
+    # 1, so such a table would pass it and wrap; it is refused itself
+    bad = A.SieveTable(A.ONE, 1, np.full(12, 2**40, dtype=np.int64))
+    one = A.build_sieve(A.ONE, 1, 12)
+    monkeypatch.setattr(A, "_convolve", lambda *a: pytest.fail("work was done"))
+    for f, g in ((bad, one), (one, bad)):
+        with pytest.raises(ValueError, match=r"one table holds 1099511627776 at n=1, "
+                                             r"beyond \|one\(m\)\| <= 1 for m <= n"):
+            A.dirichlet_convolve(f, g, 12)
+
+
+def test_a_product_reads_a_named_table_only_where_its_magnitude_refuses():
+    # tau_8 reaches 1647360 on [1, 10^4]: two such tables refuse a sum of
+    # 3 10^4 products, but a tau8 table of ones, which holds tau8, does not
+    x = 10**4
+    t8 = A.build_sieve(A.tau(8), 1, x)
+    ones = A.SieveTable(A.tau(8), 1, np.ones(x, dtype=np.int64))
+    for f, g in ((t8, ones), (ones, t8), (ones, ones)):
+        fv, gv = A._check_product(f, g, x, 3 * x)
+        assert fv.tolist() == f.values.tolist() and gv.tolist() == g.values.tolist()
+    bound = 1647360**2 * 2 * 100 * 3 * x
+    with pytest.raises(BudgetError, match=rf"on \[1, {x}\] may exceed int64 \(bound {bound}\)"):
+        A._check_product(t8, t8, x, 3 * x)
+
+
+def test_a_table_is_held_to_its_kind_at_every_n():
+    # the largest tau_2 on [1, n] is 1, 2, 2, 3, 3, 4 for n = 1..6: each
+    # value is held to the bound at its own n, the records' n included
+    tau2, largest = [1, 2, 2, 3, 2, 4], [1, 2, 2, 3, 3, 4]
+    for n, value, taken in [(3, 2, True), (3, 3, False), (4, 3, True), (4, 4, False),
+                            (5, 3, True), (5, -4, False), (6, 4, True), (6, 5, False)]:
+        values = np.array(tau2[:n - 1] + [value] + tau2[n:], dtype=np.int64)
+        table = A.SieveTable(A.tau(2), 1, values)
+        if taken:
+            assert table.prefix(6).tolist() == values.tolist()
+            continue
+        message = rf"tau2 table holds {value} at n={n}, beyond \|tau2\(m\)\| <= {largest[n - 1]}"
+        with pytest.raises(ValueError, match=message):
+            table.prefix(1)
+    # values from lo > 1 on are held to the bounds at their own n
+    assert A._beyond_magnitude(A.tau(2), 5, np.array([3, 4, 2], dtype=np.int64)) is None
+    assert A._beyond_magnitude(A.tau(2), 5, np.array([4, 4, 2], dtype=np.int64)) == \
+        "tau2 table holds 4 at n=5, beyond |tau2(m)| <= 3 for m <= n"
+
+
+def test_a_named_product_guard_reads_magnitudes_not_values(monkeypatch):
+    n = 10**6
+    tau8, one = A.build_sieve(A.tau(8), 1, n), A.build_sieve(A.ONE, 1, n)
+    tau8.prefix(n), one.prefix(n)       # the one scan of each table, kept on it
+    scans = []
+    monkeypatch.setattr(A, "_abs_max", lambda v, read=A._abs_max: scans.append(len(v)) or read(v))
+    monkeypatch.setattr(A, "_beyond_magnitude", lambda *a: pytest.fail("a table was rescanned"))
+    assert A.dirichlet_convolve(tau8, one, n).value(n) == math.comb(14, 8) ** 2
+    assert scans == []
+    # the magnitudes refuse tau8 * tau8; its values, the same bound, confirm it
+    bound = A._magnitude(A.tau(8), n) ** 2 * 2 * isqrt(n)
+    with pytest.raises(BudgetError, match=rf"on \[1, {n}\] may exceed int64 \(bound {bound}\)"):
+        A.dirichlet_convolve(tau8, tau8, n)
+    assert scans == [n, n]
 
 
 def test_mobius_inversion_medium_range():

@@ -233,6 +233,49 @@ def test_unit_array_refuses_t_that_is_not_integers(t):
 
 
 # ---------------------------------------------------------------------------
+# array arguments: the values of a named kind's table
+
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def named_tables(draw):
+    """(kind, values): a CLI kind other than Lambda and 1-300 int64 values,
+    each within the kind's magnitude at its n or, at a few drawn n, anywhere
+    in int64, one past the magnitude included."""
+    kind = A.kind_from_name(draw(st.sampled_from(
+        ["one", "mu", "mu2", "tau2", "tau3", "omega", "2omega", "chi2"])))
+    size = draw(st.integers(1, 300))
+    wild = draw(st.sets(st.integers(1, size), max_size=3))
+    values = []
+    for n in range(1, size + 1):
+        m = A._magnitude(kind, n)
+        beyond = st.sampled_from([m + 1, -m - 1]) | st.integers(-INT64_MAX, INT64_MAX)
+        values.append(draw(beyond if n in wild else st.integers(-m, m)))
+    return kind, values
+
+
+@settings(max_examples=80)
+@given(table=named_tables(), data=st.data())
+def test_a_table_is_taken_iff_it_holds_its_kind(table, data):
+    kind, values = table
+    held = all(abs(v) <= A._magnitude(kind, n) for n, v in enumerate(values, start=1))
+    xs = data.draw(st.lists(st.integers(1, len(values)), min_size=1, max_size=3))
+    for fn in (FS.floor_sum_naive, FS.floor_sum_fast):
+        t = A.SieveTable(kind, 1, np.array(values, dtype=np.int64))
+        if not held:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(FS, "_split_sum", lambda *a: pytest.fail("work was done"))
+                with pytest.raises(ValueError, match=f"{kind} table holds"):
+                    fn(kind, xs[0], table=t)
+            continue
+        for x in xs:
+            want = sum(values[x // n - 1] for n in range(1, x + 1))     # Python ints
+            got = fn(kind, x, table=t)
+            assert type(got) is int and got == want, (fn.__name__, x)
+
+
+# ---------------------------------------------------------------------------
 # the defects a numpy or bool argument caused, pinned
 
 def _flat(value, n):

@@ -301,17 +301,126 @@ def test_blocks_span_several_segments(monkeypatch):
     assert rows == [isqrt(x // FS.SPLIT_RATIO)]
 
 
-def test_block_sum_guards_int64():
-    huge = np.full(1000, 2**62, dtype=np.int64)
-    table = A.SieveTable(kind=A.ONE, lo=1, values=huge)
-    with pytest.raises(BudgetError):
-        FS.floor_sum_fast(A.ONE, 1000, table=table)
-    # the naive sum of 1000 terms 2^62 wrapped to 0; F x >= 2^63 is refused
-    with pytest.raises(BudgetError, match="naive sum of the table may exceed int64"):
-        FS.floor_sum_naive(A.ONE, 1000, table=table)
-    # and passes at F x < 2^53, exactly
-    table = A.SieveTable(kind=A.ONE, lo=1, values=np.full(1000, 2**43, dtype=np.int64))
-    assert FS.floor_sum_naive(A.ONE, 1000, table=table) == 1000 * 2**43
+def test_block_sum_guards_int64(monkeypatch):
+    # a table labelled one that holds 2^62 (its naive sum wrapped to 0) or
+    # 2^43 does not hold one, whose every value is 1: the int64 guards read
+    # one's magnitude, not the values, so both evaluators refuse the table
+    forbid_evaluation(monkeypatch)
+    for value in (2**62, 2**43):
+        table = A.SieveTable(kind=A.ONE, lo=1, values=np.full(1000, value, dtype=np.int64))
+        for fn in (FS.floor_sum_fast, FS.floor_sum_naive):
+            with pytest.raises(ValueError, match=f"one table holds {value} at n=1, beyond "
+                                                 r"\|one\(m\)\| <= 1 for m <= n"):
+                fn(A.ONE, 1000, table=table)
+
+
+@pytest.mark.parametrize("x, count, bound", [
+    (7 * 10**11, 699989319011, 9225075236527687680),
+    (10**12, 999984741444, 13178678909321502720),
+])
+def test_tau8_first_block_is_refused_before_any_work(monkeypatch, x, count, bound):
+    # tau_8 reaches 13178880 on [1, 2^16], the first block piece at these x;
+    # the message is the one the per-piece data scan gave
+    forbid_evaluation(monkeypatch)
+    message = f"block sum of {count} terms may exceed int64 (bound {bound})"
+    with pytest.raises(BudgetError) as refused:
+        FS.floor_sum_fast(A.tau(8), x)
+    assert str(refused.value) == message
+    assert bound == A._magnitude(A.tau(8), FS.BLOCK_CHUNK) * count >= 2**63
+
+
+def test_tau8_is_summed_just_below_the_first_block_bound():
+    x = 699 * 10**9
+    top = min(FS.BLOCK_CHUNK, x // (isqrt(x) + 1))
+    assert A._magnitude(A.tau(8), top) * (x - x // (top + 1)) < 2**63
+    # the sum the per-piece data scans accepted
+    assert FS.floor_sum_fast(A.tau(8), x) == 35262055531822
+
+
+# every kind the evaluators take: the tau orders up to MAX_TAU_R and the other CLI names
+EVALUATED_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.OMEGA, A.TWO_POW_OMEGA, A.CHI_TWO,
+                   *map(A.tau, range(1, A.MAX_TAU_R + 1))]
+
+
+@pytest.mark.parametrize("kind", EVALUATED_KINDS, ids=str)
+def test_every_sum_but_the_first_block_fits_int64(kind):
+    """The proofs that stand for the int64 guards the evaluators do not run.
+
+    A table holds its kind (`SieveTable.prefix` checks it) and a sieve is the
+    kind, so every value summed is at most `_magnitude(kind, n)` at its n.
+    floor_sum_naive sums x <= NAIVE_BUDGET of them.  In floor_sum_fast every
+    value lies in [1, d0], d0 <= SIEVE_BUDGET; a per-n piece sums at most
+    BLOCK_CHUNK terms, and a block piece past the first starts at
+    d > BLOCK_CHUNK, so its multiplicities sum to at most
+    x // (BLOCK_CHUNK + 1) with x <= FAST_BUDGET.  That start needs the
+    sieve segments and the shared prefix, where block pieces also break, to
+    be no shorter than BLOCK_CHUNK.  The first block piece is the one that
+    `_split_sums` checks before any work; past MAX_TAU_R the sums check
+    these bounds at their own x."""
+    assert A.SEGMENT_SIZE >= FS.BLOCK_CHUNK and FS.SHARED_PREFIX >= FS.BLOCK_CHUNK
+    assert A._magnitude(kind, FS.NAIVE_BUDGET) * FS.NAIVE_BUDGET < 2**63
+    pieces = max(FS.BLOCK_CHUNK, FS.FAST_BUDGET // (FS.BLOCK_CHUNK + 1) + 1)
+    assert A._magnitude(kind, A.SIEVE_BUDGET) * pieces < 2**63
+
+
+def test_a_table_past_max_tau_r_is_bounded_by_its_magnitude():
+    """No sieve makes tau_r for r > MAX_TAU_R, but a table of it is summed,
+    each sum bounded by `_magnitude` at its own x."""
+    r, hi = 200, 1000
+    kind = A.tau(r)
+    values = np.ones(hi, dtype=np.int64)
+    for n in range(2, hi + 1):
+        m = n
+        for p in range(2, n + 1):
+            a = 0
+            while m % p == 0:
+                m, a = m // p, a + 1
+            values[n - 1] *= math.comb(a + r - 1, r - 1)
+    table = A.SieveTable(kind, 1, values)
+    for x in (1, 706, 917, 1000):
+        want = sum(int(values[x // n - 1]) for n in range(1, x + 1))
+        assert FS.floor_sum_fast(kind, x, table=table) == want
+        if A._magnitude(kind, x) * x < 2**63:
+            assert FS.floor_sum_naive(kind, x, table=table) == want
+        else:
+            bound = A._magnitude(kind, x) * x
+            with pytest.raises(BudgetError, match=f"naive sum of the table may exceed int64 "
+                                                  f"\\(bound {bound}\\)"):
+                FS.floor_sum_naive(kind, x, table=table)
+    assert A._magnitude(kind, 706) * 706 < 2**63 <= A._magnitude(kind, 917) * 917
+    with pytest.raises(BudgetError, match="tau order 200"):
+        FS.floor_sum_fast(kind, 100)
+
+
+@pytest.mark.parametrize("kind", INTEGER_KINDS + [A.tau(8)], ids=str)
+def test_magnitude_is_the_largest_value_sieved(kind):
+    for hi in (1, 2, 5040, 65536, 720720, 10**6):
+        assert A._magnitude(kind, hi) == np.abs(A.build_sieve(kind, 1, hi).values).max(), hi
+    assert A._magnitude(kind, 0) == 0
+
+
+def test_a_second_sum_on_a_table_scans_nothing(monkeypatch):
+    scans = []
+
+    def counted(name, fn):
+        def call(*args):
+            scans.append(name)
+            return fn(*args)
+        return call
+
+    for name in ("_beyond_magnitude", "_abs_max"):
+        monkeypatch.setattr(A, name, counted(name, getattr(A, name)))
+    table = A.build_sieve(A.tau(3), 1, 10**4)
+    assert scans == []                  # building a table checks nothing
+    want = FS.floor_sum_naive(A.tau(3), 100)
+    assert FS.floor_sum_fast(A.tau(3), 100, table=table) == want
+    assert scans[0] == "_beyond_magnitude"      # the check, one _abs_max per run
+    assert set(scans[1:]) == {"_abs_max"}
+    scans.clear()
+    for x in (100, 10**4):
+        assert FS.floor_sum_fast(A.tau(3), x, table=table) == \
+            FS.floor_sum_naive(A.tau(3), x, table=table)
+    assert scans == []
 
 
 def psi(x, d):

@@ -12,8 +12,9 @@ and with a float z), `pairs derive`, and `pairs exponent` on
 Bourgain's pair and on two pairs tight at a constraint (the non-strict
 k <= 1/6 admits a bare pair, the strict tau one rejects it).  `pairs search`
 is pinned at depth 8 for tau_3 and at depth 10 for every target the benchmark
-searches: lambda, tau:2 to tau:6 and two-omega.  One error line pins
-`verify --seed -1`, rejected before any trial.
+searches: lambda, tau:2 to tau:6 and two-omega.  Two error lines pin
+`verify --seed -1`, rejected before any trial, and `sum` of tau8 at x = 1e12,
+whose first block could wrap int64, rejected before any evaluation.
 """
 
 import json

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -551,6 +552,35 @@ def test_unit_array_takes_any_order_at_t_one():
         assert ph.unit_array([1, 1]).tobytes() == _frac_units(ph, [1, 1]).tobytes()
 
 
+def _formed_frac(ph, t):
+    """frac's formula with the power q (t + a)^r always formed."""
+    p, q = ph.z.as_integer_ratio()
+    d = q * (t + ph.a) ** ph.r
+    return (p % d) / d
+
+
+@pytest.mark.parametrize("z", [7, 123456.75, 2**61 + 1, 0.1], ids=repr)
+def test_a_high_phase_order_is_settled_without_its_power(z):
+    # from r = p.bit_length() + 1075 on, d > p 2^1075 at every t + a >= 2, so
+    # p / d rounds to 0.0; one below, t = 2 can still round up to 2^-1074
+    edge = z.as_integer_ratio()[0].bit_length() + 1075
+    for r in (edge - 1, edge, edge + 1):
+        ph = I.PhaseFunction.power_reciprocal(z, r)
+        for t in (1, 2, 3, 1000):
+            assert ph.frac(t).hex() == _formed_frac(ph, t).hex(), (r, t)
+        assert ph.unit_array([1, 2, 3]).tobytes() == _frac_units(ph, [1, 2, 3]).tobytes()
+    assert I.PhaseFunction.power_reciprocal(7, 3 + 1074).frac(2) == 2.0**-1074
+
+
+def test_a_huge_phase_order_costs_no_power():
+    # r = 10^7 took 7.2 s in unit_array, forming q (t + a)^r in Python ints
+    ph = I.PhaseFunction.power_reciprocal(7, 10**10)
+    start = time.perf_counter()
+    assert ph.frac(2) == 0.0
+    assert ph.unit_array([2, 3]).tobytes() == np.exp(1j * I.TWO_PI * np.zeros(2)).tobytes()
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("U", [1, 2, 7, 22])
 def test_vaughan_terms_do_not_depend_on_their_limit(U):
     # products built on [1, 2 _MAX_R] and cut to [1, R1] equal those built
@@ -748,6 +778,18 @@ def test_hyperbola_refuses_an_int64_wrap_before_any_work(monkeypatch, call):
     monkeypatch.setattr(I, "_hyperbola_terms", lambda *a: pytest.fail("work was done"))
     with pytest.raises(BudgetError, match="may exceed int64"):
         call(lambda n, value=2**40: _const(value, n))
+
+
+def test_hyperbola_refuses_a_table_beyond_its_kind(monkeypatch):
+    # labelled one, a table of 2^40 would pass a guard that reads one's
+    # magnitude, 1; it is refused itself, before any work
+    bad = A.SieveTable(A.ONE, 1, np.full(60, 2**40, dtype=np.int64))
+    one = A.build_sieve(A.ONE, 1, 60)
+    monkeypatch.setattr(I, "_hyperbola_terms", lambda *a: pytest.fail("work was done"))
+    for call in (lambda: I.hyperbola_sides(bad, one, None, 60, 5),
+                 lambda: I.hyperbola_exp_sides(one, bad, I.PhaseFunction.reciprocal(7), 30, 60, 5)):
+        with pytest.raises(ValueError, match="one table holds 1099511627776 at n=1"):
+            call()
 
 
 def test_unweighted_hyperbola_side_bounds_its_sum():
