@@ -44,7 +44,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .errors import BudgetError, CoverageError, require_integers
+from .errors import BudgetError, CoverageError, read_array, require_integers
 
 SEGMENT_SIZE = 1 << 20
 SIEVE_BUDGET = 1 << 27      # entries per table
@@ -52,10 +52,8 @@ SIEVE_BUDGET = 1 << 27      # entries per table
 # 0.12 s and about 35 MiB to find (0.06 s at 10^7, for windows near 10^14; 2 vCPUs)
 PRIME_BUDGET = 1 << 24
 FACTOR_BUDGET = 10**12      # largest n eval_points accepts; a cost cap: _is_prime is exact to 2^64
-# fixed: eval_points multiplies local factors in unchecked int64, the sums'
-# unguarded int64 chunks fit up to tau_8 by `_magnitude` (test_floorsum.py::
-# test_every_sum_but_the_first_block_fits_int64), and series_constant's 1e-12
-# error bound is met up to tau_8 (5.3e-13)
+# fixed: eval_points multiplies local factors in unchecked int64, and
+# series_constant's 1e-12 error bound is met up to tau_8 (5.3e-13)
 MAX_TAU_R = 8
 
 _TAGS = ("one", "mobius", "mobius_squared", "lambda", "tau", "omega",
@@ -170,6 +168,8 @@ class SieveTable:
     evaluator accepts in place of a table of a named function.  Every
     reader of f(1..n) takes it from `prefix`, which checks its coverage and
     its values against the kind's `_magnitude`, which int64 guards read.
+    A product refuses two integer tables whose dtypes share no integer
+    dtype (uint64 with a signed one), as numpy would take it in float64.
     """
 
     kind: FunctionKind | None
@@ -651,7 +651,7 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
     above, `isqrt` finds p^2 and `_is_prime` tells p from pq.
     """
     _check_tau_order(kind)
-    n = require_integers(n=np.asarray(n))
+    n = require_integers(n=read_array(n))
     if n.size and n.min() < 1:
         raise ValueError("n must be >= 1")
     top = int(n.max()) if n.size else 1
@@ -759,10 +759,14 @@ def _check_product(f: SieveTable, g: SieveTable, limit: int,
     else BudgetError, before any work.  |(f * g)(n)| <= F G tau(n) <=
     F G 2 isqrt(L): F and G the `_magnitude` of a named kind, which `prefix`
     checks its table holds, or where that refuses, as for a derived table,
-    the largest |value| on [1, L].  A float product (Lambda) passes."""
+    the largest |value| on [1, L].  A float product (Lambda) passes, and
+    integer tables whose product numpy would take in float64 are refused
+    with ValueError."""
     fv, gv = f.prefix(limit), g.prefix(limit)
     dtype = np.result_type(fv, gv)
     if dtype.kind not in "iu":
+        if fv.dtype.kind in "iu" and gv.dtype.kind in "iu":     # uint64 with a signed dtype
+            raise ValueError(f"{fv.dtype} and {gv.dtype} tables share no integer dtype")
         return fv, gv
     for read in (False, True):
         F, G = (_abs_max(v) if read or t.kind is None else _magnitude(t.kind, limit)

@@ -38,6 +38,14 @@ def require_integers(**named):
     return out[0] if len(out) == 1 else tuple(out)
 
 
+def read_array(v) -> np.ndarray:
+    """An array argument as an array: an ndarray unchanged, anything else (a
+    list or other sequence) read entry by entry as the Python numbers it
+    holds, into an object array, so that `require_integers` refuses a bool
+    or a float entry and an empty list is an empty array."""
+    return v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
+
+
 def require_reals(**named):
     """The named real values: a numpy integer comes back as an int, a numpy
     float as a float, any other value unchanged, and a bool, which would

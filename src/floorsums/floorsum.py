@@ -13,8 +13,9 @@ the split only affects speed, so they cross-check each other.  The default
 split balances the costs: N = isqrt(x // SPLIT_RATIO).  Either evaluator
 takes an optional sieve table in place of all its own evaluation of f and
 reads its prefix f(1..x) (`SieveTable.prefix`); a table that does not hold
-the summed function or cover [1, x] is refused before any work.  No int64
-sum reads its values to bound itself: each rests on f's `_magnitude`.
+the summed function or cover [1, x] is refused before any work.  Every
+int64 sum is bounded before any work by lookups of f's `_magnitude`, never
+by reading the values it sums.
 
 The main-term constant C_f = sum f(n)/(n(n+1)) comes two ways.
 `series_constant` evaluates it from the Dirichlet series of f, without a
@@ -43,9 +44,9 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import (FACTOR_BUDGET, MAX_TAU_R, MOBIUS, SEGMENT_SIZE, SIEVE_BUDGET,
-                    FunctionKind, SieveTable, _check_tau_order, _magnitude, build_sieve,
-                    eval_points, iter_segment_values, primes_upto)
+from .arith import (FACTOR_BUDGET, MOBIUS, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
+                    SieveTable, _check_tau_order, _magnitude, build_sieve, eval_points,
+                    iter_segment_values, primes_upto)
 from .errors import BudgetError, require_integers
 
 NAIVE_BUDGET = 10**7
@@ -117,21 +118,17 @@ def _table_prefix(kind: FunctionKind, table: SieveTable, x: int) -> np.ndarray:
     return table.prefix(x)
 
 
-def _unproven(kind: FunctionKind) -> bool:
-    """Whether `kind` lies past MAX_TAU_R, where no test proves the sums'
-    unchecked int64 chunks safe, so each sum bounds them by `_magnitude`."""
-    return kind.tag == "tau" and kind.r > MAX_TAU_R
-
-
 def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None):
     """Direct O(x) evaluation; exact (Lambda via compensated summation).
     A `table` replaces the sieve of [1, x]."""
     x = _check_x(x, "naive")
-    values = build_sieve(kind, 1, x).values if table is None else _table_prefix(kind, table, x)
-    # x terms of |f| <= _magnitude(kind, x) fit int64 up to tau_8 (test_floorsum.py::
-    # test_every_sum_but_the_first_block_fits_int64); past it a table's sum is bounded here
-    if _unproven(kind) and (bound := _magnitude(kind, x) * x) >= 2**63:
-        raise BudgetError(f"naive sum of the table may exceed int64 (bound {bound})")
+    values = None if table is None else _table_prefix(kind, table, x)
+    if kind.tag != "lambda":                # x terms of |f| <= _magnitude(kind, x)
+        if table is None:
+            _check_tau_order(kind)          # the sieve's refusal comes first
+        if (bound := _magnitude(kind, x) * x) >= 2**63:
+            raise BudgetError(f"naive sum of the table may exceed int64 (bound {bound})")
+    values = build_sieve(kind, 1, x).values if values is None else values
     q = x // np.arange(1, x + 1, dtype=np.int64)
     vals = values[q - 1]
     if kind.tag == "lambda":
@@ -209,10 +206,10 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     range read one sieve pass over [1, x // (N+1)], streamed in chunks.
     `split` overrides the default N = max(1, isqrt(x // SPLIT_RATIO)); the
     result does not depend on it.  A `table` replaces both the factoring and
-    the sieve.  Integer sums are exact: the head in Python ints, and each
-    int64 chunk is proven below 2^63 by the kind's `_magnitude`, or checked
-    against it before any work: the first block, and past MAX_TAU_R every
-    chunk.  Lambda is summed with math.fsum in a fixed order: the shared
+    the sieve.  Integer sums are exact: the head in Python ints, and the
+    int64 chunks checked against the kind's `_magnitude` before any work,
+    the first block at its own bound and every later chunk at one bound.
+    Lambda is summed with math.fsum in a fixed order: the shared
     blocks first, then that partial sum with every other term, one per n.
     eval_points and the sieve give every term the same bits, so the float
     result is the same for every split N <= isqrt(x); it can differ from
@@ -249,14 +246,12 @@ def _split_sums(kind: FunctionKind, grid: list[int], split: int | None = None,
         if kind.tag != "lambda":
             if table is None:
                 _check_tau_order(kind)              # eval_points' refusal comes first
-            # the first block, d <= end, may wrap int64; every other piece sums
-            # |f| <= _magnitude(kind, d0) over at most the second count of n,
-            # which tier-1 proves safe up to tau_8
+            # the first block, d <= end, sums |f| <= _magnitude(kind, end) over
+            # x - x // (end + 1) n; every later piece |f| <= _magnitude(kind, d0)
+            # over at most the second count of n
             end = min(BLOCK_CHUNK, x // (isqrt(x) + 1), d0)
-            pieces = [(end, x - x // (end + 1))]
-            if _unproven(kind):
-                pieces.append((d0, max(BLOCK_CHUNK, x // (BLOCK_CHUNK + 1) + 1)))
-            for top, count in pieces:
+            for top, count in ((end, x - x // (end + 1)),
+                               (d0, max(BLOCK_CHUNK, x // (BLOCK_CHUNK + 1) + 1))):
                 if (bound := _magnitude(kind, top) * count) >= 2**63:
                     raise BudgetError(f"block sum of {count} terms may exceed int64 (bound {bound})")
         if rows + N > HEAD_ROWS:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE, TWO_POW_OMEGA,
                     SieveTable, _check_product, _convolve, build_sieve, tau)
-from .errors import WindowError, require_integers, require_reals
+from .errors import WindowError, read_array, require_integers, require_reals
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,7 +132,7 @@ class PhaseFunction:
         shape and with the bits of `frac`: the one-window call of
         `_unit_pass`.  A list or other sequence is read entry by entry as
         the Python numbers it holds, so an empty one is an empty array."""
-        t = _check_t(t if isinstance(t, np.ndarray) else np.array(t, dtype=object))
+        t = _check_t(read_array(t))
         return _unit_pass((self,), t.ravel(), np.array([t.size])).reshape(t.shape)
 
 

@@ -497,12 +497,14 @@ def test_eval_points_check_their_range_before_any_work(monkeypatch):
 @pytest.mark.parametrize("bad", [
     np.array([7.9]), np.array([7.0, 12.0]), np.array([], dtype=np.float64),
     np.array([True, False]), np.array([3, 7.9], dtype=object),
-    np.array([3, Fraction(7)], dtype=object), np.array([3, True], dtype=object)],
+    np.array([3, Fraction(7)], dtype=object), np.array([3, True], dtype=object),
+    [True, 2], [2, 3.0], [[1, 2], [3]]],
     ids=["float", "integral-float", "empty-float", "bool", "object-float",
-         "object-fraction", "object-bool"])
+         "object-fraction", "object-bool", "list-bool", "list-float", "ragged-list"])
 def test_eval_points_reject_non_integer_input(monkeypatch, bad):
     # a float would be truncated (Lambda at 7.9 read as log 7) and a bool
-    # read as 1; both are refused before any work
+    # read as 1; both are refused before any work, in a list too, which is
+    # read entry by entry (np.asarray took [True, 2] as [1, 2])
     def no_work(*args):
         raise AssertionError("work started on a non-integer argument")
 
@@ -518,6 +520,9 @@ def test_eval_points_accept_every_integer_dtype():
     want = A.build_sieve(A.MOBIUS, 1, 199).values
     for dtype in (np.int16, np.uint16, np.int32, np.uint64, object):   # object: Python ints
         assert np.array_equal(A.eval_points(A.MOBIUS, n.astype(dtype)), want), dtype
+    # a list of Python ints, nested or empty (np.asarray refused [] as float64)
+    assert np.array_equal(A.eval_points(A.MOBIUS, [n.tolist()]), [want])
+    assert A.eval_points(A.MOBIUS, []).tolist() == []
 
 
 def test_divisibility_by_inverse_is_exact_below_2_64():
@@ -732,6 +737,22 @@ def test_convolution_refuses_an_int64_wrap_before_any_work(monkeypatch):
     # a float product (Lambda) is not bounded
     lam = A.build_sieve(A.LAMBDA, 1, 100)
     assert A.dirichlet_convolve(lam, lam, 100).values.dtype == np.float64
+
+
+def test_convolution_refuses_integer_tables_without_a_common_integer_dtype(monkeypatch):
+    # numpy takes uint64 with int64 in float64: (1 * f)(1) came back as
+    # 1152921504606846976.0 for f(1) = 2^60 + 1
+    wide = A.SieveTable(None, 1, np.full(6, 2**60 + 1, dtype=np.uint64))
+    one = A.build_sieve(A.ONE, 1, 6)
+    narrow = A.SieveTable(None, 1, np.ones(6, dtype=np.int8))
+    monkeypatch.setattr(A, "_convolve", lambda *a: pytest.fail("work was done"))
+    for f, g in ((one, wide), (wide, one), (narrow, wide)):
+        with pytest.raises(ValueError, match="tables share no integer dtype"):
+            A.dirichlet_convolve(f, g, 6)
+    monkeypatch.undo()
+    unsigned = A.SieveTable(None, 1, np.array([1, 0, 0, 0, 0, 0], dtype=np.uint8))
+    got = A.dirichlet_convolve(unsigned, wide, 6).values
+    assert got.dtype == np.uint64 and got.tolist() == [2**60 + 1] * 6
 
 
 def test_convolution_bound_passes_the_library_products():

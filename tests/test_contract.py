@@ -8,8 +8,11 @@ the call returns the same value, bit for bit and of the same types, or
 raises the same typed error with the same message.  A form the argument
 does not take (a bool anywhere; a float or a `Fraction` for an integer) must
 be refused with ValueError, BudgetError, CoverageError or WindowError.  Any
-other exception fails.  Sizes stay small (x <= 10^4, R <= 200), so that the
-module runs in a few seconds.
+other exception fails.  The array arguments (`unit_array`'s t,
+`eval_points`' n, `dirichlet_convolve`'s f and g, a named table's values)
+are drawn in every form and dtype too: each draw is refused with a typed
+error before any work, or gives the value of a Python-int reference.  Sizes
+stay small (x <= 10^4, R <= 200), so that the module runs in a few seconds.
 """
 
 import math
@@ -29,7 +32,7 @@ from floorsums import floorsum as FS
 from floorsums import identities as I
 from floorsums import pairs as P
 from floorsums import psi
-from floorsums.errors import BudgetError, WindowError
+from floorsums.errors import BudgetError, CoverageError, WindowError
 
 TYPED = (ValueError, BudgetError)       # CoverageError and WindowError are ValueErrors
 REFUSED = object()                      # the canonical value of a form that must be refused
@@ -230,6 +233,137 @@ def test_unit_array_takes_t_in_every_array_form(v, z):
 def test_unit_array_refuses_t_that_is_not_integers(t):
     with pytest.raises(ValueError, match="need integer t"):
         I.PhaseFunction.reciprocal(7).unit_array(t)
+
+
+# ---------------------------------------------------------------------------
+# array arguments: eval_points' n
+
+def _no_work(monkeypatch, *names):
+    for name in names:
+        monkeypatch.setattr(A, name, lambda *a: pytest.fail("work was done"))
+
+
+def _point_reference(kind, n: int) -> int:
+    """f(n) in Python ints, from n's factorization by trial division and
+    the local factors g(a) = f(p^a)."""
+    exps, p = [], 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n, a = n // p, a + 1
+        exps.append(a)
+        p += 1
+    exps.append(int(n > 1))
+    values = [kind.local(a) for a in exps]
+    return sum(values) if kind.additive else math.prod(values)
+
+
+def _n_forms(v: list) -> list:
+    """(n, integers) for eval_points' n with entries v: n in every form a
+    caller may pass, and whether it holds integers alone.  A list is read
+    entry by entry, so a bool or a float in it is not an integer, and
+    neither is a ragged nest."""
+    forms = [(v, True), ([v, v], True), ([v, v + [1]], False), ([], True),
+             (v + [True], False), ([np.True_] + v, False), (v + [2.0], False)]
+    for dtype in INTEGER_TYPES:
+        info = np.iinfo(dtype)
+        if all(info.min <= k <= info.max for k in v):
+            forms += [(np.array(v, dtype=dtype), True), (np.array([v], dtype=dtype), True)]
+    return forms
+
+
+@settings(max_examples=60)
+@given(v=st.lists(st.integers(-1, 3000) | st.sampled_from(
+           [A.FACTOR_BUDGET, A.FACTOR_BUDGET + 1, 2**63, 2**64 - 1]), max_size=4),
+       kind=st.sampled_from([A.ONE, A.MOBIUS, A.tau(3), A.OMEGA, A.CHI_TWO]))
+def test_eval_points_takes_n_in_every_array_form(v, kind):
+    # each form of integers alone within [1, FACTOR_BUDGET] gives f at every
+    # entry in its own shape; any other is refused with a typed error before
+    # any work
+    for n, integers in _n_forms(v):
+        entries = np.array(n, dtype=object).ravel().tolist() if integers else []
+        if integers and all(1 <= k <= A.FACTOR_BUDGET for k in entries):
+            got = A.eval_points(kind, n)
+            assert got.dtype == np.int64 and got.shape == np.shape(n), n
+            assert got.ravel().tolist() == [_point_reference(kind, k) for k in entries], n
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            _no_work(mp, "_local_values", "_odd_primes")
+            with pytest.raises(TYPED):
+                A.eval_points(kind, n)
+
+
+# ---------------------------------------------------------------------------
+# array arguments: dirichlet_convolve's f and g
+
+PRODUCT_DTYPES = INTEGER_TYPES + (np.float16, np.float32, np.float64)
+NAMED_TABLES = [A.build_sieve(kind, 1, 60) for kind in (A.ONE, A.MOBIUS, A.tau(3), A.LAMBDA)]
+
+
+@st.composite
+def product_tables(draw, dtype):
+    """A table on [1, 1..60] for dirichlet_convolve: for dtype None a named
+    kind's sieve, else a derived table of that dtype, its values up to a
+    drawn scale (near 2^63 included), floats below a square root of the
+    dtype's largest value."""
+    if dtype is None:
+        return draw(st.sampled_from(NAMED_TABLES))
+    dtype = np.dtype(dtype)
+    top = (np.iinfo(dtype).max if dtype.kind in "iu"
+           else int(math.sqrt(np.finfo(dtype).max)) // 64)
+    scale = min(top, draw(st.sampled_from([1, 3, 100, 2**20, 2**40, 2**60 + 1, 2**63 - 1])))
+    low = 0 if dtype.kind == "u" else -scale
+    values = draw(st.lists(st.integers(low, scale) | st.sampled_from([low, scale]),
+                           min_size=1, max_size=60))
+    return A.SieveTable(None, 1, np.array(values, dtype=dtype))
+
+
+def _product_reference(f, g, limit: int) -> list:
+    """(value, sum of |terms|, number of terms) of (f * g)(n) for n = 1..limit,
+    in Fractions, which equal Python ints for integer tables."""
+    fv, gv = (list(map(Fraction, t.values.tolist())) for t in (f, g))
+    terms = [[fv[d - 1] * gv[n // d - 1] for d in range(1, n + 1) if n % d == 0]
+             for n in range(1, limit + 1)]
+    return [(sum(t), sum(map(abs, t)), len(t)) for t in terms]
+
+
+def _check_product_of(f, g, limit: int) -> None:
+    """An integer pair gives its product exactly, in an integer dtype, or is
+    refused with a typed error before any work: ValueError where numpy would
+    take the pair in float64 (uint64 with a signed dtype), BudgetError
+    where the product could wrap, CoverageError.  A float pair gives it
+    within the rounding of its dtype, or CoverageError."""
+    integer = f.values.dtype.kind in "iu" and g.values.dtype.kind in "iu"
+    no_common = integer and np.result_type(f.values, g.values).kind not in "iu"
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            _no_work(mp, "_convolve")
+            A.dirichlet_convolve(f, g, limit)
+    except TYPED as exc:                    # refused before any work
+        assert not no_common or isinstance(exc, CoverageError) \
+            or "share no integer dtype" in str(exc), exc
+        return
+    except pytest.fail.Exception:           # accepted: the product was started
+        assert not no_common
+    got = A.dirichlet_convolve(f, g, limit).values
+    want = _product_reference(f, g, limit)
+    if integer:
+        assert got.dtype.kind in "iu", got.dtype
+        assert got.tolist() == [total for total, _, _ in want]
+        return
+    eps = Fraction(float(np.finfo(got.dtype).eps))
+    for n, (value, (total, size, count)) in enumerate(zip(got.tolist(), want), start=1):
+        assert abs(Fraction(value) - total) <= 4 * (count + 2) * eps * size, n
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_dirichlet_convolve_takes_every_dtype_pair(data):
+    # one named table and one derived table of each dtype, taken in every pair
+    tables = [data.draw(product_tables(dtype)) for dtype in (None, *PRODUCT_DTYPES)]
+    for f in tables:
+        for g in tables:
+            _check_product_of(f, g, data.draw(st.integers(1, min(len(f), len(g)) + 1)))
 
 
 # ---------------------------------------------------------------------------

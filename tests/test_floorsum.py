@@ -344,19 +344,20 @@ EVALUATED_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.OMEGA, A.TWO_POW_OMEGA, 
 
 @pytest.mark.parametrize("kind", EVALUATED_KINDS, ids=str)
 def test_every_sum_but_the_first_block_fits_int64(kind):
-    """The proofs that stand for the int64 guards the evaluators do not run.
+    """The int64 checks of both sums refuse no sieved input but a first block.
 
     A table holds its kind (`SieveTable.prefix` checks it) and a sieve is the
     kind, so every value summed is at most `_magnitude(kind, n)` at its n.
-    floor_sum_naive sums x <= NAIVE_BUDGET of them.  In floor_sum_fast every
-    value lies in [1, d0], d0 <= SIEVE_BUDGET; a per-n piece sums at most
-    BLOCK_CHUNK terms, and a block piece past the first starts at
-    d > BLOCK_CHUNK, so its multiplicities sum to at most
-    x // (BLOCK_CHUNK + 1) with x <= FAST_BUDGET.  That start needs the
-    sieve segments and the shared prefix, where block pieces also break, to
-    be no shorter than BLOCK_CHUNK.  The first block piece is the one that
-    `_split_sums` checks before any work; past MAX_TAU_R the sums check
-    these bounds at their own x."""
+    floor_sum_naive checks x <= NAIVE_BUDGET of them at `_magnitude(kind, x)`.
+    In floor_sum_fast every value lies in [1, d0], d0 <= SIEVE_BUDGET; a
+    per-n piece sums at most BLOCK_CHUNK terms, and a block piece past the
+    first starts at d > BLOCK_CHUNK, so its multiplicities sum to at most
+    x // (BLOCK_CHUNK + 1) with x <= FAST_BUDGET: `_split_sums` checks both
+    counts at `_magnitude(kind, d0)`.  That start needs the sieve segments
+    and the shared prefix, where block pieces also break, to be no shorter
+    than BLOCK_CHUNK.  So at every budget these checks pass, and only the
+    first block piece's check refuses a kind the sieve makes (tau_8 from
+    x = 7.0e11 on)."""
     assert A.SEGMENT_SIZE >= FS.BLOCK_CHUNK and FS.SHARED_PREFIX >= FS.BLOCK_CHUNK
     assert A._magnitude(kind, FS.NAIVE_BUDGET) * FS.NAIVE_BUDGET < 2**63
     pieces = max(FS.BLOCK_CHUNK, FS.FAST_BUDGET // (FS.BLOCK_CHUNK + 1) + 1)
@@ -390,6 +391,34 @@ def test_a_table_past_max_tau_r_is_bounded_by_its_magnitude():
     assert A._magnitude(kind, 706) * 706 < 2**63 <= A._magnitude(kind, 917) * 917
     with pytest.raises(BudgetError, match="tau order 200"):
         FS.floor_sum_fast(kind, 100)
+
+
+def test_a_later_block_piece_past_max_tau_r_is_bounded():
+    # tau_1000 reaches 8.4e15 at 96 = 2^5 3 <= d0 = 142, and a later piece
+    # may sum BLOCK_CHUNK terms; its first block, d <= 31, stays below 2^63
+    kind = A.tau(1000)
+    table = A.SieveTable(kind, 1, np.ones(1000, dtype=np.int64))
+    bound = A._magnitude(kind, 142) * FS.BLOCK_CHUNK
+    assert A._magnitude(kind, 31) * (1000 - 1000 // 32) < 2**63 <= bound
+    with pytest.raises(BudgetError) as refused:
+        FS.floor_sum_fast(kind, 1000, table=table)
+    assert str(refused.value) == f"block sum of 65536 terms may exceed int64 (bound {bound})"
+    assert FS.floor_sum_fast(kind, 100, table=table) == 100
+
+
+@pytest.mark.parametrize("fn, x, hi", [(FS.floor_sum_naive, 100, 100),
+                                       (FS.floor_sum_fast, 100, 9),
+                                       (FS.floor_sum_fast, 100, 33)],
+                         ids=["naive", "fast-first-block", "fast-later-pieces"])
+@pytest.mark.parametrize("kind", [A.tau(3), A.ONE], ids=str)
+def test_both_sums_check_their_bounds_before_any_evaluation(monkeypatch, fn, x, hi, kind):
+    # each bound is one `_magnitude` lookup: at x for the naive sum, and for
+    # the split at x = 100 (N = 2) at the first block's end 9 and at d0 = 33;
+    # a magnitude of 2^62 there refuses the sum before f is evaluated
+    forbid_evaluation(monkeypatch)
+    monkeypatch.setattr(FS, "_magnitude", lambda k, top: 2**62 if top == hi else 1)
+    with pytest.raises(BudgetError, match="may exceed int64"):
+        fn(kind, x)
 
 
 @pytest.mark.parametrize("kind", INTEGER_KINDS + [A.tau(8)], ids=str)
@@ -673,6 +702,22 @@ def test_series_constant_lies_within_the_sieved_tail(kind):
         assert abs(value - c) <= tail + bound
         if kind not in (A.MOBIUS, A.CHI_TWO):       # f >= 0: partial sums from below
             assert c <= value + bound
+
+
+@pytest.mark.parametrize("K", [6, 12])
+def test_series_constant_cut_early_is_within_its_bound(monkeypatch, K):
+    # at small K the bound on the terms k > K, 2^(1-K) sum |f(n)| n^-2,
+    # dominates; omega's prime zeta table needs K >= 64 and is left out
+    monkeypatch.setattr(FS, "_SERIES_K", K)
+    FS._series_table.cache_clear()
+    try:
+        with mp.workdps(50):
+            for kind in SERIES_KINDS:
+                if kind != A.OMEGA:
+                    value, bound = FS.series_constant(kind)
+                    assert abs(mp.mpf(value) - _reference_constant(kind)) <= bound, kind
+    finally:
+        FS._series_table.cache_clear()       # no table outlives the patch
 
 
 @pytest.mark.parametrize("N", [FS._EM_N, 3, 2])

@@ -10,7 +10,7 @@ on the path.  First it runs every id on an unmutated copy, where all must
 pass.  It exits 1 if a mutant survives (its ids pass), if an anchor is stale
 (missing, or found more than once), or if an id cannot be run.
 
-    python tools/mutants.py              # the whole catalogue, about a minute
+    python tools/mutants.py              # the whole catalogue, about two minutes
 
 A change that rewrites a mutated line updates its anchor to the new code; a
 change that retires a mutant says why.
@@ -39,7 +39,8 @@ class Mutant:
     tests: tuple[str, ...]
 
 
-FLOORSUM, ARITH, IDENTITIES = (f"src/floorsums/{m}.py" for m in ("floorsum", "arith", "identities"))
+FLOORSUM, ARITH, IDENTITIES, PSI = (f"src/floorsums/{m}.py"
+                                    for m in ("floorsum", "arith", "identities", "psi"))
 
 CATALOGUE = (
     Mutant("first-block-bound-2^64", FLOORSUM,
@@ -54,10 +55,26 @@ CATALOGUE = (
            "SHARED_PREFIX = 1 << 16",
            "SHARED_PREFIX = 1 << 15",
            ("tests/test_floorsum.py::test_every_sum_but_the_first_block_fits_int64",)),
-    Mutant("past-max-tau-r-unbounded", FLOORSUM,
-           "    return kind.tag == \"tau\" and kind.r > MAX_TAU_R",
-           "    return False",
-           ("tests/test_floorsum.py::test_a_table_past_max_tau_r_is_bounded_by_its_magnitude",)),
+    Mutant("naive-bound-dropped", FLOORSUM,
+           "if (bound := _magnitude(kind, x) * x) >= 2**63:",
+           "if (bound := _magnitude(kind, x) * x) >= 2**63 and False:",
+           ("tests/test_floorsum.py::test_both_sums_check_their_bounds_before_any_evaluation",
+            "tests/test_floorsum.py::test_a_table_past_max_tau_r_is_bounded_by_its_magnitude")),
+    Mutant("naive-sieves-before-its-bound", FLOORSUM,
+           "    values = None if table is None else _table_prefix(kind, table, x)",
+           "    values = build_sieve(kind, 1, x).values if table is None else "
+           "_table_prefix(kind, table, x)",
+           ("tests/test_floorsum.py::test_both_sums_check_their_bounds_before_any_evaluation",)),
+    Mutant("later-piece-bound-dropped", FLOORSUM,
+           "            for top, count in ((end, x - x // (end + 1)),\n"
+           "                               (d0, max(BLOCK_CHUNK, x // (BLOCK_CHUNK + 1) + 1))):",
+           "            for top, count in ((end, x - x // (end + 1)),):",
+           ("tests/test_floorsum.py::test_a_later_block_piece_past_max_tau_r_is_bounded",
+            "tests/test_floorsum.py::test_both_sums_check_their_bounds_before_any_evaluation")),
+    Mutant("table-of-another-kind-taken", FLOORSUM,
+           "    if table.kind != kind:",
+           "    if False:",
+           ("tests/test_floorsum.py::test_table_must_hold_the_kind_and_cover_one_to_x",)),
     Mutant("magnitude-one-record-low", ARITH,
            "    return values[bisect_right(ns, hi) - 1]",
            "    return values[max(0, bisect_right(ns, hi) - 2)]",
@@ -81,6 +98,16 @@ CATALOGUE = (
            "        run = values[max(start - lo, 0): max(stop - lo, 0)]",
            "        run = values[max(start - lo, 0) + 1: max(stop - lo, 0)]",
            ("tests/test_arith.py::test_a_table_is_held_to_its_kind_at_every_n",)),
+    Mutant("product-of-uint64-and-signed-taken-in-float", ARITH,
+           "        if fv.dtype.kind in \"iu\" and gv.dtype.kind in \"iu\":",
+           "        if False:",
+           ("tests/test_arith.py::"
+            "test_convolution_refuses_integer_tables_without_a_common_integer_dtype",
+            "tests/test_contract.py::test_dirichlet_convolve_takes_every_dtype_pair")),
+    Mutant("add-scaled-minus-one-as-plus", ARITH,
+           "    elif c == -1:\n        view -= v",
+           "    elif c == -1:\n        view += v",
+           ("tests/test_arith.py::test_convolution_examples",)),
     Mutant("product-bound-without-sums", ARITH,
            "(bound := F * G * 2 * isqrt(limit) * sums)",
            "(bound := F * G * 2 * isqrt(limit))",
@@ -101,6 +128,49 @@ CATALOGUE = (
            "    square = root * root == m[big]",
            "    square = root * root == m[big] + 1",
            ("tests/test_arith.py::test_eval_point_large_arguments",)),
+    Mutant("eval-points-read-a-list-through-asarray", ARITH,
+           "    n = require_integers(n=read_array(n))",
+           "    n = require_integers(n=np.asarray(n))",
+           ("tests/test_arith.py::test_eval_points_reject_non_integer_input",
+            "tests/test_arith.py::test_eval_points_accept_every_integer_dtype",
+            "tests/test_contract.py::test_eval_points_takes_n_in_every_array_form")),
+    Mutant("unit-array-reads-a-list-through-asarray", IDENTITIES,
+           "t = _check_t(read_array(t))",
+           "t = _check_t(np.asarray(t))",
+           ("tests/test_contract.py::test_unit_array_refuses_t_that_is_not_integers",)),
+    Mutant("miller-rabin-bases-2-to-11", ARITH,
+           "    for a in bases:",
+           "    for a in (2, 3, 5, 7, 11):",
+           ("tests/test_arith.py::test_is_prime_on_bounds_pseudoprimes_and_large_primes",)),
+    Mutant("wheel-exponents-one-too-high", ARITH,
+           "[a + 1 for _, a in _WHEEL]",
+           "[a + 2 for _, a in _WHEEL]",
+           ("tests/test_arith.py::test_sieve_matches_eval_point_to_the_ulp",
+            "tests/test_arith.py::test_sieve_matches_definition")),
+    Mutant("log-scale-t-one-low", ARITH,
+           "/ gap), e // 2",
+           "/ gap), e // 2 - 1",
+           ("tests/test_arith.py::test_segment_kernel_matches_smooth_product_reference",)),
+    Mutant("series-tau-order-one-low", FLOORSUM,
+           "d = (kind.r * z.log1p()).expm1()",
+           "d = ((kind.r - 1) * z.log1p()).expm1()",
+           ("tests/test_floorsum.py::test_series_constant_lies_within_the_sieved_tail",)),
+    Mutant("series-tail-bound-dropped", FLOORSUM,
+           " + 2.0 ** (1 - K) * head",
+           "",
+           ("tests/test_floorsum.py::test_series_constant_cut_early_is_within_its_bound",)),
+    Mutant("pair-index-cut-inclusive", IDENTITIES,
+           "f_cut = d < a ",
+           "f_cut = d <= a ",
+           ("tests/test_identities.py::test_windowed_hyperbola_terms_match_the_kernel_bit_for_bit",)),
+    Mutant("unit-pass-parameters-by-sorted-sizes", IDENTITIES,
+           "np.repeat(rows, sizes[rule == k], axis=0)",
+           "np.repeat(rows, np.sort(sizes[rule == k]), axis=0)",
+           ("tests/test_identities.py::test_run_verification_matches_the_public_verifiers",)),
+    Mutant("psi-fold-one-residue-off", PSI,
+           "np.bincount(h % grid_size,",
+           "np.bincount((h + 1) % grid_size,",
+           ("tests/test_psi.py::test_grid_values_match_exact_phase_reference",)),
     Mutant("per-n-range-one-quotient-short", FLOORSUM,
            "x // max(seg_lo, shared + 1)",
            "x // max(seg_lo, shared + 1) - 1",
