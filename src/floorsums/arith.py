@@ -257,13 +257,21 @@ def _steps(kind: FunctionKind) -> dict[int, int | tuple[int, int]]:
     return steps
 
 
-@lru_cache(maxsize=None)
+_RECORDS: dict[FunctionKind, tuple[int, list[int], list[int]]] = {}
+
+
 def _records(kind: FunctionKind, bits: int) -> tuple[list[int], list[int]]:
-    """The records of |f| below 2^bits: the n, from n = 0 with value 0, where
-    |f(n)| exceeds |f(m)| for every m < n, in order, and those values.
+    """The records of |f| below 2^B, for some B >= bits: the n, from n = 0
+    with value 0, where |f(n)| exceeds |f(m)| for every m < n, in order,
+    and those values.  The records below 2^b are a prefix of those below
+    2^B, so one list per kind serves every bit length up to its own; it is
+    walked again, at `bits`, only when a longer one is asked for.
     |f(n)| depends on n's exponents alone; moving them in decreasing order
     onto 2, 3, 5, ... gives an n' <= n with the same value, so only those n'
     are walked."""
+    held = _RECORDS.get(kind)
+    if held is not None and held[0] >= bits:
+        return held[1], held[2]
     g = [abs(kind.local(a)) for a in range(bits + 1)]
     combine = int.__add__ if kind.additive else int.__mul__
     small = primes_upto(64).tolist()         # their product exceeds 2^64
@@ -284,7 +292,8 @@ def _records(kind: FunctionKind, bits: int) -> tuple[list[int], list[int]]:
         if least[value] < ns[-1]:
             ns.append(least[value])
             values.append(value)
-    return ns[:0:-1], values[::-1]
+    held = _RECORDS[kind] = bits, ns[:0:-1], values[::-1]
+    return held[1], held[2]
 
 
 def _magnitude(kind: FunctionKind, hi: int) -> int:
@@ -299,8 +308,10 @@ def _beyond_magnitude(kind: FunctionKind | None, lo: int, values: np.ndarray) ->
     run between two of `_records`, where the bound is constant."""
     if kind is None or kind.tag == "lambda":
         return None
-    ns, bounds = _records(kind, (lo + len(values) - 1).bit_length())
-    for start, stop, bound in zip(ns, ns[1:] + [lo + len(values)], bounds):
+    top = lo + len(values) - 1
+    ns, bounds = _records(kind, top.bit_length())
+    k = bisect_right(ns, top)                # the records up to top
+    for start, stop, bound in zip(ns[:k], ns[1:k] + [top + 1], bounds):
         run = values[max(start - lo, 0): max(stop - lo, 0)]
         if _abs_max(run) > bound:
             i = int(run.argmax() if run.max() > bound else run.argmin())
@@ -414,11 +425,13 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     n in [lo, hi] has at most one prime factor above the walked ones.  Every
     n starts at g(0) and moves from g(a-1) to g(a) on the multiples of p^a,
     in the narrowest dtype that holds every value formed (_working_dtype),
-    cast to int64 once at the end.  Where n has a prime factor above the
-    walked ones, f moves from g(0) to g(1) once more (skipped when g(1) =
-    g(0)).  That residual test is exact without forming n's walked part: an
-    unsigned accumulator adds round(s log2 p) at every multiple of p^a, and
-    n has such a factor iff its sum is below s k - t on n in [2^k, 2^(k+1)).
+    which is the dtype returned; chi_2 comes in it too, a constant kind as a
+    read-only broadcast of its one value, and Lambda in float64.  Where n
+    has a prime factor above the walked ones, f moves from g(0) to g(1) once
+    more (skipped when g(1) = g(0), or on [1, 1]).  That residual test is
+    exact without forming n's walked part: an unsigned accumulator adds
+    round(s log2 p) at every multiple of p^a, and n has such a factor iff
+    its sum is below s k - t on n in [2^k, 2^(k+1)).
     The rounding error is at most 1/2 per odd prime factor, at most
     floor(log_3 hi)/2 in all, while the factor is worth more than
     log2 isqrt(hi) bits; _log_scale picks s and t from hi so that the error
@@ -436,7 +449,7 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     """
     size = hi - lo + 1
     if kind.tag == "chi_two":       # mu on the m with m^2 in [lo, hi], read on the squares
-        val = np.zeros(size, dtype=np.int64)
+        val = np.zeros(size, dtype=_working_dtype(kind, hi.bit_length()))
         m_lo, root = isqrt(lo - 1) + 1, isqrt(hi)
         if m_lo <= root:
             m = np.arange(m_lo, root + 1)
@@ -459,15 +472,17 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
         return val
 
     steps = _steps(kind)
+    dtype = _working_dtype(kind, hi.bit_length())
     if not steps:                   # f is constant (one, tau_1)
-        return np.full(size, kind.local(0), dtype=np.int64)
-    residual = 1 in steps
+        return np.broadcast_to(dtype.type(kind.local(0)), size)     # read-only, no memory
+    # n = 1 has no prime factor, and the working dtype of [1, 1] need not hold g(1)
+    residual = 1 in steps and hi > 1
     top = _MAX_EXPONENT if residual else max(steps)     # the last exponent the walk reads
     if primes.size < len(_WHEEL):   # the wheel's primes are walked at any hi
         primes = primes_upto(_WHEEL[-1][0])
     s, t = _log_scale(hi, primes) if residual else (0, 0)
     val_period, acc_period = _wheel_period(kind, s)
-    val = _from_period(val_period, lo, size, _working_dtype(kind, hi.bit_length()))
+    val = _from_period(val_period, lo, size, dtype)
     if residual:
         acc = _from_period(acc_period, lo, size, np.min_scalar_type(s * hi.bit_length() + t))
     for p, a in zip_longest(primes.tolist(), [a + 1 for _, a in _WHEEL], fillvalue=1):
@@ -485,13 +500,14 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
                     _advance(val[start::q], steps[a], kind.additive)
             q, a = q * p, a + 1
     if residual:
-        big = np.empty(size, dtype=bool)    # n has a prime factor above the walked ones
+        move = np.empty(size, dtype=dtype)  # 1 where n has a prime factor above the walked ones
         for k in range(lo.bit_length() - 1, hi.bit_length()):
             i, j = max(lo, 1 << k) - lo, min(hi, (2 << k) - 1) - lo + 1
-            np.less(acc[i:j], max(0, s * k - t), out=big[i:j])
+            np.less(acc[i:j], max(0, s * k - t), out=move[i:j])
+        del acc
         # f moves from g(0) to g(1) there, where g(0) is 0 (additive) or
-        # f(1) = 1: add g(1) [big], or multiply by 1 + (g(1) - 1) [big]
-        move = big.view(np.int8)
+        # f(1) = 1: add g(1) times move, or multiply by 1 + (g(1) - 1) times move;
+        # hi >= 2, so the working dtype holds f(2) = g(1), and g(1) - 1
         if kind.additive:
             move *= kind.local(1)
             val += move
@@ -499,7 +515,7 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
             move *= kind.local(1) - 1
             move += 1
             val *= move
-    return val.astype(np.int64, copy=False)
+    return val
 
 
 def _check_range(lo, hi) -> tuple[int, int]:
@@ -518,7 +534,13 @@ def iter_segment_values(kind: FunctionKind, lo: int, hi: int):
     """Yield (seg_lo, values) chunks covering [lo, hi] without holding it all.
 
     Streaming counterpart of build_sieve for scans over ranges larger than
-    the table budget (e.g. main-term constants at cutoff 1e8).
+    the table budget (e.g. main-term constants at cutoff 1e8).  Each chunk
+    comes in the kernel's working dtype, the narrowest signed dtype that
+    holds f on [1, 2^k) for the chunk's last n below 2^k (`_working_dtype`:
+    int8 for 1, mu, mu^2, omega and chi_2; a constant function's chunk is a
+    read-only broadcast of its value), Lambda in float64; a reader that sums
+    one accumulates in a dtype of its own.  build_sieve widens them into its
+    int64 table.
     """
     lo, hi = _check_range(lo, hi)
     _check_tau_order(kind)
@@ -539,12 +561,22 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
     lo, hi = _check_range(lo, hi)
     if hi - lo + 1 > SIEVE_BUDGET:
         raise BudgetError(f"table of {hi - lo + 1} entries exceeds budget {SIEVE_BUDGET}")
-    dtype = np.float64 if kind.tag == "lambda" else np.int64
-    out = np.empty(hi - lo + 1, dtype=dtype)
-    for seg_lo, vals in iter_segment_values(kind, lo, hi):
-        out[seg_lo - lo: seg_lo - lo + len(vals)] = vals
+    out = _tabulate(kind, lo, hi, np.float64 if kind.tag == "lambda" else np.int64)
     out.flags.writeable = False
     return SieveTable(kind=kind, lo=lo, values=out)
+
+
+def _tabulate(kind: FunctionKind, lo: int, hi: int, dtype) -> np.ndarray:
+    """f on [lo, hi] in a fresh `dtype` array, filled one segment at a time;
+    `dtype` must hold every segment's values."""
+    out = np.empty(hi - lo + 1, dtype=dtype)
+    for seg_lo, vals in iter_segment_values(kind, lo, hi):
+        # widened before the copy, as the kernel once returned it: a product
+        # of two int64 tables then lands in the memory that segment frees.
+        # Copied in narrow, verify-mix peaked 1-2 MiB higher on every seed
+        vals = vals.astype(dtype, copy=False)
+        out[seg_lo - lo: seg_lo - lo + len(vals)] = vals
+    return out
 
 
 # ---------------------------------------------------------------------------

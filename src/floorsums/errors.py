@@ -49,11 +49,16 @@ def read_array(v) -> np.ndarray:
 def require_reals(**named):
     """The named real values: a numpy integer comes back as an int, a numpy
     float as a float, any other value unchanged, and a bool, which would
-    pass for 0 or 1, is refused with ValueError."""
+    pass for 0 or 1, is refused with ValueError.  An array passes unchanged
+    by an integer or float dtype or as an object array of reals, not bools;
+    any other is refused with ValueError."""
     out = []
     for name, v in named.items():
         if isinstance(v, (bool, np.bool_)):
             raise ValueError(f"need an int or float {name}, got {v!r}")
+        if isinstance(v, np.ndarray) and not (
+                v.dtype.kind in "iuf" or v.dtype.kind == "O" and all(map(_is_real, v.flat))):
+            raise ValueError(f"need real {name}, got dtype {v.dtype}")
         out.append(int(v) if isinstance(v, np.integer) else
                    float(v) if isinstance(v, np.floating) else v)
     return out[0] if len(out) == 1 else tuple(out)
@@ -61,3 +66,7 @@ def require_reals(**named):
 
 def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)

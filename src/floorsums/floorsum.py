@@ -45,8 +45,8 @@ from math import isqrt
 import numpy as np
 
 from .arith import (FACTOR_BUDGET, MOBIUS, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
-                    SieveTable, _check_tau_order, _magnitude, build_sieve, eval_points,
-                    iter_segment_values, primes_upto)
+                    SieveTable, _check_tau_order, _magnitude, _tabulate, _working_dtype,
+                    build_sieve, eval_points, iter_segment_values, primes_upto)
 from .errors import BudgetError, require_integers
 
 NAIVE_BUDGET = 10**7
@@ -120,7 +120,10 @@ def _table_prefix(kind: FunctionKind, table: SieveTable, x: int) -> np.ndarray:
 
 def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None):
     """Direct O(x) evaluation; exact (Lambda via compensated summation).
-    A `table` replaces the sieve of [1, x]."""
+    A `table` replaces the sieve of [1, x], which is otherwise held in the
+    kernel's narrow working dtype.  The quotients floor(x/n) are formed
+    BLOCK_CHUNK n at a time, each chunk's values summed in int64 (Lambda's
+    fed to one fsum), so no array but f(1..x) grows with x."""
     x = _check_x(x, "naive")
     values = None if table is None else _table_prefix(kind, table, x)
     if kind.tag != "lambda":                # x terms of |f| <= _magnitude(kind, x)
@@ -128,12 +131,21 @@ def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None)
             _check_tau_order(kind)          # the sieve's refusal comes first
         if (bound := _magnitude(kind, x) * x) >= 2**63:
             raise BudgetError(f"naive sum of the table may exceed int64 (bound {bound})")
-    values = build_sieve(kind, 1, x).values if values is None else values
-    q = x // np.arange(1, x + 1, dtype=np.int64)
-    vals = values[q - 1]
+    if values is None:                      # f(1..x) in the sieve's working dtype
+        values = _tabulate(kind, 1, x, np.float64 if kind.tag == "lambda"
+                           else _working_dtype(kind, x.bit_length()))
+    chunks = map(values.__getitem__, _quotient_indices(x))
     if kind.tag == "lambda":
-        return math.fsum(vals)
-    return int(np.sum(vals))
+        return math.fsum(chain.from_iterable(map(np.ndarray.tolist, chunks)))
+    return sum(int(v.sum(dtype=np.int64)) for v in chunks)
+
+
+def _quotient_indices(x: int):
+    """floor(x/n) - 1 for n = 1..x, BLOCK_CHUNK n at a time, as int64 arrays."""
+    for lo in range(1, x + 1, BLOCK_CHUNK):
+        q = x // np.arange(lo, min(lo + BLOCK_CHUNK, x + 1), dtype=np.int64)
+        q -= 1                  # in place: one chunk-sized array less at the peak
+        yield q
 
 
 def _pieces(kind: FunctionKind, prefix, x: int, N: int, shared: int, d0: int):
@@ -187,8 +199,10 @@ def _split_sum(kind: FunctionKind, x: int, N: int, d0: int, head: np.ndarray, pr
         inner = math.fsum(_floats(iter(pieces.__next__, None)))    # the shared blocks
         return math.fsum(chain([inner], head.tolist(), _floats(pieces)))
     total = sum(head.tolist())              # exact, in Python ints
+    # v comes in the sieve's narrow working dtype: each chunk is summed in
+    # int64, against m's int64 or by an int64 accumulator
     for v, m in filter(None, pieces):       # the None between the parts left out
-        total += int(v.sum() if m is None else v.dot(m))
+        total += int(v.sum(dtype=np.int64) if m is None else m.dot(v))
     return total
 
 
@@ -315,8 +329,9 @@ def _tail_bound(kind: FunctionKind, cutoff: int | None) -> float:
         return (math.log(c) + 1.0) / c
     if kind.additive:
         return (math.log(c) + 1.0) / (c * math.log(2))
-    # every local factor is constant from a = 4 on or exceeds 1 at a = 1
-    if all(abs(kind.local(a)) <= 1 for a in range(64)):
+    # every |local factor| is at most 1 iff |f(n)| <= 1 on n <= 16: each
+    # kind's factor is constant from a = 4 on or exceeds 1 at a = 1
+    if _magnitude(kind, 16) <= 1:
         return 1.0 / (c + 1)
     eps = _ENVELOPE_EPS
     B = _power_envelope(lambda p, a: abs(kind.local(a)) / p ** (eps * a))

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import require_integers, require_reals
+from .errors import read_array, require_integers, require_reals
 
 _MAX_H = 10**6
 _MAX_GRID = 10**6           # grid points; verify_pointwise_bound peaks near 65 bytes each
@@ -42,11 +42,14 @@ def vaaler_polynomial(H: int) -> np.ndarray:
 
 def fejer_envelope(H: int, x) -> np.ndarray | float:
     """Pointwise Vaaler error envelope F_H(x)/(2H+2), with the Fejer kernel
-    F_H(x) = sin^2((H+1) pi x) / ((H+1) sin^2(pi x)) >= 0, F_H(0) = H+1."""
+    F_H(x) = sin^2((H+1) pi x) / ((H+1) sin^2(pi x)) >= 0, F_H(0) = H+1.
+    x is a real or an array of reals (a list read entry by entry, as
+    `read_array` says); a bool or a non-real entry is refused with
+    ValueError."""
     H = require_integers(H=H)
     if H < 1:
         raise ValueError("H must be >= 1")
-    xs = np.asarray(require_reals(x=x), dtype=np.float64)
+    xs = require_reals(x=read_array(x)).astype(np.float64)
     s = np.sin(np.pi * xs)
     num = np.sin((H + 1) * np.pi * xs)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -228,17 +228,23 @@ KERNEL_WINDOWS = ([(1, 2**20), (2**20 + 1, 2**21)]
                   + [(1, 48), (1, 49), (1, 50), (40, 49)])
 
 
+def _kernel_dtype(kind, hi):
+    """The dtype of the kernel's segments: its working dtype on [1, hi],
+    float64 for Lambda."""
+    return np.float64 if kind.tag == "lambda" else A._working_dtype(kind, hi.bit_length())
+
+
 @pytest.mark.parametrize("lo, hi", KERNEL_WINDOWS)
 def test_segment_kernel_matches_smooth_product_reference(lo, hi):
-    # the same dtype and the same bytes as the smooth-product kernel, past
-    # every binade edge of the residual test's thresholds; tau8 is the
-    # widest working dtype
+    # the kernel's working dtype, and the bytes of the smooth-product kernel
+    # once widened to its int64, past every binade edge of the residual
+    # test's thresholds; tau8 is the widest working dtype
     primes = A.primes_upto(isqrt(hi))
     for kind in ALL_KINDS + [A.tau(8)]:
         got = A._segment_values(kind, lo, hi, primes)
         want = _segment_reference(kind, lo, hi, primes)
-        assert got.dtype == want.dtype, kind
-        assert got.tobytes() == want.tobytes(), kind
+        assert got.dtype == _kernel_dtype(kind, hi), kind
+        assert got.astype(want.dtype).tobytes() == want.tobytes(), kind
 
 
 def test_segment_kernel_with_primes_past_hi():
@@ -248,7 +254,29 @@ def test_segment_kernel_with_primes_past_hi():
         for kind in ALL_KINDS + [A.tau(8)]:
             got = A._segment_values(kind, lo, hi, A.primes_upto(100))
             want = _segment_reference(kind, lo, hi, A.primes_upto(100))
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, lo, hi)
+            assert got.dtype == _kernel_dtype(kind, hi), (kind, lo, hi)
+            assert got.astype(want.dtype).tobytes() == want.tobytes(), (kind, lo, hi)
+
+
+def test_kernel_forms_a_residual_step_past_int8_in_its_working_dtype(monkeypatch):
+    # with MAX_TAU_R lifted, tau_129's g(1) - 1 = 128 does not fit int8, where
+    # the kernel once formed its residual step; a Python-int reference
+    monkeypatch.setattr(A, "MAX_TAU_R", 200)
+    hi = 1000
+    for r in (129, 200):
+        want = []
+        for n in range(1, hi + 1):
+            value, p = 1, 2
+            while n > 1:
+                a = 0
+                while n % p == 0:
+                    n, a = n // p, a + 1
+                value *= math.comb(a + r - 1, r - 1)
+                p += 1
+            want.append(value)
+        assert A.build_sieve(A.tau(r), 1, hi).values.tolist() == want, r
+        # [1, 1] is held in int8, which cannot hold g(1) - 1: n = 1 takes no residual step
+        assert A.build_sieve(A.tau(r), 1, 1).values.tolist() == [1]
 
 
 def test_working_dtype_is_the_narrowest_that_holds_every_value():

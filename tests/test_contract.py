@@ -9,10 +9,11 @@ raises the same typed error with the same message.  A form the argument
 does not take (a bool anywhere; a float or a `Fraction` for an integer) must
 be refused with ValueError, BudgetError, CoverageError or WindowError.  Any
 other exception fails.  The array arguments (`unit_array`'s t,
-`eval_points`' n, `dirichlet_convolve`'s f and g, a named table's values)
-are drawn in every form and dtype too: each draw is refused with a typed
-error before any work, or gives the value of a Python-int reference.  Sizes
-stay small (x <= 10^4, R <= 200), so that the module runs in a few seconds.
+`eval_points`' n, `fejer_envelope`'s x, `dirichlet_convolve`'s f and g, a
+named table's values) are drawn in every form and dtype too: each draw is
+refused with a typed error before any work, or gives the value of a
+Python-int reference.  Sizes stay small (x <= 10^4, R <= 200), so that the
+module runs in a few seconds.
 """
 
 import math
@@ -291,6 +292,43 @@ def test_eval_points_takes_n_in_every_array_form(v, kind):
             _no_work(mp, "_local_values", "_odd_primes")
             with pytest.raises(TYPED):
                 A.eval_points(kind, n)
+
+
+# ---------------------------------------------------------------------------
+# array arguments: fejer_envelope's x
+
+def _x_forms(v: list) -> list:
+    """(x, reals) for fejer_envelope's x with entries v: x in every form a
+    caller may pass, and whether it holds reals alone.  A list is read entry
+    by entry, so a bool or a complex entry in it is not a real."""
+    forms = [(v, True), ([v, v], True), (np.array(v, dtype=object), True),
+             (np.array(v, dtype=np.float64), True),
+             (v + [True], False), ([np.True_] + v, False), (v + [1j], False),
+             (np.array([k != 0 for k in v] + [True]), False),
+             (np.array([float(k) for k in v] + [1j]), False)]
+    if all(isinstance(k, int) and abs(k) < 2**63 for k in v):
+        forms += [(np.array(v, dtype=np.int64), True), (np.array(v, dtype=np.int16), True)]
+    if len(v) == 1:
+        forms += [(np.array(v[0], dtype=object), True)]
+    return forms
+
+
+@settings(max_examples=60)
+@given(v=st.lists(st.integers(-3, 3) | st.floats(-3, 3) | st.fractions(-3, 3) | HUGE,
+                  max_size=4),
+       H=st.integers(1, 50))
+def test_fejer_envelope_takes_x_in_every_array_form(v, H):
+    # each form of reals alone acts as the float64 array of its entries, in
+    # its own shape; any other is refused with ValueError
+    for x, reals in _x_forms(v):
+        if not reals:
+            with pytest.raises(ValueError, match="need real x"):
+                psi.fejer_envelope(H, x)
+            continue
+        entries = np.array(x, dtype=object).ravel().tolist()
+        want = psi.fejer_envelope(H, np.array(entries, dtype=np.float64).reshape(np.shape(x)))
+        got = psi.fejer_envelope(H, x)
+        assert _key(got) == _key(want), x
 
 
 # ---------------------------------------------------------------------------

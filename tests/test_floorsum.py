@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt
 
@@ -73,7 +75,7 @@ def forbid_evaluation(monkeypatch):
     def fail(*args):
         raise AssertionError("f was evaluated")
 
-    for name in ("build_sieve", "iter_segment_values", "eval_points"):
+    for name in ("build_sieve", "iter_segment_values", "_tabulate", "eval_points"):
         monkeypatch.setattr(FS, name, fail)
 
 
@@ -185,6 +187,51 @@ def x_and_split(draw, root_at_most=False):
     """x <= 10^6 and a split N in [1, x], or in [1, isqrt(x)]."""
     x = draw(st.integers(1, 10**6))
     return x, draw(st.integers(1, isqrt(x) if root_at_most else x))
+
+
+# every kind the evaluators take: the tau orders up to MAX_TAU_R and the other CLI names
+EVALUATED_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.OMEGA, A.TWO_POW_OMEGA, A.CHI_TWO,
+                   *map(A.tau, range(1, A.MAX_TAU_R + 1))]
+
+
+# the kinds whose sieve segments come in int8 or int16 up to x = 10^7
+NARROW_KINDS = [k for k in EVALUATED_KINDS if A._working_dtype(k, 24).itemsize <= 2]
+
+
+def test_one_sums_to_x_through_narrow_segments():
+    # one's segments are int8 ones: every chunk of up to BLOCK_CHUNK of them
+    # must be summed in int64, not in the segment's own dtype
+    assert A._working_dtype(A.ONE, 34) == np.int8
+    for x in [10**k for k in range(11)] + [65537, 3 * 10**8 + 7, 9_999_999_967]:
+        assert FS.floor_sum_fast(A.ONE, x) == x, x
+
+
+@pytest.mark.parametrize("kind", NARROW_KINDS, ids=str)
+def test_fast_equals_naive_on_narrow_segments(kind):
+    # the naive sum forms its quotients BLOCK_CHUNK at a time and reads an
+    # int8 or int16 table; the split sum streams segments in that dtype
+    x = 10**6 + 2**17 * NARROW_KINDS.index(kind) * 3 + 1
+    assert x > FS.BLOCK_CHUNK and A._working_dtype(kind, x.bit_length()).itemsize <= 2
+    assert FS.floor_sum_fast(kind, x) == FS.floor_sum_naive(kind, x)
+
+
+def _traced_peak(fn, *args) -> int:
+    """The peak of memory traced while fn(*args) runs; numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sums_hold_no_int64_copy_of_their_values():
+    # one at 10^10 streams a 5e5-entry segment: 0.5 MB in int8, 4 MB in
+    # int64 (a 5.9 MiB peak).  The naive tau3 sum at 10^6 holds f(1..x) in
+    # int16 and BLOCK_CHUNK quotients at a time; three int64 arrays of x
+    # entries peaked at 30.5 MiB
+    assert _traced_peak(FS.floor_sum_fast, A.ONE, 10**10) < 3 * 2**20
+    assert _traced_peak(FS.floor_sum_naive, A.tau(3), 10**6) < 10 * 2**20
 
 
 @SPLIT_EXAMPLES
@@ -337,11 +384,6 @@ def test_tau8_is_summed_just_below_the_first_block_bound():
     assert FS.floor_sum_fast(A.tau(8), x) == 35262055531822
 
 
-# every kind the evaluators take: the tau orders up to MAX_TAU_R and the other CLI names
-EVALUATED_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.OMEGA, A.TWO_POW_OMEGA, A.CHI_TWO,
-                   *map(A.tau, range(1, A.MAX_TAU_R + 1))]
-
-
 @pytest.mark.parametrize("kind", EVALUATED_KINDS, ids=str)
 def test_every_sum_but_the_first_block_fits_int64(kind):
     """The int64 checks of both sums refuse no sieved input but a first block.
@@ -426,6 +468,37 @@ def test_magnitude_is_the_largest_value_sieved(kind):
     for hi in (1, 2, 5040, 65536, 720720, 10**6):
         assert A._magnitude(kind, hi) == np.abs(A.build_sieve(kind, 1, hi).values).max(), hi
     assert A._magnitude(kind, 0) == 0
+
+
+@pytest.mark.parametrize("kind", INTEGER_KINDS + [A.tau(8)], ids=str)
+def test_one_records_list_per_kind_serves_every_shorter_length(monkeypatch, kind):
+    # the records below 2^b are a prefix of those below 2^B: the list of a
+    # 24-bit walk, held once, gives what a fresh walk at each b gives
+    monkeypatch.setattr(A, "_RECORDS", {})
+    fresh = {}
+    for bits in range(1, 25):
+        A._RECORDS.clear()
+        fresh[bits] = A._records(kind, bits), [A._magnitude(kind, hi) for hi in
+                                               range(1 << (bits - 1), 1 << bits, 997)]
+    A._RECORDS.clear()
+    held = A._records(kind, 24)
+    for bits, ((ns, values), magnitudes) in fresh.items():
+        got = A._records(kind, bits)
+        assert got[0] is held[0]            # no second walk
+        k = bisect_left(got[0], 1 << bits)
+        assert (got[0][:k], got[1][:k]) == (ns, values), bits
+        assert [A._magnitude(kind, hi) for hi in range(1 << (bits - 1), 1 << bits, 997)] \
+            == magnitudes, bits
+    assert A._records(kind, 30)[0] is not held[0] and A._RECORDS[kind][0] == 30
+
+
+@pytest.mark.parametrize("kind", [k for k in EVALUATED_KINDS if not k.additive], ids=str)
+def test_the_tail_telescopes_iff_every_local_factor_is_at_most_one(kind):
+    # the test reads one magnitude, |f(n)| <= 1 on n <= 16, where it read
+    # every local factor g(0..63); the additive omega takes its own bound
+    telescoped = all(abs(kind.local(a)) <= 1 for a in range(64))
+    for cutoff in (1000, 10**8):
+        assert (FS._tail_bound(kind, cutoff) == 1.0 / (cutoff + 1)) == telescoped, cutoff
 
 
 def test_a_second_sum_on_a_table_scans_nothing(monkeypatch):

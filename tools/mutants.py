@@ -39,8 +39,8 @@ class Mutant:
     tests: tuple[str, ...]
 
 
-FLOORSUM, ARITH, IDENTITIES, PSI = (f"src/floorsums/{m}.py"
-                                    for m in ("floorsum", "arith", "identities", "psi"))
+FLOORSUM, ARITH, IDENTITIES, PSI, ERRORS = (
+    f"src/floorsums/{m}.py" for m in ("floorsum", "arith", "identities", "psi", "errors"))
 
 CATALOGUE = (
     Mutant("first-block-bound-2^64", FLOORSUM,
@@ -181,6 +181,28 @@ CATALOGUE = (
            "            m = q[:-1] - np.maximum(N + 1, q[1:])",
            ("tests/test_floorsum.py::test_fast_equals_naive_all_kinds",
             "tests/test_floorsum.py::test_fast_equals_naive_for_any_split")),
+    Mutant("segment-summed-in-its-own-dtype", FLOORSUM,
+           "v.sum(dtype=np.int64) if m is None",
+           "v.sum(dtype=v.dtype) if m is None",
+           ("tests/test_floorsum.py::test_one_sums_to_x_through_narrow_segments",)),
+    Mutant("naive-chunk-drops-its-last-quotient", FLOORSUM,
+           "min(lo + BLOCK_CHUNK, x + 1)",
+           "min(lo + BLOCK_CHUNK - 1, x + 1)",
+           ("tests/test_floorsum.py::test_fast_equals_naive_on_narrow_segments",)),
+    Mutant("segments-widened-to-int64", ARITH,
+           "            val *= move\n    return val\n",
+           "            val *= move\n    return val.astype(np.int64)\n",
+           ("tests/test_floorsum.py::test_sums_hold_no_int64_copy_of_their_values",
+            "tests/test_arith.py::test_segment_kernel_matches_smooth_product_reference")),
+    Mutant("residual-step-formed-in-int8", ARITH,
+           "move = np.empty(size, dtype=dtype)",
+           "move = np.empty(size, dtype=np.int8)",
+           ("tests/test_arith.py::"
+            "test_kernel_forms_a_residual_step_past_int8_in_its_working_dtype",)),
+    Mutant("fejer-takes-a-bool-entry", ERRORS,
+           "return isinstance(v, numbers.Real) and not isinstance(v, bool)",
+           "return isinstance(v, numbers.Real)",
+           ("tests/test_contract.py::test_fejer_envelope_takes_x_in_every_array_form",)),
     Mutant("phase-order-shortcut-one-bit-early", IDENTITIES,
            "self.r >= p.bit_length() + 1075:",
            "self.r >= p.bit_length() + 1074:",
