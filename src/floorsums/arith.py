@@ -158,18 +158,20 @@ def kind_from_name(name: str) -> FunctionKind:
 class SieveTable:
     """Values of one arithmetic function from n = lo on, lo an integer >= 1.
 
-    `values[i]` holds f(lo + i) in a 1-d array: int64 for an integer
-    function, float64 (log p values) for Lambda, any integer or float dtype
-    for a derived table; any other array is refused.  The array is marked
-    read-only, a writable one or a view copied first, so that a check of
-    the values holds for the table's life.
+    `values[i]` holds f(lo + i) in a 1-d array: any signed integer dtype
+    for an integer function (`build_sieve` gives the kernel's working dtype,
+    int8 for 1, mu, mu^2, omega and chi_2), float64 (log p values) for
+    Lambda, any integer or float dtype for a derived table; any other array
+    is refused.  The array is marked read-only, a writable one or a view
+    copied first, so that a check of the values holds for the table's life.
     The table ends where its values do, at hi = lo + len(values) - 1.
     `kind` is None for a derived table (a Dirichlet product), which no
     evaluator accepts in place of a table of a named function.  Every
     reader of f(1..n) takes it from `prefix`, which checks its coverage and
-    its values against the kind's `_magnitude`, which int64 guards read.
-    A product refuses two integer tables whose dtypes share no integer
-    dtype (uint64 with a signed one), as numpy would take it in float64.
+    its values against the kind's `_magnitude`, which int64 guards read, so
+    a narrow dtype is no risk.  A product refuses two integer tables whose
+    dtypes share no integer dtype (uint64 with a signed one), as numpy would
+    take it in float64.
     """
 
     kind: FunctionKind | None
@@ -182,9 +184,11 @@ class SieveTable:
             raise ValueError(f"need lo >= 1, got lo={self.lo}")
         v = self.values
         want = ("integer or float" if self.kind is None
-                else "float64" if self.kind.tag == "lambda" else "int64")
+                else "float64" if self.kind.tag == "lambda" else "signed integer")
         if not (isinstance(v, np.ndarray) and v.ndim == 1
-                and (v.dtype.kind in "iuf" if self.kind is None else v.dtype == want)):
+                and (v.dtype.kind in "iuf" if self.kind is None
+                     else v.dtype == np.float64 if self.kind.tag == "lambda"
+                     else v.dtype.kind == "i")):
             got = f"{v.ndim}-d {v.dtype}" if isinstance(v, np.ndarray) else type(v).__name__
             raise ValueError(f"{self.kind or 'derived'} table needs a 1-d {want} array, got {got}")
         if v.flags.writeable or not v.flags.owndata:    # a view's base may be written
@@ -258,20 +262,23 @@ def _steps(kind: FunctionKind) -> dict[int, int | tuple[int, int]]:
 
 
 _RECORDS: dict[FunctionKind, tuple[int, list[int], list[int]]] = {}
+_RECORD_BITS = 20               # the least walk: no sum up to x = 1e10 asks for more
 
 
 def _records(kind: FunctionKind, bits: int) -> tuple[list[int], list[int]]:
     """The records of |f| below 2^B, for some B >= bits: the n, from n = 0
     with value 0, where |f(n)| exceeds |f(m)| for every m < n, in order,
     and those values.  The records below 2^b are a prefix of those below
-    2^B, so one list per kind serves every bit length up to its own; it is
-    walked again, at `bits`, only when a longer one is asked for.
+    2^B, so one list per kind serves every bit length up to its own; the
+    first walk covers at least _RECORD_BITS bits (0.1-0.2 ms), and a kind
+    is walked again only when a longer list is asked for.
     |f(n)| depends on n's exponents alone; moving them in decreasing order
     onto 2, 3, 5, ... gives an n' <= n with the same value, so only those n'
     are walked."""
     held = _RECORDS.get(kind)
     if held is not None and held[0] >= bits:
         return held[1], held[2]
+    bits = max(bits, _RECORD_BITS)
     g = [abs(kind.local(a)) for a in range(bits + 1)]
     combine = int.__add__ if kind.additive else int.__mul__
     small = primes_upto(64).tolist()         # their product exceeds 2^64
@@ -539,8 +546,8 @@ def iter_segment_values(kind: FunctionKind, lo: int, hi: int):
     holds f on [1, 2^k) for the chunk's last n below 2^k (`_working_dtype`:
     int8 for 1, mu, mu^2, omega and chi_2; a constant function's chunk is a
     read-only broadcast of its value), Lambda in float64; a reader that sums
-    one accumulates in a dtype of its own.  build_sieve widens them into its
-    int64 table.
+    one accumulates in a dtype of its own.  build_sieve copies them into a
+    table of the working dtype of its whole range.
     """
     lo, hi = _check_range(lo, hi)
     _check_tau_order(kind)
@@ -553,7 +560,8 @@ def iter_segment_values(kind: FunctionKind, lo: int, hi: int):
 
 
 def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
-    """Tabulate `kind` on [lo, hi] by segmented sieving.
+    """Tabulate `kind` on [lo, hi] by segmented sieving, in the kernel's
+    working dtype of [1, hi] (see `_tabulate`).
 
     Raises BudgetError when the table would exceed SIEVE_BUDGET entries or
     when a tau order above MAX_TAU_R is requested.
@@ -561,20 +569,19 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
     lo, hi = _check_range(lo, hi)
     if hi - lo + 1 > SIEVE_BUDGET:
         raise BudgetError(f"table of {hi - lo + 1} entries exceeds budget {SIEVE_BUDGET}")
-    out = _tabulate(kind, lo, hi, np.float64 if kind.tag == "lambda" else np.int64)
+    out = _tabulate(kind, lo, hi)
     out.flags.writeable = False
     return SieveTable(kind=kind, lo=lo, values=out)
 
 
-def _tabulate(kind: FunctionKind, lo: int, hi: int, dtype) -> np.ndarray:
-    """f on [lo, hi] in a fresh `dtype` array, filled one segment at a time;
-    `dtype` must hold every segment's values."""
-    out = np.empty(hi - lo + 1, dtype=dtype)
+def _tabulate(kind: FunctionKind, lo: int, hi: int) -> np.ndarray:
+    """f on [lo, hi] in a fresh array, filled one segment at a time: in
+    `_working_dtype(kind, hi.bit_length())`, which holds every segment's
+    values (a segment's own is no wider), or float64 for Lambda."""
+    _check_tau_order(kind)          # its refusal comes before the dtype's
+    out = np.empty(hi - lo + 1, dtype=np.float64 if kind.tag == "lambda"
+                   else _working_dtype(kind, hi.bit_length()))
     for seg_lo, vals in iter_segment_values(kind, lo, hi):
-        # widened before the copy, as the kernel once returned it: a product
-        # of two int64 tables then lands in the memory that segment frees.
-        # Copied in narrow, verify-mix peaked 1-2 MiB higher on every seed
-        vals = vals.astype(dtype, copy=False)
         out[seg_lo - lo: seg_lo - lo + len(vals)] = vals
     return out
 
@@ -774,7 +781,8 @@ def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     limit = require_integers(limit=limit)
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
-    out = _convolve(*_check_product(f, g, limit), limit)
+    fv, gv, dtype = _check_product(f, g, limit)
+    out = _convolve(fv, gv, limit, dtype)
     out.flags.writeable = False
     return SieveTable(kind=None, lo=1, values=out)
 
@@ -785,32 +793,47 @@ def _abs_max(v: np.ndarray) -> int:
 
 
 def _check_product(f: SieveTable, g: SieveTable, limit: int,
-                   sums: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """f(1..L) and g(1..L), L = limit, from `prefix`, once their integer
-    product's values, or a sum of `sums` of them, cannot wrap its dtype:
-    else BudgetError, before any work.  |(f * g)(n)| <= F G tau(n) <=
+                   sums: int = 1) -> tuple[np.ndarray, np.ndarray, np.dtype]:
+    """f(1..L) and g(1..L), L = limit, from `prefix`, and the dtype of their
+    product: for integer tables the narrowest dtype that holds both tables'
+    and the bound on the product's values, or on a sum of `sums` of them,
+    signed unless both tables are unsigned.  |(f * g)(n)| <= F G tau(n) <=
     F G 2 isqrt(L): F and G the `_magnitude` of a named kind, which `prefix`
     checks its table holds, or where that refuses, as for a derived table,
-    the largest |value| on [1, L].  A float product (Lambda) passes, and
-    integer tables whose product numpy would take in float64 are refused
-    with ValueError."""
+    the largest |value| on [1, L].  A bound past int64 (uint64 for two
+    unsigned tables) is refused with BudgetError, before any work.  A float
+    product (Lambda) passes in numpy's dtype, and integer tables whose
+    product numpy would take in float64 are refused with ValueError."""
     fv, gv = f.prefix(limit), g.prefix(limit)
     dtype = np.result_type(fv, gv)
     if dtype.kind not in "iu":
         if fv.dtype.kind in "iu" and gv.dtype.kind in "iu":     # uint64 with a signed dtype
             raise ValueError(f"{fv.dtype} and {gv.dtype} tables share no integer dtype")
-        return fv, gv
+        return fv, gv, dtype
+    unsigned = dtype.kind == "u"
+    widest = np.dtype(np.uint64 if unsigned else np.int64)
     for read in (False, True):
         F, G = (_abs_max(v) if read or t.kind is None else _magnitude(t.kind, limit)
                 for t, v in ((f, fv), (g, gv)))
-        if (bound := F * G * 2 * isqrt(limit) * sums) <= np.iinfo(dtype).max:
-            return fv, gv
-    raise BudgetError(f"Dirichlet product on [1, {limit}] may exceed {dtype} (bound {bound})")
+        if (bound := F * G * 2 * isqrt(limit) * sums) <= np.iinfo(widest).max:
+            held = np.min_scalar_type(bound if unsigned else -bound - 1)
+            return fv, gv, np.promote_types(dtype, held)
+    raise BudgetError(f"Dirichlet product on [1, {limit}] may exceed {widest} (bound {bound})")
 
 
-def _convolve(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
+def _identity_dtype(f: np.ndarray, g: np.ndarray) -> np.dtype:
+    """The dtype of the identity layer's coefficient vectors over f and g:
+    int64 for integer arrays (uint64 for a pair that numpy takes in it),
+    float64 once one is float64 (Lambda)."""
+    dtype = np.result_type(f, g)
+    return dtype if dtype == np.uint64 else np.result_type(dtype, np.int64)
+
+
+def _convolve(f: np.ndarray, g: np.ndarray, limit: int, dtype=None) -> np.ndarray:
     """(f * g) on [1, limit] at index n - 1, for value arrays that start at
-    n = 1 and read as zero past their ends, by the hyperbola split: the
+    n = 1 and read as zero past their ends, in `dtype`, which must hold both
+    arrays and every value formed (`_check_product`'s dtype; if None, the
+    identity layer's `_identity_dtype`), by the hyperbola split: the
     pairs d <= e by ascending d, then d > e by descending e, one strided
     update per d <= sqrt(limit) with f(d) != 0 and per e with g(e) != 0; a
     coefficient of +-1 adds or subtracts the other array in place, with no
@@ -818,7 +841,7 @@ def _convolve(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
     ascending d, and a zero term skipped changes no bit, as a sum from +0 is
     never -0, so float (Lambda) products have the bits of that order.
     `identities._hyperbola_terms` relies on this for its windowed terms."""
-    out = np.zeros(limit, dtype=np.result_type(f, g))
+    out = np.zeros(limit, dtype=_identity_dtype(f, g) if dtype is None else dtype)
     root = isqrt(limit)
     for d in (np.flatnonzero(f[:root]) + 1).tolist():      # d <= e: n = d e from d^2 on
         e = min(limit // d, len(g))
@@ -830,11 +853,12 @@ def _convolve(f: np.ndarray, g: np.ndarray, limit: int) -> np.ndarray:
 
 
 def _add_scaled(view: np.ndarray, c, v: np.ndarray) -> None:
-    """view += c v in place, with no temporary for c = +-1: 1 v is v and
-    x - y is x + (-y), so the bits are those of c v, floats included."""
+    """view += c v in place, c v formed in view's dtype (an int8 table's
+    products would wrap in int8), with no temporary for c = +-1: 1 v is v
+    and x - y is x + (-y), so the bits are those of c v, floats included."""
     if c == 1:
         view += v
     elif c == -1:
         view -= v
     else:
-        view += c * v
+        view += np.multiply(c, v, dtype=view.dtype)

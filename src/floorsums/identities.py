@@ -53,7 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE, TWO_POW_OMEGA,
-                    SieveTable, _check_product, _convolve, build_sieve, tau)
+                    SieveTable, _check_product, _convolve, _identity_dtype, build_sieve, tau)
 from .errors import WindowError, read_array, require_integers, require_reals
 
 TWO_PI = 2.0 * math.pi
@@ -334,7 +334,8 @@ def _hyperbola_terms(fv: np.ndarray, gv: np.ndarray, a: int, b: int, c: int, R: 
     n, d, e = _divisor_pairs()
     lo, hi = np.searchsorted(n, [R, L]).tolist()       # the pairs with R <= n - 1 < L
     n, d, e = n[lo:hi], d[lo:hi], e[lo:hi]
-    fg, gf = fv[d] * gv[e], gv[d] * fv[e]
+    dtype = _identity_dtype(fv, gv)                    # as `_convolve` takes them
+    fg, gf = np.multiply(fv[d], gv[e], dtype=dtype), np.multiply(gv[d], fv[e], dtype=dtype)
     f_cut = d < a                                      # d <= a: the index holds d - 1
 
     def term(prod):
@@ -356,7 +357,7 @@ def hyperbola_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction | None,
     x, U = require_integers(x=x, U=U)
     if not 1 <= U <= x:
         raise WindowError(f"need 1 <= U <= x, got U={U}, x={x}")
-    fv, gv = _check_product(f, g, x, 3 * x if phase is None else 1)   # a side: 3 x terms
+    fv, gv, _ = _check_product(f, g, x, 3 * x if phase is None else 1)    # a side: 3 x terms
     return _window_sides(_hyperbola_terms(fv, gv, U, x // U, 0, 0), 0, x, phase)
 
 
@@ -371,7 +372,7 @@ def hyperbola_exp_sides(f: SieveTable, g: SieveTable, phase: PhaseFunction,
     R, R1, U = require_integers(R=R, R1=R1, U=U)
     if not (R < R1 and 1 <= U <= R):
         raise WindowError(f"need R < R1 and 1 <= U <= R, got R={R}, R1={R1}, U={U}")
-    fv, gv = _check_product(f, g, R1, 3 * (R1 - R) if phase is None else 1)  # 3 (R1 - R)
+    fv, gv, _ = _check_product(f, g, R1, 3 * (R1 - R) if phase is None else 1)   # 3 (R1 - R)
     return _window_sides(_hyperbola_terms(fv, gv, U * R1 // R, R // U, U, R), R, R1, phase)
 
 

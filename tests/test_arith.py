@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -58,6 +60,12 @@ def reference_value(kind, n):
             return 0
         return reference_value(A.MOBIUS, r)
     raise AssertionError(tag)
+
+
+def sieve_dtype(kind, hi):
+    """The dtype of build_sieve's table of `kind` ending at hi: the kernel's
+    working dtype of [1, hi], float64 for Lambda."""
+    return np.dtype(np.float64) if kind.tag == "lambda" else A._working_dtype(kind, hi.bit_length())
 
 
 def test_build_sieve_mu_squared_first_ten():
@@ -132,7 +140,9 @@ def test_sieve_past_int32_matches_eval_point(kind):
     for lo in (2**31 - 100, 999983**2 - 100, 10**12 - 200):
         got = A.eval_points(kind, np.arange(lo, lo + 201))
         want = A.build_sieve(kind, lo, lo + 200).values
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), lo
+        assert want.dtype == sieve_dtype(kind, lo + 200), lo
+        assert got.dtype == (np.float64 if kind.tag == "lambda" else np.int64), lo
+        assert got.tobytes() == want.astype(got.dtype).tobytes(), lo
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
@@ -142,7 +152,9 @@ def test_sieve_matches_eval_point_to_the_ulp(kind):
     lo, hi = 280000, 300000
     got = A.eval_points(kind, np.arange(lo, hi + 1))
     want = A.build_sieve(kind, lo, hi).values
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert want.dtype == sieve_dtype(kind, hi)
+    assert got.dtype == (np.float64 if kind.tag == "lambda" else np.int64)
+    assert got.tobytes() == want.astype(got.dtype).tobytes()
 
 
 def _segment_reference(kind, lo, hi, primes):
@@ -281,11 +293,13 @@ def test_kernel_forms_a_residual_step_past_int8_in_its_working_dtype(monkeypatch
 
 def test_working_dtype_is_the_narrowest_that_holds_every_value():
     # |g| is non-decreasing in a for these kinds (mu and mu^2 peak at n = 1),
-    # so the search's bound is the largest |f(n)| itself
+    # so the search's bound is the largest |f(n)| itself, read from the
+    # int64 reference walk: a table in the working dtype would wrap with it
     for kind in (A.MOBIUS, A.MOBIUS_SQUARED, A.tau(2), A.tau(3), A.tau(8),
                  A.OMEGA, A.TWO_POW_OMEGA):
         for bits in (4, 12, 20):
-            largest = int(np.abs(A.build_sieve(kind, 1, 2**bits - 1).values).max())
+            hi = 2**bits - 1
+            largest = int(np.abs(_segment_reference(kind, 1, hi, A.primes_upto(isqrt(hi)))).max())
             assert A._working_dtype(kind, bits) == np.min_scalar_type(-largest - 1), (kind, bits)
     # tau_64 wraps int64 at 7207200 < 2^23: refused, not wrapped
     with pytest.raises(BudgetError, match="may exceed int64"):
@@ -665,17 +679,34 @@ def test_convolution_examples():
     assert (got.values == t3.values[:100]).all()
 
 
-def _convolve_reference(fv, gv, limit):
+def _convolve_reference(fv, gv, limit, dtype):
     """The product of two value arrays that start at n = 1 and read as zero
-    past their ends, by one strided update per d <= limit, in ascending d."""
-    out = np.zeros(limit, dtype=np.result_type(fv, gv))
+    past their ends, in `dtype`, by one strided update per d <= limit, in
+    ascending d."""
+    out = np.zeros(limit, dtype=dtype)
     fv, gv = (np.concatenate([v[:limit], np.zeros(max(0, limit - len(v)), v.dtype)])
-              for v in (fv, gv))
+              .astype(dtype) for v in (fv, gv))
     for d in range(1, limit + 1):
         c = fv[d - 1]
         if c != 0:
             out[d - 1:: d] += c * gv[:limit // d]
     return out
+
+
+def narrowest_product_dtype(f, g, limit):
+    """The narrowest of int8..int64 (uint8..uint64 for two unsigned tables)
+    that holds both tables' dtypes and |(f * g)(n)| <= F G 2 isqrt(limit),
+    F and G the magnitudes of the two kinds (float64 for Lambda)."""
+    fv, gv = f.values, g.values
+    if np.result_type(fv, gv).kind == "f":
+        return np.result_type(fv, gv)
+    bound = A._magnitude(f.kind, limit) * A._magnitude(g.kind, limit) * 2 * isqrt(limit)
+    unsigned = fv.dtype.kind == gv.dtype.kind == "u"
+    for t in (np.uint8, np.uint16, np.uint32, np.uint64) if unsigned else \
+            (np.int8, np.int16, np.int32, np.int64):
+        if np.can_cast(fv.dtype, t) and np.can_cast(gv.dtype, t) and np.iinfo(t).max >= bound:
+            return np.dtype(t)
+    raise AssertionError("refused")
 
 
 @pytest.fixture(scope="module")
@@ -692,8 +723,8 @@ def test_convolution_bits_match_reference(tables_10007, limit):
     for f in tables_10007.values():
         for g in tables_10007.values():
             got = A.dirichlet_convolve(f, g, limit).values
-            want = _convolve_reference(f.values, g.values, limit)
-            assert got.dtype == want.dtype, (f.kind, g.kind)
+            want = _convolve_reference(f.values, g.values, limit, got.dtype)
+            assert got.dtype == narrowest_product_dtype(f, g, limit), (f.kind, g.kind)
             assert got.tobytes() == want.tobytes(), (f.kind, g.kind)
 
 
@@ -723,8 +754,8 @@ def test_convolve_kernel_bits_match_reference_on_supports(limit):
     cases = _support_cases(rng, limit)
     for f in cases:
         for g in cases:
-            got = A._convolve(f, g, limit)
-            want = _convolve_reference(f, g, limit)
+            got = A._convolve(f, g, limit)     # the identity layer's int64 or float64
+            want = _convolve_reference(f, g, limit, np.result_type(f, g, np.int64))
             assert got.dtype == want.dtype, (len(f), len(g))
             assert got.tobytes() == want.tobytes(), (len(f), len(g))
 
@@ -754,11 +785,14 @@ def test_convolution_refuses_an_int64_wrap_before_any_work(monkeypatch):
     monkeypatch.setattr(A, "_convolve", lambda *a: pytest.fail("work was done"))
     with pytest.raises(BudgetError, match=r"Dirichlet product on \[1, 12\] may exceed int64"):
         A.dirichlet_convolve(big, big, 12)
-    # an int32 product wraps at 2^31: 2^20 squared was all zeros too
-    narrow = A.SieveTable(kind=None, lo=1, values=np.full(12, 2**20, dtype=np.int32))
-    with pytest.raises(BudgetError, match="may exceed int32"):
-        A.dirichlet_convolve(narrow, narrow, 12)
     monkeypatch.undo()
+    # two int32 tables of 2^20: F G 2 isqrt(12) = 6 2^40 exceeds int32 (where
+    # 2^40 wraps to 0) but not int64, so the product is taken in int64, and
+    # (f * f)(n) = tau(n) 2^40
+    narrow = A.SieveTable(kind=None, lo=1, values=np.full(12, 2**20, dtype=np.int32))
+    got = A.dirichlet_convolve(narrow, narrow, 12).values
+    want = [sum(2**40 for d in range(1, n + 1) if n % d == 0) for n in range(1, 13)]
+    assert got.dtype == np.int64 and got.tolist() == want
     # F G 2 isqrt(12) = 6 2^58 < 2^63: accepted, and exact
     small = _table(2**29, 12)
     assert A.dirichlet_convolve(small, small, 12).value(12) == 6 * 2**58
@@ -814,8 +848,9 @@ def test_a_product_reads_a_named_table_only_where_its_magnitude_refuses():
     t8 = A.build_sieve(A.tau(8), 1, x)
     ones = A.SieveTable(A.tau(8), 1, np.ones(x, dtype=np.int64))
     for f, g in ((t8, ones), (ones, t8), (ones, ones)):
-        fv, gv = A._check_product(f, g, x, 3 * x)
+        fv, gv, dtype = A._check_product(f, g, x, 3 * x)
         assert fv.tolist() == f.values.tolist() and gv.tolist() == g.values.tolist()
+        assert dtype == np.int64            # the ones table's own dtype
     bound = 1647360**2 * 2 * 100 * 3 * x
     with pytest.raises(BudgetError, match=rf"on \[1, {x}\] may exceed int64 \(bound {bound}\)"):
         A._check_product(t8, t8, x, 3 * x)
@@ -848,13 +883,92 @@ def test_a_named_product_guard_reads_magnitudes_not_values(monkeypatch):
     scans = []
     monkeypatch.setattr(A, "_abs_max", lambda v, read=A._abs_max: scans.append(len(v)) or read(v))
     monkeypatch.setattr(A, "_beyond_magnitude", lambda *a: pytest.fail("a table was rescanned"))
-    assert A.dirichlet_convolve(tau8, one, n).value(n) == math.comb(14, 8) ** 2
+    product = A.dirichlet_convolve(tau8, one, n)
+    assert product.value(n) == math.comb(14, 8) ** 2
     assert scans == []
+    # the dtype comes from the magnitudes too: M(n) 2 isqrt(n) exceeds int32
+    assert A._magnitude(A.tau(8), n) * 2 * isqrt(n) >= 2**31 and product.values.dtype == np.int64
     # the magnitudes refuse tau8 * tau8; its values, the same bound, confirm it
     bound = A._magnitude(A.tau(8), n) ** 2 * 2 * isqrt(n)
     with pytest.raises(BudgetError, match=rf"on \[1, {n}\] may exceed int64 \(bound {bound}\)"):
         A.dirichlet_convolve(tau8, tau8, n)
     assert scans == [n, n]
+
+
+PRODUCT_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.tau(2), A.tau(3), A.OMEGA,
+                 A.TWO_POW_OMEGA, A.CHI_TWO, A.tau(8)]
+
+
+def _divisor_sum_reference(f, g, limit):
+    """(f * g)(n) for n = 1..limit in Python ints, from the lists f(1..) and g(1..)."""
+    out = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        if f[d - 1]:
+            for k in range(1, limit // d + 1):
+                out[d * k] += f[d - 1] * g[k - 1]
+    return out[1:]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 5040])
+def test_every_named_product_is_exact_in_the_narrowest_dtype_of_its_bound(limit):
+    # the tables come in int8..int32, and each product is widened to what
+    # F G 2 isqrt(L) needs, from int8 (omega * omega at L = 1, bound 0) to
+    # int64 (tau8 * tau8 at 5040, bound 760320^2 2 70)
+    tables = {kind: A.build_sieve(kind, 1, limit) for kind in PRODUCT_KINDS}
+    lists = {kind: t.values.tolist() for kind, t in tables.items()}
+    for f in PRODUCT_KINDS:
+        for g in PRODUCT_KINDS:
+            got = A.dirichlet_convolve(tables[f], tables[g], limit).values
+            assert got.dtype == narrowest_product_dtype(tables[f], tables[g], limit), (f, g)
+            assert got.tolist() == _divisor_sum_reference(lists[f], lists[g], limit), (f, g)
+
+
+@pytest.fixture(scope="module")
+def tables_1e6():
+    kinds = (A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.tau(2), A.tau(3), A.tau(8),
+             A.TWO_POW_OMEGA, A.CHI_TWO)
+    return {kind: A.build_sieve(kind, 1, 10**6) for kind in kinds}
+
+
+@pytest.mark.parametrize("f, g, closed", [
+    (A.ONE, A.ONE, A.tau(2)), (A.MOBIUS, A.ONE, None), (A.MOBIUS, A.tau(3), A.tau(2)),
+    (A.CHI_TWO, A.ONE, A.MOBIUS_SQUARED), (A.MOBIUS_SQUARED, A.ONE, A.TWO_POW_OMEGA)],
+    ids=["1*1=tau2", "mu*1=unit", "mu*tau3=tau2", "chi2*1=mu2", "mu2*1=2omega"])
+def test_closed_forms_hold_through_narrow_products_at_a_million(tables_1e6, f, g, closed):
+    n = 10**6
+    got = A.dirichlet_convolve(tables_1e6[f], tables_1e6[g], n).values
+    assert got.dtype == narrowest_product_dtype(tables_1e6[f], tables_1e6[g], n)
+    if closed is None:                  # [n = 1]
+        assert got[0] == 1 and not got[1:].any()
+    else:
+        assert np.array_equal(got, tables_1e6[closed].values)
+
+
+def test_tau8_squared_at_a_million_is_refused_before_any_work(tables_1e6, monkeypatch):
+    t8 = tables_1e6[A.tau(8)]
+    monkeypatch.setattr(A, "_convolve", lambda *a: pytest.fail("work was done"))
+    with pytest.raises(BudgetError, match=re.escape(
+            "Dirichlet product on [1, 1000000] may exceed int64 (bound 53195808994099200000)")):
+        A.dirichlet_convolve(t8, t8, 10**6)
+
+
+def _traced_peak(fn, *args) -> int:
+    """The peak of memory traced while fn(*args) runs; numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_table_and_its_product_hold_no_int64_copy():
+    # one on [1, 10^6] is 1 MB of int8 and one * one 2 MB of int16 (bound
+    # 2 isqrt(10^6) = 2000); an int64 table or product took 7.6 MiB each
+    n = 10**6
+    assert _traced_peak(A.build_sieve, A.ONE, 1, n) < 2.5 * 2**20
+    one = A.build_sieve(A.ONE, 1, n)
+    assert _traced_peak(A.dirichlet_convolve, one, one, n) < 2.5 * 2**20
 
 
 def test_mobius_inversion_medium_range():
@@ -897,11 +1011,11 @@ def test_kind_parsing():
     (lambda: A.SieveTable(A.ONE, 1.0, np.ones(3, np.int64)), ValueError,
      "need integer lo, got 1.0"),
     (lambda: A.SieveTable(A.tau(2), 1, np.array([1.5, 2, 2, 3, 2])), ValueError,
-     "tau2 table needs a 1-d int64 array, got 1-d float64"),
+     "tau2 table needs a 1-d signed integer array, got 1-d float64"),
     (lambda: A.SieveTable(A.ONE, 1, np.ones((2, 2), np.int64)), ValueError,
-     "one table needs a 1-d int64 array, got 2-d int64"),
+     "one table needs a 1-d signed integer array, got 2-d int64"),
     (lambda: A.SieveTable(A.ONE, 1, [1, 1, 1]), ValueError,
-     "one table needs a 1-d int64 array, got list"),
+     "one table needs a 1-d signed integer array, got list"),
     (lambda: A.SieveTable(A.LAMBDA, 1, np.ones(3, np.int64)), ValueError,
      "lambda table needs a 1-d float64 array, got 1-d int64"),
     (lambda: A.SieveTable(None, 1, np.ones(3, bool)), ValueError,

@@ -473,13 +473,15 @@ def test_magnitude_is_the_largest_value_sieved(kind):
 @pytest.mark.parametrize("kind", INTEGER_KINDS + [A.tau(8)], ids=str)
 def test_one_records_list_per_kind_serves_every_shorter_length(monkeypatch, kind):
     # the records below 2^b are a prefix of those below 2^B: the list of a
-    # 24-bit walk, held once, gives what a fresh walk at each b gives
+    # 24-bit walk, held once, gives what a fresh walk of exactly b bits gives
     monkeypatch.setattr(A, "_RECORDS", {})
     fresh = {}
-    for bits in range(1, 25):
-        A._RECORDS.clear()
-        fresh[bits] = A._records(kind, bits), [A._magnitude(kind, hi) for hi in
-                                               range(1 << (bits - 1), 1 << bits, 997)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_RECORD_BITS", 0)
+        for bits in range(1, 25):
+            A._RECORDS.clear()
+            fresh[bits] = A._records(kind, bits), [A._magnitude(kind, hi) for hi in
+                                                   range(1 << (bits - 1), 1 << bits, 997)]
     A._RECORDS.clear()
     held = A._records(kind, 24)
     for bits, ((ns, values), magnitudes) in fresh.items():
@@ -490,6 +492,25 @@ def test_one_records_list_per_kind_serves_every_shorter_length(monkeypatch, kind
         assert [A._magnitude(kind, hi) for hi in range(1 << (bits - 1), 1 << bits, 997)] \
             == magnitudes, bits
     assert A._records(kind, 30)[0] is not held[0] and A._RECORDS[kind][0] == 30
+
+
+def test_cold_sums_up_to_1e10_walk_each_kind_once(monkeypatch):
+    # a kind's first walk covers _RECORD_BITS = 20 bits, and a sum up to
+    # 1e10 asks for 14, 16 and 19 bits: each kind is walked once
+    walks = []
+
+    class Walks(dict):
+        def __setitem__(self, kind, held):
+            walks.append(kind)
+            super().__setitem__(kind, held)
+
+    monkeypatch.setattr(A, "_RECORDS", Walks())
+    A._working_dtype.cache_clear()
+    A._wheel_period.cache_clear()
+    for x in (10**2, 10**5, 10**8, 3 * 10**9, 10**10):
+        for kind in INTEGER_KINDS + [A.LAMBDA]:
+            FS.summarize(kind, x)
+    assert sorted(walks, key=str) == sorted(INTEGER_KINDS, key=str)
 
 
 @pytest.mark.parametrize("kind", [k for k in EVALUATED_KINDS if not k.additive], ids=str)

@@ -998,7 +998,8 @@ def test_identities_are_equalities_of_coefficient_vectors(sides):
         U = rng.randint(1, math.isqrt(R))
         ph = I.random_phase(rng)
         lhs, rhs = _coefficient_gap(sides, lambda: I.vaughan_mobius_sides(R, R1, U, ph))
-        assert lhs.dtype == rhs.dtype == np.int64 and np.array_equal(lhs, rhs)
+        # the lhs is the mu table itself, in the sieve's int8
+        assert (lhs.dtype, rhs.dtype) == (np.int8, np.int64) and np.array_equal(lhs, rhs)
         lhs, rhs = _coefficient_gap(sides, lambda: I.vaughan_lambda_sides(R, R1, U, ph))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
 

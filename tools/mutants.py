@@ -199,6 +199,25 @@ CATALOGUE = (
            "move = np.empty(size, dtype=np.int8)",
            ("tests/test_arith.py::"
             "test_kernel_forms_a_residual_step_past_int8_in_its_working_dtype",)),
+    Mutant("product-dtype-one-step-narrower", ARITH,
+           "held = np.min_scalar_type(bound if unsigned else -bound - 1)",
+           "held = np.min_scalar_type((bound if unsigned else -bound - 1) >> 8)",
+           ("tests/test_arith.py::"
+            "test_every_named_product_is_exact_in_the_narrowest_dtype_of_its_bound",)),
+    Mutant("add-scaled-product-in-the-input-dtype", ARITH,
+           "view += np.multiply(c, v, dtype=view.dtype)",
+           "view += c * v",
+           ("tests/test_arith.py::"
+            "test_every_named_product_is_exact_in_the_narrowest_dtype_of_its_bound",)),
+    Mutant("hyperbola-terms-in-the-tables-dtype", IDENTITIES,
+           "fg, gf = np.multiply(fv[d], gv[e], dtype=dtype), np.multiply(gv[d], fv[e], dtype=dtype)",
+           "fg, gf = fv[d] * gv[e], gv[d] * fv[e]",
+           ("tests/test_identities.py::test_identities_are_equalities_of_coefficient_vectors",
+            "tests/test_identities.py::test_windowed_hyperbola_terms_match_the_kernel_bit_for_bit")),
+    Mutant("sieve-table-widened-to-int64", ARITH,
+           "else _working_dtype(kind, hi.bit_length()))",
+           "else np.int64)",
+           ("tests/test_arith.py::test_a_table_and_its_product_hold_no_int64_copy",)),
     Mutant("fejer-takes-a-bool-entry", ERRORS,
            "return isinstance(v, numbers.Real) and not isinstance(v, bool)",
            "return isinstance(v, numbers.Real)",
