@@ -169,9 +169,9 @@ class SieveTable:
     evaluator accepts in place of a table of a named function.  Every
     reader of f(1..n) takes it from `prefix`, which checks its coverage and
     its values against the kind's `_magnitude`, which int64 guards read, so
-    a narrow dtype is no risk.  A product refuses two integer tables whose
-    dtypes share no integer dtype (uint64 with a signed one), as numpy would
-    take it in float64.
+    a narrow dtype is no risk (Lambda's against log n, which NaN fails).  A
+    product refuses two integer tables whose dtypes share no integer dtype
+    (uint64 with a signed one), as numpy would take it in float64.
     """
 
     kind: FunctionKind | None
@@ -311,11 +311,24 @@ def _magnitude(kind: FunctionKind, hi: int) -> int:
 
 def _beyond_magnitude(kind: FunctionKind | None, lo: int, values: np.ndarray) -> str | None:
     """Why `values`, f from n = lo on, exceed `_magnitude(kind, n)` at some n,
-    or None (always for a derived or Lambda table): one max and one min per
-    run between two of `_records`, where the bound is constant."""
-    if kind is None or kind.tag == "lambda":
+    or None (always for a derived table): one max and one min per run between
+    two of `_records`, where the bound is constant.  Lambda(n) = log p <=
+    log n is bounded per binade instead, 0 <= Lambda(n) <= (k+1) log 2 on
+    [2^k, 2^(k+1)), which NaN fails."""
+    if kind is None:
         return None
     top = lo + len(values) - 1
+    if kind.tag == "lambda":
+        for k in range(lo.bit_length() - 1, top.bit_length()):
+            # np.log(p) lies within 4 ulps of log p < (k+1) log 2, and the bound
+            # within 1.5 ulps of (k+1) log 2: the factor 1 + 2^-49, 8 ulps, covers both
+            bound = (k + 1) * math.log(2) * (1 + 2**-49)
+            run = values[max((1 << k) - lo, 0): (2 << k) - lo]
+            if not (run.min(initial=0.0) >= 0 and run.max(initial=0.0) <= bound):
+                i = int(np.argmin((run >= 0) & (run <= bound)))
+                return (f"{kind} table holds {run[i]} at n={max(1 << k, lo) + i}, "
+                        f"beyond 0 <= {kind}(m) <= {bound} for m < 2^{k + 1}")
+        return None
     ns, bounds = _records(kind, top.bit_length())
     k = bisect_right(ns, top)                # the records up to top
     for start, stop, bound in zip(ns[:k], ns[1:k] + [top + 1], bounds):

@@ -40,6 +40,11 @@ def _fmt_real(v: float, precision: int) -> str:
     return format(float(v), f".{precision}g")
 
 
+def _fmt_value(v: int | float, precision: int) -> str:
+    """A value of f or a sum for CSV: an int as it is, a real by `_fmt_real`."""
+    return str(v) if isinstance(v, int) else _fmt_real(v, precision)
+
+
 def _parse_pair(s: str) -> pairs.ExponentPair:
     parts = s.split(",")
     if len(parts) != 2:
@@ -197,12 +202,8 @@ def _cmd_sieve(args) -> int:
     table = arith.build_sieve(kind, args.lo, args.hi)
     with open(args.out, "w") as fh:
         fh.write("n,value\n")
-        if kind.tag == "lambda":
-            for i, v in enumerate(table.values):
-                fh.write(f"{table.lo + i},{_fmt_real(v, args.precision)}\n")
-        else:
-            for i, v in enumerate(table.values):
-                fh.write(f"{table.lo + i},{int(v)}\n")
+        for n, v in enumerate(map(table.values.item, range(len(table))), table.lo):
+            fh.write(f"{n},{_fmt_value(v, args.precision)}\n")
     _emit({"function": str(kind), "lo": args.lo, "hi": args.hi, "out": args.out,
            "entries": len(table)})
     return 0
@@ -219,8 +220,7 @@ def _cmd_sum(args) -> int:
     if args.format == "csv":
         p = args.precision
         print("function,x,sum,constant,constant_tail_bound,residual")
-        s = rep.sum if isinstance(rep.sum, int) else _fmt_real(rep.sum, p)
-        print(f"{kind},{rep.x},{s},{_fmt_real(rep.constant, p)},"
+        print(f"{kind},{rep.x},{_fmt_value(rep.sum, p)},{_fmt_real(rep.constant, p)},"
               f"{_fmt_real(rep.constant_tail_bound, p)},{_fmt_real(rep.residual, p)}")
     else:
         _emit(payload)
@@ -237,8 +237,7 @@ def _cmd_scan(args) -> int:
             fh.write("x,sum,main_term,residual\n")
             for x, s in zip(fit.grid, fit.sums):
                 main = x * fit.constant
-                sv = s if isinstance(s, int) else _fmt_real(s, p)
-                fh.write(f"{x},{sv},{_fmt_real(main, p)},"
+                fh.write(f"{x},{_fmt_value(s, p)},{_fmt_real(main, p)},"
                          f"{_fmt_real(float(s) - main, p)}\n")
     _emit({"function": str(kind), "grid": list(fit.grid),
            "residuals": list(fit.residuals), "slope": fit.slope,

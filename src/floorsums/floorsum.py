@@ -8,14 +8,15 @@ group the n > N by their quotient d, for the d <= x // (isqrt(x)+1) that
 several n may share, with exact multiplicities floor(x/d) - max(N,
 floor(x/(d+1))), one division each.  The per-n range adds f(floor(x/n))
 for every other n, one division and one lookup each.  Both parts read one
-sieve of [1, x // (N+1)], streamed in segments.  Both evaluators are exact;
-the split only affects speed, so they cross-check each other.  The default
-split balances the costs: N = isqrt(x // SPLIT_RATIO).  Either evaluator
-takes an optional sieve table in place of all its own evaluation of f and
-reads its prefix f(1..x) (`SieveTable.prefix`); a table that does not hold
-the summed function or cover [1, x] is refused before any work.  Every
-int64 sum is bounded before any work by lookups of f's `_magnitude`, never
-by reading the values it sums.
+sieve of [1, x // (N+1)], streamed in segments.  Both evaluators are exact
+(Lambda's sums correctly rounded), equal at every split, so they
+cross-check each other.  The default split balances the costs: N =
+isqrt(x // SPLIT_RATIO).  Either evaluator takes an optional sieve table
+in place of all its own evaluation of f and reads its prefix f(1..x)
+(`SieveTable.prefix`); a table that does not hold the summed function or
+cover [1, x] is refused before any work.  Every int64 sum is bounded
+before any work by lookups of f's `_magnitude`, never by reading the
+values it sums.
 
 The main-term constant C_f = sum f(n)/(n(n+1)) comes two ways.
 `series_constant` evaluates it from the Dirichlet series of f, without a
@@ -153,13 +154,12 @@ def _pieces(kind: FunctionKind, prefix, x: int, N: int, shared: int, d0: int):
     Yields (v, m), at most BLOCK_CHUNK entries at a time: first the
     blocks d <= shared, with v = f(d) and multiplicity m(d) = floor(x/d) -
     max(N, floor(x/(d+1))), the number of n > N with floor(x/n) = d; then
-    None; then one term v = f(floor(x/n)) per n in (N, x // (shared+1)],
-    with m None.  Those n have their quotients in (shared, d0], and the n of
-    one segment's quotients form one range."""
+    one term v = f(floor(x/n)) per n in (N, x // (shared+1)], with m None.
+    Those n have their quotients in (shared, d0], and the n of one
+    segment's quotients form one range."""
     top = min(len(prefix), d0)
     segments = chain([(1, prefix[:top])] if top else (),
                      iter_segment_values(kind, top + 1, d0) if d0 > top else ())
-    per_n = False
     for seg_lo, vals in segments:
         seg_hi = seg_lo + len(vals) - 1
         for lo in range(seg_lo, min(seg_hi, shared) + 1, BLOCK_CHUNK):
@@ -169,24 +169,27 @@ def _pieces(kind: FunctionKind, prefix, x: int, N: int, shared: int, d0: int):
             yield vals[lo - seg_lo: hi - seg_lo + 1], m
         if seg_hi <= shared:
             continue
-        if not per_n:
-            per_n = True
-            yield None
         # the n > N with floor(x/n) in [max(seg_lo, shared + 1), seg_hi]
         n_lo, n_hi = max(N, x // (seg_hi + 1)) + 1, x // max(seg_lo, shared + 1)
         for lo in range(n_lo, n_hi + 1, BLOCK_CHUNK):
             i = x // np.arange(lo, min(lo + BLOCK_CHUNK - 1, n_hi) + 1, dtype=np.int64)
             i -= seg_lo                 # in place: one chunk-sized array less at the peak
             yield vals[i], None
-    if not per_n:
-        yield None
 
 
 def _floats(pieces):
-    """The nonzero terms f(d) m(d), or f(floor(x/n)), of `pieces` as Python floats."""
+    """The nonzero terms of `pieces` as Python floats: f(floor(x/n)), and
+    f(d) m(d) as four exact parts, Veltkamp's split of f(d) by 2^27 + 1 into
+    halves of 26 bits times m mod 2^26 and the rest of m (27 bits, m < 2^53)."""
     for v, m in pieces:
-        t = v if m is None else v * m
-        yield from t[t != 0].tolist()
+        if m is not None:
+            live = v != 0
+            v, m = v[live], m[live]
+            c = v * (2.0**27 + 1)
+            hi = c - (c - v)
+            low = m & (2**26 - 1)
+            v = np.concatenate([hi * low, (v - hi) * low, hi * (m - low), (v - hi) * (m - low)])
+        yield from v[v != 0].tolist()
 
 
 def _split_sum(kind: FunctionKind, x: int, N: int, d0: int, head: np.ndarray, prefix):
@@ -195,12 +198,11 @@ def _split_sum(kind: FunctionKind, x: int, N: int, d0: int, head: np.ndarray, pr
     `floor_sum_fast` says."""
     pieces = _pieces(kind, prefix, x, N, min(x // (isqrt(x) + 1), d0), d0)
     if kind.tag == "lambda":
-        inner = math.fsum(_floats(iter(pieces.__next__, None)))    # the shared blocks
-        return math.fsum(chain([inner], head.tolist(), _floats(pieces)))
+        return math.fsum(_floats(chain([(head, None)], pieces)))
     total = sum(head.tolist())              # exact, in Python ints
     # v comes in the sieve's narrow working dtype: each chunk is summed in
     # int64, against m's int64 or by an int64 accumulator
-    for v, m in filter(None, pieces):       # the None between the parts left out
+    for v, m in pieces:
         total += int(v.sum(dtype=np.int64) if m is None else m.dot(v))
     return total
 
@@ -222,11 +224,9 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     the sieve.  Integer sums are exact: the head in Python ints, and the
     int64 chunks checked against the kind's `_magnitude` before any work,
     the first block at its own bound and every later chunk at one bound.
-    Lambda is summed with math.fsum in a fixed order: the shared
-    blocks first, then that partial sum with every other term, one per n.
-    eval_points and the sieve give every term the same bits, so the float
-    result is the same for every split N <= isqrt(x); it can differ from
-    floor_sum_naive, which fsums all terms at once, in its last bits.
+    Lambda is one math.fsum of every term, each f(d) m(d) in exact parts
+    (`_floats`); eval_points and the sieve give every term the same bits, so
+    it is floor_sum_naive's correctly rounded sum, bit for bit, at any split.
     """
     return _split_sums(kind, [_check_x(x, "fast")], split, table)[0]
 
@@ -245,8 +245,7 @@ def _split_sums(kind: FunctionKind, grid: list[int], split: int | None = None,
     bigger head alone), each group summed before the next is factored; and
     where two or more points read it, the prefix is one sieve of [1, min(D,
     SHARED_PREFIX)], D the largest d0.  One point streams all of its range,
-    so no sieving prime is walked twice.  fsum is exact, so Lambda's sums do
-    not depend on where the segments break."""
+    so no sieving prime is walked twice."""
     prefix = () if table is None else _table_prefix(kind, table, grid[-1])
     groups, rows = [], math.inf         # the first point opens a group
     for x in grid:

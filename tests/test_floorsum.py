@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
@@ -157,10 +158,7 @@ def test_fast_equals_naive_all_kinds():
             x = rng.randint(1, 5000)
             a = FS.floor_sum_naive(kind, x)
             b = FS.floor_sum_fast(kind, x)
-            if kind.tag == "lambda":
-                assert abs(a - b) <= 1e-9 * (1 + abs(a))
-            else:
-                assert a == b, (kind, x)
+            assert repr(a) == repr(b), (kind, x)
 
 
 def test_block_rearrangement_exact_100_random_triples():
@@ -261,9 +259,9 @@ def test_splits_from_the_root_on_leave_the_per_n_range_empty(x):
     values = A.build_sieve(A.ONE, 1, x).values
     for n in splits:
         d0 = x // (n + 1)
-        # every piece is a shared block, and the None that ends them comes last
-        pieces = list(FS._pieces(A.ONE, values, x, n, min(x // (root + 1), d0), d0))
-        assert pieces.index(None) == len(pieces) - 1, n
+        # every piece is a shared block: each carries its multiplicities
+        pieces = FS._pieces(A.ONE, values, x, n, min(x // (root + 1), d0), d0)
+        assert all(m is not None for _, m in pieces), n
     for kind in INTEGER_KINDS:
         want = FS.floor_sum_naive(kind, x)
         for n in splits:
@@ -279,8 +277,9 @@ def test_blocks_and_per_n_chunks_straddle_segments(monkeypatch, x):
     for kind in INTEGER_KINDS:
         for n in (1, 7, isqrt(x // 25)):
             assert FS.floor_sum_fast(kind, x, split=n) == FS.floor_sum_naive(kind, x), (kind, n)
-    want = FS.floor_sum_fast(A.LAMBDA, x, split=isqrt(x))
-    assert repr(FS.floor_sum_fast(A.LAMBDA, x, split=1)) == repr(want)
+    want = FS.floor_sum_naive(A.LAMBDA, x)
+    for n in (1, 7, isqrt(x)):
+        assert repr(FS.floor_sum_fast(A.LAMBDA, x, split=n)) == repr(want), n
 
 
 @pytest.mark.parametrize("split", [2.5, 2.0, np.float64(3), True, Fraction(3)],
@@ -301,7 +300,7 @@ def test_fast_split_accepts_numpy_integers():
 
 
 def test_lambda_sum_is_split_invariant_bit_for_bit():
-    # the float sum is fsummed in an order that does not depend on the split
+    # one fsum of exact terms: its rounding does not depend on the split
     rng = random.Random(17)
     for _ in range(12):
         x = int(10 ** rng.uniform(4, 6))
@@ -312,11 +311,36 @@ def test_lambda_sum_is_split_invariant_bit_for_bit():
             assert repr(got) == repr(want), (x, n)
 
 
+def test_lambda_fast_equals_naive_at_every_split():
+    # each block product f(d) m(d) enters the one fsum as exact parts, so the
+    # split sum is the correctly rounded sum of the naive terms at every N
+    table = A.build_sieve(A.LAMBDA, 1, 300)
+    for x in range(1, 301):
+        want = repr(FS.floor_sum_naive(A.LAMBDA, x, table=table))
+        for n in range(1, x + 1):
+            assert repr(FS.floor_sum_fast(A.LAMBDA, x, split=n, table=table)) == want, (x, n)
+
+
+@pytest.mark.parametrize("x", [10**5, 10**6, 9979200])
+def test_lambda_fast_equals_naive_on_both_sides_of_the_root(x):
+    # 9979200 differed at the default split while the blocks had a fsum of
+    # their own; a split above the root leaves the per-n range empty (those
+    # are drawn below 64 roots, as every head row is one point evaluation)
+    rng = random.Random(x)
+    root = isqrt(x)
+    want = repr(FS.floor_sum_naive(A.LAMBDA, x))
+    splits = [None, 1, root, root + 1, *(rng.randint(1, root) for _ in range(4)),
+              *(rng.randint(root + 2, 64 * root) for _ in range(4))]
+    for n in splits:
+        assert repr(FS.floor_sum_fast(A.LAMBDA, x, split=n)) == want, n
+
+
 # S_f(x) at the default split, recorded before the split became cost-modelled
-# and the blocks streamed; Lambda as the repr of its float
+# and the blocks streamed; Lambda as the repr of its float, the correctly
+# rounded sum of its terms (an exact Fraction sum of them)
 LARGE_X_SUMS = {
     10**8 + 7: {"one": "100000007", "mu": "22408251", "mu2": "89180655",
-                "lambda": "44983737.297817804", "tau2": "188093736",
+                "lambda": "44983737.2978178", "tau2": "188093736",
                 "tau3": "340514565", "omega": "59185419", "2omega": "169577318",
                 "chi2": "43772165", "tau6": "1804407354"},
     10**9 + 9: {"one": "1000000009", "mu": "224083292", "mu2": "891809622",
@@ -359,6 +383,27 @@ def test_block_sum_guards_int64(monkeypatch):
             with pytest.raises(ValueError, match=f"one table holds {value} at n=1, beyond "
                                                  r"\|one\(m\)\| <= 1 for m <= n"):
                 fn(A.ONE, 1000, table=table)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, -5.0, 1e308], ids=["nan", "negative", "huge"])
+def test_a_lambda_table_is_value_checked_before_any_work(monkeypatch, value):
+    # NaN summed to nan, -5.0 to -500.0, and 1e308 overflowed the split fsum
+    forbid_evaluation(monkeypatch)
+    for name in ("_pieces", "_quotient_indices"):
+        monkeypatch.setattr(FS, name, lambda *args: pytest.fail("a sum was started"))
+    table = A.SieveTable(A.LAMBDA, 1, np.full(100, value))
+    for fn in (FS.floor_sum_fast, FS.floor_sum_naive):
+        with pytest.raises(ValueError, match=rf"lambda table holds {re.escape(str(value))} at "
+                                             r"n=1, beyond 0 <= lambda\(m\) <= 0\.69\d* for m < 2\^1$"):
+            fn(A.LAMBDA, 100, table=table)
+
+
+def test_sieved_lambda_tables_pass_their_check():
+    # log p against (k+1) log 2 at every binade, the Mersenne primes to 2^19 included
+    assert A.build_sieve(A.LAMBDA, 1, 2**20).prefix(2**20)[2**19 - 2] == math.log(2**19 - 1)
+    lo = 10**12 - 2**16
+    assert A._beyond_magnitude(A.LAMBDA, lo, A.build_sieve(A.LAMBDA, lo, 10**12).values) is None
 
 
 @pytest.mark.parametrize("x, count, bound", [

@@ -15,7 +15,8 @@ would track), each into a fresh temporary directory; both are byte-compiled
 there, so neither side pays or saves an import's compile, and the two sides
 run in alternating pairs, the side that goes first switching with each
 pair.  Each metric then reports in how many pairs the working tree did
-better.
+better.  Each tree first makes one discarded run of the first workload and
+seed: a session's first run read up to 1.7x the wall time of the rest.
 
     python tools/bench.py                                    # seeds 1-3
     python tools/bench.py --against HEAD --seeds 3-12 --workloads sum-large
@@ -145,6 +146,7 @@ def main(argv=None) -> int:
             _export(base, trees["against"])
         for tree in trees.values():
             _compile(tree)
+            _run(tree, workloads[0], seeds[0])      # discarded: a session's first run is cold
         results = {side: {w: [] for w in workloads} for side in trees}
         pair = 0
         for workload in workloads:

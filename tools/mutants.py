@@ -185,6 +185,16 @@ CATALOGUE = (
            "v.sum(dtype=np.int64) if m is None",
            "v.sum(dtype=v.dtype) if m is None",
            ("tests/test_floorsum.py::test_one_sums_to_x_through_narrow_segments",)),
+    Mutant("block-product-as-v-times-m", FLOORSUM,
+           "v = np.concatenate([hi * low, (v - hi) * low, hi * (m - low), (v - hi) * (m - low)])",
+           "v = v * m",
+           ("tests/test_floorsum.py::test_lambda_fast_equals_naive_at_every_split",
+            "tests/test_floorsum.py::test_fast_equals_naive_all_kinds")),
+    Mutant("lambda-table-unchecked", ARITH,
+           "    if kind is None:\n        return None\n    top = lo + len(values) - 1",
+           "    if kind is None or kind.tag == \"lambda\":\n        return None\n"
+           "    top = lo + len(values) - 1",
+           ("tests/test_floorsum.py::test_a_lambda_table_is_value_checked_before_any_work",)),
     Mutant("naive-chunk-drops-its-last-quotient", FLOORSUM,
            "min(lo + BLOCK_CHUNK, x + 1)",
            "min(lo + BLOCK_CHUNK - 1, x + 1)",
