@@ -22,7 +22,7 @@ strided: it starts from one period of that walk on n mod 5040, built once
 per function, and walks on from there.
 
 The kernel finds the one prime factor above sqrt(hi) that an n may have by
-an exact test on logarithms: an unsigned byte per n adds round(s log2 p) for
+an exact test on logarithms: a uint8 per n adds round(s log2 p) for
 every walked p^a dividing n, and a sum below one threshold per binade
 [2^k, 2^(k+1)) marks the factor.  Its rounding error, at most half a unit per
 odd prime factor, stays below the factor's weight of more than
@@ -161,17 +161,17 @@ class SieveTable:
     `values[i]` holds f(lo + i) in a 1-d array: any signed integer dtype
     for an integer function (`build_sieve` gives the kernel's working dtype,
     int8 for 1, mu, mu^2, omega and chi_2), float64 (log p values) for
-    Lambda, any integer or float dtype for a derived table; any other array
-    is refused.  The array is marked read-only, a writable one or a view
-    copied first, so that a check of the values holds for the table's life.
+    Lambda, any signed integer or float dtype for a derived table; any other
+    array, uint8..uint64 included, is refused.  The array is marked
+    read-only, a writable one or a view copied first, so that a check of the
+    values holds for the table's life.
     The table ends where its values do, at hi = lo + len(values) - 1.
     `kind` is None for a derived table (a Dirichlet product), which no
     evaluator accepts in place of a table of a named function.  Every
     reader of f(1..n) takes it from `prefix`, which checks its coverage and
-    its values against the kind's `_magnitude`, which int64 guards read, so
-    a narrow dtype is no risk (Lambda's against log n, which NaN fails).  A
-    product refuses two integer tables whose dtypes share no integer dtype
-    (uint64 with a signed one), as numpy would take it in float64.
+    its values: a named kind's against its `_magnitude`, which int64 guards
+    read, so a narrow dtype is no risk (Lambda's against log n, which NaN
+    fails), and a derived table's for being finite.
     """
 
     kind: FunctionKind | None
@@ -183,10 +183,10 @@ class SieveTable:
         if self.lo < 1:
             raise ValueError(f"need lo >= 1, got lo={self.lo}")
         v = self.values
-        want = ("integer or float" if self.kind is None
+        want = ("signed integer or float" if self.kind is None
                 else "float64" if self.kind.tag == "lambda" else "signed integer")
         if not (isinstance(v, np.ndarray) and v.ndim == 1
-                and (v.dtype.kind in "iuf" if self.kind is None
+                and (v.dtype.kind in "if" if self.kind is None
                      else v.dtype == np.float64 if self.kind.tag == "lambda"
                      else v.dtype.kind == "i")):
             got = f"{v.ndim}-d {v.dtype}" if isinstance(v, np.ndarray) else type(v).__name__
@@ -213,7 +213,8 @@ class SieveTable:
     def prefix(self, n: int) -> np.ndarray:
         """f(1..n) as a view, f(n) at index n - 1; CoverageError unless the
         table covers [1, n], ValueError if its values exceed its kind's
-        magnitude (`_beyond_magnitude`, scanned on the first call and kept)."""
+        magnitude or, in a derived table, are not finite (`_beyond_magnitude`,
+        scanned on the first call and kept)."""
         n = require_integers(n=n)
         if self.lo != 1 or not 0 <= n <= self.hi:
             raise CoverageError(f"table covers [{self.lo}, {self.hi}], need [1, {n}]")
@@ -309,20 +310,30 @@ def _magnitude(kind: FunctionKind, hi: int) -> int:
     return values[bisect_right(ns, hi) - 1]
 
 
+def _lambda_bound(hi: int) -> float:
+    """Lambda's bound on [2^k, 2^(k+1)), k = hi.bit_length() - 1, which covers
+    [1, hi]: (k+1) log 2 times 1 + 2^-49, 8 ulps, as np.log(p) lies within 4
+    ulps of log p < (k+1) log 2 and the product within 1.5 ulps of (k+1) log 2."""
+    return hi.bit_length() * math.log(2) * (1 + 2**-49)
+
+
 def _beyond_magnitude(kind: FunctionKind | None, lo: int, values: np.ndarray) -> str | None:
     """Why `values`, f from n = lo on, exceed `_magnitude(kind, n)` at some n,
-    or None (always for a derived table): one max and one min per run between
-    two of `_records`, where the bound is constant.  Lambda(n) = log p <=
-    log n is bounded per binade instead, 0 <= Lambda(n) <= (k+1) log 2 on
-    [2^k, 2^(k+1)), which NaN fails."""
+    or None: one max and one min per run between two of `_records`, where
+    the bound is constant.  Lambda(n) = log p <= log n is bounded per binade
+    instead, 0 <= Lambda(n) <= `_lambda_bound` on [2^k, 2^(k+1)), which NaN
+    fails.  A derived table's values need only be finite, which NaN and
+    +-inf in a float table fail."""
     if kind is None:
-        return None
+        if values.dtype.kind != "f" or np.isfinite([values.min(initial=0),
+                                                    values.max(initial=0)]).all():
+            return None
+        i = int(np.argmin(np.isfinite(values)))
+        return f"derived table holds {values[i]} at n={lo + i}, which is not finite"
     top = lo + len(values) - 1
     if kind.tag == "lambda":
         for k in range(lo.bit_length() - 1, top.bit_length()):
-            # np.log(p) lies within 4 ulps of log p < (k+1) log 2, and the bound
-            # within 1.5 ulps of (k+1) log 2: the factor 1 + 2^-49, 8 ulps, covers both
-            bound = (k + 1) * math.log(2) * (1 + 2**-49)
+            bound = _lambda_bound(1 << k)
             run = values[max((1 << k) - lo, 0): (2 << k) - lo]
             if not (run.min(initial=0.0) >= 0 and run.max(initial=0.0) <= bound):
                 i = int(np.argmin((run >= 0) & (run <= bound)))
@@ -449,7 +460,7 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     read-only broadcast of its one value, and Lambda in float64.  Where n
     has a prime factor above the walked ones, f moves from g(0) to g(1) once
     more (skipped when g(1) = g(0), or on [1, 1]).  That residual test is
-    exact without forming n's walked part: an unsigned accumulator adds
+    exact without forming n's walked part: an accumulator adds
     round(s log2 p) at every multiple of p^a, and n has such a factor iff
     its sum is below s k - t on n in [2^k, 2^(k+1)).
     The rounding error is at most 1/2 per odd prime factor, at most
@@ -573,8 +584,10 @@ def iter_segment_values(kind: FunctionKind, lo: int, hi: int):
 
 
 def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
-    """Tabulate `kind` on [lo, hi] by segmented sieving, in the kernel's
-    working dtype of [1, hi] (see `_tabulate`).
+    """Tabulate `kind` on [lo, hi] by segmented sieving, into one array
+    filled a segment at a time: in the kernel's working dtype of [1, hi],
+    `_working_dtype(kind, hi.bit_length())`, which holds every segment's
+    values (a segment's own is no wider), or float64 for Lambda.
 
     Raises BudgetError when the table would exceed SIEVE_BUDGET entries or
     when a tau order above MAX_TAU_R is requested.
@@ -582,21 +595,13 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
     lo, hi = _check_range(lo, hi)
     if hi - lo + 1 > SIEVE_BUDGET:
         raise BudgetError(f"table of {hi - lo + 1} entries exceeds budget {SIEVE_BUDGET}")
-    out = _tabulate(kind, lo, hi)
-    out.flags.writeable = False
-    return SieveTable(kind=kind, lo=lo, values=out)
-
-
-def _tabulate(kind: FunctionKind, lo: int, hi: int) -> np.ndarray:
-    """f on [lo, hi] in a fresh array, filled one segment at a time: in
-    `_working_dtype(kind, hi.bit_length())`, which holds every segment's
-    values (a segment's own is no wider), or float64 for Lambda."""
     _check_tau_order(kind)          # its refusal comes before the dtype's
     out = np.empty(hi - lo + 1, dtype=np.float64 if kind.tag == "lambda"
                    else _working_dtype(kind, hi.bit_length()))
     for seg_lo, vals in iter_segment_values(kind, lo, hi):
         out[seg_lo - lo: seg_lo - lo + len(vals)] = vals
-    return out
+    out.flags.writeable = False
+    return SieveTable(kind=kind, lo=lo, values=out)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +795,9 @@ def eval_points(kind: FunctionKind, n: np.ndarray) -> np.ndarray:
 
 def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     """Pointwise Dirichlet product (f * g)(n) = sum_{d | n} f(d) g(n/d) on [1, limit],
-    as a read-only derived table; both tables must cover [1, limit]."""
+    as a read-only derived table; both tables must cover [1, limit].  It is
+    taken in the narrowest signed dtype its bound proves, or in float64 with
+    a float table, and refused before any work as `_check_product` says."""
     limit = require_integers(limit=limit)
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
@@ -800,61 +807,49 @@ def dirichlet_convolve(f: SieveTable, g: SieveTable, limit: int) -> SieveTable:
     return SieveTable(kind=None, lo=1, values=out)
 
 
-def _abs_max(v: np.ndarray) -> int:
-    """The largest |value| of an integer array as a Python int, 0 if empty."""
-    return max(int(v.max(initial=0)), -int(v.min(initial=0)))
+def _abs_max(v: np.ndarray) -> int | float:
+    """The largest |value| of an array as a Python int or float, 0 if empty."""
+    return max(v.max(initial=0).item(), -v.min(initial=0).item())
 
 
 def _check_product(f: SieveTable, g: SieveTable, limit: int,
                    sums: int = 1) -> tuple[np.ndarray, np.ndarray, np.dtype]:
     """f(1..L) and g(1..L), L = limit, from `prefix`, and the dtype of their
-    product: for integer tables the narrowest dtype that holds both tables'
-    and the bound on the product's values, or on a sum of `sums` of them,
-    signed unless both tables are unsigned.  |(f * g)(n)| <= F G tau(n) <=
-    F G 2 isqrt(L): F and G the `_magnitude` of a named kind, which `prefix`
-    checks its table holds, or where that refuses, as for a derived table,
-    the largest |value| on [1, L].  A bound past int64 (uint64 for two
-    unsigned tables) is refused with BudgetError, before any work.  A float
-    product (Lambda) passes in numpy's dtype, and integer tables whose
-    product numpy would take in float64 are refused with ValueError."""
+    product: for signed integer tables the narrowest that holds both
+    tables' dtypes and the bound on the product's values, or on a sum of
+    `sums` of them; float64 once a table is float.  |(f * g)(n)| <= F G
+    tau(n) <= F G 2 isqrt(L): F and G the `_magnitude` of a named integer
+    kind, or `_lambda_bound` for Lambda, which `prefix` checks its table
+    holds, or where that refuses, as for a derived table, the largest
+    |value| on [1, L].  A bound past int64's largest value, or float64's for
+    a float product, is refused with BudgetError, before any work."""
     fv, gv = f.prefix(limit), g.prefix(limit)
-    dtype = np.result_type(fv, gv)
-    if dtype.kind not in "iu":
-        if fv.dtype.kind in "iu" and gv.dtype.kind in "iu":     # uint64 with a signed dtype
-            raise ValueError(f"{fv.dtype} and {gv.dtype} tables share no integer dtype")
-        return fv, gv, dtype
-    unsigned = dtype.kind == "u"
-    widest = np.dtype(np.uint64 if unsigned else np.int64)
+    dtype = np.result_type(fv, gv, np.int64)        # int64, or float64 with a float table
+    top = np.finfo(dtype).max.item() if dtype.kind == "f" else np.iinfo(dtype).max
     for read in (False, True):
-        F, G = (_abs_max(v) if read or t.kind is None else _magnitude(t.kind, limit)
+        F, G = (_abs_max(v) if read or t.kind is None
+                else _lambda_bound(limit) if t.kind.tag == "lambda" else _magnitude(t.kind, limit)
                 for t, v in ((f, fv), (g, gv)))
-        if (bound := F * G * 2 * isqrt(limit) * sums) <= np.iinfo(widest).max:
-            held = np.min_scalar_type(bound if unsigned else -bound - 1)
-            return fv, gv, np.promote_types(dtype, held)
-    raise BudgetError(f"Dirichlet product on [1, {limit}] may exceed {widest} (bound {bound})")
-
-
-def _identity_dtype(f: np.ndarray, g: np.ndarray) -> np.dtype:
-    """The dtype of the identity layer's coefficient vectors over f and g:
-    int64 for integer arrays (uint64 for a pair that numpy takes in it),
-    float64 once one is float64 (Lambda)."""
-    dtype = np.result_type(f, g)
-    return dtype if dtype == np.uint64 else np.result_type(dtype, np.int64)
+        if (bound := F * G * 2 * isqrt(limit) * sums) <= top:
+            held = dtype if dtype.kind == "f" else np.min_scalar_type(-bound - 1)
+            return fv, gv, np.promote_types(np.result_type(fv, gv), held)
+    raise BudgetError(f"Dirichlet product on [1, {limit}] may exceed {dtype} (bound {bound})")
 
 
 def _convolve(f: np.ndarray, g: np.ndarray, limit: int, dtype=None) -> np.ndarray:
     """(f * g) on [1, limit] at index n - 1, for value arrays that start at
     n = 1 and read as zero past their ends, in `dtype`, which must hold both
     arrays and every value formed (`_check_product`'s dtype; if None, the
-    identity layer's `_identity_dtype`), by the hyperbola split: the
-    pairs d <= e by ascending d, then d > e by descending e, one strided
-    update per d <= sqrt(limit) with f(d) != 0 and per e with g(e) != 0; a
-    coefficient of +-1 adds or subtracts the other array in place, with no
-    limit-sized temporary.  Each n sums its terms f(d) g(n/d) from +0 in
-    ascending d, and a zero term skipped changes no bit, as a sum from +0 is
-    never -0, so float (Lambda) products have the bits of that order.
+    identity layer's np.result_type(f, g, int64): int64, or float64 with a
+    float array), by the hyperbola split: the pairs d <= e by ascending d,
+    then d > e by descending e, one strided update per d <= sqrt(limit)
+    with f(d) != 0 and per e with g(e) != 0; a coefficient of +-1 adds or
+    subtracts the other array in place, with no limit-sized temporary.
+    Each n sums its terms f(d) g(n/d) from +0 in ascending d, and a zero
+    term skipped changes no bit, as a sum from +0 is never -0, so float
+    (Lambda) products have the bits of that order.
     `identities._hyperbola_terms` relies on this for its windowed terms."""
-    out = np.zeros(limit, dtype=_identity_dtype(f, g) if dtype is None else dtype)
+    out = np.zeros(limit, dtype=np.result_type(f, g, np.int64) if dtype is None else dtype)
     root = isqrt(limit)
     for d in (np.flatnonzero(f[:root]) + 1).tolist():      # d <= e: n = d e from d^2 on
         e = min(limit // d, len(g))

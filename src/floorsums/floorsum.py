@@ -46,7 +46,7 @@ from math import isqrt
 import numpy as np
 
 from .arith import (FACTOR_BUDGET, MOBIUS, SEGMENT_SIZE, SIEVE_BUDGET, FunctionKind,
-                    SieveTable, _check_tau_order, _magnitude, _tabulate, build_sieve,
+                    SieveTable, _check_tau_order, _magnitude, build_sieve,
                     eval_points, iter_segment_values, primes_upto)
 from .errors import BudgetError, require_integers
 
@@ -133,7 +133,7 @@ def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None)
         if (bound := _magnitude(kind, x) * x) >= 2**63:
             raise BudgetError(f"naive sum of the table may exceed int64 (bound {bound})")
     if values is None:                      # f(1..x) in the sieve's working dtype
-        values = _tabulate(kind, 1, x)
+        values = build_sieve(kind, 1, x).values
     chunks = map(values.__getitem__, _quotient_indices(x))
     if kind.tag == "lambda":
         return math.fsum(chain.from_iterable(map(np.ndarray.tolist, chunks)))

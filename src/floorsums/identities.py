@@ -53,7 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import (CHI_TWO, LAMBDA, MOBIUS, MOBIUS_SQUARED, OMEGA, ONE, TWO_POW_OMEGA,
-                    SieveTable, _check_product, _convolve, _identity_dtype, build_sieve, tau)
+                    SieveTable, _check_product, _convolve, build_sieve, tau)
 from .errors import WindowError, read_array, require_integers, require_reals
 
 TWO_PI = 2.0 * math.pi
@@ -334,7 +334,7 @@ def _hyperbola_terms(fv: np.ndarray, gv: np.ndarray, a: int, b: int, c: int, R: 
     n, d, e = _divisor_pairs()
     lo, hi = np.searchsorted(n, [R, L]).tolist()       # the pairs with R <= n - 1 < L
     n, d, e = n[lo:hi], d[lo:hi], e[lo:hi]
-    dtype = _identity_dtype(fv, gv)                    # as `_convolve` takes them
+    dtype = np.result_type(fv, gv, np.int64)           # as `_convolve` takes them
     fg, gf = np.multiply(fv[d], gv[e], dtype=dtype), np.multiply(gv[d], fv[e], dtype=dtype)
     f_cut = d < a                                      # d <= a: the index holds d - 1
 

@@ -796,25 +796,21 @@ def test_convolution_refuses_an_int64_wrap_before_any_work(monkeypatch):
     # F G 2 isqrt(12) = 6 2^58 < 2^63: accepted, and exact
     small = _table(2**29, 12)
     assert A.dirichlet_convolve(small, small, 12).value(12) == 6 * 2**58
-    # a float product (Lambda) is not bounded
+    # a float product (Lambda) is taken in float64, far below its largest value
     lam = A.build_sieve(A.LAMBDA, 1, 100)
     assert A.dirichlet_convolve(lam, lam, 100).values.dtype == np.float64
 
 
-def test_convolution_refuses_integer_tables_without_a_common_integer_dtype(monkeypatch):
-    # numpy takes uint64 with int64 in float64: (1 * f)(1) came back as
-    # 1152921504606846976.0 for f(1) = 2^60 + 1
-    wide = A.SieveTable(None, 1, np.full(6, 2**60 + 1, dtype=np.uint64))
-    one = A.build_sieve(A.ONE, 1, 6)
-    narrow = A.SieveTable(None, 1, np.ones(6, dtype=np.int8))
-    monkeypatch.setattr(A, "_convolve", lambda *a: pytest.fail("work was done"))
-    for f, g in ((one, wide), (wide, one), (narrow, wide)):
-        with pytest.raises(ValueError, match="tables share no integer dtype"):
-            A.dirichlet_convolve(f, g, 6)
-    monkeypatch.undo()
-    unsigned = A.SieveTable(None, 1, np.array([1, 0, 0, 0, 0, 0], dtype=np.uint8))
-    got = A.dirichlet_convolve(unsigned, wide, 6).values
-    assert got.dtype == np.uint64 and got.tolist() == [2**60 + 1] * 6
+def test_an_unsigned_table_is_refused_when_it_is_built():
+    # numpy took uint64 with int64 in float64, and a uint64 pair's hyperbola
+    # overlap term was negated in uint64, where it wrapped: ones tables in
+    # uint64 and uint8 gave hyperbola_sides(u64, u8, None, 50, 5) =
+    # (207.0, 5.17e20, 5.17e20), where both sides are 207
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        for kind, want in ((None, "signed integer or float"), (A.ONE, "signed integer")):
+            message = f"needs a 1-d {want} array, got 1-d {dtype.__name__}"
+            with pytest.raises(ValueError, match=message):
+                A.SieveTable(kind, 1, np.ones(50, dtype=dtype))
 
 
 def test_convolution_bound_passes_the_library_products():
@@ -1019,7 +1015,7 @@ def test_kind_parsing():
     (lambda: A.SieveTable(A.LAMBDA, 1, np.ones(3, np.int64)), ValueError,
      "lambda table needs a 1-d float64 array, got 1-d int64"),
     (lambda: A.SieveTable(None, 1, np.ones(3, bool)), ValueError,
-     "derived table needs a 1-d integer or float array, got 1-d bool"),
+     "derived table needs a 1-d signed integer or float array, got 1-d bool"),
     (lambda: A.LAMBDA.local(1), ValueError, "Lambda has no local factor"),
     (lambda: next(A.iter_segment_values(A.ONE, 10, 9)), ValueError,
      "need 1 <= lo <= hi, got lo=10, hi=9"),

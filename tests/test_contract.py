@@ -9,16 +9,17 @@ raises the same typed error with the same message.  A form the argument
 does not take (a bool anywhere; a float or a `Fraction` for an integer) must
 be refused with ValueError, BudgetError, CoverageError or WindowError.  Any
 other exception fails.  The array arguments (`unit_array`'s t,
-`eval_points`' n, `fejer_envelope`'s x, `dirichlet_convolve`'s f and g, a
-named table's values) are drawn in every form and dtype too: each draw is
-refused with a typed error before any work, or gives the value of a
-Python-int reference.  Sizes stay small (x <= 10^4, R <= 200), so that the
-module runs in a few seconds.
+`eval_points`' n, `fejer_envelope`'s x, the f and g of `dirichlet_convolve`
+and both hyperbola verifiers, a named table's values) are drawn in every
+form and dtype too: each draw is refused with a typed error before any
+work, or gives the value of a Python-int reference.  Sizes stay small
+(x <= 10^4, R <= 200), so that the module runs in a few seconds.
 """
 
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -332,27 +333,27 @@ def test_fejer_envelope_takes_x_in_every_array_form(v, H):
 
 
 # ---------------------------------------------------------------------------
-# array arguments: dirichlet_convolve's f and g
+# array arguments: the f and g of dirichlet_convolve and the hyperbola verifiers
 
-PRODUCT_DTYPES = INTEGER_TYPES + (np.float16, np.float32, np.float64)
+PRODUCT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.float16, np.float32, np.float64)
 NAMED_TABLES = [A.build_sieve(kind, 1, 60) for kind in (A.ONE, A.MOBIUS, A.tau(3), A.LAMBDA)]
 
 
 @st.composite
 def product_tables(draw, dtype):
-    """A table on [1, 1..60] for dirichlet_convolve: for dtype None a named
-    kind's sieve, else a derived table of that dtype, its values up to a
-    drawn scale (near 2^63 included), floats below a square root of the
-    dtype's largest value."""
+    """A table on [1, 1..60] for a product: for dtype None a named kind's
+    sieve, else a derived table of that dtype, its values up to a drawn
+    scale (near 2^63 and the dtype's largest value included), a float table
+    at times with one NaN or +-inf."""
     if dtype is None:
         return draw(st.sampled_from(NAMED_TABLES))
     dtype = np.dtype(dtype)
-    top = (np.iinfo(dtype).max if dtype.kind in "iu"
-           else int(math.sqrt(np.finfo(dtype).max)) // 64)
-    scale = min(top, draw(st.sampled_from([1, 3, 100, 2**20, 2**40, 2**60 + 1, 2**63 - 1])))
-    low = 0 if dtype.kind == "u" else -scale
-    values = draw(st.lists(st.integers(low, scale) | st.sampled_from([low, scale]),
+    top = int(np.iinfo(dtype).max if dtype.kind == "i" else np.finfo(dtype).max)
+    scale = min(top, draw(st.sampled_from([top, 1, 3, 100, 2**20, 2**40, 2**60 + 1, 2**63 - 1])))
+    values = draw(st.lists(st.integers(-scale, scale) | st.sampled_from([-scale, scale]),
                            min_size=1, max_size=60))
+    if dtype.kind == "f" and draw(st.integers(0, 3)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(NOT_FINITE | st.just(-math.inf))
     return A.SieveTable(None, 1, np.array(values, dtype=dtype))
 
 
@@ -365,33 +366,45 @@ def _product_reference(f, g, limit: int) -> list:
     return [(sum(t), sum(map(abs, t)), len(t)) for t in terms]
 
 
-def _check_product_of(f, g, limit: int) -> None:
-    """An integer pair gives its product exactly, in an integer dtype, or is
-    refused with a typed error before any work: ValueError where numpy would
-    take the pair in float64 (uint64 with a signed dtype), BudgetError
-    where the product could wrap, CoverageError.  A float pair gives it
-    within the rounding of its dtype, or CoverageError."""
-    integer = f.values.dtype.kind in "iu" and g.values.dtype.kind in "iu"
-    no_common = integer and np.result_type(f.values, g.values).kind not in "iu"
+def _refused(call, module, work: str) -> bool:
+    """Whether `call` is refused with a typed error before `module.work`
+    runs; False if it runs."""
     try:
         with pytest.MonkeyPatch.context() as mp:
-            _no_work(mp, "_convolve")
-            A.dirichlet_convolve(f, g, limit)
-    except TYPED as exc:                    # refused before any work
-        assert not no_common or isinstance(exc, CoverageError) \
-            or "share no integer dtype" in str(exc), exc
+            mp.setattr(module, work, lambda *a: pytest.fail("work was done"))
+            call()
+    except TYPED:
+        return True
+    except pytest.fail.Exception:
+        pass
+    return False
+
+
+def _finite(*tables) -> bool:
+    return all(np.isfinite(t.values).all() for t in tables)
+
+
+EPS = Fraction(float(np.finfo(np.float64).eps))     # a float product is taken in float64
+
+
+def _check_product_of(f, g, limit: int) -> None:
+    """A pair gives its product or is refused with a typed error before any
+    work: BudgetError where the product could pass int64's or float64's
+    largest value, ValueError where a table holds NaN or +-inf, which must
+    be refused, and CoverageError.  An integer pair gives the product
+    exactly, in a signed dtype, and a float pair within float64's rounding."""
+    if _refused(lambda: A.dirichlet_convolve(f, g, limit), A, "_convolve"):
         return
-    except pytest.fail.Exception:           # accepted: the product was started
-        assert not no_common
+    assert _finite(f, g)
     got = A.dirichlet_convolve(f, g, limit).values
     want = _product_reference(f, g, limit)
-    if integer:
-        assert got.dtype.kind in "iu", got.dtype
+    if f.values.dtype.kind == g.values.dtype.kind == "i":
+        assert got.dtype.kind == "i", got.dtype
         assert got.tolist() == [total for total, _, _ in want]
         return
-    eps = Fraction(float(np.finfo(got.dtype).eps))
+    assert got.dtype == np.float64 and np.isfinite(got).all()
     for n, (value, (total, size, count)) in enumerate(zip(got.tolist(), want), start=1):
-        assert abs(Fraction(value) - total) <= 4 * (count + 2) * eps * size, n
+        assert abs(Fraction(value) - total) <= 4 * (count + 2) * EPS * size, n
 
 
 @settings(max_examples=20)
@@ -402,6 +415,46 @@ def test_dirichlet_convolve_takes_every_dtype_pair(data):
     for f in tables:
         for g in tables:
             _check_product_of(f, g, data.draw(st.integers(1, min(len(f), len(g)) + 1)))
+
+
+def _check_sides_of(f, g, R: int, R1: int, U: int) -> None:
+    """Both unweighted sides of the hyperbola split on (R, R1] by
+    `hyperbola_sides` (R = 0, x = R1) or `hyperbola_exp_sides`, refused as
+    `_check_product_of` says or equal to sum_{R < n <= R1} (f * g)(n):
+    exactly, as Python ints, for an integer pair, and within float64's
+    rounding of the 3 (R1 - R) terms and each one's products for a float pair."""
+    def call():
+        if R == 0:
+            return I.hyperbola_sides(f, g, None, R1, U)
+        return I.hyperbola_exp_sides(f, g, None, R, R1, U)
+
+    if _refused(call, I, "_hyperbola_terms"):
+        return
+    assert _finite(f, g)
+    want = _product_reference(f, g, R1)[R:]
+    total, size = sum(t for t, _, _ in want), sum(s for _, s, _ in want)
+    lhs, rhs, _ = call()
+    if f.values.dtype.kind == g.values.dtype.kind == "i":
+        assert type(lhs) is type(rhs) is int and lhs == rhs == total, (lhs, rhs, total)
+        return
+    terms = 3 * (R1 - R) + 2 * math.isqrt(R1) + 4
+    for side in (lhs, rhs):
+        assert math.isfinite(side) and abs(Fraction(side) - total) <= 4 * terms * EPS * 3 * size
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_hyperbola_verifiers_take_every_dtype_pair(data):
+    # the pairs of test_dirichlet_convolve_takes_every_dtype_pair; these
+    # verifiers had no dtype fuzzing while a uint64 pair's overlap term,
+    # negated in uint64, wrapped to sides of 5.17e20 for a sum of 207
+    tables = [data.draw(product_tables(dtype)) for dtype in (None, *PRODUCT_DTYPES)]
+    for f in tables:
+        for g in tables:
+            n = min(len(f), len(g)) + 1             # R1 one past the tables at times
+            R = data.draw(st.integers(0, n - 1))    # 0: hyperbola_sides on [1, R1]
+            R1 = data.draw(st.integers(R + 1, n))
+            _check_sides_of(f, g, R, R1, data.draw(st.integers(1, R or R1)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +507,28 @@ def _flat(value, n):
     values = np.full(n, value, dtype=np.int64)
     values.flags.writeable = False
     return A.SieveTable(kind=None, lo=1, values=values)
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (math.nan, ValueError, "holds nan at n=1, which is not finite"),
+    (math.inf, ValueError, "holds inf at n=1, which is not finite"),
+    (-math.inf, ValueError, "holds -inf at n=1, which is not finite"),
+    (1e308, BudgetError, "may exceed float64"),
+], ids=["nan", "inf", "-inf", "1e308"])
+def test_a_derived_float_table_is_refused_unless_finite_and_bounded(value, error, message):
+    # NaN tables gave all-NaN products and hyperbola sides (nan, nan, nan),
+    # 1e308 ones inf products with a RuntimeWarning ("overflow encountered in add")
+    t, one = A.SieveTable(None, 1, np.full(50, value)), A.build_sieve(A.ONE, 1, 50)
+    calls = (lambda: A.dirichlet_convolve(t, one, 50),
+             lambda: I.hyperbola_sides(one, t, None, 50, 5),
+             lambda: I.hyperbola_exp_sides(t, one, PHASE, 20, 40, 4))
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error")
+        _no_work(mp, "_convolve")
+        mp.setattr(I, "_hyperbola_terms", lambda *a: pytest.fail("work was done"))
+        for call in calls:
+            with pytest.raises(error, match=message):
+                call()
 
 
 def test_hyperbola_bound_is_taken_in_python_ints(monkeypatch):

@@ -15,8 +15,10 @@ would track), each into a fresh temporary directory; both are byte-compiled
 there, so neither side pays or saves an import's compile, and the two sides
 run in alternating pairs, the side that goes first switching with each
 pair.  Each metric then reports in how many pairs the working tree did
-better.  Each tree first makes one discarded run of the first workload and
-seed: a session's first run read up to 1.7x the wall time of the rest.
+better, and each end-to-end metric one verdict per workload (`_verdict`),
+recorded and printed.  Each tree first makes one discarded run of the first
+workload and seed: a session's first run read up to 1.7x the wall time of
+the rest.
 
     python tools/bench.py                                    # seeds 1-3
     python tools/bench.py --against HEAD --seeds 3-12 --workloads sum-large
@@ -105,6 +107,26 @@ def _side(results: list[dict]) -> dict:
             "correct": all(r["correct"] for r in results), "metrics": metrics}
 
 
+def _verdict(ours: list[float], theirs: list[float], wins: int, bound: float,
+             lower: bool) -> str:
+    """The working tree's runs of one metric against REV's, `wins` the pairs
+    it did better in, `bound` BENCHMARK.json's, relative to REV's median:
+    "better" if it won at least 9 in 10 pairs and the medians differ by more
+    than REV's quartile spread; else "unresolved" if that spread exceeds the
+    bound, unless every run of the tree beats every run of REV; else "worse"
+    if the tree's median is worse than REV's by more than the bound; else
+    "within bound"."""
+    a, b = _summary(ours), _summary(theirs)
+    sign = 1 if lower else -1                   # sign * (REV - tree) > 0: the tree is better
+    gain, spread = sign * (b["median"] - a["median"]), b["q3"] - b["q1"]
+    allowed = bound * abs(b["median"])
+    if wins >= 0.9 * len(ours) and gain > spread:
+        return "better"
+    if spread > allowed and not all(sign * (t - o) > 0 for o in ours for t in theirs):
+        return "unresolved"
+    return "worse" if -gain > allowed else "within bound"
+
+
 def _host() -> dict:
     import numpy
 
@@ -174,6 +196,16 @@ def main(argv=None) -> int:
                           zip(results[label][w], results["against"][w]))
                 for name in results[label][w][0]["metrics"]}
             for w in workloads}
+        record["verdicts"] = {w: {} for w in workloads}
+        for w in workloads:
+            for m in BENCHMARK["end_to_end"]:
+                name, wins = m["name"], record["pairs_better"][w][m["name"]]
+                ours, theirs = (side["workloads"][w]["metrics"][name]["values"]
+                                for side in (record, record["against"]))
+                verdict = _verdict(ours, theirs, wins, m["bound"], lower[name])
+                record["verdicts"][w][name] = verdict
+                print(f"{w} {name}: {verdict} (median {statistics.median(ours):.4g} vs "
+                      f"{statistics.median(theirs):.4g}, better in {wins} of {len(ours)} pairs)")
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)

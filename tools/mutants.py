@@ -98,12 +98,20 @@ CATALOGUE = (
            "        run = values[max(start - lo, 0): max(stop - lo, 0)]",
            "        run = values[max(start - lo, 0) + 1: max(stop - lo, 0)]",
            ("tests/test_arith.py::test_a_table_is_held_to_its_kind_at_every_n",)),
-    Mutant("product-of-uint64-and-signed-taken-in-float", ARITH,
-           "        if fv.dtype.kind in \"iu\" and gv.dtype.kind in \"iu\":",
-           "        if False:",
-           ("tests/test_arith.py::"
-            "test_convolution_refuses_integer_tables_without_a_common_integer_dtype",
-            "tests/test_contract.py::test_dirichlet_convolve_takes_every_dtype_pair")),
+    Mutant("derived-float-table-unchecked", ARITH,
+           "values.dtype.kind != \"f\" or np.isfinite(",
+           "True or np.isfinite(",
+           ("tests/test_contract.py::"
+            "test_a_derived_float_table_is_refused_unless_finite_and_bounded",
+            "tests/test_contract.py::test_dirichlet_convolve_takes_every_dtype_pair",
+            "tests/test_contract.py::test_hyperbola_verifiers_take_every_dtype_pair")),
+    Mutant("float-product-unbounded", ARITH,
+           "top = np.finfo(dtype).max.item() if",
+           "top = math.inf if",
+           ("tests/test_contract.py::"
+            "test_a_derived_float_table_is_refused_unless_finite_and_bounded",
+            "tests/test_contract.py::test_dirichlet_convolve_takes_every_dtype_pair",
+            "tests/test_contract.py::test_hyperbola_verifiers_take_every_dtype_pair")),
     Mutant("add-scaled-minus-one-as-plus", ARITH,
            "    elif c == -1:\n        view -= v",
            "    elif c == -1:\n        view += v",
@@ -113,8 +121,8 @@ CATALOGUE = (
            "(bound := F * G * 2 * isqrt(limit))",
            ("tests/test_identities.py::test_unweighted_hyperbola_side_bounds_its_sum",)),
     Mutant("product-never-reads-a-named-table", ARITH,
-           "_abs_max(v) if read or t.kind is None else",
-           "_abs_max(v) if t.kind is None else",
+           "_abs_max(v) if read or t.kind is None",
+           "_abs_max(v) if t.kind is None",
            ("tests/test_arith.py::test_a_product_reads_a_named_table_only_where_its_magnitude_refuses",)),
     Mutant("working-dtype-one-narrower", ARITH,
            "    return np.min_scalar_type(-bound - 1)",
@@ -191,9 +199,8 @@ CATALOGUE = (
            ("tests/test_floorsum.py::test_lambda_fast_equals_naive_at_every_split",
             "tests/test_floorsum.py::test_fast_equals_naive_all_kinds")),
     Mutant("lambda-table-unchecked", ARITH,
-           "    if kind is None:\n        return None\n    top = lo + len(values) - 1",
-           "    if kind is None or kind.tag == \"lambda\":\n        return None\n"
-           "    top = lo + len(values) - 1",
+           "    if kind.tag == \"lambda\":\n        for k in",
+           "    if kind.tag == \"lambda\":\n        return None\n        for k in",
            ("tests/test_floorsum.py::test_a_lambda_table_is_value_checked_before_any_work",)),
     Mutant("naive-chunk-drops-its-last-quotient", FLOORSUM,
            "min(lo + BLOCK_CHUNK, x + 1)",
@@ -210,8 +217,8 @@ CATALOGUE = (
            ("tests/test_arith.py::"
             "test_kernel_forms_a_residual_step_past_int8_in_its_working_dtype",)),
     Mutant("product-dtype-one-step-narrower", ARITH,
-           "held = np.min_scalar_type(bound if unsigned else -bound - 1)",
-           "held = np.min_scalar_type((bound if unsigned else -bound - 1) >> 8)",
+           "else np.min_scalar_type(-bound - 1)",
+           "else np.min_scalar_type((-bound - 1) >> 8)",
            ("tests/test_arith.py::"
             "test_every_named_product_is_exact_in_the_narrowest_dtype_of_its_bound",)),
     Mutant("add-scaled-product-in-the-input-dtype", ARITH,
