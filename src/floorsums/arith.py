@@ -16,10 +16,10 @@ that walks the prime powers up to hi with the primes up to sqrt(hi), and
 primes up to cbrt(max n) and classifies each cofactor as 1, p, p^2 or pq
 (nothing else is left).  The tail bounds on main-term constants in
 `floorsum` read the same table, and so does `_magnitude`, the largest |f(n)|
-over n <= hi, which the kernel's working dtype and every int64 guard on a
-named kind read.  The kernel does not walk 2^1..2^4, 3^1, 3^2, 5 and 7
-strided: it starts from one period of that walk on n mod 5040, built once
-per function, and walks on from there.
+over n <= hi (a float bound for Lambda), which the kernel's working dtype,
+every guard on a named kind and every table's check read.  The kernel does
+not walk 2^1..2^4, 3^1, 3^2, 5 and 7 strided: it starts from one period of
+that walk on n mod 5040, built once per function, and walks on from there.
 
 The kernel finds the one prime factor above sqrt(hi) that an n may have by
 an exact test on logarithms: a uint8 per n adds round(s log2 p) for
@@ -38,7 +38,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 from math import comb, isqrt
 
@@ -84,6 +84,11 @@ class FunctionKind:
     @property
     def additive(self) -> bool:
         return self.tag == "omega"
+
+    @cached_property
+    def signed(self) -> bool:
+        """Whether f takes negative values (mu, chi_2): whether a local factor does."""
+        return self.tag != "lambda" and any(self.local(a) < 0 for a in range(_MAX_EXPONENT + 1))
 
     def local(self, a: int) -> int:
         """g(a) = f(p^a) for every prime p; Lambda has none."""
@@ -163,15 +168,14 @@ class SieveTable:
     int8 for 1, mu, mu^2, omega and chi_2), float64 (log p values) for
     Lambda, any signed integer or float dtype for a derived table; any other
     array, uint8..uint64 included, is refused.  The array is marked
-    read-only, a writable one or a view copied first, so that a check of the
-    values holds for the table's life.
+    read-only, a writable one or a view copied first, and checked once,
+    here: a value outside its kind's range at its n (`_beyond_magnitude`),
+    or not finite in a derived table, is refused with ValueError.  So every
+    table holds its kind, and the guards that read `_magnitude` hold for it.
     The table ends where its values do, at hi = lo + len(values) - 1.
     `kind` is None for a derived table (a Dirichlet product), which no
     evaluator accepts in place of a table of a named function.  Every
-    reader of f(1..n) takes it from `prefix`, which checks its coverage and
-    its values: a named kind's against its `_magnitude`, which int64 guards
-    read, so a narrow dtype is no risk (Lambda's against log n, which NaN
-    fails), and a derived table's for being finite.
+    reader of f(1..n) takes it from `prefix`.
     """
 
     kind: FunctionKind | None
@@ -195,6 +199,8 @@ class SieveTable:
             v = v.copy()
             v.flags.writeable = False
             object.__setattr__(self, "values", v)
+        if (why := _beyond_magnitude(self.kind, self.lo, v)) is not None:
+            raise ValueError(why)
 
     @property
     def hi(self) -> int:
@@ -212,16 +218,10 @@ class SieveTable:
 
     def prefix(self, n: int) -> np.ndarray:
         """f(1..n) as a view, f(n) at index n - 1; CoverageError unless the
-        table covers [1, n], ValueError if its values exceed its kind's
-        magnitude or, in a derived table, are not finite (`_beyond_magnitude`,
-        scanned on the first call and kept)."""
+        table covers [1, n]."""
         n = require_integers(n=n)
         if self.lo != 1 or not 0 <= n <= self.hi:
             raise CoverageError(f"table covers [{self.lo}, {self.hi}], need [1, {n}]")
-        if "_excess" not in vars(self):
-            vars(self)["_excess"] = _beyond_magnitude(self.kind, self.lo, self.values)
-        if self._excess is not None:
-            raise ValueError(self._excess)
         return self.values[:n]
 
 
@@ -262,11 +262,11 @@ def _steps(kind: FunctionKind) -> dict[int, int | tuple[int, int]]:
     return steps
 
 
-_RECORDS: dict[FunctionKind, tuple[int, list[int], list[int]]] = {}
+_RECORDS: dict[FunctionKind, tuple[int, list[int], list]] = {}
 _RECORD_BITS = 20               # the least walk: no sum up to x = 1e10 asks for more
 
 
-def _records(kind: FunctionKind, bits: int) -> tuple[list[int], list[int]]:
+def _records(kind: FunctionKind, bits: int) -> tuple[list[int], list]:
     """The records of |f| below 2^B, for some B >= bits: the n, from n = 0
     with value 0, where |f(n)| exceeds |f(m)| for every m < n, in order,
     and those values.  The records below 2^b are a prefix of those below
@@ -275,11 +275,15 @@ def _records(kind: FunctionKind, bits: int) -> tuple[list[int], list[int]]:
     is walked again only when a longer list is asked for.
     |f(n)| depends on n's exponents alone; moving them in decreasing order
     onto 2, 3, 5, ... gives an n' <= n with the same value, so only those n'
-    are walked."""
+    are walked.  Lambda has its bound's steps instead, at n = 2^k (`_magnitude`)."""
     held = _RECORDS.get(kind)
     if held is not None and held[0] >= bits:
         return held[1], held[2]
     bits = max(bits, _RECORD_BITS)
+    if kind.tag == "lambda":
+        held = _RECORDS[kind] = (bits, [0] + [1 << k for k in range(bits)],
+                                 [k * math.log(2) * (1 + 2**-49) for k in range(bits + 1)])
+        return held[1], held[2]
     g = [abs(kind.local(a)) for a in range(bits + 1)]
     combine = int.__add__ if kind.additive else int.__mul__
     small = primes_upto(64).tolist()         # their product exceeds 2^64
@@ -304,59 +308,54 @@ def _records(kind: FunctionKind, bits: int) -> tuple[list[int], list[int]]:
     return held[1], held[2]
 
 
-def _magnitude(kind: FunctionKind, hi: int) -> int:
-    """The largest |f(n)| over 1 <= n <= hi (0 for hi = 0), exactly, for a named integer kind."""
+def _magnitude(kind: FunctionKind, hi: int) -> int | float:
+    """M(hi), the largest |f(n)| over 1 <= n <= hi (0 for hi = 0), exactly; for
+    Lambda the bound (k+1) log 2 (1 + 2^-49) on hi's binade [2^k, 2^(k+1)), 8 ulps
+    past (k+1) log 2, as np.log(p) lies within 4 ulps of log p < (k+1) log 2
+    and the product within 1.5 ulps of (k+1) log 2."""
     ns, values = _records(kind, hi.bit_length())
     return values[bisect_right(ns, hi) - 1]
 
 
-def _lambda_bound(hi: int) -> float:
-    """Lambda's bound on [2^k, 2^(k+1)), k = hi.bit_length() - 1, which covers
-    [1, hi]: (k+1) log 2 times 1 + 2^-49, 8 ulps, as np.log(p) lies within 4
-    ulps of log p < (k+1) log 2 and the product within 1.5 ulps of (k+1) log 2."""
-    return hi.bit_length() * math.log(2) * (1 + 2**-49)
-
-
 def _beyond_magnitude(kind: FunctionKind | None, lo: int, values: np.ndarray) -> str | None:
-    """Why `values`, f from n = lo on, exceed `_magnitude(kind, n)` at some n,
-    or None: one max and one min per run between two of `_records`, where
-    the bound is constant.  Lambda(n) = log p <= log n is bounded per binade
-    instead, 0 <= Lambda(n) <= `_lambda_bound` on [2^k, 2^(k+1)), which NaN
-    fails.  A derived table's values need only be finite, which NaN and
-    +-inf in a float table fail."""
+    """Why `values`, f from n = lo on, leave floor <= f(n) <= M(n) =
+    `_magnitude(kind, n)` at some n, or None, floor -M(n) for a kind that
+    takes negative values and 0 for the others: one min and one max (one
+    `reduceat` each) per run of `_records` that meets [lo, hi], where M is
+    constant (a binade for Lambda), which NaN fails.  A derived table's
+    values need only be finite, which NaN and +-inf in a float table fail."""
     if kind is None:
         if values.dtype.kind != "f" or np.isfinite([values.min(initial=0),
                                                     values.max(initial=0)]).all():
             return None
         i = int(np.argmin(np.isfinite(values)))
         return f"derived table holds {values[i]} at n={lo + i}, which is not finite"
-    top = lo + len(values) - 1
-    if kind.tag == "lambda":
-        for k in range(lo.bit_length() - 1, top.bit_length()):
-            bound = _lambda_bound(1 << k)
-            run = values[max((1 << k) - lo, 0): (2 << k) - lo]
-            if not (run.min(initial=0.0) >= 0 and run.max(initial=0.0) <= bound):
-                i = int(np.argmin((run >= 0) & (run <= bound)))
-                return (f"{kind} table holds {run[i]} at n={max(1 << k, lo) + i}, "
-                        f"beyond 0 <= {kind}(m) <= {bound} for m < 2^{k + 1}")
+    if not len(values):
         return None
+    top = lo + len(values) - 1
     ns, bounds = _records(kind, top.bit_length())
-    k = bisect_right(ns, top)                # the records up to top
-    for start, stop, bound in zip(ns[:k], ns[1:k] + [top + 1], bounds):
-        run = values[max(start - lo, 0): max(stop - lo, 0)]
-        if _abs_max(run) > bound:
-            i = int(run.argmax() if run.max() > bound else run.argmin())
-            return (f"{kind} table holds {run[i]} at n={max(start, lo) + i}, "
-                    f"beyond |{kind}(m)| <= {bound} for m <= n")
-    return None
+    j, k = bisect_right(ns, lo) - 1, bisect_right(ns, top)     # the runs that meet [lo, top]
+    starts, bounds = [max(n - lo, 0) for n in ns[j:k]], bounds[j:k]
+    floors = [-b for b in bounds] if kind.signed else [0] * len(bounds)
+    held = ((np.minimum.reduceat(values, starts) >= floors)
+            & (np.maximum.reduceat(values, starts) <= bounds))
+    if held.all():
+        return None
+    r = int(np.argmin(held))
+    run = values[starts[r]: (starts + [None])[r + 1]]
+    i = int(np.argmin((run >= floors[r]) & (run <= bounds[r])))
+    return (f"{kind} table holds {run[i]} at n={lo + starts[r] + i}, "
+            f"beyond {floors[r]} <= {kind}(m) <= {bounds[r]} for m <= n")
 
 
 @lru_cache(maxsize=None)
 def _working_dtype(kind: FunctionKind, bits: int) -> np.dtype:
     """The narrowest signed dtype that holds every value the walk forms on
     n < 2^bits: each is f(m) for some m <= n, one g(b), b <= a, per p^a
-    exactly dividing n (a quotient taken first is smaller still)."""
+    exactly dividing n (a quotient taken first is smaller still); float64 for Lambda."""
     bound = _magnitude(kind, (1 << bits) - 1)
+    if isinstance(bound, float):
+        return np.dtype(np.float64)
     if bound >= 2**63:
         raise BudgetError(f"{kind} may exceed int64 below 2^{bits}")
     return np.min_scalar_type(-bound - 1)
@@ -587,7 +586,7 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
     """Tabulate `kind` on [lo, hi] by segmented sieving, into one array
     filled a segment at a time: in the kernel's working dtype of [1, hi],
     `_working_dtype(kind, hi.bit_length())`, which holds every segment's
-    values (a segment's own is no wider), or float64 for Lambda.
+    values (a segment's own is no wider; float64 for Lambda).
 
     Raises BudgetError when the table would exceed SIEVE_BUDGET entries or
     when a tau order above MAX_TAU_R is requested.
@@ -596,8 +595,7 @@ def build_sieve(kind: FunctionKind, lo: int, hi: int) -> SieveTable:
     if hi - lo + 1 > SIEVE_BUDGET:
         raise BudgetError(f"table of {hi - lo + 1} entries exceeds budget {SIEVE_BUDGET}")
     _check_tau_order(kind)          # its refusal comes before the dtype's
-    out = np.empty(hi - lo + 1, dtype=np.float64 if kind.tag == "lambda"
-                   else _working_dtype(kind, hi.bit_length()))
+    out = np.empty(hi - lo + 1, dtype=_working_dtype(kind, hi.bit_length()))
     for seg_lo, vals in iter_segment_values(kind, lo, hi):
         out[seg_lo - lo: seg_lo - lo + len(vals)] = vals
     out.flags.writeable = False
@@ -818,22 +816,22 @@ def _check_product(f: SieveTable, g: SieveTable, limit: int,
     product: for signed integer tables the narrowest that holds both
     tables' dtypes and the bound on the product's values, or on a sum of
     `sums` of them; float64 once a table is float.  |(f * g)(n)| <= F G
-    tau(n) <= F G 2 isqrt(L): F and G the `_magnitude` of a named integer
-    kind, or `_lambda_bound` for Lambda, which `prefix` checks its table
-    holds, or where that refuses, as for a derived table, the largest
-    |value| on [1, L].  A bound past int64's largest value, or float64's for
-    a float product, is refused with BudgetError, before any work."""
+    tau(n) <= F G 2 isqrt(L), in one pass: F and G are `_magnitude` at L
+    for a named kind, whose table was checked to hold it when built, and
+    the largest |value| on [1, L] for a derived table.  A bound past int64's
+    largest value, or float64's for a float product, is refused with
+    BudgetError before any work, a float one stating F, G and 2 isqrt(L) sums."""
     fv, gv = f.prefix(limit), g.prefix(limit)
     dtype = np.result_type(fv, gv, np.int64)        # int64, or float64 with a float table
     top = np.finfo(dtype).max.item() if dtype.kind == "f" else np.iinfo(dtype).max
-    for read in (False, True):
-        F, G = (_abs_max(v) if read or t.kind is None
-                else _lambda_bound(limit) if t.kind.tag == "lambda" else _magnitude(t.kind, limit)
-                for t, v in ((f, fv), (g, gv)))
-        if (bound := F * G * 2 * isqrt(limit) * sums) <= top:
-            held = dtype if dtype.kind == "f" else np.min_scalar_type(-bound - 1)
-            return fv, gv, np.promote_types(np.result_type(fv, gv), held)
-    raise BudgetError(f"Dirichlet product on [1, {limit}] may exceed {dtype} (bound {bound})")
+    F, G = (_abs_max(v) if t.kind is None else _magnitude(t.kind, limit)
+            for t, v in ((f, fv), (g, gv)))
+    terms = 2 * isqrt(limit) * sums
+    if (bound := F * G * terms) <= top:
+        held = dtype if dtype.kind == "f" else np.min_scalar_type(-bound - 1)
+        return fv, gv, np.promote_types(np.result_type(fv, gv), held)
+    shown = bound if dtype.kind == "i" else f"{F} * {G} * {terms}"     # a float bound may be inf
+    raise BudgetError(f"Dirichlet product on [1, {limit}] may exceed {dtype} (bound {shown})")
 
 
 def _convolve(f: np.ndarray, g: np.ndarray, limit: int, dtype=None) -> np.ndarray:

@@ -539,8 +539,8 @@ def series_constant(kind: FunctionKind) -> tuple[float, float]:
     signed = d.v * (1 - 2 * (np.arange(2, K + 1) % 2))            # (-1)^k (D_f(k) - f(1))
     value = math.fsum([f1 / 2, *signed.tolist()])
     # sum_{n>=2} |f(n)| n^-2: D_f(2) - f(1) for f >= 0, and zeta(2) - 1 for mu
-    # and chi_2, whose |f| <= 1
-    abs_sum = (z if tag in ("mobius", "chi_two") else d)
+    # and chi_2, the kinds that take negative values, whose |f| <= 1
+    abs_sum = z if kind.signed else d
     head = float(abs_sum.v[0] + abs_sum.e[0])
     bound = float(np.sum(d.e)) + _U * abs(value) + 2.0 ** (1 - K) * head
     return value, bound * (1 + 2.0 ** -20)        # slack for the bound's own rounding

@@ -694,16 +694,14 @@ def _convolve_reference(fv, gv, limit, dtype):
 
 
 def narrowest_product_dtype(f, g, limit):
-    """The narrowest of int8..int64 (uint8..uint64 for two unsigned tables)
-    that holds both tables' dtypes and |(f * g)(n)| <= F G 2 isqrt(limit),
-    F and G the magnitudes of the two kinds (float64 for Lambda)."""
+    """The narrowest of int8..int64 that holds both tables' dtypes and
+    |(f * g)(n)| <= F G 2 isqrt(limit), F and G the magnitudes of the two
+    kinds (float64 for Lambda)."""
     fv, gv = f.values, g.values
     if np.result_type(fv, gv).kind == "f":
         return np.result_type(fv, gv)
     bound = A._magnitude(f.kind, limit) * A._magnitude(g.kind, limit) * 2 * isqrt(limit)
-    unsigned = fv.dtype.kind == gv.dtype.kind == "u"
-    for t in (np.uint8, np.uint16, np.uint32, np.uint64) if unsigned else \
-            (np.int8, np.int16, np.int32, np.int64):
+    for t in (np.int8, np.int16, np.int32, np.int64):
         if np.can_cast(fv.dtype, t) and np.can_cast(gv.dtype, t) and np.iinfo(t).max >= bound:
             return np.dtype(t)
     raise AssertionError("refused")
@@ -827,68 +825,85 @@ def test_convolution_bound_passes_the_library_products():
 
 def test_a_product_refuses_a_table_beyond_its_kind(monkeypatch):
     # a table labelled one that holds 2^40: the guard reads one's magnitude,
-    # 1, so such a table would pass it and wrap; it is refused itself
-    bad = A.SieveTable(A.ONE, 1, np.full(12, 2**40, dtype=np.int64))
-    one = A.build_sieve(A.ONE, 1, 12)
+    # 1, so such a table would pass it and wrap; it cannot be built, so no
+    # product is ever asked to take it
     monkeypatch.setattr(A, "_convolve", lambda *a: pytest.fail("work was done"))
-    for f, g in ((bad, one), (one, bad)):
-        with pytest.raises(ValueError, match=r"one table holds 1099511627776 at n=1, "
-                                             r"beyond \|one\(m\)\| <= 1 for m <= n"):
-            A.dirichlet_convolve(f, g, 12)
+    for lo in (1, 5):
+        with pytest.raises(ValueError, match=rf"one table holds 1099511627776 at n={lo}, "
+                                             r"beyond 0 <= one\(m\) <= 1 for m <= n"):
+            A.SieveTable(A.ONE, lo, np.full(12, 2**40, dtype=np.int64))
 
 
-def test_a_product_reads_a_named_table_only_where_its_magnitude_refuses():
-    # tau_8 reaches 1647360 on [1, 10^4]: two such tables refuse a sum of
-    # 3 10^4 products, but a tau8 table of ones, which holds tau8, does not
+def test_a_product_bounds_a_named_table_by_its_magnitude_alone(monkeypatch):
+    # tau_8 reaches 1647360 on [1, 10^4]: a sum of 3 10^4 products of two
+    # tau8 tables is refused at that bound, whatever the tables' values, as
+    # for a tau8-labelled table of ones, which does not hold tau8
     x = 10**4
     t8 = A.build_sieve(A.tau(8), 1, x)
     ones = A.SieveTable(A.tau(8), 1, np.ones(x, dtype=np.int64))
-    for f, g in ((t8, ones), (ones, t8), (ones, ones)):
-        fv, gv, dtype = A._check_product(f, g, x, 3 * x)
-        assert fv.tolist() == f.values.tolist() and gv.tolist() == g.values.tolist()
-        assert dtype == np.int64            # the ones table's own dtype
+    monkeypatch.setattr(A, "_abs_max", lambda v: pytest.fail("a named table was read"))
     bound = 1647360**2 * 2 * 100 * 3 * x
-    with pytest.raises(BudgetError, match=rf"on \[1, {x}\] may exceed int64 \(bound {bound}\)"):
-        A._check_product(t8, t8, x, 3 * x)
+    for f, g in ((t8, t8), (t8, ones), (ones, t8), (ones, ones)):
+        with pytest.raises(BudgetError,
+                           match=rf"on \[1, {x}\] may exceed int64 \(bound {bound}\)"):
+            A._check_product(f, g, x, 3 * x)
 
 
 def test_a_table_is_held_to_its_kind_at_every_n():
     # the largest tau_2 on [1, n] is 1, 2, 2, 3, 3, 4 for n = 1..6: each
-    # value is held to the bound at its own n, the records' n included
+    # value is held to 0 <= tau2(n) <= that bound at its own n, the
+    # records' n included, when the table is built
     tau2, largest = [1, 2, 2, 3, 2, 4], [1, 2, 2, 3, 3, 4]
     for n, value, taken in [(3, 2, True), (3, 3, False), (4, 3, True), (4, 4, False),
-                            (5, 3, True), (5, -4, False), (6, 4, True), (6, 5, False)]:
+                            (5, 3, True), (5, -1, False), (6, 4, True), (6, 5, False),
+                            (1, 0, True), (1, -1, False)]:
         values = np.array(tau2[:n - 1] + [value] + tau2[n:], dtype=np.int64)
-        table = A.SieveTable(A.tau(2), 1, values)
         if taken:
-            assert table.prefix(6).tolist() == values.tolist()
+            assert A.SieveTable(A.tau(2), 1, values).prefix(6).tolist() == values.tolist()
             continue
-        message = rf"tau2 table holds {value} at n={n}, beyond \|tau2\(m\)\| <= {largest[n - 1]}"
+        message = rf"tau2 table holds {value} at n={n}, beyond 0 <= tau2\(m\) <= {largest[n - 1]}"
         with pytest.raises(ValueError, match=message):
-            table.prefix(1)
+            A.SieveTable(A.tau(2), 1, values)
+    # a kind that takes negative values is held to -M(n) <= f(n) <= M(n)
+    assert A.SieveTable(A.MOBIUS, 1, np.array([1, -1, -1, 0])).value(3) == -1
+    with pytest.raises(ValueError, match=r"holds -2 at n=2, beyond -1 <= mobius\(m\) <= 1"):
+        A.SieveTable(A.MOBIUS, 1, np.array([1, -2]))
     # values from lo > 1 on are held to the bounds at their own n
-    assert A._beyond_magnitude(A.tau(2), 5, np.array([3, 4, 2], dtype=np.int64)) is None
-    assert A._beyond_magnitude(A.tau(2), 5, np.array([4, 4, 2], dtype=np.int64)) == \
-        "tau2 table holds 4 at n=5, beyond |tau2(m)| <= 3 for m <= n"
+    assert A.SieveTable(A.tau(2), 5, np.array([3, 4, 2], dtype=np.int64)).hi == 7
+    with pytest.raises(ValueError, match=r"^tau2 table holds 4 at n=5, beyond 0 <= tau2\(m\) "
+                                         r"<= 3 for m <= n$"):
+        A.SieveTable(A.tau(2), 5, np.array([4, 4, 2], dtype=np.int64))
+    # -tau3(6) at n = 6 lies within |tau3| <= 9 but below 0: the sum it
+    # would give, 312 for S(100) against 348, is never formed
+    values = A.build_sieve(A.tau(3), 1, 100).values.copy()
+    values[5] *= -1
+    with pytest.raises(ValueError, match=r"^tau3 table holds -9 at n=6, beyond 0 <= tau3"):
+        A.SieveTable(A.tau(3), 1, values)
 
 
 def test_a_named_product_guard_reads_magnitudes_not_values(monkeypatch):
     n = 10**6
-    tau8, one = A.build_sieve(A.tau(8), 1, n), A.build_sieve(A.ONE, 1, n)
-    tau8.prefix(n), one.prefix(n)       # the one scan of each table, kept on it
+    tau8, one = A.build_sieve(A.tau(8), 1, n), A.build_sieve(A.ONE, 1, n)     # each checked once
     scans = []
-    monkeypatch.setattr(A, "_abs_max", lambda v, read=A._abs_max: scans.append(len(v)) or read(v))
-    monkeypatch.setattr(A, "_beyond_magnitude", lambda *a: pytest.fail("a table was rescanned"))
+
+    def counted(name, fn):
+        def call(*args):
+            scans.append(name)
+            return fn(*args)
+        return call
+
+    for name in ("_abs_max", "_beyond_magnitude"):
+        monkeypatch.setattr(A, name, counted(name, getattr(A, name)))
     product = A.dirichlet_convolve(tau8, one, n)
     assert product.value(n) == math.comb(14, 8) ** 2
-    assert scans == []
+    assert scans == ["_beyond_magnitude"]       # the derived table, when it is built
     # the dtype comes from the magnitudes too: M(n) 2 isqrt(n) exceeds int32
     assert A._magnitude(A.tau(8), n) * 2 * isqrt(n) >= 2**31 and product.values.dtype == np.int64
-    # the magnitudes refuse tau8 * tau8; its values, the same bound, confirm it
+    # the magnitudes refuse tau8 * tau8, in one pass that reads no value
     bound = A._magnitude(A.tau(8), n) ** 2 * 2 * isqrt(n)
     with pytest.raises(BudgetError, match=rf"on \[1, {n}\] may exceed int64 \(bound {bound}\)"):
         A.dirichlet_convolve(tau8, tau8, n)
-    assert scans == [n, n]
+    assert scans == ["_beyond_magnitude"]
 
 
 PRODUCT_KINDS = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.tau(2), A.tau(3), A.OMEGA,

@@ -1,6 +1,7 @@
 """Command-line front end: outputs, determinism, error reporting."""
 
 import argparse
+import hashlib
 import json
 import shlex
 import time
@@ -159,6 +160,39 @@ def test_sieve_writes_lambda_csv_at_precision(capsys, tmp_path):
     prime = {4: 2, 8: 2, 16: 2, 9: 3, 27: 3, 25: 5}
     want = ["n,value"] + [f"{n},{log.get(prime.get(n, n), '0')}" for n in range(1, 31)]
     assert dest.read_text() == "\n".join(want) + "\n"
+
+
+# sha256 of the CSV `sieve --out` writes at the default precision, for the
+# nine CLI names: on [1, 3000], and on the 300 entries that end at 10^12
+SIEVE_SHA256 = {
+    "one": ("b53fd9ade726f14fd344309cc7da975103ecefe81c07cbcda0abad1b3e063e7c",
+            "dad72a8b42b617b5e055736b6acf18fad4f93e372e21179984af95c000c84cb2"),
+    "mu": ("77c2681578c58bf612942bd8cd4e456a014e1e07861a75ec999fc67c27224e09",
+           "0ee7388141207a11e778103310d8a98178bf76b1aa18da5685221566be72736b"),
+    "mu2": ("97807774bb40d44aacf374058a18e10f387aa27c35e66cd46ebe6d422a003a01",
+            "ecec90e8b4dfb7c0cab4092c1800e84962343cc169d4f5c00be14d794497b787"),
+    "lambda": ("efd202db091f9f41b7408c9e825a45360cb348c62aa7dbe3e2ef430e9424fc12",
+               "9768775e10170735ccc209b309c99f73596149011eb7399bf77c1bd1c2cc8b34"),
+    "tau2": ("91cfeee541beedb4ec39d28d9bf401f2083509655ca5421d2f331f717d8b7720",
+             "e49ef3789f79f34c1f021fc5b4ef213e8435eedeb526e8bb67318cf206399f98"),
+    "tau3": ("8bee14170c19a05563f18960cb841770c786535d1848ee4f03748e5fe4eaab1d",
+             "95d8ff4cbc5c5ec2266c090f1e85205442181aafb23c62ee2982b0ae74209290"),
+    "omega": ("da5a6160e9778878c2a15c04da7fcd57314b2829f5f8ed229934b87e680cde74",
+              "4282947aec34ac40abda0647ab7ac697de71abb06b4ae9e7839595637132029e"),
+    "2omega": ("488c02274dbb79b1f6196394093ed34bc2098ae65cd7cc5e0a9f861ec2b4f118",
+               "b6999b80eb144cd085051380c24ec3f00542d40be8b60ee9c1684ead2afba5a8"),
+    "chi2": ("ff180680fda447ee6ecfff264a7cfe09f6ea0a36aa7ed841165ca3dd1b8b1153",
+             "6d3874640bcedc645a452ef5a42c7b4875b1aa9b4b6b641b2d91adf16611aedb"),
+}
+
+
+def test_sieve_csv_bytes_are_pinned(capsys, tmp_path):
+    dest = tmp_path / "table.csv"
+    for name, want in SIEVE_SHA256.items():
+        for (lo, hi), sha in zip([(1, 3000), (10**12 - 299, 10**12)], want):
+            run_json(capsys, "sieve", "--function", name, "--lo", str(lo), "--hi", str(hi),
+                     "--out", str(dest))
+            assert hashlib.sha256(dest.read_bytes()).hexdigest() == sha, (name, lo)
 
 
 def test_scan_report_and_csv(capsys, tmp_path, monkeypatch):

@@ -336,7 +336,7 @@ def test_fejer_envelope_takes_x_in_every_array_form(v, H):
 # array arguments: the f and g of dirichlet_convolve and the hyperbola verifiers
 
 PRODUCT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.float16, np.float32, np.float64)
-NAMED_TABLES = [A.build_sieve(kind, 1, 60) for kind in (A.ONE, A.MOBIUS, A.tau(3), A.LAMBDA)]
+NAMED_KINDS = (A.ONE, A.MOBIUS, A.tau(3), A.LAMBDA)
 
 
 @st.composite
@@ -344,16 +344,18 @@ def product_tables(draw, dtype):
     """A table on [1, 1..60] for a product: for dtype None a named kind's
     sieve, else a derived table of that dtype, its values up to a drawn
     scale (near 2^63 and the dtype's largest value included), a float table
-    at times with one NaN or +-inf."""
+    at times with one entry of +-its dtype's largest value.  A float table
+    holding NaN or +-inf cannot be built
+    (`test_a_derived_float_table_is_refused_unless_finite_and_bounded`)."""
     if dtype is None:
-        return draw(st.sampled_from(NAMED_TABLES))
+        return A.build_sieve(draw(st.sampled_from(NAMED_KINDS)), 1, 60)
     dtype = np.dtype(dtype)
     top = int(np.iinfo(dtype).max if dtype.kind == "i" else np.finfo(dtype).max)
     scale = min(top, draw(st.sampled_from([top, 1, 3, 100, 2**20, 2**40, 2**60 + 1, 2**63 - 1])))
     values = draw(st.lists(st.integers(-scale, scale) | st.sampled_from([-scale, scale]),
                            min_size=1, max_size=60))
     if dtype.kind == "f" and draw(st.integers(0, 3)) == 0:
-        values[draw(st.integers(0, len(values) - 1))] = draw(NOT_FINITE | st.just(-math.inf))
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([-top, top]))
     return A.SieveTable(None, 1, np.array(values, dtype=dtype))
 
 
@@ -380,22 +382,16 @@ def _refused(call, module, work: str) -> bool:
     return False
 
 
-def _finite(*tables) -> bool:
-    return all(np.isfinite(t.values).all() for t in tables)
-
-
 EPS = Fraction(float(np.finfo(np.float64).eps))     # a float product is taken in float64
 
 
 def _check_product_of(f, g, limit: int) -> None:
     """A pair gives its product or is refused with a typed error before any
     work: BudgetError where the product could pass int64's or float64's
-    largest value, ValueError where a table holds NaN or +-inf, which must
-    be refused, and CoverageError.  An integer pair gives the product
+    largest value, and CoverageError.  An integer pair gives the product
     exactly, in a signed dtype, and a float pair within float64's rounding."""
     if _refused(lambda: A.dirichlet_convolve(f, g, limit), A, "_convolve"):
         return
-    assert _finite(f, g)
     got = A.dirichlet_convolve(f, g, limit).values
     want = _product_reference(f, g, limit)
     if f.values.dtype.kind == g.values.dtype.kind == "i":
@@ -430,7 +426,6 @@ def _check_sides_of(f, g, R: int, R1: int, U: int) -> None:
 
     if _refused(call, I, "_hyperbola_terms"):
         return
-    assert _finite(f, g)
     want = _product_reference(f, g, R1)[R:]
     total, size = sum(t for t, _, _ in want), sum(s for _, s, _ in want)
     lhs, rhs, _ = call()
@@ -463,41 +458,63 @@ def test_hyperbola_verifiers_take_every_dtype_pair(data):
 INT64_MAX = 2**63 - 1
 
 
+def _range_at(name: str, n: int):
+    """(floor, bound) of the CLI kind `name` at n: the largest |f(m)| over
+    m <= n, -that for mu and chi_2, which take negative values, and 0 for
+    the others; for Lambda 0 and (k+1) log 2 (1 + 2^-49) on [2^k, 2^(k+1))."""
+    if name == "lambda":
+        return 0, n.bit_length() * math.log(2) * (1 + 2**-49)
+    m = A._magnitude(A.kind_from_name(name), n)
+    return (-m if name in ("mu", "chi2") else 0), m
+
+
 @st.composite
 def named_tables(draw):
-    """(kind, values): a CLI kind other than Lambda and 1-300 int64 values,
-    each within the kind's magnitude at its n or, at a few drawn n, anywhere
-    in int64, one past the magnitude included."""
-    kind = A.kind_from_name(draw(st.sampled_from(
-        ["one", "mu", "mu2", "tau2", "tau3", "omega", "2omega", "chi2"])))
+    """(name, values): a CLI kind and 1-300 values, each within its range
+    at its n or, at a few drawn n, outside it at times: for an integer kind
+    anywhere in int64, one past either end included; for Lambda, float64
+    values in [0, bound] or NaN, +-inf, a negative value or one ulp past
+    the bound."""
+    name = draw(st.sampled_from(["one", "mu", "mu2", "lambda", "tau2", "tau3", "omega",
+                                 "2omega", "chi2"]))
     size = draw(st.integers(1, 300))
     wild = draw(st.sets(st.integers(1, size), max_size=3))
     values = []
     for n in range(1, size + 1):
-        m = A._magnitude(kind, n)
-        beyond = st.sampled_from([m + 1, -m - 1]) | st.integers(-INT64_MAX, INT64_MAX)
-        values.append(draw(beyond if n in wild else st.integers(-m, m)))
-    return kind, values
+        floor, bound = _range_at(name, n)
+        if name == "lambda":
+            inside = st.floats(0, bound)
+            past = math.nextafter(bound, math.inf)
+            beyond = st.sampled_from([math.nan, math.inf, -math.inf, past]) | st.floats(max_value=-5e-324)
+        else:
+            inside = st.integers(floor, bound)
+            beyond = st.sampled_from([floor - 1, bound + 1]) | st.integers(-INT64_MAX, INT64_MAX)
+        values.append(draw(beyond if n in wild else inside))
+    return name, values
 
 
 @settings(max_examples=80)
 @given(table=named_tables(), data=st.data())
 def test_a_table_is_taken_iff_it_holds_its_kind(table, data):
-    kind, values = table
-    held = all(abs(v) <= A._magnitude(kind, n) for n, v in enumerate(values, start=1))
-    xs = data.draw(st.lists(st.integers(1, len(values)), min_size=1, max_size=3))
-    for fn in (FS.floor_sum_naive, FS.floor_sum_fast):
-        t = A.SieveTable(kind, 1, np.array(values, dtype=np.int64))
-        if not held:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(FS, "_split_sum", lambda *a: pytest.fail("work was done"))
-                with pytest.raises(ValueError, match=f"{kind} table holds"):
-                    fn(kind, xs[0], table=t)
-            continue
-        for x in xs:
-            want = sum(values[x // n - 1] for n in range(1, x + 1))     # Python ints
+    # refused when built iff some value lies outside [floor, bound] at its
+    # n (NaN lies nowhere); an accepted table's sums are exact: the Python-
+    # int sum, or for Lambda floor_sum_naive's correctly rounded one, by repr
+    name, values = table
+    kind = A.kind_from_name(name)
+    ranges = [_range_at(name, n) for n in range(1, len(values) + 1)]
+    held = all(floor <= v <= bound for (floor, bound), v in zip(ranges, values))
+    array = np.array(values, dtype=np.float64 if name == "lambda" else np.int64)
+    if not held:
+        with pytest.raises(ValueError, match=f"^{kind} table holds"):
+            A.SieveTable(kind, 1, array)
+        return
+    t = A.SieveTable(kind, 1, array)
+    for x in data.draw(st.lists(st.integers(1, len(values)), min_size=1, max_size=3)):
+        terms = [values[x // n - 1] for n in range(1, x + 1)]
+        want = math.fsum(terms) if name == "lambda" else sum(terms)     # Python ints
+        for fn in (FS.floor_sum_naive, FS.floor_sum_fast):
             got = fn(kind, x, table=t)
-            assert type(got) is int and got == want, (fn.__name__, x)
+            assert type(got) is type(want) and repr(got) == repr(want), (fn.__name__, x)
 
 
 # ---------------------------------------------------------------------------
@@ -509,26 +526,33 @@ def _flat(value, n):
     return A.SieveTable(kind=None, lo=1, values=values)
 
 
-@pytest.mark.parametrize("value, error, message", [
-    (math.nan, ValueError, "holds nan at n=1, which is not finite"),
-    (math.inf, ValueError, "holds inf at n=1, which is not finite"),
-    (-math.inf, ValueError, "holds -inf at n=1, which is not finite"),
-    (1e308, BudgetError, "may exceed float64"),
-], ids=["nan", "inf", "-inf", "1e308"])
-def test_a_derived_float_table_is_refused_unless_finite_and_bounded(value, error, message):
-    # NaN tables gave all-NaN products and hyperbola sides (nan, nan, nan),
-    # 1e308 ones inf products with a RuntimeWarning ("overflow encountered in add")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308],
+                         ids=["nan", "inf", "-inf", "1e308"])
+def test_a_derived_float_table_is_refused_unless_finite_and_bounded(value):
+    # NaN tables gave all-NaN products and hyperbola sides (nan, nan, nan):
+    # such a table cannot be built
+    if not math.isfinite(value):
+        with pytest.raises(ValueError, match=f"^derived table holds {value} at n=3, "
+                                             "which is not finite$"):
+            A.SieveTable(None, 1, np.array([0.0, 1.0, value, 2.0]))
+        return
+    # 1e308 ones gave inf products with a RuntimeWarning ("overflow
+    # encountered in add"); refused, with F, G and 2 isqrt(L) sums stated,
+    # as their product is inf
     t, one = A.SieveTable(None, 1, np.full(50, value)), A.build_sieve(A.ONE, 1, 50)
-    calls = (lambda: A.dirichlet_convolve(t, one, 50),
-             lambda: I.hyperbola_sides(one, t, None, 50, 5),
-             lambda: I.hyperbola_exp_sides(t, one, PHASE, 20, 40, 4))
+    calls = ((lambda: A.dirichlet_convolve(t, one, 50), "[1, 50]", "1e+308 * 1 * 14"),
+             (lambda: I.hyperbola_sides(one, t, None, 50, 5), "[1, 50]", "1 * 1e+308 * 2100"),
+             (lambda: I.hyperbola_exp_sides(t, one, PHASE, 20, 40, 4), "[1, 40]",
+              "1e+308 * 1 * 12"))
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("error")
         _no_work(mp, "_convolve")
         mp.setattr(I, "_hyperbola_terms", lambda *a: pytest.fail("work was done"))
-        for call in calls:
-            with pytest.raises(error, match=message):
+        for call, limit, factors in calls:
+            with pytest.raises(BudgetError) as refused:
                 call()
+            assert str(refused.value) == (f"Dirichlet product on {limit} may exceed float64 "
+                                          f"(bound {factors})")
 
 
 def test_hyperbola_bound_is_taken_in_python_ints(monkeypatch):

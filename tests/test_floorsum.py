@@ -372,31 +372,32 @@ def test_blocks_span_several_segments(monkeypatch):
     assert rows == [isqrt(x // FS.SPLIT_RATIO)]
 
 
-def test_block_sum_guards_int64(monkeypatch):
+def test_block_sum_guards_int64():
     # a table labelled one that holds 2^62 (its naive sum wrapped to 0) or
     # 2^43 does not hold one, whose every value is 1: the int64 guards read
-    # one's magnitude, not the values, so both evaluators refuse the table
-    forbid_evaluation(monkeypatch)
+    # one's magnitude, not the values, so such a table cannot be built
     for value in (2**62, 2**43):
-        table = A.SieveTable(kind=A.ONE, lo=1, values=np.full(1000, value, dtype=np.int64))
-        for fn in (FS.floor_sum_fast, FS.floor_sum_naive):
-            with pytest.raises(ValueError, match=f"one table holds {value} at n=1, beyond "
-                                                 r"\|one\(m\)\| <= 1 for m <= n"):
-                fn(A.ONE, 1000, table=table)
+        with pytest.raises(ValueError, match=f"one table holds {value} at n=1, beyond "
+                                             r"0 <= one\(m\) <= 1 for m <= n"):
+            A.SieveTable(kind=A.ONE, lo=1, values=np.full(1000, value, dtype=np.int64))
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [np.nan, -5.0, 1e308], ids=["nan", "negative", "huge"])
-def test_a_lambda_table_is_value_checked_before_any_work(monkeypatch, value):
-    # NaN summed to nan, -5.0 to -500.0, and 1e308 overflowed the split fsum
-    forbid_evaluation(monkeypatch)
-    for name in ("_pieces", "_quotient_indices"):
-        monkeypatch.setattr(FS, name, lambda *args: pytest.fail("a sum was started"))
-    table = A.SieveTable(A.LAMBDA, 1, np.full(100, value))
-    for fn in (FS.floor_sum_fast, FS.floor_sum_naive):
-        with pytest.raises(ValueError, match=rf"lambda table holds {re.escape(str(value))} at "
-                                             r"n=1, beyond 0 <= lambda\(m\) <= 0\.69\d* for m < 2\^1$"):
-            fn(A.LAMBDA, 100, table=table)
+def test_a_lambda_table_is_value_checked_before_any_work(value):
+    # NaN summed to nan, -5.0 to -500.0, and 1e308 overflowed the split
+    # fsum; such a table cannot be built, so no sum is ever asked to take it
+    with pytest.raises(ValueError, match=rf"^lambda table holds {re.escape(str(value))} at "
+                                         r"n=1, beyond 0 <= lambda\(m\) <= 0\.69\d* for m <= n$"):
+        A.SieveTable(A.LAMBDA, 1, np.full(100, value))
+    # and at n = 2^k, one ulp past the bound of its binade, lo > 1 included
+    for lo in (1, 3):
+        values = A.build_sieve(A.LAMBDA, lo, 100).values.copy()
+        values[64 - lo] = np.nextafter(A._magnitude(A.LAMBDA, 64), math.inf)
+        with pytest.raises(ValueError, match=r"at n=64, beyond 0 <= lambda\(m\) <= 4\.85"):
+            A.SieveTable(A.LAMBDA, lo, values)
+        values[64 - lo] = A._magnitude(A.LAMBDA, 64)
+        assert A.SieveTable(A.LAMBDA, lo, values).hi == 100
 
 
 def test_sieved_lambda_tables_pass_their_check():
@@ -579,12 +580,12 @@ def test_a_second_sum_on_a_table_scans_nothing(monkeypatch):
     for name in ("_beyond_magnitude", "_abs_max"):
         monkeypatch.setattr(A, name, counted(name, getattr(A, name)))
     table = A.build_sieve(A.tau(3), 1, 10**4)
-    assert scans == []                  # building a table checks nothing
-    want = FS.floor_sum_naive(A.tau(3), 100)
-    assert FS.floor_sum_fast(A.tau(3), 100, table=table) == want
-    assert scans[0] == "_beyond_magnitude"      # the check, one _abs_max per run
-    assert set(scans[1:]) == {"_abs_max"}
+    assert scans == ["_beyond_magnitude"]       # building a table checks it, once
     scans.clear()
+    want = FS.floor_sum_naive(A.tau(3), 100)
+    assert scans == ["_beyond_magnitude"]       # the naive sum's own sieve
+    scans.clear()
+    assert FS.floor_sum_fast(A.tau(3), 100, table=table) == want
     for x in (100, 10**4):
         assert FS.floor_sum_fast(A.tau(3), x, table=table) == \
             FS.floor_sum_naive(A.tau(3), x, table=table)

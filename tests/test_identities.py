@@ -780,16 +780,11 @@ def test_hyperbola_refuses_an_int64_wrap_before_any_work(monkeypatch, call):
         call(lambda n, value=2**40: _const(value, n))
 
 
-def test_hyperbola_refuses_a_table_beyond_its_kind(monkeypatch):
+def test_hyperbola_refuses_a_table_beyond_its_kind():
     # labelled one, a table of 2^40 would pass a guard that reads one's
-    # magnitude, 1; it is refused itself, before any work
-    bad = A.SieveTable(A.ONE, 1, np.full(60, 2**40, dtype=np.int64))
-    one = A.build_sieve(A.ONE, 1, 60)
-    monkeypatch.setattr(I, "_hyperbola_terms", lambda *a: pytest.fail("work was done"))
-    for call in (lambda: I.hyperbola_sides(bad, one, None, 60, 5),
-                 lambda: I.hyperbola_exp_sides(one, bad, I.PhaseFunction.reciprocal(7), 30, 60, 5)):
-        with pytest.raises(ValueError, match="one table holds 1099511627776 at n=1"):
-            call()
+    # magnitude, 1; it cannot be built, so neither verifier is asked to take it
+    with pytest.raises(ValueError, match="one table holds 1099511627776 at n=1, beyond 0 <= one"):
+        A.SieveTable(A.ONE, 1, np.full(60, 2**40, dtype=np.int64))
 
 
 def test_unweighted_hyperbola_side_bounds_its_sum():

@@ -80,8 +80,8 @@ CATALOGUE = (
            "    return values[max(0, bisect_right(ns, hi) - 2)]",
            ("tests/test_floorsum.py::test_magnitude_is_the_largest_value_sieved",)),
     Mutant("table-check-skipped", ARITH,
-           "        if self._excess is not None:\n            raise ValueError(self._excess)",
-           "        if False:\n            raise ValueError(self._excess)",
+           "        if (why := _beyond_magnitude(self.kind, self.lo, v)) is not None:",
+           "        if (why := _beyond_magnitude(self.kind, self.lo, v)) is not None and False:",
            ("tests/test_floorsum.py::test_block_sum_guards_int64",
             "tests/test_contract.py::test_a_table_is_taken_iff_it_holds_its_kind",
             "tests/test_arith.py::test_a_product_refuses_a_table_beyond_its_kind",
@@ -94,17 +94,15 @@ CATALOGUE = (
            "        if v.flags.writeable or not v.flags.owndata:",
            "        if v.flags.writeable:",
            ("tests/test_arith.py::test_tables_immutable",)),
-    Mutant("table-check-skips-each-record", ARITH,
-           "        run = values[max(start - lo, 0): max(stop - lo, 0)]",
-           "        run = values[max(start - lo, 0) + 1: max(stop - lo, 0)]",
+    Mutant("table-check-runs-one-entry-early", ARITH,
+           "[max(n - lo, 0) for n in ns[j:k]]",
+           "[max(n - lo - 1, 0) for n in ns[j:k]]",
            ("tests/test_arith.py::test_a_table_is_held_to_its_kind_at_every_n",)),
     Mutant("derived-float-table-unchecked", ARITH,
            "values.dtype.kind != \"f\" or np.isfinite(",
            "True or np.isfinite(",
            ("tests/test_contract.py::"
-            "test_a_derived_float_table_is_refused_unless_finite_and_bounded",
-            "tests/test_contract.py::test_dirichlet_convolve_takes_every_dtype_pair",
-            "tests/test_contract.py::test_hyperbola_verifiers_take_every_dtype_pair")),
+            "test_a_derived_float_table_is_refused_unless_finite_and_bounded",)),
     Mutant("float-product-unbounded", ARITH,
            "top = np.finfo(dtype).max.item() if",
            "top = math.inf if",
@@ -117,13 +115,9 @@ CATALOGUE = (
            "    elif c == -1:\n        view += v",
            ("tests/test_arith.py::test_convolution_examples",)),
     Mutant("product-bound-without-sums", ARITH,
-           "(bound := F * G * 2 * isqrt(limit) * sums)",
-           "(bound := F * G * 2 * isqrt(limit))",
+           "terms = 2 * isqrt(limit) * sums",
+           "terms = 2 * isqrt(limit)",
            ("tests/test_identities.py::test_unweighted_hyperbola_side_bounds_its_sum",)),
-    Mutant("product-never-reads-a-named-table", ARITH,
-           "_abs_max(v) if read or t.kind is None",
-           "_abs_max(v) if t.kind is None",
-           ("tests/test_arith.py::test_a_product_reads_a_named_table_only_where_its_magnitude_refuses",)),
     Mutant("working-dtype-one-narrower", ARITH,
            "    return np.min_scalar_type(-bound - 1)",
            "    return np.min_scalar_type(-(bound >> 8) - 1)",
@@ -198,10 +192,16 @@ CATALOGUE = (
            "v = v * m",
            ("tests/test_floorsum.py::test_lambda_fast_equals_naive_at_every_split",
             "tests/test_floorsum.py::test_fast_equals_naive_all_kinds")),
-    Mutant("lambda-table-unchecked", ARITH,
-           "    if kind.tag == \"lambda\":\n        for k in",
-           "    if kind.tag == \"lambda\":\n        return None\n        for k in",
-           ("tests/test_floorsum.py::test_a_lambda_table_is_value_checked_before_any_work",)),
+    Mutant("nonnegative-floor-is-minus-bound", ARITH,
+           "floors = [-b for b in bounds] if kind.signed else [0] * len(bounds)",
+           "floors = [-b for b in bounds]",
+           ("tests/test_arith.py::test_a_table_is_held_to_its_kind_at_every_n",
+            "tests/test_contract.py::test_a_table_is_taken_iff_it_holds_its_kind")),
+    Mutant("lambda-bound-one-binade-low", ARITH,
+           "[0] + [1 << k for k in range(bits)]",
+           "[0] + [2 << k for k in range(bits)]",
+           ("tests/test_floorsum.py::test_a_lambda_table_is_value_checked_before_any_work",
+            "tests/test_contract.py::test_a_table_is_taken_iff_it_holds_its_kind")),
     Mutant("naive-chunk-drops-its-last-quotient", FLOORSUM,
            "min(lo + BLOCK_CHUNK, x + 1)",
            "min(lo + BLOCK_CHUNK - 1, x + 1)",
@@ -232,8 +232,9 @@ CATALOGUE = (
            ("tests/test_identities.py::test_identities_are_equalities_of_coefficient_vectors",
             "tests/test_identities.py::test_windowed_hyperbola_terms_match_the_kernel_bit_for_bit")),
     Mutant("sieve-table-widened-to-int64", ARITH,
-           "else _working_dtype(kind, hi.bit_length()))",
-           "else np.int64)",
+           "out = np.empty(hi - lo + 1, dtype=_working_dtype(kind, hi.bit_length()))",
+           "out = np.empty(hi - lo + 1, dtype=np.promote_types("
+           "_working_dtype(kind, hi.bit_length()), np.int64))",
            ("tests/test_arith.py::test_a_table_and_its_product_hold_no_int64_copy",)),
     Mutant("fejer-takes-a-bool-entry", ERRORS,
            "return isinstance(v, numbers.Real) and not isinstance(v, bool)",
