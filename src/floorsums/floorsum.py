@@ -14,9 +14,8 @@ cross-check each other.  The default split balances the costs: N =
 isqrt(x // SPLIT_RATIO).  Either evaluator takes an optional sieve table
 in place of all its own evaluation of f and reads its prefix f(1..x)
 (`SieveTable.prefix`); a table that does not hold the summed function or
-cover [1, x] is refused before any work.  Every int64 sum is bounded
-before any work by lookups of f's `_magnitude`, never by reading the
-values it sums.
+cover [1, x] is refused before any work, and so is a sum that int64 may
+not hold, by one bound read from f's `_magnitude` (`_check_int64`).
 
 The main-term constant C_f = sum f(n)/(n(n+1)) comes two ways.
 `series_constant` evaluates it from the Dirichlet series of f, without a
@@ -120,24 +119,35 @@ def _table_prefix(kind: FunctionKind, table: SieveTable, x: int) -> np.ndarray:
 
 
 def floor_sum_naive(kind: FunctionKind, x: int, table: SieveTable | None = None):
-    """Direct O(x) evaluation; exact (Lambda via compensated summation).
-    A `table` replaces the sieve of [1, x], which is otherwise held in the
-    kernel's narrow working dtype.  The quotients floor(x/n) are formed
-    BLOCK_CHUNK n at a time, each chunk's values summed in int64 (Lambda's
-    fed to one fsum), so no array but f(1..x) grows with x."""
+    """Direct O(x) evaluation; exact (Lambda correctly rounded).  A `table`
+    replaces the sieve of [1, x], which is otherwise held in the kernel's
+    narrow working dtype.  The quotients floor(x/n) are formed BLOCK_CHUNK n
+    at a time, each chunk summed as `_total` says within the bound
+    `_check_int64(kind, x, 0)`, so no array but f(1..x) grows with x."""
     x = _check_x(x, "naive")
     values = None if table is None else _table_prefix(kind, table, x)
-    if kind.tag != "lambda":                # x terms of |f| <= _magnitude(kind, x)
-        if table is None:
-            _check_tau_order(kind)          # the sieve's refusal comes first
-        if (bound := _magnitude(kind, x) * x) >= 2**63:
-            raise BudgetError(f"naive sum of the table may exceed int64 (bound {bound})")
+    if table is None:
+        _check_tau_order(kind)              # the sieve's refusal comes first
+    _check_int64(kind, x, 0)
     if values is None:                      # f(1..x) in the sieve's working dtype
         values = build_sieve(kind, 1, x).values
-    chunks = map(values.__getitem__, _quotient_indices(x))
-    if kind.tag == "lambda":
-        return math.fsum(chain.from_iterable(map(np.ndarray.tolist, chunks)))
-    return sum(int(v.sum(dtype=np.int64)) for v in chunks)
+    return _total(kind, values[:0], ((values[q], None) for q in _quotient_indices(x)))
+
+
+def _check_int64(kind: FunctionKind, x: int, N: int) -> int | float:
+    """B, a bound from `_magnitude` alone on the sum of |f(floor(x/n))| over
+    n in (N, x], so on every int64 sum formed over those n; B >= 2^63 is
+    refused.  Such n have quotients in [1, d0], d0 = x // (N+1); those in
+    the binade [2^k, 2^(k+1)), for each 2^k <= d0, are the quotients of the
+    n in (max(x >> (k+1), N), x >> k], and there |f| is at most M at the
+    binade's end clipped to d0."""
+    d0 = x // (N + 1)
+    bound = sum(_magnitude(kind, min(2 << k, d0 + 1) - 1) * ((x >> k) - max(x >> (k + 1), N))
+                for k in range(d0.bit_length()))
+    if bound >= 2**63:
+        raise BudgetError(f"sum of {kind}(x // n) over {N} < n <= {x} may exceed int64 "
+                          f"(bound {bound})")
+    return bound
 
 
 def _quotient_indices(x: int):
@@ -192,16 +202,13 @@ def _floats(pieces):
         yield from v[v != 0].tolist()
 
 
-def _split_sum(kind: FunctionKind, x: int, N: int, d0: int, head: np.ndarray, prefix):
-    """S_f(x) from the head values f(floor(x/n)), n <= N, and f on [1, d0],
-    read from `prefix` and streamed beyond it (see `_pieces`), summed as
-    `floor_sum_fast` says."""
-    pieces = _pieces(kind, prefix, x, N, min(x // (isqrt(x) + 1), d0), d0)
+def _total(kind: FunctionKind, head: np.ndarray, pieces):
+    """The sum of the `head` values and of `pieces` (see `_pieces`): for
+    Lambda one math.fsum of every nonzero term (`_floats`); for every other
+    kind the head in Python ints and each piece in int64 (`_check_int64`)."""
     if kind.tag == "lambda":
         return math.fsum(_floats(chain([(head, None)], pieces)))
-    total = sum(head.tolist())              # exact, in Python ints
-    # v comes in the sieve's narrow working dtype: each chunk is summed in
-    # int64, against m's int64 or by an int64 accumulator
+    total = sum(head.tolist())
     for v, m in pieces:
         total += int(v.sum(dtype=np.int64) if m is None else m.dot(v))
     return total
@@ -222,8 +229,7 @@ def floor_sum_fast(kind: FunctionKind, x: int, split: int | None = None,
     `split` overrides the default N = max(1, isqrt(x // SPLIT_RATIO)); the
     result does not depend on it.  A `table` replaces both the factoring and
     the sieve.  Integer sums are exact: the head in Python ints, and the
-    int64 chunks checked against the kind's `_magnitude` before any work,
-    the first block at its own bound and every later chunk at one bound.
+    int64 chunks within `_check_int64(kind, x, N)`, checked before any work.
     Lambda is one math.fsum of every term, each f(d) m(d) in exact parts
     (`_floats`); eval_points and the sieve give every term the same bits, so
     it is floor_sum_naive's correctly rounded sum, bit for bit, at any split.
@@ -255,17 +261,9 @@ def _split_sums(kind: FunctionKind, grid: list[int], split: int | None = None,
         d0 = x // (N + 1)
         if d0 > SIEVE_BUDGET:
             raise BudgetError(f"block range of {d0} entries exceeds budget {SIEVE_BUDGET}")
-        if kind.tag != "lambda":
-            if table is None:
-                _check_tau_order(kind)              # eval_points' refusal comes first
-            # the first block, d <= end, sums |f| <= _magnitude(kind, end) over
-            # x - x // (end + 1) n; every later piece |f| <= _magnitude(kind, d0)
-            # over at most the second count of n
-            end = min(BLOCK_CHUNK, x // (isqrt(x) + 1), d0)
-            for top, count in ((end, x - x // (end + 1)),
-                               (d0, max(BLOCK_CHUNK, x // (BLOCK_CHUNK + 1) + 1))):
-                if (bound := _magnitude(kind, top) * count) >= 2**63:
-                    raise BudgetError(f"block sum of {count} terms may exceed int64 (bound {bound})")
+        if table is None:
+            _check_tau_order(kind)                  # eval_points' refusal comes first
+        _check_int64(kind, x, N)
         if rows + N > HEAD_ROWS:
             groups.append([])
             rows = 0
@@ -281,7 +279,8 @@ def _split_sums(kind: FunctionKind, grid: list[int], split: int | None = None,
         head = eval_points(kind, q) if table is None else prefix[q - 1]
         start = 0
         for x, N, d0 in group:
-            sums.append(_split_sum(kind, x, N, d0, head[start: start + N], prefix))
+            pieces = _pieces(kind, prefix, x, N, min(x // (isqrt(x) + 1), d0), d0)
+            sums.append(_total(kind, head[start: start + N], pieces))
             start += N
     return sums
 

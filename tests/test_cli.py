@@ -198,13 +198,13 @@ def test_sieve_csv_bytes_are_pinned(capsys, tmp_path):
 def test_scan_report_and_csv(capsys, tmp_path, monkeypatch):
     from floorsums import floorsum
     calls = []
-    split_sum = floorsum._split_sum
+    pieces = floorsum._pieces
 
-    def counted(kind, x, *args):
+    def counted(kind, prefix, x, *args):
         calls.append(x)
-        return split_sum(kind, x, *args)
+        return pieces(kind, prefix, x, *args)
 
-    monkeypatch.setattr(floorsum, "_split_sum", counted)
+    monkeypatch.setattr(floorsum, "_pieces", counted)
     dest = tmp_path / "scan.csv"
     d = run_json(capsys, "scan", "--function", "mu2", "--grid", "1000:20000:4",
                  "--cutoff", "100000", "--out", str(dest))

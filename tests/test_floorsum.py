@@ -198,10 +198,12 @@ NARROW_KINDS = [k for k in EVALUATED_KINDS if A._working_dtype(k, 24).itemsize <
 
 def test_one_sums_to_x_through_narrow_segments():
     # one's segments are int8 ones: every chunk of up to BLOCK_CHUNK of them
-    # must be summed in int64, not in the segment's own dtype
+    # must be summed in int64, not in the segment's own dtype, by both sums
     assert A._working_dtype(A.ONE, 34) == np.int8
     for x in [10**k for k in range(11)] + [65537, 3 * 10**8 + 7, 9_999_999_967]:
         assert FS.floor_sum_fast(A.ONE, x) == x, x
+    for x in (2**16 + 1, 10**6 + 3):
+        assert FS.floor_sum_naive(A.ONE, x) == x, x
 
 
 @pytest.mark.parametrize("kind", NARROW_KINDS, ids=str)
@@ -407,19 +409,12 @@ def test_sieved_lambda_tables_pass_their_check():
     assert A._beyond_magnitude(A.LAMBDA, lo, A.build_sieve(A.LAMBDA, lo, 10**12).values) is None
 
 
-@pytest.mark.parametrize("x, count, bound", [
-    (7 * 10**11, 699989319011, 9225075236527687680),
-    (10**12, 999984741444, 13178678909321502720),
-])
-def test_tau8_first_block_is_refused_before_any_work(monkeypatch, x, count, bound):
-    # tau_8 reaches 13178880 on [1, 2^16], the first block piece at these x;
-    # the message is the one the per-piece data scan gave
-    forbid_evaluation(monkeypatch)
-    message = f"block sum of {count} terms may exceed int64 (bound {bound})"
-    with pytest.raises(BudgetError) as refused:
-        FS.floor_sum_fast(A.tau(8), x)
-    assert str(refused.value) == message
-    assert bound == A._magnitude(A.tau(8), FS.BLOCK_CHUNK) * count >= 2**63
+@pytest.mark.parametrize("x", [7 * 10**11, 10**12])
+def test_tau8_is_summed_at_both_splits(x):
+    # the binade bound is 2.4e15 at x = 1e12, far below 2^63
+    want = {7 * 10**11: 35320733582336, 10**12: 50435359618312}[x]
+    assert FS.floor_sum_fast(A.tau(8), x) == want
+    assert FS.floor_sum_fast(A.tau(8), x, split=isqrt(x // 100)) == want
 
 
 def test_tau8_is_summed_just_below_the_first_block_bound():
@@ -430,83 +425,132 @@ def test_tau8_is_summed_just_below_the_first_block_bound():
     assert FS.floor_sum_fast(A.tau(8), x) == 35262055531822
 
 
-@pytest.mark.parametrize("kind", EVALUATED_KINDS, ids=str)
-def test_every_sum_but_the_first_block_fits_int64(kind):
-    """The int64 checks of both sums refuse no sieved input but a first block.
+def tau_values(r: int, hi: int) -> list[int]:
+    """tau_r(1..hi) in Python ints: the product of C(a + r - 1, r - 1) over
+    the exponents a of n, by trial division."""
+    values = []
+    for n in range(1, hi + 1):
+        value, p = 1, 2
+        while n > 1:
+            a = 0
+            while n % p == 0:
+                n, a = n // p, a + 1
+            value *= math.comb(a + r - 1, r - 1)
+            p = p + 1 if p * p <= n else n
+        values.append(value)
+    return values
 
-    A table holds its kind (`SieveTable.prefix` checks it) and a sieve is the
-    kind, so every value summed is at most `_magnitude(kind, n)` at its n.
-    floor_sum_naive checks x <= NAIVE_BUDGET of them at `_magnitude(kind, x)`.
-    In floor_sum_fast every value lies in [1, d0], d0 <= SIEVE_BUDGET; a
-    per-n piece sums at most BLOCK_CHUNK terms, and a block piece past the
-    first starts at d > BLOCK_CHUNK, so its multiplicities sum to at most
-    x // (BLOCK_CHUNK + 1) with x <= FAST_BUDGET: `_split_sums` checks both
-    counts at `_magnitude(kind, d0)`.  That start needs the sieve segments
-    and the shared prefix, where block pieces also break, to be no shorter
-    than BLOCK_CHUNK.  So at every budget these checks pass, and only the
-    first block piece's check refuses a kind the sieve makes (tau_8 from
-    x = 7.0e11 on)."""
-    assert A.SEGMENT_SIZE >= FS.BLOCK_CHUNK and FS.SHARED_PREFIX >= FS.BLOCK_CHUNK
-    assert A._magnitude(kind, FS.NAIVE_BUDGET) * FS.NAIVE_BUDGET < 2**63
-    pieces = max(FS.BLOCK_CHUNK, FS.FAST_BUDGET // (FS.BLOCK_CHUNK + 1) + 1)
-    assert A._magnitude(kind, A.SIEVE_BUDGET) * pieces < 2**63
+
+def binade_bound(kind, x: int, N: int):
+    """`_check_int64`'s bound B, read from its refusal where B >= 2^63."""
+    try:
+        return FS._check_int64(kind, x, N)
+    except BudgetError as refused:
+        bound = int(re.fullmatch(rf"sum of {kind}\(x // n\) over {N} < n <= {x} may exceed "
+                                 r"int64 \(bound (\d+)\)", str(refused)).group(1))
+        assert bound >= 2**63
+        return bound
+
+
+def test_the_bound_covers_every_sum_of_absolute_values():
+    # B >= sum_{N < n <= x} |f(x // n)|, the int64 sums' worst case, exactly
+    # (Lambda's by fsum) at every x <= 2000 and five N, for the nine CLI
+    # names, tau8 and a tau_200 table; at N = 0, B never falls as x grows
+    top = 2000
+    for kind in [A.kind_from_name(name) for name in NINE_NAMES] + [A.tau(8), A.tau(200)]:
+        if kind.r == 200:           # in Python ints, as a tau_200 table holds them
+            values = tau_values(200, top)
+            absf = np.array(A.SieveTable(kind, 1, np.array(values)).values.tolist(), dtype=object)
+        else:                       # int64 holds 2000 times their largest |f|
+            values = A.build_sieve(kind, 1, top).values
+            absf = np.abs(values.astype(np.int64) if values.dtype.kind == "i" else values)
+        last = 0
+        for x in range(1, top + 1):
+            terms = absf[x // np.arange(1, x + 1) - 1]
+            tails = np.append(np.cumsum(terms[::-1])[::-1], 0)     # tails[N]: n > N
+            for N in {0, 1, isqrt(x // FS.SPLIT_RATIO), isqrt(x), x}:
+                held = math.fsum(terms[N:].tolist()) if kind.tag == "lambda" else tails[N]
+                assert (bound := binade_bound(kind, x, N)) >= held, (kind, x, N)
+                if N == 0:
+                    assert bound >= last, (kind, x)
+                    last = bound
+
+
+@pytest.mark.parametrize("kind", EVALUATED_KINDS + [A.LAMBDA], ids=str)
+def test_every_sum_but_the_first_block_fits_int64(kind):
+    """No sum of a kind the sieve makes is refused at any budget, its first
+    block included: the bound passes at NAIVE_BUDGET with N = 0, and at
+    FAST_BUDGET with the least N whose d0 = x // (N+1) is within
+    SIEVE_BUDGET, and it decreases as N grows."""
+    assert FS._check_int64(kind, FS.NAIVE_BUDGET, 0) < 2**63
+    x = FS.FAST_BUDGET
+    N = x // (A.SIEVE_BUDGET + 1)
+    assert x // (N + 1) <= A.SIEVE_BUDGET < x // N
+    bounds = [FS._check_int64(kind, x, n)
+              for n in (N, 2 * N, isqrt(x // FS.SPLIT_RATIO), isqrt(x), x // 2)]
+    assert bounds == sorted(bounds, reverse=True) and bounds[0] > bounds[-1]
 
 
 def test_a_table_past_max_tau_r_is_bounded_by_its_magnitude():
     """No sieve makes tau_r for r > MAX_TAU_R, but a table of it is summed,
-    each sum bounded by `_magnitude` at its own x."""
-    r, hi = 200, 1000
-    kind = A.tau(r)
-    values = np.ones(hi, dtype=np.int64)
-    for n in range(2, hi + 1):
-        m = n
-        for p in range(2, n + 1):
-            a = 0
-            while m % p == 0:
-                m, a = m // p, a + 1
-            values[n - 1] *= math.comb(a + r - 1, r - 1)
-    table = A.SieveTable(kind, 1, values)
+    each sum bounded by `_magnitude` at its own binades."""
+    kind = A.tau(200)
+    values = tau_values(200, 1000)
+    table = A.SieveTable(kind, 1, np.array(values, dtype=np.int64))
     for x in (1, 706, 917, 1000):
-        want = sum(int(values[x // n - 1]) for n in range(1, x + 1))
+        want = sum(values[x // n - 1] for n in range(1, x + 1))
         assert FS.floor_sum_fast(kind, x, table=table) == want
-        if A._magnitude(kind, x) * x < 2**63:
-            assert FS.floor_sum_naive(kind, x, table=table) == want
-        else:
-            bound = A._magnitude(kind, x) * x
-            with pytest.raises(BudgetError, match=f"naive sum of the table may exceed int64 "
-                                                  f"\\(bound {bound}\\)"):
-                FS.floor_sum_naive(kind, x, table=table)
-    assert A._magnitude(kind, 706) * 706 < 2**63 <= A._magnitude(kind, 917) * 917
+        assert FS.floor_sum_naive(kind, x, table=table) == want
+    # one magnitude for all x terms, x M(x), would exceed 2^63 from x = 917 on
+    assert FS._check_int64(kind, 1000, 0) < 2**63 <= A._magnitude(kind, 917) * 917
     with pytest.raises(BudgetError, match="tau order 200"):
         FS.floor_sum_fast(kind, 100)
 
 
 def test_a_later_block_piece_past_max_tau_r_is_bounded():
-    # tau_1000 reaches 8.4e15 at 96 = 2^5 3 <= d0 = 142, and a later piece
-    # may sum BLOCK_CHUNK terms; its first block, d <= 31, stays below 2^63
+    # tau_1000 reaches 8.4e15 at 96 = 2^5 3 and 2.6e19 at 256: each binade of
+    # quotients is bounded at its own end, so a table of ones is summed at
+    # x = 1000 split at N = 6 (d0 = 142), and refused where a quotient
+    # reaches 256: by the naive sum from x = 256 on, and split at N = 1
     kind = A.tau(1000)
     table = A.SieveTable(kind, 1, np.ones(1000, dtype=np.int64))
-    bound = A._magnitude(kind, 142) * FS.BLOCK_CHUNK
-    assert A._magnitude(kind, 31) * (1000 - 1000 // 32) < 2**63 <= bound
-    with pytest.raises(BudgetError) as refused:
-        FS.floor_sum_fast(kind, 1000, table=table)
-    assert str(refused.value) == f"block sum of 65536 terms may exceed int64 (bound {bound})"
-    assert FS.floor_sum_fast(kind, 100, table=table) == 100
+    assert FS.floor_sum_fast(kind, 1000, table=table) == 1000
+    assert FS.floor_sum_naive(kind, 255, table=table) == 255
+    for x, N, fn in ((256, 0, lambda: FS.floor_sum_naive(kind, 256, table=table)),
+                     (1000, 1, lambda: FS.floor_sum_fast(kind, 1000, split=1, table=table))):
+        with pytest.raises(BudgetError) as refused:
+            fn()
+        assert str(refused.value) == (f"sum of tau1000(x // n) over {N} < n <= {x} may exceed "
+                                      f"int64 (bound {binade_bound(kind, x, N)})")
 
 
 @pytest.mark.parametrize("fn, x, hi", [(FS.floor_sum_naive, 100, 100),
-                                       (FS.floor_sum_fast, 100, 9),
+                                       (FS.floor_sum_fast, 100, 7),
                                        (FS.floor_sum_fast, 100, 33)],
                          ids=["naive", "fast-first-block", "fast-later-pieces"])
 @pytest.mark.parametrize("kind", [A.tau(3), A.ONE], ids=str)
 def test_both_sums_check_their_bounds_before_any_evaluation(monkeypatch, fn, x, hi, kind):
-    # each bound is one `_magnitude` lookup: at x for the naive sum, and for
-    # the split at x = 100 (N = 2) at the first block's end 9 and at d0 = 33;
-    # a magnitude of 2^62 there refuses the sum before f is evaluated
+    # the bound reads `_magnitude` at each binade's end: for the naive sum at
+    # x = 100 at 1, 3, 7, .., 63 and 100, and for the split at x = 100 (N = 2,
+    # d0 = 33) at 1, 3, .., 31 and 33, with [4, 7] among the first block's
+    # quotients d <= 9 and [32, 33] in the per-n range; a magnitude of 2^63
+    # at one of them refuses the sum before f is evaluated
     forbid_evaluation(monkeypatch)
-    monkeypatch.setattr(FS, "_magnitude", lambda k, top: 2**62 if top == hi else 1)
+    monkeypatch.setattr(FS, "_magnitude", lambda k, top: 2**63 if top == hi else 0)
     with pytest.raises(BudgetError, match="may exceed int64"):
         fn(kind, x)
+
+
+def test_the_bound_is_refused_iff_it_reaches_2_63(monkeypatch):
+    # at x = 3 and N = 0 the binade [1, 1] holds the quotients of n = 2, 3 and
+    # [2, 3] that of n = 1: B = 2 M(1) + M(3)
+    for top, refused in ((1, False), (2, True)):
+        monkeypatch.setattr(FS, "_magnitude", lambda k, hi: {1: 2**62 - 1, 3: top}[hi])
+        if refused:
+            with pytest.raises(BudgetError, match=r"\(bound 9223372036854775808\)"):
+                FS._check_int64(A.ONE, 3, 0)
+        else:
+            assert FS._check_int64(A.ONE, 3, 0) == 2**63 - 1
 
 
 @pytest.mark.parametrize("kind", INTEGER_KINDS + [A.tau(8)], ids=str)
@@ -542,7 +586,7 @@ def test_one_records_list_per_kind_serves_every_shorter_length(monkeypatch, kind
 
 def test_cold_sums_up_to_1e10_walk_each_kind_once(monkeypatch):
     # a kind's first walk covers _RECORD_BITS = 20 bits, and a sum up to
-    # 1e10 asks for 14, 16 and 19 bits: each kind is walked once
+    # 1e10 asks for 14, 16 and 19 bits: each kind is walked once, Lambda too
     walks = []
 
     class Walks(dict):
@@ -556,7 +600,7 @@ def test_cold_sums_up_to_1e10_walk_each_kind_once(monkeypatch):
     for x in (10**2, 10**5, 10**8, 3 * 10**9, 10**10):
         for kind in INTEGER_KINDS + [A.LAMBDA]:
             FS.summarize(kind, x)
-    assert sorted(walks, key=str) == sorted(INTEGER_KINDS, key=str)
+    assert sorted(walks, key=str) == sorted(INTEGER_KINDS + [A.LAMBDA], key=str)
 
 
 @pytest.mark.parametrize("kind", [k for k in EVALUATED_KINDS if not k.additive], ids=str)

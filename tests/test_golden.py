@@ -5,16 +5,15 @@ the file was recorded.  It covers every function's main-term constant and its
 error bound, from the Dirichlet series and sieved to a cutoff (through
 `constant`, `sum` and `scan`, with and without `--cutoff`), the exact sums
 (also `sum` at x = 1e10 for tau3, mu, lambda and 2omega, and at x = 1e12 for
-tau3 and lambda, recorded from the per-point head before it was batched),
-the residual scans, the psi report, the four `verify` suites, one admissible
-`expsum check` line per bound case (bilinear-power also at r = 1, 2 and 3,
-and with a float z), `pairs derive`, and `pairs exponent` on
+tau3 and lambda, recorded from the per-point head before it was batched,
+and for tau8), the residual scans, the psi report, the four `verify` suites,
+one admissible `expsum check` line per bound case (bilinear-power also
+at r = 1, 2 and 3, and with a float z), `pairs derive`, and `pairs exponent` on
 Bourgain's pair and on two pairs tight at a constraint (the non-strict
 k <= 1/6 admits a bare pair, the strict tau one rejects it).  `pairs search`
 is pinned at depth 8 for tau_3 and at depth 10 for every target the benchmark
-searches: lambda, tau:2 to tau:6 and two-omega.  Two error lines pin
-`verify --seed -1`, rejected before any trial, and `sum` of tau8 at x = 1e12,
-whose first block could wrap int64, rejected before any evaluation.
+searches: lambda, tau:2 to tau:6 and two-omega.  An error line pins
+`verify --seed -1`, rejected before any trial.
 """
 
 import json

@@ -780,13 +780,6 @@ def test_hyperbola_refuses_an_int64_wrap_before_any_work(monkeypatch, call):
         call(lambda n, value=2**40: _const(value, n))
 
 
-def test_hyperbola_refuses_a_table_beyond_its_kind():
-    # labelled one, a table of 2^40 would pass a guard that reads one's
-    # magnitude, 1; it cannot be built, so neither verifier is asked to take it
-    with pytest.raises(ValueError, match="one table holds 1099511627776 at n=1, beyond 0 <= one"):
-        A.SieveTable(A.ONE, 1, np.full(60, 2**40, dtype=np.int64))
-
-
 def test_unweighted_hyperbola_side_bounds_its_sum():
     # F G 2 isqrt(40) = 12 2^56 < 2^63 holds each product value, but a side
     # sums 3 terms on 40 entries: refused unweighted, taken with a phase

@@ -5,12 +5,15 @@ Each mutant names a file, a snippet that occurs exactly once in it, the
 replacement that plants a defect, and the test node ids that must fail once
 it is planted.  For each mutant the script copies `src/`, `tests/` and
 `pyproject.toml` to a temporary directory, applies the one replacement and
-runs `python -m pytest -x -q` on its ids there, with that copy's `src` first
-on the path.  First it runs every id on an unmutated copy, where all must
-pass.  It exits 1 if a mutant survives (its ids pass), if an anchor is stale
-(missing, or found more than once), or if an id cannot be run.
+runs `python -m pytest -q` on each of its ids alone there, with that copy's
+`src` first on the path, and prints each id's result.  A mutant is killed
+only when every one of its ids fails on its own, so no listed test rides on
+another.  First it runs every id on an unmutated copy, where all must pass.
+It exits 1 if a mutant survives (one of its ids passes), if an anchor is
+stale (missing, or found more than once), or if an id cannot be run, and
+prints the catalogue's wall time.
 
-    python tools/mutants.py              # the whole catalogue, about two minutes
+    python tools/mutants.py              # the whole catalogue, about four minutes
 
 A change that rewrites a mutated line updates its anchor to the new code; a
 change that retires a mutant says why.
@@ -43,34 +46,30 @@ FLOORSUM, ARITH, IDENTITIES, PSI, ERRORS = (
     f"src/floorsums/{m}.py" for m in ("floorsum", "arith", "identities", "psi", "errors"))
 
 CATALOGUE = (
-    Mutant("first-block-bound-2^64", FLOORSUM,
-           "_magnitude(kind, top) * count) >= 2**63:",
-           "_magnitude(kind, top) * count) >= 2**64:",
-           ("tests/test_floorsum.py::test_tau8_first_block_is_refused_before_any_work",)),
-    Mutant("first-block-one-entry-short", FLOORSUM,
-           "end = min(BLOCK_CHUNK, x // (isqrt(x) + 1), d0)",
-           "end = min(BLOCK_CHUNK - 1, x // (isqrt(x) + 1), d0)",
-           ("tests/test_floorsum.py::test_tau8_first_block_is_refused_before_any_work",)),
-    Mutant("shared-prefix-below-a-block-chunk", FLOORSUM,
-           "SHARED_PREFIX = 1 << 16",
-           "SHARED_PREFIX = 1 << 15",
-           ("tests/test_floorsum.py::test_every_sum_but_the_first_block_fits_int64",)),
-    Mutant("naive-bound-dropped", FLOORSUM,
-           "if (bound := _magnitude(kind, x) * x) >= 2**63:",
-           "if (bound := _magnitude(kind, x) * x) >= 2**63 and False:",
+    Mutant("int64-bound-at-2^64", FLOORSUM,
+           "    if bound >= 2**63:",
+           "    if bound >= 2**64:",
            ("tests/test_floorsum.py::test_both_sums_check_their_bounds_before_any_evaluation",
-            "tests/test_floorsum.py::test_a_table_past_max_tau_r_is_bounded_by_its_magnitude")),
+            "tests/test_floorsum.py::test_the_bound_is_refused_iff_it_reaches_2_63")),
+    Mutant("binade-bound-read-at-its-start", FLOORSUM,
+           "_magnitude(kind, min(2 << k, d0 + 1) - 1)",
+           "_magnitude(kind, 1 << k)",
+           ("tests/test_floorsum.py::test_the_bound_covers_every_sum_of_absolute_values",)),
+    Mutant("naive-bound-dropped", FLOORSUM,
+           "    _check_int64(kind, x, 0)\n    if values is None:",
+           "    if values is None:",
+           ("tests/test_floorsum.py::test_both_sums_check_their_bounds_before_any_evaluation",
+            "tests/test_floorsum.py::test_a_later_block_piece_past_max_tau_r_is_bounded")),
     Mutant("naive-sieves-before-its-bound", FLOORSUM,
            "    values = None if table is None else _table_prefix(kind, table, x)",
            "    values = build_sieve(kind, 1, x).values if table is None else "
            "_table_prefix(kind, table, x)",
            ("tests/test_floorsum.py::test_both_sums_check_their_bounds_before_any_evaluation",)),
     Mutant("later-piece-bound-dropped", FLOORSUM,
-           "            for top, count in ((end, x - x // (end + 1)),\n"
-           "                               (d0, max(BLOCK_CHUNK, x // (BLOCK_CHUNK + 1) + 1))):",
-           "            for top, count in ((end, x - x // (end + 1)),):",
-           ("tests/test_floorsum.py::test_a_later_block_piece_past_max_tau_r_is_bounded",
-            "tests/test_floorsum.py::test_both_sums_check_their_bounds_before_any_evaluation")),
+           "        _check_int64(kind, x, N)\n        if rows + N > HEAD_ROWS:",
+           "        if rows + N > HEAD_ROWS:",
+           ("tests/test_floorsum.py::test_both_sums_check_their_bounds_before_any_evaluation",
+            "tests/test_floorsum.py::test_a_later_block_piece_past_max_tau_r_is_bounded")),
     Mutant("table-of-another-kind-taken", FLOORSUM,
            "    if table.kind != kind:",
            "    if False:",
@@ -82,10 +81,8 @@ CATALOGUE = (
     Mutant("table-check-skipped", ARITH,
            "        if (why := _beyond_magnitude(self.kind, self.lo, v)) is not None:",
            "        if (why := _beyond_magnitude(self.kind, self.lo, v)) is not None and False:",
-           ("tests/test_floorsum.py::test_block_sum_guards_int64",
-            "tests/test_contract.py::test_a_table_is_taken_iff_it_holds_its_kind",
-            "tests/test_arith.py::test_a_product_refuses_a_table_beyond_its_kind",
-            "tests/test_identities.py::test_hyperbola_refuses_a_table_beyond_its_kind")),
+           ("tests/test_contract.py::test_a_table_is_taken_iff_it_holds_its_kind",
+            "tests/test_arith.py::test_a_product_refuses_a_table_beyond_its_kind")),
     Mutant("table-keeps-a-writable-array", ARITH,
            "        if v.flags.writeable or not v.flags.owndata:",
            "        if False:",
@@ -181,8 +178,7 @@ CATALOGUE = (
     Mutant("block-multiplicity-from-N+1", FLOORSUM,
            "            m = q[:-1] - np.maximum(N, q[1:])",
            "            m = q[:-1] - np.maximum(N + 1, q[1:])",
-           ("tests/test_floorsum.py::test_fast_equals_naive_all_kinds",
-            "tests/test_floorsum.py::test_fast_equals_naive_for_any_split")),
+           ("tests/test_floorsum.py::test_fast_equals_naive_for_any_split",)),
     Mutant("segment-summed-in-its-own-dtype", FLOORSUM,
            "v.sum(dtype=np.int64) if m is None",
            "v.sum(dtype=v.dtype) if m is None",
@@ -270,6 +266,7 @@ def _stale(mutant: Mutant) -> str | None:
 
 
 def main() -> int:
+    started = time.perf_counter()
     failed = 0
     for mutant in CATALOGUE:
         if (why := _stale(mutant)) is not None:
@@ -290,11 +287,16 @@ def main() -> int:
             _copy(tree)
             target = tree / mutant.path
             target.write_text(target.read_text().replace(mutant.old, mutant.new))
-            status = _pytest(tree, mutant.tests)
-        verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
+            statuses = [_pytest(tree, [test]) for test in mutant.tests]
+        killed = all(status == 1 for status in statuses)
+        verdict = "killed" if killed else "SURVIVED" if 0 in statuses else "ERROR"
         print(f"{verdict:9} {mutant.name} ({time.perf_counter() - start:.1f} s)")
-        failed += status != 1
-    print(f"{len(CATALOGUE) - failed} of {len(CATALOGUE)} mutants killed")
+        for test, status in zip(mutant.tests, statuses):
+            result = {0: "passes", 1: "fails"}.get(status, f"error (pytest exit {status})")
+            print(f"          {result:6} {test}")
+        failed += not killed
+    print(f"{len(CATALOGUE) - failed} of {len(CATALOGUE)} mutants killed "
+          f"in {time.perf_counter() - started:.0f} s")
     return 1 if failed else 0
 
 
