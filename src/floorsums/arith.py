@@ -10,7 +10,10 @@ Each function is defined once, by its local factor g(a) = f(p^a) in
 exactly dividing n (the sum, for the additive omega).  Lambda, whose value
 at p^a depends on p, is the one special case; `eval_points` counts its
 distinct primes with omega's table, as Lambda(n) = log p exactly where
-omega(n) = 1.  The table drives both evaluators: a single segmented kernel
+omega(n) = 1.  g gives every multiplicative kind's Dirichlet series,
+zeta(s)^A zeta(2s)^B with (A, B) = `FunctionKind.powers`, which the
+main-term constant reads and by which the kernel sieves chi_2 (A = 0) on
+the square roots.  The table drives both evaluators: a single segmented kernel
 that walks the prime powers up to hi with the primes up to sqrt(hi), and
 `eval_points`, which trial-divides an integer array of n <= 10^12 by the
 primes up to cbrt(max n) and classifies each cofactor as 1, p, p^2 or pq
@@ -56,16 +59,25 @@ FACTOR_BUDGET = 10**12      # largest n eval_points accepts; a cost cap: _is_pri
 # series_constant's 1e-12 error bound is met up to tau_8 (5.3e-13)
 MAX_TAU_R = 8
 
-_TAGS = ("one", "mobius", "mobius_squared", "lambda", "tau", "omega",
-         "two_pow_omega", "chi_two")
+# g(a) = f(p^a) for a >= 0 and every prime p (see the module docstring);
+# `r` is the tau order.  Lambda depends on p itself and has no entry.
+_LOCAL_FACTORS = {
+    "one": lambda a, r: 1,
+    "mobius": lambda a, r: (1, -1, 0)[min(a, 2)],
+    "mobius_squared": lambda a, r: int(a < 2),
+    "tau": lambda a, r: comb(a + r - 1, r - 1),
+    "omega": lambda a, r: int(a > 0),
+    "two_pow_omega": lambda a, r: 2 if a else 1,
+    # chi_2(m^2) = mu(m): mu's factor read on even exponents
+    "chi_two": lambda a, r: 0 if a % 2 else _LOCAL_FACTORS["mobius"](a // 2, r),
+}
 
 
 @dataclass(frozen=True)
 class FunctionKind:
-    """One of the supported arithmetic functions.
-
-    `r` is only meaningful for the tau family; tau(1) is the constant 1
-    function in all but name.
+    """One of the supported arithmetic functions: "lambda", or a tag of
+    `_LOCAL_FACTORS`.  `r` is only meaningful for the tau family; tau(1) is
+    the constant 1 function in all but name.
     """
 
     tag: str
@@ -73,7 +85,7 @@ class FunctionKind:
 
     def __post_init__(self):
         object.__setattr__(self, "r", require_integers(r=self.r))
-        if self.tag not in _TAGS:
+        if self.tag not in (*_LOCAL_FACTORS, "lambda"):
             raise ValueError(f"unknown function tag {self.tag!r}")
         if self.tag == "tau":
             if self.r < 1:
@@ -86,9 +98,30 @@ class FunctionKind:
         return self.tag == "omega"
 
     @cached_property
+    def _factors(self) -> tuple[int, ...] | None:     # g(0..63); None for Lambda
+        return None if self.tag == "lambda" else tuple(map(self.local, range(_MAX_EXPONENT + 1)))
+
+    @cached_property
     def signed(self) -> bool:
         """Whether f takes negative values (mu, chi_2): whether a local factor does."""
-        return self.tag != "lambda" and any(self.local(a) < 0 for a in range(_MAX_EXPONENT + 1))
+        return self._factors is not None and min(self._factors) < 0
+
+    @cached_property
+    def powers(self) -> tuple[int, int] | None:
+        """(A, B), B <= 0, with D_f(s) = zeta(s)^A zeta(2s)^B (Apostol, ch. 11), or
+        None (Lambda, omega): its local factor (1 - X)^-A (1 - X^2)^-B, X = p^-s,
+        has A and A(A+1)/2 + B at X and X^2, and must be g at all 64 exponents."""
+        g = self._factors
+        if g is None:
+            return None
+        A, B = g[1], g[2] - g[1] * (g[1] + 1) // 2
+        series = [1]
+        for a in range(1, _MAX_EXPONENT + 1):   # (1 - X)^-A: C(A + a - 1, a), exactly
+            series.append(series[-1] * (A + a - 1) // a)
+        for _ in range(-B):                     # times 1 - X^2
+            for a in range(_MAX_EXPONENT, 1, -1):
+                series[a] -= series[a - 2]
+        return (A, B) if B <= 0 and tuple(series) == g else None
 
     def local(self, a: int) -> int:
         """g(a) = f(p^a) for every prime p; Lambda has none."""
@@ -107,20 +140,6 @@ LAMBDA = FunctionKind("lambda")
 OMEGA = FunctionKind("omega")
 TWO_POW_OMEGA = FunctionKind("two_pow_omega")
 CHI_TWO = FunctionKind("chi_two")
-
-
-# g(a) = f(p^a) for a >= 0 and every prime p (see the module docstring);
-# `r` is the tau order.  Lambda depends on p itself and has no entry.
-_LOCAL_FACTORS = {
-    "one": lambda a, r: 1,
-    "mobius": lambda a, r: (1, -1, 0)[min(a, 2)],
-    "mobius_squared": lambda a, r: int(a < 2),
-    "tau": lambda a, r: comb(a + r - 1, r - 1),
-    "omega": lambda a, r: int(a > 0),
-    "two_pow_omega": lambda a, r: 2 if a else 1,
-    # chi_2(m^2) = mu(m): mu's factor read on even exponents
-    "chi_two": lambda a, r: 0 if a % 2 else _LOCAL_FACTORS["mobius"](a // 2, r),
-}
 
 
 def tau(r: int) -> FunctionKind:
@@ -249,7 +268,7 @@ def _steps(kind: FunctionKind) -> dict[int, int | tuple[int, int]]:
     a multiplicative factor that reaches 0 must stay 0.  Worked out once per
     kind.
     """
-    g = [kind.local(a) for a in range(_MAX_EXPONENT + 1)]
+    g = kind._factors
     steps = {}
     for a in range(1, _MAX_EXPONENT + 1):
         if g[a] == g[a - 1]:
@@ -455,8 +474,9 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     n in [lo, hi] has at most one prime factor above the walked ones.  Every
     n starts at g(0) and moves from g(a-1) to g(a) on the multiples of p^a,
     in the narrowest dtype that holds every value formed (_working_dtype),
-    which is the dtype returned; chi_2 comes in it too, a constant kind as a
-    read-only broadcast of its one value, and Lambda in float64.  Where n
+    which is the dtype returned; a kind with powers (0, B) (chi_2), whose g
+    returns from 0, is that with (B, 0) on the square roots, a constant kind
+    a read-only broadcast of its one value, and Lambda in float64.  Where n
     has a prime factor above the walked ones, f moves from g(0) to g(1) once
     more (skipped when g(1) = g(0), or on [1, 1]).  That residual test is
     exact without forming n's walked part: an accumulator adds
@@ -478,12 +498,13 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     prime divides: 1 (log 1 = 0) and the primes above the walked ones.
     """
     size = hi - lo + 1
-    if kind.tag == "chi_two":       # mu on the m with m^2 in [lo, hi], read on the squares
+    if kind.powers and kind.powers[0] == 0:     # f(m^2) = h(m), h with powers (B, 0)
         val = np.zeros(size, dtype=_working_dtype(kind, hi.bit_length()))
         m_lo, root = isqrt(lo - 1) + 1, isqrt(hi)
         if m_lo <= root:
             m = np.arange(m_lo, root + 1)
-            val[m * m - lo] = _segment_values(MOBIUS, m_lo, root, primes_upto(isqrt(root)))
+            h = next(k for k in _KIND_ALIASES.values() if k.powers == (kind.powers[1], 0))
+            val[m * m - lo] = _segment_values(h, m_lo, root, primes_upto(isqrt(root)))
         return val
 
     if kind.tag == "lambda":
@@ -685,7 +706,7 @@ def _odd_primes(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _local_values(kind: FunctionKind) -> np.ndarray:
     """g(a) = f(p^a) for a = 0..63, as a read-only int64 array."""
-    g = np.array([kind.local(a) for a in range(_MAX_EXPONENT + 1)], dtype=np.int64)
+    g = np.array(kind._factors, dtype=np.int64)
     g.flags.writeable = False
     return g
 

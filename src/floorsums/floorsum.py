@@ -140,14 +140,21 @@ def _check_int64(kind: FunctionKind, x: int, N: int) -> int | float:
     refused.  Such n have quotients in [1, d0], d0 = x // (N+1); those in
     the binade [2^k, 2^(k+1)), for each 2^k <= d0, are the quotients of the
     n in (max(x >> (k+1), N), x >> k], and there |f| is at most M at the
-    binade's end clipped to d0."""
+    binade's end clipped to d0: `_binade_maxima` below d0's binade, and
+    `_magnitude` at d0 in it."""
     d0 = x // (N + 1)
-    bound = sum(_magnitude(kind, min(2 << k, d0 + 1) - 1) * ((x >> k) - max(x >> (k + 1), N))
-                for k in range(d0.bit_length()))
+    maxima = (*_binade_maxima(kind, d0.bit_length() - 1), _magnitude(kind, d0))
+    bound = sum(m * ((x >> k) - max(x >> (k + 1), N)) for k, m in enumerate(maxima))
     if bound >= 2**63:
         raise BudgetError(f"sum of {kind}(x // n) over {N} < n <= {x} may exceed int64 "
                           f"(bound {bound})")
     return bound
+
+
+@cache
+def _binade_maxima(kind: FunctionKind, bits: int) -> tuple:
+    """M(2^(k+1) - 1) = `_magnitude` at the end of each binade [2^k, 2^(k+1)), k < bits."""
+    return tuple(_magnitude(kind, (2 << k) - 1) for k in range(bits))
 
 
 def _quotient_indices(x: int):
@@ -189,16 +196,17 @@ def _pieces(kind: FunctionKind, prefix, x: int, N: int, shared: int, d0: int):
 
 def _floats(pieces):
     """The nonzero terms of `pieces` as Python floats: f(floor(x/n)), and
-    f(d) m(d) as four exact parts, Veltkamp's split of f(d) by 2^27 + 1 into
-    halves of 26 bits times m mod 2^26 and the rest of m (27 bits, m < 2^53)."""
+    f(d) m(d) in exact parts, Veltkamp's split of f(d) by 2^27 + 1 into
+    halves of 26 bits times m, or, once some m >= 2^26, times m mod 2^26 and
+    the rest of m (27 bits, m < 2^53)."""
     for v, m in pieces:
         if m is not None:
             live = v != 0
             v, m = v[live], m[live]
             c = v * (2.0**27 + 1)
             hi = c - (c - v)
-            low = m & (2**26 - 1)
-            v = np.concatenate([hi * low, (v - hi) * low, hi * (m - low), (v - hi) * (m - low)])
+            limbs = (m & (2**26 - 1), m >> 26 << 26) if m.max(initial=0) >> 26 else (m,)
+            v = np.concatenate([part for w in limbs for part in (hi * w, (v - hi) * w)])
         yield from v[v != 0].tolist()
 
 
@@ -291,24 +299,6 @@ def _split_sums(kind: FunctionKind, grid: list[int], split: int | None = None,
 _ENVELOPE_EPS = 0.3
 
 
-def _power_envelope(local) -> float:
-    """B = prod_p max(1, sup_a local(p, a)) over the finitely many p where
-    the local factor exceeds 1 (local must be decreasing in p)."""
-    B = 1.0
-    for p in map(int, primes_upto(10**4)):
-        best = 0.0
-        for a in range(1, 2001):
-            v = local(p, a)
-            if v > best:
-                best = v
-            elif v < 1e-9 * max(best, 1.0):
-                break
-        if best <= 1.0:
-            break
-        B *= best
-    return B * (1 + 1e-9)
-
-
 def _tail_bound(kind: FunctionKind, cutoff: int | None) -> float:
     """The error bound of the main-term constant taken at `cutoff`: for an
     integer cutoff, an upper bound on sum_{n > cutoff} |f(n)|/(n(n+1)); for
@@ -330,9 +320,20 @@ def _tail_bound(kind: FunctionKind, cutoff: int | None) -> float:
     # kind's factor is constant from a = 4 on or exceeds 1 at a = 1
     if _magnitude(kind, 16) <= 1:
         return 1.0 / (c + 1)
-    eps = _ENVELOPE_EPS
-    B = _power_envelope(lambda p, a: abs(kind.local(a)) / p ** (eps * a))
-    return B * c ** (eps - 1.0) / (1.0 - eps)
+    # B = prod_p max(1, sup_a |g(a)| / p^(eps a)); the sup decreases in p
+    eps, B = _ENVELOPE_EPS, 1.0
+    for p in map(int, primes_upto(10**4)):
+        best = 0.0
+        for a in range(1, 2001):
+            v = abs(kind.local(a)) / p ** (eps * a)
+            if v > best:
+                best = v
+            elif v < 1e-9 * max(best, 1.0):
+                break
+        if best <= 1.0:
+            break
+        B *= best
+    return B * (1 + 1e-9) * c ** (eps - 1.0) / (1.0 - eps)
 
 
 def main_term_constant(kind: FunctionKind, cutoff: int) -> tuple[float, float]:
@@ -505,10 +506,14 @@ def series_constant(kind: FunctionKind) -> tuple[float, float]:
     Dirichlet series D_f(s) = sum f(n) n^-s without sieving.
 
     For n >= 2, 1/(n(n+1)) = sum_{k>=2} (-1)^k n^-k, so
-    C_f = f(1)/2 + sum_{k>=2} (-1)^k (D_f(k) - f(1)).  Each D_f is a closed
-    form in zeta, zeta' and the prime zeta function P (see `_zeta_sums` and
-    `_prime_zeta`, tabulated once per process by `_series_table`), evaluated
-    in float64 with a running error bound (`_Bounded`).  The terms
+    C_f = f(1)/2 + sum_{k>=2} (-1)^k (D_f(k) - f(1)), f(1) = g(0) (0 for
+    Lambda), in float64 with a running error bound (`_Bounded`) from z =
+    zeta(k) - 1, z2 = zeta(2k) - 1, -zeta'(k) and the prime zeta function P(k)
+    (`_series_table`).  A kind with powers (A, B) takes zeta(k)^A zeta(2k)^B
+    - 1: (1 + z)^A - 1 as -z/(1 + z), z, z (2 + z) or expm1(A log1p z) for
+    A = -1, 1, 2 or any other (-z2/(1 + z2) for A = 0, one factor of B), then
+    d -> (d - z2)/(1 + z2) per factor zeta(2k)^-1; omega takes zeta(k) P(k),
+    and Lambda -zeta'(k)/zeta(k).  The terms
     k > _SERIES_K sum to sum_{n>=2} f(n) (-1)^(K+1) n^-(K+1) / (1 + 1/n),
     at most 2^(1-K) sum_{n>=2} |f(n)| n^-2 in absolute value.  The bound adds that,
     the Euler-Maclaurin remainders and every rounding; it lies in
@@ -517,24 +522,19 @@ def series_constant(kind: FunctionKind) -> tuple[float, float]:
     K = _SERIES_K
     z1 = _series_table("zeta")                                     # zeta(t) - 1, t = 2..2K
     z, z2 = z1[:K - 1], z1[2::2]                                   # at k and 2k, k = 2..K
-    tag = kind.tag
-    if tag == "one" or (tag == "tau" and kind.r == 1):
-        d = z
-    elif tag == "mobius":
-        d = -z / (1 + z)
-    elif tag == "mobius_squared":
-        d = (z - z2) / (1 + z2)
-    elif tag == "lambda":
-        d = _series_table("log") / (1 + z)
-    elif tag == "tau":
-        d = (kind.r * z.log1p()).expm1()
-    elif tag == "omega":
-        d = (1 + z) * _series_table("prime")
-    elif tag == "two_pow_omega":
-        d = (z * (2 + z) - z2) / (1 + z2)
-    else:                                                          # chi_two
-        d = -z2 / (1 + z2)
-    f1 = 0 if tag in ("lambda", "omega") else 1
+    if kind.tag == "lambda":
+        f1, d = 0, _series_table("log") / (1 + z)                 # -zeta'/zeta
+    elif kind.powers is None:                                      # omega
+        f1, d = 0, (1 + z) * _series_table("prime")
+    else:                                                          # zeta(k)^A zeta(2k)^B - 1
+        (A, B), f1 = kind.powers, 1
+        if A == 0 and B < 0:
+            d, B = -z2 / (1 + z2), B + 1
+        else:
+            d = (-z / (1 + z) if A == -1 else z if A == 1 else z * (2 + z) if A == 2
+                 else (A * z.log1p()).expm1())
+        for _ in range(-B):
+            d = (d - z2) / (1 + z2)
     signed = d.v * (1 - 2 * (np.arange(2, K + 1) % 2))            # (-1)^k (D_f(k) - f(1))
     value = math.fsum([f1 / 2, *signed.tolist()])
     # sum_{n>=2} |f(n)| n^-2: D_f(2) - f(1) for f >= 0, and zeta(2) - 1 for mu

@@ -1,5 +1,6 @@
 """Sieve tables, point evaluation, and Dirichlet convolution."""
 
+import itertools
 import math
 import random
 import re
@@ -953,6 +954,53 @@ def test_closed_forms_hold_through_narrow_products_at_a_million(tables_1e6, f, g
         assert got[0] == 1 and not got[1:].any()
     else:
         assert np.array_equal(got, tables_1e6[closed].values)
+
+
+# D_f(s) = zeta(s)^A zeta(2s)^B for each multiplicative kind (Apostol, ch. 11)
+POWERS = {A.ONE: (1, 0), A.MOBIUS: (-1, 0), A.MOBIUS_SQUARED: (1, -1),
+          A.TWO_POW_OMEGA: (2, -1), A.CHI_TWO: (0, -1), A.LAMBDA: None, A.OMEGA: None,
+          **{A.tau(r): (r, 0) for r in range(1, A.MAX_TAU_R + 1)}}
+
+
+def zeta_power_coefficients(a_power: int, b_power: int) -> list[int]:
+    """The coefficients of (1 - X)^-A (1 - X^2)^-B at X^0..X^63, each factor's
+    by the binomial series C(e + j - 1, j) = e (e+1) .. (e+j-1) / j!."""
+    def binomial(e, j):
+        return math.prod(range(e, e + j)) // math.factorial(j)
+    return [sum(binomial(a_power, a - 2 * j) * binomial(b_power, j) for j in range(a // 2 + 1))
+            for a in range(64)]
+
+
+@pytest.mark.parametrize("kind", list(POWERS), ids=str)
+def test_powers_are_read_off_the_local_factors(kind):
+    # the local factor of zeta(s)^A zeta(2s)^B is g at all 64 exponents;
+    # Lambda and the additive omega have no powers
+    assert kind.powers == POWERS[kind]
+    if kind.powers is not None:
+        assert zeta_power_coefficients(*kind.powers) == [kind.local(a) for a in range(64)]
+
+
+def test_products_are_the_kinds_their_powers_add_to():
+    # powers add under Dirichlet products: every pair of these kinds whose
+    # powers sum to a named kind's (r <= MAX_TAU_R) convolves to its sieve,
+    # the closed forms among them and pairs such as mu * mu^2 = chi_2
+    n = 10**5
+    kinds = [A.ONE, A.MOBIUS, A.MOBIUS_SQUARED, A.tau(2), A.tau(3), A.TWO_POW_OMEGA,
+             A.CHI_TWO, A.tau(8)]
+    named = {kind.powers: kind for kind in POWERS if kind.powers and kind != A.tau(1)}
+    products = [(f, g, named[(f.powers[0] + g.powers[0], f.powers[1] + g.powers[1])])
+                for f, g in itertools.combinations_with_replacement(kinds, 2)
+                if (f.powers[0] + g.powers[0], f.powers[1] + g.powers[1]) in named]
+    assert [f"{f} * {g} = {h}" for f, g, h in products] == [
+        "one * one = tau2", "one * mobius_squared = two_pow_omega", "one * tau2 = tau3",
+        "one * tau3 = tau4", "one * chi_two = mobius_squared", "mobius * mobius_squared = chi_two",
+        "mobius * tau2 = one", "mobius * tau3 = tau2", "mobius * two_pow_omega = mobius_squared",
+        "mobius * tau8 = tau7", "tau2 * tau2 = tau4", "tau2 * tau3 = tau5",
+        "tau2 * chi_two = two_pow_omega", "tau3 * tau3 = tau6"]
+    tables = {kind: A.build_sieve(kind, 1, n) for kind in kinds}
+    for f, g, h in products:
+        got = A.dirichlet_convolve(tables[f], tables[g], n).values
+        assert np.array_equal(got, A.build_sieve(h, 1, n).values), (f, g, h)
 
 
 def test_tau8_squared_at_a_million_is_refused_before_any_work(tables_1e6, monkeypatch):

@@ -1,5 +1,6 @@
 """Floor-quotient sum evaluators, constants, and the block rearrangement."""
 
+import functools
 import math
 import random
 import re
@@ -313,6 +314,17 @@ def test_lambda_sum_is_split_invariant_bit_for_bit():
             assert repr(got) == repr(want), (x, n)
 
 
+def test_block_products_enter_the_fsum_as_exact_parts():
+    # f(d) m(d) as two parts while every m < 2^26, and as four once one m
+    # reaches it: the nonzero parts sum to the exact products up to m = 2^52 + 1
+    v = np.append(np.log([2.0, 3.0, 7919.0, 999983.0]), 0.0)
+    for m in (1, 3, 2**26 - 1, 2**26, 2**40 + 12345, 2**52 + 1):
+        for ms in ([m] * 5, [1, 2, 3, 4, m]):
+            parts = list(FS._floats([(v, np.array(ms, dtype=np.int64))]))
+            assert 0.0 not in parts and len(parts) <= (8 if max(ms) < 2**26 else 16)
+            assert sum(map(Fraction, parts)) == sum(Fraction(f) * k for f, k in zip(v.tolist(), ms))
+
+
 def test_lambda_fast_equals_naive_at_every_split():
     # each block product f(d) m(d) enters the one fsum as exact parts, so the
     # split sum is the correctly rounded sum of the naive terms at every N
@@ -409,20 +421,13 @@ def test_sieved_lambda_tables_pass_their_check():
     assert A._beyond_magnitude(A.LAMBDA, lo, A.build_sieve(A.LAMBDA, lo, 10**12).values) is None
 
 
-@pytest.mark.parametrize("x", [7 * 10**11, 10**12])
+@pytest.mark.parametrize("x", [699 * 10**9, 7 * 10**11, 10**12])
 def test_tau8_is_summed_at_both_splits(x):
     # the binade bound is 2.4e15 at x = 1e12, far below 2^63
-    want = {7 * 10**11: 35320733582336, 10**12: 50435359618312}[x]
+    want = {699 * 10**9: 35262055531822, 7 * 10**11: 35320733582336,
+            10**12: 50435359618312}[x]
     assert FS.floor_sum_fast(A.tau(8), x) == want
     assert FS.floor_sum_fast(A.tau(8), x, split=isqrt(x // 100)) == want
-
-
-def test_tau8_is_summed_just_below_the_first_block_bound():
-    x = 699 * 10**9
-    top = min(FS.BLOCK_CHUNK, x // (isqrt(x) + 1))
-    assert A._magnitude(A.tau(8), top) * (x - x // (top + 1)) < 2**63
-    # the sum the per-piece data scans accepted
-    assert FS.floor_sum_fast(A.tau(8), x) == 35262055531822
 
 
 def tau_values(r: int, hi: int) -> list[int]:
@@ -450,6 +455,21 @@ def binade_bound(kind, x: int, N: int):
                                  r"int64 \(bound (\d+)\)", str(refused)).group(1))
         assert bound >= 2**63
         return bound
+
+
+def test_the_bound_reads_each_binade_as_its_magnitude_at_the_binade_end():
+    # the cached maxima of whole binades and one `_magnitude` at d0 give the
+    # sum of M(min(2^(k+1), d0 + 1) - 1) times each binade's count of n,
+    # exactly (Lambda's float terms added in the same order), at seeded (x, N)
+    rng = random.Random(46)
+    for kind in [A.kind_from_name(name) for name in NINE_NAMES] + [A.tau(8)]:
+        for _ in range(200):
+            x = rng.randrange(1, 10**rng.randint(1, 12))
+            N = rng.choice([0, 1, isqrt(x // FS.SPLIT_RATIO), isqrt(x), rng.randint(0, x)])
+            d0 = x // (N + 1)
+            want = sum(A._magnitude(kind, min(2 << k, d0 + 1) - 1)
+                       * ((x >> k) - max(x >> (k + 1), N)) for k in range(d0.bit_length()))
+            assert binade_bound(kind, x, N) == want, (kind, x, N)
 
 
 def test_the_bound_covers_every_sum_of_absolute_values():
@@ -536,16 +556,23 @@ def test_both_sums_check_their_bounds_before_any_evaluation(monkeypatch, fn, x, 
     # quotients d <= 9 and [32, 33] in the per-n range; a magnitude of 2^63
     # at one of them refuses the sum before f is evaluated
     forbid_evaluation(monkeypatch)
-    monkeypatch.setattr(FS, "_magnitude", lambda k, top: 2**63 if top == hi else 0)
+    patch_magnitude(monkeypatch, lambda k, top: 2**63 if top == hi else 0)
     with pytest.raises(BudgetError, match="may exceed int64"):
         fn(kind, x)
+
+
+def patch_magnitude(monkeypatch, magnitude):
+    """`_magnitude` replaced in floorsum, and read by `_binade_maxima` through
+    a cache of its own, which the patch's undo drops."""
+    monkeypatch.setattr(FS, "_magnitude", magnitude)
+    monkeypatch.setattr(FS, "_binade_maxima", functools.cache(FS._binade_maxima.__wrapped__))
 
 
 def test_the_bound_is_refused_iff_it_reaches_2_63(monkeypatch):
     # at x = 3 and N = 0 the binade [1, 1] holds the quotients of n = 2, 3 and
     # [2, 3] that of n = 1: B = 2 M(1) + M(3)
     for top, refused in ((1, False), (2, True)):
-        monkeypatch.setattr(FS, "_magnitude", lambda k, hi: {1: 2**62 - 1, 3: top}[hi])
+        patch_magnitude(monkeypatch, lambda k, hi: {1: 2**62 - 1, 3: top}[hi])
         if refused:
             with pytest.raises(BudgetError, match=r"\(bound 9223372036854775808\)"):
                 FS._check_int64(A.ONE, 3, 0)
